@@ -29,8 +29,8 @@
 //     instances; divide with -scale) stream by stream through the
 //     corpus appender — the full corpus never exists in memory — then
 //     times a complete out-of-core impact + causality pass under a
-//     fixed stream-cache limit with buffer recycling on, and merges the
-//     timings into BENCH_corpus.json's "paper" section.
+//     fixed stream-cache limit, and merges the timings into
+//     BENCH_corpus.json's "paper" section.
 //
 // Usage:
 //
@@ -422,9 +422,9 @@ const (
 
 // runPaper generates the paper-scale corpus through the appender (the
 // corpus never exists in memory), times a full out-of-core impact +
-// causality pass under a fixed cache limit with recycling on, and
-// merges the result into out's "paper" section, preserving the other
-// sections of an existing report.
+// causality pass under a fixed cache limit, and merges the result into
+// out's "paper" section, preserving the other sections of an existing
+// report.
 func runPaper(seed int64, scale, cacheLimit int, out string) {
 	if scale < 1 {
 		fatal(fmt.Errorf("bad -scale %d", scale))
@@ -459,9 +459,6 @@ func runPaper(seed int64, scale, cacheLimit int, out string) {
 		fatal(err)
 	}
 	cached := trace.NewCachedSource(src, cacheLimit)
-	if !cached.EnableRecycling() {
-		fatal(fmt.Errorf("recycling unsupported over a DirSource"))
-	}
 	workers := runtime.GOMAXPROCS(0)
 	an := core.NewAnalyzer(cached, core.WithWorkers(workers))
 	fmt.Printf("paper corpus: %d streams, %d instances, %d events (generated in %.1fs)\n",
@@ -476,7 +473,7 @@ func runPaper(seed int64, scale, cacheLimit int, out string) {
 	if m.IAwait() <= 0 {
 		fatal(fmt.Errorf("degenerate paper impact"))
 	}
-	fmt.Printf("impact: %.1fs (IAwait %.1f%%)\n", float64(impactNs)/1e9, m.IAwait())
+	fmt.Printf("impact: %.1fs (IAwait %.1f%%)\n", float64(impactNs)/1e9, m.IAwait()*100)
 
 	tf, ts, _ := scenario.Thresholds(scenario.BrowserTabCreate)
 	start = time.Now()

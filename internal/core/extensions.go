@@ -75,8 +75,8 @@ func (a *Analyzer) LocatePattern(res *CausalityResult, p mining.Pattern, filter 
 	if filter == nil {
 		filter = trace.AllDrivers()
 	}
-	// Classify on metadata first, then pin each stream only while its
-	// slow instances' graphs are in use.
+	// Classify on metadata first, so only streams with slow instances
+	// are decoded.
 	var slowRefs []trace.InstanceRef
 	for _, ref := range a.src.InstancesOf(res.Scenario) {
 		if a.src.InstanceMeta(ref).Duration() > res.Tslow {

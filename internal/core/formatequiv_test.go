@@ -13,8 +13,9 @@ import (
 // pipeline (impact + causality) over the same corpus stored as v3 (TSCP
 // row files), v4 (columnar), and v4-compressed must be bit-for-bit
 // identical to the in-memory reference at every combination of worker
-// count, cache limit, and buffer recycling. CI runs this under -race,
-// which also exercises the pin/release protocol concurrently.
+// count and cache limit. At limit=1 every fetch evicts, so under -race
+// with workers > 1 this also exercises eviction hooks firing while other
+// workers still hold graphs of the evicted stream.
 func TestFormatEquivalence(t *testing.T) {
 	corpus := equivalenceCorpus(t)
 	formats := []struct {
@@ -50,48 +51,32 @@ func TestFormatEquivalence(t *testing.T) {
 	wantAWG := renderAWG(t, wantCaus.SlowAWG)
 
 	for _, f := range formats {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 4, 8} {
 			for _, limit := range []int{1, 0} {
-				for _, recycle := range []bool{false, true} {
-					if recycle && limit == 0 {
-						continue // nothing ever evicts, so nothing recycles
+				name := fmt.Sprintf("%s/workers=%d/limit=%d", f.name, workers, limit)
+				t.Run(name, func(t *testing.T) {
+					src, err := trace.OpenDir(dirs[f.name])
+					if err != nil {
+						t.Fatal(err)
 					}
-					name := fmt.Sprintf("%s/workers=%d/limit=%d/recycle=%v", f.name, workers, limit, recycle)
-					t.Run(name, func(t *testing.T) {
-						src, err := trace.OpenDir(dirs[f.name])
-						if err != nil {
-							t.Fatal(err)
-						}
-						cached := trace.NewCachedSource(src, limit)
-						if recycle && !cached.EnableRecycling() {
-							t.Fatal("EnableRecycling reported unsupported for a DirSource")
-						}
-						an := NewAnalyzer(cached, WithWorkers(workers))
-						if got := an.Impact(trace.AllDrivers(), ""); got != wantImpact {
-							t.Errorf("impact differs:\n  got  %v\n  want %v", got, wantImpact)
-						}
-						got, err := an.Causality(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got.Patterns, wantCaus.Patterns) {
-							t.Errorf("ranked patterns differ (%d vs %d)", len(got.Patterns), len(wantCaus.Patterns))
-						}
-						if gotAWG := renderAWG(t, got.SlowAWG); gotAWG != wantAWG {
-							t.Error("slow-class AWG differs")
-						}
-						if err := an.Err(); err != nil {
-							t.Errorf("deferred fetch error: %v", err)
-						}
-						if recycle && f.name != "v3" {
-							// The whole point of recycling on a bounded v4 run:
-							// evicted streams feed later decodes.
-							if ps := src.PoolStats(); ps.Recycles == 0 || ps.Reuses == 0 {
-								t.Errorf("recycling run never reused buffers: %+v", ps)
-							}
-						}
-					})
-				}
+					an := NewAnalyzer(trace.NewCachedSource(src, limit), WithWorkers(workers))
+					if got := an.Impact(trace.AllDrivers(), ""); got != wantImpact {
+						t.Errorf("impact differs:\n  got  %v\n  want %v", got, wantImpact)
+					}
+					got, err := an.Causality(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Patterns, wantCaus.Patterns) {
+						t.Errorf("ranked patterns differ (%d vs %d)", len(got.Patterns), len(wantCaus.Patterns))
+					}
+					if gotAWG := renderAWG(t, got.SlowAWG); gotAWG != wantAWG {
+						t.Error("slow-class AWG differs")
+					}
+					if err := an.Err(); err != nil {
+						t.Errorf("deferred fetch error: %v", err)
+					}
+				})
 			}
 		}
 	}

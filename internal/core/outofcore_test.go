@@ -52,7 +52,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	wantCaus := causalityOf(ref, causalityScenario)
 	wantAWG := renderAWG(t, wantCaus.SlowAWG)
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4, 8} {
 		for _, limit := range []int{1, 2, 0} {
 			src, err := trace.OpenDir(dir)
 			if err != nil {

@@ -75,9 +75,8 @@ func (c *graphCache) put(ref trace.InstanceRef, g *waitgraph.Graph) int64 {
 
 // dropStream evicts every cached graph belonging to one stream. Called
 // from the source's eviction hook: once the decoded stream leaves the
-// source cache its graphs must not be served — with buffer recycling
-// their nodes would dangle into reused memory, and without it they
-// would keep the whole decoded stream resident past the cache bound.
+// source cache its graphs must not be served — they would keep the
+// whole decoded stream resident past the cache bound.
 // Returns the number of entries dropped.
 func (c *graphCache) dropStream(stream int) int64 {
 	c.mu.Lock()

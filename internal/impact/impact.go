@@ -76,9 +76,9 @@ func (m Metrics) String() string {
 // causality analysis.
 //
 // When the source is a *trace.CachedSource, the analyzer registers an
-// eviction hook so a stream's builder (which pins the decoded stream) is
-// released the moment the cache evicts the stream — keeping decoded
-// memory proportional to the cache limit, not the corpus size.
+// eviction hook so a stream's builder (which references the decoded
+// stream) is released the moment the cache evicts the stream — keeping
+// decoded memory proportional to the cache limit, not the corpus size.
 type Analyzer struct {
 	src    trace.Source
 	wgOpts waitgraph.Options
@@ -87,17 +87,6 @@ type Analyzer struct {
 
 	bmu      sync.Mutex
 	builders map[int]*waitgraph.Builder
-	// retired parks builders of evicted-but-still-pinned streams until
-	// the cache's release hook confirms every reference is gone; free is
-	// the builder freelist fed by those hooks. Both are only populated
-	// when the source recycles stream buffers.
-	retired map[int]*waitgraph.Builder
-	free    []*waitgraph.Builder
-
-	// pins mirrors the source's pin capability (nil otherwise); recycling
-	// reports whether the source has buffer recycling armed.
-	pins      pinner
-	recycling interface{ RecyclingEnabled() bool }
 
 	emu sync.Mutex
 	err error
@@ -109,20 +98,6 @@ type evictionNotifier interface {
 	AddEvictionHook(fn func(stream int))
 }
 
-// releaseNotifier is satisfied by *trace.CachedSource; the analyzer uses
-// it to reclaim builders once an evicted stream's last pin drops.
-type releaseNotifier interface {
-	AddReleaseHook(fn func(stream int))
-}
-
-// pinner is satisfied by *trace.CachedSource: consumers pin a stream
-// index across fetch-and-use so eviction cannot recycle buffers still
-// being read.
-type pinner interface {
-	Pin(i int)
-	Unpin(i int)
-}
-
 // NewAnalyzer indexes the source for impact analysis. *trace.Corpus
 // satisfies trace.Source, so in-memory corpora pass through unchanged.
 func NewAnalyzer(src trace.Source, opts waitgraph.Options) *Analyzer {
@@ -132,18 +107,10 @@ func NewAnalyzer(src trace.Source, opts waitgraph.Options) *Analyzer {
 		cache:    newGraphCache(DefaultGraphCacheLimit),
 		rec:      obs.Nop,
 		builders: make(map[int]*waitgraph.Builder),
-		retired:  make(map[int]*waitgraph.Builder),
 	}
 	if n, ok := src.(evictionNotifier); ok {
 		n.AddEvictionHook(a.dropBuilder)
 	}
-	if n, ok := src.(releaseNotifier); ok {
-		n.AddReleaseHook(a.reclaimBuilder)
-	}
-	if p, ok := src.(pinner); ok {
-		a.pins = p
-	}
-	a.recycling, _ = src.(interface{ RecyclingEnabled() bool })
 	return a
 }
 
@@ -191,27 +158,12 @@ func (a *Analyzer) builder(i int) (*waitgraph.Builder, error) {
 		sp.End()
 		return nil, err
 	}
-	a.bmu.Lock()
-	if n := len(a.free); n > 0 {
-		b = a.free[n-1]
-		a.free = a.free[:n-1]
-	}
-	a.bmu.Unlock()
-	if b != nil {
-		b.Reset(s, i)
-		a.rec.Add("impact_builders_reused_total", 1)
-	} else {
-		b = waitgraph.NewBuilder(s, i, a.wgOpts)
-	}
+	b = waitgraph.NewBuilder(s, i, a.wgOpts)
 	sp.End()
 	a.rec.Add("impact_builders_built_total", 1)
 	a.bmu.Lock()
 	if exist, ok := a.builders[i]; ok {
-		// Another worker won the build race; park ours for reuse (it has
-		// built no graphs yet, so reuse is unconditionally safe).
-		b.Detach()
-		a.free = append(a.free, b)
-		b = exist
+		b = exist // another worker won the build race; adopt its builder
 	} else {
 		a.builders[i] = b
 	}
@@ -220,76 +172,23 @@ func (a *Analyzer) builder(i int) (*waitgraph.Builder, error) {
 }
 
 // dropBuilder releases stream i's builder (and with it the decoded
-// stream it pins); a later fetch rebuilds it from the same bytes, so
-// results are unaffected. Cached graphs of the stream are purged too —
-// with buffer recycling they would dangle into reused memory, and
-// without it they would keep the evicted stream resident, defeating the
-// cache bound. When the source recycles, the builder parks on the
-// retired map until the release hook proves no graph references remain.
+// stream it references); a later fetch rebuilds it from the same bytes,
+// so results are unaffected. Cached graphs of the stream are purged too:
+// they would keep the evicted stream resident, defeating the cache
+// bound.
 func (a *Analyzer) dropBuilder(i int) {
 	a.bmu.Lock()
-	b := a.builders[i]
 	delete(a.builders, i)
-	if b != nil && a.recycling != nil && a.recycling.RecyclingEnabled() {
-		a.retired[i] = b
-	}
 	a.bmu.Unlock()
 	if evicted := a.cache.dropStream(i); evicted > 0 {
 		a.rec.Add("impact_graph_cache_evictions_total", evicted)
 	}
 }
 
-// reclaimBuilder moves stream i's retired builder onto the freelist:
-// the cache has confirmed the stream is evicted and unpinned, so no
-// graph built from it can still be in use and its node slab is safe to
-// rewind into the next build.
-func (a *Analyzer) reclaimBuilder(i int) {
-	a.bmu.Lock()
-	b := a.retired[i]
-	delete(a.retired, i)
-	if b != nil {
-		b.Detach()
-		a.free = append(a.free, b)
-	}
-	a.bmu.Unlock()
-}
-
-// PinStream pins stream i in the underlying cache for the duration of
-// graph use (no-op for sources without pinning). Consumers iterating
-// instance refs should prefer GraphsOver, which pins per stream run.
-func (a *Analyzer) PinStream(i int) {
-	if a.pins != nil {
-		a.pins.Pin(i)
-	}
-}
-
-// UnpinStream drops a PinStream pin.
-func (a *Analyzer) UnpinStream(i int) {
-	if a.pins != nil {
-		a.pins.Unpin(i)
-	}
-}
-
-// GraphsOver builds each instance's Wait Graph and hands it to fn,
-// holding the instance's stream pinned across the call so a recycling
-// source cannot reuse the stream's buffers mid-visit. Pins are taken per
-// run of consecutive refs on one stream — refs grouped by stream (shard
-// order) pay one pin per stream.
+// GraphsOver builds each instance's Wait Graph in order and hands it to
+// fn.
 func (a *Analyzer) GraphsOver(refs []trace.InstanceRef, fn func(ref trace.InstanceRef, g *waitgraph.Graph)) {
-	cur := -1
-	defer func() {
-		if cur >= 0 {
-			a.UnpinStream(cur)
-		}
-	}()
 	for _, ref := range refs {
-		if ref.Stream != cur {
-			if cur >= 0 {
-				a.UnpinStream(cur)
-			}
-			cur = ref.Stream
-			a.PinStream(cur)
-		}
 		fn(ref, a.Graph(ref))
 	}
 }

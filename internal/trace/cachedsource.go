@@ -32,30 +32,18 @@ type SourceCacheStats struct {
 // streams are held at any moment (eviction hooks let dependents — e.g.
 // per-stream Wait-Graph builders — release their references in step).
 type CachedSource struct {
-	src Source
-	rec obs.Recorder
+	src   Source
+	rec   obs.Recorder
+	limit int // fixed at construction
 
 	mu      sync.Mutex
-	limit   int
 	lru     *list.List // of int (stream index); front = most recent
 	entries map[int]*list.Element
 	streams map[int]*Stream
 	pending map[int]*pendingFetch
 	stats   SourceCacheStats
 	hooks   []func(stream int)
-
-	// Recycling state (EnableRecycling): pins count consumers currently
-	// using a stream index; zombies hold evicted streams that were pinned
-	// at eviction and may only be recycled once their last pin drops.
-	recycler     recycler
-	pins         map[int]int
-	zombies      map[int][]*Stream
-	releaseHooks []func(stream int)
 }
-
-// recycler is the capability a wrapped source needs for EnableRecycling
-// (DirSource implements it over its v4 decode-buffer pool).
-type recycler interface{ Recycle(*Stream) }
 
 type pendingFetch struct {
 	done chan struct{}
@@ -76,9 +64,6 @@ func NewCachedSource(src Source, limit int) *CachedSource {
 		pending: make(map[int]*pendingFetch),
 	}
 }
-
-// Unwrap returns the wrapped source.
-func (c *CachedSource) Unwrap() Source { return c.src }
 
 // SetRecorder routes the cache's hit/miss/eviction counters to r and
 // forwards the recorder to the wrapped source when it is instrumentable
@@ -153,7 +138,7 @@ func (c *CachedSource) Stream(i int) (*Stream, error) {
 
 	c.mu.Lock()
 	delete(c.pending, i)
-	var evicted []evictedStream
+	var evicted []int
 	if p.err == nil {
 		c.entries[i] = c.lru.PushFront(i)
 		c.streams[i] = p.s
@@ -169,125 +154,8 @@ func (c *CachedSource) Stream(i int) (*Stream, error) {
 	return p.s, p.err
 }
 
-// Pin marks stream i in use: until the matching Unpin, an eviction of i
-// will not recycle the decoded stream's buffers. Consumers on a
-// recycling source must pin before fetching (Pin → Stream → use →
-// Unpin); pins nest. Without EnableRecycling pins are bookkeeping only.
-func (c *CachedSource) Pin(i int) {
-	c.mu.Lock()
-	if c.pins == nil {
-		c.pins = make(map[int]int)
-	}
-	c.pins[i]++
-	c.mu.Unlock()
-}
-
-// Unpin drops a pin. When the last pin of an already evicted stream
-// drops, its release hooks run and its buffers are recycled.
-func (c *CachedSource) Unpin(i int) {
-	c.mu.Lock()
-	n, ok := c.pins[i]
-	if !ok {
-		c.mu.Unlock()
-		panic("trace: CachedSource.Unpin without matching Pin")
-	}
-	if n > 1 {
-		c.pins[i] = n - 1
-		c.mu.Unlock()
-		return
-	}
-	delete(c.pins, i)
-	var dead []*Stream
-	if len(c.zombies) > 0 {
-		dead = c.zombies[i]
-		delete(c.zombies, i)
-	}
-	r := c.recycler
-	c.mu.Unlock()
-	if len(dead) > 0 {
-		c.release(r, i, dead)
-	}
-}
-
-// EnableRecycling arms buffer recycling: once on, a stream evicted with
-// no pins outstanding (or whose last pin drops after eviction) is
-// returned to the wrapped source via Recycle, after the release hooks
-// run. It reports whether the wrapped source supports recycling; call
-// before concurrent use. Turning it on obliges every consumer that can
-// run concurrently with evictions to follow the pin protocol.
-func (c *CachedSource) EnableRecycling() bool {
-	r, ok := c.src.(recycler)
-	if !ok {
-		return false
-	}
-	c.mu.Lock()
-	c.recycler = r
-	if c.pins == nil {
-		c.pins = make(map[int]int)
-	}
-	if c.zombies == nil {
-		c.zombies = make(map[int][]*Stream)
-	}
-	c.mu.Unlock()
-	return true
-}
-
-// RecyclingEnabled reports whether EnableRecycling has armed buffer
-// recycling on this cache.
-func (c *CachedSource) RecyclingEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recycler != nil
-}
-
-// AddReleaseHook registers fn to run when a stream index is fully
-// released — evicted and unpinned — immediately before its buffers are
-// recycled. Dependents with per-stream freelists (impact's wait-graph
-// builder pool) reclaim their state here. Hooks run outside the cache
-// lock and must be registered before concurrent use; they only fire
-// when recycling is enabled.
-func (c *CachedSource) AddReleaseHook(fn func(stream int)) {
-	c.mu.Lock()
-	c.releaseHooks = append(c.releaseHooks, fn)
-	c.mu.Unlock()
-}
-
-// release runs the release hooks for stream i and recycles its dead
-// decoded streams. Called outside the cache lock.
-func (c *CachedSource) release(r recycler, i int, dead []*Stream) {
-	c.mu.Lock()
-	hooks := c.releaseHooks
-	c.mu.Unlock()
-	for _, fn := range hooks {
-		fn(i)
-	}
-	if r != nil {
-		for _, s := range dead {
-			r.Recycle(s)
-		}
-	}
-}
-
-// Limit returns the current cache limit (<= 0 means unbounded).
-func (c *CachedSource) Limit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.limit
-}
-
-// SetLimit rebounds the cache (<= 0 means unbounded), evicting
-// least-recently-used streams if it already exceeds the new limit.
-func (c *CachedSource) SetLimit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	rec := c.rec
-	evicted := c.evictOverLimitLocked()
-	c.mu.Unlock()
-	if len(evicted) > 0 {
-		rec.Add("source_cache_evictions_total", int64(len(evicted)))
-	}
-	c.notifyEvicted(evicted)
-}
+// Limit returns the cache limit (<= 0 means unbounded).
+func (c *CachedSource) Limit() int { return c.limit }
 
 // Stats returns a snapshot of the cache counters.
 func (c *CachedSource) Stats() SourceCacheStats {
@@ -308,20 +176,13 @@ func (c *CachedSource) AddEvictionHook(fn func(stream int)) {
 	c.mu.Unlock()
 }
 
-// evictedStream pairs an evicted index with the decoded stream it held,
-// so the recycling path can reclaim the buffers after the hooks run.
-type evictedStream struct {
-	idx int
-	s   *Stream
-}
-
 // evictOverLimitLocked drops least-recently-used entries until the cache
-// fits the limit, returning the dropped streams.
-func (c *CachedSource) evictOverLimitLocked() []evictedStream {
+// fits the limit, returning the dropped stream indices.
+func (c *CachedSource) evictOverLimitLocked() []int {
 	if c.limit <= 0 {
 		return nil
 	}
-	var evicted []evictedStream
+	var evicted []int
 	for len(c.streams) > c.limit {
 		el := c.lru.Back()
 		if el == nil {
@@ -329,10 +190,9 @@ func (c *CachedSource) evictOverLimitLocked() []evictedStream {
 		}
 		i := c.lru.Remove(el).(int)
 		delete(c.entries, i)
-		s := c.streams[i]
 		delete(c.streams, i)
 		c.stats.Evictions++
-		evicted = append(evicted, evictedStream{idx: i, s: s})
+		evicted = append(evicted, i)
 	}
 	return evicted
 }
@@ -344,37 +204,19 @@ func (c *CachedSource) noteHeldLocked() {
 	}
 }
 
-// notifyEvicted runs the eviction hooks for each dropped stream, then
-// routes unpinned streams to recycling; streams still pinned park on
-// the zombie list until their last Unpin. Eviction hooks always run
-// before release hooks and recycling, so dependents drop their
-// per-stream state (builders, cached graphs) before any buffer reuse.
-func (c *CachedSource) notifyEvicted(evicted []evictedStream) {
+// notifyEvicted runs the eviction hooks for each dropped stream. The
+// decoded streams themselves are never reused: once dependents drop
+// their references the garbage collector reclaims them.
+func (c *CachedSource) notifyEvicted(evicted []int) {
 	if len(evicted) == 0 {
 		return
 	}
 	c.mu.Lock()
 	hooks := c.hooks
 	c.mu.Unlock()
-	for _, ev := range evicted {
+	for _, i := range evicted {
 		for _, fn := range hooks {
-			fn(ev.idx)
+			fn(i)
 		}
-	}
-	c.mu.Lock()
-	r := c.recycler
-	var free []evictedStream
-	if r != nil {
-		for _, ev := range evicted {
-			if c.pins[ev.idx] > 0 {
-				c.zombies[ev.idx] = append(c.zombies[ev.idx], ev.s)
-			} else {
-				free = append(free, ev)
-			}
-		}
-	}
-	c.mu.Unlock()
-	for _, ev := range free {
-		c.release(r, ev.idx, []*Stream{ev.s})
 	}
 }

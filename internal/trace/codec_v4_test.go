@@ -258,73 +258,6 @@ func TestV4DecodedStreamCanIntern(t *testing.T) {
 	}
 }
 
-// TestCachedSourcePinning checks the recycling protocol end to end:
-// eviction hooks fire before release hooks, a pinned stream parks as a
-// zombie until its last Unpin, and unpinned evictions recycle
-// immediately.
-func TestCachedSourcePinning(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCorpus(randomStream(1), randomStream(2), randomStream(3))
-	if err := c.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := NewCachedSource(d, 1)
-	if !cs.EnableRecycling() {
-		t.Fatal("EnableRecycling reported unsupported for a v4 DirSource")
-	}
-	var order []string
-	cs.AddEvictionHook(func(i int) { order = append(order, "evict") })
-	cs.AddReleaseHook(func(i int) { order = append(order, "release") })
-
-	// Pinned eviction: stream 0 survives as a zombie until Unpin.
-	cs.Pin(0)
-	if _, err := cs.Stream(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Stream(1); err != nil { // evicts 0, still pinned
-		t.Fatal(err)
-	}
-	if len(order) != 1 || order[0] != "evict" {
-		t.Fatalf("hook order after pinned eviction = %v, want [evict]", order)
-	}
-	if got := d.PoolStats().Recycles; got != 0 {
-		t.Fatalf("pinned stream recycled early: Recycles = %d", got)
-	}
-	cs.Unpin(0)
-	if len(order) != 2 || order[1] != "release" {
-		t.Fatalf("hook order after Unpin = %v, want [evict release]", order)
-	}
-	if got := d.PoolStats().Recycles; got != 1 {
-		t.Fatalf("Recycles = %d after last Unpin, want 1", got)
-	}
-
-	// Unpinned eviction: recycled as part of the eviction itself.
-	if _, err := cs.Stream(2); err != nil { // evicts 1, no pins
-		t.Fatal(err)
-	}
-	if got := d.PoolStats().Recycles; got != 2 {
-		t.Fatalf("Recycles = %d after unpinned eviction, want 2", got)
-	}
-	if len(order) != 4 || order[2] != "evict" || order[3] != "release" {
-		t.Fatalf("hook order after unpinned eviction = %v", order)
-	}
-}
-
-// TestCachedSourceUnpinWithoutPin checks the misuse guard.
-func TestCachedSourceUnpinWithoutPin(t *testing.T) {
-	cs := NewCachedSource(NewCorpus(randomStream(1)), 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unpin without Pin did not panic")
-		}
-	}()
-	cs.Unpin(0)
-}
-
 // TestV4CorruptInputs mutates a valid v4 stream file in targeted ways;
 // every mutation must fail decode with ErrBadFormat, never panic.
 func TestV4CorruptInputs(t *testing.T) {

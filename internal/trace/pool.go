@@ -34,11 +34,10 @@ type decodeBufs struct {
 //
 // The pooling contract (DESIGN.md §10): a decoded stream and everything
 // reachable from it — events, stack slices, instance records — is valid
-// only until the stream is recycled. CachedSource's pin protocol
-// guarantees no consumer still holds the stream when that happens;
-// callers recycling manually give the same guarantee themselves. Frame
-// strings are exempt: they live in the corpus InternTable and are never
-// recycled.
+// only until the stream is recycled. Only a caller that holds the sole
+// reference to a stream may recycle it; streams served through a
+// CachedSource are shared and never recycled. Frame strings are exempt:
+// they live in the corpus InternTable and are never recycled.
 type StreamPool struct {
 	mu   sync.Mutex
 	free []*decodeBufs

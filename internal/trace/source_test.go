@@ -296,6 +296,8 @@ func TestCachedSourceLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := NewCachedSource(d, 2)
+	var evicted []int
+	cs.AddEvictionHook(func(i int) { evicted = append(evicted, i) })
 
 	fetch := func(i int) *Stream {
 		t.Helper()
@@ -335,20 +337,11 @@ func TestCachedSourceLRU(t *testing.T) {
 		t.Fatalf("sequential high-water %d exceeds limit+1", got.HighWater)
 	}
 
-	var evicted []int
-	cs.AddEvictionHook(func(i int) { evicted = append(evicted, i) })
-	cs.SetLimit(1)
-	if len(evicted) != 1 {
-		t.Fatalf("SetLimit(1) evicted %v, want one stream", evicted)
+	if len(evicted) != 2 || evicted[0] != 1 || evicted[1] != 2 {
+		t.Fatalf("eviction hook saw %v, want [1 2]", evicted)
 	}
-	if got := cs.Stats(); got.Size != 1 {
-		t.Fatalf("after SetLimit(1): %+v", got)
-	}
-	if cs.Limit() != 1 {
-		t.Fatalf("Limit() = %d, want 1", cs.Limit())
-	}
-	if cs.Unwrap() != d {
-		t.Fatal("Unwrap did not return the wrapped source")
+	if cs.Limit() != 2 {
+		t.Fatalf("Limit() = %d, want 2", cs.Limit())
 	}
 }
 

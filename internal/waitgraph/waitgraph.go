@@ -104,13 +104,8 @@ func (o *Options) applyDefaults() {
 // *Node values for shared events (the cross-instance duplication that
 // Dwaitdist measures).
 //
-// Builders are reusable: Reset re-indexes a new stream while keeping the
-// index maps and the node slab, so an analysis that cycles through many
-// streams (out-of-core runs with a bounded cache) allocates nodes in
-// amortised chunks instead of one heap object per event. Reusing a
-// builder is only sound once nothing references the graphs it built —
-// the impact analyzer recycles builders from the cache's release hooks,
-// after every graph of the evicted stream has been dropped.
+// Nodes come from a slab allocated a chunk at a time, so a stream costs
+// one heap object per nodeChunkSize events instead of one per event.
 type Builder struct {
 	s    *trace.Stream
 	si   int
@@ -121,10 +116,7 @@ type Builder struct {
 
 	nodes map[int]*Node // event index -> node
 
-	// Node slab: nodes are allocated chunk by chunk and rewound on
-	// Reset, reusing both the chunks and each node's Children slice.
-	chunks [][]Node
-	ci, ni int // allocation cursor: next chunk, next node within it
+	slab []Node // unallocated tail of the current node chunk
 }
 
 // nodeChunkSize is the slab granularity: one allocation per this many
@@ -135,32 +127,12 @@ const nodeChunkSize = 512
 func NewBuilder(s *trace.Stream, streamIndex int, opts Options) *Builder {
 	opts.applyDefaults()
 	b := &Builder{
+		s:              s,
+		si:             streamIndex,
 		opts:           opts,
 		byThread:       make(map[trace.ThreadID][]int),
 		unwaitByTarget: make(map[trace.ThreadID][]int),
 		nodes:          make(map[int]*Node),
-	}
-	b.Reset(s, streamIndex)
-	return b
-}
-
-// Reset re-targets the builder at a new stream, reusing its index maps
-// and node slab. All graphs previously built by this builder become
-// invalid: their nodes will be overwritten by subsequent builds. Callers
-// must guarantee no such graph is still referenced (see the type
-// comment).
-func (b *Builder) Reset(s *trace.Stream, streamIndex int) {
-	b.s, b.si = s, streamIndex
-	b.ci, b.ni = 0, 0
-	clear(b.nodes)
-	// Keep the per-thread slices' backing arrays: thread IDs recur across
-	// streams, so truncating beats reallocating. Stale keys hold empty
-	// slices and cost nothing.
-	for tid := range b.byThread {
-		b.byThread[tid] = b.byThread[tid][:0]
-	}
-	for tid := range b.unwaitByTarget {
-		b.unwaitByTarget[tid] = b.unwaitByTarget[tid][:0]
 	}
 	for i, e := range s.Events {
 		b.byThread[e.TID] = append(b.byThread[e.TID], i)
@@ -170,36 +142,22 @@ func (b *Builder) Reset(s *trace.Stream, streamIndex int) {
 	}
 	// Events are time-sorted within the stream, so the per-thread index
 	// lists are already time-ordered.
-}
-
-// Detach drops the builder's stream reference (for builders parked on a
-// freelist whose stream buffers have been recycled). The builder is
-// unusable until the next Reset.
-func (b *Builder) Detach() {
-	b.s = nil
-	clear(b.nodes)
+	return b
 }
 
 // alloc returns a zeroed node from the slab, growing it a chunk at a
-// time. Recycled nodes keep their Children backing array.
+// time.
 func (b *Builder) alloc() *Node {
-	if b.ci == len(b.chunks) {
-		b.chunks = append(b.chunks, make([]Node, nodeChunkSize))
+	if len(b.slab) == 0 {
+		b.slab = make([]Node, nodeChunkSize)
 	}
-	n := &b.chunks[b.ci][b.ni]
-	if b.ni++; b.ni == nodeChunkSize {
-		b.ci++
-		b.ni = 0
-	}
-	*n = Node{Children: n.Children[:0]}
+	n := &b.slab[0]
+	b.slab = b.slab[1:]
 	return n
 }
 
 // Stream returns the indexed stream.
 func (b *Builder) Stream() *trace.Stream { return b.s }
-
-// StreamIndex returns the stream's index within its corpus.
-func (b *Builder) StreamIndex() int { return b.si }
 
 // Instance builds the Wait Graph of one scenario instance: the roots are
 // the initiating thread's events within [Start, End), and wait nodes
