@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet lint lint-fix lint-json lint-sarif metrics-doc \
 	metrics-doc-update test test-short test-race \
-	bench bench-json bench-corpus bench-gate bench-paper bench-smoke \
+	bench bench-smoke \
 	daemon-smoke diff-smoke vet-gate experiments experiments-md report fuzz clean
 
 all: build vet lint test
@@ -73,42 +73,17 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable engine benchmark (worker-count sweep) for the perf
-# trajectory across changes.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_engine.json
-
-# Machine-readable out-of-core benchmark: load latency (eager vs lazy),
-# per-format decode throughput (v3 rows vs v4 columnar vs v4 pooled),
-# and the worker x stream-cache-limit analysis sweep with cache counters.
-bench-corpus:
-	$(GO) run ./cmd/benchjson -mode corpus -out BENCH_corpus.json
-
-# Bench-regression gate (CI gates on this): regenerate both reports into
-# a temp dir and compare against the committed BENCH_engine.json and
-# BENCH_corpus.json. Fails on >15% ns_per_op regressions (override with
-# BENCH_GATE_TOLERANCE) or broken v4 decode invariants (>= 2x v3 decode
-# throughput, near-zero allocs/event on the pooled path).
-bench-gate:
-	./scripts/bench_gate.sh
-
-# Paper-scale feasibility run: generate ~19.5k streams / ~505k instances
-# through the appender, time a full out-of-core impact + causality pass
-# under a fixed stream-cache limit, and merge the timings into
-# BENCH_corpus.json's "paper" section. Minutes, not seconds — refreshed
-# deliberately, never in CI.
-bench-paper:
-	$(GO) run ./cmd/benchjson -mode paper -out BENCH_corpus.json
-
-# Observability smoke test (CI gates on this): run the instrumented
-# pipeline over a tiny corpus twice, reconcile the counters in-process
-# (benchjson fails on malformed or non-reconciling snapshots), and fail
-# if the two JSON metric snapshots are not byte-identical.
+# Benchmark smoke (CI gates on this): run the repo benchmark's own
+# command (BENCHMARK.json) for one second on each of its workloads, so
+# the command cannot rot. A run's last line is one JSON object; the
+# correctness oracle must hold and no operation may fail. Numbers for
+# claims come from full runs — see bench/README.md.
 bench-smoke:
-	$(GO) run ./cmd/benchjson -mode metrics -streams 8 -episodes 4 -out BENCH_metrics_a.json
-	$(GO) run ./cmd/benchjson -mode metrics -streams 8 -episodes 4 -out BENCH_metrics_b.json
-	cmp BENCH_metrics_a.json BENCH_metrics_b.json
-	rm -f BENCH_metrics_a.json BENCH_metrics_b.json
+	for w in batch_cold batch_resident ingest_grow daemon_mixed; do \
+		bash bench/run.sh -workload $$w -seconds 1 -seed 1 | tail -n 1 | \
+			grep '"correct":true' | grep -q '"failed":0,' || \
+			{ echo "bench-smoke: $$w: last line lacks \"correct\":true and \"failed\":0" >&2; exit 1; }; \
+	done
 
 # End-to-end daemon smoke (CI gates on this): start tracescoped on a
 # temp corpus, feed it with the tracegen feeder in two arrival orders
@@ -150,7 +125,6 @@ report:
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzParseIndex -fuzztime 30s
-	$(GO) test ./internal/trace/ -fuzz FuzzCorpusReadFrom -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadV4Index -fuzztime 30s
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzColBlockDecode -fuzztime 30s
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzInternRecords -fuzztime 15s
@@ -163,8 +137,6 @@ fuzz:
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetStream -fuzztime 30s
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetCorpus -fuzztime 15s
 
-# BENCH_engine.json and BENCH_corpus.json are committed snapshots
-# (regenerated by bench-json/bench-corpus), so clean leaves them alone
-# and removes only the transient bench-smoke outputs.
 clean:
-	rm -f report.html test_output.txt bench_output.txt BENCH_metrics_*.json *.dot tracelint.json tracelint.sarif tracevet.sarif
+	rm -f report.html test_output.txt bench_output.txt *.dot tracelint.json tracelint.sarif tracevet.sarif
+	rm -rf .bench_build

@@ -77,8 +77,8 @@ func BenchmarkHeadlineImpact(b *testing.B) {
 }
 
 // BenchmarkParallelHeadlineImpact sweeps the engine's worker count on
-// the headline impact analysis. cmd/benchjson runs the same sweep and
-// emits BENCH_engine.json for the perf trajectory.
+// the headline impact analysis, for measuring while you work; numbers
+// for claims come from bench/ (engine.speedup @ batch_resident).
 func BenchmarkParallelHeadlineImpact(b *testing.B) {
 	s := benchSetup(b)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -318,8 +318,8 @@ func BenchmarkAblationStackInterning(b *testing.B) {
 // BenchmarkDirSourceAnalysis measures the headline impact analysis over
 // a directory-backed corpus source at several decoded-stream cache
 // limits, against the fully in-memory path. Small limits trade decode
-// work for bounded memory; "cmd/benchjson -mode corpus" runs the same
-// sweep and emits BENCH_corpus.json for the perf trajectory.
+// work for bounded memory; the number on file is bench/'s batch_cold
+// workload.
 func BenchmarkDirSourceAnalysis(b *testing.B) {
 	s := benchSetup(b)
 	dir := b.TempDir()

@@ -107,19 +107,16 @@ func dumpStats(dir string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("format:      v%d\n", st.Version)
 	fmt.Printf("streams:     %d (%d instances, %d events)\n", st.Streams, st.Instances, st.Events)
 	fmt.Printf("index:       %d bytes\n", st.IndexBytes)
-	if st.Version >= 4 {
-		fmt.Printf("intern:      %d frames, %d stacks, %d bytes (shared across all streams)\n",
-			st.Frames, st.Stacks, st.InternBytes)
-		fmt.Printf("blocks:      %d (%d flate-compressed)\n", st.Blocks, st.CompressedBlocks)
-		ratio := 100.0
-		if st.EventBytesRaw > 0 {
-			ratio = 100 * float64(st.EventBytesStored) / float64(st.EventBytesRaw)
-		}
-		fmt.Printf("event bytes: %d stored / %d raw (%.1f%%)\n", st.EventBytesStored, st.EventBytesRaw, ratio)
+	fmt.Printf("intern:      %d frames, %d stacks, %d bytes (shared across all streams)\n",
+		st.Frames, st.Stacks, st.InternBytes)
+	fmt.Printf("blocks:      %d (%d flate-compressed)\n", st.Blocks, st.CompressedBlocks)
+	ratio := 100.0
+	if st.EventBytesRaw > 0 {
+		ratio = 100 * float64(st.EventBytesStored) / float64(st.EventBytesRaw)
 	}
+	fmt.Printf("event bytes: %d stored / %d raw (%.1f%%)\n", st.EventBytesStored, st.EventBytesRaw, ratio)
 	fmt.Printf("streams on disk: %d bytes", st.StreamBytes)
 	if st.Events > 0 {
 		fmt.Printf(" (%.2f bytes/event)", float64(st.StreamBytes)/float64(st.Events))

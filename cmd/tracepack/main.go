@@ -1,11 +1,10 @@
-// Command tracepack converts a corpus directory to the current
-// columnar format (v4): cross-stream intern tables in the corpus
-// container, per-column varint event blocks, optional flate block
-// compression. Legacy corpora (v1 plain index, v2/v3 row-format TSCP
-// streams) convert losslessly — analysis output over the converted
-// corpus is byte-identical, which cmd/tracepack's tests assert.
+// Command tracepack re-packs a corpus directory into a new one, with or
+// without flate compression of the event blocks. Re-packing is lossless
+// — analysis output over the packed corpus is byte-identical, which
+// cmd/tracepack's tests assert — and also drops the orphan intern
+// records and stream files an interrupted append can leave behind.
 //
-// Streams are converted one at a time through the corpus appender, so
+// Streams are re-packed one at a time through the corpus appender, so
 // corpora much larger than RAM pack fine.
 //
 // Usage:
@@ -23,8 +22,8 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "source corpus directory (any format version; required)")
-		out      = flag.String("out", "", "destination directory for the v4 corpus (required)")
+		in       = flag.String("in", "", "source corpus directory (required)")
+		out      = flag.String("out", "", "destination directory for the packed corpus (required)")
 		compress = flag.Bool("compress", false, "flate-compress event blocks (smaller, slower to decode)")
 	)
 	flag.Parse()
@@ -41,7 +40,7 @@ func main() {
 
 // pack streams every stream of the corpus at in through an appender at
 // out. The destination must not already contain a corpus: appending a
-// conversion onto unrelated streams is never what anyone wants.
+// re-pack onto unrelated streams is never what anyone wants.
 func pack(in, out string, compress bool) error {
 	src, err := trace.OpenDir(in)
 	if err != nil {
@@ -76,11 +75,9 @@ func pack(in, out string, compress bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("packed %d streams (%d events): v%d %d bytes -> v%d %d bytes (%.1f%%)\n",
-		src.NumStreams(), src.NumEvents(),
-		inStats.Version, inStats.StreamBytes+inStats.IndexBytes+inStats.InternBytes,
-		outStats.Version, outStats.StreamBytes+outStats.IndexBytes+outStats.InternBytes,
-		100*float64(outStats.StreamBytes+outStats.IndexBytes+outStats.InternBytes)/
-			float64(inStats.StreamBytes+inStats.IndexBytes+inStats.InternBytes))
+	inBytes := inStats.StreamBytes + inStats.IndexBytes + inStats.InternBytes
+	outBytes := outStats.StreamBytes + outStats.IndexBytes + outStats.InternBytes
+	fmt.Printf("packed %d streams (%d events): %d bytes -> %d bytes (%.1f%%)\n",
+		src.NumStreams(), src.NumEvents(), inBytes, outBytes, 100*float64(outBytes)/float64(inBytes))
 	return nil
 }

@@ -45,55 +45,50 @@ func TestPackRoundTrip(t *testing.T) {
 	corpus := scenario.Generate(scenario.Config{Seed: 7, Streams: 8, Episodes: 5})
 	want := fingerprint(t, corpus)
 
-	for _, from := range []int{2, 3} {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("v%d/compress=%v", from, compress), func(t *testing.T) {
-				in := t.TempDir()
-				if err := corpus.WriteDirVersion(in, from); err != nil {
-					t.Fatal(err)
-				}
-				out := filepath.Join(t.TempDir(), "packed")
-				if err := pack(in, out, compress); err != nil {
-					t.Fatal(err)
-				}
+	for _, compress := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+			in := t.TempDir()
+			if err := corpus.WriteDir(in); err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(t.TempDir(), "packed")
+			if err := pack(in, out, compress); err != nil {
+				t.Fatal(err)
+			}
 
-				st, err := trace.CollectDirStats(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Version != 4 {
-					t.Fatalf("packed corpus is v%d, want v4", st.Version)
-				}
-				if compress && st.CompressedBlocks == 0 {
-					t.Error("-compress packed no compressed blocks")
-				}
+			st, err := trace.CollectDirStats(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if compressed := st.CompressedBlocks > 0; compressed != compress {
+				t.Errorf("compress=%v packed %d compressed blocks", compress, st.CompressedBlocks)
+			}
 
-				src, err := trace.OpenDir(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fingerprint(t, src); !bytes.Equal(got, want) {
-					t.Error("analysis output differs after packing")
-				}
+			src, err := trace.OpenDir(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(t, src); !bytes.Equal(got, want) {
+				t.Error("analysis output differs after packing")
+			}
 
-				// And the source corpus still analyses identically too —
-				// packing must not have touched it.
-				insrc, err := trace.OpenDir(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fingerprint(t, insrc); !bytes.Equal(got, want) {
-					t.Error("source corpus analysis changed")
-				}
-			})
-		}
+			// And the source corpus still analyses identically too —
+			// packing must not have touched it.
+			insrc, err := trace.OpenDir(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(t, insrc); !bytes.Equal(got, want) {
+				t.Error("source corpus analysis changed")
+			}
+		})
 	}
 }
 
 func TestPackRefusesExistingCorpus(t *testing.T) {
 	corpus := scenario.Generate(scenario.Config{Seed: 1, Streams: 2, Episodes: 2})
 	in := t.TempDir()
-	if err := corpus.WriteDirVersion(in, 3); err != nil {
+	if err := corpus.WriteDir(in); err != nil {
 		t.Fatal(err)
 	}
 	out := t.TempDir()

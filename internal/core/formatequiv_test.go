@@ -10,10 +10,10 @@ import (
 )
 
 // TestFormatEquivalence is the corpus-format acceptance test: the full
-// pipeline (impact + causality) over the same corpus stored as v3 (TSCP
-// row files), v4 (columnar), and v4-compressed must be bit-for-bit
-// identical to the in-memory reference at every combination of worker
-// count and cache limit. At limit=1 every fetch evicts, so under -race
+// pipeline (impact + causality) over the same corpus stored on disk,
+// with and without block compression, must be bit-for-bit identical to
+// the in-memory reference at every combination of worker count and
+// cache limit. At limit=1 every fetch evicts, so under -race
 // with workers > 1 this also exercises eviction hooks firing while other
 // workers still hold graphs of the evicted stream.
 func TestFormatEquivalence(t *testing.T) {
@@ -22,7 +22,6 @@ func TestFormatEquivalence(t *testing.T) {
 		name  string
 		write func(*trace.Corpus, string) error
 	}{
-		{"v3", func(c *trace.Corpus, dir string) error { return c.WriteDirVersion(dir, 3) }},
 		{"v4", (*trace.Corpus).WriteDir},
 		{"v4-compressed", (*trace.Corpus).WriteDirCompressed},
 	}

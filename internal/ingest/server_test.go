@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -241,6 +242,45 @@ func TestServerWarmupEqualsStreaming(t *testing.T) {
 		if rw != rl {
 			t.Errorf("GET %s differs between warm-up and streaming:\n%s\n--- other ---\n%s", url, rw, rl)
 		}
+	}
+}
+
+// TestServerRestartsOverTornFirstUpload: a crash inside the first
+// upload's index-header write leaves intern records, a stream file and
+// a partial header. Nothing was committed, so the daemon must restart
+// over the directory and serve a different first stream exactly as an
+// empty directory would.
+func TestServerRestartsOverTornFirstUpload(t *testing.T) {
+	corpus := testCorpus(t)
+	dir := t.TempDir()
+	crashed, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, crashed, corpus, []int{0})
+	if err := os.WriteFile(filepath.Join(dir, "corpus.index"), []byte("TSIND"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+	if err != nil {
+		t.Fatalf("NewServer over a torn index header: %v", err)
+	}
+	feedAll(t, restarted, corpus, []int{1})
+	fresh := newTestServer(t)
+	feedAll(t, fresh, corpus, []int{1})
+	for _, url := range queryEndpoints(scenario.BrowserTabCreate) {
+		if rr, rf := mustGet(t, restarted, url), mustGet(t, fresh, url); rr != rf {
+			t.Errorf("GET %s differs between the restarted and a fresh daemon:\n%s\n--- other ---\n%s", url, rr, rf)
+		}
+	}
+	// And what landed on disk is what a second restart warms up from.
+	again, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra, rf := mustGet(t, again, "/awg?scenario="+scenario.BrowserTabCreate), mustGet(t, fresh, "/awg?scenario="+scenario.BrowserTabCreate); ra != rf {
+		t.Error("AWG after a second restart differs from a fresh daemon's")
 	}
 }
 

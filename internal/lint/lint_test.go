@@ -147,8 +147,8 @@ import "time"
 
 func main() { _ = time.Now() }
 `
-	// Outside internal/: wall-clock use is legal (cmd benchmarks).
-	f := parse(t, filepath.Join("cmd", "benchjson", "main.go"), src)
+	// Outside internal/: wall-clock use is legal (commands time themselves).
+	f := parse(t, filepath.Join("cmd", "tracegen", "main.go"), src)
 	if diags := Run(f, []*Analyzer{WallTime}); len(diags) != 0 {
 		t.Fatalf("walltime must not fire outside internal/, got %v", diags)
 	}

@@ -29,7 +29,7 @@ func TestErrdropScopeCoversTraceSubpackages(t *testing.T) {
 		{"cmd/tracevet/main.go", true},
 		{"internal/obs/obs.go", false},
 		{"internal/scenario/generate.go", false},
-		{"cmd/benchjson/main.go", false},
+		{"cmd/tracegen/main.go", false},
 	} {
 		if got := inErrdropScope(tc.path); got != tc.want {
 			t.Errorf("inErrdropScope(%q) = %v, want %v", tc.path, got, tc.want)
@@ -45,7 +45,7 @@ func TestWalltimeScopeCoversTraceSubpackages(t *testing.T) {
 		{"internal/trace/colfmt/colfmt.go", true},
 		{"internal/trace/pool.go", true},
 		{"internal/core/core.go", true},
-		{"cmd/benchjson/main.go", false},
+		{"cmd/tracegen/main.go", false},
 	} {
 		if got := inInternal(tc.path); got != tc.want {
 			t.Errorf("inInternal(%q) = %v, want %v", tc.path, got, tc.want)

@@ -12,7 +12,7 @@ import (
 
 // Appender grows a corpus directory one stream at a time without ever
 // rewriting what is already there: each Append writes one new stream
-// file and appends its metadata records to the version-3 corpus.index.
+// file and appends its metadata records to corpus.index.
 // This is the continuous-ingestion write path — a DirSource opened over
 // the same directory picks the new streams up with Reload, reading only
 // the index, and every previously assigned stream index stays valid
@@ -28,13 +28,17 @@ import (
 // An Appender is not safe for concurrent use, and exactly one Appender
 // must own a directory at a time; the ingest server serializes both.
 type Appender struct {
-	dir     string
-	n       int  // streams already indexed
-	fresh   bool // index does not exist yet; create with a header
-	version int  // record format to append in (2, 3, or 4)
+	dir string
+	n   int // streams already indexed
+	// fresh: the index holds no committed record (missing, empty, or a
+	// torn header), so the first Append starts it over with the header.
+	// freshIntern: likewise corpus.intern, which nothing committed can
+	// reference yet; it clears on the first intern flush, which may land
+	// before an Append that then fails.
+	fresh, freshIntern bool
 
-	// v4 state: the corpus intern table (source of truth while this
-	// appender owns the directory) and the reusable block encoder.
+	// The corpus intern table (source of truth while this appender owns
+	// the directory) and the reusable block encoder.
 	intern   *InternTable
 	enc      *colfmt.Encoder
 	compress bool
@@ -42,47 +46,34 @@ type Appender struct {
 
 // OpenAppender opens dir for append-only corpus growth, creating the
 // directory if needed. An existing corpus continues from its current
-// stream count in its own index version (2, 3, or 4; legacy v1 indexes
-// carry no metadata and are rejected — rewrite them with WriteDir
-// first). A missing index starts an empty version-4 corpus.
+// stream count. A missing index starts an empty corpus, and so does one
+// that is empty or a strict prefix of the header line: a crash inside
+// the first append's header write committed nothing, and the daemon must
+// be able to restart over it.
 func OpenAppender(dir string) (*Appender, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	a := &Appender{dir: dir, version: indexVersion}
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
-	if os.IsNotExist(err) {
-		a.fresh = true
-		a.intern = NewInternTable()
-		return a, nil
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	metas, version, err := parseIndex(string(data))
+	if noCommittedRecords(string(data)) {
+		return &Appender{dir: dir, fresh: true, freshIntern: true, intern: NewInternTable()}, nil
+	}
+	metas, err := parseIndex(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
-	if version < 2 {
-		return nil, fmt.Errorf("trace: %s: appending needs a version >= 2 index; rewrite the legacy corpus with WriteDir first", indexFile)
+	it, _, err := loadInternTable(dir)
+	if err != nil {
+		return nil, err
 	}
-	a.n = len(metas)
-	a.version = version
-	if version >= 4 {
-		idata, err := os.ReadFile(filepath.Join(dir, internFile))
-		if err != nil {
-			return nil, fmt.Errorf("trace: version-%d corpus: %w", version, err)
-		}
-		a.intern, err = readInternTable(idata)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
+	return &Appender{dir: dir, n: len(metas), intern: it}, nil
 }
 
 // SetCompression toggles flate compression of event blocks for
-// subsequent v4 appends (off by default; decode throughput beats size
+// subsequent appends (off by default; decode throughput beats size
 // on the analysis path).
 func (a *Appender) SetCompression(on bool) { a.compress = on }
 
@@ -98,12 +89,8 @@ func (a *Appender) Append(s *Stream) (int, error) {
 		return 0, fmt.Errorf("trace: appending stream: %w", err)
 	}
 	idx := a.n
-	name := streamFileName(idx, a.version)
-	if a.version >= 4 {
-		if err := a.writeStreamFileV4(name, s); err != nil {
-			return 0, err
-		}
-	} else if err := a.writeStreamFile(name, s); err != nil {
+	name := streamFileName(idx)
+	if err := a.writeStreamFile(name, s); err != nil {
 		return 0, err
 	}
 	m := StreamMeta{
@@ -121,28 +108,12 @@ func (a *Appender) Append(s *Stream) (int, error) {
 	return idx, nil
 }
 
-// writeStreamFile writes one stream file, surfacing close errors (a
-// short write otherwise goes unnoticed until decode).
-func (a *Appender) writeStreamFile(name string, s *Stream) error {
-	f, err := os.Create(filepath.Join(a.dir, name))
-	if err != nil {
-		return err
-	}
-	err = s.WriteBinary(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", name, err)
-	}
-	return nil
-}
-
-// writeStreamFileV4 encodes s against the corpus intern table, flushes
+// writeStreamFile encodes s against the corpus intern table, flushes
 // any new intern records to corpus.intern, and only then writes the
 // stream file — so no stream file on disk ever references an unflushed
-// intern record.
-func (a *Appender) writeStreamFileV4(name string, s *Stream) error {
+// intern record. Close errors surface (a short write otherwise goes
+// unnoticed until decode).
+func (a *Appender) writeStreamFile(name string, s *Stream) error {
 	if a.enc == nil {
 		a.enc = colfmt.NewEncoder(eventColumns)
 	}
@@ -168,24 +139,22 @@ func (a *Appender) writeStreamFileV4(name string, s *Stream) error {
 }
 
 // appendInternRecords lands intern records added since the last flush,
-// creating corpus.intern with its header on first use. On failure the
-// flushed cursors are rolled back so the records retry on the next
-// append.
+// starting corpus.intern over with its header on a fresh corpus's first
+// flush (whatever a crashed first append left there would shift every
+// ID this appender assigns). On failure the flushed cursors are rolled
+// back so the records retry on the next append.
 func (a *Appender) appendInternRecords() error {
 	if a.intern.flushedFrames == len(a.intern.frames) &&
 		a.intern.flushedStacks == len(a.intern.stacks) {
 		return nil
 	}
-	path := filepath.Join(a.dir, internFile)
-	_, serr := os.Stat(path)
-	freshIntern := os.IsNotExist(serr)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(a.dir, internFile), appendFlags(a.freshIntern), 0o644)
 	if err != nil {
 		return err
 	}
 	ff, fs := a.intern.flushedFrames, a.intern.flushedStacks
 	bw := bufio.NewWriter(f)
-	if freshIntern {
+	if a.freshIntern {
 		bw.WriteString(colfmt.InternMagic) //nolint:errcheck // bufio defers errors to Flush
 	}
 	err = a.intern.appendRecordsSince(bw)
@@ -199,26 +168,31 @@ func (a *Appender) appendInternRecords() error {
 		a.intern.flushedFrames, a.intern.flushedStacks = ff, fs
 		return fmt.Errorf("trace: appending to %s: %w", internFile, err)
 	}
+	a.freshIntern = false
 	return nil
 }
 
+// appendFlags opens an append-only corpus file for its next record;
+// fresh starts the file over instead.
+func appendFlags(fresh bool) int {
+	if fresh {
+		return os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	}
+	return os.O_WRONLY | os.O_APPEND
+}
+
 // appendIndexRecord appends one stream's records to the index, writing
-// the version header first when the index is being created.
+// the header first when the corpus is fresh.
 func (a *Appender) appendIndexRecord(seq int, m StreamMeta) error {
-	f, err := os.OpenFile(filepath.Join(a.dir, indexFile),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(a.dir, indexFile), appendFlags(a.fresh), 0o644)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(f)
 	if a.fresh {
-		fmt.Fprintf(bw, "%s %d\n", indexMagic, a.version)
+		fmt.Fprintln(bw, indexHeader)
 	}
-	if a.version >= 3 {
-		err = writeStreamRecord(bw, seq, m)
-	} else {
-		err = writeStreamRecordV2(bw, m)
-	}
+	err = writeStreamRecord(bw, seq, m)
 	if ferr := bw.Flush(); err == nil {
 		err = ferr
 	}
@@ -227,22 +201,6 @@ func (a *Appender) appendIndexRecord(seq int, m StreamMeta) error {
 	}
 	if err != nil {
 		return fmt.Errorf("trace: appending to %s: %w", indexFile, err)
-	}
-	return nil
-}
-
-// writeStreamRecordV2 writes one version-2 stream record (no sequence
-// number) — used when appending to a corpus whose index predates v3.
-func writeStreamRecordV2(bw *bufio.Writer, m StreamMeta) error {
-	if _, err := fmt.Fprintf(bw, "s %q %q %d %d %d\n",
-		m.File, m.ID, m.Events, int64(m.Duration), len(m.Instances)); err != nil {
-		return err
-	}
-	for _, in := range m.Instances {
-		if _, err := fmt.Fprintf(bw, "i %q %d %d %d\n",
-			in.Scenario, in.TID, int64(in.Start), int64(in.End)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

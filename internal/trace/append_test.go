@@ -108,53 +108,53 @@ func TestAppenderRejectsInvalidStream(t *testing.T) {
 	}
 }
 
-// TestAppenderRejectsV1 checks legacy plain-filename indexes are not
-// appendable.
-func TestAppenderRejectsV1(t *testing.T) {
-	dir := t.TempDir()
-	var buf strings.Builder
-	if err := randomStream(1).WriteBinary(nopWriteCloser{&buf}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "stream-00000.tscp"), []byte(buf.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte("stream-00000.tscp\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenAppender(dir)
-	if err == nil || !strings.Contains(err.Error(), "version >= 2") {
-		t.Fatalf("OpenAppender on a v1 corpus: err = %v, want version >= 2 rejection", err)
-	}
-}
+// TestAppenderStartsOverTornHeader: an index that is empty or a strict
+// prefix of the header line committed nothing — the crash shape of a
+// first append torn inside the header write. The strict loader rejects
+// it, and the appender starts index and intern table over, so the stale
+// intern records of the crashed append cannot shift the IDs of the
+// stream that lands next.
+func TestAppenderStartsOverTornHeader(t *testing.T) {
+	for name, torn := range map[string]string{"empty": "", "partial": "TSIND", "unterminated": "TSINDEX 4"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			crashed, err := OpenAppender(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := crashed.Append(randomStream(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(torn), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenDir(dir); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("OpenDir over a torn header: err = %v, want ErrBadFormat", err)
+			}
 
-type nopWriteCloser struct{ w *strings.Builder }
-
-func (n nopWriteCloser) Write(p []byte) (int, error) { return n.w.Write(p) }
-
-// TestAppenderKeepsV2Format checks that appending to a version-2 corpus
-// writes version-2 records (no sequence numbers), so the index stays
-// self-consistent.
-func TestAppenderKeepsV2Format(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCorpus(randomStream(1))
-	if err := c.WriteDirVersion(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := OpenAppender(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Append(randomStream(2)); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumStreams() != 2 {
-		t.Fatalf("OpenDir sees %d streams, want 2", d.NumStreams())
+			a, err := OpenAppender(dir)
+			if err != nil {
+				t.Fatalf("OpenAppender over a torn header: %v", err)
+			}
+			want := randomStream(2)
+			if idx, err := a.Append(want); err != nil || idx != 0 {
+				t.Fatalf("Append = %d, %v; want stream 0", idx, err)
+			}
+			d, err := OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.NumStreams() != 1 {
+				t.Fatalf("OpenDir sees %d streams, want 1", d.NumStreams())
+			}
+			got, err := d.Stream(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !streamsEqual(want, got) {
+				t.Fatal("stream appended over a torn header decodes differently")
+			}
+		})
 	}
 }
 
@@ -279,28 +279,37 @@ func TestDirSourceReloadRejectsRewrite(t *testing.T) {
 	})
 }
 
-// TestParseIndexUnsupportedVersion checks that a future index version
-// produces an actionable error naming both the found and the supported
-// versions, not a bare mismatch.
+// TestParseIndexUnsupportedVersion checks that every index other than
+// the one supported version — older, newer, headerless, empty — fails
+// with an actionable error naming both what was found and the single
+// supported version, not a bare mismatch.
 func TestParseIndexUnsupportedVersion(t *testing.T) {
-	_, _, err := parseIndex("TSINDEX 5\n")
-	if !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("err = %v, want ErrBadFormat", err)
-	}
-	for _, want := range []string{"found index version 5", "supports versions 1 through 4", "upgrade"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
+	for _, tc := range []struct{ index, found string }{
+		{"TSINDEX 2\ns \"stream-00000.tscp\" \"m0\" 0 0 0\n", "found index version 2"},
+		{"TSINDEX 3\ns 0 \"stream-00000.tscp\" \"m0\" 0 0 0\n", "found index version 3"},
+		{"TSINDEX 5\n", "found index version 5"},
+		{"stream-00000.tscp\nstream-00001.tscp\n", "found a headerless (version 1)"},
+		{"", "found an empty or torn index header"},
+	} {
+		_, err := parseIndex(tc.index)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("parseIndex(%q): err = %v, want ErrBadFormat", tc.index, err)
+		}
+		for _, want := range []string{tc.found, "supports only index version 4", "regenerate"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("parseIndex(%q): error %q does not mention %q", tc.index, err, want)
+			}
 		}
 	}
 }
 
-// TestParseIndexSequenceMismatch checks v3 sequence validation: records
+// TestParseIndexSequenceMismatch checks sequence validation: records
 // out of order (a truncated-then-regrown or hand-edited index) are
 // rejected.
 func TestParseIndexSequenceMismatch(t *testing.T) {
-	const idx = "TSINDEX 3\n" +
-		"s 1 \"stream-00000.tscp\" \"m0\" 0 0 0\n"
-	_, _, err := parseIndex(idx)
+	const idx = "TSINDEX 4\n" +
+		"s 1 \"stream-00000.tsc4\" \"m0\" 0 0 0\n"
+	_, err := parseIndex(idx)
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}

@@ -3,14 +3,14 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 )
 
-// Binary stream container format:
+// Wire stream container format (TSCP), what POST /ingest accepts. It is
+// never a corpus file: on disk a stream is a TSC4 container (codec_v4.go).
 //
 //	magic "TSCP" | u16 version | ID | frame table | stack table |
 //	thread table | instance table | event sequence
@@ -105,12 +105,7 @@ func (s *Stream) WriteBinary(w io.Writer) error {
 
 // ReadBinary decodes a stream written by WriteBinary.
 func ReadBinary(r io.Reader) (*Stream, error) {
-	return readBinary(bufio.NewReader(r))
-}
-
-// readBinary decodes one stream from br without reading past its end, so
-// multiple concatenated streams can be decoded from a shared reader.
-func readBinary(br *bufio.Reader) (*Stream, error) {
+	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
@@ -318,92 +313,4 @@ func sortedThreadIDs(m map[ThreadID]ThreadInfo) []ThreadID {
 	}
 	sort.SliceStable(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// streamJSON is the JSON wire form of a Stream.
-type streamJSON struct {
-	ID        string                `json:"id"`
-	Frames    []string              `json:"frames"`
-	Stacks    [][]FrameID           `json:"stacks"`
-	Threads   map[string]ThreadInfo `json:"threads,omitempty"`
-	Instances []Instance            `json:"instances,omitempty"`
-	Events    []eventJSON           `json:"events"`
-}
-
-type eventJSON struct {
-	Type  string   `json:"type"`
-	Time  Time     `json:"t"`
-	Cost  Duration `json:"c,omitempty"`
-	TID   ThreadID `json:"tid"`
-	WTID  ThreadID `json:"wtid,omitempty"`
-	Stack StackID  `json:"stack"`
-}
-
-// MarshalJSON encodes the stream as JSON, mainly for debugging and
-// interchange with external tooling.
-func (s *Stream) MarshalJSON() ([]byte, error) {
-	js := streamJSON{
-		ID:        s.ID,
-		Frames:    s.frames,
-		Stacks:    s.stacks,
-		Instances: s.Instances,
-		Events:    make([]eventJSON, len(s.Events)),
-	}
-	if len(s.Threads) > 0 {
-		js.Threads = make(map[string]ThreadInfo, len(s.Threads))
-		for tid, ti := range s.Threads {
-			js.Threads[fmt.Sprint(tid)] = ti
-		}
-	}
-	for i, e := range s.Events {
-		js.Events[i] = eventJSON{
-			Type: e.Type.String(), Time: e.Time, Cost: e.Cost,
-			TID: e.TID, WTID: e.WTID, Stack: e.Stack,
-		}
-	}
-	return json.Marshal(js)
-}
-
-// UnmarshalJSON decodes a stream from its JSON wire form.
-func (s *Stream) UnmarshalJSON(data []byte) error {
-	var js streamJSON
-	if err := json.Unmarshal(data, &js); err != nil {
-		return err
-	}
-	ns := NewStream(js.ID)
-	for _, f := range js.Frames {
-		ns.InternFrame(f)
-	}
-	for _, st := range js.Stacks {
-		ns.InternStack(st)
-	}
-	for tidStr, ti := range js.Threads {
-		var tid ThreadID
-		if _, err := fmt.Sscan(tidStr, &tid); err != nil {
-			return fmt.Errorf("trace: bad thread id %q: %v", tidStr, err)
-		}
-		ns.SetThread(tid, ti.Process, ti.Name)
-	}
-	ns.Instances = js.Instances
-	for _, e := range js.Events {
-		var t EventType
-		switch e.Type {
-		case "running":
-			t = Running
-		case "wait":
-			t = Wait
-		case "unwait":
-			t = Unwait
-		case "hwservice":
-			t = HardwareService
-		default:
-			return fmt.Errorf("trace: unknown event type %q", e.Type)
-		}
-		ns.AppendEvent(Event{Type: t, Time: e.Time, Cost: e.Cost, TID: e.TID, WTID: e.WTID, Stack: e.Stack})
-	}
-	if err := ns.Validate(); err != nil {
-		return err
-	}
-	*s = *ns
-	return nil
 }

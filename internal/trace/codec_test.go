@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -114,21 +113,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	s := randomStream(2)
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Stream
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !streamsEqual(s, &got) {
-		t.Error("JSON round trip lost data")
-	}
-}
-
 func TestReadBinaryRejectsCorruption(t *testing.T) {
 	s := randomStream(3)
 	var buf bytes.Buffer
@@ -160,26 +144,6 @@ func TestReadBinaryRejectsHugeLengths(t *testing.T) {
 	data = append(data, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // huge uvarint
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Error("huge length accepted")
-	}
-}
-
-func TestCorpusWriteToReadFrom(t *testing.T) {
-	c := NewCorpus(randomStream(4), randomStream(5), randomStream(6))
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumStreams() != 3 {
-		t.Fatalf("got %d streams", got.NumStreams())
-	}
-	for i := range c.Streams {
-		if !streamsEqual(c.Streams[i], got.Streams[i]) {
-			t.Errorf("stream %d differs", i)
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"tracescope/internal/trace/colfmt"
 )
 
-// Format v4 stream container ("TSC4"):
+// On-disk stream container ("TSC4"):
 //
 //	magic "TSC4" | u16 version | ID |
 //	local frame table:  uvarint n | n × uvarint globalFrameID
@@ -18,14 +18,14 @@ import (
 //	instance table:     uvarint n | n × (scenario, varint tid, varint start, varint end)
 //	events:             uvarint n | colfmt blocks until n rows consumed
 //
-// Strings are uvarint-length-prefixed UTF-8, as in v1. The frame and
+// Strings are uvarint-length-prefixed UTF-8, as on the wire. The frame and
 // stack tables hold no payload of their own — only references into the
 // corpus-level InternTable (corpus.intern), which assigns global IDs in
 // append order. Decoding reconstructs the stream's original local ID
 // spaces exactly (local frame i is the i-th table entry; local stacks
-// are translated back through the local frame table), so a v4 decode is
-// indistinguishable from the v1 decode of the same stream and every
-// analysis result is bit-for-bit identical across formats.
+// are translated back through the local frame table), so a decoded
+// stream is indistinguishable from the one written and every analysis
+// result is bit-for-bit identical to the in-memory corpus's.
 //
 // Events are stored as colfmt blocks of eventColumns zig-zag varint
 // columns (time delta, cost, TID, WTID, stack) behind a byte-per-row

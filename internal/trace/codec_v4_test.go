@@ -34,12 +34,6 @@ func TestV4RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.Version() != indexVersion {
-				t.Fatalf("Version = %d, want %d", d.Version(), indexVersion)
-			}
-			if d.Intern() == nil {
-				t.Fatal("v4 corpus has no intern table")
-			}
 			for i, want := range streams {
 				got, err := d.Stream(i)
 				if err != nil {
@@ -50,41 +44,6 @@ func TestV4RoundTrip(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestV4DecodeMatchesV3 writes the same corpus in v3 (TSCP streams) and
-// v4 (columnar) and checks the decoded streams are equal field for
-// field — the format-equivalence contract at the trace layer.
-func TestV4DecodeMatchesV3(t *testing.T) {
-	c := NewCorpus(randomStream(10), randomStream(11))
-	dir3, dir4 := t.TempDir(), t.TempDir()
-	if err := c.WriteDirVersion(dir3, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteDir(dir4); err != nil {
-		t.Fatal(err)
-	}
-	d3, err := OpenDir(dir3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d4, err := OpenDir(dir4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < d3.NumStreams(); i++ {
-		s3, err := d3.Stream(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s4, err := d4.Stream(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !streamsEqual(s3, s4) {
-			t.Fatalf("stream %d differs between v3 and v4 decode", i)
-		}
 	}
 }
 
@@ -101,15 +60,15 @@ func TestV4InternSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Intern().NumFrames(); n > 5 {
+	if n := d.intern.NumFrames(); n > 5 {
 		t.Fatalf("intern table holds %d frames for a 5-frame universe", n)
 	}
 	sum := 0
 	for i := 0; i < c.NumStreams(); i++ {
 		sum += c.Streams[i].NumFrames()
 	}
-	if d.Intern().NumFrames() >= sum && sum > 5 {
-		t.Fatalf("intern table (%d frames) shows no cross-stream sharing (per-stream sum %d)", d.Intern().NumFrames(), sum)
+	if d.intern.NumFrames() >= sum && sum > 5 {
+		t.Fatalf("intern table (%d frames) shows no cross-stream sharing (per-stream sum %d)", d.intern.NumFrames(), sum)
 	}
 }
 
@@ -129,7 +88,7 @@ func TestV4AppendReloadInternTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framesBefore := d.Intern().NumFrames()
+	framesBefore := d.intern.NumFrames()
 
 	// A stream with frames no prior stream interned.
 	fresh := NewStream("fresh")
@@ -151,8 +110,8 @@ func TestV4AppendReloadInternTail(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Reload discovered %d streams, want 1", n)
 	}
-	if d.Intern().NumFrames() != framesBefore+2 {
-		t.Fatalf("intern table has %d frames after reload, want %d", d.Intern().NumFrames(), framesBefore+2)
+	if d.intern.NumFrames() != framesBefore+2 {
+		t.Fatalf("intern table has %d frames after reload, want %d", d.intern.NumFrames(), framesBefore+2)
 	}
 	got, err := d.Stream(1)
 	if err != nil {
@@ -328,7 +287,7 @@ func TestCollectDirStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Version != indexVersion || st.Streams != 2 || st.Events != wantEvents {
+		if st.Streams != 2 || st.Events != wantEvents {
 			t.Fatalf("stats = %+v", st)
 		}
 		if st.Blocks != 2 { // each stream has < DefaultBlockRows events
@@ -372,23 +331,6 @@ func TestCollectDirStats(t *testing.T) {
 			t.Fatalf("stored %d >= raw %d despite compression", st.EventBytesStored, st.EventBytesRaw)
 		}
 	})
-
-	t.Run("v3", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := c.WriteDirVersion(dir, 3); err != nil {
-			t.Fatal(err)
-		}
-		st, err := CollectDirStats(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Version != 3 || st.Streams != 2 || st.Events != wantEvents {
-			t.Fatalf("stats = %+v", st)
-		}
-		if st.Blocks != 0 || st.Frames != 0 || st.InternBytes != 0 {
-			t.Fatalf("v3 corpus reports v4-only fields: %+v", st)
-		}
-	})
 }
 
 // TestV4StreamFileSmaller sanity-checks the columnar encoding pays for
@@ -402,8 +344,8 @@ func TestV4StreamFileSmaller(t *testing.T) {
 	s.SetThread(1, "App", "T1")
 	s.Instances = append(s.Instances, Instance{Scenario: "S1", TID: 1, Start: 0, End: 100001})
 
-	var v1 bytes.Buffer
-	if err := s.WriteBinary(&v1); err != nil {
+	var wire bytes.Buffer
+	if err := s.WriteBinary(&wire); err != nil {
 		t.Fatal(err)
 	}
 	var v4 bytes.Buffer
@@ -412,7 +354,7 @@ func TestV4StreamFileSmaller(t *testing.T) {
 	if err := s.writeBinaryV4(&v4, it, enc, false); err != nil {
 		t.Fatal(err)
 	}
-	if v4.Len() >= v1.Len() {
-		t.Fatalf("v4 encoding (%d bytes) not smaller than v1 (%d bytes) on a repetitive stream", v4.Len(), v1.Len())
+	if v4.Len() >= wire.Len() {
+		t.Fatalf("columnar encoding (%d bytes) not smaller than the row encoding (%d bytes) on a repetitive stream", v4.Len(), wire.Len())
 	}
 }

@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"tracescope/internal/trace/colfmt"
@@ -118,62 +115,40 @@ func (c *Corpus) Validate() error {
 	return nil
 }
 
-// WriteDir persists the corpus in the current format (v4): one
-// columnar binary file per stream, the corpus.intern frame/stack
-// container, and a corpus.index recording per-stream and per-instance
-// metadata, creating dir if needed. The index lets OpenDir enumerate
-// scenarios and instances without decoding any stream.
+// WriteDir persists the corpus: one columnar binary file per stream,
+// the corpus.intern frame/stack container, and a corpus.index recording
+// per-stream and per-instance metadata, creating dir if needed. The
+// index lets OpenDir enumerate scenarios and instances without decoding
+// any stream.
 func (c *Corpus) WriteDir(dir string) error {
-	return c.writeDir(dir, indexVersion, false)
+	return c.writeDir(dir, false)
 }
 
 // WriteDirCompressed is WriteDir with flate compression on every event
 // block — smaller files at decode-throughput cost.
 func (c *Corpus) WriteDirCompressed(dir string) error {
-	return c.writeDir(dir, indexVersion, true)
+	return c.writeDir(dir, true)
 }
 
-// WriteDirVersion persists the corpus in an older on-disk format
-// (versions 2 and 3 write v1 stream files behind the corresponding
-// index header), for conversion tooling and compatibility tests.
-func (c *Corpus) WriteDirVersion(dir string, version int) error {
-	return c.writeDir(dir, version, false)
+// streamFileName names stream i's columnar container file.
+func streamFileName(i int) string {
+	return fmt.Sprintf("stream-%05d.tsc4", i)
 }
 
-// streamFileName names stream i's file: columnar .tsc4 containers from
-// format v4 on, v1 .tscp containers before.
-func streamFileName(i, version int) string {
-	if version >= 4 {
-		return fmt.Sprintf("stream-%05d.tsc4", i)
-	}
-	return fmt.Sprintf("stream-%05d.tscp", i)
-}
-
-func (c *Corpus) writeDir(dir string, version int, compress bool) error {
-	if version < 2 || version > indexVersion {
-		return fmt.Errorf("trace: cannot write corpus version %d (supported: 2 through %d)", version, indexVersion)
-	}
+func (c *Corpus) writeDir(dir string, compress bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var it *InternTable
-	var enc *colfmt.Encoder
-	if version >= 4 {
-		it = NewInternTable()
-		enc = colfmt.NewEncoder(eventColumns)
-	}
+	it := NewInternTable()
+	enc := colfmt.NewEncoder(eventColumns)
 	metas := make([]StreamMeta, 0, len(c.Streams))
 	for i, s := range c.Streams {
-		name := streamFileName(i, version)
+		name := streamFileName(i)
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		if version >= 4 {
-			err = s.writeBinaryV4(f, it, enc, compress)
-		} else {
-			err = s.WriteBinary(f)
-		}
+		err = s.writeBinaryV4(f, it, enc, compress)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -184,24 +159,22 @@ func (c *Corpus) writeDir(dir string, version int, compress bool) error {
 		m.File = name
 		metas = append(metas, m)
 	}
-	if version >= 4 {
-		f, err := os.Create(filepath.Join(dir, internFile))
-		if err != nil {
-			return err
-		}
-		err = it.writeInternFile(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("trace: writing %s: %w", internFile, err)
-		}
+	f, err := os.Create(filepath.Join(dir, internFile))
+	if err != nil {
+		return err
+	}
+	err = it.writeInternFile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace: writing %s: %w", internFile, err)
 	}
 	index, err := os.Create(filepath.Join(dir, indexFile))
 	if err != nil {
 		return err
 	}
-	err = writeIndex(index, metas, version)
+	err = writeIndex(index, metas)
 	if cerr := index.Close(); err == nil {
 		err = cerr
 	}
@@ -209,72 +182,15 @@ func (c *Corpus) writeDir(dir string, version int, compress bool) error {
 }
 
 // ReadDir loads a corpus previously written with WriteDir eagerly into
-// memory. Every on-disk version is accepted; index entries are
-// validated (no duplicate or path-escaping file names) before any file
-// is opened. For lazy, out-of-core access use OpenDir instead.
+// memory. Index entries are validated (no duplicate or path-escaping
+// file names) before any file is opened. For lazy, out-of-core access
+// use OpenDir instead.
 func ReadDir(dir string) (*Corpus, error) {
 	d, err := OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	return d.Materialize()
-}
-
-// WriteTo streams every trace in the corpus to w, concatenated with a
-// count header, for single-file interchange.
-func (c *Corpus) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if _, err := fmt.Fprintf(cw, "TSCORPUS %d\n", len(c.Streams)); err != nil {
-		return cw.n, err
-	}
-	for _, s := range c.Streams {
-		if err := s.WriteBinary(cw); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
-}
-
-// ReadFrom reads a corpus written with WriteTo.
-func ReadFrom(r io.Reader) (*Corpus, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: corpus header: %v", ErrBadFormat, err)
-	}
-	// Exact-match the header: fmt.Sscanf would accept trailing garbage
-	// after the count.
-	count, ok := strings.CutPrefix(strings.TrimSuffix(header, "\n"), "TSCORPUS ")
-	if !ok {
-		return nil, fmt.Errorf("%w: corpus header %q", ErrBadFormat, header)
-	}
-	n, err := strconv.Atoi(count)
-	if err != nil {
-		return nil, fmt.Errorf("%w: corpus header %q: %v", ErrBadFormat, header, err)
-	}
-	if n < 0 || n > maxTableLen {
-		return nil, fmt.Errorf("%w: corpus stream count %d", ErrBadFormat, n)
-	}
-	c := &Corpus{}
-	for i := 0; i < n; i++ {
-		s, err := readBinary(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: corpus stream %d: %w", i, err)
-		}
-		c.Add(s)
-	}
-	return c, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // splitLines splits on '\n', tolerating "\r\n" endings so indexes

@@ -40,20 +40,14 @@ func bigStream(seed int64, n int) *Stream {
 	return s
 }
 
-func benchDir(b *testing.B, version int) string {
+func benchDir(b *testing.B) string {
 	b.Helper()
 	c := &Corpus{}
 	for i := 0; i < 8; i++ {
 		c.Streams = append(c.Streams, bigStream(int64(i), 10000))
 	}
 	dir := b.TempDir()
-	var err error
-	if version >= 4 {
-		err = c.WriteDir(dir)
-	} else {
-		err = c.WriteDirVersion(dir, version)
-	}
-	if err != nil {
+	if err := c.WriteDir(dir); err != nil {
 		b.Fatal(err)
 	}
 	return dir
@@ -79,6 +73,5 @@ func benchSweep(b *testing.B, dir string, recycle bool) {
 	}
 }
 
-func BenchmarkDecodeSweepV3(b *testing.B)       { benchSweep(b, benchDir(b, 3), false) }
-func BenchmarkDecodeSweepV4(b *testing.B)       { benchSweep(b, benchDir(b, 4), false) }
-func BenchmarkDecodeSweepV4Pooled(b *testing.B) { benchSweep(b, benchDir(b, 4), true) }
+func BenchmarkDecodeSweepV4(b *testing.B)       { benchSweep(b, benchDir(b), false) }
+func BenchmarkDecodeSweepV4Pooled(b *testing.B) { benchSweep(b, benchDir(b), true) }

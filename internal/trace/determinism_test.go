@@ -31,27 +31,6 @@ func TestBinaryEncodeByteEquality(t *testing.T) {
 	}
 }
 
-// TestJSONEncodeByteEquality does the same for the JSON form.
-func TestJSONEncodeByteEquality(t *testing.T) {
-	s := randomStream(9)
-	for tid := ThreadID(0); tid < 8; tid++ {
-		s.SetThread(tid, "P", "T")
-	}
-	first, err := s.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 1; run < 4; run++ {
-		buf, err := s.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, buf) {
-			t.Fatalf("JSON encoding run %d differs from run 0", run)
-		}
-	}
-}
-
 // TestScenariosRepeatedEquality pins Scenarios(): the counts are
 // collected from a map, so repeated calls must agree exactly.
 func TestScenariosRepeatedEquality(t *testing.T) {

@@ -14,13 +14,9 @@ import (
 
 // corpus.index format
 //
-// Version 1 (legacy): one stream file name per line. Loading it yields
-// no metadata, so a lazy open must decode every stream once to learn
-// instance records.
+// A header line "TSINDEX 4" followed, per stream, by
 //
-// Version 2: a header line "TSINDEX 2" followed, per stream, by
-//
-//	s <file> <id> <events> <duration_us> <ninstances>
+//	s <seq> <file> <id> <events> <duration_us> <ninstances>
 //	i <scenario> <tid> <start_us> <end_us>        (ninstances lines)
 //
 // where <file>, <id>, and <scenario> are Go-quoted strings. The index
@@ -28,53 +24,43 @@ import (
 // fast/slow threshold classification need, so none of them decode event
 // payloads.
 //
-// Version 3: the append-only form. Identical to version 2 except that
-// every stream record carries a leading sequence number that must equal
-// the record's zero-based position:
+// The index is append-only: new streams are landed by appending one
+// stream file plus its records (Appender), never by rewriting earlier
+// entries. <seq> must equal the record's zero-based position, which
+// lets Reload verify that contract and detect a truncated or rewritten
+// index instead of silently renumbering streams (EventIDs and
+// InstanceRefs reference streams by index).
 //
-//	s <seq> <file> <id> <events> <duration_us> <ninstances>
+// Stream files are TSC4 columnar containers (codec_v4.go) referencing
+// the corpus-level corpus.intern frame/stack table, which sits next to
+// the index and is itself append-only (Reload reads only its new tail).
 //
-// New streams are landed by appending one stream file plus its records
-// to the index (Appender), never by rewriting earlier entries; the
-// sequence numbers let Reload verify the append-only contract and
-// detect a truncated or rewritten index instead of silently renumbering
-// streams (EventIDs and InstanceRefs reference streams by index).
-//
-// Version 4: the columnar form. Index records are identical to version
-// 3; the header version marks that stream files are TSC4 columnar
-// containers (codec_v4.go) referencing the corpus-level corpus.intern
-// frame/stack table, which sits next to the index and is itself
-// append-only (Reload reads only its new tail).
-//
-// All four versions are read; WriteDir and Appender write version 4.
+// This is the only on-disk corpus the package opens or writes. The TSCP
+// row encoding (codec.go) is the ingest wire format, never a file.
 
 const (
 	indexFile    = "corpus.index"
 	indexMagic   = "TSINDEX"
 	indexVersion = 4
+	// indexHeader is the first line of every corpus.index (the magic and
+	// indexVersion), written with a terminating newline.
+	indexHeader = indexMagic + " 4"
 )
 
-// writeIndex writes a corpus index for the given stream metadata in the
-// requested version (2, 3, or 4).
-func writeIndex(w io.Writer, metas []StreamMeta, version int) error {
+// writeIndex writes a corpus index for the given stream metadata.
+func writeIndex(w io.Writer, metas []StreamMeta) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s %d\n", indexMagic, version)
+	fmt.Fprintln(bw, indexHeader)
 	for seq, m := range metas {
-		var err error
-		if version >= 3 {
-			err = writeStreamRecord(bw, seq, m)
-		} else {
-			err = writeStreamRecordV2(bw, m)
-		}
-		if err != nil {
+		if err := writeStreamRecord(bw, seq, m); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// writeStreamRecord writes one version-3 stream record (the "s" line
-// plus its "i" instance lines) to w.
+// writeStreamRecord writes one stream record (the "s" line plus its "i"
+// instance lines) to w.
 func writeStreamRecord(w io.Writer, seq int, m StreamMeta) error {
 	if _, err := fmt.Fprintf(w, "s %d %s %s %d %d %d\n",
 		seq, strconv.Quote(m.File), strconv.Quote(m.ID),
@@ -90,43 +76,23 @@ func writeStreamRecord(w io.Writer, seq int, m StreamMeta) error {
 	return nil
 }
 
-// parseIndex parses corpus.index contents (either version) and returns
-// the per-stream metadata plus the format version. Version-1 metadata
-// carries only File. Entries are validated: duplicate or path-escaping
-// file names (absolute, or containing "." / ".." / empty elements) are
-// rejected before any file is opened, and malformed input fails with
-// ErrBadFormat rather than panicking or over-allocating.
-func parseIndex(data string) ([]StreamMeta, int, error) {
+// parseIndex parses corpus.index contents and returns the per-stream
+// metadata. Entries are validated: duplicate or path-escaping file names
+// (absolute, or containing "." / ".." / empty elements) are rejected
+// before any file is opened, and malformed input fails with ErrBadFormat
+// rather than panicking or over-allocating.
+func parseIndex(data string) ([]StreamMeta, error) {
 	lines := splitLines(data)
+	if len(lines) == 0 || lines[0] != indexHeader || !strings.Contains(data, "\n") {
+		// Name both the found and the supported version so an operator
+		// pointing this binary at another build's corpus sees what to
+		// regenerate instead of a bare mismatch.
+		return nil, fmt.Errorf(
+			"%w: found %s but this build supports only index version %d; "+
+				"regenerate the corpus with a matching tracegen",
+			ErrBadFormat, describeIndexHeader(data), indexVersion)
+	}
 	seen := make(map[string]bool)
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], indexMagic+" ") {
-		// Version 1: plain file names.
-		var metas []StreamMeta
-		for _, line := range lines {
-			if line == "" {
-				continue
-			}
-			if err := checkIndexFile(line, seen); err != nil {
-				return nil, 0, err
-			}
-			metas = append(metas, StreamMeta{File: line})
-		}
-		return metas, 1, nil
-	}
-
-	version, err := strconv.Atoi(strings.TrimPrefix(lines[0], indexMagic+" "))
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: index header %q", ErrBadFormat, lines[0])
-	}
-	if version < 2 || version > indexVersion {
-		// Name both the found and the supported versions so an operator
-		// pointing an old binary at a newer corpus (or vice versa) sees
-		// what to upgrade instead of a bare mismatch.
-		return nil, 0, fmt.Errorf(
-			"%w: found index version %d but this build supports versions 1 through %d; "+
-				"upgrade tracescope or regenerate the corpus with a matching tracegen",
-			ErrBadFormat, version, indexVersion)
-	}
 
 	var metas []StreamMeta
 	i := 1
@@ -137,55 +103,73 @@ func parseIndex(data string) ([]StreamMeta, int, error) {
 			continue
 		}
 		if !strings.HasPrefix(line, "s ") {
-			return nil, 0, fmt.Errorf("%w: index line %d: expected stream record, got %q", ErrBadFormat, i, line)
+			return nil, fmt.Errorf("%w: index line %d: expected stream record, got %q", ErrBadFormat, i, line)
 		}
 		if len(metas) >= maxTableLen {
-			return nil, 0, fmt.Errorf("%w: index stream count too large", ErrBadFormat)
+			return nil, fmt.Errorf("%w: index stream count too large", ErrBadFormat)
 		}
-		m, ninst, err := parseStreamRecord(line[2:], version, len(metas))
+		m, ninst, err := parseStreamRecord(line[2:], len(metas))
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: index line %d: %v", ErrBadFormat, i, err)
+			return nil, fmt.Errorf("%w: index line %d: %v", ErrBadFormat, i, err)
 		}
 		if err := checkIndexFile(m.File, seen); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		m.Instances = make([]Instance, 0, prealloc(ninst))
 		for j := 0; j < ninst; j++ {
 			if i >= len(lines) {
-				return nil, 0, fmt.Errorf("%w: index: truncated instance list for %s", ErrBadFormat, m.File)
+				return nil, fmt.Errorf("%w: index: truncated instance list for %s", ErrBadFormat, m.File)
 			}
 			line := lines[i]
 			i++
 			if !strings.HasPrefix(line, "i ") {
-				return nil, 0, fmt.Errorf("%w: index line %d: expected instance record, got %q", ErrBadFormat, i, line)
+				return nil, fmt.Errorf("%w: index line %d: expected instance record, got %q", ErrBadFormat, i, line)
 			}
 			in, err := parseInstanceRecord(line[2:])
 			if err != nil {
-				return nil, 0, fmt.Errorf("%w: index line %d: %v", ErrBadFormat, i, err)
+				return nil, fmt.Errorf("%w: index line %d: %v", ErrBadFormat, i, err)
 			}
 			m.Instances = append(m.Instances, in)
 		}
 		metas = append(metas, m)
 	}
-	return metas, version, nil
+	return metas, nil
+}
+
+// noCommittedRecords reports whether data is empty or a strict prefix of
+// the header line: what a crash inside the first append's header write
+// leaves behind.
+func noCommittedRecords(data string) bool {
+	return strings.HasPrefix(indexHeader, data)
+}
+
+// describeIndexHeader says, for parseIndex's rejection, what data holds
+// in place of the header line.
+func describeIndexHeader(data string) string {
+	if noCommittedRecords(data) {
+		return "an empty or torn index header"
+	}
+	first := splitLines(data)[0]
+	if v, ok := strings.CutPrefix(first, indexMagic+" "); ok {
+		if _, err := strconv.Atoi(v); err == nil {
+			return "index version " + v
+		}
+	}
+	return fmt.Sprintf("a headerless (version 1) or unrecognised index starting %q", first)
 }
 
 // parseStreamRecord parses the fields of one "s" line (after the tag).
-// Version-3 records carry a leading sequence number which must equal
-// seq, the record's zero-based position in the index.
-func parseStreamRecord(s string, version, seq int) (StreamMeta, int, error) {
+// The leading sequence number must equal seq, the record's zero-based
+// position in the index.
+func parseStreamRecord(s string, seq int) (StreamMeta, int, error) {
 	var m StreamMeta
-	var err error
-	if version >= 3 {
-		field, rest, _ := strings.Cut(s, " ")
-		got, err := strconv.Atoi(field)
-		if err != nil {
-			return m, 0, fmt.Errorf("bad sequence number %q", field)
-		}
-		if got != seq {
-			return m, 0, fmt.Errorf("sequence number %d at position %d (index truncated or rewritten?)", got, seq)
-		}
-		s = rest
+	field, s, _ := strings.Cut(s, " ")
+	got, err := strconv.Atoi(field)
+	if err != nil {
+		return m, 0, fmt.Errorf("bad sequence number %q", field)
+	}
+	if got != seq {
+		return m, 0, fmt.Errorf("sequence number %d at position %d (index truncated or rewritten?)", got, seq)
 	}
 	if m.File, s, err = cutQuoted(s); err != nil {
 		return m, 0, fmt.Errorf("stream file: %v", err)
@@ -295,15 +279,13 @@ func checkIndexFile(name string, seen map[string]bool) error {
 // serialize Reload against all other methods (the tracescoped daemon
 // holds its state lock across it).
 type DirSource struct {
-	dir     string
-	rich    bool // version >= 2: instance metadata present in the index
-	version int
-	metas   []StreamMeta
-	rec     obs.Recorder
+	dir   string
+	metas []StreamMeta
+	rec   obs.Recorder
 
-	// v4 state: the corpus intern table, the byte offset up to which
-	// corpus.intern has been loaded (Reload reads only the new tail), and
-	// the decode-buffer pool.
+	// The corpus intern table, the byte offset up to which corpus.intern
+	// has been loaded (Reload reads only the new tail), and the
+	// decode-buffer pool.
 	intern     *InternTable
 	internSize int64
 	pool       *StreamPool
@@ -313,45 +295,24 @@ type DirSource struct {
 	totalDur     Duration
 }
 
-// OpenDir opens a corpus directory lazily. For a version >= 2 index
-// this reads only the index file (plus, from version 4, the
-// corpus.intern frame/stack container); for a legacy version-1 index
-// every stream is decoded once to recover the metadata (and then
-// released).
+// OpenDir opens a corpus directory lazily: it reads only the index file
+// and the corpus.intern frame/stack container.
 func OpenDir(dir string) (*DirSource, error) {
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
 	if err != nil {
 		return nil, err
 	}
-	metas, version, err := parseIndex(string(data))
+	metas, err := parseIndex(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
-	d := &DirSource{dir: dir, rich: version >= 2, version: version, metas: metas, rec: obs.Nop}
-	if version >= 4 {
-		idata, err := os.ReadFile(filepath.Join(dir, internFile))
-		if err != nil {
-			return nil, fmt.Errorf("trace: version-%d corpus: %w", version, err)
-		}
-		it, err := readInternTable(idata)
-		if err != nil {
-			return nil, err
-		}
-		d.intern = it
-		d.internSize = int64(len(idata))
-		d.pool = NewStreamPool()
+	it, internSize, err := loadInternTable(dir)
+	if err != nil {
+		return nil, err
 	}
-	if !d.rich {
-		for i := range d.metas {
-			s, err := d.Stream(i)
-			if err != nil {
-				return nil, err
-			}
-			d.metas[i].ID = s.ID
-			d.metas[i].Events = len(s.Events)
-			d.metas[i].Duration = s.Duration()
-			d.metas[i].Instances = s.Instances
-		}
+	d := &DirSource{
+		dir: dir, metas: metas, rec: obs.Nop,
+		intern: it, internSize: internSize, pool: NewStreamPool(),
 	}
 	for _, m := range d.metas {
 		d.numInstances += len(m.Instances)
@@ -364,37 +325,29 @@ func OpenDir(dir string) (*DirSource, error) {
 // Reload re-reads the corpus index and appends metadata for streams
 // that landed since the source was opened (or last reloaded), without
 // re-decoding — or even re-validating — any stream already known. It
-// enforces the append-only contract of the version-3 index: the new
-// index must contain every previously known stream record unchanged,
-// in order, or Reload fails with ErrBadFormat (a rewritten index would
-// silently renumber streams, and EventIDs and InstanceRefs reference
-// streams by index).
+// enforces the append-only contract of the index: the new index must
+// contain every previously known stream record unchanged, in order, or
+// Reload fails with ErrBadFormat (a rewritten index would silently
+// renumber streams, and EventIDs and InstanceRefs reference streams by
+// index).
 //
 // Reload returns the number of newly discovered streams. It mutates the
 // source's metadata, so callers must serialize it against every other
 // method; see the type comment.
 func (d *DirSource) Reload() (int, error) {
-	if !d.rich {
-		return 0, fmt.Errorf("trace: %s: reload needs a version >= 2 index (legacy v1 corpora are not appendable)", indexFile)
-	}
 	// The intern table is append-only too; load its new tail before the
 	// index so every stream the reloaded index names can resolve its
 	// global IDs (the Appender lands intern records before index records).
-	if d.version >= 4 {
-		if err := d.reloadIntern(); err != nil {
-			return 0, err
-		}
+	if err := d.reloadIntern(); err != nil {
+		return 0, err
 	}
 	data, err := os.ReadFile(filepath.Join(d.dir, indexFile))
 	if err != nil {
 		return 0, err
 	}
-	metas, version, err := parseIndex(string(data))
+	metas, err := parseIndex(string(data))
 	if err != nil {
 		return 0, fmt.Errorf("trace: %s: %w", indexFile, err)
-	}
-	if version < 2 {
-		return 0, fmt.Errorf("trace: %s: %w: index downgraded to version %d during reload", indexFile, ErrBadFormat, version)
 	}
 	if len(metas) < len(d.metas) {
 		return 0, fmt.Errorf("trace: %s: %w: index shrank from %d to %d streams (append-only contract broken)",
@@ -475,38 +428,10 @@ func (d *DirSource) Stream(i int) (*Stream, error) {
 	return s, nil
 }
 
-// decode reads and decodes stream i's backing file.
+// decode reads stream i's columnar file into pooled buffers and decodes
+// it. The buffer set rides on the returned stream (Stream.bufs) and comes
+// back via Recycle; decode failures return it to the pool immediately.
 func (d *DirSource) decode(i int) (*Stream, error) {
-	if d.version >= 4 {
-		return d.decodeV4(i)
-	}
-	name := d.metas[i].File
-	f, err := os.Open(filepath.Join(d.dir, filepath.FromSlash(name)))
-	if err != nil {
-		return nil, err
-	}
-	s, err := ReadBinary(f)
-	if cerr := f.Close(); err == nil {
-		// A close error on a fully decoded stream still means the
-		// underlying read may have been short; surface it.
-		err = cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading %s: %w", name, err)
-	}
-	// A stale index whose instance table disagrees with the stream would
-	// let InstanceRefs index out of range downstream; fail loudly here.
-	if d.rich && len(s.Instances) != len(d.metas[i].Instances) {
-		return nil, fmt.Errorf("%w: %s: stream has %d instances but index records %d",
-			ErrBadFormat, name, len(s.Instances), len(d.metas[i].Instances))
-	}
-	return s, nil
-}
-
-// decodeV4 decodes stream i's columnar file into pooled buffers. The
-// buffer set rides on the returned stream (Stream.bufs) and comes back
-// via Recycle; decode failures return it to the pool immediately.
-func (d *DirSource) decodeV4(i int) (*Stream, error) {
 	name := d.metas[i].File
 	b := d.pool.get()
 	s, err := d.readFileV4(name, b)
@@ -514,6 +439,8 @@ func (d *DirSource) decodeV4(i int) (*Stream, error) {
 		d.pool.put(b)
 		return nil, fmt.Errorf("trace: reading %s: %w", name, err)
 	}
+	// A stale index whose instance table disagrees with the stream would
+	// let InstanceRefs index out of range downstream; fail loudly here.
 	if len(s.Instances) != len(d.metas[i].Instances) {
 		d.pool.put(b)
 		return nil, fmt.Errorf("%w: %s: stream has %d instances but index records %d",
@@ -581,30 +508,13 @@ func (d *DirSource) reloadIntern() (err error) {
 	return nil
 }
 
-// Version returns the corpus's on-disk index version.
-func (d *DirSource) Version() int { return d.version }
-
-// Intern returns the corpus-level intern table, or nil for corpora
-// before format v4. Read-only between Reloads.
-func (d *DirSource) Intern() *InternTable { return d.intern }
-
 // Recycle returns a stream previously decoded by this source to its
 // buffer pool. Callers must guarantee no references to the stream
-// remain (see StreamPool); streams from pre-v4 corpora are ignored.
-func (d *DirSource) Recycle(s *Stream) {
-	if d.pool != nil {
-		d.pool.Recycle(s)
-	}
-}
+// remain (see StreamPool).
+func (d *DirSource) Recycle(s *Stream) { d.pool.Recycle(s) }
 
-// PoolStats reports decode-buffer pool counters (zero for pre-v4
-// corpora).
-func (d *DirSource) PoolStats() StreamPoolStats {
-	if d.pool == nil {
-		return StreamPoolStats{}
-	}
-	return d.pool.Stats()
-}
+// PoolStats reports decode-buffer pool counters.
+func (d *DirSource) PoolStats() StreamPoolStats { return d.pool.Stats() }
 
 // Materialize decodes every stream into an in-memory Corpus (the eager
 // ReadDir behaviour), for consumers that need resident streams.

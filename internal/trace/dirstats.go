@@ -9,20 +9,19 @@ import (
 )
 
 // DirStats summarizes a corpus directory's on-disk footprint without
-// decoding any event payloads: index metadata plus, for version-4
-// corpora, per-block storage accounting skimmed from the columnar
-// stream files (tracedump -stats renders it).
+// decoding any event payloads: index metadata plus per-block storage
+// accounting skimmed from the columnar stream files (tracedump -stats
+// renders it).
 type DirStats struct {
-	Version   int // index version on disk
 	Streams   int
 	Events    int
 	Instances int
 
-	// Corpus-level intern table (version >= 4; zero before).
+	// Corpus-level intern table.
 	Frames int
 	Stacks int
 
-	// Event-block accounting (version >= 4; zero before).
+	// Event-block accounting.
 	Blocks           int
 	CompressedBlocks int
 	EventBytesStored int64 // block payload bytes as stored on disk
@@ -31,53 +30,44 @@ type DirStats struct {
 	// File sizes.
 	StreamBytes int64
 	IndexBytes  int64
-	InternBytes int64 // corpus.intern (version >= 4)
+	InternBytes int64 // corpus.intern
 }
 
 // CollectDirStats opens dir's index and skims every stream file for the
-// stats above. For a version >= 4 corpus this parses stream headers and
-// block framing only — event payloads are never decompressed or
-// decoded — so it runs at I/O speed even on paper-scale corpora.
+// stats above. It parses stream headers and block framing only — event
+// payloads are never decompressed or decoded — so it runs at I/O speed
+// even on paper-scale corpora.
 func CollectDirStats(dir string) (DirStats, error) {
 	var st DirStats
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
 	if err != nil {
 		return st, err
 	}
-	metas, version, err := parseIndex(string(data))
+	metas, err := parseIndex(string(data))
 	if err != nil {
 		return st, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
-	st.Version = version
 	st.Streams = len(metas)
 	st.IndexBytes = int64(len(data))
 	for _, m := range metas {
 		st.Events += m.Events
 		st.Instances += len(m.Instances)
 	}
-	if version >= 4 {
-		idata, err := os.ReadFile(filepath.Join(dir, internFile))
-		if err != nil {
-			return st, fmt.Errorf("trace: version-%d corpus: %w", version, err)
-		}
-		it, err := readInternTable(idata)
-		if err != nil {
-			return st, err
-		}
-		st.Frames = it.NumFrames()
-		st.Stacks = it.NumStacks()
-		st.InternBytes = int64(len(idata))
+	it, internBytes, err := loadInternTable(dir)
+	if err != nil {
+		return st, err
 	}
+	st.Frames = it.NumFrames()
+	st.Stacks = it.NumStacks()
+	st.InternBytes = internBytes
 	for _, m := range metas {
 		fdata, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(m.File)))
 		if err != nil {
 			return st, err
 		}
 		st.StreamBytes += int64(len(fdata))
-		if version >= 4 {
-			if err := skimStreamV4(fdata, &st); err != nil {
-				return st, fmt.Errorf("trace: %s: %w", m.File, err)
-			}
+		if err := skimStreamV4(fdata, &st); err != nil {
+			return st, fmt.Errorf("trace: %s: %w", m.File, err)
 		}
 	}
 	return st, nil

@@ -33,74 +33,44 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzParseIndex feeds arbitrary text to the corpus.index parser (both
-// the v1 and v2 grammars): it must never panic or over-allocate, every
-// rejection must be ErrBadFormat, and every accepted index must have
-// validated file entries (relative, confined, unique).
+// FuzzParseIndex feeds arbitrary text to the corpus.index parser: it
+// must never panic or over-allocate, every rejection must be
+// ErrBadFormat, and every accepted index must carry the one supported
+// header and validated file entries (relative, confined, unique).
 func FuzzParseIndex(f *testing.F) {
-	var v2 bytes.Buffer
-	if err := writeIndex(&v2, []StreamMeta{
-		{File: "stream-00000.tscp", ID: "m0", Events: 10, Duration: 500,
+	var good bytes.Buffer
+	if err := writeIndex(&good, []StreamMeta{
+		{File: "stream-00000.tsc4", ID: "m0", Events: 10, Duration: 500,
 			Instances: []Instance{{Scenario: "S1", TID: 3, Start: 0, End: 100}}},
-		{File: "stream-00001.tscp", ID: "m1"},
-	}, indexVersion); err != nil {
+		{File: "stream-00001.tsc4", ID: "m1"},
+	}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.String())
+	f.Add(good.String())
 	f.Add("stream-00000.tscp\nstream-00001.tscp\n")
-	f.Add("TSINDEX 2\n")
+	f.Add("TSINDEX 2\ns \"a\" \"b\" 1 1 0\n")
+	f.Add("TSINDEX 3\ns 0 \"a\" \"b\" 1 1 0\n")
 	f.Add("TSINDEX 9\n")
-	f.Add("TSINDEX 2\ns \"a\" \"b\" 1 1 268435456\n")
+	f.Add("TSINDEX 4\n")
+	f.Add("TSINDEX 4")
+	f.Add("TSINDEX 4\ns 0 \"a\" \"b\" 1 1 268435456\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, data string) {
-		metas, version, err := parseIndex(data)
+		metas, err := parseIndex(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("rejection is not ErrBadFormat: %v", err)
 			}
 			return
 		}
-		if version < 1 || version > indexVersion {
-			t.Fatalf("accepted unknown version %d", version)
+		if first, _, terminated := strings.Cut(data, "\n"); !terminated || strings.TrimSuffix(first, "\r") != indexHeader {
+			t.Fatalf("accepted an index whose first line is %q, not the version-%d header", first, indexVersion)
 		}
 		seen := make(map[string]bool)
 		for _, m := range metas {
 			if err := checkIndexFile(m.File, seen); err != nil {
 				t.Fatalf("accepted invalid file entry %q: %v", m.File, err)
 			}
-		}
-	})
-}
-
-// FuzzCorpusReadFrom feeds arbitrary bytes to the single-file corpus
-// reader: the TSCORPUS header and every embedded stream must either
-// parse or fail with ErrBadFormat — never panic or over-allocate.
-func FuzzCorpusReadFrom(f *testing.F) {
-	var buf bytes.Buffer
-	c := NewCorpus(randomStream(1), randomStream(2))
-	if _, err := c.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("TSCORPUS 0\n"))
-	f.Add([]byte("TSCORPUS 2\nTSCP"))
-	f.Add([]byte("TSCORPUS 1000000000000\n"))
-	f.Add([]byte("TSCORPUS -1\n"))
-	f.Add([]byte("TSCORPUS 1 \n"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadFrom(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBadFormat) {
-				t.Fatalf("rejection is not ErrBadFormat: %v", err)
-			}
-			return
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("accepted invalid corpus: %v", err)
-		}
-		if !strings.HasPrefix(string(data), "TSCORPUS ") {
-			t.Fatal("accepted corpus without header")
 		}
 	})
 }
@@ -141,7 +111,7 @@ func FuzzReadV4Index(f *testing.F) {
 		fdir := t.TempDir()
 		var index bytes.Buffer
 		m := meta
-		if err := writeIndex(&index, []StreamMeta{m}, indexVersion); err != nil {
+		if err := writeIndex(&index, []StreamMeta{m}); err != nil {
 			t.Fatal(err)
 		}
 		for name, data := range map[string][]byte{

@@ -3,23 +3,24 @@ package trace
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"tracescope/internal/trace/colfmt"
 )
 
-// internFile is the corpus-level intern container of format v4: every
-// distinct frame string and every distinct stack in the corpus, stored
-// once. Stream files reference these tables by global ID, so decoding a
-// stream allocates no strings and no stack storage beyond slice
-// headers.
+// internFile is the corpus-level intern container: every distinct
+// frame string and every distinct stack in the corpus, stored once.
+// Stream files reference these tables by global ID, so decoding a stream
+// allocates no strings and no stack storage beyond slice headers.
 const internFile = "corpus.intern"
 
-// InternTable is the corpus-wide frame and stack table behind format
-// v4. Frames are "module!function" strings; stacks are frame sequences
-// expressed in global frame IDs. IDs are assigned in first-intern
-// order and persisted append-only (colfmt intern records), so a table
-// loaded from disk reproduces the writer's IDs exactly.
+// InternTable is the corpus-wide frame and stack table. Frames are
+// "module!function" strings; stacks are frame sequences expressed in
+// global frame IDs. IDs are assigned in first-intern order and
+// persisted append-only (colfmt intern records), so a table loaded from
+// disk reproduces the writer's IDs exactly.
 //
 // The index maps are built lazily: pure readers (stream decode) never
 // need them, writers (WriteDir, Appender) build them on first intern.
@@ -131,6 +132,17 @@ func (t *InternTable) addRecords(data []byte) error {
 	t.flushedFrames = len(t.frames)
 	t.flushedStacks = len(t.stacks)
 	return nil
+}
+
+// loadInternTable reads and parses dir's corpus.intern, returning the
+// table and the file's size in bytes.
+func loadInternTable(dir string) (*InternTable, int64, error) {
+	data, err := os.ReadFile(filepath.Join(dir, internFile))
+	if err != nil {
+		return nil, 0, fmt.Errorf("trace: corpus intern table: %w", err)
+	}
+	t, err := readInternTable(data)
+	return t, int64(len(data)), err
 }
 
 // readInternTable parses a complete corpus.intern file.

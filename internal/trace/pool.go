@@ -89,7 +89,7 @@ func (p *StreamPool) put(b *decodeBufs) {
 // Recycle returns a decoded stream's buffers to the pool. The caller
 // must guarantee that no references to the stream, its events, stacks,
 // or instances remain — see the pooling contract above. Streams not
-// decoded from this pool's source (v1 streams, generated streams) have
+// decoded from this pool's source (wire-decoded or generated streams) have
 // no attached buffers and are ignored.
 func (p *StreamPool) Recycle(s *Stream) {
 	if s == nil || s.bufs == nil {

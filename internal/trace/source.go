@@ -12,7 +12,7 @@ import (
 //
 //   - *Corpus: the in-memory corpus; Stream returns resident streams.
 //   - *DirSource: a lazy directory-backed corpus; metadata comes from the
-//     corpus.index v2 file and Stream decodes one file on demand.
+//     corpus.index file and Stream decodes one file on demand.
 //   - *CachedSource: a wrapper adding a bounded LRU of decoded streams,
 //     so repeated access over a lazy source stays out-of-core with peak
 //     memory proportional to the cache limit, not the corpus size.
@@ -45,7 +45,7 @@ type Source interface {
 }
 
 // StreamMeta is the per-stream metadata available without decoding event
-// payloads — what the corpus.index v2 records per stream.
+// payloads — what the corpus.index records per stream.
 type StreamMeta struct {
 	// File is the backing file name relative to the corpus directory,
 	// "" for in-memory streams.

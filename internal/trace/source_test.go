@@ -120,46 +120,6 @@ func TestDirSourceMatchesCorpus(t *testing.T) {
 	}
 }
 
-// TestOpenDirV1Compat writes a legacy version-1 index (plain file names,
-// no metadata) and checks both the eager and lazy loaders recover the
-// full corpus from it.
-func TestOpenDirV1Compat(t *testing.T) {
-	c := sourceTestCorpus(3)
-	dir := t.TempDir()
-	// A v1 index points at v1 (TSCP) stream files; version 2 writes those.
-	if err := c.WriteDirVersion(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for i := range c.Streams {
-		names = append(names, fmt.Sprintf("stream-%05d.tscp", i))
-	}
-	v1 := strings.Join(names, "\n") + "\n"
-	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rc, err := ReadDir(dir)
-	if err != nil {
-		t.Fatalf("ReadDir on v1 index: %v", err)
-	}
-	if rc.NumStreams() != c.NumStreams() {
-		t.Fatalf("ReadDir: %d streams, want %d", rc.NumStreams(), c.NumStreams())
-	}
-
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatalf("OpenDir on v1 index: %v", err)
-	}
-	if d.NumEvents() != c.NumEvents() || d.NumInstances() != c.NumInstances() {
-		t.Fatalf("v1 backfill: (%d events, %d instances), want (%d, %d)",
-			d.NumEvents(), d.NumInstances(), c.NumEvents(), c.NumInstances())
-	}
-	if !reflect.DeepEqual(d.Scenarios(), c.Scenarios()) {
-		t.Fatal("v1 backfill: scenarios diverge")
-	}
-}
-
 // TestIndexCRLF rewrites the index with Windows line endings; both
 // loaders must still parse it.
 func TestIndexCRLF(t *testing.T) {
@@ -191,7 +151,7 @@ func TestIndexCRLF(t *testing.T) {
 
 // TestIndexRejectsBadEntries checks that duplicate and path-escaping
 // file entries fail with ErrBadFormat before any stream file is opened,
-// in both index versions and through both loaders.
+// through both loaders.
 func TestIndexRejectsBadEntries(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -208,23 +168,19 @@ func TestIndexRejectsBadEntries(t *testing.T) {
 	quote := func(s string) string { return fmt.Sprintf("%q", s) }
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, index := range []string{
-				// v1: plain names.
-				"stream-00000.tscp\n" + tc.entry + "\n",
-				// v2: quoted stream records.
-				"TSINDEX 2\ns " + quote("stream-00000.tscp") + " \"m\" 0 0 0\ns " +
-					quote(tc.entry) + " \"m\" 0 0 0\n",
-			} {
-				dir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(index), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ReadDir(dir); !errors.Is(err, ErrBadFormat) {
-					t.Fatalf("ReadDir accepted %q (err=%v)", tc.entry, err)
-				}
-				if _, err := OpenDir(dir); !errors.Is(err, ErrBadFormat) {
-					t.Fatalf("OpenDir accepted %q (err=%v)", tc.entry, err)
-				}
+			index := indexHeader + "\ns 0 " + quote("stream-00000.tsc4") + " \"m\" 0 0 0\ns 1 " +
+				quote(tc.entry) + " \"m\" 0 0 0\n"
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(index), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadDir(dir)
+			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "file entry") {
+				t.Fatalf("ReadDir accepted %q (err=%v)", tc.entry, err)
+			}
+			_, err = OpenDir(dir)
+			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "file entry") {
+				t.Fatalf("OpenDir accepted %q (err=%v)", tc.entry, err)
 			}
 		})
 	}

@@ -40,23 +40,22 @@ func VetDir(dir string, opts Options) (*Report, error) {
 	sc := scanIndex(indexName, indexData)
 	diags := sc.diags
 	tailOffset := int64(-1)
-	if sc.tailOffset < int64(len(indexData)) {
+	// An empty index is torn at offset 0, its own length.
+	if sc.tailOffset < int64(len(indexData)) || len(indexData) == 0 {
 		tailOffset = sc.tailOffset
 	}
 
-	var it *internScan
-	if sc.version >= 4 {
-		it = scanInternFile(dir, len(sc.metas) > 0, opts)
-		diags = append(diags, it.diags...)
+	if sc.foreign {
+		return finishReport(diags, 0, tailOffset, opts.Recorder), nil
 	}
 
-	if sc.usable && (it == nil || it.usable) {
+	it := scanInternFile(dir, len(sc.metas) > 0, opts)
+	diags = append(diags, it.diags...)
+	if sc.usable && it.usable {
 		streamDiags, streams := vetDirStreams(dir, sc, it, opts)
 		diags = append(diags, streamDiags...)
 		diags = append(diags, vetStreamDups(sc, streams, opts)...)
-		if it != nil {
-			diags = append(diags, vetInternOrphans(it, streams, opts)...)
-		}
+		diags = append(diags, vetInternOrphans(it, streams, opts)...)
 	}
 	diags = append(diags, vetOrphanFiles(dir, sc, opts)...)
 
@@ -75,11 +74,11 @@ func VetDir(dir string, opts Options) (*Report, error) {
 // dirStream is the per-stream result of the on-disk verification phase.
 type dirStream struct {
 	diags []diag.Diagnostic
-	// id is the stream's identity: the index's (v3+) or the decoded
-	// stream's, for duplicate detection.
+	// id is the stream's identity as the index records it, for
+	// duplicate detection.
 	id string
 	// frames and stacks are the global intern IDs the stream file's
-	// local tables reference (v4 only), for orphan detection.
+	// local tables reference, for orphan detection.
 	frames []uint64
 	stacks []uint64
 }
@@ -115,33 +114,23 @@ func vetDirStream(dir string, sc *scannedIndex, it *internScan, i int, opts Opti
 		return fail("stream-decode", "indexed stream file is missing: %v", err)
 	}
 
-	var s *trace.Stream
-	if sc.version >= 4 {
-		skim, serr := skimV4Header(raw)
-		if serr != "" {
-			return fail("stream-decode", "stream file does not parse: %s", serr)
-		}
-		out.frames, out.stacks = skim.frames, skim.stacks
-		if dangling := skim.dangling(it); len(dangling) > 0 && opts.enabled("intern-ref") {
-			for _, d := range dangling {
-				out.diags = append(out.diags, vd(m.File, 1, "intern-ref", diag.SevError, "%s", d))
-			}
-			return out
-		}
-		s, err = trace.ReadStreamV4(raw, it.table)
-	} else {
-		s, err = trace.ReadBinary(bytes.NewReader(raw))
+	skim, serr := skimV4Header(raw)
+	if serr != "" {
+		return fail("stream-decode", "stream file does not parse: %s", serr)
 	}
+	out.frames, out.stacks = skim.frames, skim.stacks
+	if dangling := skim.dangling(it); len(dangling) > 0 && opts.enabled("intern-ref") {
+		for _, d := range dangling {
+			out.diags = append(out.diags, vd(m.File, 1, "intern-ref", diag.SevError, "%s", d))
+		}
+		return out
+	}
+	s, err := trace.ReadStreamV4(raw, it.table)
 	if err != nil {
 		return fail("stream-decode", "stream file does not decode: %v", err)
 	}
-	if out.id == "" {
-		out.id = s.ID
-	}
 	out.diags = append(out.diags, vetStream(s, m.File, opts)...)
-	if sc.version >= 3 {
-		out.diags = append(out.diags, vetStreamMeta(s, m, m.File, opts)...)
-	}
+	out.diags = append(out.diags, vetStreamMeta(s, m, m.File, opts)...)
 	return out
 }
 
@@ -178,8 +167,8 @@ type internScan struct {
 }
 
 // scanInternFile leniently reads dir's corpus.intern. required reports
-// whether the index names at least one stream (a v4 corpus with streams
-// must have an intern file; an empty corpus's may be header-only).
+// whether the index names at least one stream (a corpus with streams
+// must have an intern file; an empty corpus's may be absent).
 func scanInternFile(dir string, required bool, opts Options) *internScan {
 	sc := &internScan{usable: true}
 	bad := func(rule, format string, args ...interface{}) *internScan {
@@ -416,7 +405,7 @@ func vetOrphanFiles(dir string, sc *scannedIndex, opts Options) []diag.Diagnosti
 		if e.IsDir() || indexed[name] || !strings.HasPrefix(name, "stream-") {
 			continue
 		}
-		if strings.HasSuffix(name, ".tsc4") || strings.HasSuffix(name, ".tscp") || strings.HasSuffix(name, ".tsc") {
+		if strings.HasSuffix(name, ".tsc4") {
 			names = append(names, name)
 		}
 	}

@@ -185,6 +185,77 @@ func TestVetDirTruncatedIndexTail(t *testing.T) {
 	}
 }
 
+// TestVetDirTornHeader: a first append torn inside the index header —
+// the crash shape of a daemon's first upload — committed nothing. It
+// classifies recoverable at offset 0, and after truncating there the
+// Appender starts the corpus over, leftovers of the crashed append and
+// all.
+func TestVetDirTornHeader(t *testing.T) {
+	for name, torn := range map[string]string{"empty": "", "partial": "TSIND", "unterminated": "TSINDEX 4"} {
+		t.Run(name, func(t *testing.T) {
+			dir := buildCorpus(t, 1)
+			path := filepath.Join(dir, "corpus.index")
+			if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep := mustVetDir(t, dir, Options{})
+			if !rep.Recoverable || !hasRule(rep, "tail-truncated") || hasRule(rep, "index-seq") {
+				t.Fatalf("torn header not a recoverable tail-truncated note: %+v %v", rep, rep.Diags)
+			}
+			if rep.TailOffset != 0 {
+				t.Fatalf("TailOffset = %d, want 0", rep.TailOffset)
+			}
+
+			if err := os.Truncate(path, rep.TailOffset); err != nil {
+				t.Fatal(err)
+			}
+			app, err := trace.OpenAppender(dir)
+			if err != nil {
+				t.Fatalf("OpenAppender over the recovered directory: %v", err)
+			}
+			if _, err := app.Append(goodStream("machine-99")); err != nil {
+				t.Fatal(err)
+			}
+			src, err := trace.OpenDir(dir)
+			if err != nil {
+				t.Fatalf("recovered corpus rejected by strict loader: %v", err)
+			}
+			if src.NumStreams() != 1 {
+				t.Fatalf("recovered corpus has %d streams, want 1", src.NumStreams())
+			}
+			rep = mustVetDir(t, dir, Options{Semantic: true})
+			if rep.Findings() != 0 || rep.Streams != 1 {
+				t.Fatalf("recovered corpus: %d streams, findings %v", rep.Streams, rep.Diags)
+			}
+		})
+	}
+}
+
+// TestVetDirUnsupportedVersion: an index of any version but the one
+// this build reads is exactly one index-seq error naming what was found
+// — no other rule may interpret the directory (its stream files would
+// all read as orphans that are "safe to delete").
+func TestVetDirUnsupportedVersion(t *testing.T) {
+	for _, header := range []string{"TSINDEX 2", "TSINDEX 3", "TSINDEX 5", "stream-00000.tscp"} {
+		dir := buildCorpus(t, 2)
+		editIndex(t, dir, func(s string) string {
+			return header + strings.TrimPrefix(s, "TSINDEX 4")
+		})
+		rep := mustVetDir(t, dir, Options{Semantic: true})
+		if len(rep.Diags) != 1 || rep.Diags[0].Analyzer != "index-seq" || rep.Diags[0].Severity != diag.SevError {
+			t.Fatalf("header %q: want exactly one index-seq error, got %v", header, rep.Diags)
+		}
+		for _, want := range []string{fmt.Sprintf("%q", header), `"TSINDEX 4"`, "tracegen"} {
+			if !strings.Contains(rep.Diags[0].Message, want) {
+				t.Fatalf("header %q: message %q does not mention %s", header, rep.Diags[0].Message, want)
+			}
+		}
+		if rep.Recoverable || rep.Streams != 0 {
+			t.Fatalf("header %q: report = %+v", header, rep)
+		}
+	}
+}
+
 // TestVetDirHalfWrittenStreamFile: a stream file the index never
 // committed — the other Appender crash shape — is an orphan note.
 func TestVetDirHalfWrittenStreamFile(t *testing.T) {

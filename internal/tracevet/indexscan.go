@@ -14,6 +14,7 @@
 package tracevet
 
 import (
+	"bytes"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -24,7 +25,6 @@ import (
 
 // scannedIndex is the outcome of scanning one corpus.index.
 type scannedIndex struct {
-	version int
 	// metas holds the valid-prefix stream records.
 	metas []trace.StreamMeta
 	diags []diag.Diagnostic
@@ -35,7 +35,13 @@ type scannedIndex struct {
 	// usable: the metas prefix is trustworthy and per-stream
 	// verification can proceed (no error-severity index faults).
 	usable bool
+	// foreign: the header names another format version, so nothing in
+	// the directory can be interpreted and no other rule runs.
+	foreign bool
 }
+
+// indexHeader is the first line of the one corpus.index version.
+const indexHeader = "TSINDEX 4"
 
 // indexLine is one physical line with its byte offset.
 type indexLine struct {
@@ -78,44 +84,22 @@ func scanIndex(artifact string, data []byte) *scannedIndex {
 			what, line.num, sc.tailOffset))
 	}
 
-	lines := splitIndexLines(data)
-	if len(lines) == 0 {
-		addErr(1, "index-seq", "empty index")
-		return sc
-	}
-
-	header := lines[0]
-	if !strings.HasPrefix(header.text, "TSINDEX ") {
-		// Version 1: plain stream file names, one per line.
-		sc.version = 1
-		seen := make(map[string]bool)
-		for _, line := range lines {
-			if line.text == "" {
-				continue
-			}
-			if line.torn {
-				sc.tailOffset = line.off
-				tornTail(line, "torn final file entry")
-				break
-			}
-			if ok := checkEntryPath(line.text, seen, artifact, line.num, &sc.diags); ok {
-				sc.metas = append(sc.metas, trace.StreamMeta{File: line.text})
-			}
-		}
-		sc.usable = !hasErrors(sc.diags)
-		return sc
-	}
-	if header.torn {
+	// An empty file or a strict prefix of the header line is what a crash
+	// inside the first append leaves: nothing was committed, and the
+	// Appender starts such an index over.
+	if bytes.HasPrefix([]byte(indexHeader), data) {
 		sc.tailOffset = 0
-		tornTail(header, "torn header")
+		tornTail(indexLine{num: 1}, "empty or torn header")
 		return sc
 	}
-	v, err := strconv.Atoi(strings.TrimPrefix(header.text, "TSINDEX "))
-	if err != nil || v < 2 || v > 4 {
-		addErr(header.num, "index-seq", "bad index header %q (want TSINDEX 2..4)", header.text)
+	lines := splitIndexLines(data)
+	if header := lines[0]; header.text != indexHeader {
+		addErr(header.num, "index-seq",
+			"index header %q is not %q, the only version this build reads: regenerate the corpus with tracegen",
+			header.text, indexHeader)
+		sc.foreign = true
 		return sc
 	}
-	sc.version = v
 
 	seen := make(map[string]bool)
 	seq := 0
@@ -137,13 +121,13 @@ scan:
 			i++
 			continue
 		}
-		m, ninst, gotSeq, perr := parseStreamLine(line.text[2:], v)
+		m, ninst, gotSeq, perr := parseStreamLine(line.text[2:])
 		if perr != "" {
 			addErr(line.num, "index-seq", "stream record: %s", perr)
 			i++
 			continue
 		}
-		if v >= 3 && gotSeq != seq {
+		if gotSeq != seq {
 			addErr(line.num, "index-seq",
 				"sequence number %d at record position %d (gap, reorder, or rewrite)", gotSeq, seq)
 			// Resync on the file's own numbering so one gap reports once,
@@ -197,17 +181,12 @@ func nextOffset(lines []indexLine, i int, total int64) int64 {
 
 // parseStreamLine parses the fields of one "s" line after the tag,
 // returning a non-empty problem description on failure.
-func parseStreamLine(s string, version int) (m trace.StreamMeta, ninst, seq int, problem string) {
-	if version >= 3 {
-		field, rest, _ := strings.Cut(s, " ")
-		got, err := strconv.Atoi(field)
-		if err != nil {
-			return m, 0, 0, "bad sequence number " + strconv.Quote(field)
-		}
-		seq = got
-		s = rest
+func parseStreamLine(s string) (m trace.StreamMeta, ninst, seq int, problem string) {
+	field, s, _ := strings.Cut(s, " ")
+	seq, err := strconv.Atoi(field)
+	if err != nil {
+		return m, 0, 0, "bad sequence number " + strconv.Quote(field)
 	}
-	var err error
 	if m.File, s, err = cutQuoted(s); err != nil {
 		return m, 0, 0, "stream file: " + err.Error()
 	}

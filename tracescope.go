@@ -449,12 +449,10 @@ type (
 	IncrementalConfig = core.IncrementalConfig
 )
 
-// OpenCorpusAppender opens dir for appending streams, creating it (with
-// a fresh v3 index) if needed. Appending to an existing v2 corpus keeps
-// the v2 record format; v1 corpora must be rewritten with
-// WriteCorpusDir first. The appender assumes exclusive ownership of the
-// directory — after another writer appends, re-open (as
-// ingest.Server.Sync does) before appending again.
+// OpenCorpusAppender opens dir for appending streams, creating it if
+// needed (the first append writes the index header). The appender
+// assumes exclusive ownership of the directory — after another writer
+// appends, re-open (as ingest.Server.Sync does) before appending again.
 func OpenCorpusAppender(dir string) (*CorpusAppender, error) {
 	return trace.OpenAppender(dir)
 }
