@@ -66,9 +66,11 @@ test-short:
 
 # Race-enabled run: the analysis engine parallelises by default, so this
 # is the gate CI enforces — at each processor count, because a lifetime
-# bug that hides at GOMAXPROCS=1 can panic at 2.
+# bug that hides at GOMAXPROCS=1 can panic at 2. -count=1 because
+# GOMAXPROCS is not part of the test cache key: without it every count
+# after the first is served from the cache.
 test-race:
-	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race ./... || exit 1; done
+	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -76,13 +78,19 @@ bench:
 # Benchmark smoke (CI gates on this): run the repo benchmark's own
 # command (BENCHMARK.json) for one second on each of its workloads, so
 # the command cannot rot. A run's last line is one JSON object; the
-# correctness oracle must hold and no operation may fail. Numbers for
+# correctness oracle must hold and no operation may fail. Two traced
+# runs follow: a traced run's staged replay is the only caller that
+# drives waitgraph.NewBuilder/Instance, Partial.AddGraph and
+# Aggregator.Add directly and compares its report hash (batch_resident)
+# or the daemon's answers (ingest_grow) with the facade's, so a drift in
+# the analysis kernel's signatures or behaviour fails here. Numbers for
 # claims come from full runs — see bench/README.md.
 bench-smoke:
-	for w in batch_cold batch_resident ingest_grow daemon_mixed; do \
-		bash bench/run.sh -workload $$w -seconds 1 -seed 1 | tail -n 1 | \
+	for run in "batch_cold" "batch_resident" "ingest_grow" "daemon_mixed" \
+			"batch_resident -trace 1" "ingest_grow -trace 1"; do \
+		bash bench/run.sh -workload $$run -seconds 1 -seed 1 | tail -n 1 | \
 			grep '"correct":true' | grep -q '"failed":0,' || \
-			{ echo "bench-smoke: $$w: last line lacks \"correct\":true and \"failed\":0" >&2; exit 1; }; \
+			{ echo "bench-smoke: $$run: last line lacks \"correct\":true and \"failed\":0" >&2; exit 1; }; \
 	done
 
 # End-to-end daemon smoke (CI gates on this): start tracescoped on a

@@ -65,6 +65,7 @@ func BenchmarkHeadlineImpact(b *testing.B) {
 		{"engine", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				an := core.NewAnalyzer(s.Corpus, core.WithWorkers(bc.workers))
 				m := an.Impact(trace.AllDrivers(), "")
@@ -186,6 +187,7 @@ func BenchmarkFigure2AWG(b *testing.B) {
 func BenchmarkWaitGraphBuild(b *testing.B) {
 	s := benchSetup(b)
 	refs := s.Corpus.InstancesOf("")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		builders := waitgraph.BuildAll(s.Corpus, waitgraph.Options{})
@@ -427,6 +429,7 @@ func BenchmarkAWGAggregate(b *testing.B) {
 		}
 	}
 	_ = tf
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := awg.Aggregate(graphs, trace.AllDrivers(), awg.DefaultOptions())

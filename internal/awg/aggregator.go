@@ -18,15 +18,30 @@ type Aggregator struct {
 	filter   *trace.FilterCache
 	opts     Options
 	finished bool
+
+	// Scratch reused across Adds, so folding a graph into AWG nodes that
+	// already exist allocates nothing.
+	seen map[nodeEvent]struct{} // (node, event) pairs accumulated by the current Add
+	key  []byte                 // sibling-key buffer for child lookups
 }
 
-// NewAggregator prepares an empty aggregation for one contrast class.
+// NewAggregator prepares an empty aggregation for one contrast class,
+// with a filter resolver of its own. A fold with several consumers
+// should hand them one shared resolver through NewAggregatorOn instead.
 func NewAggregator(filter *trace.ComponentFilter, opts Options) *Aggregator {
+	return NewAggregatorOn(trace.NewFilterCache(filter), opts)
+}
+
+// NewAggregatorOn is NewAggregator over the caller's resolver — the one
+// every other consumer of the same fold uses (DESIGN.md §3). The caller
+// keeps ownership: it calls fc.Forget when a stream's fold ends.
+func NewAggregatorOn(fc *trace.FilterCache, opts Options) *Aggregator {
 	opts.applyDefaults()
 	return &Aggregator{
 		g:      &Graph{roots: make(map[string]*Node)},
-		filter: trace.NewFilterCache(filter),
+		filter: fc,
 		opts:   opts,
+		seen:   make(map[nodeEvent]struct{}),
 	}
 }
 
@@ -34,15 +49,9 @@ func NewAggregator(filter *trace.ComponentFilter, opts Options) *Aggregator {
 // elimination, wait/unwait pair merging, and common-prefix aggregation,
 // with per-(node, event) dedup local to this source graph.
 func (ag *Aggregator) Add(wg *waitgraph.Graph) {
-	w := &aggregator{
-		g:      ag.g,
-		stream: wg.Stream,
-		filter: ag.filter,
-		seen:   make(map[nodeEvent]bool),
-		depth:  ag.opts.MaxDepth,
-	}
+	clear(ag.seen)
 	for _, root := range wg.Roots {
-		w.walk(root, nil, 0)
+		ag.walk(wg.Stream, root, nil, 0)
 	}
 }
 

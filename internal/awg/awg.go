@@ -61,7 +61,9 @@ type Node struct {
 	children map[string]*Node
 }
 
-// Key canonically identifies the node's signatures within its siblings.
+// Key canonically identifies the node's signatures within its siblings:
+// "w|wait|unwait" for waiting nodes, "r|sig" for running nodes and
+// "h|sig" for hardware nodes.
 func (n *Node) Key() string {
 	switch n.Kind {
 	case Waiting:
@@ -71,6 +73,26 @@ func (n *Node) Key() string {
 	default:
 		return "h|" + n.RunSig
 	}
+}
+
+// appendKey appends to buf the Key of a node of the given kind, where
+// sig is a waiting node's wait signature or another node's run
+// signature, and usig a waiting node's unwait signature. It is Key for
+// a node that may not exist yet: Aggregator.child looks the bytes up
+// without building a string (TestAppendKeyMatchesKey).
+func appendKey(buf []byte, kind Kind, sig, usig string) []byte {
+	switch kind {
+	case Waiting:
+		buf = append(buf, "w|"...)
+		buf = append(buf, sig...)
+		buf = append(buf, '|')
+		return append(buf, usig...)
+	case Running:
+		buf = append(buf, "r|"...)
+	default:
+		buf = append(buf, "h|"...)
+	}
+	return append(buf, sig...)
 }
 
 // Children returns the node's children sorted by key (deterministic).
@@ -160,109 +182,108 @@ func Aggregate(graphs []*waitgraph.Graph, filter *trace.ComponentFilter, opts Op
 
 // nodeEvent dedups accumulation of one trace event into one AWG node
 // within a single source Wait Graph (shared subtrees in the Wait-Graph
-// DAG must not double-count).
+// DAG must not double-count). The pair is the unit: one event may land
+// in two AWG nodes when two paths to it aggregate differently, so marks
+// indexed by event alone could not express it.
 type nodeEvent struct {
 	node  *Node
 	event trace.EventID
 }
 
-type aggregator struct {
-	g      *Graph
-	stream *trace.Stream
-	filter *trace.FilterCache
-	seen   map[nodeEvent]bool
-	depth  int
-}
-
-// walk merges a Wait-Graph subtree into the AWG under parent (nil means
-// top level). Component-irrelevant wait nodes are transparent: their
-// children attach to the current parent, which realises the
-// irrelevant-node elimination of Algorithm 1 along whole paths, not just
-// at the roots.
-func (a *aggregator) walk(n *waitgraph.Node, parent *Node, depth int) {
-	if depth > a.depth {
+// walk merges a Wait-Graph subtree of stream s into the AWG under parent
+// (nil means top level). Component-irrelevant wait nodes are
+// transparent: their children attach to the current parent, which
+// realises the irrelevant-node elimination of Algorithm 1 along whole
+// paths, not just at the roots.
+func (ag *Aggregator) walk(s *trace.Stream, n *waitgraph.Node, parent *Node, depth int) {
+	if depth > ag.opts.MaxDepth {
 		return
 	}
 	switch n.Type {
 	case trace.Wait:
-		wsig, ok := a.filter.TopSignature(a.stream, n.Stack)
+		wsig, ok := ag.filter.TopSignature(s, n.Stack)
 		if !ok {
 			// Irrelevant wait: pass through to children.
 			for _, c := range n.Children {
-				a.walk(c, parent, depth+1)
+				ag.walk(s, c, parent, depth+1)
 			}
 			return
 		}
-		usig := a.unwaitSig(n)
-		node := a.child(parent, &Node{Kind: Waiting, WaitSig: wsig, UnwaitSig: usig})
-		a.accumulate(node, n)
+		node := ag.child(parent, Waiting, wsig, ag.unwaitSig(s, n))
+		ag.accumulate(node, n)
 		for _, c := range n.Children {
-			a.walk(c, node, depth+1)
+			ag.walk(s, c, node, depth+1)
 		}
 
 	case trace.Running:
-		rsig, ok := a.filter.TopSignature(a.stream, n.Stack)
+		rsig, ok := ag.filter.TopSignature(s, n.Stack)
 		if !ok {
 			return
 		}
-		node := a.child(parent, &Node{Kind: Running, RunSig: rsig})
-		a.accumulate(node, n)
+		ag.accumulate(ag.child(parent, Running, rsig, ""), n)
 
 	case trace.HardwareService:
-		node := a.child(parent, &Node{Kind: Hardware, RunSig: sigset.HardwareSignature})
-		a.accumulate(node, n)
+		ag.accumulate(ag.child(parent, Hardware, sigset.HardwareSignature, ""), n)
 	}
 }
 
 // unwaitSig derives the unwait signature of a paired wait node: the
 // topmost component signature on the unwaiting callstack, falling back to
 // the first non-kernel frame (hardware completions, app-level releases).
-func (a *aggregator) unwaitSig(n *waitgraph.Node) string {
+func (ag *Aggregator) unwaitSig(s *trace.Stream, n *waitgraph.Node) string {
 	if !n.HasUnwait {
 		return ""
 	}
-	if sig, ok := a.filter.TopSignature(a.stream, n.UnwaitStack); ok {
+	if sig, ok := ag.filter.TopSignature(s, n.UnwaitStack); ok {
 		return sig
 	}
-	frames := a.stream.StackStrings(n.UnwaitStack)
+	frames := s.Stack(n.UnwaitStack)
 	for _, f := range frames {
-		if !strings.HasPrefix(f, "kernel!") {
-			return f
+		if frame := s.Frame(f); !strings.HasPrefix(frame, "kernel!") {
+			return frame
 		}
 	}
 	if len(frames) > 0 {
-		return frames[0]
+		return s.Frame(frames[0])
 	}
 	return ""
 }
 
-// child finds or inserts proto under parent (or the root set).
-func (a *aggregator) child(parent *Node, proto *Node) *Node {
-	key := proto.Key()
-	var m map[string]*Node
-	if parent == nil {
-		m = a.g.roots
-	} else {
+// child finds or inserts, under parent (or the root set), the node of
+// the given kind and signatures: sig is the wait signature of a waiting
+// node and the run signature otherwise, usig a waiting node's unwait
+// signature. The sibling key is assembled in a reused buffer and looked
+// up without conversion, so only a new node allocates.
+func (ag *Aggregator) child(parent *Node, kind Kind, sig, usig string) *Node {
+	m := ag.g.roots
+	if parent != nil {
 		if parent.children == nil {
 			parent.children = make(map[string]*Node)
 		}
 		m = parent.children
 	}
-	if n, ok := m[key]; ok {
+	ag.key = appendKey(ag.key[:0], kind, sig, usig)
+	if n, ok := m[string(ag.key)]; ok {
 		return n
 	}
-	m[key] = proto
-	return proto
+	n := &Node{Kind: kind}
+	if kind == Waiting {
+		n.WaitSig, n.UnwaitSig = sig, usig
+	} else {
+		n.RunSig = sig
+	}
+	m[string(ag.key)] = n
+	return n
 }
 
 // accumulate folds one trace event's metrics into an AWG node, once per
-// (node, event) pair per source graph set.
-func (a *aggregator) accumulate(node *Node, n *waitgraph.Node) {
+// (node, event) pair per source graph.
+func (ag *Aggregator) accumulate(node *Node, n *waitgraph.Node) {
 	k := nodeEvent{node: node, event: n.Event}
-	if a.seen[k] {
+	if _, dup := ag.seen[k]; dup {
 		return
 	}
-	a.seen[k] = true
+	ag.seen[k] = struct{}{}
 	node.C += n.Cost
 	node.N++
 	if n.Cost > node.MaxC {

@@ -269,39 +269,59 @@ func (a *Analyzer) Causality(cfg CausalityConfig) (*CausalityResult, error) {
 
 	// Classification needs only instance metadata: lazy sources split the
 	// contrast classes without decoding a single stream.
-	var fastRefs, slowRefs []trace.InstanceRef
+	var classed []trace.InstanceRef // fast and slow refs, in refs order
+	var fastCount, slowCount int
 	a.phase("causality_classify", func() {
 		for _, ref := range refs {
-			in := a.src.InstanceMeta(ref)
-			switch d := in.Duration(); {
-			case d < cfg.Tfast:
-				fastRefs = append(fastRefs, ref)
-			case d > cfg.Tslow:
-				slowRefs = append(slowRefs, ref)
+			switch classify(a.src.InstanceMeta(ref), cfg.Tfast, cfg.Tslow) {
+			case fastClass:
+				fastCount++
+			case slowClass:
+				slowCount++
+			default:
+				continue
 			}
+			classed = append(classed, ref)
 		}
 	})
 	a.rec.Add("causality_instances_total", int64(len(refs)))
-	a.rec.Add("causality_fast_total", int64(len(fastRefs)))
-	a.rec.Add("causality_slow_total", int64(len(slowRefs)))
+	a.rec.Add("causality_fast_total", int64(fastCount))
+	a.rec.Add("causality_slow_total", int64(slowCount))
 	res := &CausalityResult{
 		Scenario:  cfg.Scenario,
 		Tfast:     cfg.Tfast,
 		Tslow:     cfg.Tslow,
 		Instances: len(refs),
-		FastCount: len(fastRefs),
-		SlowCount: len(slowRefs),
+		FastCount: fastCount,
+		SlowCount: slowCount,
 	}
-	if len(slowRefs) == 0 {
+	if slowCount == 0 {
 		return res, a.imp.Err()
 	}
 
-	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: !cfg.DisableReduce}
-	slowAWG, slowImpact := a.aggregateClass("causality_aggregate_slow", slowRefs, cfg.Filter, awgOpts, true)
-	fastAWG, _ := a.aggregateClass("causality_aggregate_fast", fastRefs, cfg.Filter, awgOpts, false)
-
+	slowAWG, fastAWG, slowImpact := a.aggregateClasses(classed, cfg)
 	finishCausality(a.rec, cfg, res, slowAWG, fastAWG, slowImpact)
 	return res, a.imp.Err()
+}
+
+// contrastClass is an instance's side of the developer thresholds.
+type contrastClass uint8
+
+const (
+	unclassed contrastClass = iota // between the thresholds: in neither class
+	fastClass
+	slowClass
+)
+
+// classify places an instance by its recorded duration (§4.2.1).
+func classify(in trace.Instance, tfast, tslow trace.Duration) contrastClass {
+	switch d := in.Duration(); {
+	case d < tfast:
+		return fastClass
+	case d > tslow:
+		return slowClass
+	}
+	return unclassed
 }
 
 // finishCausality runs the mining phases (enumerate, select, lift, rank)
@@ -366,52 +386,53 @@ func finishCausality(rec obs.Recorder, cfg CausalityConfig, res *CausalityResult
 	rec.Progress("causality_rank", 1, 1)
 }
 
-// classPartial is one shard's contribution to a contrast class: an
-// unreduced AWG forest plus (for the slow class) the impact partial
-// measured off the same Wait Graphs.
-type classPartial struct {
-	awg *awg.Graph
-	imp *impact.Partial
+// classesPartial is one shard's contribution to a causality pass: the
+// unreduced AWG forest of each contrast class plus the slow class's
+// impact partial, all measured off the same Wait Graphs.
+type classesPartial struct {
+	slow, fast *awg.Graph
+	slowImpact *impact.Partial
 }
 
-// aggregateClass builds one contrast class's Aggregated Wait Graph — and,
-// when withImpact is set, its impact metrics — as a shard-and-merge over
-// the engine. Each shard streams its instances' Wait Graphs through an
-// incremental aggregator (graphs are never collected into a slice), each
-// graph is fetched once and feeds both the aggregation and the impact
-// measurement, and the per-shard forests are merged in shard-index order
-// before the non-optimizable reduction runs on the merged result.
-func (a *Analyzer) aggregateClass(label string, refs []trace.InstanceRef, filter *trace.ComponentFilter,
-	awgOpts awg.Options, withImpact bool) (*awg.Graph, impact.Metrics) {
+// aggregateClasses builds both contrast classes' Aggregated Wait Graphs
+// and the slow class's impact metrics in one shard-and-merge sweep over
+// the classed refs (fast and slow, none in between). A stream holding
+// instances of both classes is fetched and indexed once: each shard
+// streams its instances' Wait Graphs through two incremental aggregators
+// and the slow-class partial, all three sharing the shard's one filter
+// resolver. The per-shard forests are merged in shard-index order before
+// the non-optimizable reduction runs on the merged result.
+func (a *Analyzer) aggregateClasses(classed []trace.InstanceRef, cfg CausalityConfig) (slowAWG, fastAWG *awg.Graph, slowImpact impact.Metrics) {
+	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: !cfg.DisableReduce}
+	shardOpts := awgOpts
+	shardOpts.Reduce = false // reduction must see the merged forest
 
-	eng := a.engineOptions(label)
-	shards := a.shards(refs)
-	parts := engine.Map(len(shards), eng, func(i int) classPartial {
-		shardOpts := awgOpts
-		shardOpts.Reduce = false // reduction must see the merged forest
-		ag := awg.NewAggregator(filter, shardOpts)
-		var p *impact.Partial
-		var fc *trace.FilterCache
-		if withImpact {
-			p = impact.NewPartial()
-			fc = trace.NewFilterCache(filter)
-		}
-		a.imp.GraphsOver(shards[i].Refs, func(_ trace.InstanceRef, g *waitgraph.Graph) {
-			ag.Add(g)
-			if withImpact {
+	shards := a.shards(classed)
+	parts := engine.Map(len(shards), a.engineOptions("causality_aggregate"), func(i int) classesPartial {
+		fc := trace.NewFilterCache(cfg.Filter)
+		slow := awg.NewAggregatorOn(fc, shardOpts)
+		fast := awg.NewAggregatorOn(fc, shardOpts)
+		p := impact.NewPartial()
+		a.imp.GraphsOver(shards[i].Refs, func(ref trace.InstanceRef, g *waitgraph.Graph) {
+			if classify(a.src.InstanceMeta(ref), cfg.Tfast, cfg.Tslow) == slowClass {
+				slow.Add(g)
 				p.AddGraph(g, fc)
+			} else {
+				fast.Add(g)
 			}
 		})
-		return classPartial{awg: ag.Partial(), imp: p}
+		return classesPartial{slow: slow.Partial(), fast: fast.Partial(), slowImpact: p}
 	})
 
-	final := awg.NewAggregator(filter, awgOpts)
+	slowFinal := awg.NewAggregator(cfg.Filter, awgOpts)
+	fastFinal := awg.NewAggregator(cfg.Filter, awgOpts)
 	imp := impact.NewPartial()
 	for _, pt := range parts {
-		final.Merge(pt.awg)
-		imp.Merge(pt.imp)
+		slowFinal.Merge(pt.slow)
+		fastFinal.Merge(pt.fast)
+		imp.Merge(pt.slowImpact)
 	}
-	return final.Finish(), imp.Metrics
+	return slowFinal.Finish(), fastFinal.Finish(), imp.Metrics
 }
 
 // TopCoverage reports the ranking coverage of the top fraction of

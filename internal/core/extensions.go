@@ -186,21 +186,21 @@ func (a *Analyzer) ImpactByComponent(filter *trace.ComponentFilter, refs []trace
 		}
 		return ci
 	}
+	fc := trace.NewFilterCache(filter)
 	a.imp.GraphsOver(refs, func(ref trace.InstanceRef, g *waitgraph.Graph) {
-		seen := make(map[trace.EventID]bool)
+		seen := fc.BeginWalk(g.Stream)
 		var walk func(n *waitgraph.Node, covered bool)
 		walk = func(n *waitgraph.Node, covered bool) {
-			if seen[n.Event] {
+			if !seen.Visit(n.Event.Index) {
 				return
 			}
-			seen[n.Event] = true
 			switch n.Type {
 			case trace.Running:
-				if sig, ok := filter.TopSignature(g.Stream, n.Stack); ok {
+				if sig, ok := fc.TopSignature(g.Stream, n.Stack); ok {
 					get(trace.Module(sig)).Drun += n.Cost
 				}
 			case trace.Wait:
-				sig, isDriver := filter.TopSignature(g.Stream, n.Stack)
+				sig, isDriver := fc.TopSignature(g.Stream, n.Stack)
 				if isDriver && !covered {
 					get(trace.Module(sig)).Dwait += n.Cost
 					covered = true

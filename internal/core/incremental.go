@@ -145,14 +145,14 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 		awgOpts := awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: false}
 		sc = &scenarioState{
 			impact: impact.NewPartial(),
-			all:    awg.NewAggregator(inc.filter, awgOpts),
+			all:    awg.NewAggregatorOn(inc.fc, awgOpts),
 		}
 		if inc.cfg.Thresholds != nil {
 			tf, ts, classed := inc.cfg.Thresholds(scenario)
 			if classed && tf > 0 && ts > tf {
 				sc.tfast, sc.tslow, sc.classed = tf, ts, true
-				sc.slow = awg.NewAggregator(inc.filter, awgOpts)
-				sc.fast = awg.NewAggregator(inc.filter, awgOpts)
+				sc.slow = awg.NewAggregatorOn(inc.fc, awgOpts)
+				sc.fast = awg.NewAggregatorOn(inc.fc, awgOpts)
 				sc.slowImpact = impact.NewPartial()
 			}
 		}
@@ -164,12 +164,16 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 // Ingest folds one stream into the analysis state: each instance's Wait
 // Graph is built once and feeds the global and per-scenario impact
 // partials plus — when the instance classifies fast or slow — its
-// contrast class's AWG aggregation. streamIndex is the stream's index
-// in the corpus (the value EventIDs embed); callers must feed each
-// stream exactly once, and indices must be unique.
+// contrast class's AWG aggregation. Every one of those consumers
+// resolves the filter through the state's one FilterCache, which
+// forgets the stream when the fold ends: the state keeps aggregates,
+// never the stream. streamIndex is the stream's index in the corpus
+// (the value EventIDs embed); callers must feed each stream exactly
+// once, and indices must be unique.
 func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
 	sp := inc.rec.Start("ingest_stream")
 	defer sp.End()
+	defer inc.fc.Forget()
 
 	b := waitgraph.NewBuilder(s, streamIndex, waitgraph.Options{})
 	for _, in := range s.Instances {
@@ -182,11 +186,11 @@ func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
 		if !sc.classed {
 			continue
 		}
-		switch d := in.Duration(); {
-		case d < sc.tfast:
+		switch classify(in, sc.tfast, sc.tslow) {
+		case fastClass:
 			sc.fast.Add(g)
 			sc.fastCount++
-		case d > sc.tslow:
+		case slowClass:
 			sc.slow.Add(g)
 			sc.slowImpact.AddGraph(g, inc.fc)
 			sc.slowCount++
@@ -380,14 +384,14 @@ func (inc *Incremental) Snapshot() *Incremental {
 	snap.totalDur = inc.totalDur
 	snap.global = inc.global.Clone()
 	for name, sc := range inc.scen {
-		snap.scen[name] = sc.clone(inc.filter, inc.cfg)
+		snap.scen[name] = sc.clone(snap.fc, inc.cfg)
 	}
 	return snap
 }
 
 // clone deep-copies one scenario's state via the same clone-then-merge
-// idiom queries use.
-func (sc *scenarioState) clone(filter *trace.ComponentFilter, cfg IncrementalConfig) *scenarioState {
+// idiom queries use; fc is the resolver of the state the copy joins.
+func (sc *scenarioState) clone(fc *trace.FilterCache, cfg IncrementalConfig) *scenarioState {
 	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: false}
 	c := &scenarioState{
 		tfast:     sc.tfast,
@@ -397,20 +401,21 @@ func (sc *scenarioState) clone(filter *trace.ComponentFilter, cfg IncrementalCon
 		fastCount: sc.fastCount,
 		slowCount: sc.slowCount,
 		impact:    sc.impact.Clone(),
-		all:       cloneAggregator(sc.all, filter, awgOpts),
+		all:       cloneAggregator(sc.all, fc, awgOpts),
 	}
 	if sc.classed {
-		c.slow = cloneAggregator(sc.slow, filter, awgOpts)
-		c.fast = cloneAggregator(sc.fast, filter, awgOpts)
+		c.slow = cloneAggregator(sc.slow, fc, awgOpts)
+		c.fast = cloneAggregator(sc.fast, fc, awgOpts)
 		c.slowImpact = sc.slowImpact.Clone()
 	}
 	return c
 }
 
 // cloneAggregator copies an unreduced aggregation into a fresh
-// aggregator of the same configuration.
-func cloneAggregator(ag *awg.Aggregator, filter *trace.ComponentFilter, opts awg.Options) *awg.Aggregator {
-	c := awg.NewAggregator(filter, opts)
+// aggregator of the same configuration, resolving through fc (the
+// owning state's).
+func cloneAggregator(ag *awg.Aggregator, fc *trace.FilterCache, opts awg.Options) *awg.Aggregator {
+	c := awg.NewAggregatorOn(fc, opts)
 	c.Merge(ag.Partial().Clone())
 	return c
 }

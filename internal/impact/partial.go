@@ -30,40 +30,49 @@ func NewPartial() *Partial {
 // graph once to accumulate Dwait, Drun, and the distinct-wait set.
 // Driver waits are counted only at the top level: a driver wait below a
 // counted driver wait is already included in its parent's cost (§3.2,
-// "total wait duration").
+// "total wait duration"). filter is the fold's resolver: it answers the
+// per-stack matches and lends the walk its visit marks.
 func (p *Partial) AddGraph(g *waitgraph.Graph, filter *trace.FilterCache) {
 	p.Instances++
 	p.Dscn += g.Instance.Duration()
 
-	seen := make(map[trace.EventID]bool)
-	var walk func(n *waitgraph.Node, covered bool)
-	walk = func(n *waitgraph.Node, covered bool) {
-		if seen[n.Event] {
-			return
-		}
-		seen[n.Event] = true
-		switch n.Type {
-		case trace.Running:
-			if filter.MatchStack(g.Stream, n.Stack) {
-				p.Drun += n.Cost
-			}
-		case trace.Wait:
-			isDriver := filter.MatchStack(g.Stream, n.Stack)
-			if isDriver && !covered {
-				p.Dwait += n.Cost
-				if _, ok := p.distinct[n.Event]; !ok {
-					p.distinct[n.Event] = n.Cost
-					p.Dwaitdist += n.Cost
-				}
-				covered = true
-			}
-			for _, c := range n.Children {
-				walk(c, covered)
-			}
-		}
-	}
+	w := graphWalk{p: p, s: g.Stream, filter: filter, seen: filter.BeginWalk(g.Stream)}
 	for _, r := range g.Roots {
-		walk(r, false)
+		w.visit(r, false)
+	}
+}
+
+// graphWalk is the state of one AddGraph walk. It lives on AddGraph's
+// stack: a recursive closure would cost two heap objects per graph.
+type graphWalk struct {
+	p      *Partial
+	s      *trace.Stream
+	filter *trace.FilterCache
+	seen   *trace.Marks
+}
+
+func (w *graphWalk) visit(n *waitgraph.Node, covered bool) {
+	if !w.seen.Visit(n.Event.Index) {
+		return
+	}
+	p := w.p
+	switch n.Type {
+	case trace.Running:
+		if w.filter.MatchStack(w.s, n.Stack) {
+			p.Drun += n.Cost
+		}
+	case trace.Wait:
+		if !covered && w.filter.MatchStack(w.s, n.Stack) {
+			p.Dwait += n.Cost
+			if _, ok := p.distinct[n.Event]; !ok {
+				p.distinct[n.Event] = n.Cost
+				p.Dwaitdist += n.Cost
+			}
+			covered = true
+		}
+		for _, c := range n.Children {
+			w.visit(c, covered)
+		}
 	}
 }
 

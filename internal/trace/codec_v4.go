@@ -391,10 +391,6 @@ func readBinaryV4(data []byte, it *InternTable, b *decodeBufs) (*Stream, error) 
 	}
 
 	s := &b.stream
-	// Bump the identity generation first: this allocation may have hosted
-	// a different stream before recycling, and caches key on (pointer,
-	// generation).
-	s.gen++
 	s.ID = id
 	s.frames = b.frames
 	s.frameIndex = nil // rebuilt lazily by InternFrame if ever needed

@@ -114,46 +114,90 @@ func wildcardMatch(p, s string) bool {
 	return true
 }
 
-// FilterCache memoises a ComponentFilter's per-stack results. Analyses
-// call TopSignature for the same (stream, stack) pair once per instance
-// graph; over thousands of instances the cache removes the repeated
-// frame-by-frame wildcard matching. Not safe for concurrent use.
+// FilterCache is the per-stream resolver of one analysis fold: it
+// answers a ComponentFilter's per-stack questions from a dense table
+// indexed by StackID, and lends the fold a visit-mark set indexed by
+// event number. Both are scoped to the *current* stream — the one most
+// recently passed to BeginWalk, TopSignature or MatchStack. A different
+// stream resets the table, and Forget drops the stream altogether, so a
+// FilterCache never keeps alive any stream but the one being folded and
+// none once that fold has ended (DESIGN.md §10). Every consumer of one
+// fold — impact partials, AWG aggregators — should share one
+// FilterCache, so each stack is resolved once per stream rather than
+// once per consumer. Not safe for concurrent use.
 type FilterCache struct {
-	f *ComponentFilter
-	m map[filterCacheKey]filterCacheVal
+	f     *ComponentFilter
+	cur   *Stream
+	sigs  []stackSig // indexed by cur's StackIDs
+	marks Marks
 }
 
-type filterCacheKey struct {
-	s   *Stream
-	gen uint64 // pooled streams reuse allocations; see Stream.gen
-	id  StackID
+type stackSig struct {
+	sig   string
+	ok    bool
+	known bool
 }
 
-type filterCacheVal struct {
-	sig string
-	ok  bool
-}
-
-// NewFilterCache wraps a filter with memoisation.
+// NewFilterCache wraps a filter with per-stream memoisation.
 func NewFilterCache(f *ComponentFilter) *FilterCache {
-	return &FilterCache{f: f, m: make(map[filterCacheKey]filterCacheVal)}
+	return &FilterCache{f: f, marks: Marks{epoch: firstEpoch}}
 }
 
 // Filter returns the underlying filter.
 func (c *FilterCache) Filter() *ComponentFilter { return c.f }
 
-// TopSignature is a memoised ComponentFilter.TopSignature.
-func (c *FilterCache) TopSignature(s *Stream, stack StackID) (string, bool) {
-	key := filterCacheKey{s: s, gen: s.gen, id: stack}
-	if v, ok := c.m[key]; ok {
-		return v.sig, v.ok
+// bind makes s the current stream, discarding the previous stream's
+// resolved signatures.
+func (c *FilterCache) bind(s *Stream) {
+	c.Forget()
+	c.cur = s
+	if n := s.NumStacks(); n <= cap(c.sigs) {
+		c.sigs = c.sigs[:n]
+	} else {
+		c.sigs = make([]stackSig, n)
 	}
-	sig, ok := c.f.TopSignature(s, stack)
-	c.m[key] = filterCacheVal{sig: sig, ok: ok}
-	return sig, ok
 }
 
-// MatchStack is a memoised ComponentFilter.MatchStack.
+// Forget ends the fold of the current stream: the cache drops its
+// reference to the stream and every signature resolved from it. A cache
+// that outlives a stream's fold (core.Incremental's) must be told, or
+// it keeps the last stream it folded alive.
+func (c *FilterCache) Forget() {
+	c.cur = nil
+	clear(c.sigs) // the signatures are the stream's frame strings
+	c.sigs = c.sigs[:0]
+}
+
+// BeginWalk makes s the current stream and returns an empty visit-mark
+// set for one walk over a Wait Graph of s, indexed by EventID.Index. The
+// set is owned by the cache and valid until the next BeginWalk.
+func (c *FilterCache) BeginWalk(s *Stream) *Marks {
+	if s != c.cur {
+		c.bind(s)
+	}
+	c.marks.Begin(len(s.Events))
+	return &c.marks
+}
+
+// TopSignature is ComponentFilter.TopSignature, resolved once per stack
+// of the current stream. Stacks interned after the stream became current
+// and absent stacks (NoStack) are resolved uncached.
+func (c *FilterCache) TopSignature(s *Stream, stack StackID) (string, bool) {
+	if s != c.cur {
+		c.bind(s)
+	}
+	if uint(stack) >= uint(len(c.sigs)) {
+		return c.f.TopSignature(s, stack)
+	}
+	e := &c.sigs[stack]
+	if !e.known {
+		e.sig, e.ok = c.f.TopSignature(s, stack)
+		e.known = true
+	}
+	return e.sig, e.ok
+}
+
+// MatchStack is ComponentFilter.MatchStack through the same table.
 func (c *FilterCache) MatchStack(s *Stream, stack StackID) bool {
 	_, ok := c.TopSignature(s, stack)
 	return ok

@@ -177,13 +177,6 @@ type Stream struct {
 	// buffer set backing every slice above, recoverable via
 	// StreamPool.Recycle once no references to the stream remain.
 	bufs *decodeBufs
-
-	// gen distinguishes successive streams decoded into the same pooled
-	// buffer set: recycling reuses the Stream allocation, so caches keyed
-	// by stream identity must key on (pointer, generation), not the
-	// pointer alone (FilterCache does). Always zero for non-pooled
-	// streams.
-	gen uint64
 }
 
 // NewStream returns an empty stream with the given ID.

@@ -36,10 +36,10 @@ func (g *Graph) CriticalPath() []CriticalStep {
 		return nil
 	}
 	var path []CriticalStep
-	seen := make(map[trace.EventID]bool)
+	seen := g.beginWalk()
+	defer markPool.Put(seen)
 	n := root
-	for n != nil && !seen[n.Event] {
-		seen[n.Event] = true
+	for n != nil && seen.Visit(n.Event.Index) {
 		path = append(path, CriticalStep{Node: n, Signature: describeNode(g.Stream, n)})
 		var next *Node
 		for _, c := range n.Children {

@@ -62,7 +62,8 @@ func (g *Graph) WriteText(w io.Writer, maxDepth, maxFrames int) error {
 		g.Stream.ID, g.Instance.Scenario,
 		trace.Duration(g.Instance.Start), trace.Duration(g.Instance.End),
 		g.Stream.ThreadName(g.Instance.TID))
-	seen := make(map[trace.EventID]bool)
+	expanded := g.beginWalk() // nodes whose children were already printed
+	defer markPool.Put(expanded)
 	var walk func(n *Node, depth int) error
 	walk = func(n *Node, depth int) error {
 		indent := strings.Repeat("  ", depth)
@@ -70,8 +71,9 @@ func (g *Graph) WriteText(w io.Writer, maxDepth, maxFrames int) error {
 		if len(frames) > maxFrames {
 			frames = frames[:maxFrames]
 		}
+		shared := expanded.Has(n.Event.Index)
 		suffix := ""
-		if seen[n.Event] {
+		if shared {
 			suffix = " (shared, elided)"
 		}
 		if _, err := fmt.Fprintf(w, "%s%-9s t=%-10v c=%-10v %s [%s]%s\n",
@@ -79,10 +81,10 @@ func (g *Graph) WriteText(w io.Writer, maxDepth, maxFrames int) error {
 			g.Stream.ThreadName(n.TID), strings.Join(frames, " < "), suffix); err != nil {
 			return err
 		}
-		if seen[n.Event] || depth+1 >= maxDepth {
+		if shared || depth+1 >= maxDepth {
 			return nil
 		}
-		seen[n.Event] = true
+		expanded.Visit(n.Event.Index)
 		for _, c := range n.Children {
 			if err := walk(c, depth+1); err != nil {
 				return err

@@ -8,6 +8,7 @@ package waitgraph
 
 import (
 	"sort"
+	"sync"
 
 	"tracescope/internal/trace"
 )
@@ -45,44 +46,58 @@ type Graph struct {
 	Roots       []*Node
 }
 
+// markPool lends walks their visit-mark scratch (indexed by the node's
+// event number): a walk borrows a set for its duration, so graphs of one
+// stream may be walked concurrently and a Walk callback may start
+// another walk.
+var markPool = sync.Pool{New: func() any { return trace.NewMarks() }}
+
+// beginWalk borrows an empty mark set sized for the graph's stream;
+// return it with markPool.Put.
+func (g *Graph) beginWalk() *trace.Marks {
+	m := markPool.Get().(*trace.Marks)
+	m.Begin(len(g.Stream.Events))
+	return m
+}
+
 // NumNodes counts distinct nodes reachable from the roots.
 func (g *Graph) NumNodes() int {
-	seen := make(map[trace.EventID]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if seen[n.Event] {
-			return
-		}
-		seen[n.Event] = true
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
+	m := g.beginWalk()
+	defer markPool.Put(m)
+	n := 0
 	for _, r := range g.Roots {
-		walk(r)
+		n += countNodes(m, r)
 	}
-	return len(seen)
+	return n
+}
+
+func countNodes(m *trace.Marks, n *Node) int {
+	if !m.Visit(n.Event.Index) {
+		return 0
+	}
+	total := 1
+	for _, c := range n.Children {
+		total += countNodes(m, c)
+	}
+	return total
 }
 
 // Walk visits every distinct node reachable from the roots in depth-first
 // order. The callback returns false to prune descent below a node.
 func (g *Graph) Walk(fn func(n *Node, depth int) bool) {
-	seen := make(map[trace.EventID]bool)
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		if seen[n.Event] {
-			return
-		}
-		seen[n.Event] = true
-		if !fn(n, depth) {
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
+	m := g.beginWalk()
+	defer markPool.Put(m)
 	for _, r := range g.Roots {
-		walk(r, 0)
+		walkNodes(m, r, 0, fn)
+	}
+}
+
+func walkNodes(m *trace.Marks, n *Node, depth int, fn func(n *Node, depth int) bool) {
+	if !m.Visit(n.Event.Index) || !fn(n, depth) {
+		return
+	}
+	for _, c := range n.Children {
+		walkNodes(m, c, depth+1, fn)
 	}
 }
 
@@ -104,45 +119,130 @@ func (o *Options) applyDefaults() {
 // *Node values for shared events (the cross-instance duplication that
 // Dwaitdist measures).
 //
-// Nodes come from a slab allocated a chunk at a time, so a stream costs
-// one heap object per nodeChunkSize events instead of one per event.
+// Everything the builder looks up while building is dense: thread IDs
+// resolve through a direct table, each thread's events and the unwaits
+// targeting it are int32 index lists carved from one backing array
+// (counted, then filled), and the node cache is a slice over the
+// stream's events. Nodes and their child lists come from slabs allocated
+// a chunk at a time, so a stream costs two heap objects per nodeChunkSize
+// nodes instead of several per node. The builder owns all of it and
+// holds the stream for as long as it or any node it built is reachable.
 type Builder struct {
 	s    *trace.Stream
 	si   int
 	opts Options
 
-	byThread       map[trace.ThreadID][]int
-	unwaitByTarget map[trace.ThreadID][]int
+	threads []threadIndex  // in order of first appearance
+	byTID   []int32        // tid -> position in threads + 1, 0 when absent
+	sparse  []sparseThread // threads whose tid is outside byTID, sorted by tid
+	nodes   []*Node        // event index -> node, nil until built
 
-	nodes map[int]*Node // event index -> node
+	slab []Node  // unallocated tail of the current node chunk
+	kids []*Node // unallocated tail of the current child-list chunk
+}
 
-	slab []Node // unallocated tail of the current node chunk
+// threadIndex lists one thread's event indexes, in time order.
+type threadIndex struct {
+	events  []int32 // events the thread performed
+	unwaits []int32 // unwait events waking the thread
+
+	nEvents, nUnwaits int // list sizes, counted before the lists are carved
+}
+
+// sparseThread locates a thread whose ID the direct table does not
+// cover: a negative ID, or one at or beyond the stream's event count
+// (recorders number threads from zero; real thread IDs need not be
+// small, and a table sized by the largest ID would let one event
+// allocate gigabytes).
+type sparseThread struct {
+	tid trace.ThreadID
+	pos int // position in Builder.threads
 }
 
 // nodeChunkSize is the slab granularity: one allocation per this many
-// nodes.
+// nodes, and one per this many child pointers.
 const nodeChunkSize = 512
 
 // NewBuilder indexes stream si of a corpus for Wait-Graph construction.
 func NewBuilder(s *trace.Stream, streamIndex int, opts Options) *Builder {
 	opts.applyDefaults()
-	b := &Builder{
-		s:              s,
-		si:             streamIndex,
-		opts:           opts,
-		byThread:       make(map[trace.ThreadID][]int),
-		unwaitByTarget: make(map[trace.ThreadID][]int),
-		nodes:          make(map[int]*Node),
+	b := &Builder{s: s, si: streamIndex, opts: opts, nodes: make([]*Node, len(s.Events))}
+
+	maxTID := trace.NoThread
+	for i := range s.Events {
+		maxTID = max(maxTID, s.Events[i].TID, s.Events[i].WTID)
 	}
-	for i, e := range s.Events {
-		b.byThread[e.TID] = append(b.byThread[e.TID], i)
+	b.byTID = make([]int32, min(int(maxTID)+1, len(s.Events)))
+
+	// Count: find the stream's threads and size each one's two lists.
+	total := len(s.Events)
+	for i := range s.Events {
+		e := &s.Events[i]
+		b.addThread(e.TID).nEvents++
 		if e.Type == trace.Unwait {
-			b.unwaitByTarget[e.WTID] = append(b.unwaitByTarget[e.WTID], i)
+			b.addThread(e.WTID).nUnwaits++
+			total++
 		}
 	}
-	// Events are time-sorted within the stream, so the per-thread index
-	// lists are already time-ordered.
+	// Carve every list out of one backing array, then fill. Events are
+	// time-sorted within the stream, so the lists come out time-ordered.
+	backing := make([]int32, total)
+	for k := range b.threads {
+		t := &b.threads[k]
+		t.events, backing = backing[:0:t.nEvents], backing[t.nEvents:]
+		t.unwaits, backing = backing[:0:t.nUnwaits], backing[t.nUnwaits:]
+	}
+	for i := range s.Events {
+		e := &s.Events[i]
+		t := b.thread(e.TID)
+		t.events = append(t.events, int32(i))
+		if e.Type == trace.Unwait {
+			t = b.thread(e.WTID)
+			t.unwaits = append(t.unwaits, int32(i))
+		}
+	}
 	return b
+}
+
+// thread returns tid's index lists, or nil when the stream never
+// mentions the thread.
+func (b *Builder) thread(tid trace.ThreadID) *threadIndex {
+	if uint(tid) < uint(len(b.byTID)) {
+		if k := b.byTID[tid]; k != 0 {
+			return &b.threads[k-1]
+		}
+		return nil
+	}
+	if k, ok := b.searchSparse(tid); ok {
+		return &b.threads[b.sparse[k].pos]
+	}
+	return nil
+}
+
+// addThread is thread, appending an empty entry for a new tid. The
+// returned pointer is valid until the next addThread.
+func (b *Builder) addThread(tid trace.ThreadID) *threadIndex {
+	if t := b.thread(tid); t != nil {
+		return t
+	}
+	pos := len(b.threads)
+	b.threads = append(b.threads, threadIndex{})
+	if uint(tid) < uint(len(b.byTID)) {
+		b.byTID[tid] = int32(pos + 1)
+	} else {
+		k, _ := b.searchSparse(tid)
+		b.sparse = append(b.sparse, sparseThread{})
+		copy(b.sparse[k+1:], b.sparse[k:])
+		b.sparse[k] = sparseThread{tid: tid, pos: pos}
+	}
+	return &b.threads[pos]
+}
+
+// searchSparse returns the position of tid in the sorted sparse list, or
+// where it would be inserted.
+func (b *Builder) searchSparse(tid trace.ThreadID) (int, bool) {
+	k := sort.Search(len(b.sparse), func(i int) bool { return b.sparse[i].tid >= tid })
+	return k, k < len(b.sparse) && b.sparse[k].tid == tid
 }
 
 // alloc returns a zeroed node from the slab, growing it a chunk at a
@@ -156,6 +256,18 @@ func (b *Builder) alloc() *Node {
 	return n
 }
 
+// carve returns an empty child list of capacity k from the child-list
+// slab. A list that does not fit the current chunk's tail starts a new
+// chunk; the tail is abandoned.
+func (b *Builder) carve(k int) []*Node {
+	if k > len(b.kids) {
+		b.kids = make([]*Node, max(k, nodeChunkSize))
+	}
+	out := b.kids[:0:k]
+	b.kids = b.kids[k:]
+	return out
+}
+
 // Stream returns the indexed stream.
 func (b *Builder) Stream() *trace.Stream { return b.s }
 
@@ -164,12 +276,21 @@ func (b *Builder) Stream() *trace.Stream { return b.s }
 // recursively pull in the events of the threads that woke them.
 func (b *Builder) Instance(in trace.Instance) *Graph {
 	g := &Graph{Stream: b.s, StreamIndex: b.si, Instance: in}
-	for _, i := range b.eventsInWindow(in.TID, in.Start, in.End) {
-		e := b.s.Events[i]
-		if e.Type == trace.Unwait {
-			continue
+	win := b.window(in.TID, in.Start, in.End)
+	n := 0
+	for _, i := range win {
+		if b.overlaps(i, in.Start, in.End) {
+			n++
 		}
-		g.Roots = append(g.Roots, b.node(i, b.opts.MaxDepth))
+	}
+	if n == 0 {
+		return g
+	}
+	g.Roots = make([]*Node, 0, n)
+	for _, i := range win {
+		if b.overlaps(i, in.Start, in.End) {
+			g.Roots = append(g.Roots, b.node(int(i), b.opts.MaxDepth))
+		}
 	}
 	return g
 }
@@ -177,10 +298,10 @@ func (b *Builder) Instance(in trace.Instance) *Graph {
 // node returns the (cached) node for event index i, building its subtree
 // up to the given remaining depth.
 func (b *Builder) node(i, depth int) *Node {
-	if n, ok := b.nodes[i]; ok {
+	if n := b.nodes[i]; n != nil {
 		return n
 	}
-	e := b.s.Events[i]
+	e := &b.s.Events[i]
 	n := b.alloc()
 	n.Event = trace.EventID{Stream: b.si, Index: i}
 	n.Type = e.Type
@@ -196,17 +317,28 @@ func (b *Builder) node(i, depth int) *Node {
 	if !ok {
 		return n
 	}
-	u := b.s.Events[ui]
+	u := &b.s.Events[ui]
 	n.HasUnwait = true
 	n.UnwaitEvent = trace.EventID{Stream: b.si, Index: ui}
 	n.UnwaitStack = u.Stack
 	n.UnwaitTID = u.TID
-	for _, ci := range b.eventsInWindow(u.TID, e.Time, u.Time) {
-		ce := b.s.Events[ci]
-		if ce.Type == trace.Unwait || ci == i {
-			continue
+	win := b.window(u.TID, e.Time, u.Time)
+	k := 0
+	for _, ci := range win {
+		if int(ci) != i && b.overlaps(ci, e.Time, u.Time) {
+			k++
 		}
-		n.Children = append(n.Children, b.node(ci, depth-1))
+	}
+	if k == 0 {
+		return n
+	}
+	// The list is carved whole before recursing, so the subtrees' own
+	// lists land after it in the slab.
+	n.Children = b.carve(k)
+	for _, ci := range win {
+		if int(ci) != i && b.overlaps(ci, e.Time, u.Time) {
+			n.Children = append(n.Children, b.node(int(ci), depth-1))
+		}
 	}
 	return n
 }
@@ -214,27 +346,29 @@ func (b *Builder) node(i, depth int) *Node {
 // findUnwait locates the unwait event that woke wait event i: the first
 // unwait targeting the waiter at exactly the wait's end time.
 func (b *Builder) findUnwait(i int) (int, bool) {
-	e := b.s.Events[i]
+	e := &b.s.Events[i]
 	end := e.End()
-	cands := b.unwaitByTarget[e.TID]
+	cands := b.thread(e.TID).unwaits
 	// Binary search for the first candidate with Time >= end.
 	lo := sort.Search(len(cands), func(j int) bool {
 		return b.s.Events[cands[j]].Time >= end
 	})
-	for _, ci := range cands[lo:] {
-		u := b.s.Events[ci]
-		if u.Time != end {
-			break
-		}
-		return ci, true
+	if lo < len(cands) && b.s.Events[cands[lo]].Time == end {
+		return int(cands[lo]), true
 	}
 	return 0, false
 }
 
-// eventsInWindow returns the indexes of tid's events overlapping
-// [start, end), in time order.
-func (b *Builder) eventsInWindow(tid trace.ThreadID, start, end trace.Time) []int {
-	idxs := b.byThread[tid]
+// window returns a run of tid's event indexes, in time order, holding
+// every event of the thread that overlaps [start, end) and possibly a
+// few that do not: callers test each entry with overlaps, so no result
+// slice is built.
+func (b *Builder) window(tid trace.ThreadID, start, end trace.Time) []int32 {
+	t := b.thread(tid)
+	if t == nil {
+		return nil
+	}
+	idxs := t.events
 	// First event that could overlap: the last event starting before
 	// `end`, scanned back while End() > start. Events of one thread are
 	// sequential, so a linear backwards scan from the insertion point of
@@ -244,21 +378,22 @@ func (b *Builder) eventsInWindow(tid trace.ThreadID, start, end trace.Time) []in
 	})
 	var lo int
 	for lo = hi; lo > 0; lo-- {
-		e := b.s.Events[idxs[lo-1]]
+		e := &b.s.Events[idxs[lo-1]]
 		if e.End() <= start && e.Type != trace.Unwait {
 			// Fully before the window; since per-thread events are
 			// sequential, everything earlier is too.
 			break
 		}
 	}
-	var out []int
-	for _, i := range idxs[lo:hi] {
-		e := b.s.Events[i]
-		if e.Time < end && e.End() > start {
-			out = append(out, i)
-		}
-	}
-	return out
+	return idxs[lo:hi]
+}
+
+// overlaps reports whether event i belongs in a graph over [start, end):
+// it overlaps the interval and is not an unwait (unwaits pair with their
+// waits instead of becoming nodes).
+func (b *Builder) overlaps(i int32, start, end trace.Time) bool {
+	e := &b.s.Events[i]
+	return e.Type != trace.Unwait && e.Time < end && e.End() > start
 }
 
 // BuildAll constructs builders for every stream of a corpus.
