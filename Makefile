@@ -133,6 +133,7 @@ report:
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzParseIndex -fuzztime 30s
+	$(GO) test ./internal/trace/ -fuzz FuzzReloadSplit -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadV4Index -fuzztime 30s
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzColBlockDecode -fuzztime 30s
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzInternRecords -fuzztime 15s

@@ -244,11 +244,13 @@ func (inc *Incremental) Merge(other *Incremental) {
 
 // IngestSource folds every not-yet-ingested stream of src — indices
 // [NumStreams(), src.NumStreams()) — into the state as a parallel
-// shard-and-merge: workers build independent partial states, merged in
-// stream order. Results are bit-for-bit identical at any worker count.
-// This is the warm-up path for a daemon starting over an existing
-// corpus; it assumes the state was fed streams 0..NumStreams()-1 of the
-// same corpus (or nothing).
+// shard-and-merge: each shard folds one contiguous range of streams into
+// one partial state (so at most a shard count of them are alive, never
+// one per stream), and the partials are merged in range order. Results
+// are bit-for-bit identical at any worker count. This is the warm-up
+// path for a daemon starting over an existing corpus; it assumes the
+// state was fed streams 0..NumStreams()-1 of the same corpus (or
+// nothing).
 func (inc *Incremental) IngestSource(src trace.Source) error {
 	start := inc.streams
 	n := src.NumStreams() - start
@@ -265,13 +267,16 @@ func (inc *Incremental) IngestSource(src trace.Source) error {
 		err error
 	}
 	eng := engine.Options{Workers: cfg.Workers, Recorder: inc.cfg.Recorder, Label: "ingest_warmup"}
-	merged := engine.MapMerge(n, eng, func(i int) part {
-		s, err := src.Stream(start + i)
-		if err != nil {
-			return part{err: fmt.Errorf("core: warm-up stream %d: %w", start+i, err)}
-		}
+	shards := min(eng.TargetShards(), n)
+	merged := engine.MapMerge(shards, eng, func(k int) part {
 		p := NewIncremental(cfg)
-		p.Ingest(start+i, s)
+		for i := start + k*n/shards; i < start+(k+1)*n/shards; i++ {
+			s, err := src.Stream(i)
+			if err != nil {
+				return part{err: fmt.Errorf("core: warm-up stream %d: %w", i, err)}
+			}
+			p.Ingest(i, s)
+		}
 		return part{inc: p}
 	}, func(acc, next part) part {
 		if acc.err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -133,8 +134,10 @@ func TestIncrementalScenarioListing(t *testing.T) {
 
 // TestIngestSourceMatchesBatch checks the parallel warm-up path: a
 // daemon starting over an existing on-disk corpus must reach the same
-// state as sequential ingestion — at any worker count, and when the
-// warm-up resumes a partially fed state.
+// state as sequential ingestion — at any worker count (over these 12
+// streams: one range; 8 uneven ranges of one or two streams; 16 and 32
+// target shards, so fewer streams than shards and one stream each), and
+// when the warm-up resumes a partially fed state.
 func TestIngestSourceMatchesBatch(t *testing.T) {
 	corpus := equivalenceCorpus(t)
 	filter := trace.AllDrivers()
@@ -149,12 +152,16 @@ func TestIngestSourceMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		inc := NewIncremental(IncrementalConfig{Filter: filter, Thresholds: scenario.Thresholds, Workers: workers})
 		if err := inc.IngestSource(src); err != nil {
 			t.Fatal(err)
 		}
-		compareToBatch(t, "warmup", inc, want)
+		if inc.NumStreams() != src.NumStreams() || inc.NumEvents() != src.NumEvents() {
+			t.Fatalf("workers %d: warm-up folded %d streams, %d events; corpus has %d, %d",
+				workers, inc.NumStreams(), inc.NumEvents(), src.NumStreams(), src.NumEvents())
+		}
+		compareToBatch(t, fmt.Sprintf("warmup/workers%d", workers), inc, want)
 	}
 
 	// Resume: feed the first three streams by hand, warm up the rest.

@@ -3,7 +3,6 @@ package ingest
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
@@ -71,22 +70,33 @@ func TestIngestGateRejectsStructuralViolation(t *testing.T) {
 	}
 }
 
-// TestIngestGateDecodeFailureShape: payloads that do not even decode
-// report through the same violation shape, not a bare error string.
+// trailingGarbage returns a valid TSCP stream followed by bytes the
+// declared event count does not cover.
+func trailingGarbage(t *testing.T, s *trace.Stream) []byte {
+	t.Helper()
+	return append(wireBytes(t, s), "and then some"...)
+}
+
+// TestIngestGateDecodeFailureShape: payloads that do not even decode —
+// garbage, or a valid stream with bytes after its last event — report
+// through the same violation shape, not a bare error string.
 func TestIngestGateDecodeFailureShape(t *testing.T) {
 	s := newTestServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader("not a stream"))
-	rr := httptest.NewRecorder()
-	s.ServeHTTP(rr, req)
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("garbage upload: %d: %s", rr.Code, rr.Body.String())
-	}
-	var rej rejection
-	if err := json.Unmarshal(rr.Body.Bytes(), &rej); err != nil {
-		t.Fatalf("rejection body is not structured: %v\n%s", err, rr.Body.String())
-	}
-	if len(rej.Violations) != 1 || rej.Violations[0].Analyzer != "stream-decode" {
-		t.Fatalf("decode failure violations = %+v", rej.Violations)
+	for name, payload := range map[string][]byte{
+		"garbage":  []byte("not a stream"),
+		"trailing": trailingGarbage(t, testCorpus(t).Streams[0]),
+	} {
+		code, body := postBytes(t, s, payload)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s upload: %d: %s", name, code, body)
+		}
+		var rej rejection
+		if err := json.Unmarshal([]byte(body), &rej); err != nil {
+			t.Fatalf("%s: rejection body is not structured: %v\n%s", name, err, body)
+		}
+		if len(rej.Violations) != 1 || rej.Violations[0].Analyzer != "stream-decode" {
+			t.Fatalf("%s: decode failure violations = %+v", name, rej.Violations)
+		}
 	}
 }
 
@@ -122,6 +132,11 @@ func TestIngestGateStateUnchangedAfterReject(t *testing.T) {
 	if code, _ := post(t, poked, corruptStream(t)); code != http.StatusBadRequest {
 		t.Fatalf("corrupt stream accepted: %d", code)
 	}
+	// Stream 2 with bytes after its last event is not stream 2: it must
+	// leave no trace, and the clean upload below must still be stream 2.
+	if code, _ := postBytes(t, poked, trailingGarbage(t, corpus.Streams[2])); code != http.StatusBadRequest {
+		t.Fatalf("stream with trailing bytes accepted: %d", code)
+	}
 	feedAll(t, poked, corpus, []int{2})
 
 	for _, url := range queryEndpoints(scenario.BrowserTabCreate) {
@@ -129,6 +144,17 @@ func TestIngestGateStateUnchangedAfterReject(t *testing.T) {
 		rp := mustGet(t, poked, url)
 		if rc != rp {
 			t.Errorf("GET %s differs after a rejected upload:\n%s\n--- clean ---\n%s", url, rp, rc)
+		}
+	}
+
+	// Every counter and span below the gate reads the same: nothing past
+	// the decode ran for the rejected uploads.
+	pokedMetrics := mustGet(t, poked, "/metrics")
+	for _, line := range strings.Split(mustGet(t, clean, "/metrics"), "\n") {
+		for _, below := range []string{"tracescope_core_", "tracescope_trace_", "tracescope_ingest_stream"} {
+			if strings.HasPrefix(line, below) && !strings.Contains(pokedMetrics, line+"\n") {
+				t.Errorf("/metrics after rejected uploads lacks %q", line)
+			}
 		}
 	}
 

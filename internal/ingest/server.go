@@ -176,9 +176,17 @@ func (s *Server) Sync() (int, error) {
 		if err := s.openSourceLocked(); err != nil {
 			return 0, err
 		}
+	} else {
+		// Only here can another process have written the index, so only
+		// here is its whole prefix re-read and compared; Reload itself
+		// trusts everything before its last known record.
+		if err := s.src.VerifyPrefix(); err != nil {
+			return 0, err
+		}
 		//lint:ignore lockheld Sync is the serialization point by design: the index reload must see a frozen analysis state, and the watch loop is the only caller
-	} else if _, err := s.src.Reload(); err != nil {
-		return 0, err
+		if _, err := s.src.Reload(); err != nil {
+			return 0, err
+		}
 	}
 	before := s.inc.NumStreams()
 	if err := s.ingestPendingLocked(-1, nil); err != nil {

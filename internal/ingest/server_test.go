@@ -3,12 +3,14 @@ package ingest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,13 +41,24 @@ func newTestServer(t *testing.T) *Server {
 // post uploads one stream and returns the response code and body.
 func post(t *testing.T, s *Server, stream *trace.Stream) (int, string) {
 	t.Helper()
+	return postBytes(t, s, wireBytes(t, stream))
+}
+
+// wireBytes encodes a stream as a POST /ingest body.
+func wireBytes(t *testing.T, stream *trace.Stream) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := stream.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/ingest", &buf)
+	return buf.Bytes()
+}
+
+// postBytes uploads a raw body and returns the response code and body.
+func postBytes(t *testing.T, s *Server, body []byte) (int, string) {
+	t.Helper()
 	rr := httptest.NewRecorder()
-	s.ServeHTTP(rr, req)
+	s.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
 	return rr.Code, rr.Body.String()
 }
 
@@ -326,6 +339,49 @@ func TestServerSync(t *testing.T) {
 	}
 	if health.Streams != 4 {
 		t.Fatalf("healthz reports %d streams after post-sync ingest, want 4", health.Streams)
+	}
+}
+
+// TestServerSyncRejectsEditedPrefix: Sync is where another writer can
+// exist, so it re-reads the whole index: a record before the last one
+// edited in place (same length — the edit a tail-only Reload cannot see)
+// is reported, and the stream appended after it is not ingested.
+func TestServerSyncRejectsEditedPrefix(t *testing.T) {
+	corpus := testCorpus(t)
+	dir := t.TempDir()
+	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, s, corpus, []int{0, 1})
+	before := mustGet(t, s, "/corpus")
+
+	index := filepath.Join(dir, "corpus.index")
+	data, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := []byte(strconv.Quote(corpus.Streams[0].ID))
+	edited := bytes.Replace(data, id, bytes.ToUpper(id), 1)
+	if bytes.Equal(edited, data) || len(edited) != len(data) {
+		t.Fatalf("test setup: stream 0's ID %s must change case in place", id)
+	}
+	if err := os.WriteFile(index, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	app, err := trace.OpenAppender(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.Append(corpus.Streams[2]); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, err := s.Sync(); n != 0 || !errors.Is(err, trace.ErrBadFormat) {
+		t.Fatalf("Sync over an edited index prefix = %d, %v; want 0, ErrBadFormat", n, err)
+	}
+	if after := mustGet(t, s, "/corpus"); after != before {
+		t.Fatalf("a rejected Sync changed the corpus:\n%s\n--- before ---\n%s", after, before)
 	}
 }
 

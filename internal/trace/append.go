@@ -15,8 +15,8 @@ import (
 // file and appends its metadata records to corpus.index.
 // This is the continuous-ingestion write path — a DirSource opened over
 // the same directory picks the new streams up with Reload, reading only
-// the index, and every previously assigned stream index stays valid
-// because the index is append-only.
+// the index's new tail, and every previously assigned stream index stays
+// valid because the index is append-only.
 //
 // Crash safety: new intern records land in corpus.intern first, the
 // stream file is fully written and closed second, and the index records

@@ -317,3 +317,243 @@ func TestParseIndexSequenceMismatch(t *testing.T) {
 		t.Fatalf("error %q does not name the bad sequence number", err)
 	}
 }
+
+// reloadCorpus appends n random streams (two instances each) to a fresh
+// directory and returns it with its appender and the index path.
+func reloadCorpus(t testing.TB, n int) (dir string, a *Appender, index string) {
+	t.Helper()
+	dir = t.TempDir()
+	a, err := OpenAppender(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= int64(n); seed++ {
+		appendRandom(t, a, seed)
+	}
+	return dir, a, filepath.Join(dir, indexFile)
+}
+
+func appendRandom(t testing.TB, a *Appender, seed int64) *Stream {
+	t.Helper()
+	s := randomStream(seed)
+	s.Instances = append(s.Instances, Instance{Scenario: "S2", TID: 1, Start: 1, End: 2})
+	if _, err := a.Append(s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustReadFile(t testing.TB, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func mustWriteFile(t testing.TB, path, data string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reloadState is everything a reload may change, for before/after and
+// split/whole comparisons.
+type reloadState struct {
+	Metas             []StreamMeta
+	Instances, Events int
+	Duration          Duration
+	Scenarios         []ScenarioCount
+	Refs              []InstanceRef
+	IndexSize         int64
+	IndexGuard        string
+	Seen              map[string]bool
+}
+
+func stateOf(d *DirSource) reloadState {
+	seen := make(map[string]bool, len(d.seen))
+	for name := range d.seen {
+		seen[name] = true
+	}
+	return reloadState{
+		Metas:     append([]StreamMeta{}, d.metas...),
+		Instances: d.NumInstances(), Events: d.NumEvents(), Duration: d.TotalDuration(),
+		Scenarios: d.Scenarios(), Refs: d.InstancesOf(""),
+		IndexSize: d.indexSize, IndexGuard: d.indexGuard, Seen: seen,
+	}
+}
+
+// recordBoundaries returns every offset of index at which a stream
+// record starts, and its length: the places an append can have stopped.
+func recordBoundaries(index string) []int {
+	var cuts []int
+	for p := 1; p < len(index); p++ {
+		if index[p-1] == '\n' && strings.HasPrefix(index[p:], "s ") {
+			cuts = append(cuts, p)
+		}
+	}
+	return append(cuts, len(index))
+}
+
+// checkReloadSplit is the split-equivalence contract: for every record
+// boundary, OpenDir over the index up to it followed by Reload over the
+// whole must end in the state OpenDir over the whole reaches, or fail
+// where that fails; and a failed Reload must change nothing. dir needs a
+// corpus.intern; the index file is overwritten.
+func checkReloadSplit(t testing.TB, dir, whole string) {
+	t.Helper()
+	path := filepath.Join(dir, indexFile)
+	mustWriteFile(t, path, whole)
+	var want reloadState
+	full, wholeErr := OpenDir(dir)
+	if wholeErr == nil {
+		want = stateOf(full)
+	}
+	for _, cut := range recordBoundaries(whole) {
+		mustWriteFile(t, path, whole[:cut])
+		d, err := OpenDir(dir)
+		if err != nil {
+			// A prefix only fails where the whole does too.
+			if wholeErr == nil {
+				t.Fatalf("OpenDir rejects the first %d bytes of an index it accepts whole: %v", cut, err)
+			}
+			continue
+		}
+		before := stateOf(d)
+		mustWriteFile(t, path, whole)
+		n, err := d.Reload()
+		if (err == nil) != (wholeErr == nil) {
+			t.Fatalf("cut at %d: Reload err = %v, OpenDir over the whole err = %v", cut, err, wholeErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("cut at %d: Reload rejection is not ErrBadFormat: %v", cut, err)
+			}
+			if got := stateOf(d); !reflect.DeepEqual(got, before) {
+				t.Fatalf("cut at %d: failed Reload changed the source:\n got %+v\nwant %+v", cut, got, before)
+			}
+			continue
+		}
+		if got := stateOf(d); n != len(want.Metas)-len(before.Metas) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: OpenDir+Reload (%d new) differs from OpenDir over the whole:\n got %+v\nwant %+v", cut, n, got, want)
+		}
+	}
+}
+
+// TestReloadSplitEquivalence: wherever a six-stream index is cut between
+// records, opening the first part and reloading the rest equals opening
+// it whole.
+func TestReloadSplitEquivalence(t *testing.T) {
+	dir, _, index := reloadCorpus(t, 6)
+	whole := mustReadFile(t, index)
+	if got := len(recordBoundaries(whole)); got != 7 {
+		t.Fatalf("test setup: %d record boundaries in a 6-stream index, want 7", got)
+	}
+	checkReloadSplit(t, dir, whole)
+}
+
+// TestReloadReadsOnlyTheTail pins the documented trade: Reload compares
+// its last known record and parses what follows, so an in-place,
+// length-preserving edit of an earlier record passes it — and is what
+// VerifyPrefix exists to catch.
+func TestReloadReadsOnlyTheTail(t *testing.T) {
+	dir, a, index := reloadCorpus(t, 3)
+	d, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := mustReadFile(t, index)
+	edited := strings.Replace(data, `"rnd"`, `"dnr"`, 1)
+	if edited == data || strings.Index(data, `"rnd"`) >= recordBoundaries(data)[1] {
+		t.Fatal("test setup: the edit must land in stream record 0")
+	}
+	mustWriteFile(t, index, edited)
+	want := appendRandom(t, a, 4)
+
+	if n, err := d.Reload(); n != 1 || err != nil {
+		t.Fatalf("Reload = %d, %v; want 1 new stream", n, err)
+	}
+	got, err := d.Stream(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !streamsEqual(got, want) {
+		t.Fatal("reloaded stream 3 does not match the appended stream")
+	}
+	if err := d.VerifyPrefix(); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("VerifyPrefix over an edited record 0: err = %v, want ErrBadFormat", err)
+	}
+	mustWriteFile(t, index, data+mustReadFile(t, index)[len(data):])
+	if err := d.VerifyPrefix(); err != nil {
+		t.Fatalf("VerifyPrefix over the restored index: %v", err)
+	}
+}
+
+// TestReloadTornTailIsAtomic: a record cut anywhere — inside a line, or
+// between its "s" line and the end of its instance list — fails the
+// reload and changes nothing, and the same source reloads the record
+// once it is whole.
+func TestReloadTornTailIsAtomic(t *testing.T) {
+	dir, a, index := reloadCorpus(t, 2)
+	d, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stateOf(d)
+	known := mustReadFile(t, index)
+	appendRandom(t, a, 3)
+	whole := mustReadFile(t, index)
+	if lines := strings.Count(whole[len(known):], "\n"); lines != 3 {
+		t.Fatalf("test setup: appended record has %d lines, want 3", lines)
+	}
+	for cut := len(known) + 1; cut < len(whole); cut++ {
+		mustWriteFile(t, index, whole[:cut])
+		if _, err := d.Reload(); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("Reload over a record cut after %q: err = %v, want ErrBadFormat", whole[len(known):cut], err)
+		}
+		if got := stateOf(d); !reflect.DeepEqual(got, before) {
+			t.Fatalf("failed Reload (record cut after %q) changed the source:\n got %+v\nwant %+v", whole[len(known):cut], got, before)
+		}
+	}
+	mustWriteFile(t, index, whole)
+	if n, err := d.Reload(); n != 1 || err != nil {
+		t.Fatalf("Reload over the completed record = %d, %v; want 1", n, err)
+	}
+	if d.NumStreams() != 3 || d.NumInstances() != before.Instances+2 {
+		t.Fatalf("after the completed reload: %d streams, %d instances", d.NumStreams(), d.NumInstances())
+	}
+}
+
+// TestReloadRejectsBadTailRecords: a tail record must continue the
+// sequence and name a file no known stream has, however old.
+func TestReloadRejectsBadTailRecords(t *testing.T) {
+	for name, record := range map[string]string{
+		"old file name":   `s 3 "stream-00000.tsc4" "x" 0 0 0`,
+		"sequence gap":    `s 4 "stream-00003.tsc4" "x" 0 0 0`,
+		"sequence repeat": `s 2 "stream-00003.tsc4" "x" 0 0 0`,
+		"second of two":   "s 3 \"stream-00003.tsc4\" \"x\" 0 0 0\ns 4 \"stream-00003.tsc4\" \"x\" 0 0 0",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, _, index := reloadCorpus(t, 3)
+			d, err := OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := stateOf(d)
+			known := mustReadFile(t, index)
+			mustWriteFile(t, index, known+record+"\n")
+			if _, err := d.Reload(); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("Reload over %q: err = %v, want ErrBadFormat", record, err)
+			}
+			if got := stateOf(d); !reflect.DeepEqual(got, before) {
+				t.Fatalf("failed Reload changed the source:\n got %+v\nwant %+v", got, before)
+			}
+			mustWriteFile(t, index, known+"s 3 \"stream-00003.tsc4\" \"x\" 0 0 0\n")
+			if n, err := d.Reload(); n != 1 || err != nil {
+				t.Fatalf("Reload over a well-formed record after the rejection = %d, %v; want 1", n, err)
+			}
+		})
+	}
+}

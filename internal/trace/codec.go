@@ -103,7 +103,9 @@ func (s *Stream) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a stream written by WriteBinary.
+// ReadBinary decodes a stream written by WriteBinary. r must end where
+// the stream does: bytes after the declared events are rejected, not
+// dropped.
 func ReadBinary(r io.Reader) (*Stream, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -248,6 +250,11 @@ func ReadBinary(r io.Reader) (*Stream, error) {
 			WTID:  ThreadID(wtid),
 			Stack: StackID(stack),
 		})
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("%w: trailing bytes after events", ErrBadFormat)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("%w: reading past events: %v", ErrBadFormat, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"tracescope/internal/trace/colfmt"
 )
@@ -191,21 +190,4 @@ func ReadDir(dir string) (*Corpus, error) {
 		return nil, err
 	}
 	return d.Materialize()
-}
-
-// splitLines splits on '\n', tolerating "\r\n" endings so indexes
-// written on Windows load correctly.
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, strings.TrimSuffix(s[start:i], "\r"))
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, strings.TrimSuffix(s[start:], "\r"))
-	}
-	return out
 }

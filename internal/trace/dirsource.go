@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -82,58 +83,101 @@ func writeStreamRecord(w io.Writer, seq int, m StreamMeta) error {
 // before any file is opened, and malformed input fails with ErrBadFormat
 // rather than panicking or over-allocating.
 func parseIndex(data string) ([]StreamMeta, error) {
-	lines := splitLines(data)
-	if len(lines) == 0 || lines[0] != indexHeader || !strings.Contains(data, "\n") {
+	body, err := indexBody(data)
+	if err != nil {
+		return nil, err
+	}
+	metas, _, err := parseRecords(body, 0, make(map[string]bool))
+	return metas, err
+}
+
+// indexBody checks the header line and returns what follows it.
+func indexBody(data string) (string, error) {
+	header, body, terminated := strings.Cut(data, "\n")
+	if !terminated || strings.TrimSuffix(header, "\r") != indexHeader {
 		// Name both the found and the supported version so an operator
 		// pointing this binary at another build's corpus sees what to
 		// regenerate instead of a bare mismatch.
-		return nil, fmt.Errorf(
+		return "", fmt.Errorf(
 			"%w: found %s but this build supports only index version %d; "+
 				"regenerate the corpus with a matching tracegen",
 			ErrBadFormat, describeIndexHeader(data), indexVersion)
 	}
-	seen := make(map[string]bool)
+	return body, nil
+}
 
-	var metas []StreamMeta
-	i := 1
-	for i < len(lines) {
-		line := lines[i]
-		i++
+// parseRecords parses data as whole stream records: the one record
+// parser, behind OpenDir (the file after its header) and Reload (the
+// tail past the records it knows). Sequence numbers must continue from
+// base, and file names must be new against seen, which holds the names
+// of the records before base and gains the ones parsed here. Every line
+// must end in a newline: an unterminated one is an append torn inside
+// it, and its cut-short numbers could still parse. last is the offset in
+// data of the final record. On error seen is left as it was.
+func parseRecords(data string, base int, seen map[string]bool) (metas []StreamMeta, last int, err error) {
+	defer func() {
+		if err != nil {
+			for _, m := range metas {
+				delete(seen, m.File)
+			}
+			metas = nil
+		}
+	}()
+	bad := func(format string, args ...any) ([]StreamMeta, int, error) {
+		return metas, 0, fmt.Errorf("%w: index record %d: %s", ErrBadFormat, base+len(metas), fmt.Sprintf(format, args...))
+	}
+	rest := data
+	// next cuts one terminated line off rest.
+	next := func() (string, bool) {
+		line, after, ok := strings.Cut(rest, "\n")
+		if ok {
+			rest = after
+		}
+		return strings.TrimSuffix(line, "\r"), ok
+	}
+	for {
+		start := len(data) - len(rest)
+		line, ok := next()
+		if !ok {
+			break
+		}
 		if line == "" {
 			continue
 		}
 		if !strings.HasPrefix(line, "s ") {
-			return nil, fmt.Errorf("%w: index line %d: expected stream record, got %q", ErrBadFormat, i, line)
+			return bad("expected stream record, got %q", line)
 		}
-		if len(metas) >= maxTableLen {
-			return nil, fmt.Errorf("%w: index stream count too large", ErrBadFormat)
+		if base+len(metas) >= maxTableLen {
+			return bad("stream count too large")
 		}
-		m, ninst, err := parseStreamRecord(line[2:], len(metas))
+		m, ninst, err := parseStreamRecord(line[2:], base+len(metas))
 		if err != nil {
-			return nil, fmt.Errorf("%w: index line %d: %v", ErrBadFormat, i, err)
-		}
-		if err := checkIndexFile(m.File, seen); err != nil {
-			return nil, err
+			return bad("%v", err)
 		}
 		m.Instances = make([]Instance, 0, prealloc(ninst))
 		for j := 0; j < ninst; j++ {
-			if i >= len(lines) {
-				return nil, fmt.Errorf("%w: index: truncated instance list for %s", ErrBadFormat, m.File)
+			line, ok := next()
+			if !ok {
+				return bad("truncated instance list for %s", m.File)
 			}
-			line := lines[i]
-			i++
 			if !strings.HasPrefix(line, "i ") {
-				return nil, fmt.Errorf("%w: index line %d: expected instance record, got %q", ErrBadFormat, i, line)
+				return bad("expected instance record, got %q", line)
 			}
 			in, err := parseInstanceRecord(line[2:])
 			if err != nil {
-				return nil, fmt.Errorf("%w: index line %d: %v", ErrBadFormat, i, err)
+				return bad("instance %d: %v", j, err)
 			}
 			m.Instances = append(m.Instances, in)
 		}
-		metas = append(metas, m)
+		if err := checkIndexFile(m.File, seen); err != nil {
+			return metas, 0, err
+		}
+		metas, last = append(metas, m), start
 	}
-	return metas, nil
+	if rest != "" {
+		return bad("unterminated line %q (torn append?)", rest)
+	}
+	return metas, last, nil
 }
 
 // noCommittedRecords reports whether data is empty or a strict prefix of
@@ -149,7 +193,8 @@ func describeIndexHeader(data string) string {
 	if noCommittedRecords(data) {
 		return "an empty or torn index header"
 	}
-	first := splitLines(data)[0]
+	first, _, _ := strings.Cut(data, "\n")
+	first = strings.TrimSuffix(first, "\r")
 	if v, ok := strings.CutPrefix(first, indexMagic+" "); ok {
 		if _, err := strconv.Atoi(v); err == nil {
 			return "index version " + v
@@ -283,6 +328,13 @@ type DirSource struct {
 	metas []StreamMeta
 	rec   obs.Recorder
 
+	// What Reload needs to read only the index's new tail: the offset
+	// just past the last record parsed, that record's bytes (the guard a
+	// reload re-reads and compares), and every known stream file name.
+	indexSize  int64
+	indexGuard string
+	seen       map[string]bool
+
 	// The corpus intern table, the byte offset up to which corpus.intern
 	// has been loaded (Reload reads only the new tail), and the
 	// decode-buffer pool.
@@ -302,34 +354,53 @@ func OpenDir(dir string) (*DirSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	metas, err := parseIndex(string(data))
+	d := &DirSource{dir: dir, rec: obs.Nop, seen: make(map[string]bool), pool: NewStreamPool()}
+	body, err := indexBody(string(data))
+	if err == nil {
+		// Until a record lands the header line stands guard.
+		d.indexGuard = string(data[:len(data)-len(body)])
+		d.indexSize = int64(len(d.indexGuard))
+		_, err = d.adopt(body, int64(len(data)))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
-	it, internSize, err := loadInternTable(dir)
-	if err != nil {
+	if d.intern, d.internSize, err = loadInternTable(dir); err != nil {
 		return nil, err
-	}
-	d := &DirSource{
-		dir: dir, metas: metas, rec: obs.Nop,
-		intern: it, internSize: internSize, pool: NewStreamPool(),
-	}
-	for _, m := range d.metas {
-		d.numInstances += len(m.Instances)
-		d.numEvents += m.Events
-		d.totalDur += m.Duration
 	}
 	return d, nil
 }
 
-// Reload re-reads the corpus index and appends metadata for streams
-// that landed since the source was opened (or last reloaded), without
-// re-decoding — or even re-validating — any stream already known. It
-// enforces the append-only contract of the index: the new index must
-// contain every previously known stream record unchanged, in order, or
-// Reload fails with ErrBadFormat (a rewritten index would silently
-// renumber streams, and EventIDs and InstanceRefs reference streams by
-// index).
+// adopt parses tail — the index bytes past the last known record, ending
+// at offset size — and appends its records to the source, returning how
+// many. On error no field changes.
+func (d *DirSource) adopt(tail string, size int64) (int, error) {
+	fresh, last, err := parseRecords(tail, len(d.metas), d.seen)
+	if err != nil || len(fresh) == 0 {
+		return 0, err
+	}
+	for _, m := range fresh {
+		d.numInstances += len(m.Instances)
+		d.numEvents += m.Events
+		d.totalDur += m.Duration
+	}
+	d.metas = append(d.metas, fresh...)
+	d.indexSize, d.indexGuard = size, tail[last:]
+	return len(fresh), nil
+}
+
+// Reload appends metadata for the streams whose index records landed
+// since the source was opened (or last reloaded), at a cost set by those
+// records alone. It reads the index from the start of the last record it
+// knows, requires that record's bytes unchanged, and parses what follows
+// as whole records that continue the sequence and name new files. A
+// shrunk or shifted index, or a torn or malformed tail, fails with
+// ErrBadFormat and changes nothing, so the same source can reload once
+// the record is complete.
+//
+// Reload does not see an edit before its last record that keeps every
+// length: the directory's single owner wrote and validated those bytes
+// itself. Where another writer can exist, call VerifyPrefix first.
 //
 // Reload returns the number of newly discovered streams. It mutates the
 // source's metadata, so callers must serialize it against every other
@@ -341,35 +412,51 @@ func (d *DirSource) Reload() (int, error) {
 	if err := d.reloadIntern(); err != nil {
 		return 0, err
 	}
-	data, err := os.ReadFile(filepath.Join(d.dir, indexFile))
+	data, size, err := readTail(filepath.Join(d.dir, indexFile), d.indexSize-int64(len(d.indexGuard)))
 	if err != nil {
 		return 0, err
 	}
-	metas, err := parseIndex(string(data))
+	// A file shorter than indexSize cannot hold the whole guard either.
+	tail, intact := strings.CutPrefix(string(data), d.indexGuard)
+	if !intact {
+		return 0, fmt.Errorf("trace: %s: %w: index shrank below %d bytes or its last known record changed (append-only contract broken)",
+			indexFile, ErrBadFormat, d.indexSize)
+	}
+	n, err := d.adopt(tail, size)
 	if err != nil {
 		return 0, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
+	d.rec.Add("trace_index_reloads_total", 1)
+	d.rec.Add("trace_index_streams_discovered_total", int64(n))
+	return n, nil
+}
+
+// VerifyPrefix re-reads the whole index and checks that every record the
+// source knows is still there, unchanged and in order: the O(corpus) half
+// of the append-only contract (a rewritten index would silently renumber
+// streams, and EventIDs and InstanceRefs reference streams by index),
+// for callers that share the directory with another writer.
+func (d *DirSource) VerifyPrefix() error {
+	data, err := os.ReadFile(filepath.Join(d.dir, indexFile))
+	if err != nil {
+		return err
+	}
+	metas, err := parseIndex(string(data))
+	if err != nil {
+		return fmt.Errorf("trace: %s: %w", indexFile, err)
+	}
 	if len(metas) < len(d.metas) {
-		return 0, fmt.Errorf("trace: %s: %w: index shrank from %d to %d streams (append-only contract broken)",
+		return fmt.Errorf("trace: %s: %w: index shrank from %d to %d streams (append-only contract broken)",
 			indexFile, ErrBadFormat, len(d.metas), len(metas))
 	}
 	for i, old := range d.metas {
-		if metas[i].File != old.File || metas[i].ID != old.ID ||
-			metas[i].Events != old.Events || len(metas[i].Instances) != len(old.Instances) {
-			return 0, fmt.Errorf("trace: %s: %w: stream record %d changed during reload (append-only contract broken)",
+		if metas[i].File != old.File || metas[i].ID != old.ID || metas[i].Events != old.Events ||
+			metas[i].Duration != old.Duration || !slices.Equal(metas[i].Instances, old.Instances) {
+			return fmt.Errorf("trace: %s: %w: stream record %d changed (append-only contract broken)",
 				indexFile, ErrBadFormat, i)
 		}
 	}
-	fresh := metas[len(d.metas):]
-	for _, m := range fresh {
-		d.numInstances += len(m.Instances)
-		d.numEvents += m.Events
-		d.totalDur += m.Duration
-	}
-	d.metas = append(d.metas, fresh...)
-	d.rec.Add("trace_index_reloads_total", 1)
-	d.rec.Add("trace_index_streams_discovered_total", int64(len(fresh)))
-	return len(fresh), nil
+	return nil
 }
 
 // Dir returns the backing corpus directory.
@@ -475,11 +562,29 @@ func (d *DirSource) readFileV4(name string, b *decodeBufs) (*Stream, error) {
 
 // reloadIntern reads the corpus.intern records appended since the last
 // load. A shrunken file breaks the append-only contract.
-func (d *DirSource) reloadIntern() (err error) {
-	path := filepath.Join(d.dir, internFile)
-	f, err := os.Open(path)
+func (d *DirSource) reloadIntern() error {
+	tail, size, err := readTail(filepath.Join(d.dir, internFile), d.internSize)
 	if err != nil {
 		return err
+	}
+	if size < d.internSize {
+		return fmt.Errorf("trace: %s: %w: intern table shrank from %d to %d bytes (append-only contract broken)",
+			internFile, ErrBadFormat, d.internSize, size)
+	}
+	if err := d.intern.addRecords(tail); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrBadFormat, internFile, err)
+	}
+	d.internSize = size
+	return nil
+}
+
+// readTail reads the file at path from offset from to its end and
+// returns those bytes with the file's size; a file no longer than from
+// yields none.
+func readTail(path string, from int64) (tail []byte, size int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
 	}
 	defer func() {
 		if cerr := f.Close(); err == nil {
@@ -488,24 +593,13 @@ func (d *DirSource) reloadIntern() (err error) {
 	}()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	if st.Size() < d.internSize {
-		return fmt.Errorf("trace: %s: %w: intern table shrank from %d to %d bytes (append-only contract broken)",
-			internFile, ErrBadFormat, d.internSize, st.Size())
+	if size = st.Size(); size > from {
+		tail = make([]byte, size-from)
+		_, err = f.ReadAt(tail, from)
 	}
-	if st.Size() == d.internSize {
-		return nil
-	}
-	tail := make([]byte, st.Size()-d.internSize)
-	if _, err := f.ReadAt(tail, d.internSize); err != nil {
-		return err
-	}
-	if err := d.intern.addRecords(tail); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrBadFormat, internFile, err)
-	}
-	d.internSize = st.Size()
-	return nil
+	return tail, size, err
 }
 
 // Recycle returns a stream previously decoded by this source to its

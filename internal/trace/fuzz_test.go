@@ -12,7 +12,9 @@ import (
 )
 
 // FuzzReadBinary feeds arbitrary bytes to the binary decoder: it must
-// never panic, and anything it accepts must validate.
+// never panic, every rejection must be ErrBadFormat, and anything it
+// accepts must validate and end where the input does (one more byte and
+// it is rejected).
 func FuzzReadBinary(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		var buf bytes.Buffer
@@ -20,24 +22,30 @@ func FuzzReadBinary(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		f.Add(append(buf.Bytes(), 0)) // one trailing byte
 	}
 	f.Add([]byte("TSCP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadBinary(bytes.NewReader(data))
-		if err == nil {
-			if verr := s.Validate(); verr != nil {
-				t.Fatalf("accepted invalid stream: %v", verr)
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("rejection is not ErrBadFormat: %v", err)
 			}
+			return
+		}
+		if verr := s.Validate(); verr != nil {
+			t.Fatalf("accepted invalid stream: %v", verr)
+		}
+		if _, err := ReadBinary(bytes.NewReader(append(data[:len(data):len(data)], 0))); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("accepted the same stream with a trailing byte: %v", err)
 		}
 	})
 }
 
-// FuzzParseIndex feeds arbitrary text to the corpus.index parser: it
-// must never panic or over-allocate, every rejection must be
-// ErrBadFormat, and every accepted index must carry the one supported
-// header and validated file entries (relative, confined, unique).
-func FuzzParseIndex(f *testing.F) {
+// addIndexSeeds seeds an index-text fuzzer: a well-formed index, the
+// retired versions, torn and empty headers, an absurd instance count.
+func addIndexSeeds(f *testing.F) {
 	var good bytes.Buffer
 	if err := writeIndex(&good, []StreamMeta{
 		{File: "stream-00000.tsc4", ID: "m0", Events: 10, Duration: 500,
@@ -55,6 +63,14 @@ func FuzzParseIndex(f *testing.F) {
 	f.Add("TSINDEX 4")
 	f.Add("TSINDEX 4\ns 0 \"a\" \"b\" 1 1 268435456\n")
 	f.Add("")
+}
+
+// FuzzParseIndex feeds arbitrary text to the corpus.index parser: it
+// must never panic or over-allocate, every rejection must be
+// ErrBadFormat, and every accepted index must carry the one supported
+// header and validated file entries (relative, confined, unique).
+func FuzzParseIndex(f *testing.F) {
+	addIndexSeeds(f)
 	f.Fuzz(func(t *testing.T, data string) {
 		metas, err := parseIndex(data)
 		if err != nil {
@@ -72,6 +88,25 @@ func FuzzParseIndex(f *testing.F) {
 				t.Fatalf("accepted invalid file entry %q: %v", m.File, err)
 			}
 		}
+	})
+}
+
+// FuzzReloadSplit holds Reload to OpenDir on arbitrary index text: cut
+// at any record boundary, opening the head and reloading the rest must
+// equal opening the whole — or be rejected where that is, leaving the
+// source untouched (checkReloadSplit).
+func FuzzReloadSplit(f *testing.F) {
+	addIndexSeeds(f)
+	f.Add("TSINDEX 4\ns 0 \"a\" \"x\" 1 1 0\n\ns 1 \"b\" \"x\" 1 1 1\ni \"S\" 1 0 9\n\n")
+	f.Add("TSINDEX 4\r\ns 0 \"a\" \"x\" 1 1 0\r\ns 1 \"a\" \"x\" 1 1 0\r\n")
+	f.Add("TSINDEX 4\ns 0 \"a\" \"x\" 1 1 0\ns 2 \"b\" \"x\" 1 1 0\n")
+	f.Add("TSINDEX 4\ns 0 \"a\" \"x\" 1 1 0\ns 1 \"b\" \"x\" 1 1 1\ni \"S\" 1 0 9")
+	dir := f.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, internFile), []byte(colfmt.InternMagic), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, index string) {
+		checkReloadSplit(t, dir, index)
 	})
 }
 

@@ -223,7 +223,7 @@ func TestDirSourceStaleIndex(t *testing.T) {
 	}
 	// Drop the last instance record and decrement the trailing
 	// instance-count field of the stream record.
-	lines := splitLines(string(data))
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	lines = lines[:len(lines)-1]
 	n := len(c.Streams[0].Instances)
 	cut := strings.LastIndex(lines[1], " ")

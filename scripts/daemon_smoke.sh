@@ -14,10 +14,10 @@ EPISODES="${2:-5}"
 SCENARIO="BrowserTabCreate"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/tracescoped-smoke.XXXXXX")"
 DAEMON_PID=""
+DAEMON_ADDR=""
 
 cleanup() {
-    [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
-    wait 2>/dev/null || true
+    stop_daemon
     rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -25,27 +25,33 @@ trap cleanup EXIT
 echo "== building binaries"
 go build -o "$WORK/bin/" ./cmd/tracescoped ./cmd/tracegen ./cmd/tracevet
 
+# start_daemon sets DAEMON_PID and DAEMON_ADDR, so it must run in this
+# shell: called inside $(...) it would set them in a subshell, and
+# stop_daemon would have nothing to kill.
 start_daemon() { # $1 corpus dir, $2 log file
     "$WORK/bin/tracescoped" -corpus "$1" -addr 127.0.0.1:0 > "$2" 2>&1 &
     DAEMON_PID=$!
+    DAEMON_ADDR=""
     # The daemon prints its listening address; poll for it, then for
     # readiness.
-    local addr="" i
+    local i
     for i in $(seq 1 50); do
-        addr="$(sed -n 's|^tracescoped listening on \(http://[^ ]*\).*|\1|p' "$2")"
-        [ -n "$addr" ] && break
+        DAEMON_ADDR="$(sed -n 's|^tracescoped listening on \(http://[^ ]*\).*|\1|p' "$2")"
+        [ -n "$DAEMON_ADDR" ] && break
         kill -0 "$DAEMON_PID" 2>/dev/null || { cat "$2" >&2; echo "daemon died" >&2; exit 1; }
         sleep 0.1
     done
-    [ -n "$addr" ] || { echo "daemon never printed its address" >&2; exit 1; }
+    [ -n "$DAEMON_ADDR" ] || { echo "daemon never printed its address" >&2; exit 1; }
     for i in $(seq 1 50); do
-        curl -sf "$addr/healthz" > /dev/null && break
+        curl -sf "$DAEMON_ADDR/healthz" > /dev/null && break
         sleep 0.1
     done
-    echo "$addr"
 }
 
+# stop_daemon returns once the daemon has exited: the next one may be
+# started over the same corpus directory, which has a single owner.
 stop_daemon() {
+    [ -n "$DAEMON_PID" ] || return 0
     kill "$DAEMON_PID" 2>/dev/null || true
     wait "$DAEMON_PID" 2>/dev/null || true
     DAEMON_PID=""
@@ -67,7 +73,8 @@ query_all() { # $1 base url, $2 output dir
 run_once() { # $1 run name, $2 arrival-order seed
     local corpus="$WORK/corpus-$1" log="$WORK/daemon-$1.log" addr
     echo "== run $1 (order seed $2)"
-    addr="$(start_daemon "$corpus" "$log")"
+    start_daemon "$corpus" "$log"
+    addr="$DAEMON_ADDR"
     "$WORK/bin/tracegen" -stream "$addr" -streams "$STREAMS" -episodes "$EPISODES" \
         -order "$2" > "$WORK/feed-$1.log"
     grep -q "\"streams\": $STREAMS" <(curl -sf "$addr/healthz") \
@@ -85,8 +92,8 @@ run_once b 7
 # warm-up counts differ from per-request ingest counts — so compare the
 # analysis queries only.)
 echo "== run c (restart over run a's corpus, warm-up path)"
-addr="$(start_daemon "$WORK/corpus-a" "$WORK/daemon-c.log")"
-query_all "$addr" "$WORK/out-c"
+start_daemon "$WORK/corpus-a" "$WORK/daemon-c.log"
+query_all "$DAEMON_ADDR" "$WORK/out-c"
 stop_daemon
 
 echo "== vetting the ingested corpora (every stream passed the admission gate)"
@@ -101,5 +108,12 @@ for f in healthz corpus scenarios impact "impact-$SCENARIO" "causality-$SCENARIO
          "awg-$SCENARIO.txt" "awg-$SCENARIO.dot"; do
     cmp "$WORK/out-a/$f" "$WORK/out-c/$f"
 done
+
+# Every daemon started above must be gone: a survivor still owns its
+# corpus directory (and outlives the CI job).
+if survivors="$(pgrep -f "^$WORK/bin/tracescoped ")"; then
+    echo "tracescoped still running after the smoke: $survivors" >&2
+    exit 1
+fi
 
 echo "daemon smoke: OK ($STREAMS streams, two arrival orders + warm-up restart, byte-identical)"
