@@ -1,5 +1,8 @@
 // Command tracelint runs tracescope's determinism-and-invariant
-// static-analysis suite (internal/lint) over the tree.
+// static-analysis suite (internal/lint) over the tree: seven analyzers,
+// each of which has caught a bug here or guards an invariant the tests
+// only sample (DESIGN.md §7). Concurrency is go vet's and the race
+// detector's job, not this tool's.
 //
 // Usage:
 //
@@ -35,7 +38,9 @@
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
-// on the flagged line or the line above it; the reason is mandatory.
+// on the flagged line or the line above it; the reason is mandatory,
+// and every name must be one -analyzers lists (or *): a directive that
+// names anything else is itself a finding.
 package main
 
 import (

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -107,5 +109,37 @@ func TestTypedRunOnRepo(t *testing.T) {
 	}
 	if got := run([]string{dir}); got != 0 {
 		t.Errorf("internal/obs: exit %d, want 0 (tree is lint-clean)", got)
+	}
+}
+
+// TestAnalyzersFlag pins the suite: -analyzers lists exactly the seven
+// analyzers DESIGN.md §7 justifies, one per line, in lint.All() order.
+// Adding one means adding its "earned by" row there first.
+func TestAnalyzersFlag(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	code := run([]string{"-analyzers"})
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 {
+		t.Fatalf("-analyzers: exit %d, want 0", code)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok {
+			got = append(got, name)
+		}
+	}
+	want := []string{"mapiter", "walltime", "unstablesort", "detertaint", "spanend", "errdrop", "obsreg"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("-analyzers lists %v, want %v", got, want)
 	}
 }

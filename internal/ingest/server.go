@@ -170,12 +170,19 @@ func (s *Server) Sync() (int, error) {
 	sp := s.rec.Start("ingest_sync")
 	defer sp.End()
 	if s.src == nil {
-		if s.app.NumStreams() == 0 {
+		// s.app counts only what this server appended; whether another
+		// process has started the corpus since is a question for the disk.
+		app, err := trace.OpenAppender(s.cfg.Dir)
+		if err != nil {
+			return 0, err
+		}
+		if app.NumStreams() == 0 {
 			return 0, nil
 		}
 		if err := s.openSourceLocked(); err != nil {
 			return 0, err
 		}
+		s.app = app
 	} else {
 		// Only here can another process have written the index, so only
 		// here is its whole prefix re-read and compared; Reload itself
@@ -183,7 +190,9 @@ func (s *Server) Sync() (int, error) {
 		if err := s.src.VerifyPrefix(); err != nil {
 			return 0, err
 		}
-		//lint:ignore lockheld Sync is the serialization point by design: the index reload must see a frozen analysis state, and the watch loop is the only caller
+		// The reload runs under the write lock by design: Sync is the
+		// serialization point, the index reload must see a frozen analysis
+		// state, and the watch loop is the only caller.
 		if _, err := s.src.Reload(); err != nil {
 			return 0, err
 		}
@@ -193,7 +202,7 @@ func (s *Server) Sync() (int, error) {
 		return s.inc.NumStreams() - before, err
 	}
 	n := s.inc.NumStreams() - before
-	if n > 0 {
+	if s.app.NumStreams() != s.src.NumStreams() {
 		// Another appender grew the index past ours; re-open so the next
 		// HTTP ingest continues from the true stream count instead of
 		// overwriting the externally landed files.
@@ -240,8 +249,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.rec.Add("vet_streams_total", 1)
 
+	// Ingestion is deliberately serialized under the write lock: append
+	// order defines stream indices, and a concurrent append would fork
+	// the index (see DESIGN.md on the single-writer corpus contract).
 	s.mu.Lock()
-	//lint:ignore lockheld ingestion is deliberately serialized under the write lock: append order defines stream indices, and a concurrent append would fork the index (see DESIGN.md on the single-writer corpus contract)
 	idx, err := s.app.Append(stream)
 	if err != nil {
 		s.mu.Unlock()
@@ -256,7 +267,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.src == nil {
 		err = s.openSourceLocked()
 	} else {
-		//lint:ignore lockheld the reload must observe the append this same critical section just made; releasing between the two would let a second ingest interleave and misnumber both responses
+		// The reload must observe the append this same critical section
+		// just made; releasing between the two would let a second ingest
+		// interleave and misnumber both responses.
 		_, err = s.src.Reload()
 	}
 	if err == nil {

@@ -342,6 +342,57 @@ func TestServerSync(t *testing.T) {
 	}
 }
 
+// TestServerSyncAdoptsCorpusCreatedAfterStart: a server started over an
+// empty directory must adopt a corpus another process writes there
+// afterwards. Sync asks the disk, not the server's own appender, whether
+// a corpus exists — otherwise it returns 0 forever and the next POST
+// truncates the index and overwrites stream 0.
+func TestServerSyncAdoptsCorpusCreatedAfterStart(t *testing.T) {
+	corpus := testCorpus(t)
+	dir := t.TempDir()
+	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Sync(); n != 0 || err != nil {
+		t.Fatalf("Sync over an empty directory = %d, %v; want 0, nil", n, err)
+	}
+
+	app, err := trace.OpenAppender(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range corpus.Streams[:2] {
+		if _, err := app.Append(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s.Sync(); n != 2 || err != nil {
+		t.Fatalf("Sync after an external appender started the corpus = %d, %v; want 2, nil", n, err)
+	}
+
+	feedAll(t, s, corpus, []int{2})
+	var health struct {
+		Streams int `json:"streams"`
+	}
+	if err := json.Unmarshal([]byte(mustGet(t, s, "/healthz")), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Streams != 3 {
+		t.Fatalf("healthz reports %d streams, want 3", health.Streams)
+	}
+	src, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.NumStreams() != 3 {
+		t.Fatalf("corpus on disk has %d streams, want 3", src.NumStreams())
+	}
+	if got, want := src.StreamMeta(0).ID, corpus.Streams[0].ID; got != want {
+		t.Fatalf("stream 0 on disk is %q, want the externally appended %q", got, want)
+	}
+}
+
 // TestServerSyncRejectsEditedPrefix: Sync is where another writer can
 // exist, so it re-reads the whole index: a record before the last one
 // edited in place (same length — the edit a tail-only Reload cannot see)

@@ -21,7 +21,8 @@
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // placed on the flagged line or on the line directly above it. The
-// reason is mandatory; a suppression without one is itself a finding.
+// reason is mandatory; a suppression without one is itself a finding,
+// and so is one naming an analyzer that is not in All().
 package lint
 
 import (
@@ -120,9 +121,18 @@ type Analyzer struct {
 // All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapIter, WallTime, UnstableSort, DeterTaint, CopyLock, SpanEnd, ErrDrop,
-		LockOrder, LockHeld, GoroLeak, ObsReg,
+		MapIter, WallTime, UnstableSort, DeterTaint, SpanEnd, ErrDrop, ObsReg,
 	}
+}
+
+// isAnalyzer reports whether name is one of All()'s analyzers.
+func isAnalyzer(name string) bool {
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // ParseFile parses one source file (src may be nil to read filename from
@@ -227,8 +237,10 @@ func (ss suppressionSet) covers(d Diagnostic) bool {
 }
 
 // suppressions extracts //lint:ignore directives from the file. Malformed
-// directives (missing analyzer list or missing reason) are returned as
-// findings of the pseudo-analyzer "ignore" so they cannot silently rot.
+// directives (missing analyzer list or missing reason) and directives
+// naming an analyzer that is not in All() — whatever subset the caller
+// is running — are returned as findings of the pseudo-analyzer "ignore"
+// so they cannot silently rot or outlive the analyzer they silenced.
 func suppressions(f *File) (suppressionSet, []Diagnostic) {
 	var (
 		sups      suppressionSet
@@ -248,9 +260,13 @@ func suppressions(f *File) (suppressionSet, []Diagnostic) {
 			}
 			names := make(map[string]bool)
 			for _, n := range strings.Split(fields[0], ",") {
-				if n != "" {
-					names[n] = true
+				if n == "" {
+					continue
 				}
+				if n != "*" && !isAnalyzer(n) {
+					malformed = append(malformed, f.Diag("ignore", c.Pos(), "unknown analyzer %q", n))
+				}
+				names[n] = true
 			}
 			pos := f.Position(c.Pos())
 			sups = append(sups, suppression{file: pos.Filename, line: pos.Line, analyzers: names})

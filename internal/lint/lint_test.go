@@ -29,33 +29,12 @@ func TestErrDropTestdata(t *testing.T) {
 	RunTestdataPackage(t, filepath.Join("testdata", "errdrop"), []*Analyzer{ErrDrop})
 }
 
-func TestCopyLockTestdata(t *testing.T) {
-	RunTestdataPackage(t, filepath.Join("testdata", "copylock"), []*Analyzer{CopyLock})
-}
-
 func TestSpanEndTestdata(t *testing.T) {
 	RunTestdataPackage(t, filepath.Join("testdata", "spanend"), []*Analyzer{SpanEnd})
 }
 
 func TestDeterTaintTestdata(t *testing.T) {
 	RunTestdataPackage(t, filepath.Join("testdata", "detertaint"), []*Analyzer{DeterTaint})
-}
-
-// The CFG-backed concurrency analyzers: lock ordering, blocking under a
-// held lock, goroutine leaks, and the metric-name registry.
-func TestLockOrderTestdata(t *testing.T) {
-	RunTestdataPackage(t, filepath.Join("testdata", "lockorder"), []*Analyzer{LockOrder})
-}
-
-func TestLockHeldTestdata(t *testing.T) {
-	RunTestdataPackage(t, filepath.Join("testdata", "lockheld"), []*Analyzer{LockHeld})
-}
-
-// goroleak is deliberately syntactic (it must cover cmd/ files analyzed
-// without type information), so its fixtures run through the per-file
-// harness.
-func TestGoroLeakTestdata(t *testing.T) {
-	RunTestdata(t, filepath.Join("testdata", "goroleak"), []*Analyzer{GoroLeak})
 }
 
 func TestObsRegTestdata(t *testing.T) {
@@ -261,10 +240,9 @@ func TestFilesInSkipsTestdataAndTests(t *testing.T) {
 // sources — the same set `make lint` gates — so `go test` alone already
 // enforces the determinism contract on the tree. Packages under
 // internal/ are loaded whole and type-checked, exactly as the CLI does,
-// so the type-aware analyzers (errdrop, copylock, spanend, detertaint,
-// lockorder, lockheld, obsreg) run armed; everything else is checked
-// per file at the syntactic scope, which still covers goroleak on the
-// cmd/ daemons.
+// so the type-aware analyzers (errdrop, spanend, detertaint, obsreg)
+// run armed; everything else is checked per file at the syntactic
+// scope.
 func TestRepoIsLintClean(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files, err := FilesIn(root, false)

@@ -16,6 +16,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -135,7 +136,7 @@ func runObsReg(p *Package) []Diagnostic {
 			continue
 		}
 		diag(s, "metric %q used as %s here but as %s at %s:%d; one name must keep one kind",
-			s.Name, s.Kind, prev.Kind, filepathBase(prev.Pos.Filename), prev.Pos.Line)
+			s.Name, s.Kind, prev.Kind, filepath.Base(prev.Pos.Filename), prev.Pos.Line)
 	}
 	return diags
 }

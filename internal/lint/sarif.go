@@ -23,6 +23,6 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer) error {
 	for _, a := range analyzers {
 		docs[a.Name] = a.Doc
 	}
-	docs["ignore"] = "malformed //lint:ignore suppression directives"
+	docs["ignore"] = "malformed or unknown-analyzer //lint:ignore suppression directives"
 	return diag.WriteSARIF(w, "tracelint", diags, docs)
 }

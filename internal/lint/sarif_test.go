@@ -16,8 +16,8 @@ func TestWriteSARIF(t *testing.T) {
 	diags := []Diagnostic{
 		{
 			Pos:      token.Position{Filename: "internal/ingest/server.go", Line: 10, Column: 2},
-			Analyzer: "lockheld",
-			Message:  "call to time.Sleep while holding write lock s.mu",
+			Analyzer: "errdrop",
+			Message:  "statement discards the error returned by app.Close",
 		},
 		{
 			Pos:      token.Position{Filename: "internal/core/core.go", Line: 3, Column: 1},
@@ -86,7 +86,7 @@ func TestWriteSARIF(t *testing.T) {
 	}
 	// Only the analyzers that reported become rules, sorted by id.
 	if len(run.Tool.Driver.Rules) != 2 ||
-		run.Tool.Driver.Rules[0].ID != "lockheld" ||
+		run.Tool.Driver.Rules[0].ID != "errdrop" ||
 		run.Tool.Driver.Rules[1].ID != "mapiter" {
 		t.Fatalf("rules = %+v", run.Tool.Driver.Rules)
 	}
@@ -99,7 +99,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
 	first := run.Results[0]
-	if first.RuleID != "lockheld" || first.Level != "warning" {
+	if first.RuleID != "errdrop" || first.Level != "warning" {
 		t.Fatalf("first result = %+v", first)
 	}
 	loc := first.Locations[0].PhysicalLocation

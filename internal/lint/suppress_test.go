@@ -138,3 +138,30 @@ func TestSuppressionBlankReason(t *testing.T) {
 		}
 	}
 }
+
+// TestSuppressionUnknownAnalyzer: a directive naming an analyzer that is
+// not in All() is a finding — deleting or renaming an analyzer must not
+// leave directives behind that silence nothing. Known names are judged
+// against All(), not against the subset being run (the testdata harness
+// runs one analyzer at a time); "*" stays legal.
+func TestSuppressionUnknownAnalyzer(t *testing.T) {
+	src := `package p
+
+func f(m map[string]int) []string {
+	var out []string
+	//lint:ignore nosuch,mapiter the first name is not an analyzer
+	for k := range m {
+		out = append(out, k)
+	}
+	//lint:ignore unstablesort known, though not in the subset being run
+	//lint:ignore * wildcard
+	return out
+}
+`
+	f := parse(t, "internal/p/p.go", src)
+	diags := Run(f, []*Analyzer{MapIter})
+	if len(diags) != 1 || diags[0].Analyzer != "ignore" || diags[0].Pos.Line != 5 ||
+		diags[0].Message != `unknown analyzer "nosuch"` {
+		t.Fatalf("want one ignore finding for nosuch on line 5, got %v", diags)
+	}
+}
