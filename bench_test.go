@@ -84,10 +84,10 @@ func BenchmarkParallelHeadlineImpact(b *testing.B) {
 	s := benchSetup(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			an := core.NewAnalyzer(s.Corpus, core.WithWorkers(workers))
-			an.SetGraphCacheLimit(0) // cold graphs every iteration
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// A fresh Analyzer folds afresh; a kept one would answer
+				// iteration 2 from the fold it holds.
+				an := core.NewAnalyzer(s.Corpus, core.WithWorkers(workers))
 				m := an.Impact(trace.AllDrivers(), "")
 				if m.IAwait() <= 0 {
 					b.Fatal("degenerate impact")
@@ -104,10 +104,8 @@ func BenchmarkParallelCausality(b *testing.B) {
 	tf, ts, _ := scenario.Thresholds(scenario.BrowserTabCreate)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			an := core.NewAnalyzer(s.Corpus, core.WithWorkers(workers))
-			an.SetGraphCacheLimit(0)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				an := core.NewAnalyzer(s.Corpus, core.WithWorkers(workers))
 				res, err := an.Causality(core.CausalityConfig{
 					Scenario: scenario.BrowserTabCreate, Tfast: tf, Tslow: ts,
 				})
@@ -149,11 +147,9 @@ func benchTable(b *testing.B, fn func(*experiments.Suite) error) {
 	s := benchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh suite wrapper so causality caches don't hide the work,
-		// but share the corpus and its Wait-Graph indexes via Analyzer
-		// reuse semantics of a new suite over the same corpus.
-		fresh := &experiments.Suite{Cfg: s.Cfg, Corpus: s.Corpus, An: core.NewAnalyzer(s.Corpus)}
-		fresh.ResetCache()
+		// A fresh suite over the shared corpus, so neither the suite's
+		// result memo nor its analyzer's held fold hides the work.
+		fresh := experiments.NewSuiteFromSource(s.Cfg, s.Corpus)
 		if err := fn(fresh); err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +329,6 @@ func BenchmarkDirSourceAnalysis(b *testing.B) {
 	b.Run("inmemory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			an := core.NewAnalyzer(s.Corpus)
-			an.SetGraphCacheLimit(0)
 			if m := an.Impact(trace.AllDrivers(), ""); m != want {
 				b.Fatal("in-memory impact diverged")
 			}
@@ -353,7 +348,6 @@ func BenchmarkDirSourceAnalysis(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				an := core.NewAnalyzer(cached)
-				an.SetGraphCacheLimit(0)
 				if m := an.Impact(trace.AllDrivers(), ""); m != want {
 					b.Fatal("out-of-core impact diverged")
 				}

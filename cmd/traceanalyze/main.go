@@ -89,10 +89,38 @@ func main() {
 	fmt.Printf("corpus: %d streams, %d instances, %d events\n\n",
 		src.NumStreams(), src.NumInstances(), src.NumEvents())
 
+	// -scenario's thresholds are known before anything is analysed, so
+	// they go in up front: Impact and Causality then share one fold.
+	var tfast, tslow tracescope.Duration
+	thresholds := tracescope.Thresholds
+	if *scen != "" {
+		tfast = tracescope.Duration(*tfastMS * 1000)
+		tslow = tracescope.Duration(*tslowMS * 1000)
+		if tfast == 0 || tslow == 0 {
+			ctf, cts, ok := tracescope.Thresholds(*scen)
+			if !ok {
+				fatal(fmt.Errorf("no catalogue thresholds for %q; pass -tfast and -tslow", *scen))
+			}
+			if tfast == 0 {
+				tfast = ctf
+			}
+			if tslow == 0 {
+				tslow = cts
+			}
+		}
+		thresholds = func(name string) (tracescope.Duration, tracescope.Duration, bool) {
+			if name == *scen {
+				return tfast, tslow, true
+			}
+			return tracescope.Thresholds(name)
+		}
+	}
+
 	filter := tracescope.NewComponentFilter(*components)
 	an := tracescope.NewAnalyzer(src,
 		tracescope.WithWorkers(cf.Workers),
-		tracescope.WithRecorder(rec))
+		tracescope.WithRecorder(rec),
+		tracescope.WithThresholds(thresholds))
 
 	m := an.Impact(filter, *scen)
 	scope := "all scenarios"
@@ -141,21 +169,6 @@ func main() {
 	if *scen == "" {
 		finish(an, cached, *cacheStats, mem)
 		return
-	}
-
-	tfast := tracescope.Duration(*tfastMS * 1000)
-	tslow := tracescope.Duration(*tslowMS * 1000)
-	if tfast == 0 || tslow == 0 {
-		ctf, cts, ok := tracescope.Thresholds(*scen)
-		if !ok {
-			fatal(fmt.Errorf("no catalogue thresholds for %q; pass -tfast and -tslow", *scen))
-		}
-		if tfast == 0 {
-			tfast = ctf
-		}
-		if tslow == 0 {
-			tslow = cts
-		}
 	}
 
 	res, err := an.Causality(tracescope.CausalityConfig{
@@ -239,9 +252,9 @@ func runDiff(args []string, components, format string, top, k int, cf cliflags.F
 	}
 }
 
-// finish surfaces deferred stream-fetch failures (lazy sources treat
-// failed instances as empty rather than aborting mid-shard) and,
-// optionally, the cache counters and the metrics snapshot.
+// finish prints, optionally, the cache counters and the metrics
+// snapshot, and surfaces a stream-fetch failure only Analyzer.Err
+// reports (an Impact whose fold failed printed zero metrics).
 func finish(an *tracescope.Analyzer, cached *tracescope.CachedSource, stats bool, mem *tracescope.MemRecorder) {
 	if stats {
 		s := cached.Stats()

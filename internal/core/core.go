@@ -10,6 +10,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"tracescope/internal/awg"
 	"tracescope/internal/engine"
@@ -20,60 +22,85 @@ import (
 	"tracescope/internal/waitgraph"
 )
 
-// Options tunes how the analyzer schedules and observes its work.
-// Prefer the Option functions (WithWorkers, WithRecorder) over building
-// this struct directly.
+// Options tunes how the analyzer schedules, classifies and observes its
+// work. Prefer the Option functions (WithWorkers, WithRecorder,
+// WithThresholds) over building this struct directly.
 type Options struct {
-	// Workers bounds the shard-and-merge worker pool used by Impact and
-	// Causality. Zero means GOMAXPROCS; one forces the sequential path.
-	// Results are bit-for-bit identical at any setting: shards never
-	// split a stream, per-shard partials are deterministic, and merges
-	// happen in shard-index order.
+	// Workers bounds the shard-and-merge worker pool the fold runs on.
+	// Zero means GOMAXPROCS; one forces the sequential path. Results are
+	// bit-for-bit identical at any setting: shards never split a stream,
+	// per-shard partials are deterministic, and merges happen in
+	// shard-index order.
 	Workers int
 	// Recorder receives the pipeline's observability events. Nil means
 	// no-op.
 	Recorder obs.Recorder
+	// Thresholds returns a scenario's fast/slow developer thresholds;
+	// instances are classified with them as their streams are folded.
+	// Nil means no scenario is classed up front, and every Causality
+	// call folds under the thresholds it carries.
+	Thresholds func(scenario string) (tfast, tslow trace.Duration, ok bool)
 }
 
-// Analyzer runs impact and causality analyses over one corpus source,
-// sharing Wait-Graph construction between them. The source may be an
-// in-memory *trace.Corpus or a lazy out-of-core source (*trace.DirSource,
-// usually wrapped in a *trace.CachedSource); results are identical either
-// way. Per-stream metadata is snapshotted at construction so instance
-// enumeration, contrast-class splitting, and shard packing never decode
-// event payloads.
+// Analyzer runs impact and causality analyses over one corpus source
+// from one fold of it: the first analysis call sweeps the streams once
+// through the per-stream fold the daemon and Diff use
+// (Incremental.Ingest — one Wait Graph per instance, feeding the impact
+// partials and the contrast-class forests), keeps the folded state, and
+// every later call under the same configuration is answered from that
+// state without touching a stream. The source may be an in-memory
+// *trace.Corpus or a lazy out-of-core source (*trace.DirSource, usually
+// wrapped in a *trace.CachedSource); results are identical either way.
+//
+// A fold's configuration is the component filter (compared by its
+// patterns), the AWG depth bound, and the thresholds: the function given
+// with WithThresholds, with a Causality call's own Tfast/Tslow standing
+// in for its scenario. Its scope is what the call asks for: a call
+// naming a scenario folds only that scenario's instances, over only the
+// streams the index says hold them; a call for "" folds every instance.
+// A later call outside a one-scenario fold refolds over everything, and
+// a call under a different configuration refolds under its own. The
+// Analyzer holds one fold at a time, so no call sequence folds more than
+// twice per configuration and a mismatch costs one sweep. What the held
+// fold keeps in memory is aggregates — the impact partials' distinct-wait
+// sets and the class forests — never a stream.
+//
+// An Analyzer is safe for concurrent use: folds are built under a mutex,
+// and answers read the held state and mutate only clones of its forests.
 type Analyzer struct {
-	src   trace.Source
-	metas []trace.StreamMeta
-	imp   *impact.Analyzer
-	opts  Options
-	rec   obs.Recorder
+	src  trace.Source
+	imp  *impact.Analyzer // the "decode, use, drop" lookups of extensions.go
+	opts Options
+	rec  obs.Recorder
+
+	mu     sync.Mutex
+	held   *Incremental // the fold: fully folded, from then on only read
+	err    error        // the latest fold's failure; nil once a fold succeeds
+	graphs int64        // Wait Graphs built by every fold so far
 }
 
-// NewAnalyzer indexes a corpus source for impact and causality analyses.
-// Options configure scheduling and observability:
+// NewAnalyzer prepares impact and causality analyses over a corpus
+// source. Nothing is decoded until the first analysis call. Options
+// configure scheduling, classification and observability:
 //
-//	an := core.NewAnalyzer(src, core.WithWorkers(8), core.WithRecorder(rec))
+//	an := core.NewAnalyzer(src, core.WithWorkers(8), core.WithRecorder(rec),
+//		core.WithThresholds(scenario.Thresholds))
 //
-// With no options the analyzer uses GOMAXPROCS workers and records
-// nothing. When a recorder is set and the source is instrumentable
-// (*trace.CachedSource, *trace.DirSource), the recorder is wired into the
-// source too, so every layer reports into one registry.
+// With no options the analyzer uses GOMAXPROCS workers, classes no
+// scenario up front and records nothing. When a recorder is set and the
+// source is instrumentable (*trace.CachedSource, *trace.DirSource), the
+// recorder is wired into the source too, so every layer reports into one
+// registry.
 func NewAnalyzer(src trace.Source, options ...Option) *Analyzer {
 	var opts Options
 	for _, opt := range options {
 		opt.applyAnalyzer(&opts)
 	}
-	metas := make([]trace.StreamMeta, src.NumStreams())
-	for i := range metas {
-		metas[i] = src.StreamMeta(i)
-	}
 	a := &Analyzer{
-		src:   src,
-		metas: metas,
-		imp:   impact.NewAnalyzer(src, waitgraph.Options{}),
-		opts:  opts,
-		rec:   obs.OrNop(opts.Recorder),
+		src:  src,
+		imp:  impact.NewAnalyzer(src, waitgraph.Options{}),
+		opts: opts,
+		rec:  obs.OrNop(opts.Recorder),
 	}
 	if opts.Recorder != nil {
 		a.imp.SetRecorder(opts.Recorder)
@@ -87,63 +114,138 @@ func NewAnalyzer(src trace.Source, options ...Option) *Analyzer {
 // Source returns the corpus source under analysis.
 func (a *Analyzer) Source() trace.Source { return a.src }
 
-// Err returns the first stream-fetch failure encountered by any
-// analysis, if one occurred. In-memory sources never fail; callers over
-// lazy sources should check Err after an analysis (failed instances are
-// treated as empty rather than aborting a shard run midway).
-func (a *Analyzer) Err() error { return a.imp.Err() }
-
-// GraphCacheStats reports the shared Wait-Graph cache's counters.
-func (a *Analyzer) GraphCacheStats() impact.CacheStats { return a.imp.GraphCacheStats() }
-
-// SetGraphCacheLimit rebounds the shared Wait-Graph cache (0 disables
-// caching) — for corpora whose graph set must not stay RAM-resident, and
-// for benchmarks that need cold-cache measurements.
-func (a *Analyzer) SetGraphCacheLimit(n int) { a.imp.SetGraphCacheLimit(n) }
-
-// engineOptions maps the analyzer options onto the engine's; label
-// names the run in recorded spans and progress events.
-func (a *Analyzer) engineOptions(label string) engine.Options {
-	return engine.Options{Workers: a.opts.Workers, Recorder: a.opts.Recorder, Label: label}
+// Err reports the stream-fetch failure that made the latest fold fail
+// (or, failing that, the first one LocatePattern or ImpactByComponent
+// met). A fold that cannot fetch one of its streams is not kept:
+// Causality returns the error, Impact returns zero Metrics — never
+// numbers over part of the corpus — and the next analysis call folds
+// again, clearing Err when it succeeds. In-memory sources never fail.
+func (a *Analyzer) Err() error {
+	a.mu.Lock()
+	err := a.err
+	a.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return a.imp.Err()
 }
 
-// shards packs refs into stream-whole shards weighted by per-stream
-// event counts (known from metadata, so lazy sources shard without
-// decoding anything). Shard composition affects only load balance:
-// merges are partition-invariant, so results are identical to the
-// sequential path.
-func (a *Analyzer) shards(refs []trace.InstanceRef) []engine.Shard {
-	return engine.ShardByStreamWeighted(refs, func(stream int) int64 {
-		return int64(a.metas[stream].Events)
-	}, a.engineOptions("").TargetShards())
+// GraphCacheStats reports Wait-Graph construction: Misses counts every
+// graph built — by the Analyzer's folds, which build each instance's
+// graph once and cache none, and by the extensions' lookups — and Hits
+// the lookups served from the extensions' graph cache.
+func (a *Analyzer) GraphCacheStats() impact.CacheStats {
+	s := a.imp.GraphCacheStats()
+	a.mu.Lock()
+	s.Misses += a.graphs
+	a.mu.Unlock()
+	return s
 }
 
-// Impact measures the chosen components over all instances of the named
-// scenario ("" means every instance): step one of the approach, run as a
-// shard-and-merge over the engine's worker pool.
+// Impact measures the chosen components (nil means all drivers) over all
+// instances of the named scenario ("" means every instance): step one of
+// the approach, read off the fold's impact partials. If the fold fails
+// the result is the zero Metrics; see Err.
 func (a *Analyzer) Impact(filter *trace.ComponentFilter, scenario string) impact.Metrics {
 	sp := a.rec.Start("impact_analysis")
 	defer sp.End()
-	return a.impactOver(filter, a.src.InstancesOf(scenario))
-}
-
-// impactOver shards refs by stream, measures each shard on the pool, and
-// merges the partials in shard order.
-func (a *Analyzer) impactOver(filter *trace.ComponentFilter, refs []trace.InstanceRef) impact.Metrics {
-	eng := a.engineOptions("impact_measure")
-	shards := a.shards(refs)
-	merged := engine.MapMerge(len(shards), eng,
-		func(i int) *impact.Partial {
-			return a.imp.AnalyzeShard(filter, shards[i].Refs)
-		},
-		func(acc, next *impact.Partial) *impact.Partial {
-			acc.Merge(next)
-			return acc
-		})
-	if merged == nil {
+	if filter == nil {
+		filter = trace.AllDrivers()
+	}
+	inc, err := a.foldFor(filter, scenario, nil)
+	if err != nil {
 		return impact.Metrics{}
 	}
-	return merged.Metrics
+	return inc.impactOf(scenario)
+}
+
+// foldFor returns folded state that answers a call over scenario under
+// filter and — for a Causality call — under caus's depth bound and
+// thresholds: the held fold when it serves the call, a new one (which
+// replaces it) otherwise.
+func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus *CausalityConfig) (*Incremental, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+
+	var cfg IncrementalConfig
+	// Filters compare by their patterns: AllDrivers() is a new pointer
+	// on every call.
+	if f := a.held; f != nil && slices.Equal(f.filter.Patterns(), filter.Patterns()) && f.configuredFor(caus) {
+		if f.cfg.only == "" || f.cfg.only == scenario {
+			return f, nil
+		}
+		// The configuration is right and the scope too narrow: fold
+		// everything, so no later call under this configuration folds
+		// again.
+		cfg = f.cfg
+		cfg.only = ""
+	} else {
+		cfg = IncrementalConfig{
+			Filter:      filter,
+			Thresholds:  a.opts.Thresholds,
+			Workers:     a.opts.Workers,
+			Recorder:    a.opts.Recorder,
+			only:        scenario,
+			noAllForest: true,
+		}
+		if caus != nil {
+			cfg.MaxAWGDepth = caus.MaxAWGDepth
+			cfg.Thresholds = withThresholds(a.opts.Thresholds, caus.Scenario, caus.Tfast, caus.Tslow)
+		}
+	}
+
+	sp := a.rec.Start("analysis_fold")
+	defer sp.End()
+	// Shards are packed by per-stream event counts, known from metadata,
+	// so lazy sources shard without decoding anything. Shard composition
+	// affects only load balance: merges are partition-invariant.
+	eng := engine.Options{Workers: cfg.Workers}
+	shards := engine.ShardByStreamWeighted(a.src.InstancesOf(cfg.only), func(stream int) int64 {
+		return int64(a.src.StreamMeta(stream).Events)
+	}, eng.TargetShards())
+	streams := make([][]int, len(shards))
+	for k, sh := range shards {
+		for _, ref := range sh.Refs { // a shard's refs are grouped by stream
+			if n := len(streams[k]); n == 0 || streams[k][n-1] != ref.Stream {
+				streams[k] = append(streams[k], ref.Stream)
+			}
+		}
+	}
+	inc := NewIncremental(cfg)
+	a.held = nil // one fold at a time: the old one is garbage while the new one grows
+	if a.err = inc.foldShards(a.src, "analysis_fold", streams); a.err != nil {
+		return nil, a.err
+	}
+	a.graphs += int64(inc.global.Instances)
+	a.held = inc
+	return inc, nil
+}
+
+// configuredFor reports whether the state's depth bound and thresholds
+// are the ones a Causality call asks for; an Impact call (nil) depends
+// on neither.
+func (inc *Incremental) configuredFor(caus *CausalityConfig) bool {
+	if caus == nil {
+		return true
+	}
+	if inc.cfg.MaxAWGDepth != caus.MaxAWGDepth || inc.cfg.Thresholds == nil {
+		return false
+	}
+	tf, ts, ok := inc.cfg.Thresholds(caus.Scenario)
+	return ok && tf == caus.Tfast && ts == caus.Tslow
+}
+
+// withThresholds is base with one scenario's thresholds replaced.
+func withThresholds(base func(string) (trace.Duration, trace.Duration, bool), scenario string, tfast, tslow trace.Duration) func(string) (trace.Duration, trace.Duration, bool) {
+	return func(name string) (trace.Duration, trace.Duration, bool) {
+		if name == scenario {
+			return tfast, tslow, true
+		}
+		if base == nil {
+			return 0, 0, false
+		}
+		return base(name)
+	}
 }
 
 // CausalityConfig parameterises one causality analysis.
@@ -236,14 +338,8 @@ type CausalityResult struct {
 	SlowAWG *awg.Graph
 }
 
-// phase wraps one causality phase in a span and reports its completion
-// as a progress event, so CLIs see phases tick by live.
-func (a *Analyzer) phase(name string, fn func()) {
-	phaseRun(a.rec, name, fn)
-}
-
-// phaseRun is the recorder-explicit form of phase, shared with the
-// incremental path.
+// phaseRun wraps one causality phase in a span and reports its
+// completion as a progress event, so CLIs see phases tick by live.
 func phaseRun(rec obs.Recorder, name string, fn func()) {
 	sp := rec.Start(name)
 	fn()
@@ -251,10 +347,10 @@ func phaseRun(rec obs.Recorder, name string, fn func()) {
 	rec.Progress(name, 1, 1)
 }
 
-// Causality runs step two of the approach for one scenario. If any
-// stream fetch failed during the analysis — lazy sources treat failed
-// instances as empty rather than aborting a shard run midway — the
-// latched error is returned alongside the (incomplete) result; see Err.
+// Causality runs step two of the approach for one scenario: the fold
+// supplies the scenario's contrast-class forests, and the call clones,
+// reduces and mines them. If the fold fails the error is returned (and
+// latched, see Err).
 func (a *Analyzer) Causality(cfg CausalityConfig) (*CausalityResult, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -262,46 +358,20 @@ func (a *Analyzer) Causality(cfg CausalityConfig) (*CausalityResult, error) {
 	total := a.rec.Start("causality_analysis")
 	defer total.End()
 
-	refs := a.src.InstancesOf(cfg.Scenario)
-	if len(refs) == 0 {
+	// Metadata answers this without folding — or dropping the held fold
+	// for a scenario the corpus does not have.
+	if len(a.src.InstancesOf(cfg.Scenario)) == 0 {
 		return nil, fmt.Errorf("core: no instances of scenario %q", cfg.Scenario)
 	}
-
-	// Classification needs only instance metadata: lazy sources split the
-	// contrast classes without decoding a single stream.
-	var classed []trace.InstanceRef // fast and slow refs, in refs order
-	var fastCount, slowCount int
-	a.phase("causality_classify", func() {
-		for _, ref := range refs {
-			switch classify(a.src.InstanceMeta(ref), cfg.Tfast, cfg.Tslow) {
-			case fastClass:
-				fastCount++
-			case slowClass:
-				slowCount++
-			default:
-				continue
-			}
-			classed = append(classed, ref)
-		}
-	})
-	a.rec.Add("causality_instances_total", int64(len(refs)))
-	a.rec.Add("causality_fast_total", int64(fastCount))
-	a.rec.Add("causality_slow_total", int64(slowCount))
-	res := &CausalityResult{
-		Scenario:  cfg.Scenario,
-		Tfast:     cfg.Tfast,
-		Tslow:     cfg.Tslow,
-		Instances: len(refs),
-		FastCount: fastCount,
-		SlowCount: slowCount,
+	inc, err := a.foldFor(cfg.Filter, cfg.Scenario, &cfg)
+	if err != nil {
+		return nil, err
 	}
-	if slowCount == 0 {
-		return res, a.imp.Err()
+	sc, err := inc.classedState(cfg.Scenario)
+	if err != nil {
+		return nil, err
 	}
-
-	slowAWG, fastAWG, slowImpact := a.aggregateClasses(classed, cfg)
-	finishCausality(a.rec, cfg, res, slowAWG, fastAWG, slowImpact)
-	return res, a.imp.Err()
+	return inc.answer(sc, cfg), nil
 }
 
 // contrastClass is an instance's side of the developer thresholds.
@@ -326,10 +396,8 @@ func classify(in trace.Instance, tfast, tslow trace.Duration) contrastClass {
 
 // finishCausality runs the mining phases (enumerate, select, lift, rank)
 // over the finished class AWGs and fills in the result's patterns and
-// aggregates. It is shared verbatim by the batch path above and the
-// incremental path (Incremental.Causality), which is what makes the two
-// bit-for-bit comparable: once the class AWGs are equal, everything
-// downstream is the same code.
+// aggregates: the last step of Incremental.answer, which every causality
+// query — the Analyzer's, the daemon's, a Diff's — ends in.
 func finishCausality(rec obs.Recorder, cfg CausalityConfig, res *CausalityResult,
 	slowAWG, fastAWG *awg.Graph, slowImpact impact.Metrics) {
 
@@ -384,55 +452,6 @@ func finishCausality(rec obs.Recorder, cfg CausalityConfig, res *CausalityResult
 	res.SlowAWG = slowAWG
 	rankSpan.End()
 	rec.Progress("causality_rank", 1, 1)
-}
-
-// classesPartial is one shard's contribution to a causality pass: the
-// unreduced AWG forest of each contrast class plus the slow class's
-// impact partial, all measured off the same Wait Graphs.
-type classesPartial struct {
-	slow, fast *awg.Graph
-	slowImpact *impact.Partial
-}
-
-// aggregateClasses builds both contrast classes' Aggregated Wait Graphs
-// and the slow class's impact metrics in one shard-and-merge sweep over
-// the classed refs (fast and slow, none in between). A stream holding
-// instances of both classes is fetched and indexed once: each shard
-// streams its instances' Wait Graphs through two incremental aggregators
-// and the slow-class partial, all three sharing the shard's one filter
-// resolver. The per-shard forests are merged in shard-index order before
-// the non-optimizable reduction runs on the merged result.
-func (a *Analyzer) aggregateClasses(classed []trace.InstanceRef, cfg CausalityConfig) (slowAWG, fastAWG *awg.Graph, slowImpact impact.Metrics) {
-	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: !cfg.DisableReduce}
-	shardOpts := awgOpts
-	shardOpts.Reduce = false // reduction must see the merged forest
-
-	shards := a.shards(classed)
-	parts := engine.Map(len(shards), a.engineOptions("causality_aggregate"), func(i int) classesPartial {
-		fc := trace.NewFilterCache(cfg.Filter)
-		slow := awg.NewAggregatorOn(fc, shardOpts)
-		fast := awg.NewAggregatorOn(fc, shardOpts)
-		p := impact.NewPartial()
-		a.imp.GraphsOver(shards[i].Refs, func(ref trace.InstanceRef, g *waitgraph.Graph) {
-			if classify(a.src.InstanceMeta(ref), cfg.Tfast, cfg.Tslow) == slowClass {
-				slow.Add(g)
-				p.AddGraph(g, fc)
-			} else {
-				fast.Add(g)
-			}
-		})
-		return classesPartial{slow: slow.Partial(), fast: fast.Partial(), slowImpact: p}
-	})
-
-	slowFinal := awg.NewAggregator(cfg.Filter, awgOpts)
-	fastFinal := awg.NewAggregator(cfg.Filter, awgOpts)
-	imp := impact.NewPartial()
-	for _, pt := range parts {
-		slowFinal.Merge(pt.slow)
-		fastFinal.Merge(pt.fast)
-		imp.Merge(pt.slowImpact)
-	}
-	return slowFinal.Finish(), fastFinal.Finish(), imp.Metrics
 }
 
 // TopCoverage reports the ranking coverage of the top fraction of

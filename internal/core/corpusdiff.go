@@ -17,17 +17,15 @@ import (
 // WithTopEdges, plus the shared WithWorkers/WithRecorder) over building
 // this struct directly.
 type DiffOptions struct {
-	// Options carries the scheduling fields shared with the Analyzer:
-	// worker pool bound and recorder.
+	// Options carries the fields shared with the Analyzer: worker pool
+	// bound, recorder, and the thresholds function — scenarios it
+	// classifies additionally get within-corpus contrast classes and
+	// pattern-level movement; nil means alignment, impact, and edge
+	// deltas only.
 	Options
 	// Filter names the components under analysis on both sides. Nil
 	// means all drivers.
 	Filter *trace.ComponentFilter
-	// Thresholds supplies per-scenario fast/slow developer thresholds;
-	// scenarios it classifies additionally get within-corpus contrast
-	// classes and pattern-level movement. Nil means alignment, impact,
-	// and edge deltas only.
-	Thresholds func(scenario string) (tfast, tslow trace.Duration, ok bool)
 	// Mining bounds the contrast-mining step; zero values take the
 	// paper's defaults (k=5).
 	Mining mining.Params

@@ -40,6 +40,13 @@ type IncrementalConfig struct {
 	// Recorder receives ingest/query observability events. Nil means
 	// no-op.
 	Recorder obs.Recorder
+
+	// How core.Analyzer shapes the folds it holds — unexported, so not
+	// something a facade caller can set. only restricts the fold to one
+	// scenario's instances ("" folds every instance); noAllForest drops
+	// the all-instances forest, which only a corpus diff reads.
+	only        string
+	noAllForest bool
 }
 
 // scenarioState is the persistent per-scenario analysis state: the
@@ -58,28 +65,33 @@ type scenarioState struct {
 
 	impact     *impact.Partial // all instances
 	slowImpact *impact.Partial // slow class only
-	all        *awg.Aggregator // unreduced forest, every instance
+	all        *awg.Aggregator // unreduced forest, every instance; nil under noAllForest
 	slow, fast *awg.Aggregator // unreduced forests per contrast class
 }
 
-// Incremental is the resumable form of Analyzer: streams are folded in
-// one at a time with Ingest (or in parallel with IngestSource), and
-// Impact/Causality answer queries over everything ingested so far
-// without disturbing the state — queries clone the persistent forests
-// and reduce only the clones, so ingestion can continue afterwards.
+// Incremental is the analysis state everything folds into: streams are
+// folded in one at a time with Ingest (or in parallel with
+// IngestSource), and Impact/Causality answer queries over everything
+// ingested so far without disturbing the state — queries clone the
+// persistent forests and reduce only the clones, so ingestion can
+// continue afterwards. The daemon feeds one as uploads arrive, Diff
+// builds one per side, and the batch Analyzer folds one over its corpus
+// and holds it.
 //
 // Determinism contract: after ingesting streams 1..N in any arrival
-// order, Impact and Causality results are bit-for-bit identical to a
-// batch Analyzer over the same N streams. Every accumulation the state
-// holds is commutative and associative — impact partials are sums plus
-// a distinct-set union, AWG forests merge by signature-keyed node union
-// with C/N sums and MaxC maximum — and the query tail (enumerate,
-// select, lift, rank) is the same code as the batch path.
+// order — one at a time, or as shards merged with Merge — Impact and
+// Causality results are bit-for-bit identical. Every accumulation the
+// state holds is commutative and associative — impact partials are sums
+// plus a distinct-set union, AWG forests merge by signature-keyed node
+// union with C/N sums and MaxC maximum — and the one order-sensitive
+// step, the non-optimizable reduction, runs on a clone of the complete
+// forest at query time.
 //
-// An Incremental is not safe for concurrent use; the tracescoped daemon
-// serializes ingestion and queries behind one lock. Ingest must see
-// each stream exactly once — feeding the same stream twice double
-// counts it.
+// Queries only read the state, so any number may run at once; Ingest and
+// Merge need exclusive access (the tracescoped daemon puts them behind
+// the write side of one RWMutex, the Analyzer finishes folding before it
+// publishes the state). Ingest must see each stream exactly once —
+// feeding the same stream twice double counts it.
 type Incremental struct {
 	cfg    IncrementalConfig
 	filter *trace.ComponentFilter
@@ -143,9 +155,9 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 	sc, ok := inc.scen[scenario]
 	if !ok {
 		awgOpts := awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: false}
-		sc = &scenarioState{
-			impact: impact.NewPartial(),
-			all:    awg.NewAggregatorOn(inc.fc, awgOpts),
+		sc = &scenarioState{impact: impact.NewPartial()}
+		if !inc.cfg.noAllForest {
+			sc.all = awg.NewAggregatorOn(inc.fc, awgOpts)
 		}
 		if inc.cfg.Thresholds != nil {
 			tf, ts, classed := inc.cfg.Thresholds(scenario)
@@ -163,8 +175,9 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 
 // Ingest folds one stream into the analysis state: each instance's Wait
 // Graph is built once and feeds the global and per-scenario impact
-// partials plus — when the instance classifies fast or slow — its
-// contrast class's AWG aggregation. Every one of those consumers
+// partials, the scenario's all-instances forest, plus — when the
+// instance classifies fast or slow — its contrast class's AWG
+// aggregation. Every one of those consumers
 // resolves the filter through the state's one FilterCache, which
 // forgets the stream when the fold ends: the state keeps aggregates,
 // never the stream. streamIndex is the stream's index in the corpus
@@ -177,11 +190,16 @@ func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
 
 	b := waitgraph.NewBuilder(s, streamIndex, waitgraph.Options{})
 	for _, in := range s.Instances {
+		if inc.cfg.only != "" && in.Scenario != inc.cfg.only {
+			continue
+		}
 		g := b.Instance(in)
 		inc.global.AddGraph(g, inc.fc)
 		sc := inc.state(in.Scenario)
 		sc.impact.AddGraph(g, inc.fc)
-		sc.all.Add(g)
+		if sc.all != nil {
+			sc.all.Add(g)
+		}
 		sc.instances++
 		if !sc.classed {
 			continue
@@ -231,7 +249,9 @@ func (inc *Incremental) Merge(other *Incremental) {
 		sc := inc.state(name)
 		sc.instances += o.instances
 		sc.impact.Merge(o.impact)
-		sc.all.Merge(o.all.Partial())
+		if sc.all != nil && o.all != nil {
+			sc.all.Merge(o.all.Partial())
+		}
 		if sc.classed && o.classed {
 			sc.fastCount += o.fastCount
 			sc.slowCount += o.slowCount
@@ -244,12 +264,10 @@ func (inc *Incremental) Merge(other *Incremental) {
 
 // IngestSource folds every not-yet-ingested stream of src — indices
 // [NumStreams(), src.NumStreams()) — into the state as a parallel
-// shard-and-merge: each shard folds one contiguous range of streams into
-// one partial state (so at most a shard count of them are alive, never
-// one per stream), and the partials are merged in range order. Results
-// are bit-for-bit identical at any worker count. This is the warm-up
-// path for a daemon starting over an existing corpus; it assumes the
-// state was fed streams 0..NumStreams()-1 of the same corpus (or
+// shard-and-merge over contiguous ranges of streams (see foldShards).
+// Results are bit-for-bit identical at any worker count. This is the
+// warm-up path for a daemon starting over an existing corpus; it assumes
+// the state was fed streams 0..NumStreams()-1 of the same corpus (or
 // nothing).
 func (inc *Incremental) IngestSource(src trace.Source) error {
 	start := inc.streams
@@ -260,20 +278,39 @@ func (inc *Incremental) IngestSource(src trace.Source) error {
 	sp := inc.rec.Start("ingest_warmup")
 	defer sp.End()
 
+	eng := engine.Options{Workers: inc.cfg.Workers}
+	shards := make([][]int, min(eng.TargetShards(), n))
+	for k := range shards {
+		for i := start + k*n/len(shards); i < start+(k+1)*n/len(shards); i++ {
+			shards[k] = append(shards[k], i)
+		}
+	}
+	return inc.foldShards(src, "ingest_warmup", shards)
+}
+
+// foldShards is the one sweep every corpus-sized fold runs — the
+// daemon's warm-up, each side of a Diff, and the Analyzer's fold: shard
+// k's streams (no stream in two shards, none ingested before) are
+// fetched one at a time and folded with Ingest into one partial state —
+// so at most a shard count of partial states are alive, never one per
+// stream — and the partials are merged in shard order with Merge. label
+// names the engine run in recorded spans. A fetch error fails the whole
+// fold and leaves the receiver as it was.
+func (inc *Incremental) foldShards(src trace.Source, label string, shards [][]int) error {
+	before := inc.streams
 	cfg := inc.cfg
 	cfg.Recorder = nil // partials are merged; counters recorded once below
 	type part struct {
 		inc *Incremental
 		err error
 	}
-	eng := engine.Options{Workers: cfg.Workers, Recorder: inc.cfg.Recorder, Label: "ingest_warmup"}
-	shards := min(eng.TargetShards(), n)
-	merged := engine.MapMerge(shards, eng, func(k int) part {
+	eng := engine.Options{Workers: cfg.Workers, Recorder: inc.cfg.Recorder, Label: label}
+	merged := engine.MapMerge(len(shards), eng, func(k int) part {
 		p := NewIncremental(cfg)
-		for i := start + k*n/shards; i < start+(k+1)*n/shards; i++ {
+		for _, i := range shards[k] {
 			s, err := src.Stream(i)
 			if err != nil {
-				return part{err: fmt.Errorf("core: warm-up stream %d: %w", i, err)}
+				return part{err: fmt.Errorf("core: folding stream %d: %w", i, err)}
 			}
 			p.Ingest(i, s)
 		}
@@ -295,16 +332,20 @@ func (inc *Incremental) IngestSource(src trace.Source) error {
 		return merged.err
 	}
 	inc.Merge(merged.inc)
-	inc.rec.Add("core_streams_ingested_total", int64(n))
+	inc.rec.Add("core_streams_ingested_total", int64(inc.streams-before))
 	return nil
 }
 
 // Impact returns the impact metrics over every ingested instance of the
-// named scenario ("" means every instance), identical to the batch
-// Analyzer.Impact over the same streams.
+// named scenario ("" means every instance).
 func (inc *Incremental) Impact(scenario string) impact.Metrics {
 	sp := inc.rec.Start("impact_analysis")
 	defer sp.End()
+	return inc.impactOf(scenario)
+}
+
+// impactOf reads the named scope's impact partial.
+func (inc *Incremental) impactOf(scenario string) impact.Metrics {
 	if scenario == "" {
 		return inc.global.Metrics
 	}
@@ -318,15 +359,11 @@ func (inc *Incremental) Impact(scenario string) impact.Metrics {
 // Causality answers a causality query over everything ingested so far,
 // using the thresholds fixed at ingest time. The persistent forests are
 // cloned and only the clones reduced, so the state remains valid for
-// further ingestion and queries. Results are bit-for-bit identical to
-// the batch Analyzer.Causality over the same streams.
+// further ingestion and queries.
 func (inc *Incremental) Causality(scenario string, params mining.Params) (*CausalityResult, error) {
-	sc, ok := inc.scen[scenario]
-	if !ok || sc.instances == 0 {
-		return nil, fmt.Errorf("core: no instances of scenario %q", scenario)
-	}
-	if !sc.classed {
-		return nil, fmt.Errorf("core: no thresholds configured for scenario %q; causality needs contrast classes fixed at ingest time", scenario)
+	sc, err := inc.classedState(scenario)
+	if err != nil {
+		return nil, err
 	}
 	cfg := CausalityConfig{
 		Scenario:      scenario,
@@ -342,12 +379,33 @@ func (inc *Incremental) Causality(scenario string, params mining.Params) (*Causa
 	}
 	total := inc.rec.Start("causality_analysis")
 	defer total.End()
+	return inc.answer(sc, cfg), nil
+}
 
+// classedState returns the state of a scenario that has instances and
+// contrast classes — what a causality query needs.
+func (inc *Incremental) classedState(scenario string) (*scenarioState, error) {
+	sc, ok := inc.scen[scenario]
+	if !ok || sc.instances == 0 {
+		return nil, fmt.Errorf("core: no instances of scenario %q", scenario)
+	}
+	if !sc.classed {
+		return nil, fmt.Errorf("core: no thresholds configured for scenario %q; causality needs contrast classes fixed at ingest time", scenario)
+	}
+	return sc, nil
+}
+
+// answer is the query tail both Incremental.Causality and
+// Analyzer.Causality end in: clone the scenario's class forests, finish
+// the clones under cfg's reduction and depth options, and mine them.
+// cfg has its defaults applied and carries sc's thresholds. It only
+// reads the state, so concurrent queries may share one.
+func (inc *Incremental) answer(sc *scenarioState, cfg CausalityConfig) *CausalityResult {
 	inc.rec.Add("causality_instances_total", int64(sc.instances))
 	inc.rec.Add("causality_fast_total", int64(sc.fastCount))
 	inc.rec.Add("causality_slow_total", int64(sc.slowCount))
 	res := &CausalityResult{
-		Scenario:  scenario,
+		Scenario:  cfg.Scenario,
 		Tfast:     cfg.Tfast,
 		Tslow:     cfg.Tslow,
 		Instances: sc.instances,
@@ -355,14 +413,14 @@ func (inc *Incremental) Causality(scenario string, params mining.Params) (*Causa
 		SlowCount: sc.slowCount,
 	}
 	if sc.slowCount == 0 {
-		return res, nil
+		return res
 	}
 
 	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: !cfg.DisableReduce}
 	slowAWG := finishClone(sc.slow, inc.filter, awgOpts)
 	fastAWG := finishClone(sc.fast, inc.filter, awgOpts)
 	finishCausality(inc.rec, cfg, res, slowAWG, fastAWG, sc.slowImpact.Metrics)
-	return res, nil
+	return res
 }
 
 // finishClone clones an unreduced persistent forest and finishes the
@@ -406,7 +464,9 @@ func (sc *scenarioState) clone(fc *trace.FilterCache, cfg IncrementalConfig) *sc
 		fastCount: sc.fastCount,
 		slowCount: sc.slowCount,
 		impact:    sc.impact.Clone(),
-		all:       cloneAggregator(sc.all, fc, awgOpts),
+	}
+	if sc.all != nil {
+		c.all = cloneAggregator(sc.all, fc, awgOpts)
 	}
 	if sc.classed {
 		c.slow = cloneAggregator(sc.slow, fc, awgOpts)

@@ -14,23 +14,20 @@ import (
 
 // batchBaseline runs the one-shot batch analysis over the corpus and
 // captures everything the incremental path must reproduce byte for
-// byte: global and per-scenario impact metrics, causality results, and
-// the rendered slow-class AWG.
+// byte: global and per-scenario impact metrics and causality results.
 type batchBaseline struct {
-	global    impact.Metrics
-	impacts   map[string]impact.Metrics
-	results   map[string]*CausalityResult
-	awgRender map[string]string
+	global  impact.Metrics
+	impacts map[string]impact.Metrics
+	results map[string]*CausalityResult
 }
 
 func batchRun(t *testing.T, corpus *trace.Corpus, filter *trace.ComponentFilter) *batchBaseline {
 	t.Helper()
-	a := NewAnalyzer(corpus)
+	a := NewAnalyzer(corpus, WithThresholds(scenario.Thresholds))
 	b := &batchBaseline{
-		global:    a.Impact(filter, ""),
-		impacts:   make(map[string]impact.Metrics),
-		results:   make(map[string]*CausalityResult),
-		awgRender: make(map[string]string),
+		global:  a.Impact(filter, ""),
+		impacts: make(map[string]impact.Metrics),
+		results: make(map[string]*CausalityResult),
 	}
 	for _, sc := range corpus.Scenarios() {
 		b.impacts[sc.Name] = a.Impact(filter, sc.Name)
@@ -43,7 +40,6 @@ func batchRun(t *testing.T, corpus *trace.Corpus, filter *trace.ComponentFilter)
 			t.Fatal(err)
 		}
 		b.results[sc.Name] = res
-		b.awgRender[sc.Name] = renderAWG(t, res.SlowAWG)
 	}
 	return b
 }
@@ -66,14 +62,7 @@ func compareToBatch(t *testing.T, label string, inc *Incremental, want *batchBas
 		if err != nil {
 			t.Fatalf("%s: causality(%s): %v", label, name, err)
 		}
-		if got, wanted := renderAWG(t, res.SlowAWG), want.awgRender[name]; got != wanted {
-			t.Errorf("%s: causality(%s): AWG render differs:\n got:\n%s\nwant:\n%s", label, name, got, wanted)
-		}
-		gotCopy, wantCopy := *res, *wres
-		gotCopy.SlowAWG, wantCopy.SlowAWG = nil, nil
-		if !reflect.DeepEqual(&gotCopy, &wantCopy) {
-			t.Errorf("%s: causality(%s):\n got %+v\nwant %+v", label, name, &gotCopy, &wantCopy)
-		}
+		sameResult(t, fmt.Sprintf("%s: causality(%s)", label, name), res, wres)
 	}
 }
 

@@ -20,15 +20,14 @@ type DiffOption interface {
 }
 
 // CommonOption is an option accepted by both NewAnalyzer and Diff —
-// what WithWorkers and WithRecorder return.
+// what WithWorkers, WithRecorder and WithThresholds return.
 type CommonOption interface {
 	Option
 	DiffOption
 }
 
-// commonOption mutates the scheduling fields shared by both entry
-// points: applied directly for an Analyzer, and to the embedded Options
-// for a Diff.
+// commonOption mutates the fields shared by both entry points: applied
+// directly for an Analyzer, and to the embedded Options for a Diff.
 type commonOption func(*Options)
 
 func (f commonOption) applyAnalyzer(o *Options) { f(o) }
@@ -57,19 +56,23 @@ func WithRecorder(r obs.Recorder) CommonOption {
 	return commonOption(func(o *Options) { o.Recorder = r })
 }
 
+// WithThresholds supplies the per-scenario fast/slow developer
+// thresholds (typically scenario.Thresholds) instances are classified
+// with as their streams are folded. An Analyzer configured with them
+// answers Impact and every Causality call that uses them from one fold
+// of the corpus; a Diff uses them to maintain contrast classes while
+// profiling each side. Scenarios the function declines keep impact
+// metrics (and, in a diff, alignment counts and edge deltas) but no
+// contrast classes. The function must be pure: it is called from
+// concurrent fold workers.
+func WithThresholds(fn func(scenario string) (tfast, tslow trace.Duration, ok bool)) CommonOption {
+	return commonOption(func(o *Options) { o.Thresholds = fn })
+}
+
 // WithFilter names the components under diff analysis. Nil (the
 // default) means all drivers.
 func WithFilter(f *trace.ComponentFilter) DiffOption {
 	return diffOption(func(d *DiffOptions) { d.Filter = f })
-}
-
-// WithThresholds supplies the per-scenario fast/slow developer
-// thresholds used to maintain contrast classes while profiling each
-// corpus (typically scenario.Thresholds). Scenarios the function
-// declines keep alignment counts, impact deltas, and edge deltas, but
-// no within-corpus pattern movement.
-func WithThresholds(fn func(scenario string) (tfast, tslow trace.Duration, ok bool)) DiffOption {
-	return diffOption(func(d *DiffOptions) { d.Thresholds = fn })
 }
 
 // WithMiningParams bounds the contrast-mining step of the diff (path

@@ -1,18 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
+	"tracescope/internal/impact"
 	"tracescope/internal/scenario"
 	"tracescope/internal/trace"
 )
-
-func removeFile(dir, name string) error {
-	return os.Remove(filepath.Join(dir, name))
-}
 
 // TestOutOfCoreEquivalence is the out-of-core acceptance test: impact
 // and causality over a directory-backed cached source must be
@@ -29,19 +26,6 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	}
 
 	scopes := append([]string{""}, scenario.Selected()...)
-	causalityOf := func(an *Analyzer, name string) *CausalityResult {
-		t.Helper()
-		tf, ts, ok := scenario.Thresholds(name)
-		if !ok {
-			t.Fatalf("no thresholds for %q", name)
-		}
-		res, err := an.Causality(CausalityConfig{Scenario: name, Tfast: tf, Tslow: ts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
 	// In-memory reference, sequential.
 	ref := NewAnalyzer(corpus, WithWorkers(1))
 	wantImpact := make(map[string]interface{})
@@ -49,8 +33,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		wantImpact[scope] = ref.Impact(trace.AllDrivers(), scope)
 	}
 	causalityScenario := scenario.BrowserTabCreate
-	wantCaus := causalityOf(ref, causalityScenario)
-	wantAWG := renderAWG(t, wantCaus.SlowAWG)
+	wantCaus := catalogueCausality(t, ref, causalityScenario)
 
 	for _, workers := range []int{1, 4, 8} {
 		for _, limit := range []int{1, 2, 0} {
@@ -68,21 +51,8 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 				}
 			}
 
-			got := causalityOf(an, causalityScenario)
-			if !reflect.DeepEqual(got.Patterns, wantCaus.Patterns) {
-				t.Errorf("limit=%d workers=%d: ranked patterns differ (%d vs %d)",
-					limit, workers, len(got.Patterns), len(wantCaus.Patterns))
-			}
-			if gotAWG := renderAWG(t, got.SlowAWG); gotAWG != wantAWG {
-				t.Errorf("limit=%d workers=%d: slow-class AWG differs", limit, workers)
-			}
-			g, w := *got, *wantCaus
-			g.SlowAWG, w.SlowAWG = nil, nil
-			g.Patterns, w.Patterns = nil, nil
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("limit=%d workers=%d: result fields differ:\n  got  %+v\n  want %+v",
-					limit, workers, g, w)
-			}
+			sameResult(t, fmt.Sprintf("limit=%d workers=%d", limit, workers),
+				catalogueCausality(t, an, causalityScenario), wantCaus)
 
 			if err := an.Err(); err != nil {
 				t.Errorf("limit=%d workers=%d: deferred fetch error: %v", limit, workers, err)
@@ -103,9 +73,12 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreFetchErrorLatches deletes a stream file after the index
-// is loaded: analyses must complete (treating the lost instances as
-// empty) and surface the failure through Err rather than panicking.
+// TestOutOfCoreFetchErrorLatches loses a stream file after the index is
+// loaded. A fold that cannot fetch one of its streams is not kept:
+// Impact answers zero metrics (never numbers over the rest of the
+// corpus), Causality returns the error, Err reports it — and once the
+// file is back the same Analyzer folds again and answers as a fresh one
+// does.
 func TestOutOfCoreFetchErrorLatches(t *testing.T) {
 	corpus := equivalenceCorpus(t)
 	dir := t.TempDir()
@@ -116,13 +89,42 @@ func TestOutOfCoreFetchErrorLatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lost := src.StreamMeta(0).File
-	if err := removeFile(dir, lost); err != nil {
+	lost := filepath.Join(dir, src.StreamMeta(0).File)
+	if err := os.Rename(lost, lost+".lost"); err != nil {
 		t.Fatal(err)
 	}
-	an := NewAnalyzer(trace.NewCachedSource(src, 2), WithWorkers(2))
-	an.Impact(trace.AllDrivers(), "")
+	name := scenario.BrowserTabCreate
+	tf, ts, _ := scenario.Thresholds(name)
+	cfg := CausalityConfig{Scenario: name, Tfast: tf, Tslow: ts}
+
+	an := NewAnalyzer(trace.NewCachedSource(src, 2), WithWorkers(2), WithThresholds(scenario.Thresholds))
+	if m := an.Impact(trace.AllDrivers(), ""); m != (impact.Metrics{}) {
+		t.Errorf("impact over a corpus with a lost stream: got %v, want zero metrics", m)
+	}
 	if an.Err() == nil {
 		t.Fatal("missing stream file not surfaced through Err")
 	}
+	if res, err := an.Causality(cfg); err == nil || res != nil {
+		t.Errorf("causality over a corpus with a lost stream: got %v, %v; want the fetch error", res, err)
+	}
+
+	if err := os.Rename(lost+".lost", lost); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewAnalyzer(corpus, WithWorkers(1), WithThresholds(scenario.Thresholds))
+	if got, want := an.Impact(trace.AllDrivers(), ""), fresh.Impact(trace.AllDrivers(), ""); got != want {
+		t.Errorf("impact after the file is back:\n  got  %v\n  want %v", got, want)
+	}
+	if err := an.Err(); err != nil {
+		t.Errorf("Err after a fold that succeeded: %v", err)
+	}
+	got, err := an.Causality(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Causality(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, name, got, want)
 }

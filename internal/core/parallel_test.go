@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"tracescope/internal/awg"
@@ -52,46 +52,11 @@ func TestParallelImpactEquivalence(t *testing.T) {
 // metrics, and the slow-class AWG — is identical at every worker count.
 func TestParallelCausalityEquivalence(t *testing.T) {
 	corpus := equivalenceCorpus(t)
-	runCausality := func(workers int, name string) *CausalityResult {
-		t.Helper()
-		an := NewAnalyzer(corpus, WithWorkers(workers))
-		tf, ts, ok := scenario.Thresholds(name)
-		if !ok {
-			t.Fatalf("no thresholds for %q", name)
-		}
-		res, err := an.Causality(CausalityConfig{Scenario: name, Tfast: tf, Tslow: ts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
 	for _, name := range []string{scenario.BrowserTabCreate, scenario.WebPageNavigation} {
-		want := runCausality(1, name)
-		wantAWG := renderAWG(t, want.SlowAWG)
+		want := catalogueCausality(t, NewAnalyzer(corpus, WithWorkers(1)), name)
 		for _, workers := range []int{2, 4, 8} {
-			got := runCausality(workers, name)
-
-			if !reflect.DeepEqual(got.Patterns, want.Patterns) {
-				t.Errorf("%s workers=%d: ranked patterns differ (%d vs %d)",
-					name, workers, len(got.Patterns), len(want.Patterns))
-				continue
-			}
-			gotAWG := renderAWG(t, got.SlowAWG)
-			if gotAWG != wantAWG {
-				t.Errorf("%s workers=%d: slow-class AWG differs:\n%s\n--- want ---\n%s",
-					name, workers, gotAWG, wantAWG)
-				continue
-			}
-			// Everything else is scalar: compare the structs with the
-			// graph and pattern fields (already checked) stripped.
-			g, w := *got, *want
-			g.SlowAWG, w.SlowAWG = nil, nil
-			g.Patterns, w.Patterns = nil, nil
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("%s workers=%d: result fields differ:\n  got  %+v\n  want %+v",
-					name, workers, g, w)
-			}
+			got := catalogueCausality(t, NewAnalyzer(corpus, WithWorkers(workers)), name)
+			sameResult(t, fmt.Sprintf("%s workers=%d", name, workers), got, want)
 		}
 	}
 }
@@ -108,10 +73,10 @@ func TestDefaultAnalyzerUsesEngine(t *testing.T) {
 	}
 }
 
-// TestCausalityGraphCacheReuse: within one causality run every graph is
-// fetched once per class pass, and a following impact analysis over the
-// same scenario is served from the cache — the regression the bounded
-// graph cache fixes (impact + aggregation used to rebuild every graph).
+// TestCausalityGraphCacheReuse: the reuse the Wait-Graph cache used to
+// provide is now the held fold's. A causality run builds each of its
+// scenario's graphs once, and a following impact analysis over the same
+// scenario builds none — it reads the partial the same fold filled.
 func TestCausalityGraphCacheReuse(t *testing.T) {
 	corpus := equivalenceCorpus(t)
 	an := NewAnalyzer(corpus, WithWorkers(2))
@@ -122,17 +87,14 @@ func TestCausalityGraphCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := an.GraphCacheStats()
-	an.Impact(trace.AllDrivers(), name)
-	after := an.GraphCacheStats()
-	// Causality built the fast- and slow-class graphs; only the middle
-	// class (neither fast nor slow) may miss now.
-	middle := int64(res.Instances - res.FastCount - res.SlowCount)
-	if got := after.Misses - before.Misses; got != middle {
-		t.Errorf("impact after causality rebuilt %d graphs, want %d (middle class only)",
-			got, middle)
+	if before.Misses != int64(res.Instances) {
+		t.Errorf("causality built %d graphs for %d instances, want one each", before.Misses, res.Instances)
 	}
-	if want := int64(res.FastCount + res.SlowCount); after.Hits-before.Hits != want {
-		t.Errorf("impact after causality hit %d cached graphs, want %d",
-			after.Hits-before.Hits, want)
+	m := an.Impact(trace.AllDrivers(), name)
+	if got := an.GraphCacheStats().Misses - before.Misses; got != 0 {
+		t.Errorf("impact after causality built %d graphs, want 0", got)
+	}
+	if want := NewAnalyzer(corpus, WithWorkers(1)).Impact(trace.AllDrivers(), name); m != want {
+		t.Errorf("impact read off the causality fold:\n  got  %v\n  want %v", m, want)
 	}
 }

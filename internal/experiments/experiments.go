@@ -26,9 +26,11 @@ import (
 
 // Suite holds a corpus and the analyses already run on it. Causality
 // results are cached per scenario, so rendering several tables shares
-// the mining work. The corpus may be in-memory (Corpus) or an
-// out-of-core source (Source); exactly one must be set, and in-memory
-// suites leave Source nil.
+// the mining work, and the analyzer is configured with the catalogue
+// thresholds, so the whole evaluation reads at most two folds of the
+// corpus (one, when it starts with Headline). The corpus may be
+// in-memory (Corpus) or an out-of-core source (Source); exactly one must
+// be set, and in-memory suites leave Source nil.
 type Suite struct {
 	Cfg    scenario.Config
 	Corpus *trace.Corpus
@@ -52,9 +54,16 @@ func NewSuiteOptions(cfg scenario.Config, opts ...core.Option) *Suite {
 	return &Suite{
 		Cfg:       cfg,
 		Corpus:    corpus,
-		An:        core.NewAnalyzer(corpus, opts...),
+		An:        newAnalyzer(corpus, opts),
 		causality: make(map[string]*core.CausalityResult),
 	}
+}
+
+// newAnalyzer configures the suite's analyzer with the catalogue
+// thresholds every Suite.Causality call uses (opts may override them).
+func newAnalyzer(src trace.Source, opts []core.Option) *core.Analyzer {
+	opts = append([]core.Option{core.WithThresholds(scenario.Thresholds)}, opts...)
+	return core.NewAnalyzer(src, opts...)
 }
 
 // NewSuiteFromSource indexes an existing corpus source (typically a
@@ -65,7 +74,7 @@ func NewSuiteFromSource(cfg scenario.Config, src trace.Source, opts ...core.Opti
 	s := &Suite{
 		Cfg:       cfg,
 		Source:    src,
-		An:        core.NewAnalyzer(src, opts...),
+		An:        newAnalyzer(src, opts),
 		causality: make(map[string]*core.CausalityResult),
 	}
 	if c, ok := src.(*trace.Corpus); ok {

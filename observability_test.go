@@ -9,7 +9,8 @@ import (
 )
 
 // obsPipelineSnapshot runs the instrumented pipeline — impact plus one
-// causality analysis over a directory-backed cached source — and
+// causality analysis, both off one fold of a directory-backed cached
+// source — and
 // returns the recorder's snapshot alongside the source's own counters.
 // The cache is unbounded so no evictions occur (eviction order under
 // concurrent workers is interleaving-dependent) and the recorder has no
@@ -76,8 +77,9 @@ func TestPipelineSnapshotDeterministic(t *testing.T) {
 
 // TestPipelineSnapshotReconciles: the counters of one instrumented run
 // agree with each other and with the source's own statistics — every
-// decoded stream is a cache miss and a decode span, every engine shard
-// is a shard span, and every causality phase ran exactly once.
+// decoded stream is a cache miss, a decode span and a stream folded,
+// every engine shard is a shard span, the two calls shared one fold,
+// and every causality phase ran exactly once.
 func TestPipelineSnapshotReconciles(t *testing.T) {
 	dir := t.TempDir()
 	corpus := tracescope.Generate(tracescope.GenerateConfig{Seed: 12, Streams: 8, Episodes: 5})
@@ -115,14 +117,68 @@ func TestPipelineSnapshotReconciles(t *testing.T) {
 	}
 
 	for _, phase := range []string{
-		"causality_classify", "causality_enumerate", "causality_select",
+		"analysis_fold", "causality_enumerate", "causality_select",
 		"causality_lift", "causality_rank", "causality_analysis", "impact_analysis",
 	} {
 		if h, ok := snap.Span(phase); !ok || h.Count != 1 {
 			t.Errorf("phase %s recorded %v times, want exactly 1", phase, h.Count)
 		}
 	}
-	if built := snap.Counter("impact_builders_built_total"); built == 0 {
-		t.Error("no wait-graph builders recorded")
+	if folded := snap.Counter("core_streams_ingested_total"); folded != decoded {
+		t.Errorf("streams folded %d != streams decoded %d", folded, decoded)
+	}
+}
+
+// TestNineCallPassDecodesEachStreamOnce: a traceanalyze-style pass —
+// Impact plus one Causality per selected scenario — through a stream
+// cache smaller than the corpus is one fold: every stream is decoded
+// exactly once, every instance's Wait Graph is built exactly once, and
+// the cache's only job is to bound residency during that sweep.
+func TestNineCallPassDecodesEachStreamOnce(t *testing.T) {
+	dir := t.TempDir()
+	corpus := tracescope.Generate(tracescope.GenerateConfig{Seed: 12, Streams: 8, Episodes: 5})
+	if err := tracescope.WriteCorpusDir(corpus, dir); err != nil {
+		t.Fatal(err)
+	}
+	src, err := tracescope.OpenCorpusDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 3
+	cached := tracescope.NewCachedSource(src, limit)
+	rec := tracescope.NewMemRecorder()
+	an := tracescope.NewAnalyzer(cached, tracescope.WithWorkers(2), tracescope.WithRecorder(rec))
+
+	an.Impact(tracescope.AllDrivers(), "")
+	calls := int64(1)
+	for _, name := range tracescope.SelectedScenarios() {
+		if len(src.InstancesOf(name)) == 0 {
+			continue // a small corpus may lack one
+		}
+		tf, ts, _ := tracescope.Thresholds(name)
+		if _, err := an.Causality(tracescope.CausalityConfig{Scenario: name, Tfast: tf, Tslow: ts}); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+	}
+	if err := an.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, streams := rec.Snapshot(), int64(src.NumStreams())
+	if decoded := snap.Counter("trace_streams_decoded_total"); decoded != streams {
+		t.Errorf("%d calls decoded %d streams, want each of %d once", calls, decoded, streams)
+	}
+	if h, _ := snap.Span("analysis_fold"); h.Count != 1 {
+		t.Errorf("%d calls ran %d folds, want 1", calls, h.Count)
+	}
+	if h, _ := snap.Span("causality_analysis"); h.Count != calls-1 {
+		t.Errorf("causality_analysis recorded %d times, want %d", h.Count, calls-1)
+	}
+	if built := an.GraphCacheStats().Misses; built != int64(src.NumInstances()) {
+		t.Errorf("%d calls built %d Wait Graphs, want each of %d once", calls, built, src.NumInstances())
+	}
+	if st := cached.Stats(); st.Hits != 0 || st.Misses != streams || st.Evictions != streams-limit {
+		t.Errorf("stream cache %+v, want 0 hits, %d misses, %d evictions", st, streams, streams-limit)
 	}
 }

@@ -28,6 +28,18 @@
 //	for _, p := range res.Patterns[:3] {
 //		fmt.Println(p.AvgC(), p.Tuple)
 //	}
+//
+// An Analyzer reads the corpus once. The developer thresholds are given
+// up front (NewAnalyzer defaults to the scenario catalogue's;
+// WithThresholds replaces them), the first analysis call folds every
+// stream — one Wait Graph per instance, feeding the impact metrics and
+// each scenario's fast/slow class graphs — and Impact and every
+// Causality call that uses those thresholds are answered from the folded
+// state. A Causality call may still carry thresholds of its own: that is
+// a different configuration, and costs one more sweep of the corpus (as
+// does a different component filter). Between calls the Analyzer keeps
+// the fold's aggregates — the impact metrics' distinct-wait sets and the
+// class graphs — and never a decoded stream.
 package tracescope
 
 import (
@@ -86,12 +98,14 @@ type (
 
 // Analysis types (§3–§4).
 type (
-	// Analyzer runs impact and causality analyses over a corpus. Over
-	// lazy sources, stream-fetch failures do not abort a shard run
-	// midway: the first is latched and reported by Analyzer.Err (and
-	// returned by Causality); the failed instances are treated as empty.
+	// Analyzer runs impact and causality analyses over a corpus, all
+	// answered from one fold of it. Over lazy sources a fold that cannot
+	// fetch a stream is not kept: Causality returns the error, Impact
+	// returns zero metrics, Analyzer.Err reports it, and the next call
+	// folds again.
 	Analyzer = core.Analyzer
-	// AnalyzerOption configures NewAnalyzer (WithWorkers, WithRecorder).
+	// AnalyzerOption configures NewAnalyzer (WithWorkers, WithRecorder,
+	// WithThresholds).
 	AnalyzerOption = core.Option
 	// ImpactMetrics carries Dscn/Dwait/Drun/Dwaitdist and the derived
 	// IArun, IAwait, IAopt.
@@ -269,21 +283,27 @@ func GenerateEachStream(cfg GenerateConfig, fn func(index int, s *Stream) error)
 // stream.
 func MotivatingCase() *Stream { return scenario.MotivatingCase() }
 
-// NewAnalyzer indexes a corpus source for impact and causality analyses.
-// Pass a *Corpus for in-memory analysis or a (usually cached) *DirSource
-// for out-of-core analysis; results are identical. Options configure
-// scheduling and observability:
+// NewAnalyzer prepares impact and causality analyses over a corpus
+// source. Pass a *Corpus for in-memory analysis or a (usually cached)
+// *DirSource for out-of-core analysis; results are identical. Nothing is
+// decoded until the first analysis call, which folds the corpus once.
+// Options configure scheduling, classification and observability:
 //
 //	an := tracescope.NewAnalyzer(src,
 //		tracescope.WithWorkers(8),
 //		tracescope.WithRecorder(rec))
 //
-// With no options the analyzer uses GOMAXPROCS workers and records
-// nothing. Results are bit-for-bit identical at any worker count. Over
-// lazy sources, check an.Err() after an analysis (Causality returns it
-// directly): stream-fetch failures are latched, not fatal mid-shard.
+// With no options the analyzer uses GOMAXPROCS workers, classifies
+// instances with the scenario catalogue's developer thresholds (as Diff
+// does; WithThresholds replaces them) and records nothing. Results are
+// bit-for-bit identical at any worker count. Over lazy sources, check
+// an.Err() after Impact (Causality returns the error directly): a fold
+// that cannot fetch a stream yields zero metrics, never partial ones.
 func NewAnalyzer(src Source, options ...AnalyzerOption) *Analyzer {
-	return core.NewAnalyzer(src, options...)
+	opts := make([]AnalyzerOption, 0, len(options)+1)
+	opts = append(opts, WithThresholds(scenario.Thresholds))
+	opts = append(opts, options...)
+	return core.NewAnalyzer(src, opts...)
 }
 
 // WithWorkers bounds the shard-and-merge worker pool of an analysis or
@@ -307,7 +327,7 @@ type (
 	// WithWorkers/WithRecorder).
 	DiffOption = core.DiffOption
 	// CommonOption is accepted by both NewAnalyzer and Diff — what
-	// WithWorkers and WithRecorder return.
+	// WithWorkers, WithRecorder and WithThresholds return.
 	CommonOption = core.CommonOption
 	// DiffResult is the outcome of a corpus-vs-corpus causality diff:
 	// the scenario alignment table, per-scenario edge and pattern
@@ -361,10 +381,12 @@ func Diff(base, cand Source, options ...DiffOption) (*DiffResult, error) {
 // default) means all drivers.
 func WithFilter(f *ComponentFilter) DiffOption { return core.WithFilter(f) }
 
-// WithThresholds supplies per-scenario fast/slow developer thresholds
-// for the diff's within-corpus contrast classes. Diff defaults to the
-// scenario catalogue's thresholds; pass nil to disable classification.
-func WithThresholds(fn func(scenario string) (tfast, tslow Duration, ok bool)) DiffOption {
+// WithThresholds supplies the per-scenario fast/slow developer
+// thresholds instances are classified with as the corpus is folded — by
+// an Analyzer (every Causality call that uses them is answered from the
+// one fold) and on both sides of a Diff. Both default to the scenario
+// catalogue's thresholds; pass nil to class nothing up front.
+func WithThresholds(fn func(scenario string) (tfast, tslow Duration, ok bool)) CommonOption {
 	return core.WithThresholds(fn)
 }
 
