@@ -19,7 +19,6 @@ import (
 	"tracescope/internal/mining"
 	"tracescope/internal/obs"
 	"tracescope/internal/trace"
-	"tracescope/internal/waitgraph"
 )
 
 // Options tunes how the analyzer schedules, classifies and observes its
@@ -69,14 +68,13 @@ type Options struct {
 // and answers read the held state and mutate only clones of its forests.
 type Analyzer struct {
 	src  trace.Source
-	imp  *impact.Analyzer // the "decode, use, drop" lookups of extensions.go
 	opts Options
 	rec  obs.Recorder
 
 	mu     sync.Mutex
 	held   *Incremental // the fold: fully folded, from then on only read
-	err    error        // the latest fold's failure; nil once a fold succeeds
-	graphs int64        // Wait Graphs built by every fold so far
+	err    error        // see Err
+	graphs int64        // Wait Graphs built so far, by folds and by the extensions' walks
 }
 
 // NewAnalyzer prepares impact and causality analyses over a corpus
@@ -96,50 +94,38 @@ func NewAnalyzer(src trace.Source, options ...Option) *Analyzer {
 	for _, opt := range options {
 		opt.applyAnalyzer(&opts)
 	}
-	a := &Analyzer{
-		src:  src,
-		imp:  impact.NewAnalyzer(src, waitgraph.Options{}),
-		opts: opts,
-		rec:  obs.OrNop(opts.Recorder),
-	}
 	if opts.Recorder != nil {
-		a.imp.SetRecorder(opts.Recorder)
 		if rs, ok := src.(interface{ SetRecorder(obs.Recorder) }); ok {
 			rs.SetRecorder(opts.Recorder)
 		}
 	}
-	return a
+	return &Analyzer{src: src, opts: opts, rec: obs.OrNop(opts.Recorder)}
 }
 
 // Source returns the corpus source under analysis.
 func (a *Analyzer) Source() trace.Source { return a.src }
 
 // Err reports the stream-fetch failure that made the latest fold fail
-// (or, failing that, the first one LocatePattern or ImpactByComponent
-// met). A fold that cannot fetch one of its streams is not kept:
-// Causality returns the error, Impact returns zero Metrics — never
-// numbers over part of the corpus — and the next analysis call folds
-// again, clearing Err when it succeeds. In-memory sources never fail.
+// or, if it did not fail, the first one LocatePattern or
+// ImpactByComponent has met since. No call answers over part of the
+// corpus: on a failed fetch Causality returns the error, Impact returns
+// zero Metrics and the two extensions return nil. A failed fold is not
+// kept, so the next analysis call folds again, and a fold that succeeds
+// clears Err. In-memory sources never fail.
 func (a *Analyzer) Err() error {
 	a.mu.Lock()
-	err := a.err
-	a.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return a.imp.Err()
+	defer a.mu.Unlock()
+	return a.err
 }
 
 // GraphCacheStats reports Wait-Graph construction: Misses counts every
-// graph built — by the Analyzer's folds, which build each instance's
-// graph once and cache none, and by the extensions' lookups — and Hits
-// the lookups served from the extensions' graph cache.
+// graph built — by the Analyzer's folds and by the extensions' walks,
+// each of which builds every graph it needs once and keeps none. Hits
+// is always 0 (see impact.CacheStats).
 func (a *Analyzer) GraphCacheStats() impact.CacheStats {
-	s := a.imp.GraphCacheStats()
 	a.mu.Lock()
-	s.Misses += a.graphs
-	a.mu.Unlock()
-	return s
+	defer a.mu.Unlock()
+	return impact.CacheStats{Misses: a.graphs}
 }
 
 // Impact measures the chosen components (nil means all drivers) over all

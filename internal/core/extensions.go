@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"tracescope/internal/impact"
 	"tracescope/internal/mining"
 	"tracescope/internal/sigset"
 	"tracescope/internal/trace"
@@ -51,6 +52,26 @@ func FilterKnown(patterns []mining.Pattern, known []KnownPattern) (actionable, b
 	return actionable, byDesign
 }
 
+// graphsOver is the extensions' decode-use-drop walk: fn sees the Wait
+// Graph of each ref, built from a stream that is fetched for the walk
+// and dropped when its last ref is done (impact.GraphsOver). It reports
+// whether every stream could be fetched; a failure is latched for Err
+// and the caller answers nil instead of a result over part of refs.
+func (a *Analyzer) graphsOver(refs []trace.InstanceRef, fn func(ref trace.InstanceRef, g *waitgraph.Graph, last bool)) bool {
+	var built int64
+	err := impact.GraphsOver(a.src, refs, func(ref trace.InstanceRef, g *waitgraph.Graph, last bool) {
+		built++
+		fn(ref, g, last)
+	})
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.graphs += built
+	if err != nil && a.err == nil {
+		a.err = err
+	}
+	return err == nil
+}
+
 // PatternOccurrence is a concrete scenario instance exhibiting a pattern,
 // for the analyst's drill-down into specific trace streams (§2.3: the
 // pattern "guides the analyst to realize the concrete performance
@@ -67,7 +88,8 @@ type PatternOccurrence struct {
 // Wait Graphs exhibit the pattern: every wait signature of the pattern
 // appears on some wait event reachable in the instance's graph, and every
 // running signature on some running or hardware event. Occurrences are
-// sorted slowest first and capped at limit (0 means 16).
+// sorted slowest first and capped at limit (0 means 16). If a stream
+// cannot be fetched the result is nil; see Err.
 func (a *Analyzer) LocatePattern(res *CausalityResult, p mining.Pattern, filter *trace.ComponentFilter, limit int) []PatternOccurrence {
 	if limit <= 0 {
 		limit = 16
@@ -84,13 +106,16 @@ func (a *Analyzer) LocatePattern(res *CausalityResult, p mining.Pattern, filter 
 		}
 	}
 	var out []PatternOccurrence
-	a.imp.GraphsOver(slowRefs, func(ref trace.InstanceRef, g *waitgraph.Graph) {
+	ok := a.graphsOver(slowRefs, func(ref trace.InstanceRef, g *waitgraph.Graph, _ bool) {
 		if matched, waits := graphExhibits(g, p.Tuple, filter); matched {
 			out = append(out, PatternOccurrence{
 				Ref: ref, Instance: a.src.InstanceMeta(ref), MatchedWait: waits,
 			})
 		}
 	})
+	if !ok {
+		return nil
+	}
 	// Equal durations are real (quantised simulated time), so a plain
 	// duration sort would order tied occurrences run-dependently; the
 	// instance reference is the total-order tie-break.
@@ -169,7 +194,8 @@ type ComponentImpact struct {
 // ImpactByComponent measures Dwait and Drun per driver module over the
 // given instances (nil means all), using top-level wait counting per
 // module. It answers "which driver?" before causality analysis answers
-// "which behaviour?".
+// "which behaviour?". If a stream cannot be fetched the result is nil;
+// see Err.
 func (a *Analyzer) ImpactByComponent(filter *trace.ComponentFilter, refs []trace.InstanceRef) []ComponentImpact {
 	if filter == nil {
 		filter = trace.AllDrivers()
@@ -187,7 +213,7 @@ func (a *Analyzer) ImpactByComponent(filter *trace.ComponentFilter, refs []trace
 		return ci
 	}
 	fc := trace.NewFilterCache(filter)
-	a.imp.GraphsOver(refs, func(ref trace.InstanceRef, g *waitgraph.Graph) {
+	ok := a.graphsOver(refs, func(ref trace.InstanceRef, g *waitgraph.Graph, last bool) {
 		seen := fc.BeginWalk(g.Stream)
 		var walk func(n *waitgraph.Node, covered bool)
 		walk = func(n *waitgraph.Node, covered bool) {
@@ -213,7 +239,13 @@ func (a *Analyzer) ImpactByComponent(filter *trace.ComponentFilter, refs []trace
 		for _, r := range g.Roots {
 			walk(r, false)
 		}
+		if last {
+			fc.Forget()
+		}
 	})
+	if !ok {
+		return nil
+	}
 	out := make([]ComponentImpact, 0, len(byModule))
 	for _, ci := range byModule {
 		out = append(out, *ci)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"tracescope/internal/impact"
@@ -78,7 +79,8 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 // Impact answers zero metrics (never numbers over the rest of the
 // corpus), Causality returns the error, Err reports it — and once the
 // file is back the same Analyzer folds again and answers as a fresh one
-// does.
+// does. The extensions hold to the same contract: nil and Err while the
+// file is lost, a fresh Analyzer's answer once it is back.
 func TestOutOfCoreFetchErrorLatches(t *testing.T) {
 	corpus := equivalenceCorpus(t)
 	dir := t.TempDir()
@@ -107,11 +109,26 @@ func TestOutOfCoreFetchErrorLatches(t *testing.T) {
 	if res, err := an.Causality(cfg); err == nil || res != nil {
 		t.Errorf("causality over a corpus with a lost stream: got %v, %v; want the fetch error", res, err)
 	}
+	// The extensions walk on their own, so they are asked through an
+	// Analyzer no failed fold has marked. LocatePattern takes a result
+	// mined from the whole corpus; stream 0 holds slow instances.
+	fresh := NewAnalyzer(corpus, WithWorkers(1), WithThresholds(scenario.Thresholds))
+	res, err := fresh.Causality(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := NewAnalyzer(trace.NewCachedSource(src, 2))
+	if got := ext.ImpactByComponent(nil, nil); got != nil || ext.Err() == nil {
+		t.Errorf("per-component impact over a corpus with a lost stream: got %v, Err %v; want nil and the fetch error", got, ext.Err())
+	}
+	ext = NewAnalyzer(trace.NewCachedSource(src, 2))
+	if got := ext.LocatePattern(res, res.Patterns[0], nil, 0); got != nil || ext.Err() == nil {
+		t.Errorf("locating a pattern over a corpus with a lost stream: got %v, Err %v; want nil and the fetch error", got, ext.Err())
+	}
 
 	if err := os.Rename(lost+".lost", lost); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewAnalyzer(corpus, WithWorkers(1), WithThresholds(scenario.Thresholds))
 	if got, want := an.Impact(trace.AllDrivers(), ""), fresh.Impact(trace.AllDrivers(), ""); got != want {
 		t.Errorf("impact after the file is back:\n  got  %v\n  want %v", got, want)
 	}
@@ -127,4 +144,13 @@ func TestOutOfCoreFetchErrorLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, name, got, want)
+
+	// The lost walk's error stays in ext.Err — a caller that checks once
+	// at the end must still see it — but the answers are whole again.
+	if got, want := ext.ImpactByComponent(nil, nil), fresh.ImpactByComponent(nil, nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("per-component impact after the file is back:\n  got  %v\n  want %v", got, want)
+	}
+	if got, want := ext.LocatePattern(res, res.Patterns[0], nil, 0), fresh.LocatePattern(res, res.Patterns[0], nil, 0); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("located occurrences after the file is back:\n  got  %v\n  want %v", got, want)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"tracescope/internal/mining"
 	"tracescope/internal/scenario"
 	"tracescope/internal/trace"
+	"tracescope/internal/trace/tracetest"
 	"tracescope/internal/waitgraph"
 )
 
@@ -103,4 +105,71 @@ func TestIngestReleasesStream(t *testing.T) {
 		runtime.KeepAlive(ag)
 		runtime.KeepAlive(fc)
 	})
+}
+
+// TestExtensionsReleaseStreams: LocatePattern and ImpactByComponent
+// decode, use and drop. Each call fetches every stream it needs exactly
+// once, GraphCacheStats counts exactly the graphs it walked, and when it
+// returns — with the Analyzer still alive — every stream it fetched is
+// collectable: nothing memoises a builder or a graph behind the call.
+func TestExtensionsReleaseStreams(t *testing.T) {
+	corpus := equivalenceCorpus(t)
+	dir := t.TempDir()
+	if err := corpus.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	dirSrc, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &tracetest.LiveSource{Source: dirSrc}
+	an := NewAnalyzer(src, WithWorkers(1), WithThresholds(scenario.Thresholds))
+	name := scenario.BrowserTabCreate
+	res := catalogueCausality(t, an, name)
+	if len(res.Patterns) == 0 {
+		t.Fatal("no pattern to locate")
+	}
+
+	// walked runs one extension call and checks its fetches, its graph
+	// count and that it left no stream reachable.
+	walked := func(what string, refs []trace.InstanceRef, call func()) {
+		t.Helper()
+		before := an.GraphCacheStats().Misses
+		src.Fetches = nil
+		call()
+		want := make(map[int]int)
+		for _, ref := range refs {
+			want[ref.Stream] = 1
+		}
+		if got := src.Fetches; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s fetched streams (index: times) %v, want each once: %v", what, got, want)
+		}
+		if got := an.GraphCacheStats().Misses - before; got != int64(len(refs)) {
+			t.Errorf("%s: GraphCacheStats().Misses rose by %d, want the %d graphs walked", what, got, len(refs))
+		}
+		if live := src.Settle(); live != 0 {
+			t.Errorf("%s returned and %d decoded streams are still referenced", what, live)
+		}
+	}
+
+	walked("ImpactByComponent", src.InstancesOf(""), func() {
+		if len(an.ImpactByComponent(nil, nil)) == 0 {
+			t.Error("ImpactByComponent: no components")
+		}
+	})
+	var slow []trace.InstanceRef
+	for _, ref := range src.InstancesOf(name) {
+		if src.InstanceMeta(ref).Duration() > res.Tslow {
+			slow = append(slow, ref)
+		}
+	}
+	walked("LocatePattern", slow, func() {
+		if len(an.LocatePattern(res, res.Patterns[0], nil, 4)) == 0 {
+			t.Error("LocatePattern: the top pattern is in no slow instance")
+		}
+	})
+	if an.GraphCacheStats().Hits != 0 {
+		t.Error("GraphCacheStats().Hits is not 0: nothing caches a graph")
+	}
+	runtime.KeepAlive(an)
 }

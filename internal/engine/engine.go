@@ -72,8 +72,8 @@ type Shard struct {
 	Refs []trace.InstanceRef
 }
 
-// ShardByStream partitions refs into at most maxShards shards, keeping
-// every stream's references within a single shard (stream-order
+// ShardByStreamWeighted partitions refs into at most maxShards shards,
+// keeping every stream's references within a single shard (stream-order
 // sharding). Input order is preserved inside each shard, and the
 // concatenation of all shards' Refs in Index order groups refs by stream
 // in first-appearance order. maxShards <= 1 yields a single shard.
@@ -81,17 +81,13 @@ type Shard struct {
 // Keeping streams whole is what makes the parallel path race-free: the
 // per-stream Wait-Graph builders memoise nodes on first use, so only one
 // worker may touch a stream during a map phase.
-func ShardByStream(refs []trace.InstanceRef, maxShards int) []Shard {
-	return ShardByStreamWeighted(refs, nil, maxShards)
-}
-
-// ShardByStreamWeighted is ShardByStream with an explicit per-stream
-// cost: shards are packed to roughly equal total weight instead of equal
-// instance counts. Lazy sources know each stream's event count from the
-// index without decoding, so sharding by it balances Wait-Graph
-// construction work even when streams vary widely in size. A nil weight
-// (or non-positive values) falls back to the stream's reference count.
-// Shard composition affects only load balance, never results: merges are
+//
+// Shards are packed to roughly equal total weight, weight being a
+// stream's cost. Lazy sources know each stream's event count from the index without
+// decoding, so sharding by it balances Wait-Graph construction work
+// even when streams vary widely in size. A nil weight (or non-positive
+// values) falls back to the stream's reference count. Shard composition
+// affects only load balance, never results: merges are
 // partition-invariant.
 func ShardByStreamWeighted(refs []trace.InstanceRef, weight func(stream int) int64, maxShards int) []Shard {
 	if len(refs) == 0 {

@@ -26,7 +26,7 @@ func TestShardByStreamNeverSplitsAStream(t *testing.T) {
 		}
 	}
 	for _, maxShards := range []int{1, 2, 3, 4, 8, 100} {
-		shards := ShardByStream(in, maxShards)
+		shards := ShardByStreamWeighted(in, nil, maxShards)
 		owner := make(map[int]int)
 		total := 0
 		for _, sh := range shards {
@@ -50,7 +50,7 @@ func TestShardByStreamNeverSplitsAStream(t *testing.T) {
 
 func TestShardByStreamPreservesOrderWithinStream(t *testing.T) {
 	in := refs([2]int{0, 2}, [2]int{1, 0}, [2]int{0, 5}, [2]int{1, 3}, [2]int{0, 9})
-	shards := ShardByStream(in, 2)
+	shards := ShardByStreamWeighted(in, nil, 2)
 	var flat []trace.InstanceRef
 	for _, sh := range shards {
 		flat = append(flat, sh.Refs...)
@@ -62,7 +62,7 @@ func TestShardByStreamPreservesOrderWithinStream(t *testing.T) {
 }
 
 func TestShardByStreamEmpty(t *testing.T) {
-	if got := ShardByStream(nil, 4); got != nil {
+	if got := ShardByStreamWeighted(nil, nil, 4); got != nil {
 		t.Fatalf("sharding no refs yielded %v", got)
 	}
 }

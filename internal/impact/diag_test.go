@@ -13,14 +13,12 @@ import (
 // top-level driver waits by their topmost frames.
 func TestDiagWaitBreakdown(t *testing.T) {
 	corpus := scenario.Generate(scenario.Config{Seed: 1, Streams: 12, Episodes: 12})
-	a := NewAnalyzer(corpus, waitgraph.Options{})
 	filter := trace.AllDrivers()
 
 	type agg struct{ dwait, ddist trace.Duration }
 	byKind := map[string]*agg{}
 	distinct := map[trace.EventID]bool{}
-	for _, ref := range corpus.InstancesOf("") {
-		g := a.Graph(ref)
+	err := GraphsOver(corpus, corpus.InstancesOf(""), func(_ trace.InstanceRef, g *waitgraph.Graph, _ bool) {
 		seen := map[trace.EventID]bool{}
 		var walk func(n *waitgraph.Node, covered bool)
 		walk = func(n *waitgraph.Node, covered bool) {
@@ -59,6 +57,9 @@ func TestDiagWaitBreakdown(t *testing.T) {
 		for _, r := range g.Roots {
 			walk(r, false)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	type row struct {
 		kind         string

@@ -14,8 +14,14 @@ import (
 func Example() {
 	stream := scenario.MotivatingCase()
 	corpus := trace.NewCorpus(stream)
-	a := impact.NewAnalyzer(corpus, waitgraph.Options{})
-	m := a.Analyze(trace.AllDrivers(), nil)
+	m := impact.NewPartial()
+	drivers := trace.NewFilterCache(trace.AllDrivers())
+	err := impact.GraphsOver(corpus, corpus.InstancesOf(""), func(_ trace.InstanceRef, g *waitgraph.Graph, _ bool) {
+		m.AddGraph(g, drivers)
+	})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("instances: %d\n", m.Instances)
 	fmt.Printf("waiting dominates CPU: %v\n", m.IAwait() > 3*m.IArun())
 	// Output:

@@ -13,9 +13,7 @@ package impact
 
 import (
 	"fmt"
-	"sync"
 
-	"tracescope/internal/obs"
 	"tracescope/internal/trace"
 	"tracescope/internal/waitgraph"
 )
@@ -70,183 +68,43 @@ func (m Metrics) String() string {
 		m.Instances, m.Dscn, m.IAwait()*100, m.IArun()*100, m.IAopt()*100, m.WaitDistinctRatio())
 }
 
-// Analyzer runs impact analyses over one corpus source, building
-// per-stream Wait-Graph builders lazily as streams are first fetched and
-// caching assembled instance graphs in a bounded cache shared with the
-// causality analysis.
-//
-// When the source is a *trace.CachedSource, the analyzer registers an
-// eviction hook so a stream's builder (which references the decoded
-// stream) is released the moment the cache evicts the stream — keeping
-// decoded memory proportional to the cache limit, not the corpus size.
-type Analyzer struct {
-	src    trace.Source
-	wgOpts waitgraph.Options
-	cache  *graphCache
-	rec    obs.Recorder
-
-	bmu      sync.Mutex
-	builders map[int]*waitgraph.Builder
-
-	emu sync.Mutex
-	err error
-}
-
-// evictionNotifier is satisfied by *trace.CachedSource; the analyzer
-// uses it to drop builders for evicted streams.
-type evictionNotifier interface {
-	AddEvictionHook(fn func(stream int))
-}
-
-// NewAnalyzer indexes the source for impact analysis. *trace.Corpus
-// satisfies trace.Source, so in-memory corpora pass through unchanged.
-func NewAnalyzer(src trace.Source, opts waitgraph.Options) *Analyzer {
-	a := &Analyzer{
-		src:      src,
-		wgOpts:   opts,
-		cache:    newGraphCache(DefaultGraphCacheLimit),
-		rec:      obs.Nop,
-		builders: make(map[int]*waitgraph.Builder),
-	}
-	if n, ok := src.(evictionNotifier); ok {
-		n.AddEvictionHook(a.dropBuilder)
-	}
-	return a
-}
-
-// Source returns the corpus source under analysis.
-func (a *Analyzer) Source() trace.Source { return a.src }
-
-// SetRecorder routes the analyzer's observability events (Wait-Graph
-// build spans, graph-cache counters) to r. Call before concurrent use;
-// nil restores the no-op recorder.
-func (a *Analyzer) SetRecorder(r obs.Recorder) { a.rec = obs.OrNop(r) }
-
-// Err returns the first stream-fetch failure encountered, if any.
-// In-memory sources never fail; lazy sources can (missing or corrupt
-// stream files). Analyses proceed past failures treating the failed
-// instances as empty, so callers over lazy sources should check Err
-// after an analysis.
-func (a *Analyzer) Err() error {
-	a.emu.Lock()
-	defer a.emu.Unlock()
-	return a.err
-}
-
-func (a *Analyzer) setErr(err error) {
-	a.emu.Lock()
-	if a.err == nil {
-		a.err = err
-	}
-	a.emu.Unlock()
-}
-
-// builder returns (building if needed) the Wait-Graph builder for stream
-// i. Concurrent first builds of the same stream must be partitioned by
-// the caller (the engine's stream sharding does this); the map itself is
-// guarded so eviction hooks may fire from other workers.
-func (a *Analyzer) builder(i int) (*waitgraph.Builder, error) {
-	a.bmu.Lock()
-	b := a.builders[i]
-	a.bmu.Unlock()
-	if b != nil {
-		return b, nil
-	}
-	sp := a.rec.Start("impact_wait_graph_build")
-	s, err := a.src.Stream(i)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	b = waitgraph.NewBuilder(s, i, a.wgOpts)
-	sp.End()
-	a.rec.Add("impact_builders_built_total", 1)
-	a.bmu.Lock()
-	if exist, ok := a.builders[i]; ok {
-		b = exist // another worker won the build race; adopt its builder
-	} else {
-		a.builders[i] = b
-	}
-	a.bmu.Unlock()
-	return b, nil
-}
-
-// dropBuilder releases stream i's builder (and with it the decoded
-// stream it references); a later fetch rebuilds it from the same bytes,
-// so results are unaffected. Cached graphs of the stream are purged too:
-// they would keep the evicted stream resident, defeating the cache
-// bound.
-func (a *Analyzer) dropBuilder(i int) {
-	a.bmu.Lock()
-	delete(a.builders, i)
-	a.bmu.Unlock()
-	if evicted := a.cache.dropStream(i); evicted > 0 {
-		a.rec.Add("impact_graph_cache_evictions_total", evicted)
-	}
-}
-
-// GraphsOver builds each instance's Wait Graph in order and hands it to
-// fn.
-func (a *Analyzer) GraphsOver(refs []trace.InstanceRef, fn func(ref trace.InstanceRef, g *waitgraph.Graph)) {
-	for _, ref := range refs {
-		fn(ref, a.Graph(ref))
-	}
-}
-
-// Graph builds (or retrieves) the Wait Graph of an instance. Cache
-// lookups are thread-safe; concurrent first builds of the same stream
-// must be partitioned by the caller (the engine's stream sharding does
-// this). A stream-fetch failure is latched in Err and yields an empty
-// graph.
-func (a *Analyzer) Graph(ref trace.InstanceRef) *waitgraph.Graph {
-	if g := a.cache.get(ref); g != nil {
-		a.rec.Add("impact_graph_cache_hits_total", 1)
-		return g
-	}
-	a.rec.Add("impact_graph_cache_misses_total", 1)
-	b, err := a.builder(ref.Stream)
-	if err != nil {
-		a.setErr(fmt.Errorf("impact: stream %d: %w", ref.Stream, err))
-		a.rec.Add("impact_fetch_errors_total", 1)
-		return &waitgraph.Graph{
-			Stream:      trace.NewStream("<fetch error>"),
-			StreamIndex: ref.Stream,
+// GraphsOver builds the Wait Graph of every referenced instance and
+// hands it to fn, in refs order. Refs from Source.InstancesOf arrive
+// grouped by stream, so each stream is fetched once: the walk fetches a
+// stream, builds one Wait-Graph builder over it, assembles the graphs
+// the refs ask for, then drops both before it fetches the next stream.
+// last tells fn that the stream ends with this graph: whatever fn's
+// caller still holds of the stream (a trace.FilterCache bound to it, a
+// per-stream aggregate) must go now, and then nothing is kept — the
+// stream, its builder and its graphs are garbage when fn returns.
+// The first fetch error stops the walk and is returned; graphs handed
+// out before it cover only part of refs, so the caller must discard
+// what it accumulated from them.
+func GraphsOver(src trace.Source, refs []trace.InstanceRef, fn func(ref trace.InstanceRef, g *waitgraph.Graph, last bool)) error {
+	var b *waitgraph.Builder
+	for k, ref := range refs {
+		if b == nil {
+			s, err := src.Stream(ref.Stream)
+			if err != nil {
+				return fmt.Errorf("impact: stream %d: %w", ref.Stream, err)
+			}
+			b = waitgraph.NewBuilder(s, ref.Stream, waitgraph.Options{})
 		}
+		g := b.Instance(b.Stream().Instances[ref.Instance])
+		last := k+1 == len(refs) || refs[k+1].Stream != ref.Stream
+		if last {
+			b = nil
+		}
+		fn(ref, g, last)
 	}
-	sp := a.rec.Start("impact_graph_assemble")
-	g := b.Instance(b.Stream().Instances[ref.Instance])
-	sp.End()
-	if evicted := a.cache.put(ref, g); evicted > 0 {
-		a.rec.Add("impact_graph_cache_evictions_total", evicted)
-	}
-	return g
+	return nil
 }
 
-// GraphCacheStats reports the Wait-Graph cache's hit/miss/eviction
-// counters and current size.
-func (a *Analyzer) GraphCacheStats() CacheStats { return a.cache.statsSnapshot() }
-
-// SetGraphCacheLimit rebounds the Wait-Graph cache (0 disables caching),
-// evicting oldest entries if the cache already exceeds the new limit.
-func (a *Analyzer) SetGraphCacheLimit(n int) { a.cache.setLimit(n) }
-
-// Analyze measures the chosen components over the given instances (nil
-// means every instance in the corpus).
-func (a *Analyzer) Analyze(filter *trace.ComponentFilter, refs []trace.InstanceRef) Metrics {
-	if refs == nil {
-		refs = a.src.InstancesOf("")
-	}
-	return a.AnalyzeShard(filter, refs).Metrics
-}
-
-// AnalyzeShard measures the chosen components over one shard of
-// instances, returning the mergeable partial. The sequential Analyze is
-// the one-shard special case.
-func (a *Analyzer) AnalyzeShard(filter *trace.ComponentFilter, refs []trace.InstanceRef) *Partial {
-	p := NewPartial()
-	cache := trace.NewFilterCache(filter)
-	a.GraphsOver(refs, func(_ trace.InstanceRef, g *waitgraph.Graph) {
-		p.AddGraph(g, cache)
-	})
-	return p
+// CacheStats counts Wait-Graph construction (core.Analyzer's
+// GraphCacheStats). The name and the Hits field are what the benchmark
+// driver reads; no Wait Graph is cached anywhere, so Hits is always 0
+// until a benchmark change renames them.
+type CacheStats struct {
+	Hits   int64
+	Misses int64 // Wait Graphs built
 }

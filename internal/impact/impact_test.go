@@ -1,6 +1,8 @@
 package impact
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"tracescope/internal/scenario"
@@ -8,11 +10,31 @@ import (
 	"tracescope/internal/waitgraph"
 )
 
+// analyzeShard measures filter over refs (nil means every instance): one
+// Partial fed by one GraphsOver walk.
+func analyzeShard(t testing.TB, src trace.Source, filter *trace.ComponentFilter, refs []trace.InstanceRef) *Partial {
+	t.Helper()
+	if refs == nil {
+		refs = src.InstancesOf("")
+	}
+	p := NewPartial()
+	fc := trace.NewFilterCache(filter)
+	err := GraphsOver(src, refs, func(_ trace.InstanceRef, g *waitgraph.Graph, _ bool) { p.AddGraph(g, fc) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func analyze(t testing.TB, src trace.Source, filter *trace.ComponentFilter, refs []trace.InstanceRef) Metrics {
+	t.Helper()
+	return analyzeShard(t, src, filter, refs).Metrics
+}
+
 func TestMotivatingCaseMetrics(t *testing.T) {
 	s := scenario.MotivatingCase()
 	c := trace.NewCorpus(s)
-	a := NewAnalyzer(c, waitgraph.Options{})
-	m := a.Analyze(trace.AllDrivers(), nil)
+	m := analyze(t, c, trace.AllDrivers(), nil)
 
 	if m.Instances != 3 {
 		t.Fatalf("instances = %d, want 3", m.Instances)
@@ -41,8 +63,7 @@ func TestMotivatingCaseMetrics(t *testing.T) {
 func TestEmptyFilterMatchesNothing(t *testing.T) {
 	s := scenario.MotivatingCase()
 	c := trace.NewCorpus(s)
-	a := NewAnalyzer(c, waitgraph.Options{})
-	m := a.Analyze(trace.NewComponentFilter(), nil)
+	m := analyze(t, c, trace.NewComponentFilter(), nil)
 	if m.Dwait != 0 || m.Drun != 0 || m.Dwaitdist != 0 {
 		t.Errorf("empty filter matched time: %+v", m)
 	}
@@ -54,16 +75,15 @@ func TestEmptyFilterMatchesNothing(t *testing.T) {
 func TestSubsetOfInstances(t *testing.T) {
 	s := scenario.MotivatingCase()
 	c := trace.NewCorpus(s)
-	a := NewAnalyzer(c, waitgraph.Options{})
 	refs := c.InstancesOf(scenario.BrowserTabCreate)
 	if len(refs) != 1 {
 		t.Fatalf("got %d BrowserTabCreate refs, want 1", len(refs))
 	}
-	m := a.Analyze(trace.AllDrivers(), refs)
+	m := analyze(t, c, trace.AllDrivers(), refs)
 	if m.Instances != 1 {
 		t.Errorf("instances = %d, want 1", m.Instances)
 	}
-	all := a.Analyze(trace.AllDrivers(), nil)
+	all := analyze(t, c, trace.AllDrivers(), nil)
 	if m.Dscn >= all.Dscn {
 		t.Errorf("subset Dscn %v >= full Dscn %v", m.Dscn, all.Dscn)
 	}
@@ -76,9 +96,8 @@ func TestNoDoubleCountingNestedDriverWaits(t *testing.T) {
 	// more than the parallelism the graph actually has.
 	s := scenario.MotivatingCase()
 	c := trace.NewCorpus(s)
-	a := NewAnalyzer(c, waitgraph.Options{})
 	refs := c.InstancesOf(scenario.BrowserTabCreate)
-	m := a.Analyze(trace.AllDrivers(), refs)
+	m := analyze(t, c, trace.AllDrivers(), refs)
 	if m.Dwait > m.Dscn {
 		t.Errorf("single-instance Dwait %v exceeds Dscn %v: nested waits double-counted", m.Dwait, m.Dscn)
 	}
@@ -94,8 +113,7 @@ func TestHeadlineBands(t *testing.T) {
 		t.Skip("corpus generation in -short mode")
 	}
 	corpus := scenario.Generate(scenario.Config{Seed: 1, Streams: 24, Episodes: 12})
-	a := NewAnalyzer(corpus, waitgraph.Options{})
-	m := a.Analyze(trace.AllDrivers(), nil)
+	m := analyze(t, corpus, trace.AllDrivers(), nil)
 	t.Logf("headline: %v", m)
 
 	if m.IAwait() < 0.15 || m.IAwait() > 0.65 {
@@ -121,8 +139,7 @@ func TestHeadlineBands(t *testing.T) {
 func TestImpactInvariantsProperty(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		corpus := scenario.Generate(scenario.Config{Seed: seed, Streams: 2, Episodes: 5})
-		a := NewAnalyzer(corpus, waitgraph.Options{})
-		m := a.Analyze(trace.AllDrivers(), nil)
+		m := analyze(t, corpus, trace.AllDrivers(), nil)
 		if m.Dwaitdist > m.Dwait {
 			t.Errorf("seed %d: Dwaitdist %v > Dwait %v", seed, m.Dwaitdist, m.Dwait)
 		}
@@ -138,5 +155,69 @@ func TestImpactInvariantsProperty(t *testing.T) {
 		if r := m.WaitDistinctRatio(); m.Dwaitdist > 0 && r < 1 {
 			t.Errorf("seed %d: ratio %v < 1", seed, r)
 		}
+	}
+}
+
+// TestPartialMergeMatchesSequential: merging per-shard partials in any
+// grouping reproduces the one-pass metrics, including the distinct-wait
+// deduplication across shard boundaries.
+func TestPartialMergeMatchesSequential(t *testing.T) {
+	corpus := scenario.Generate(scenario.Config{Seed: 11, Streams: 6, Episodes: 4})
+	refs := corpus.InstancesOf("")
+	want := analyze(t, corpus, trace.AllDrivers(), refs)
+
+	for _, parts := range []int{2, 3, 5} {
+		merged := NewPartial()
+		per := (len(refs) + parts - 1) / parts
+		for lo := 0; lo < len(refs); lo += per {
+			hi := lo + per
+			if hi > len(refs) {
+				hi = len(refs)
+			}
+			merged.Merge(analyzeShard(t, corpus, trace.AllDrivers(), refs[lo:hi]))
+		}
+		if merged.Metrics != want {
+			t.Errorf("%d-way merge differs:\n  %v\n  %v", parts, merged.Metrics, want)
+		}
+	}
+}
+
+// lossySource fails the fetch of one stream.
+type lossySource struct {
+	trace.Source
+	lost int
+}
+
+var errLost = errors.New("stream file is gone")
+
+func (s lossySource) Stream(i int) (*trace.Stream, error) {
+	if i == s.lost {
+		return nil, errLost
+	}
+	return s.Source.Stream(i)
+}
+
+// TestGraphsOverStopsAtFetchError: the walk hands out graphs in refs
+// order, flagging each stream's last, up to the first stream it cannot
+// fetch, then returns that error; it never substitutes a graph for the
+// stream it lost.
+func TestGraphsOverStopsAtFetchError(t *testing.T) {
+	corpus := scenario.Generate(scenario.Config{Seed: 3, Streams: 3, Episodes: 2})
+	refs := corpus.InstancesOf("")
+	var seen []trace.InstanceRef
+	err := GraphsOver(lossySource{corpus, 1}, refs, func(ref trace.InstanceRef, g *waitgraph.Graph, last bool) {
+		if g.StreamIndex != ref.Stream || g.Instance != corpus.InstanceMeta(ref) {
+			t.Errorf("ref %+v got the graph of stream %d, instance %+v", ref, g.StreamIndex, g.Instance)
+		}
+		if want := ref.Instance == len(corpus.Streams[ref.Stream].Instances)-1; last != want {
+			t.Errorf("ref %+v: last = %v, want %v", ref, last, want)
+		}
+		seen = append(seen, ref)
+	})
+	if !errors.Is(err, errLost) {
+		t.Fatalf("err = %v, want the fetch error", err)
+	}
+	if want := corpus.Streams[0].Instances; len(seen) != len(want) || !reflect.DeepEqual(seen, refs[:len(want)]) {
+		t.Errorf("walked %v, want exactly stream 0's refs %v", seen, refs[:len(want)])
 	}
 }

@@ -558,7 +558,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		Workers:     s.cfg.Workers,
 		Recorder:    s.rec,
 	})
-	if err := base.IngestSource(trace.NewCachedSource(baseSrc, diffBaselineCache)); err != nil {
+	if err := base.IngestSource(baseSrc); err != nil {
 		httpError(w, s.rec, http.StatusInternalServerError, "profiling baseline: %v", err)
 		return
 	}
@@ -583,10 +583,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.rec.Add("ingest_response_errors_total", 1)
 	}
 }
-
-// diffBaselineCache bounds the decoded-stream LRU while profiling a
-// /diff baseline — the same default the traceanalyze -cache flag uses.
-const diffBaselineCache = 64
 
 // handleCorpus reports the on-disk corpus shape: stream totals plus the
 // per-scenario instance counts.

@@ -29,8 +29,9 @@ type SourceCacheStats struct {
 // is safe for concurrent use by shard workers: lookups and bookkeeping
 // are mutex-guarded, and concurrent fetches of the same stream share one
 // decode. With limit n and w concurrent fetchers, at most n + w decoded
-// streams are held at any moment (eviction hooks let dependents — e.g.
-// per-stream Wait-Graph builders — release their references in step).
+// streams are held at any moment. Nothing is told of an eviction: a
+// consumer holds a stream only for its own walk over it, so an evicted
+// stream is garbage as soon as the walks using it end.
 type CachedSource struct {
 	src   Source
 	rec   obs.Recorder
@@ -42,7 +43,6 @@ type CachedSource struct {
 	streams map[int]*Stream
 	pending map[int]*pendingFetch
 	stats   SourceCacheStats
-	hooks   []func(stream int)
 }
 
 type pendingFetch struct {
@@ -138,7 +138,7 @@ func (c *CachedSource) Stream(i int) (*Stream, error) {
 
 	c.mu.Lock()
 	delete(c.pending, i)
-	var evicted []int
+	var evicted int64
 	if p.err == nil {
 		c.entries[i] = c.lru.PushFront(i)
 		c.streams[i] = p.s
@@ -147,10 +147,9 @@ func (c *CachedSource) Stream(i int) (*Stream, error) {
 	}
 	c.mu.Unlock()
 	close(p.done)
-	if len(evicted) > 0 {
-		rec.Add("source_cache_evictions_total", int64(len(evicted)))
+	if evicted > 0 {
+		rec.Add("source_cache_evictions_total", evicted)
 	}
-	c.notifyEvicted(evicted)
 	return p.s, p.err
 }
 
@@ -166,23 +165,14 @@ func (c *CachedSource) Stats() SourceCacheStats {
 	return s
 }
 
-// AddEvictionHook registers fn to run whenever a stream leaves the
-// cache, so dependents holding per-stream state (Wait-Graph builders)
-// can release it and keep total decoded-stream memory bounded. Hooks run
-// outside the cache lock and must be registered before concurrent use.
-func (c *CachedSource) AddEvictionHook(fn func(stream int)) {
-	c.mu.Lock()
-	c.hooks = append(c.hooks, fn)
-	c.mu.Unlock()
-}
-
 // evictOverLimitLocked drops least-recently-used entries until the cache
-// fits the limit, returning the dropped stream indices.
-func (c *CachedSource) evictOverLimitLocked() []int {
+// fits the limit, returning how many it dropped. The decoded streams are
+// never reused: the garbage collector reclaims them.
+func (c *CachedSource) evictOverLimitLocked() int64 {
 	if c.limit <= 0 {
-		return nil
+		return 0
 	}
-	var evicted []int
+	var evicted int64
 	for len(c.streams) > c.limit {
 		el := c.lru.Back()
 		if el == nil {
@@ -192,7 +182,7 @@ func (c *CachedSource) evictOverLimitLocked() []int {
 		delete(c.entries, i)
 		delete(c.streams, i)
 		c.stats.Evictions++
-		evicted = append(evicted, i)
+		evicted++
 	}
 	return evicted
 }
@@ -201,22 +191,5 @@ func (c *CachedSource) evictOverLimitLocked() []int {
 func (c *CachedSource) noteHeldLocked() {
 	if held := len(c.streams) + len(c.pending); held > c.stats.HighWater {
 		c.stats.HighWater = held
-	}
-}
-
-// notifyEvicted runs the eviction hooks for each dropped stream. The
-// decoded streams themselves are never reused: once dependents drop
-// their references the garbage collector reclaims them.
-func (c *CachedSource) notifyEvicted(evicted []int) {
-	if len(evicted) == 0 {
-		return
-	}
-	c.mu.Lock()
-	hooks := c.hooks
-	c.mu.Unlock()
-	for _, i := range evicted {
-		for _, fn := range hooks {
-			fn(i)
-		}
 	}
 }

@@ -1,10 +1,15 @@
-// Package tracetest builds small adversarial trace streams for the
-// analysis kernel's equivalence tests (waitgraph, impact, awg): the
-// shapes a recorder rarely emits but the kernel must still get right.
+// Package tracetest is test support for the trace consumers: small
+// adversarial trace streams for the analysis kernel's equivalence tests
+// (waitgraph, impact, awg) — the shapes a recorder rarely emits but the
+// kernel must still get right — and a source that watches the lifetime
+// of the streams it hands out.
 package tracetest
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"time"
 
 	"tracescope/internal/stats"
 	"tracescope/internal/trace"
@@ -95,4 +100,64 @@ func RandomStream(seed int64, threads, steps int) *trace.Stream {
 	}
 	s.SortEvents()
 	return s
+}
+
+// LiveSource wraps a lazy source — one that decodes a new stream on
+// every fetch, such as a *trace.DirSource — and watches, through a
+// finalizer, the lifetime of each stream it hands out: the lifetime
+// tests use it to show that a sequential analysis pass fetches each
+// stream once and keeps none. Every fetch first waits (Settle) for the
+// collector to reclaim the streams already handed out, so MaxLive is
+// what the pass keeps reachable, not the collector's lag. Read the
+// fields between passes only.
+type LiveSource struct {
+	trace.Source
+	// Fetches counts the fetches of each stream, by stream index; set
+	// it to nil to start a new count.
+	Fetches map[int]int
+	// MaxLive is the most handed-out streams that were alive at once.
+	MaxLive int
+
+	mu   sync.Mutex
+	live int // handed out and not yet reclaimed
+}
+
+// Stream fetches stream i from the wrapped source and tracks it.
+func (l *LiveSource) Stream(i int) (*trace.Stream, error) {
+	l.Settle()
+	s, err := l.Source.Stream(i)
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.Fetches == nil {
+		l.Fetches = make(map[int]int)
+	}
+	l.Fetches[i]++
+	l.live++
+	l.MaxLive = max(l.MaxLive, l.live)
+	runtime.SetFinalizer(s, func(*trace.Stream) {
+		l.mu.Lock()
+		l.live--
+		l.mu.Unlock()
+	})
+	return s, nil
+}
+
+// Settle runs the collector until every stream handed out has been
+// reclaimed, giving up after 400 tries (two seconds and more), and
+// returns how many are still alive: the streams something still
+// references.
+func (l *LiveSource) Settle() int {
+	for tries := 1; ; tries++ {
+		runtime.GC()
+		l.mu.Lock()
+		live := l.live
+		l.mu.Unlock()
+		if live == 0 || tries == 400 {
+			return live
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -27,43 +27,112 @@ import (
 func semanticFilter() *trace.ComponentFilter { return trace.NewComponentFilter("*") }
 
 // vetSemantic runs the analysis-layer conservation rules over a source
-// whose structural rules passed. Findings are positioned on the stream
-// artifact (per-instance checks) or on the synthetic "corpus" artifact
-// (per-scenario aggregate checks).
+// whose structural rules passed, in one stream-major pass: each stream
+// is fetched once, each instance's Wait Graph is built once and feeds
+// its scenario's conserveCheck, and the stream is dropped before the
+// next is fetched — what stays resident is per-scenario aggregates.
+// Findings are positioned on the stream artifact (per-instance checks)
+// or on the synthetic "corpus" artifact (per-scenario aggregate
+// checks) and come out scenario by scenario, in src.Scenarios() order.
+// Identities checked over part of a corpus prove nothing, so if a
+// stream cannot be fetched that failure is the only finding.
 func vetSemantic(src trace.Source, opts Options) []diag.Diagnostic {
 	checkImpact := opts.enabled("impact-conserve")
 	checkAWG := opts.enabled("awg-conserve")
 	if !checkImpact && !checkAWG {
 		return nil
 	}
-	var diags []diag.Diagnostic
-	an := impact.NewAnalyzer(src, waitgraph.Options{})
-	filter := semanticFilter()
+	// One resolver for every consumer of the pass, forgotten at each
+	// stream's end so it never keeps the stream alive (DESIGN.md §10).
+	fc := trace.NewFilterCache(semanticFilter())
+	checks := make(map[string]*conserveCheck)
+	var open []*conserveCheck // checks holding a shard of the current stream
 
-	for _, sc := range src.Scenarios() {
-		refs := src.InstancesOf(sc.Name)
+	err := impact.GraphsOver(src, src.InstancesOf(""), func(ref trace.InstanceRef, g *waitgraph.Graph, last bool) {
+		meta := src.InstanceMeta(ref)
+		c := checks[meta.Scenario]
+		if c == nil {
+			c = newConserveCheck(fc)
+			checks[meta.Scenario] = c
+		}
 		if checkImpact {
-			diags = append(diags, vetImpactConserve(src, an, filter, sc.Name, refs)...)
+			c.addImpact(src, ref, meta, g, fc)
 		}
 		if checkAWG {
-			diags = append(diags, vetAWGConserve(an, filter, sc.Name, refs)...)
+			if c.shard == nil {
+				c.shard = awg.NewAggregatorOn(fc, awg.Options{})
+				open = append(open, c)
+			}
+			c.seq.Add(g)
+			c.shard.Add(g)
 		}
+		if last {
+			for _, c := range open {
+				c.merged.Merge(c.shard.Partial())
+				c.shard = nil
+			}
+			open = open[:0]
+			fc.Forget()
+		}
+	})
+	if err != nil {
+		return []diag.Diagnostic{vd("corpus", 1, "impact-conserve", diag.SevError,
+			"semantic phase could not fetch every stream: %v", err)}
 	}
-	if err := an.Err(); err != nil {
-		diags = append(diags, vd("corpus", 1, "impact-conserve", diag.SevError,
-			"semantic phase could not fetch every stream: %v", err))
+	var diags []diag.Diagnostic
+	for _, sc := range src.Scenarios() {
+		if c := checks[sc.Name]; c != nil {
+			diags = append(diags, c.findings(sc.Name)...)
+		}
 	}
 	return diags
 }
 
-// vetImpactConserve re-derives the impact identities for one scenario:
-// scenario-wide Dwaitdist <= Dwait (equivalently IAopt <= IAwait — the
-// distinct-wait set is a subset of the counted waits), and per instance
-// Dwaitdist <= wall time (distinct waits are counted once and each is
-// bounded by the window that contains it).
-func vetImpactConserve(src trace.Source, an *impact.Analyzer, filter *trace.ComponentFilter, scenario string, refs []trace.InstanceRef) []diag.Diagnostic {
+// conserveCheck is one scenario's state in the semantic pass. A rule
+// that is off feeds nothing in, and empty state yields no finding.
+type conserveCheck struct {
+	// impact-conserve: the partial over every instance of the scenario,
+	// and the per-instance findings in ref order.
+	whole     *impact.Partial
+	instances []diag.Diagnostic
+	// awg-conserve: the sequential aggregate of every graph in ref
+	// order, the per-stream shards merged in stream order, and the
+	// current stream's shard (nil between streams).
+	seq, merged, shard *awg.Aggregator
+}
+
+func newConserveCheck(fc *trace.FilterCache) *conserveCheck {
+	return &conserveCheck{
+		whole:  impact.NewPartial(),
+		seq:    awg.NewAggregatorOn(fc, awg.Options{}),
+		merged: awg.NewAggregatorOn(fc, awg.Options{}),
+	}
+}
+
+// addImpact folds one instance into the scenario's partial and checks
+// the per-instance identity: Dwaitdist <= wall time (distinct waits are
+// counted once and each is bounded by the window that contains it).
+func (c *conserveCheck) addImpact(src trace.Source, ref trace.InstanceRef, meta trace.Instance, g *waitgraph.Graph, fc *trace.FilterCache) {
+	c.whole.AddGraph(g, fc)
+	one := impact.NewPartial()
+	one.AddGraph(g, fc)
+	if wall := meta.Duration(); one.Dwaitdist > wall {
+		c.instances = append(c.instances, vd(streamArtifact(src, ref.Stream), ref.Instance+1, "impact-conserve", diag.SevError,
+			"scenario %q instance %d of stream %d: distinct wait %d exceeds the instance's wall time %d",
+			meta.Scenario, ref.Instance, ref.Stream, int64(one.Dwaitdist), int64(wall)))
+	}
+}
+
+// findings emits the scenario's findings once the pass is over, impact
+// before AWG. Scenario-wide, impact conserves when Dwaitdist <= Dwait
+// (equivalently IAopt <= IAwait — the distinct-wait set is a subset of
+// the counted waits) and no aggregate is negative; the AWG conserves
+// when the per-stream sharded aggregation serializes identically to the
+// sequential aggregate — the merge operations are commutative and
+// associative by design, and this rule re-proves it on real data.
+func (c *conserveCheck) findings(scenario string) []diag.Diagnostic {
 	var diags []diag.Diagnostic
-	whole := an.AnalyzeShard(filter, refs)
+	whole := c.whole.Metrics
 	if whole.Dwaitdist > whole.Dwait {
 		diags = append(diags, vd("corpus", 1, "impact-conserve", diag.SevError,
 			"scenario %q: Dwaitdist %d exceeds Dwait %d (IAopt > IAwait)",
@@ -74,14 +143,14 @@ func vetImpactConserve(src trace.Source, an *impact.Analyzer, filter *trace.Comp
 			"scenario %q: negative impact aggregate (Dscn=%d Dwait=%d Drun=%d Dwaitdist=%d)",
 			scenario, int64(whole.Dscn), int64(whole.Dwait), int64(whole.Drun), int64(whole.Dwaitdist)))
 	}
-	for k, ref := range refs {
-		one := an.AnalyzeShard(filter, refs[k:k+1])
-		wall := src.InstanceMeta(ref).Duration()
-		if one.Dwaitdist > wall {
-			diags = append(diags, vd(streamArtifact(src, ref.Stream), ref.Instance+1, "impact-conserve", diag.SevError,
-				"scenario %q instance %d of stream %d: distinct wait %d exceeds the instance's wall time %d",
-				scenario, ref.Instance, ref.Stream, int64(one.Dwaitdist), int64(wall)))
-		}
+	diags = append(diags, c.instances...)
+
+	want := serializeForest(c.seq.Finish())
+	got := serializeForest(c.merged.Finish())
+	if want != got {
+		diags = append(diags, vd("corpus", 1, "awg-conserve", diag.SevError,
+			"scenario %q: per-stream sharded AWG aggregation disagrees with the sequential aggregate (%s)",
+			scenario, forestDiffHint(want, got)))
 	}
 	return diags
 }
@@ -92,37 +161,6 @@ func streamArtifact(src trace.Source, i int) string {
 		return f
 	}
 	return fmt.Sprintf("stream[%d]", i)
-}
-
-// vetAWGConserve checks AWG aggregation cost conservation for one
-// scenario: a per-stream sharded aggregation merged in stream order
-// must serialize identically to the sequential aggregate — the merge
-// operations are commutative and associative by design, and this rule
-// re-proves it on real data.
-func vetAWGConserve(an *impact.Analyzer, filter *trace.ComponentFilter, scenario string, refs []trace.InstanceRef) []diag.Diagnostic {
-	seq := awg.NewAggregator(filter, awg.Options{})
-	an.GraphsOver(refs, func(_ trace.InstanceRef, g *waitgraph.Graph) { seq.Add(g) })
-
-	merged := awg.NewAggregator(filter, awg.Options{})
-	for start := 0; start < len(refs); {
-		end := start
-		for end < len(refs) && refs[end].Stream == refs[start].Stream {
-			end++
-		}
-		shard := awg.NewAggregator(filter, awg.Options{})
-		an.GraphsOver(refs[start:end], func(_ trace.InstanceRef, g *waitgraph.Graph) { shard.Add(g) })
-		merged.Merge(shard.Partial())
-		start = end
-	}
-
-	want := serializeForest(seq.Finish())
-	got := serializeForest(merged.Finish())
-	if want == got {
-		return nil
-	}
-	return []diag.Diagnostic{vd("corpus", 1, "awg-conserve", diag.SevError,
-		"scenario %q: per-stream sharded AWG aggregation disagrees with the sequential aggregate (%s)",
-		scenario, forestDiffHint(want, got))}
 }
 
 // serializeForest renders an AWG forest as deterministic text: one line

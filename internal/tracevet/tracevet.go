@@ -203,11 +203,7 @@ func VetSource(src trace.Source, opts Options) *Report {
 
 // vetSourceStream fetches and verifies one stream of a source.
 func vetSourceStream(src trace.Source, i int, opts Options) []diag.Diagnostic {
-	meta := src.StreamMeta(i)
-	artifact := meta.File
-	if artifact == "" {
-		artifact = fmt.Sprintf("stream[%d]", i)
-	}
+	artifact := streamArtifact(src, i)
 	s, err := src.Stream(i)
 	if err != nil {
 		if !opts.enabled("stream-decode") {
@@ -217,7 +213,7 @@ func vetSourceStream(src trace.Source, i int, opts Options) []diag.Diagnostic {
 			"stream %d failed to decode: %v", i, err)}
 	}
 	diags := vetStream(s, artifact, opts)
-	diags = append(diags, vetStreamMeta(s, meta, artifact, opts)...)
+	diags = append(diags, vetStreamMeta(s, src.StreamMeta(i), artifact, opts)...)
 	return diags
 }
 

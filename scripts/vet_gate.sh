@@ -12,6 +12,10 @@
 # artifact), so every green run leaves a machine-readable record of the
 # rule set that vetted the corpus.
 #
+# The clean corpus also gates residency: the semantic phase decodes a
+# stream, uses it and drops it, so vetting a corpus four times the size
+# must not take more than twice the memory.
+#
 # Usage: scripts/vet_gate.sh [STREAMS] [EPISODES]
 set -euo pipefail
 
@@ -37,6 +41,27 @@ echo "== vetting the clean corpus (structural + semantic, SARIF artifact)"
          cat "$WORK/clean.out" "$WORK/clean.err" >&2; exit 1; }
 [ -s "$WORK/clean.out" ] && { echo "clean corpus produced findings:" >&2
                               cat "$WORK/clean.out" >&2; exit 1; }
+
+# peak_rss_kb CMD... — run CMD quietly, print its peak resident set size
+# in KiB (Linux ru_maxrss), and exit with its status.
+peak_rss_kb() {
+    python3 -c '
+import resource, subprocess, sys
+status = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(status)' "$@"
+}
+
+echo "== residency: the same vet over $(( STREAMS * 4 )) streams"
+"$WORK/bin/tracegen" -out "$WORK/corpus4x" -seed "$SEED" -streams $(( STREAMS * 4 )) \
+    -episodes "$EPISODES" > "$WORK/gen4x.log"
+rss1="$(peak_rss_kb "$WORK/bin/tracevet" -semantic "$WORK/corpus")" &&
+    rss4="$(peak_rss_kb "$WORK/bin/tracevet" -semantic "$WORK/corpus4x")" \
+    || { echo "residency runs failed (python3 missing, or the 4x corpus does not vet clean)" >&2; exit 1; }
+echo "   peak RSS: $rss1 KiB over $STREAMS streams, $rss4 KiB over $(( STREAMS * 4 ))"
+[ "$rss4" -le $(( rss1 * 2 )) ] \
+    || { echo "vet gate: tracevet -semantic holds memory in proportion to the corpus:" \
+              "4x the streams took more than 2x the peak RSS" >&2; exit 1; }
 
 # flip_bit FILE OFFSET — XOR one bit of the byte at OFFSET in place.
 flip_bit() {
@@ -113,4 +138,4 @@ expect_caught intern-dangle intern-ref \
     sh -c 'truncate -s $(( $(wc -c < "$0") / 2 )) "$0"' "$WORK/mut-intern-dangle/corpus.intern"
 
 [ "$failures" -eq 0 ] || { echo "vet gate: $failures mutation(s) escaped" >&2; exit 1; }
-echo "vet gate: OK (clean corpus verified semantically; all mutants caught, reports worker-count-stable)"
+echo "vet gate: OK (clean corpus verified semantically in bounded memory; all mutants caught, reports worker-count-stable)"

@@ -297,8 +297,9 @@ func MotivatingCase() *Stream { return scenario.MotivatingCase() }
 // instances with the scenario catalogue's developer thresholds (as Diff
 // does; WithThresholds replaces them) and records nothing. Results are
 // bit-for-bit identical at any worker count. Over lazy sources, check
-// an.Err() after Impact (Causality returns the error directly): a fold
-// that cannot fetch a stream yields zero metrics, never partial ones.
+// an.Err() after Impact, LocatePattern and ImpactByComponent (Causality
+// returns the error directly): a call that cannot fetch a stream yields
+// zero metrics or nil, never an answer over part of the corpus.
 func NewAnalyzer(src Source, options ...AnalyzerOption) *Analyzer {
 	opts := make([]AnalyzerOption, 0, len(options)+1)
 	opts = append(opts, WithThresholds(scenario.Thresholds))
@@ -451,7 +452,9 @@ func CollectCorpusStats(dir string) (CorpusStats, error) { return trace.CollectD
 
 // NewCachedSource wraps a source with a bounded LRU of at most limit
 // decoded streams (limit <= 0 means unbounded). Safe for concurrent use
-// by the analysis worker pool.
+// by the analysis worker pool. The LRU is the only thing that keeps a
+// decoded stream past the walk that fetched it: an Analyzer's fold and
+// its LocatePattern and ImpactByComponent each decode, use and drop.
 func NewCachedSource(src Source, limit int) *CachedSource {
 	return trace.NewCachedSource(src, limit)
 }
