@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet lint lint-fix lint-json lint-sarif metrics-doc \
-	metrics-doc-update test test-short test-race \
+	metrics-doc-update test test-short test-race test-allocs \
 	bench bench-smoke \
 	daemon-smoke diff-smoke vet-gate experiments experiments-md report fuzz clean
 
@@ -70,6 +70,12 @@ test-short:
 # after the first is served from the cache.
 test-race:
 	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; done
+
+# Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
+# race detector, which inflates allocations): bytes allocated by one
+# fold pass and by one warm daemon ingest.
+test-allocs:
+	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs' -v ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -314,10 +314,12 @@ func BenchmarkAblationStackInterning(b *testing.B) {
 }
 
 // BenchmarkDirSourceAnalysis measures the headline impact analysis over
-// a directory-backed corpus source at several decoded-stream cache
-// limits, against the fully in-memory path. Small limits trade decode
-// work for bounded memory; the number on file is bench/'s batch_cold
-// workload.
+// a directory-backed corpus source against the fully in-memory path.
+// The fold sweeps: each worker decodes into buffers it owns, past the
+// stream cache, so the cache limit does not enter into it and the two
+// differ by the decode alone — in time and, with -benchmem, in B/op (a
+// fold allocates for its largest stream, not per stream). The number on
+// file is bench/'s batch_cold workload.
 func BenchmarkDirSourceAnalysis(b *testing.B) {
 	s := benchSetup(b)
 	dir := b.TempDir()
@@ -327,6 +329,7 @@ func BenchmarkDirSourceAnalysis(b *testing.B) {
 	want := core.NewAnalyzer(s.Corpus).Impact(trace.AllDrivers(), "")
 
 	b.Run("inmemory", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			an := core.NewAnalyzer(s.Corpus)
 			if m := an.Impact(trace.AllDrivers(), ""); m != want {
@@ -334,31 +337,27 @@ func BenchmarkDirSourceAnalysis(b *testing.B) {
 			}
 		}
 	})
-	for _, limit := range []int{1, 4, 0} {
-		name := fmt.Sprintf("cache=%d", limit)
-		if limit == 0 {
-			name = "cache=unbounded"
+	b.Run("dir", func(b *testing.B) {
+		src, err := trace.OpenDir(dir)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			src, err := trace.OpenDir(dir)
-			if err != nil {
+		cached := trace.NewCachedSource(src, 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			an := core.NewAnalyzer(cached)
+			if m := an.Impact(trace.AllDrivers(), ""); m != want {
+				b.Fatal("out-of-core impact diverged")
+			}
+			if err := an.Err(); err != nil {
 				b.Fatal(err)
 			}
-			cached := trace.NewCachedSource(src, limit)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				an := core.NewAnalyzer(cached)
-				if m := an.Impact(trace.AllDrivers(), ""); m != want {
-					b.Fatal("out-of-core impact diverged")
-				}
-				if err := an.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := cached.Stats()
-			b.ReportMetric(float64(st.HighWater), "streams-high-water")
-		})
-	}
+		}
+		if st := cached.Stats(); st.Size != 0 || st.Evictions != 0 {
+			b.Fatalf("the sweeps populated the stream cache: %+v", st)
+		}
+	})
 }
 
 // BenchmarkCorpusCodec measures the binary round-trip of a stream.

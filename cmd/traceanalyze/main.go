@@ -11,11 +11,14 @@
 //	             [-metrics] [-progress] [-pprof ADDR]
 //	traceanalyze -diff [-format md|json] [shared flags] BASELINE_DIR CANDIDATE_DIR
 //
-// By default the corpus is opened lazily: only stream metadata is read
-// up front, and streams are decoded on demand through an LRU bounded by
-// -cache, so corpora much larger than RAM analyse in bounded memory.
-// -cache 0 keeps every decoded stream resident (the fully in-memory
-// behaviour).
+// The corpus is opened lazily: only stream metadata is read up front.
+// The analysis sweeps — the fold, -percomponent, -locate — decode each
+// stream into the buffers of the worker that folds it and overwrite it
+// with the next, so corpora much larger than RAM analyse in memory
+// bounded by the worker count; they pass the decoded-stream LRU by
+// (-cachestats counts their fetches as misses, and nothing is inserted).
+// The LRU, bounded by -cache, serves the passes that fetch whole streams
+// to keep (-baselines); -cache 0 leaves it unbounded.
 //
 // In -diff mode both corpora are profiled out-of-core the same way,
 // scenarios are aligned across them, and stdout carries only the
@@ -55,7 +58,7 @@ func main() {
 		locate       = flag.Bool("locate", false, "locate concrete slow instances for the top pattern")
 		baselines    = flag.Bool("baselines", false, "also run the §6 baselines (profile, contention, StackMine)")
 		perComponent = flag.Bool("percomponent", false, "print the per-driver impact breakdown")
-		cacheStats   = flag.Bool("cachestats", false, "print decoded-stream cache counters after the run")
+		cacheStats   = flag.Bool("cachestats", false, "print decoded-stream cache counters after the run (a sweep's fetches are misses that insert nothing)")
 		diffMode     = flag.Bool("diff", false, "diff two corpus directories (baseline candidate) given as positional arguments")
 		format       = flag.String("format", "md", "-diff report format: md or json")
 	)

@@ -56,15 +56,15 @@ func pack(in, out string, compress bool) error {
 		return err
 	}
 	app.SetCompression(compress)
+	var buf trace.Scratch // every stream is decoded into it, appended, and overwritten
 	for i := 0; i < src.NumStreams(); i++ {
-		s, err := src.Stream(i)
+		s, err := src.StreamInto(i, &buf)
 		if err != nil {
 			return err
 		}
 		if _, err := app.Append(s); err != nil {
 			return fmt.Errorf("appending stream %d: %w", i, err)
 		}
-		src.Recycle(s)
 	}
 
 	inStats, err := trace.CollectDirStats(in)

@@ -47,7 +47,7 @@ func (f *Flags) RegisterWorkers(fs *flag.FlagSet) {
 // RegisterCache registers -cache.
 func (f *Flags) RegisterCache(fs *flag.FlagSet) {
 	fs.IntVar(&f.Cache, "cache", 64,
-		"decoded-stream LRU limit for out-of-core analysis (0 = keep all streams resident)")
+		"decoded-stream LRU limit for fetches that revisit a stream (0 = unbounded); analysis sweeps decode into per-worker buffers and insert nothing")
 }
 
 // RegisterObservability registers -metrics and -progress.

@@ -61,8 +61,8 @@ type Options struct {
 // a call under a different configuration refolds under its own. The
 // Analyzer holds one fold at a time, so no call sequence folds more than
 // twice per configuration and a mismatch costs one sweep. What the held
-// fold keeps in memory is aggregates — the impact partials' distinct-wait
-// sets and the class forests — never a stream.
+// fold keeps in memory is aggregates — the impact partials' sums and the
+// class forests — never a stream.
 //
 // An Analyzer is safe for concurrent use: folds are built under a mutex,
 // and answers read the held state and mutate only clones of its forests.
@@ -182,12 +182,12 @@ func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus 
 
 	sp := a.rec.Start("analysis_fold")
 	defer sp.End()
-	// Shards are packed by per-stream event counts, known from metadata,
-	// so lazy sources shard without decoding anything. Shard composition
+	// Shards are packed by per-stream event counts, which every source
+	// knows without decoding — or scanning — a stream. Shard composition
 	// affects only load balance: merges are partition-invariant.
 	eng := engine.Options{Workers: cfg.Workers}
 	shards := engine.ShardByStreamWeighted(a.src.InstancesOf(cfg.only), func(stream int) int64 {
-		return int64(a.src.StreamMeta(stream).Events)
+		return int64(trace.StreamEvents(a.src, stream))
 	}, eng.TargetShards())
 	streams := make([][]int, len(shards))
 	for k, sh := range shards {

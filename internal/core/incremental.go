@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"tracescope/internal/awg"
 	"tracescope/internal/engine"
@@ -82,7 +83,7 @@ type scenarioState struct {
 // order — one at a time, or as shards merged with Merge — Impact and
 // Causality results are bit-for-bit identical. Every accumulation the
 // state holds is commutative and associative — impact partials are sums
-// plus a distinct-set union, AWG forests merge by signature-keyed node
+// over disjoint streams, AWG forests merge by signature-keyed node
 // union with C/N sums and MaxC maximum — and the one order-sensitive
 // step, the non-optimizable reduction, runs on a clone of the complete
 // forest at query time.
@@ -90,13 +91,18 @@ type scenarioState struct {
 // Queries only read the state, so any number may run at once; Ingest and
 // Merge need exclusive access (the tracescoped daemon puts them behind
 // the write side of one RWMutex, the Analyzer finishes folding before it
-// publishes the state). Ingest must see each stream exactly once —
-// feeding the same stream twice double counts it.
+// publishes the state). Ingest must see each stream exactly once, and
+// stream-disjoint states only may be merged — the impact partials panic
+// on a stream index they have already covered (impact.Partial).
 type Incremental struct {
 	cfg    IncrementalConfig
 	filter *trace.ComponentFilter
-	fc     *trace.FilterCache
 	rec    obs.Recorder
+
+	// work is the scratch streams are folded on: the state's own for a
+	// long-lived Incremental, a worker's for the life of one shard's
+	// partial state (foldShards).
+	work *scratch
 
 	streams   int
 	events    int
@@ -107,16 +113,40 @@ type Incremental struct {
 	scen   map[string]*scenarioState
 }
 
+// scratch is the working set of one stream's fold, owned by whoever is
+// folding — one engine worker, or a long-lived Incremental — and used
+// again for its next stream: the Wait-Graph builder with its node and
+// child-list arenas, the filter resolver with its signature table, walk
+// marks and the impact partials' distinct-wait sets, and the buffers a
+// lazy source decodes into. Between streams it holds no stream and no
+// graph (Builder.Release, FilterCache.Forget), and nothing an analysis
+// state keeps points into it.
+type scratch struct {
+	b   waitgraph.Builder
+	fc  *trace.FilterCache
+	dec trace.Scratch
+}
+
+func newScratch(filter *trace.ComponentFilter) *scratch {
+	return &scratch{fc: trace.NewFilterCache(filter)}
+}
+
 // NewIncremental prepares empty incremental analysis state.
 func NewIncremental(cfg IncrementalConfig) *Incremental {
 	if cfg.Filter == nil {
 		cfg.Filter = trace.AllDrivers()
 	}
+	return newIncrementalOn(cfg, newScratch(cfg.Filter))
+}
+
+// newIncrementalOn is NewIncremental folding on the caller's scratch
+// (whose resolver must wrap cfg.Filter, which must be set).
+func newIncrementalOn(cfg IncrementalConfig, work *scratch) *Incremental {
 	return &Incremental{
 		cfg:    cfg,
 		filter: cfg.Filter,
-		fc:     trace.NewFilterCache(cfg.Filter),
 		rec:    obs.OrNop(cfg.Recorder),
+		work:   work,
 		global: impact.NewPartial(),
 		scen:   make(map[string]*scenarioState),
 	}
@@ -157,14 +187,14 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 		awgOpts := awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: false}
 		sc = &scenarioState{impact: impact.NewPartial()}
 		if !inc.cfg.noAllForest {
-			sc.all = awg.NewAggregatorOn(inc.fc, awgOpts)
+			sc.all = awg.NewAggregatorOn(inc.work.fc, awgOpts)
 		}
 		if inc.cfg.Thresholds != nil {
 			tf, ts, classed := inc.cfg.Thresholds(scenario)
 			if classed && tf > 0 && ts > tf {
 				sc.tfast, sc.tslow, sc.classed = tf, ts, true
-				sc.slow = awg.NewAggregatorOn(inc.fc, awgOpts)
-				sc.fast = awg.NewAggregatorOn(inc.fc, awgOpts)
+				sc.slow = awg.NewAggregatorOn(inc.work.fc, awgOpts)
+				sc.fast = awg.NewAggregatorOn(inc.work.fc, awgOpts)
 				sc.slowImpact = impact.NewPartial()
 			}
 		}
@@ -177,26 +207,34 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 // Graph is built once and feeds the global and per-scenario impact
 // partials, the scenario's all-instances forest, plus — when the
 // instance classifies fast or slow — its contrast class's AWG
-// aggregation. Every one of those consumers
-// resolves the filter through the state's one FilterCache, which
-// forgets the stream when the fold ends: the state keeps aggregates,
-// never the stream. streamIndex is the stream's index in the corpus
-// (the value EventIDs embed); callers must feed each stream exactly
-// once, and indices must be unique.
+// aggregation. The builder, and the resolver every one of those
+// consumers goes through, are the state's scratch: both let go of the
+// stream when the fold ends, so the state keeps aggregates, never the
+// stream. streamIndex is the stream's index in the corpus (the value
+// EventIDs embed); callers must feed each stream exactly once, and
+// indices must be unique.
 func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
+	inc.ingest(streamIndex, s, s.Duration())
+}
+
+// ingest is Ingest for a caller that knows the stream's duration (a
+// source's index records it), so the events are not scanned for it.
+func (inc *Incremental) ingest(streamIndex int, s *trace.Stream, dur trace.Duration) {
 	sp := inc.rec.Start("ingest_stream")
 	defer sp.End()
-	defer inc.fc.Forget()
+	b, fc := &inc.work.b, inc.work.fc
+	defer fc.Forget()
+	defer b.Release()
 
-	b := waitgraph.NewBuilder(s, streamIndex, waitgraph.Options{})
+	b.Reset(s, streamIndex, waitgraph.Options{})
 	for _, in := range s.Instances {
 		if inc.cfg.only != "" && in.Scenario != inc.cfg.only {
 			continue
 		}
 		g := b.Instance(in)
-		inc.global.AddGraph(g, inc.fc)
+		inc.global.AddGraph(g, fc)
 		sc := inc.state(in.Scenario)
-		sc.impact.AddGraph(g, inc.fc)
+		sc.impact.AddGraph(g, fc)
 		if sc.all != nil {
 			sc.all.Add(g)
 		}
@@ -210,7 +248,7 @@ func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
 			sc.fastCount++
 		case slowClass:
 			sc.slow.Add(g)
-			sc.slowImpact.AddGraph(g, inc.fc)
+			sc.slowImpact.AddGraph(g, fc)
 			sc.slowCount++
 		}
 	}
@@ -218,7 +256,7 @@ func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
 	inc.streams++
 	inc.events += len(s.Events)
 	inc.instances += len(s.Instances)
-	inc.totalDur += s.Duration()
+	inc.totalDur += dur
 	inc.rec.Add("core_streams_ingested_total", 1)
 	inc.rec.Add("core_instances_ingested_total", int64(len(s.Instances)))
 }
@@ -291,11 +329,17 @@ func (inc *Incremental) IngestSource(src trace.Source) error {
 // foldShards is the one sweep every corpus-sized fold runs — the
 // daemon's warm-up, each side of a Diff, and the Analyzer's fold: shard
 // k's streams (no stream in two shards, none ingested before) are
-// fetched one at a time and folded with Ingest into one partial state —
-// so at most a shard count of partial states are alive, never one per
-// stream — and the partials are merged in shard order with Merge. label
-// names the engine run in recorded spans. A fetch error fails the whole
-// fold and leaves the receiver as it was.
+// fetched one at a time and folded into one partial state — so at most a
+// shard count of partial states are alive, never one per stream — and
+// the partials are merged in shard order with Merge. A worker folds its
+// shard on a scratch it takes from a free list and puts back when the
+// shard is done: the list starts with the receiver's own scratch and
+// grows only when a worker finds it empty, so a fold holds at most one
+// scratch per worker however many shards there are, and each stream is
+// decoded into, indexed in and graphed in memory the worker's previous
+// stream used (trace.StreamInto, waitgraph.Builder.Reset). label names
+// the engine run in recorded spans. A fetch error fails the whole fold
+// and leaves the receiver as it was.
 func (inc *Incremental) foldShards(src trace.Source, label string, shards [][]int) error {
 	before := inc.streams
 	cfg := inc.cfg
@@ -304,15 +348,36 @@ func (inc *Incremental) foldShards(src trace.Source, label string, shards [][]in
 		inc *Incremental
 		err error
 	}
+	var (
+		mu   sync.Mutex
+		free = []*scratch{inc.work}
+	)
 	eng := engine.Options{Workers: cfg.Workers, Recorder: inc.cfg.Recorder, Label: label}
 	merged := engine.MapMerge(len(shards), eng, func(k int) part {
-		p := NewIncremental(cfg)
+		mu.Lock()
+		var work *scratch
+		if n := len(free); n > 0 {
+			work, free = free[n-1], free[:n-1]
+		}
+		mu.Unlock()
+		if work == nil {
+			work = newScratch(cfg.Filter)
+		}
+		defer func() {
+			mu.Lock()
+			free = append(free, work)
+			mu.Unlock()
+		}()
+
+		p := newIncrementalOn(cfg, work)
 		for _, i := range shards[k] {
-			s, err := src.Stream(i)
+			s, err := trace.StreamInto(src, i, &work.dec)
 			if err != nil {
 				return part{err: fmt.Errorf("core: folding stream %d: %w", i, err)}
 			}
-			p.Ingest(i, s)
+			// StreamMeta scans a resident stream for its duration — here,
+			// on the worker, once — and reads a lazy source's from its index.
+			p.ingest(i, s, src.StreamMeta(i).Duration)
 		}
 		return part{inc: p}
 	}, func(acc, next part) part {
@@ -447,7 +512,7 @@ func (inc *Incremental) Snapshot() *Incremental {
 	snap.totalDur = inc.totalDur
 	snap.global = inc.global.Clone()
 	for name, sc := range inc.scen {
-		snap.scen[name] = sc.clone(snap.fc, inc.cfg)
+		snap.scen[name] = sc.clone(snap.work.fc, inc.cfg)
 	}
 	return snap
 }

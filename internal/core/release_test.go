@@ -54,8 +54,44 @@ func awaitCollection(t *testing.T, what string, freed <-chan struct{}) {
 // streams. Once a stream's fold ends and the caller drops it, the
 // stream must be collectable while the Incremental and a Snapshot of it
 // (and, for the batch path, a finished shard's partial and forest)
-// are still alive and answering queries.
+// are still alive and answering queries — and stay so for a daemon's
+// Incremental, whose builder, resolver and mark sets are the ones it
+// folded the previous upload with.
 func TestIngestReleasesStream(t *testing.T) {
+	t.Run("daemon", func(t *testing.T) {
+		corpus := equivalenceCorpus(t)
+		dir := t.TempDir()
+		if err := corpus.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		dirSrc, err := trace.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every fetch first waits for the streams handed out before it to be
+		// reclaimed, so MaxLive 1 says each upload was collectable the
+		// moment its Ingest returned — while the state that folded it went
+		// on to fold the next.
+		src := &tracetest.LiveSource{Source: dirSrc}
+		inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds})
+		for i := 0; i < src.NumStreams(); i++ {
+			s, err := src.Stream(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc.Ingest(i, s)
+		}
+		if live := src.Settle(); live != 0 || src.MaxLive != 1 {
+			t.Errorf("one long-lived Incremental, %d uploads: %d streams still referenced at the end, at most %d alive at once; want 0 and 1",
+				src.NumStreams(), live, src.MaxLive)
+		}
+		batch := NewAnalyzer(corpus, WithWorkers(1), WithThresholds(scenario.Thresholds))
+		if got, want := inc.Impact(""), batch.Impact(trace.AllDrivers(), ""); got != want {
+			t.Errorf("impact after %d one-by-one ingests: %v, want the batch fold's %v", src.NumStreams(), got, want)
+		}
+		runtime.KeepAlive(inc)
+	})
+
 	t.Run("incremental", func(t *testing.T) {
 		inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds})
 		s, freed := decodedStream(t, 0)

@@ -71,31 +71,37 @@ func (m Metrics) String() string {
 // GraphsOver builds the Wait Graph of every referenced instance and
 // hands it to fn, in refs order. Refs from Source.InstancesOf arrive
 // grouped by stream, so each stream is fetched once: the walk fetches a
-// stream, builds one Wait-Graph builder over it, assembles the graphs
-// the refs ask for, then drops both before it fetches the next stream.
+// stream into its one set of decode buffers (trace.StreamInto), resets
+// its one Wait-Graph builder to it, assembles the graphs the refs ask
+// for, then releases the stream before it fetches the next.
 // last tells fn that the stream ends with this graph: whatever fn's
 // caller still holds of the stream (a trace.FilterCache bound to it, a
-// per-stream aggregate) must go now, and then nothing is kept — the
-// stream, its builder and its graphs are garbage when fn returns.
+// per-stream aggregate) must go now, and then nothing is kept — when fn
+// returns the stream is garbage or overwritten, and every graph built
+// from it is invalid: fn must not keep a graph, or a node, past the call
+// that hands it the stream's last.
 // The first fetch error stops the walk and is returned; graphs handed
 // out before it cover only part of refs, so the caller must discard
 // what it accumulated from them.
 func GraphsOver(src trace.Source, refs []trace.InstanceRef, fn func(ref trace.InstanceRef, g *waitgraph.Graph, last bool)) error {
-	var b *waitgraph.Builder
+	var (
+		b   waitgraph.Builder
+		buf trace.Scratch
+	)
 	for k, ref := range refs {
-		if b == nil {
-			s, err := src.Stream(ref.Stream)
+		if b.Stream() == nil {
+			s, err := trace.StreamInto(src, ref.Stream, &buf)
 			if err != nil {
 				return fmt.Errorf("impact: stream %d: %w", ref.Stream, err)
 			}
-			b = waitgraph.NewBuilder(s, ref.Stream, waitgraph.Options{})
+			b.Reset(s, ref.Stream, waitgraph.Options{})
 		}
 		g := b.Instance(b.Stream().Instances[ref.Instance])
 		last := k+1 == len(refs) || refs[k+1].Stream != ref.Stream
-		if last {
-			b = nil
-		}
 		fn(ref, g, last)
+		if last {
+			b.Release()
+		}
 	}
 	return nil
 }

@@ -158,23 +158,30 @@ func TestImpactInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestPartialMergeMatchesSequential: merging per-shard partials in any
-// grouping reproduces the one-pass metrics, including the distinct-wait
-// deduplication across shard boundaries.
+// TestPartialMergeMatchesSequential: merging per-shard partials, for any
+// split of the corpus that keeps each stream whole — how the engine
+// shards — reproduces the one-pass metrics exactly: a wait can only be
+// shared by instances of one stream, so Dwaitdist is a sum over streams
+// like the rest.
 func TestPartialMergeMatchesSequential(t *testing.T) {
 	corpus := scenario.Generate(scenario.Config{Seed: 11, Streams: 6, Episodes: 4})
 	refs := corpus.InstancesOf("")
 	want := analyze(t, corpus, trace.AllDrivers(), refs)
+	if want.Dwait == want.Dwaitdist {
+		t.Fatalf("no wait is shared across instances (%+v): the test would not see a double count", want)
+	}
 
 	for _, parts := range []int{2, 3, 5} {
 		merged := NewPartial()
-		per := (len(refs) + parts - 1) / parts
-		for lo := 0; lo < len(refs); lo += per {
-			hi := lo + per
-			if hi > len(refs) {
-				hi = len(refs)
+		for k, lo := 0, 0; k < parts; k++ {
+			// Shard k is streams [k*n/parts, (k+1)*n/parts); refs are grouped
+			// by stream.
+			hi := lo
+			for hi < len(refs) && refs[hi].Stream < (k+1)*corpus.NumStreams()/parts {
+				hi++
 			}
 			merged.Merge(analyzeShard(t, corpus, trace.AllDrivers(), refs[lo:hi]))
+			lo = hi
 		}
 		if merged.Metrics != want {
 			t.Errorf("%d-way merge differs:\n  %v\n  %v", parts, merged.Metrics, want)

@@ -25,11 +25,13 @@ type SourceCacheStats struct {
 	HighWater int
 }
 
-// CachedSource wraps a Source with a bounded LRU of decoded streams. It
-// is safe for concurrent use by shard workers: lookups and bookkeeping
-// are mutex-guarded, and concurrent fetches of the same stream share one
-// decode. With limit n and w concurrent fetchers, at most n + w decoded
-// streams are held at any moment. Nothing is told of an eviction: a
+// CachedSource wraps a Source with a bounded LRU of decoded streams,
+// filled by Stream — for callers that come back to a stream — and only
+// consulted by StreamInto, the fetch of a one-pass sweep. It is safe for
+// concurrent use by shard workers: lookups and bookkeeping are
+// mutex-guarded, and concurrent Stream fetches of the same stream share
+// one decode. With limit n and w concurrent fetchers, at most n + w
+// decoded streams are held at any moment. Nothing is told of an eviction: a
 // consumer holds a stream only for its own walk over it, so an evicted
 // stream is garbage as soon as the walks using it end.
 type CachedSource struct {
@@ -112,10 +114,7 @@ func (c *CachedSource) StreamMeta(i int) StreamMeta { return c.src.StreamMeta(i)
 func (c *CachedSource) Stream(i int) (*Stream, error) {
 	c.mu.Lock()
 	rec := c.rec
-	if el, ok := c.entries[i]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		s := c.streams[i]
+	if s := c.hitLocked(i); s != nil {
 		c.mu.Unlock()
 		rec.Add("source_cache_hits_total", 1)
 		return s, nil
@@ -151,6 +150,38 @@ func (c *CachedSource) Stream(i int) (*Stream, error) {
 		rec.Add("source_cache_evictions_total", evicted)
 	}
 	return p.s, p.err
+}
+
+// StreamInto is the fetch of a caller that reads stream i once and drops
+// it (a corpus sweep): a stream the LRU holds is a hit, as in Stream,
+// but a miss is decoded through the wrapped source into sc and *not*
+// inserted — a sweep never comes back for it, so caching it would only
+// evict a stream some Stream caller may want again. The miss is counted;
+// Evictions, Size and HighWater do not move.
+func (c *CachedSource) StreamInto(i int, sc *Scratch) (*Stream, error) {
+	c.mu.Lock()
+	rec := c.rec
+	if s := c.hitLocked(i); s != nil {
+		c.mu.Unlock()
+		rec.Add("source_cache_hits_total", 1)
+		return s, nil
+	}
+	c.stats.Misses++
+	c.mu.Unlock()
+	rec.Add("source_cache_misses_total", 1)
+	return StreamInto(c.src, i, sc)
+}
+
+// hitLocked returns stream i if the LRU holds it, marking it most
+// recently used and counting the hit; nil otherwise.
+func (c *CachedSource) hitLocked(i int) *Stream {
+	el, ok := c.entries[i]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	c.stats.Hits++
+	return c.streams[i]
 }
 
 // Limit returns the cache limit (<= 0 means unbounded).

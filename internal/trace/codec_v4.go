@@ -186,10 +186,11 @@ func writeEventBlocks(w io.Writer, events []Event, enc *colfmt.Encoder, compress
 }
 
 // readBinaryV4 decodes a v4 stream file from data using the corpus
-// intern table, filling the buffer set b (which carries the returned
-// Stream). On error b is untouched enough to be reused; the caller owns
-// returning it to its pool.
-func readBinaryV4(data []byte, it *InternTable, b *decodeBufs) (*Stream, error) {
+// intern table, filling the buffer set b: every slice and the thread map
+// of the returned Stream are b's, so the stream is valid until b's next
+// decode. The Stream value itself is new each time — a FilterCache tells
+// streams apart by address. On error b is untouched enough to be reused.
+func readBinaryV4(data []byte, it *InternTable, b *Scratch) (*Stream, error) {
 	c := &byteCursor{data: data}
 	if len(data) < len(binaryMagicV4)+2 {
 		return nil, fmt.Errorf("%w: truncated v4 header", ErrBadFormat)
@@ -390,18 +391,16 @@ func readBinaryV4(data []byte, it *InternTable, b *decodeBufs) (*Stream, error) 
 		return nil, fmt.Errorf("%w: %d trailing bytes after events", ErrBadFormat, len(c.data)-c.off)
 	}
 
-	s := &b.stream
-	s.ID = id
-	s.frames = b.frames
-	s.frameIndex = nil // rebuilt lazily by InternFrame if ever needed
-	s.stacks = b.stacks
-	s.stackIndex = nil
-	s.Events = b.events
-	s.Instances = b.instances
-	s.Threads = b.threads
-	s.bufs = b
+	// The index maps stay nil: InternFrame rebuilds them if ever needed.
+	s := &Stream{
+		ID:        id,
+		frames:    b.frames,
+		stacks:    b.stacks,
+		Events:    b.events,
+		Instances: b.instances,
+		Threads:   b.threads,
+	}
 	if err := s.Validate(); err != nil {
-		s.bufs = nil
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return s, nil

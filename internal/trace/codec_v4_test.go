@@ -150,13 +150,14 @@ func TestV4ReloadRejectsShrunkIntern(t *testing.T) {
 	}
 }
 
-// TestStreamPoolRecycle checks the zero-alloc decode loop: recycling a
-// decoded stream lets the next decode reuse its buffers, and a double
-// Recycle of the same stream is a no-op (the buffers detach on the
-// first call).
-func TestStreamPoolRecycle(t *testing.T) {
+// TestStreamIntoReusesBuffers: a sweep through one Scratch decodes every
+// stream correctly into the same memory — the second decode's events
+// start where the first's did — while Stream, and a second Scratch,
+// decode into memory of their own; and a CachedSource's StreamInto
+// counts the miss, decodes into the caller's Scratch and inserts nothing.
+func TestStreamIntoReusesBuffers(t *testing.T) {
 	dir := t.TempDir()
-	c := NewCorpus(randomStream(1), randomStream(2))
+	c := NewCorpus(randomStream(2), randomStream(1), randomStream(3))
 	if err := c.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -164,26 +165,68 @@ func TestStreamPoolRecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, err := d.Stream(0)
+	var sc, other Scratch
+	s0, err := d.StreamInto(0, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Recycle(s0)
-	d.Recycle(s0) // must be a no-op, not a double free
-	s1, err := d.Stream(1)
+	if !streamsEqual(s0, c.Streams[0]) {
+		t.Fatal("stream decoded into a fresh Scratch mismatches the original")
+	}
+	first := &s0.Events[0]
+	owned, err := d.Stream(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !streamsEqual(s1, c.Streams[1]) {
-		t.Fatal("stream decoded into recycled buffers mismatches the original")
+	s1, err := d.StreamInto(1, &sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := d.PoolStats()
-	if st.Gets != 2 || st.Reuses != 1 || st.Recycles != 1 {
-		t.Fatalf("PoolStats = %+v, want Gets 2, Reuses 1, Recycles 1", st)
+	if !streamsEqual(s1, c.Streams[1]) || !streamsEqual(owned, c.Streams[1]) {
+		t.Fatal("stream decoded into a reused Scratch mismatches the original")
+	}
+	if s1 == s0 {
+		t.Error("two decodes returned the same *Stream: a FilterCache tells streams apart by address")
+	}
+	if &s1.Events[0] != first {
+		t.Error("the second decode through one Scratch did not reuse the first's event buffer")
+	}
+	if &owned.Events[0] == first {
+		t.Error("Stream decoded into the caller's Scratch")
+	}
+	s2, err := d.StreamInto(2, &other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s2.Events[0] == first || !streamsEqual(s1, c.Streams[1]) {
+		t.Error("a decode through a second Scratch disturbed the first's stream")
+	}
+
+	cached := NewCachedSource(d, 2)
+	if _, err := cached.Stream(0); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := cached.StreamInto(0, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := cached.StreamInto(2, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !streamsEqual(hit, c.Streams[0]) || !streamsEqual(miss, c.Streams[2]) {
+		t.Fatal("CachedSource.StreamInto returned the wrong streams")
+	}
+	if &miss.Events[0] != &sc.events[0] {
+		t.Error("CachedSource.StreamInto missed and did not decode into the caller's Scratch")
+	}
+	want := SourceCacheStats{Hits: 1, Misses: 2, Size: 1, HighWater: 1}
+	if st := cached.Stats(); st != want {
+		t.Errorf("cache stats = %+v, want %+v: a StreamInto miss is counted and not inserted", st, want)
 	}
 }
 
-// TestV4DecodedStreamCanIntern checks that a pooled-decode stream still
+// TestV4DecodedStreamCanIntern checks that a v4-decoded stream still
 // supports interning new frames and stacks (index maps rebuild lazily)
 // without disturbing existing IDs.
 func TestV4DecodedStreamCanIntern(t *testing.T) {
@@ -233,6 +276,7 @@ func TestV4CorruptInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sc Scratch // one buffer set through every case
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -258,11 +302,13 @@ func TestV4CorruptInputs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := d.pool.get()
-			defer d.pool.put(b)
 			mutated := tc.mutate(append([]byte(nil), valid...))
-			if _, err := readBinaryV4(mutated, d.intern, b); !errors.Is(err, ErrBadFormat) {
+			if _, err := readBinaryV4(mutated, d.intern, &sc); !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("decode of %s input: err = %v, want ErrBadFormat", tc.name, err)
+			}
+			// A failed decode leaves the Scratch good for the next one.
+			if _, err := readBinaryV4(valid, d.intern, &sc); err != nil {
+				t.Fatalf("valid decode after the %s failure: %v", tc.name, err)
 			}
 		})
 	}

@@ -53,25 +53,29 @@ func benchDir(b *testing.B) string {
 	return dir
 }
 
-func benchSweep(b *testing.B, dir string, recycle bool) {
+// benchSweep decodes the corpus stream by stream: into memory each
+// stream owns (Stream), or through one Scratch (StreamInto).
+func benchSweep(b *testing.B, dir string, reuse bool) {
 	src, err := OpenDir(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var sc Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < src.NumStreams(); j++ {
-			s, err := src.Stream(j)
+			if reuse {
+				_, err = src.StreamInto(j, &sc)
+			} else {
+				_, err = src.Stream(j)
+			}
 			if err != nil {
 				b.Fatal(err)
-			}
-			if recycle {
-				src.Recycle(s)
 			}
 		}
 	}
 }
 
-func BenchmarkDecodeSweepV4(b *testing.B)       { benchSweep(b, benchDir(b), false) }
-func BenchmarkDecodeSweepV4Pooled(b *testing.B) { benchSweep(b, benchDir(b), true) }
+func BenchmarkDecodeSweepV4(b *testing.B)        { benchSweep(b, benchDir(b), false) }
+func BenchmarkDecodeSweepV4Scratch(b *testing.B) { benchSweep(b, benchDir(b), true) }

@@ -315,8 +315,10 @@ func checkIndexFile(name string, seen map[string]bool) error {
 
 // DirSource is a lazy corpus over a directory written by WriteDir:
 // stream and instance metadata come from the corpus.index, and Stream
-// decodes one file on demand. It holds no decoded streams itself — wrap
-// it in a CachedSource to bound repeated decoding.
+// decodes one file on demand — into memory of its own, or with
+// StreamInto into the caller's. It holds no decoded streams and no
+// decode buffers itself — wrap it in a CachedSource to bound repeated
+// decoding.
 //
 // DirSource is safe for concurrent use: its metadata is immutable after
 // OpenDir and Stream only reads files. The one exception is Reload,
@@ -335,12 +337,10 @@ type DirSource struct {
 	indexGuard string
 	seen       map[string]bool
 
-	// The corpus intern table, the byte offset up to which corpus.intern
-	// has been loaded (Reload reads only the new tail), and the
-	// decode-buffer pool.
+	// The corpus intern table and the byte offset up to which
+	// corpus.intern has been loaded (Reload reads only the new tail).
 	intern     *InternTable
 	internSize int64
-	pool       *StreamPool
 
 	numInstances int
 	numEvents    int
@@ -354,7 +354,7 @@ func OpenDir(dir string) (*DirSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DirSource{dir: dir, rec: obs.Nop, seen: make(map[string]bool), pool: NewStreamPool()}
+	d := &DirSource{dir: dir, rec: obs.Nop, seen: make(map[string]bool)}
 	body, err := indexBody(string(data))
 	if err == nil {
 		// Until a record lands the header line stands guard.
@@ -498,14 +498,23 @@ func (d *DirSource) InstanceMeta(ref InstanceRef) Instance {
 // shared; treat as read-only.
 func (d *DirSource) StreamMeta(i int) StreamMeta { return d.metas[i] }
 
-// Stream decodes stream i from its backing file. Every call decodes
-// afresh; wrap the source in a CachedSource to bound re-decoding.
+// Stream decodes stream i from its backing file into memory the stream
+// owns. Every call decodes afresh; wrap the source in a CachedSource to
+// bound re-decoding.
 func (d *DirSource) Stream(i int) (*Stream, error) {
+	return d.StreamInto(i, new(Scratch))
+}
+
+// StreamInto decodes stream i from its backing file into sc: the stream
+// and everything reachable from it is valid until sc's next decode (see
+// Scratch). A caller that sweeps the corpus with one Scratch decodes
+// every stream into the same buffers.
+func (d *DirSource) StreamInto(i int, sc *Scratch) (*Stream, error) {
 	if i < 0 || i >= len(d.metas) {
 		return nil, fmt.Errorf("trace: stream %d out of range (%d streams)", i, len(d.metas))
 	}
 	sp := d.rec.Start("trace_decode")
-	s, err := d.decode(i)
+	s, err := d.decode(i, sc)
 	sp.End()
 	if err != nil {
 		d.rec.Add("trace_decode_errors_total", 1)
@@ -515,21 +524,16 @@ func (d *DirSource) Stream(i int) (*Stream, error) {
 	return s, nil
 }
 
-// decode reads stream i's columnar file into pooled buffers and decodes
-// it. The buffer set rides on the returned stream (Stream.bufs) and comes
-// back via Recycle; decode failures return it to the pool immediately.
-func (d *DirSource) decode(i int) (*Stream, error) {
+// decode reads stream i's columnar file into sc and decodes it there.
+func (d *DirSource) decode(i int, sc *Scratch) (*Stream, error) {
 	name := d.metas[i].File
-	b := d.pool.get()
-	s, err := d.readFileV4(name, b)
+	s, err := d.readFileV4(name, sc)
 	if err != nil {
-		d.pool.put(b)
 		return nil, fmt.Errorf("trace: reading %s: %w", name, err)
 	}
 	// A stale index whose instance table disagrees with the stream would
 	// let InstanceRefs index out of range downstream; fail loudly here.
 	if len(s.Instances) != len(d.metas[i].Instances) {
-		d.pool.put(b)
 		return nil, fmt.Errorf("%w: %s: stream has %d instances but index records %d",
 			ErrBadFormat, name, len(s.Instances), len(d.metas[i].Instances))
 	}
@@ -537,7 +541,7 @@ func (d *DirSource) decode(i int) (*Stream, error) {
 }
 
 // readFileV4 reads one stream file into b.raw and decodes it in place.
-func (d *DirSource) readFileV4(name string, b *decodeBufs) (*Stream, error) {
+func (d *DirSource) readFileV4(name string, b *Scratch) (*Stream, error) {
 	f, err := os.Open(filepath.Join(d.dir, filepath.FromSlash(name)))
 	if err != nil {
 		return nil, err
@@ -601,14 +605,6 @@ func readTail(path string, from int64) (tail []byte, size int64, err error) {
 	}
 	return tail, size, err
 }
-
-// Recycle returns a stream previously decoded by this source to its
-// buffer pool. Callers must guarantee no references to the stream
-// remain (see StreamPool).
-func (d *DirSource) Recycle(s *Stream) { d.pool.Recycle(s) }
-
-// PoolStats reports decode-buffer pool counters.
-func (d *DirSource) PoolStats() StreamPoolStats { return d.pool.Stats() }
 
 // Materialize decodes every stream into an in-memory Corpus (the eager
 // ReadDir behaviour), for consumers that need resident streams.

@@ -17,6 +17,11 @@ import (
 //     so repeated access over a lazy source stays out-of-core with peak
 //     memory proportional to the cache limit, not the corpus size.
 //
+// A caller that reads each stream once and drops it — every analysis
+// sweep — fetches through StreamInto instead of Stream: the lazy sources
+// then decode into buffers the caller owns and reuses (Scratch), and the
+// cache is consulted but not filled.
+//
 // Stream order is significant everywhere: EventIDs and InstanceRefs
 // reference streams by index, so every implementation must present the
 // same indexing for the same corpus.

@@ -172,11 +172,6 @@ type Stream struct {
 	Instances []Instance
 	// Threads maps thread IDs to descriptive metadata. Optional.
 	Threads map[ThreadID]ThreadInfo
-
-	// bufs is non-nil for streams decoded from a pooled v4 source: the
-	// buffer set backing every slice above, recoverable via
-	// StreamPool.Recycle once no references to the stream remain.
-	bufs *decodeBufs
 }
 
 // NewStream returns an empty stream with the given ID.
@@ -313,13 +308,11 @@ func (s *Stream) ThreadName(tid ThreadID) string {
 
 // Duration returns the time span covered by the stream's events.
 func (s *Stream) Duration() Duration {
-	var max Time
-	for _, e := range s.Events {
-		if end := e.End(); end > max {
-			max = end
-		}
+	var last Time
+	for i := range s.Events {
+		last = max(last, s.Events[i].End())
 	}
-	return Duration(max)
+	return Duration(last)
 }
 
 // SortEvents orders events by (Time, TID, Type). Generators that emit events

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +206,12 @@ func TestWildcardStarSubsetProperty(t *testing.T) {
 	prop := func(mod string) bool {
 		if len(mod) > 40 {
 			mod = mod[:40]
+		}
+		// Patterns are trimmed, modules are not: a module with outer
+		// whitespace (quick draws U+3000 once in a few hundred runs) is
+		// not the literal pattern's own module.
+		if strings.TrimSpace(mod) != mod {
+			return true
 		}
 		lit := NewComponentFilter(mod)
 		star1 := NewComponentFilter(mod + "*")

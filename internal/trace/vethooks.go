@@ -15,5 +15,5 @@ func ReadInternFile(data []byte) (*InternTable, error) { return readInternTable(
 // decode buffers and performs no index cross-checks; corruption of any
 // kind surfaces as ErrBadFormat.
 func ReadStreamV4(data []byte, it *InternTable) (*Stream, error) {
-	return readBinaryV4(data, it, &decodeBufs{})
+	return readBinaryV4(data, it, &Scratch{})
 }

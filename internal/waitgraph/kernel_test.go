@@ -1,6 +1,7 @@
 package waitgraph
 
 import (
+	"reflect"
 	"testing"
 
 	"tracescope/internal/trace"
@@ -140,10 +141,12 @@ func TestBuilderUnknownThread(t *testing.T) {
 	}
 }
 
-// TestInstanceAllocs budgets Builder.Instance: the Graph and its root
-// list, plus one slab chunk per nodeChunkSize new nodes and one per
-// nodeChunkSize new child pointers. A graph whose nodes all exist costs
-// the two and nothing else.
+// TestInstanceAllocs budgets Builder.Instance. A new builder pays for
+// the Graph plus one arena slab per arenaChunk new nodes and one per
+// arenaChunk new child and root pointers. A builder that has built the
+// stream's graphs once and is Reset to the stream again pays for the
+// Graph and nothing else — the index tables, the nodes, the child lists
+// and the root list are all memory it already has.
 func TestInstanceAllocs(t *testing.T) {
 	s := tracetest.RandomStream(11, 8, 400)
 	whole := trace.Instance{Scenario: "S", TID: 0, Start: 0, End: 1 << 40}
@@ -152,17 +155,144 @@ func TestInstanceAllocs(t *testing.T) {
 	g := b.Instance(whole)
 	nodes, edges := 0, 0
 	g.Walk(func(n *Node, _ int) bool { nodes++; edges += len(n.Children); return true })
-	if nodes < nodeChunkSize {
+	if nodes <= arenaChunk {
 		t.Fatalf("graph has %d nodes; the test needs more than one chunk", nodes)
 	}
-	if warm := testing.AllocsPerRun(20, func() { b.Instance(whole) }); warm > 2 {
-		t.Errorf("Instance over built nodes: %v allocs, want <= 2", warm)
-	}
 
-	chunks := func(n int) float64 { return float64((n + nodeChunkSize - 1) / nodeChunkSize) }
+	chunks := func(n int) float64 { return float64((n + arenaChunk - 1) / arenaChunk) }
 	index := testing.AllocsPerRun(5, func() { NewBuilder(s, 0, Options{}) })
 	cold := testing.AllocsPerRun(5, func() { NewBuilder(s, 0, Options{}).Instance(whole) }) - index
-	if budget := 2 + chunks(nodes) + chunks(edges); cold > budget {
+	// A list that does not fit a chunk's tail starts the next chunk, so
+	// the pointer arena may take a chunk more than its total asks for.
+	if budget := 1 + chunks(nodes) + chunks(edges+len(g.Roots)) + 1; cold > budget {
 		t.Errorf("cold Instance: %v allocs for %d nodes and %d edges, want <= %v", cold, nodes, edges, budget)
+	}
+
+	b.Reset(s, 0, Options{}) // sizes the arenas for what the first round took
+	warm := testing.AllocsPerRun(20, func() {
+		b.Reset(s, 0, Options{})
+		b.Instance(whole)
+	})
+	if warm != 1 {
+		t.Errorf("Reset + Instance on a builder that has seen the stream: %v allocs, want 1 (the Graph)", warm)
+	}
+}
+
+// sameNodes compares two subtrees field by field, pairing nodes so that
+// a node shared on one side must be shared on the other.
+func sameNodes(t *testing.T, got, want *Node, paired map[*Node]*Node) {
+	t.Helper()
+	if prev, ok := paired[got]; ok {
+		if prev != want {
+			t.Errorf("event %v: shared by the reused builder where the fresh one has two nodes", got.Event)
+		}
+		return
+	}
+	paired[got] = want
+	g, w := *got, *want
+	g.Children, w.Children = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("node differs:\n got %+v\nwant %+v", g, w)
+	}
+	if len(got.Children) != len(want.Children) {
+		t.Fatalf("event %v: %d children, want %d", got.Event, len(got.Children), len(want.Children))
+	}
+	for i := range got.Children {
+		sameNodes(t, got.Children[i], want.Children[i], paired)
+	}
+}
+
+// TestBuilderResetMatchesNew: one builder Reset across streams of very
+// different sizes — so tables shrink and grow, and the arenas spill and
+// rewind — builds, for every instance, a graph node-for-node equal to a
+// fresh NewBuilder's, with the same sharing, at depth bounds that cut
+// inside shared subtrees (2), at the default (0) and wide open (48).
+func TestBuilderResetMatchesNew(t *testing.T) {
+	for _, depth := range []int{0, 2, 48} {
+		opts := Options{MaxDepth: depth}
+		var reused Builder
+		for seed := int64(1); seed <= 24; seed++ {
+			threads, steps := 3+int(seed%6), 6+int(seed*37%90)
+			if seed%8 == 0 {
+				steps *= 10
+			}
+			s := tracetest.RandomStream(seed, threads, steps)
+			reused.Reset(s, int(seed), opts)
+			fresh := NewBuilder(s, int(seed), opts)
+			paired := make(map[*Node]*Node)
+			for _, in := range s.Instances {
+				got, want := reused.Instance(in), fresh.Instance(in)
+				if got.Stream != s || got.StreamIndex != int(seed) || got.Instance != in {
+					t.Fatalf("seed %d: graph header %+v", seed, got)
+				}
+				if len(got.Roots) != len(want.Roots) {
+					t.Fatalf("seed %d depth %d: %d roots, want %d", seed, depth, len(got.Roots), len(want.Roots))
+				}
+				for i := range got.Roots {
+					sameNodes(t, got.Roots[i], want.Roots[i], paired)
+				}
+			}
+			if t.Failed() {
+				t.Fatalf("seed %d depth %d: reused builder diverged", seed, depth)
+			}
+		}
+	}
+}
+
+// TestBuilderReleaseKeepsNothing: a released builder holds no stream and
+// no pointer at all — every node it used is zero again, child lists
+// included — and its memory is bounded by the largest stream it has
+// seen: after a stream ten times the size of the others, small streams
+// neither grow it nor make it allocate.
+func TestBuilderReleaseKeepsNothing(t *testing.T) {
+	small := func(seed int64) *trace.Stream { return tracetest.RandomStream(seed, 5, 40) }
+	build := func(b *Builder, s *trace.Stream) {
+		b.Reset(s, 0, Options{})
+		for _, in := range s.Instances {
+			b.Instance(in)
+		}
+	}
+	var b Builder
+	build(&b, small(1))
+	before := cap(b.slab.slab) + cap(b.kids.slab)
+
+	build(&b, tracetest.RandomStream(2, 5, 400))
+	b.Release()
+	if b.Stream() != nil {
+		t.Error("a released builder still holds its stream")
+	}
+	for i := range b.slab.slab[:cap(b.slab.slab)] {
+		if n := &b.slab.slab[:cap(b.slab.slab)][i]; n.Children != nil || n.Event != (trace.EventID{}) {
+			t.Fatalf("released builder: node %d of the slab is not zero: %+v", i, *n)
+		}
+	}
+	for i, c := range b.kids.slab[:cap(b.kids.slab)] {
+		if c != nil {
+			t.Fatalf("released builder: child slot %d still points at a node", i)
+		}
+	}
+	for i, n := range b.nodes[:cap(b.nodes)] {
+		if n != nil {
+			t.Fatalf("released builder: node-table slot %d still points at a node", i)
+		}
+	}
+
+	build(&b, small(3)) // the first Reset after a spill sizes the arenas for the large stream
+	large := cap(b.slab.slab) + cap(b.kids.slab)
+	if large <= before {
+		t.Fatalf("arena capacity %d after the large stream, %d before: the test needs it to have grown", large, before)
+	}
+	tables := cap(b.nodes) + cap(b.byTID) + cap(b.backing)
+	for seed := int64(4); seed < 12; seed++ {
+		s := small(seed)
+		if n := testing.AllocsPerRun(1, func() { build(&b, s) }); n != float64(len(s.Instances)) {
+			t.Errorf("seed %d: %v allocs folding a small stream after a large one, want one Graph per instance (%d)", seed, n, len(s.Instances))
+		}
+		if got := cap(b.slab.slab) + cap(b.kids.slab); got != large {
+			t.Errorf("seed %d: arena capacity %d, want it to stay at the largest stream's %d", seed, got, large)
+		}
+		if got := cap(b.nodes) + cap(b.byTID) + cap(b.backing); got != tables {
+			t.Errorf("seed %d: index-table capacity %d, want it to stay at the largest stream's %d", seed, got, tables)
+		}
 	}
 }

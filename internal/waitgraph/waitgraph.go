@@ -114,19 +114,24 @@ func (o *Options) applyDefaults() {
 }
 
 // Builder constructs Wait Graphs for the scenario instances of one
-// stream. It indexes the stream once and caches nodes, so building graphs
-// for many instances of the same stream shares work and yields shared
-// *Node values for shared events (the cross-instance duplication that
-// Dwaitdist measures).
+// stream at a time. It indexes the stream once and caches nodes, so
+// building graphs for many instances of the same stream shares work and
+// yields shared *Node values for shared events (the cross-instance
+// duplication that Dwaitdist measures).
 //
 // Everything the builder looks up while building is dense: thread IDs
 // resolve through a direct table, each thread's events and the unwaits
 // targeting it are int32 index lists carved from one backing array
 // (counted, then filled), and the node cache is a slice over the
-// stream's events. Nodes and their child lists come from slabs allocated
-// a chunk at a time, so a stream costs two heap objects per nodeChunkSize
-// nodes instead of several per node. The builder owns all of it and
-// holds the stream for as long as it or any node it built is reachable.
+// stream's events. Nodes, their child lists and the graphs' root lists
+// come from two arenas. All of it belongs to the builder and is used
+// again for the next stream (Reset): a worker that folds a corpus with
+// one builder allocates for its largest stream and then no more.
+//
+// A graph, and every node reachable from it, is therefore valid only
+// until its builder's next Reset or Release. Between Reset and Release
+// the builder holds the stream; after Release it holds nothing but its
+// own zeroed memory.
 type Builder struct {
 	s    *trace.Stream
 	si   int
@@ -136,9 +141,10 @@ type Builder struct {
 	byTID   []int32        // tid -> position in threads + 1, 0 when absent
 	sparse  []sparseThread // threads whose tid is outside byTID, sorted by tid
 	nodes   []*Node        // event index -> node, nil until built
+	backing []int32        // every thread's two index lists
 
-	slab []Node  // unallocated tail of the current node chunk
-	kids []*Node // unallocated tail of the current child-list chunk
+	slab arena[Node]  // the stream's nodes
+	kids arena[*Node] // their child lists, and the graphs' root lists
 }
 
 // threadIndex lists one thread's event indexes, in time order.
@@ -159,20 +165,69 @@ type sparseThread struct {
 	pos int // position in Builder.threads
 }
 
-// nodeChunkSize is the slab granularity: one allocation per this many
-// nodes, and one per this many child pointers.
-const nodeChunkSize = 512
+// arena hands out runs of zeroed T from one slab and never moves what
+// it handed out: when the slab is full it starts another, a chunk at a
+// time, and leaves the old one to whatever still points into it. rewind
+// takes everything back, zeroes it, and if the round spilled makes one
+// slab that holds what it took — so an arena that has seen its largest
+// round neither allocates nor grows again, and a rewound arena holds no
+// pointer.
+type arena[T any] struct {
+	slab    []T // the current slab; its length is what has been taken from it
+	spilled int // taken from slabs abandoned since the last rewind
+}
 
-// NewBuilder indexes stream si of a corpus for Wait-Graph construction.
+// arenaChunk is the size of a slab started mid-round: one allocation per
+// this many nodes, and one per this many child pointers, for as long as
+// a round outgrows what the arena has learnt.
+const arenaChunk = 512
+
+// take returns the next k elements, zeroed, capped at k.
+func (a *arena[T]) take(k int) []T {
+	n := len(a.slab)
+	if n+k > cap(a.slab) {
+		a.spilled += n
+		a.slab = make([]T, 0, max(k, arenaChunk))
+		n = 0
+	}
+	a.slab = a.slab[:n+k]
+	return a.slab[n : n+k : n+k]
+}
+
+func (a *arena[T]) rewind() {
+	if total := a.spilled + len(a.slab); total > cap(a.slab) {
+		// A quarter over what the round took: streams of one corpus differ
+		// by less, so the next larger one rarely spills again.
+		a.slab = make([]T, 0, total+total/4)
+	} else {
+		clear(a.slab)
+		a.slab = a.slab[:0]
+	}
+	a.spilled = 0
+}
+
+// NewBuilder indexes stream si of a corpus for Wait-Graph construction:
+// a new builder, Reset to the stream.
 func NewBuilder(s *trace.Stream, streamIndex int, opts Options) *Builder {
+	b := new(Builder)
+	b.Reset(s, streamIndex, opts)
+	return b
+}
+
+// Reset ends the builder's work on its current stream, if any (Release),
+// and indexes stream si of a corpus in the memory that frees. Every
+// graph the builder has built is invalid from here on.
+func (b *Builder) Reset(s *trace.Stream, streamIndex int, opts Options) {
+	b.Release()
 	opts.applyDefaults()
-	b := &Builder{s: s, si: streamIndex, opts: opts, nodes: make([]*Node, len(s.Events))}
+	b.s, b.si, b.opts = s, streamIndex, opts
 
 	maxTID := trace.NoThread
 	for i := range s.Events {
 		maxTID = max(maxTID, s.Events[i].TID, s.Events[i].WTID)
 	}
-	b.byTID = make([]int32, min(int(maxTID)+1, len(s.Events)))
+	b.byTID = grown(b.byTID, min(int(maxTID)+1, len(s.Events)))
+	b.nodes = grown(b.nodes, len(s.Events))
 
 	// Count: find the stream's threads and size each one's two lists.
 	total := len(s.Events)
@@ -186,7 +241,8 @@ func NewBuilder(s *trace.Stream, streamIndex int, opts Options) *Builder {
 	}
 	// Carve every list out of one backing array, then fill. Events are
 	// time-sorted within the stream, so the lists come out time-ordered.
-	backing := make([]int32, total)
+	b.backing = grown(b.backing, total)
+	backing := b.backing
 	for k := range b.threads {
 		t := &b.threads[k]
 		t.events, backing = backing[:0:t.nEvents], backing[t.nEvents:]
@@ -201,7 +257,29 @@ func NewBuilder(s *trace.Stream, streamIndex int, opts Options) *Builder {
 			t.unwaits = append(t.unwaits, int32(i))
 		}
 	}
-	return b
+}
+
+// Release ends the builder's work on its stream: it drops the stream and
+// zeroes every table entry and node it used, keeping the memory for the
+// next Reset. Every graph the builder has built is invalid from here on.
+// Releasing a released (or new) builder does nothing.
+func (b *Builder) Release() {
+	b.s = nil
+	b.threads = b.threads[:0]
+	b.sparse = b.sparse[:0]
+	clear(b.byTID)
+	clear(b.nodes)
+	b.slab.rewind()
+	b.kids.rewind()
+}
+
+// grown returns a slice of length n, s's memory when that is large
+// enough; it is all zero if all of s's capacity was.
+func grown[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // thread returns tid's index lists, or nil when the stream never
@@ -245,30 +323,7 @@ func (b *Builder) searchSparse(tid trace.ThreadID) (int, bool) {
 	return k, k < len(b.sparse) && b.sparse[k].tid == tid
 }
 
-// alloc returns a zeroed node from the slab, growing it a chunk at a
-// time.
-func (b *Builder) alloc() *Node {
-	if len(b.slab) == 0 {
-		b.slab = make([]Node, nodeChunkSize)
-	}
-	n := &b.slab[0]
-	b.slab = b.slab[1:]
-	return n
-}
-
-// carve returns an empty child list of capacity k from the child-list
-// slab. A list that does not fit the current chunk's tail starts a new
-// chunk; the tail is abandoned.
-func (b *Builder) carve(k int) []*Node {
-	if k > len(b.kids) {
-		b.kids = make([]*Node, max(k, nodeChunkSize))
-	}
-	out := b.kids[:0:k]
-	b.kids = b.kids[k:]
-	return out
-}
-
-// Stream returns the indexed stream.
+// Stream returns the indexed stream, nil once released.
 func (b *Builder) Stream() *trace.Stream { return b.s }
 
 // Instance builds the Wait Graph of one scenario instance: the roots are
@@ -286,7 +341,7 @@ func (b *Builder) Instance(in trace.Instance) *Graph {
 	if n == 0 {
 		return g
 	}
-	g.Roots = make([]*Node, 0, n)
+	g.Roots = b.kids.take(n)[:0]
 	for _, i := range win {
 		if b.overlaps(i, in.Start, in.End) {
 			g.Roots = append(g.Roots, b.node(int(i), b.opts.MaxDepth))
@@ -302,7 +357,7 @@ func (b *Builder) node(i, depth int) *Node {
 		return n
 	}
 	e := &b.s.Events[i]
-	n := b.alloc()
+	n := &b.slab.take(1)[0]
 	n.Event = trace.EventID{Stream: b.si, Index: i}
 	n.Type = e.Type
 	n.Time = e.Time
@@ -332,9 +387,9 @@ func (b *Builder) node(i, depth int) *Node {
 	if k == 0 {
 		return n
 	}
-	// The list is carved whole before recursing, so the subtrees' own
-	// lists land after it in the slab.
-	n.Children = b.carve(k)
+	// The list is taken whole before recursing, so the subtrees' own
+	// lists land after it in the arena.
+	n.Children = b.kids.take(k)[:0]
 	for _, ci := range win {
 		if int(ci) != i && b.overlaps(ci, e.Time, u.Time) {
 			n.Children = append(n.Children, b.node(int(ci), depth-1))

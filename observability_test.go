@@ -133,7 +133,8 @@ func TestPipelineSnapshotReconciles(t *testing.T) {
 // Impact plus one Causality per selected scenario — through a stream
 // cache smaller than the corpus is one fold: every stream is decoded
 // exactly once, every instance's Wait Graph is built exactly once, and
-// the cache's only job is to bound residency during that sweep.
+// the sweep goes past the cache — each fetch a counted miss, decoded
+// into the worker's buffers, nothing inserted and so nothing evicted.
 func TestNineCallPassDecodesEachStreamOnce(t *testing.T) {
 	dir := t.TempDir()
 	corpus := tracescope.Generate(tracescope.GenerateConfig{Seed: 12, Streams: 8, Episodes: 5})
@@ -178,7 +179,7 @@ func TestNineCallPassDecodesEachStreamOnce(t *testing.T) {
 	if built := an.GraphCacheStats().Misses; built != int64(src.NumInstances()) {
 		t.Errorf("%d calls built %d Wait Graphs, want each of %d once", calls, built, src.NumInstances())
 	}
-	if st := cached.Stats(); st.Hits != 0 || st.Misses != streams || st.Evictions != streams-limit {
-		t.Errorf("stream cache %+v, want 0 hits, %d misses, %d evictions", st, streams, streams-limit)
+	if st := cached.Stats(); st.Hits != 0 || st.Misses != streams || st.Evictions != 0 || st.Size != 0 {
+		t.Errorf("stream cache %+v, want 0 hits, %d misses, and nothing inserted or evicted", st, streams)
 	}
 }

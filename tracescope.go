@@ -38,8 +38,12 @@
 // state. A Causality call may still carry thresholds of its own: that is
 // a different configuration, and costs one more sweep of the corpus (as
 // does a different component filter). Between calls the Analyzer keeps
-// the fold's aggregates — the impact metrics' distinct-wait sets and the
-// class graphs — and never a decoded stream.
+// the fold's aggregates — the impact sums and the class graphs — and
+// never a decoded stream. While it folds, each worker decodes, indexes
+// and graphs every stream it is given in one working set it owns and
+// reuses, so a pass allocates for its largest stream rather than for
+// every stream; a Wait Graph handed to a callback (LocatePattern's and
+// ImpactByComponent's walks) is valid until that stream's last.
 package tracescope
 
 import (
@@ -436,8 +440,9 @@ func ReadCorpusDir(dir string) (*Corpus, error) { return trace.ReadDir(dir) }
 
 // OpenCorpusDir opens a corpus directory lazily: stream and instance
 // metadata come from the corpus.index, and streams are decoded only when
-// an analysis touches them. Wrap the result with NewCachedSource to
-// bound decoded-stream memory during analysis.
+// an analysis touches them — by the analysis sweeps into buffers each
+// worker owns and reuses, so decoded-stream memory during analysis is
+// one stream per worker.
 func OpenCorpusDir(dir string) (*DirSource, error) { return trace.OpenDir(dir) }
 
 // CorpusStats summarises a corpus directory's on-disk footprint:
@@ -453,8 +458,10 @@ func CollectCorpusStats(dir string) (CorpusStats, error) { return trace.CollectD
 // NewCachedSource wraps a source with a bounded LRU of at most limit
 // decoded streams (limit <= 0 means unbounded). Safe for concurrent use
 // by the analysis worker pool. The LRU is the only thing that keeps a
-// decoded stream past the walk that fetched it: an Analyzer's fold and
-// its LocatePattern and ImpactByComponent each decode, use and drop.
+// decoded stream past the walk that fetched it, and only Stream callers
+// fill it: an Analyzer's fold and its LocatePattern and
+// ImpactByComponent each decode, use and drop, are served a stream the
+// LRU already holds, and otherwise count as a miss and insert nothing.
 func NewCachedSource(src Source, limit int) *CachedSource {
 	return trace.NewCachedSource(src, limit)
 }
