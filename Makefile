@@ -67,9 +67,15 @@ test-short:
 # is the gate CI enforces — at each processor count, because a lifetime
 # bug that hides at GOMAXPROCS=1 can panic at 2. -count=1 because
 # GOMAXPROCS is not part of the test cache key: without it every count
-# after the first is served from the cache.
+# after the first is served from the cache. Which worker folds which
+# stream is the scheduler's choice, so the tests that compare a parallel
+# fold with the sequential one then run ten more times a count: ten
+# draws of the assignment, not one.
 test-race:
-	for p in 1 2 4 8; do GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; done
+	for p in 1 2 4 8; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=10 -run 'TestFoldAnyAssignment|TestParallel.*Equivalence|TestNineCallsMatchIncremental' ./internal/core || exit 1; \
+	done
 
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
 # race detector, which inflates allocations): bytes allocated by one

@@ -11,8 +11,9 @@ import (
 // once all inputs are in. This is the streaming form of Aggregate — no
 // slice of source graphs is ever materialized — and the merge operations
 // (C and N sums, MaxC maximum, node-set union keyed by signature) are
-// commutative and associative, so a sharded aggregation merged in any
-// fixed order equals the sequential one bit for bit.
+// commutative and associative, and a forest is read back in sorted order
+// (Node.Children, Graph.Roots): graphs split any way between aggregators
+// and merged in any order equal the sequential aggregation bit for bit.
 type Aggregator struct {
 	g        *Graph
 	filter   *trace.FilterCache

@@ -25,8 +25,8 @@ import (
 // Flags holds the shared command-line values after flag parsing.
 // Groups that were not registered keep their zero values.
 type Flags struct {
-	// Workers bounds the shard-and-merge worker pools (0 = GOMAXPROCS,
-	// 1 = sequential; results are identical at any setting).
+	// Workers bounds the analysis worker pools (0 = GOMAXPROCS,
+	// 1 = inline; results are identical at any setting).
 	Workers int
 	// Cache is the decoded-stream LRU limit for out-of-core analysis.
 	Cache int

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"tracescope/internal/awg"
-	"tracescope/internal/engine"
 	"tracescope/internal/impact"
 	"tracescope/internal/mining"
 	"tracescope/internal/obs"
@@ -25,11 +24,11 @@ import (
 // work. Prefer the Option functions (WithWorkers, WithRecorder,
 // WithThresholds) over building this struct directly.
 type Options struct {
-	// Workers bounds the shard-and-merge worker pool the fold runs on.
-	// Zero means GOMAXPROCS; one forces the sequential path. Results are
-	// bit-for-bit identical at any setting: shards never split a stream,
-	// per-shard partials are deterministic, and merges happen in
-	// shard-index order.
+	// Workers bounds the worker pool the fold runs on. Zero means
+	// GOMAXPROCS; one folds inline on the calling goroutine. Results are
+	// bit-for-bit identical at any setting: a stream is folded whole by
+	// one worker, and what the workers' partial states accumulate merges
+	// the same in any order and any split (see Incremental).
 	Workers int
 	// Recorder receives the pipeline's observability events. Nil means
 	// no-op.
@@ -182,24 +181,15 @@ func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus 
 
 	sp := a.rec.Start("analysis_fold")
 	defer sp.End()
-	// Shards are packed by per-stream event counts, which every source
-	// knows without decoding — or scanning — a stream. Shard composition
-	// affects only load balance: merges are partition-invariant.
-	eng := engine.Options{Workers: cfg.Workers}
-	shards := engine.ShardByStreamWeighted(a.src.InstancesOf(cfg.only), func(stream int) int64 {
-		return int64(trace.StreamEvents(a.src, stream))
-	}, eng.TargetShards())
-	streams := make([][]int, len(shards))
-	for k, sh := range shards {
-		for _, ref := range sh.Refs { // a shard's refs are grouped by stream
-			if n := len(streams[k]); n == 0 || streams[k][n-1] != ref.Stream {
-				streams[k] = append(streams[k], ref.Stream)
-			}
+	var streams []int // the scope's streams: refs arrive grouped by stream
+	for _, ref := range a.src.InstancesOf(cfg.only) {
+		if n := len(streams); n == 0 || streams[n-1] != ref.Stream {
+			streams = append(streams, ref.Stream)
 		}
 	}
 	inc := NewIncremental(cfg)
 	a.held = nil // one fold at a time: the old one is garbage while the new one grows
-	if a.err = inc.foldShards(a.src, "analysis_fold", streams); a.err != nil {
+	if a.err = inc.foldStreams(a.src, "analysis_fold", streams); a.err != nil {
 		return nil, a.err
 	}
 	a.graphs += int64(inc.global.Instances)

@@ -152,9 +152,8 @@ type DiffResult struct {
 }
 
 // Diff runs the corpus-vs-corpus causality diff: both corpora are
-// profiled out-of-core through the shard-and-merge engine (each stream
-// decoded once, in parallel, bit-for-bit deterministic at any worker
-// count), scenarios are aligned by name, and each matched scenario's
+// profiled out-of-core through the one fold loop (each stream decoded
+// once, in parallel, bit-for-bit deterministic at any worker count), scenarios are aligned by name, and each matched scenario's
 // aggregated wait graphs, impact metrics, and contrast patterns are
 // compared. The zero-option call diffs all drivers with no thresholds;
 // the tracescope facade layers the scenario catalogue's thresholds on

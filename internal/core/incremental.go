@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"tracescope/internal/awg"
 	"tracescope/internal/engine"
@@ -35,8 +34,7 @@ type IncrementalConfig struct {
 	// DisableReduce turns off the non-optimizable reduction at query
 	// time (ablation only).
 	DisableReduce bool
-	// Workers bounds the IngestSource warm-up pool. Zero means
-	// GOMAXPROCS.
+	// Workers bounds the IngestSource pool. Zero means GOMAXPROCS.
 	Workers int
 	// Recorder receives ingest/query observability events. Nil means
 	// no-op.
@@ -80,13 +78,16 @@ type scenarioState struct {
 // and holds it.
 //
 // Determinism contract: after ingesting streams 1..N in any arrival
-// order — one at a time, or as shards merged with Merge — Impact and
-// Causality results are bit-for-bit identical. Every accumulation the
-// state holds is commutative and associative — impact partials are sums
-// over disjoint streams, AWG forests merge by signature-keyed node
-// union with C/N sums and MaxC maximum — and the one order-sensitive
-// step, the non-optimizable reduction, runs on a clone of the complete
-// forest at query time.
+// order — one at a time, or split any way between partial states merged
+// with Merge in any order — Impact and Causality results are bit-for-bit
+// identical. Every accumulation the state holds is commutative and
+// associative — impact partials are sums over disjoint streams, AWG
+// forests merge by signature-keyed node union with C/N sums and MaxC
+// maximum, and are read back in sorted order — and the one
+// order-sensitive step, the non-optimizable reduction, runs on a clone
+// of the complete forest at query time. A parallel fold leans on exactly
+// this: which of its workers folds which stream is left to the
+// scheduler (foldStreams).
 //
 // Queries only read the state, so any number may run at once; Ingest and
 // Merge need exclusive access (the tracescoped daemon puts them behind
@@ -100,8 +101,8 @@ type Incremental struct {
 	rec    obs.Recorder
 
 	// work is the scratch streams are folded on: the state's own for a
-	// long-lived Incremental, a worker's for the life of one shard's
-	// partial state (foldShards).
+	// long-lived Incremental, its worker's for a fold's partial state
+	// (foldStreams).
 	work *scratch
 
 	streams   int
@@ -301,12 +302,11 @@ func (inc *Incremental) Merge(other *Incremental) {
 }
 
 // IngestSource folds every not-yet-ingested stream of src — indices
-// [NumStreams(), src.NumStreams()) — into the state as a parallel
-// shard-and-merge over contiguous ranges of streams (see foldShards).
-// Results are bit-for-bit identical at any worker count. This is the
-// warm-up path for a daemon starting over an existing corpus; it assumes
-// the state was fed streams 0..NumStreams()-1 of the same corpus (or
-// nothing).
+// [NumStreams(), src.NumStreams()) — into the state, in parallel (see
+// foldStreams). Results are bit-for-bit identical at any worker count.
+// This is the daemon's warm-up over an existing corpus and its -watch
+// catch-up; it assumes the state was fed streams 0..NumStreams()-1 of
+// the same corpus (or nothing).
 func (inc *Incremental) IngestSource(src trace.Source) error {
 	start := inc.streams
 	n := src.NumStreams() - start
@@ -315,89 +315,57 @@ func (inc *Incremental) IngestSource(src trace.Source) error {
 	}
 	sp := inc.rec.Start("ingest_warmup")
 	defer sp.End()
-
-	eng := engine.Options{Workers: inc.cfg.Workers}
-	shards := make([][]int, min(eng.TargetShards(), n))
-	for k := range shards {
-		for i := start + k*n/len(shards); i < start+(k+1)*n/len(shards); i++ {
-			shards[k] = append(shards[k], i)
-		}
+	streams := make([]int, n)
+	for k := range streams {
+		streams[k] = start + k
 	}
-	return inc.foldShards(src, "ingest_warmup", shards)
+	return inc.foldStreams(src, "ingest_warmup", streams)
 }
 
-// foldShards is the one sweep every corpus-sized fold runs — the
-// daemon's warm-up, each side of a Diff, and the Analyzer's fold: shard
-// k's streams (no stream in two shards, none ingested before) are
-// fetched one at a time and folded into one partial state — so at most a
-// shard count of partial states are alive, never one per stream — and
-// the partials are merged in shard order with Merge. A worker folds its
-// shard on a scratch it takes from a free list and puts back when the
-// shard is done: the list starts with the receiver's own scratch and
-// grows only when a worker finds it empty, so a fold holds at most one
-// scratch per worker however many shards there are, and each stream is
-// decoded into, indexed in and graphed in memory the worker's previous
-// stream used (trace.StreamInto, waitgraph.Builder.Reset). label names
-// the engine run in recorded spans. A fetch error fails the whole fold
-// and leaves the receiver as it was.
-func (inc *Incremental) foldShards(src trace.Source, label string, shards [][]int) error {
-	before := inc.streams
+// foldStreams is the one loop every corpus-sized fold runs — the
+// daemon's warm-up and catch-up, each side of a Diff, the Analyzer's fold
+// — over streams none of which is listed twice or was ingested before
+// (engine.Fold). Each worker owns one scratch (worker 0 the receiver's)
+// and one partial state on it, and folds whichever stream the shared
+// cursor hands it next in the memory its previous stream used
+// (trace.StreamInto, waitgraph.Builder.Reset): min(workers, streams)
+// partial states and scratches whatever the corpus size, merged into the
+// receiver once every stream is folded. Which worker folds which stream
+// varies from run to run; the merged state does not (the determinism
+// contract on Incremental). label names the engine run in recorded
+// spans. The first fetch error stops every worker at its next pull,
+// fails the whole fold and leaves the receiver as it was.
+func (inc *Incremental) foldStreams(src trace.Source, label string, streams []int) error {
 	cfg := inc.cfg
 	cfg.Recorder = nil // partials are merged; counters recorded once below
-	type part struct {
-		inc *Incremental
-		err error
-	}
-	var (
-		mu   sync.Mutex
-		free = []*scratch{inc.work}
-	)
 	eng := engine.Options{Workers: cfg.Workers, Recorder: inc.cfg.Recorder, Label: label}
-	merged := engine.MapMerge(len(shards), eng, func(k int) part {
-		mu.Lock()
-		var work *scratch
-		if n := len(free); n > 0 {
-			work, free = free[n-1], free[:n-1]
+	parts, err := engine.Fold(len(streams), eng, func(worker int) *Incremental {
+		if worker == 0 {
+			return newIncrementalOn(cfg, inc.work)
 		}
-		mu.Unlock()
-		if work == nil {
-			work = newScratch(cfg.Filter)
+		return newIncrementalOn(cfg, newScratch(cfg.Filter))
+	}, func(p *Incremental, k int) error {
+		i := streams[k]
+		s, err := trace.StreamInto(src, i, &p.work.dec)
+		if err != nil {
+			return fmt.Errorf("core: folding stream %d: %w", i, err)
 		}
-		defer func() {
-			mu.Lock()
-			free = append(free, work)
-			mu.Unlock()
-		}()
-
-		p := newIncrementalOn(cfg, work)
-		for _, i := range shards[k] {
-			s, err := trace.StreamInto(src, i, &work.dec)
-			if err != nil {
-				return part{err: fmt.Errorf("core: folding stream %d: %w", i, err)}
-			}
-			// StreamMeta scans a resident stream for its duration — here,
-			// on the worker, once — and reads a lazy source's from its index.
-			p.ingest(i, s, src.StreamMeta(i).Duration)
-		}
-		return part{inc: p}
-	}, func(acc, next part) part {
-		if acc.err == nil {
-			acc.err = next.err
-		}
-		if next.inc != nil {
-			if acc.inc == nil {
-				acc.inc = next.inc
-			} else {
-				acc.inc.Merge(next.inc)
-			}
-		}
-		return acc
+		// StreamMeta scans a resident stream for its duration — here,
+		// on the worker, once — and reads a lazy source's from its index.
+		p.ingest(i, s, src.StreamMeta(i).Duration)
+		return nil
 	})
-	if merged.err != nil {
-		return merged.err
+	if err != nil {
+		return err
 	}
-	inc.Merge(merged.inc)
-	inc.rec.Add("core_streams_ingested_total", int64(inc.streams-before))
+	sp := inc.rec.Start(label + "_merge")
+	defer sp.End()
+	beforeStreams, beforeInstances := inc.streams, inc.instances
+	for _, p := range parts {
+		inc.Merge(p)
+	}
+	inc.rec.Add("core_streams_ingested_total", int64(inc.streams-beforeStreams))
+	inc.rec.Add("core_instances_ingested_total", int64(inc.instances-beforeInstances))
 	return nil
 }
 

@@ -38,15 +38,15 @@ type diffOption func(*DiffOptions)
 
 func (f diffOption) applyDiff(d *DiffOptions) { f(d) }
 
-// WithWorkers bounds the shard-and-merge worker pool. Zero means
-// GOMAXPROCS; one forces the sequential path. Results are bit-for-bit
-// identical at any setting.
+// WithWorkers bounds the fold's worker pool. Zero means GOMAXPROCS; one
+// folds inline. Results are bit-for-bit identical at any setting (see
+// Options.Workers).
 func WithWorkers(n int) CommonOption {
 	return commonOption(func(o *Options) { o.Workers = n })
 }
 
 // WithRecorder routes the analysis pipeline's observability events —
-// engine shard spans and progress, causality phase spans, Wait-Graph
+// engine worker spans and per-stream progress, causality phase spans, Wait-Graph
 // build spans, and cache counters — to r. The analyzer also wires r into
 // the corpus source when the source is instrumentable (a
 // *trace.CachedSource or *trace.DirSource), so stream-decode latency and

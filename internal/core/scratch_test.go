@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tracescope/internal/mining"
+	"tracescope/internal/obs"
 	"tracescope/internal/scenario"
 	"tracescope/internal/trace"
 )
@@ -30,23 +31,25 @@ func (s *scratchSpy) StreamInto(i int, sc *trace.Scratch) (*trace.Stream, error)
 	return s.Source.Stream(i)
 }
 
-// TestFoldScratchPerWorker: a fold's scratches are its workers', not its
-// shards' — eight shards at two workers fold on at most two, on either
-// way into foldShards — and at eight workers (under -race in CI) no two
-// shards ever fold on one scratch at once.
+// TestFoldScratchPerWorker: a fold's scratches and partial states are
+// its workers' — at most one scratch and exactly one partial state (one
+// engine "shard", a worker's run) per worker, min(workers, streams) of
+// them, merged under one "<label>_merge" span, on either way into
+// foldStreams (keyed by its label below) — and at eight workers (under
+// -race in CI) no two workers ever fold on one scratch at once.
 func TestFoldScratchPerWorker(t *testing.T) {
 	corpus := equivalenceCorpus(t)
-	for _, workers := range []int{2, 8} {
-		folds := map[string]func(src trace.Source){
-			"Analyzer": func(src trace.Source) {
-				an := NewAnalyzer(src, WithWorkers(workers), WithThresholds(scenario.Thresholds))
+	for _, workers := range []int{2, 8, 64} {
+		folds := map[string]func(src trace.Source, rec obs.Recorder){
+			"analysis_fold": func(src trace.Source, rec obs.Recorder) {
+				an := NewAnalyzer(src, WithWorkers(workers), WithThresholds(scenario.Thresholds), WithRecorder(rec))
 				an.Impact(trace.AllDrivers(), "")
 				if err := an.Err(); err != nil {
 					t.Fatal(err)
 				}
 			},
-			"IngestSource": func(src trace.Source) {
-				inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds, Workers: workers})
+			"ingest_warmup": func(src trace.Source, rec obs.Recorder) {
+				inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds, Workers: workers, Recorder: rec})
 				if err := inc.IngestSource(src); err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +57,8 @@ func TestFoldScratchPerWorker(t *testing.T) {
 		}
 		for name, fold := range folds {
 			spy := &scratchSpy{Source: corpus}
-			fold(spy)
+			rec := obs.NewMemRecorder()
+			fold(spy, rec)
 			fetched := 0
 			for _, n := range spy.seen {
 				fetched += n
@@ -62,9 +66,15 @@ func TestFoldScratchPerWorker(t *testing.T) {
 			if fetched != corpus.NumStreams() {
 				t.Errorf("%s, workers %d: %d scratch fetches, want one per stream (%d)", name, workers, fetched, corpus.NumStreams())
 			}
-			if shards := min(4*workers, corpus.NumStreams()); len(spy.seen) > workers || len(spy.seen) >= shards {
-				t.Errorf("%s, workers %d: %d shards folded on %d scratches, want at most one per worker",
-					name, workers, shards, len(spy.seen))
+			want := min(workers, corpus.NumStreams())
+			if len(spy.seen) > want {
+				t.Errorf("%s, workers %d: folded on %d scratches, want at most %d", name, workers, len(spy.seen), want)
+			}
+			if got := rec.CounterValue("engine_shards_total"); got != int64(want) {
+				t.Errorf("%s, workers %d: %d partial states, want %d", name, workers, got, want)
+			}
+			if got := rec.SpanCount(name + "_merge"); got != 1 {
+				t.Errorf("%s, workers %d: %d merge spans, want 1", name, workers, got)
 			}
 		}
 	}

@@ -1,12 +1,13 @@
-// Package engine provides the deterministic shard-and-merge runner that
-// parallelises the analysis pipeline. Work over a corpus is split into
-// shards of scenario-instance references such that no trace stream is
-// ever shared by two shards (per-stream Wait-Graph builders are
-// single-writer), each shard is mapped to a mergeable partial result on a
-// bounded worker pool, and the partials are folded in shard-index order.
-// Because every per-shard computation is deterministic and every merge is
-// performed in a fixed order, results are bit-for-bit identical to the
-// sequential path at any worker count.
+// Package engine provides the bounded worker pool that parallelises the
+// analysis pipeline, in two shapes. Fold is the one loop every
+// corpus-sized fold runs: each worker owns one state and pulls the next
+// unit (a whole trace stream — per-stream Wait-Graph builders are
+// single-writer) from a shared cursor until it runs dry, and the caller
+// merges the at most one state per worker. Which worker takes which unit
+// depends on scheduling, so a Fold is for accumulations that do not care
+// — sums, maxima, unions of keyed maps read back in sorted order — and
+// for those the merged result is bit-for-bit the sequential one at any
+// worker count. Map is for results that must come back in index order.
 package engine
 
 import (
@@ -15,20 +16,18 @@ import (
 	"sync/atomic"
 
 	"tracescope/internal/obs"
-	"tracescope/internal/trace"
 )
 
-// Options bound a shard-and-merge run.
+// Options bound a run.
 type Options struct {
 	// Workers bounds the worker pool. Zero means GOMAXPROCS; one forces
 	// the inline sequential path. Results are identical at any setting.
 	Workers int
 	// Recorder receives the run's observability events (shard spans,
-	// per-shard progress, shard/worker counters). Nil means no-op.
+	// progress, shard/worker counters). Nil means no-op.
 	Recorder obs.Recorder
 	// Label names the run in recorded events: shard spans complete under
-	// "<Label>_shard", progress under "<Label>", and the merge fold under
-	// "<Label>_merge". Empty means "engine".
+	// "<Label>_shard" and progress under "<Label>". Empty means "engine".
 	Label string
 }
 
@@ -48,104 +47,82 @@ func (o Options) EffectiveWorkers() int {
 	return o.Workers
 }
 
-// shardsPerWorker oversubscribes the shard count relative to the pool so
-// unevenly sized streams still balance.
-const shardsPerWorker = 4
+// TargetShards returns the number of states a Fold builds at the
+// configured worker count — one per worker — before the unit count caps
+// it.
+func (o Options) TargetShards() int { return o.EffectiveWorkers() }
 
-// TargetShards returns the shard count to aim for at the configured
-// worker count. One worker means one shard: the exact sequential
-// topology.
-func (o Options) TargetShards() int {
-	w := o.EffectiveWorkers()
-	if w <= 1 {
-		return 1
-	}
-	return w * shardsPerWorker
-}
-
-// Shard is one unit of analysis work: a run of instance references whose
-// underlying streams belong to this shard alone.
-type Shard struct {
-	// Index is the shard's position in the deterministic merge order.
-	Index int
-	// Refs are the shard's instances, in their original input order.
-	Refs []trace.InstanceRef
-}
-
-// ShardByStreamWeighted partitions refs into at most maxShards shards,
-// keeping every stream's references within a single shard (stream-order
-// sharding). Input order is preserved inside each shard, and the
-// concatenation of all shards' Refs in Index order groups refs by stream
-// in first-appearance order. maxShards <= 1 yields a single shard.
+// Fold runs fn(state, i) for every i in [0, n) and returns the states it
+// ran them on. There are min(TargetShards(), n) workers; worker w owns
+// newState(w) — no two goroutines ever touch one state — and takes the
+// next index from a cursor all workers share, so a unit that runs long
+// delays only the worker holding it. Worker 0 is the calling goroutine:
+// at one worker the whole fold runs inline. A worker that finds the
+// cursor dry at its first pull still returns its (untouched) state.
 //
-// Keeping streams whole is what makes the parallel path race-free: the
-// per-stream Wait-Graph builders memoise nodes on first use, so only one
-// worker may touch a stream during a map phase.
+// The first error stops every worker at its next pull, and Fold returns
+// no states and the error of the lowest failing index — always the same
+// one: the cursor hands indices out in order, and each one handed out runs.
 //
-// Shards are packed to roughly equal total weight, weight being a
-// stream's cost. Lazy sources know each stream's event count from the index without
-// decoding, so sharding by it balances Wait-Graph construction work
-// even when streams vary widely in size. A nil weight (or non-positive
-// values) falls back to the stream's reference count. Shard composition
-// affects only load balance, never results: merges are
-// partition-invariant.
-func ShardByStreamWeighted(refs []trace.InstanceRef, weight func(stream int) int64, maxShards int) []Shard {
-	if len(refs) == 0 {
-		return nil
+// A "shard" is one worker's run: a "<label>_shard" span and a count in
+// engine_shards_total; progress ticks per unit. The recorded event set
+// depends on n and the worker count, never on which worker ran what.
+func Fold[S any](n int, opts Options, newState func(worker int) S, fn func(state S, i int) error) ([]S, error) {
+	workers := min(opts.TargetShards(), n)
+	if workers <= 0 {
+		return nil, nil
 	}
-	if maxShards < 1 {
-		maxShards = 1
+	rec := obs.OrNop(opts.Recorder)
+	label := opts.label()
+	rec.Add("engine_runs_total", 1)
+	rec.Add("engine_shards_total", int64(workers))
+	rec.Add("engine_workers_total", int64(workers))
+
+	states := make([]S, workers)
+	for w := range states {
+		states[w] = newState(w)
 	}
-	// Group refs by stream, preserving first-appearance order of streams
-	// and input order within each stream.
-	order := make([]int, 0, 16)
-	groups := make(map[int][]trace.InstanceRef)
-	for _, ref := range refs {
-		if _, ok := groups[ref.Stream]; !ok {
-			order = append(order, ref.Stream)
-		}
-		groups[ref.Stream] = append(groups[ref.Stream], ref)
-	}
-	if maxShards > len(order) {
-		maxShards = len(order)
-	}
-	var total int64
-	weights := make([]int64, len(order))
-	for k, si := range order {
-		w := int64(len(groups[si]))
-		if weight != nil {
-			if ww := weight(si); ww > 0 {
-				w = ww
+	var (
+		next, done atomic.Int64
+		failed     atomic.Bool
+		mu         sync.Mutex // guards err and errAt
+		err        error
+		errAt      = n
+	)
+	run := func(w int) {
+		sp := rec.Start(label + "_shard")
+		defer sp.End()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}
-		weights[k] = w
-		total += w
-	}
-	// Pack consecutive stream groups into shards of roughly equal total
-	// weight.
-	target := (total + int64(maxShards) - 1) / int64(maxShards)
-	shards := make([]Shard, 0, maxShards)
-	var cur []trace.InstanceRef
-	var curWeight int64
-	flush := func() {
-		if len(cur) > 0 {
-			shards = append(shards, Shard{Index: len(shards), Refs: cur})
-			cur = nil
-			curWeight = 0
+			if e := fn(states[w], i); e != nil {
+				mu.Lock()
+				if i < errAt {
+					err, errAt = e, i
+				}
+				mu.Unlock()
+				failed.Store(true)
+				return
+			}
+			rec.Progress(label, done.Add(1), int64(n))
 		}
 	}
-	for k, si := range order {
-		g := groups[si]
-		// Overflowing the target starts a new shard — unless this is
-		// already the last allowed shard, which absorbs the remainder.
-		if len(cur) > 0 && curWeight+weights[k] > target && len(shards) < maxShards-1 {
-			flush()
-		}
-		cur = append(cur, g...)
-		curWeight += weights[k]
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
 	}
-	flush()
-	return shards
+	run(0)
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return states, nil
 }
 
 // Map runs fn(i) for every i in [0, n) on a bounded worker pool and
@@ -198,22 +175,4 @@ func Map[R any](n int, opts Options, fn func(i int) R) []R {
 	close(next)
 	wg.Wait()
 	return out
-}
-
-// MapMerge maps every index to a partial result on the pool, then folds
-// the partials left-to-right in index order: the deterministic
-// shard-and-merge primitive. With n == 0 it returns the zero R.
-func MapMerge[R any](n int, opts Options, fn func(i int) R, merge func(acc, next R) R) R {
-	var acc R
-	parts := Map(n, opts, fn)
-	sp := obs.OrNop(opts.Recorder).Start(opts.label() + "_merge")
-	defer sp.End()
-	for i, p := range parts {
-		if i == 0 {
-			acc = p
-			continue
-		}
-		acc = merge(acc, p)
-	}
-	return acc
 }

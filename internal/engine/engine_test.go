@@ -1,71 +1,13 @@
 package engine
 
 import (
-	"reflect"
+	"fmt"
+	"sort"
+	"sync/atomic"
 	"testing"
 
-	"tracescope/internal/trace"
+	"tracescope/internal/obs"
 )
-
-func refs(pairs ...[2]int) []trace.InstanceRef {
-	out := make([]trace.InstanceRef, len(pairs))
-	for i, p := range pairs {
-		out[i] = trace.InstanceRef{Stream: p[0], Instance: p[1]}
-	}
-	return out
-}
-
-// TestShardByStreamNeverSplitsAStream is the engine's safety invariant:
-// per-stream Wait-Graph builders are single-writer, so a stream's refs
-// must land in exactly one shard.
-func TestShardByStreamNeverSplitsAStream(t *testing.T) {
-	var in []trace.InstanceRef
-	for s := 0; s < 7; s++ {
-		for i := 0; i < 5+s; i++ {
-			in = append(in, trace.InstanceRef{Stream: s, Instance: i})
-		}
-	}
-	for _, maxShards := range []int{1, 2, 3, 4, 8, 100} {
-		shards := ShardByStreamWeighted(in, nil, maxShards)
-		owner := make(map[int]int)
-		total := 0
-		for _, sh := range shards {
-			total += len(sh.Refs)
-			for _, r := range sh.Refs {
-				if prev, ok := owner[r.Stream]; ok && prev != sh.Index {
-					t.Fatalf("maxShards=%d: stream %d split across shards %d and %d",
-						maxShards, r.Stream, prev, sh.Index)
-				}
-				owner[r.Stream] = sh.Index
-			}
-		}
-		if total != len(in) {
-			t.Fatalf("maxShards=%d: %d refs sharded, want %d", maxShards, total, len(in))
-		}
-		if len(shards) > maxShards {
-			t.Fatalf("maxShards=%d: got %d shards", maxShards, len(shards))
-		}
-	}
-}
-
-func TestShardByStreamPreservesOrderWithinStream(t *testing.T) {
-	in := refs([2]int{0, 2}, [2]int{1, 0}, [2]int{0, 5}, [2]int{1, 3}, [2]int{0, 9})
-	shards := ShardByStreamWeighted(in, nil, 2)
-	var flat []trace.InstanceRef
-	for _, sh := range shards {
-		flat = append(flat, sh.Refs...)
-	}
-	want := refs([2]int{0, 2}, [2]int{0, 5}, [2]int{0, 9}, [2]int{1, 0}, [2]int{1, 3})
-	if !reflect.DeepEqual(flat, want) {
-		t.Fatalf("sharded order %v, want stream-grouped %v", flat, want)
-	}
-}
-
-func TestShardByStreamEmpty(t *testing.T) {
-	if got := ShardByStreamWeighted(nil, nil, 4); got != nil {
-		t.Fatalf("sharding no refs yielded %v", got)
-	}
-}
 
 // TestMapOrderIndependentOfWorkers: results come back in index order at
 // every pool size.
@@ -81,25 +23,94 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestMapMergeFoldsInIndexOrder uses a non-commutative merge (string
-// concatenation) to pin the deterministic fold order.
-func TestMapMergeFoldsInIndexOrder(t *testing.T) {
-	letters := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := MapMerge(len(letters), Options{Workers: workers},
-			func(i int) string { return letters[i] },
-			func(acc, next string) string { return acc + next })
-		if got != "abcdefgh" {
-			t.Fatalf("workers=%d: merged %q, want abcdefgh", workers, got)
+// TestFoldEveryIndexOnceOnOneState: every index runs exactly once, on
+// the state of exactly one worker, there are min(workers, n) states, and
+// no state is ever in two calls at once (CI runs this under -race, where
+// the unsynchronised writes to a state would also be reported).
+func TestFoldEveryIndexOnceOnOneState(t *testing.T) {
+	type state struct {
+		worker int
+		busy   atomic.Bool
+		seen   []int
+	}
+	for _, n := range []int{1, 2, 7, 100} {
+		for _, workers := range []int{0, 1, 2, 4, 8, 200} {
+			opts := Options{Workers: workers}
+			states, err := Fold(n, opts, func(w int) *state { return &state{worker: w} },
+				func(s *state, i int) error {
+					if !s.busy.CompareAndSwap(false, true) {
+						t.Errorf("n=%d workers=%d: state %d is in two calls at once", n, workers, s.worker)
+					}
+					s.seen = append(s.seen, i)
+					s.busy.Store(false)
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(opts.EffectiveWorkers(), n); len(states) != want || opts.TargetShards() != opts.EffectiveWorkers() {
+				t.Fatalf("n=%d workers=%d: %d states, want %d", n, workers, len(states), want)
+			}
+			ran := make([]int, n)
+			for w, s := range states {
+				if s.worker != w {
+					t.Errorf("n=%d workers=%d: states[%d] is worker %d's", n, workers, w, s.worker)
+				}
+				if !sort.IntsAreSorted(s.seen) {
+					t.Errorf("n=%d workers=%d: worker %d ran %v, want ascending (one cursor)", n, workers, w, s.seen)
+				}
+				for _, i := range s.seen {
+					ran[i]++
+				}
+			}
+			for i, c := range ran {
+				if c != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
+			}
 		}
 	}
 }
 
-func TestMapMergeEmpty(t *testing.T) {
-	got := MapMerge(0, Options{}, func(i int) int { return 1 },
-		func(a, b int) int { return a + b })
-	if got != 0 {
-		t.Fatalf("empty merge yielded %d", got)
+// TestFoldEmpty: nothing to fold builds no state and records no run.
+func TestFoldEmpty(t *testing.T) {
+	rec := obs.NewMemRecorder()
+	states, err := Fold(0, Options{Workers: 4, Recorder: rec},
+		func(int) int { t.Error("state built for an empty fold"); return 0 },
+		func(int, int) error { t.Error("unit run for an empty fold"); return nil })
+	if states != nil || err != nil {
+		t.Fatalf("empty fold yielded %v, %v", states, err)
+	}
+	if got := rec.CounterValue("engine_runs_total"); got != 0 {
+		t.Errorf("engine_runs_total = %d, want 0", got)
+	}
+}
+
+// TestFoldErrorStopsTheRest: after a unit fails, each worker starts at
+// most one more (the pull it had already decided on), the fold returns
+// no states, and the error is the lowest failing index's whichever
+// worker met which.
+func TestFoldErrorStopsTheRest(t *testing.T) {
+	const n = 1000
+	for _, workers := range []int{1, 2, 8} {
+		var failedAt, after atomic.Int64
+		states, err := Fold(n, Options{Workers: workers}, func(int) int { return 0 },
+			func(_ int, i int) error {
+				if failedAt.Load() != 0 {
+					after.Add(1)
+				}
+				if i == 3 || i == 5 {
+					failedAt.CompareAndSwap(0, int64(i))
+					return fmt.Errorf("unit %d", i)
+				}
+				return nil
+			})
+		if err == nil || err.Error() != "unit 3" || states != nil {
+			t.Errorf("workers=%d: got %v, %v; want unit 3's error and no states", workers, states, err)
+		}
+		if got := after.Load(); got > int64(workers) {
+			t.Errorf("workers=%d: %d units started after the failure, want at most one per worker", workers, got)
+		}
 	}
 }
 

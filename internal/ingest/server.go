@@ -139,24 +139,21 @@ func (s *Server) openSourceLocked() error {
 	return nil
 }
 
-// ingestPendingLocked folds every indexed-but-not-yet-ingested stream
-// into the analysis state. parsedIdx/parsed short-circuit the one
-// stream the caller already holds decoded (the HTTP upload), so the
-// common path never re-reads what it just wrote. The caller holds the
-// write lock.
-func (s *Server) ingestPendingLocked(parsedIdx int, parsed *trace.Stream) error {
-	for s.inc.NumStreams() < s.src.NumStreams() {
-		i := s.inc.NumStreams()
-		st := parsed
-		if i != parsedIdx || st == nil {
-			var err error
-			if st, err = s.src.Stream(i); err != nil {
-				return err
-			}
-		}
-		s.inc.Ingest(i, st)
+// ingestUploadLocked folds the upload just appended as stream idx, which
+// the caller holds decoded, into the analysis state: when it is the only
+// indexed-but-not-yet-ingested stream — the common path — it is folded
+// as it is, never re-read. An upload landing beside streams another
+// process appended goes in with them, as a -watch catch-up does: through
+// the fold every corpus-sized sweep runs (Incremental.IngestSource),
+// parallel, decoding into its workers' buffers, and all or nothing, so a
+// stream that cannot be fetched leaves the state as it was. The caller
+// holds the write lock.
+func (s *Server) ingestUploadLocked(idx int, stream *trace.Stream) error {
+	if idx == s.inc.NumStreams() && idx+1 == s.src.NumStreams() {
+		s.inc.Ingest(idx, stream)
+		return nil
 	}
-	return nil
+	return s.inc.IngestSource(s.src)
 }
 
 // Sync reloads the corpus index and ingests any streams that landed on
@@ -198,8 +195,8 @@ func (s *Server) Sync() (int, error) {
 		}
 	}
 	before := s.inc.NumStreams()
-	if err := s.ingestPendingLocked(-1, nil); err != nil {
-		return s.inc.NumStreams() - before, err
+	if err := s.inc.IngestSource(s.src); err != nil {
+		return 0, err
 	}
 	n := s.inc.NumStreams() - before
 	if s.app.NumStreams() != s.src.NumStreams() {
@@ -273,7 +270,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		_, err = s.src.Reload()
 	}
 	if err == nil {
-		err = s.ingestPendingLocked(idx, stream)
+		err = s.ingestUploadLocked(idx, stream)
 	}
 	streams, events, instances := s.inc.NumStreams(), s.inc.NumEvents(), s.inc.NumInstances()
 	s.mu.Unlock()

@@ -393,6 +393,68 @@ func TestServerSyncAdoptsCorpusCreatedAfterStart(t *testing.T) {
 	}
 }
 
+// TestServerSyncCatchUpAllOrNothing: a catch-up over many streams is one
+// fold (Incremental.IngestSource), so a stream whose file cannot be read
+// fails the whole Sync and leaves every answer as it was — not a state
+// caught up as far as the bad stream — and once the file is back the
+// next Sync folds all of them, to the answers of a server that was
+// POSTed the same streams.
+func TestServerSyncCatchUpAllOrNothing(t *testing.T) {
+	corpus := scenario.Generate(scenario.Config{Seed: 5, Streams: 14, Episodes: 6})
+	dir := t.TempDir()
+	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, s, corpus, []int{0, 1})
+	endpoints := queryEndpoints(scenario.BrowserTabCreate)
+	before := make([]string, len(endpoints))
+	for i, url := range endpoints {
+		_, before[i] = get(t, s, url)
+	}
+
+	app, err := trace.OpenAppender(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range corpus.Streams[2:] {
+		if _, err := app.Append(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, disk.StreamMeta(9).File)
+	if err := os.Rename(file, file+".away"); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, err := s.Sync(); n != 0 || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Sync with stream 9's file missing = %d, %v; want 0 and the missing file", n, err)
+	}
+	for i, url := range endpoints {
+		if _, after := get(t, s, url); after != before[i] {
+			t.Errorf("GET %s changed over a failed Sync:\n%s\n--- before ---\n%s", url, after, before[i])
+		}
+	}
+
+	if err := os.Rename(file+".away", file); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Sync(); n != 12 || err != nil {
+		t.Fatalf("Sync with the file back = %d, %v; want 12, nil", n, err)
+	}
+	posted := newTestServer(t)
+	feedAll(t, posted, corpus, identityOrder(len(corpus.Streams)))
+	for _, url := range endpoints {
+		if got, want := mustGet(t, s, url), mustGet(t, posted, url); got != want {
+			t.Errorf("GET %s after the catch-up differs from a server POSTed the same streams:\n%s\n--- want ---\n%s", url, got, want)
+		}
+	}
+}
+
 // TestServerSyncRejectsEditedPrefix: Sync is where another writer can
 // exist, so it re-reads the whole index: a record before the last one
 // edited in place (same length — the edit a tail-only Reload cannot see)

@@ -43,12 +43,3 @@ func StreamInto(src Source, i int, sc *Scratch) (*Stream, error) {
 	}
 	return src.Stream(i)
 }
-
-// StreamEvents returns stream i's event count. For a resident corpus it
-// does not scan the stream, which StreamMeta must (for the duration).
-func StreamEvents(src Source, i int) int {
-	if c, ok := src.(*Corpus); ok {
-		return len(c.Streams[i].Events)
-	}
-	return src.StreamMeta(i).Events
-}

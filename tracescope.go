@@ -311,13 +311,16 @@ func NewAnalyzer(src Source, options ...AnalyzerOption) *Analyzer {
 	return core.NewAnalyzer(src, opts...)
 }
 
-// WithWorkers bounds the shard-and-merge worker pool of an analysis or
-// diff. Zero means GOMAXPROCS; one forces the sequential path. Results
-// are bit-for-bit identical at any setting.
+// WithWorkers bounds the worker pool an analysis or diff folds its
+// corpus on: each worker pulls whole streams from one shared cursor into
+// one partial state of its own, and the partials are merged at the end.
+// Zero means GOMAXPROCS; one folds inline. Results are bit-for-bit
+// identical at any setting — the merge is order-insensitive, so which
+// worker folded which stream cannot show.
 func WithWorkers(n int) CommonOption { return core.WithWorkers(n) }
 
 // WithRecorder routes the analysis pipeline's observability events —
-// engine shard spans and progress, causality phase spans, Wait-Graph
+// engine worker spans and per-stream progress, causality phase spans, Wait-Graph
 // build spans, stream-decode latency, and cache counters — to r. When
 // the source is instrumentable (*CachedSource, *DirSource) the recorder
 // is wired into it too, so one registry holds the whole pipeline. A nil
@@ -360,8 +363,8 @@ type (
 )
 
 // Diff runs the corpus-vs-corpus causality diff: both corpora are
-// profiled out-of-core (each stream decoded once, shard-and-merge
-// parallel, bit-for-bit deterministic at any worker count), scenarios
+// profiled out-of-core (each stream decoded once, in parallel,
+// bit-for-bit deterministic at any worker count), scenarios
 // are aligned by name, and each matched scenario's aggregated wait
 // graphs, impact metrics, and contrast patterns are compared. The
 // result ranks what got slower — and through which wait chain — across
