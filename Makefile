@@ -69,12 +69,13 @@ test-short:
 # GOMAXPROCS is not part of the test cache key: without it every count
 # after the first is served from the cache. Which worker folds which
 # stream is the scheduler's choice, so the tests that compare a parallel
-# fold with the sequential one then run ten more times a count: ten
-# draws of the assignment, not one.
+# fold with the sequential one — and the diff's all-instances forest,
+# merged across workers and across classes, with a sequential aggregate —
+# then run ten more times a count: ten draws of the assignment, not one.
 test-race:
 	for p in 1 2 4 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -count=10 -run 'TestFoldAnyAssignment|TestParallel.*Equivalence|TestNineCallsMatchIncremental' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=10 -run 'TestFoldAnyAssignment|TestParallel.*Equivalence|TestNineCallsMatchIncremental|TestDiffForestEqualsSequentialAggregate' ./internal/core || exit 1; \
 	done
 
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the

@@ -232,7 +232,8 @@ func TestFoldStopsAtFetchError(t *testing.T) {
 
 // TestIngestCountersMatchState: core_streams_ingested_total and
 // core_instances_ingested_total say what the state says, however the
-// streams got in.
+// streams got in — and under a one-scenario fold, which skips the other
+// scenarios' instances of the streams it decodes, what was folded.
 func TestIngestCountersMatchState(t *testing.T) {
 	corpus := equivalenceCorpus(t)
 	check := func(label string, rec *obs.MemRecorder, streams, instances int) {
@@ -259,6 +260,15 @@ func TestIngestCountersMatchState(t *testing.T) {
 		an := NewAnalyzer(corpus, WithWorkers(workers), WithRecorder(rec))
 		an.Impact(trace.AllDrivers(), "")
 		check(fmt.Sprintf("Analyzer/workers=%d", workers), rec, corpus.NumStreams(), corpus.NumInstances())
+
+		const scoped = "BrowserTabCreate"
+		rec = obs.NewMemRecorder()
+		an = NewAnalyzer(corpus, WithWorkers(workers), WithRecorder(rec))
+		m := an.Impact(trace.AllDrivers(), scoped)
+		if m.Instances == 0 || m.Instances == corpus.NumInstances() {
+			t.Fatalf("scoped fold covered %d of %d instances: not a scope", m.Instances, corpus.NumInstances())
+		}
+		check(fmt.Sprintf("Analyzer/%s/workers=%d", scoped, workers), rec, len(streamsOf(corpus, scoped)), m.Instances)
 	}
 	rec := obs.NewMemRecorder()
 	inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds, Recorder: rec})

@@ -166,12 +166,11 @@ func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus 
 		cfg.only = ""
 	} else {
 		cfg = IncrementalConfig{
-			Filter:      filter,
-			Thresholds:  a.opts.Thresholds,
-			Workers:     a.opts.Workers,
-			Recorder:    a.opts.Recorder,
-			only:        scenario,
-			noAllForest: true,
+			Filter:     filter,
+			Thresholds: a.opts.Thresholds,
+			Workers:    a.opts.Workers,
+			Recorder:   a.opts.Recorder,
+			only:       scenario,
 		}
 		if caus != nil {
 			cfg.MaxAWGDepth = caus.MaxAWGDepth
@@ -354,17 +353,19 @@ func (a *Analyzer) Causality(cfg CausalityConfig) (*CausalityResult, error) {
 type contrastClass uint8
 
 const (
-	unclassed contrastClass = iota // between the thresholds: in neither class
+	unclassed contrastClass = iota // between the thresholds, or none known: in neither class
 	fastClass
 	slowClass
 )
 
-// classify places an instance by its recorded duration (§4.2.1).
-func classify(in trace.Instance, tfast, tslow trace.Duration) contrastClass {
+// class places an instance by its recorded duration (§4.2.1); a scenario
+// without thresholds has no classes to be in.
+func (sc *scenarioState) class(in trace.Instance) contrastClass {
 	switch d := in.Duration(); {
-	case d < tfast:
+	case !sc.classed:
+	case d < sc.tfast:
 		return fastClass
-	case d > tslow:
+	case d > sc.tslow:
 		return slowClass
 	}
 	return unclassed

@@ -183,7 +183,8 @@ func Diff(base, cand trace.Source, opts ...DiffOption) (*DiffResult, error) {
 // tracescoped daemon's path: its live state (snapshotted) against a
 // freshly profiled baseline corpus. Both states must have been built
 // with the same filter, thresholds, and depth configuration; the states
-// are only read (queries clone their forests), never mutated. Only the
+// are only read, never mutated: queries clone the forests they reduce —
+// for the all-instances AWG compared here, a scenario's three. Only the
 // mining, ranking, and observability options apply here — filter,
 // thresholds, and depth were fixed when the states ingested.
 func DiffIncrementals(base, cand *Incremental, opts ...DiffOption) *DiffResult {
@@ -268,8 +269,8 @@ func diffStates(base, cand *Incremental, o DiffOptions, rec obs.Recorder) *DiffR
 // diffScenario compares one matched scenario across the two profiles.
 func diffScenario(name string, base, cand *Incremental, bsc, csc *scenarioState, o DiffOptions) ScenarioDiff {
 	awgOpts := awg.Options{MaxDepth: o.MaxAWGDepth, Reduce: true}
-	baseAWG := finishClone(bsc.all, o.Filter, awgOpts)
-	candAWG := finishClone(csc.all, o.Filter, awgOpts)
+	baseAWG := finishClone(o.Filter, awgOpts, bsc.fast, bsc.between, bsc.slow)
+	candAWG := finishClone(o.Filter, awgOpts, csc.fast, csc.between, csc.slow)
 
 	sd := ScenarioDiff{
 		Scenario: name,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"tracescope/internal/obs"
 	"tracescope/internal/scenario"
 	"tracescope/internal/trace"
+	"tracescope/internal/waitgraph"
 )
 
 // diffCorpus generates one side of a corpus-vs-corpus diff. slowhw != 0
@@ -255,5 +257,101 @@ func TestDiffIncrementalsOrderInvariance(t *testing.T) {
 	}
 	if got := DiffIncrementals(shufBase, shufCand.Snapshot()); !reflect.DeepEqual(got, want) {
 		t.Error("diffing a snapshot differs from diffing the live state")
+	}
+}
+
+// TestDiffForestEqualsSequentialAggregate: the all-instances AWG a diff
+// compares is derived — the merge of a scenario's three disjoint class
+// forests, themselves merged across workers — so it is checked against
+// an aggregate nothing is derived from: awg.Aggregate over every
+// instance graph of the scenario in ref order, reduction on, per side.
+// The edge diff of those two references must be ScenarioDiff.Edges and
+// their cost totals ScenarioSide's, however the thresholds split the
+// instances (catalogue: all three forests in use; every instance slow;
+// every instance fast; no thresholds: everything between) and however
+// the state was built (Diff at workers 1/2/4, DiffIncrementals over
+// streams ingested one by one in shuffled order). An instance
+// aggregated into two forests, or into none, moves a cost.
+func TestDiffForestEqualsSequentialAggregate(t *testing.T) {
+	base, cand := diffCorpus(t, 0), diffCorpus(t, 4)
+	reference := func(c *trace.Corpus) map[string]*awg.Graph {
+		graphs := make(map[string][]*waitgraph.Graph)
+		for si, s := range c.Streams {
+			b := waitgraph.NewBuilder(s, si, waitgraph.Options{})
+			for _, in := range s.Instances {
+				graphs[in.Scenario] = append(graphs[in.Scenario], b.Instance(in))
+			}
+		}
+		out := make(map[string]*awg.Graph)
+		for name, gs := range graphs {
+			out[name] = awg.Aggregate(gs, trace.AllDrivers(), awg.DefaultOptions())
+		}
+		return out
+	}
+	refBase, refCand := reference(base), reference(cand)
+
+	fixed := func(tfast, tslow trace.Duration) func(string) (trace.Duration, trace.Duration, bool) {
+		return func(string) (trace.Duration, trace.Duration, bool) { return tfast, tslow, true }
+	}
+	variants := []struct {
+		name       string
+		thresholds func(string) (trace.Duration, trace.Duration, bool)
+		// shape reports whether a scenario's side is split the way the
+		// variant means to; some scenario (catalogue) or every one must be.
+		shape func(ScenarioSide) bool
+		every bool
+	}{
+		{"catalogue", scenario.Thresholds, func(s ScenarioSide) bool { return s.Fast > 0 && s.Slow > 0 && s.Fast+s.Slow < s.Instances }, false},
+		{"all-slow", fixed(1, 2), func(s ScenarioSide) bool { return s.Slow == s.Instances }, true},
+		{"all-fast", fixed(1<<60, 1<<61), func(s ScenarioSide) bool { return s.Fast == s.Instances }, true},
+		{"no-thresholds", nil, func(s ScenarioSide) bool { return s.Fast == 0 && s.Slow == 0 }, true},
+	}
+	for _, v := range variants {
+		check := func(label string, res *DiffResult) {
+			t.Helper()
+			if len(res.Scenarios) != len(refCand) {
+				t.Fatalf("%s: %d matched scenarios, want %d", label, len(res.Scenarios), len(refCand))
+			}
+			shaped := 0
+			for _, sd := range res.Scenarios {
+				b, c := refBase[sd.Scenario], refCand[sd.Scenario]
+				want := awg.DiffGraphs(b, c)
+				sortEdges(want)
+				if !reflect.DeepEqual(sd.Edges, want) {
+					t.Errorf("%s: %s: %d edge deltas differ from the sequential aggregates' %d", label, sd.Scenario, len(sd.Edges), len(want))
+				}
+				for _, side := range []struct {
+					name string
+					got  ScenarioSide
+					ref  *awg.Graph
+				}{{"base", sd.Base, b}, {"cand", sd.Cand, c}} {
+					if side.got.TotalCost != side.ref.TotalCost() || side.got.ReducedCost != side.ref.ReducedCost || side.got.KeptCost != side.ref.KeptCost {
+						t.Errorf("%s: %s %s: total/reduced/kept %v/%v/%v, sequential aggregate %v/%v/%v", label, sd.Scenario, side.name,
+							side.got.TotalCost, side.got.ReducedCost, side.got.KeptCost, side.ref.TotalCost(), side.ref.ReducedCost, side.ref.KeptCost)
+					}
+					if v.shape(side.got) {
+						shaped++
+					}
+				}
+			}
+			if shaped == 0 || v.every && shaped != 2*len(res.Scenarios) {
+				t.Errorf("%s: %d of %d scenario sides are split the way the variant intends", label, shaped, 2*len(res.Scenarios))
+			}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			res, err := Diff(base, cand, WithThresholds(v.thresholds), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s/Diff/workers=%d", v.name, workers), res)
+		}
+		build := func(c *trace.Corpus, seed int64) *Incremental {
+			inc := NewIncremental(IncrementalConfig{Thresholds: v.thresholds})
+			for _, si := range rand.New(rand.NewSource(seed)).Perm(len(c.Streams)) {
+				inc.Ingest(si, c.Streams[si])
+			}
+			return inc
+		}
+		check(v.name+"/DiffIncrementals", DiffIncrementals(build(base, 3), build(cand, 8)))
 	}
 }

@@ -40,23 +40,21 @@ type IncrementalConfig struct {
 	// no-op.
 	Recorder obs.Recorder
 
-	// How core.Analyzer shapes the folds it holds — unexported, so not
-	// something a facade caller can set. only restricts the fold to one
-	// scenario's instances ("" folds every instance); noAllForest drops
-	// the all-instances forest, which only a corpus diff reads.
-	only        string
-	noAllForest bool
+	// only restricts the fold to one scenario's instances ("" folds every
+	// instance): how core.Analyzer scopes a fold it holds — unexported, so
+	// not something a facade caller can set.
+	only string
 }
 
 // scenarioState is the persistent per-scenario analysis state: the
-// running impact partial and unreduced AWG aggregation over every
-// instance, plus — when thresholds are known — the two contrast
-// classes' unreduced AWG aggregations and the slow class's impact
-// partial. The all-instances forest is what corpus-vs-corpus diffs
-// compare: it exists whether or not the scenario is classed.
+// running impact partial over every instance and over the slow class,
+// and three disjoint unreduced AWG aggregations — the two contrast
+// classes', and one of every instance in neither (without thresholds,
+// every instance). An instance's graph goes into exactly one, so the
+// all-instances AWG a corpus diff compares is the three merged.
 type scenarioState struct {
 	tfast, tslow trace.Duration
-	classed      bool // thresholds known: contrast classes maintained
+	classed      bool // thresholds known: instances are classified
 
 	instances int
 	fastCount int
@@ -64,8 +62,8 @@ type scenarioState struct {
 
 	impact     *impact.Partial // all instances
 	slowImpact *impact.Partial // slow class only
-	all        *awg.Aggregator // unreduced forest, every instance; nil under noAllForest
-	slow, fast *awg.Aggregator // unreduced forests per contrast class
+	fast, slow *awg.Aggregator // unreduced forests per contrast class
+	between    *awg.Aggregator // and of every instance in neither
 }
 
 // Incremental is the analysis state everything folds into: streams are
@@ -117,15 +115,16 @@ type Incremental struct {
 // scratch is the working set of one stream's fold, owned by whoever is
 // folding — one engine worker, or a long-lived Incremental — and used
 // again for its next stream: the Wait-Graph builder with its node and
-// child-list arenas, the filter resolver with its signature table, walk
-// marks and the impact partials' distinct-wait sets, and the buffers a
-// lazy source decodes into. Between streams it holds no stream and no
-// graph (Builder.Release, FilterCache.Forget), and nothing an analysis
-// state keeps points into it.
+// child-list arenas, the filter resolver with its signature table and
+// walk marks, the buffer an impact measurement lists its waits in, and
+// the buffers a lazy source decodes into. Between streams it holds no
+// stream and no graph (Builder.Release, FilterCache.Forget), and nothing
+// an analysis state keeps points into it.
 type scratch struct {
-	b   waitgraph.Builder
-	fc  *trace.FilterCache
-	dec trace.Scratch
+	b     waitgraph.Builder
+	fc    *trace.FilterCache
+	waits []impact.Wait
+	dec   trace.Scratch
 }
 
 func newScratch(filter *trace.ComponentFilter) *scratch {
@@ -185,18 +184,17 @@ func (inc *Incremental) Scenarios() []trace.ScenarioCount {
 func (inc *Incremental) state(scenario string) *scenarioState {
 	sc, ok := inc.scen[scenario]
 	if !ok {
-		awgOpts := awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: false}
-		sc = &scenarioState{impact: impact.NewPartial()}
-		if !inc.cfg.noAllForest {
-			sc.all = awg.NewAggregatorOn(inc.work.fc, awgOpts)
+		forest := func() *awg.Aggregator {
+			return awg.NewAggregatorOn(inc.work.fc, awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: false})
+		}
+		sc = &scenarioState{
+			impact: impact.NewPartial(), slowImpact: impact.NewPartial(),
+			fast: forest(), slow: forest(), between: forest(),
 		}
 		if inc.cfg.Thresholds != nil {
 			tf, ts, classed := inc.cfg.Thresholds(scenario)
 			if classed && tf > 0 && ts > tf {
 				sc.tfast, sc.tslow, sc.classed = tf, ts, true
-				sc.slow = awg.NewAggregatorOn(inc.work.fc, awgOpts)
-				sc.fast = awg.NewAggregatorOn(inc.work.fc, awgOpts)
-				sc.slowImpact = impact.NewPartial()
 			}
 		}
 		inc.scen[scenario] = sc
@@ -204,16 +202,17 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 	return sc
 }
 
-// Ingest folds one stream into the analysis state: each instance's Wait
-// Graph is built once and feeds the global and per-scenario impact
-// partials, the scenario's all-instances forest, plus — when the
-// instance classifies fast or slow — its contrast class's AWG
-// aggregation. The builder, and the resolver every one of those
-// consumers goes through, are the state's scratch: both let go of the
-// stream when the fold ends, so the state keeps aggregates, never the
-// stream. streamIndex is the stream's index in the corpus (the value
-// EventIDs embed); callers must feed each stream exactly once, and
-// indices must be unique.
+// Ingest folds one stream into the analysis state, each instance once:
+// its Wait Graph is built once, measured by one impact walk — the global,
+// the scenario's and, for a slow instance, the slow class's partial add
+// that measurement — and aggregated into the one forest of its scenario
+// its duration puts it in. Every consumer (the daemon, Diff, the
+// Analyzer) runs this same loop body. The builder, the resolver and the
+// measurement buffer are the state's scratch and let go of the stream
+// when the fold ends, so the state keeps aggregates, never the stream.
+// streamIndex is the stream's index in the corpus (the value EventIDs
+// embed); callers must feed each stream exactly once, and indices must
+// be unique.
 func (inc *Incremental) Ingest(streamIndex int, s *trace.Stream) {
 	inc.ingest(streamIndex, s, s.Duration())
 }
@@ -228,38 +227,38 @@ func (inc *Incremental) ingest(streamIndex int, s *trace.Stream, dur trace.Durat
 	defer b.Release()
 
 	b.Reset(s, streamIndex, waitgraph.Options{})
+	folded := 0
 	for _, in := range s.Instances {
 		if inc.cfg.only != "" && in.Scenario != inc.cfg.only {
 			continue
 		}
+		folded++
 		g := b.Instance(in)
-		inc.global.AddGraph(g, fc)
+		m := impact.Measure(g, fc, inc.work.waits)
+		inc.work.waits = m.Waits
 		sc := inc.state(in.Scenario)
-		sc.impact.AddGraph(g, fc)
-		if sc.all != nil {
-			sc.all.Add(g)
-		}
+		inc.global.Add(m)
+		sc.impact.Add(m)
 		sc.instances++
-		if !sc.classed {
-			continue
-		}
-		switch classify(in, sc.tfast, sc.tslow) {
+		switch sc.class(in) {
 		case fastClass:
 			sc.fast.Add(g)
 			sc.fastCount++
 		case slowClass:
 			sc.slow.Add(g)
-			sc.slowImpact.AddGraph(g, fc)
+			sc.slowImpact.Add(m)
 			sc.slowCount++
+		default:
+			sc.between.Add(g)
 		}
 	}
 
 	inc.streams++
 	inc.events += len(s.Events)
-	inc.instances += len(s.Instances)
+	inc.instances += folded
 	inc.totalDur += dur
 	inc.rec.Add("core_streams_ingested_total", 1)
-	inc.rec.Add("core_instances_ingested_total", int64(len(s.Instances)))
+	inc.rec.Add("core_instances_ingested_total", int64(folded))
 }
 
 // Merge folds another incremental state into this one. Both must have
@@ -287,17 +286,13 @@ func (inc *Incremental) Merge(other *Incremental) {
 		o := other.scen[name]
 		sc := inc.state(name)
 		sc.instances += o.instances
+		sc.fastCount += o.fastCount
+		sc.slowCount += o.slowCount
 		sc.impact.Merge(o.impact)
-		if sc.all != nil && o.all != nil {
-			sc.all.Merge(o.all.Partial())
-		}
-		if sc.classed && o.classed {
-			sc.fastCount += o.fastCount
-			sc.slowCount += o.slowCount
-			sc.slow.Merge(o.slow.Partial())
-			sc.fast.Merge(o.fast.Partial())
-			sc.slowImpact.Merge(o.slowImpact)
-		}
+		sc.slowImpact.Merge(o.slowImpact)
+		sc.fast.Merge(o.fast.Partial())
+		sc.slow.Merge(o.slow.Partial())
+		sc.between.Merge(o.between.Partial())
 	}
 }
 
@@ -450,19 +445,35 @@ func (inc *Incremental) answer(sc *scenarioState, cfg CausalityConfig) *Causalit
 	}
 
 	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: !cfg.DisableReduce}
-	slowAWG := finishClone(sc.slow, inc.filter, awgOpts)
-	fastAWG := finishClone(sc.fast, inc.filter, awgOpts)
+	slowAWG := finishClone(inc.filter, awgOpts, sc.slow)
+	fastAWG := finishClone(inc.filter, awgOpts, sc.fast)
 	finishCausality(inc.rec, cfg, res, slowAWG, fastAWG, sc.slowImpact.Metrics)
 	return res
 }
 
-// finishClone clones an unreduced persistent forest and finishes the
-// clone under the query options — the exact counterpart of the batch
-// path's final merge-then-reduce aggregator, leaving the persistent
-// forest untouched.
-func finishClone(ag *awg.Aggregator, filter *trace.ComponentFilter, opts awg.Options) *awg.Graph {
+// SlowAWG returns the Aggregated Wait Graph of the scenario's slow class
+// — the CausalityResult.SlowAWG a Causality call would return, without
+// mining it. The errors are Causality's; a scenario none of whose
+// instances is slow yet has no such graph, and the result is nil.
+func (inc *Incremental) SlowAWG(scenario string) (*awg.Graph, error) {
+	sc, err := inc.classedState(scenario)
+	if err != nil || sc.slowCount == 0 {
+		return nil, err
+	}
+	awgOpts := awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: !inc.cfg.DisableReduce}
+	return finishClone(inc.filter, awgOpts, sc.slow), nil
+}
+
+// finishClone clones unreduced persistent forests and finishes the merge
+// of the clones under the query options — the exact counterpart of the
+// batch path's final merge-then-reduce aggregator, leaving the persistent
+// forests untouched. Disjoint forests merge, node for node, into the one
+// their graphs would have been aggregated into together.
+func finishClone(filter *trace.ComponentFilter, opts awg.Options, forests ...*awg.Aggregator) *awg.Graph {
 	final := awg.NewAggregator(filter, opts)
-	final.Merge(ag.Partial().Clone())
+	for _, ag := range forests {
+		final.Merge(ag.Partial().Clone())
+	}
 	return final.Finish()
 }
 
@@ -489,24 +500,12 @@ func (inc *Incremental) Snapshot() *Incremental {
 // idiom queries use; fc is the resolver of the state the copy joins.
 func (sc *scenarioState) clone(fc *trace.FilterCache, cfg IncrementalConfig) *scenarioState {
 	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: false}
-	c := &scenarioState{
-		tfast:     sc.tfast,
-		tslow:     sc.tslow,
-		classed:   sc.classed,
-		instances: sc.instances,
-		fastCount: sc.fastCount,
-		slowCount: sc.slowCount,
-		impact:    sc.impact.Clone(),
-	}
-	if sc.all != nil {
-		c.all = cloneAggregator(sc.all, fc, awgOpts)
-	}
-	if sc.classed {
-		c.slow = cloneAggregator(sc.slow, fc, awgOpts)
-		c.fast = cloneAggregator(sc.fast, fc, awgOpts)
-		c.slowImpact = sc.slowImpact.Clone()
-	}
-	return c
+	c := *sc
+	c.impact, c.slowImpact = sc.impact.Clone(), sc.slowImpact.Clone()
+	c.fast = cloneAggregator(sc.fast, fc, awgOpts)
+	c.slow = cloneAggregator(sc.slow, fc, awgOpts)
+	c.between = cloneAggregator(sc.between, fc, awgOpts)
+	return &c
 }
 
 // cloneAggregator copies an unreduced aggregation into a fresh

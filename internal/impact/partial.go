@@ -16,28 +16,25 @@ import (
 // by graphs of the same stream, and the distinct-wait set never needs to
 // outlive a stream. The contract that makes this work:
 //
-//   - a stream's graphs arrive in one run: once AddGraph has seen a graph
-//     of another stream (or the fold's FilterCache has moved on), no
-//     further graph of the first stream may be added;
+//   - a stream's graphs arrive in one run: once a graph of another stream
+//     has been added, no further graph of the first stream may be;
 //   - partials merged together cover disjoint streams.
 //
 // Within its stream the partial keeps the distinct waits in a mark set
-// over the stream's event numbers, on lease from the fold's FilterCache
-// and reclaimed by it when the stream ends. Across streams Dwaitdist is
-// then a plain sum, like the other four metrics, so merged metrics are
-// bit-for-bit the sequential ones at any sharding. A partial at rest is
-// the metrics and one bit per stream it has covered; the bits are what
-// turn a broken contract — which would silently double count Dwaitdist —
-// into a panic.
+// of its own over the stream's event numbers, emptied when the next
+// stream's run begins. Across streams Dwaitdist is then a plain sum,
+// like the other four metrics, so merged metrics are bit-for-bit the
+// sequential ones at any sharding. A partial at rest is the metrics, one
+// bit per stream it has covered and, once it has folded a stream, that
+// set (four bytes per event of its largest stream) — which a Clone and a
+// merged-away partial do not have. The bits are what turn a broken
+// contract — which would silently double count Dwaitdist — into a panic.
 type Partial struct {
 	Metrics
 
-	// The stream whose graphs are arriving (-1: none), its distinct waits,
-	// and the FilterCache tenure (cache, StreamSeq) the lease is good for.
-	stream int
-	waits  *trace.Marks
-	lender *trace.FilterCache
-	seq    uint64
+	stream int          // the stream whose graphs are arriving (-1: none)
+	waits  *trace.Marks // its distinct waits; nil until the first run
+	buf    []Wait       // AddGraph's measurement buffer
 
 	closed []uint64 // bit i: stream i's run has ended
 }
@@ -45,40 +42,83 @@ type Partial struct {
 // NewPartial returns an empty partial.
 func NewPartial() *Partial { return &Partial{stream: -1} }
 
-// AddGraph folds one instance's Wait Graph into the partial, walking the
-// graph once to accumulate Dwait, Drun, and the stream's distinct waits.
-// Driver waits are counted only at the top level: a driver wait below a
-// counted driver wait is already included in its parent's cost (§3.2,
-// "total wait duration"). filter is the fold's resolver: it answers the
-// per-stack matches and lends the walk its visit marks and the partial
-// its distinct-wait set. Graphs of one stream must arrive in one run and
-// through one resolver (see Partial); AddGraph panics otherwise.
-func (p *Partial) AddGraph(g *waitgraph.Graph, filter *trace.FilterCache) {
-	seen := filter.BeginWalk(g.Stream)
-	if p.stream != g.StreamIndex || p.lender != filter || p.seq != filter.StreamSeq() {
-		p.open(g.StreamIndex, filter)
-	}
-	p.Instances++
-	p.Dscn += g.Instance.Duration()
+// Wait is one counted wait of a Measurement: a top-level driver wait.
+type Wait struct {
+	Event int // the wait event's number within its stream
+	Cost  trace.Duration
+}
 
-	w := graphWalk{p: p, s: g.Stream, filter: filter, seen: seen}
+// Measurement is what one walk of one instance's Wait Graph measures
+// (§3.2): its Dscn, Dwait and Drun, and the waits Dwait sums — each event
+// once, so within the one graph Dwait is also the distinct wait. Every
+// scope the instance belongs to (all instances, its scenario, its
+// contrast class) adds the same Measurement to its own Partial.
+type Measurement struct {
+	Stream int // the graph's stream, by corpus index
+	Events int // that stream's event count: what Wait.Event ranges over
+
+	Dscn, Dwait, Drun trace.Duration
+	Waits             []Wait
+}
+
+// Measure walks g once. Driver waits are counted only at the top level:
+// a driver wait below a counted driver wait is already included in its
+// parent's cost (§3.2, "total wait duration"). filter is the fold's
+// resolver: it answers the per-stack matches and lends the walk its
+// visit marks. The measurement's Waits are written over buf, which the
+// caller owns and hands back (as Waits) to the next call; nil is fine.
+func Measure(g *waitgraph.Graph, filter *trace.FilterCache, buf []Wait) Measurement {
+	w := graphWalk{s: g.Stream, filter: filter, seen: filter.BeginWalk(g.Stream), waits: buf[:0]}
 	for _, r := range g.Roots {
 		w.visit(r, false)
 	}
+	return Measurement{
+		Stream: g.StreamIndex, Events: len(g.Stream.Events),
+		Dscn: g.Instance.Duration(), Dwait: w.dwait, Drun: w.drun, Waits: w.waits,
+	}
 }
 
-// open starts stream si's run: the previous stream's run ends, and the
-// distinct-wait set is a new lease over filter's current stream.
-func (p *Partial) open(si int, filter *trace.FilterCache) {
+// Add folds one instance's measurement into the partial: four additions,
+// and a distinct-wait lookup per counted wait. A stream's measurements
+// must arrive in one run (see Partial); Add panics otherwise.
+func (p *Partial) Add(m Measurement) {
+	if p.stream != m.Stream {
+		p.open(m.Stream, m.Events)
+	}
+	p.Instances++
+	p.Dscn += m.Dscn
+	p.Dwait += m.Dwait
+	p.Drun += m.Drun
+	for _, w := range m.Waits {
+		if p.waits.Visit(w.Event) {
+			p.Dwaitdist += w.Cost
+		}
+	}
+}
+
+// AddGraph measures g and adds the measurement: Measure, then Add, for a
+// caller with one partial to feed.
+func (p *Partial) AddGraph(g *waitgraph.Graph, filter *trace.FilterCache) {
+	m := Measure(g, filter, p.buf)
+	p.buf = m.Waits
+	p.Add(m)
+}
+
+// open starts the run of stream si, which has n events: the previous
+// stream's run ends, and the distinct-wait set starts empty.
+func (p *Partial) open(si, n int) {
 	p.close()
 	if si < 0 {
 		panic(fmt.Sprintf("impact: graph of stream %d: a Partial needs the stream's corpus index", si))
 	}
 	if hasBit(p.closed, si) {
-		panic(fmt.Sprintf("impact: stream %d reopened: a Partial takes a stream's graphs in one run, through one FilterCache", si))
+		panic(fmt.Sprintf("impact: stream %d reopened: a Partial takes a stream's graphs in one run", si))
 	}
-	p.stream, p.waits = si, filter.LeaseMarks()
-	p.lender, p.seq = filter, filter.StreamSeq()
+	if p.waits == nil {
+		p.waits = trace.NewMarks()
+	}
+	p.waits.Begin(n)
+	p.stream = si
 }
 
 // close ends the open stream's run, if any.
@@ -90,38 +130,38 @@ func (p *Partial) close() {
 		p.closed = append(p.closed, 0)
 	}
 	p.closed[p.stream/64] |= 1 << (p.stream % 64)
-	p.stream, p.waits, p.lender = -1, nil, nil
+	p.stream = -1
 }
 
 func hasBit(set []uint64, i int) bool {
 	return i/64 < len(set) && set[i/64]&(1<<(i%64)) != 0
 }
 
-// graphWalk is the state of one AddGraph walk. It lives on AddGraph's
-// stack: a recursive closure would cost two heap objects per graph.
+// graphWalk is the state of one Measure walk. It lives on Measure's
+// stack: a recursive closure would cost two heap objects per graph, and
+// so would walking into a Measurement through a pointer.
 type graphWalk struct {
-	p      *Partial
 	s      *trace.Stream
 	filter *trace.FilterCache
 	seen   *trace.Marks
+
+	dwait, drun trace.Duration
+	waits       []Wait
 }
 
 func (w *graphWalk) visit(n *waitgraph.Node, covered bool) {
 	if !w.seen.Visit(n.Event.Index) {
 		return
 	}
-	p := w.p
 	switch n.Type {
 	case trace.Running:
 		if w.filter.MatchStack(w.s, n.Stack) {
-			p.Drun += n.Cost
+			w.drun += n.Cost
 		}
 	case trace.Wait:
 		if !covered && w.filter.MatchStack(w.s, n.Stack) {
-			p.Dwait += n.Cost
-			if p.waits.Visit(n.Event.Index) {
-				p.Dwaitdist += n.Cost
-			}
+			w.dwait += n.Cost
+			w.waits = append(w.waits, Wait{Event: n.Event.Index, Cost: n.Cost})
 			covered = true
 		}
 		for _, c := range n.Children {
@@ -131,25 +171,28 @@ func (w *graphWalk) visit(n *waitgraph.Node, covered bool) {
 }
 
 // Clone returns a copy of the partial at rest: the metrics and the
-// covered-stream bits, with any open stream's run ended — so ingestion
-// can continue on the receiver while a snapshot answers queries, and the
-// copy refuses the receiver's streams.
+// covered-stream bits, with any open stream's run ended and no
+// distinct-wait set — so ingestion can continue on the receiver while a
+// snapshot answers queries, and the copy refuses the receiver's streams.
 func (p *Partial) Clone() *Partial {
 	c := *p
 	c.closed = append([]uint64(nil), p.closed...)
+	c.waits, c.buf = nil, nil
 	c.close()
 	return &c
 }
 
 // Merge folds q into p: five sums, after ending both partials' open
 // runs. The two must cover disjoint streams (a stream in both would have
-// its shared waits counted twice); Merge panics if they do not.
+// its shared waits counted twice); Merge panics if they do not. q is
+// spent: its distinct-wait set is let go.
 func (p *Partial) Merge(q *Partial) {
 	if q == nil {
 		return
 	}
 	p.close()
 	q.close()
+	q.waits, q.buf = nil, nil
 	for len(p.closed) < len(q.closed) {
 		p.closed = append(p.closed, 0)
 	}

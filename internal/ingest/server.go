@@ -383,28 +383,23 @@ func impactJSON(scenario string, m impact.Metrics) map[string]any {
 	}
 }
 
-// causalityFor answers one causality query under the read lock.
-func (s *Server) causalityFor(r *http.Request) (*core.CausalityResult, int, error) {
+// causalityParams reads the two parameters /causality and /awg take: the
+// scenario (required) and the mining bound k, which /awg has always
+// accepted and still validates, though an unmined graph does not depend
+// on it.
+func causalityParams(r *http.Request) (scen string, params mining.Params, err error) {
 	q := r.URL.Query()
-	scen := q.Get("scenario")
-	if scen == "" {
-		return nil, http.StatusBadRequest, fmt.Errorf("scenario parameter is required")
+	if scen = q.Get("scenario"); scen == "" {
+		return "", params, fmt.Errorf("scenario parameter is required")
 	}
-	var params mining.Params
 	if kstr := q.Get("k"); kstr != "" {
 		k, err := strconv.Atoi(kstr)
 		if err != nil || k < 1 {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad k %q", kstr)
+			return "", params, fmt.Errorf("bad k %q", kstr)
 		}
 		params.K = k
 	}
-	s.mu.RLock()
-	res, err := s.inc.Causality(scen, params)
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, http.StatusNotFound, err
-	}
-	return res, http.StatusOK, nil
+	return scen, params, nil
 }
 
 // handleCausality serves one scenario's ranked contrast patterns and
@@ -412,9 +407,16 @@ func (s *Server) causalityFor(r *http.Request) (*core.CausalityResult, int, erro
 func (s *Server) handleCausality(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("query_causality")
 	defer sp.End()
-	res, status, err := s.causalityFor(r)
+	scen, params, err := causalityParams(r)
 	if err != nil {
-		httpError(w, s.rec, status, "%v", err)
+		httpError(w, s.rec, http.StatusBadRequest, "%v", err)
+		return
+	}
+	s.mu.RLock()
+	res, err := s.inc.Causality(scen, params)
+	s.mu.RUnlock()
+	if err != nil {
+		httpError(w, s.rec, http.StatusNotFound, "%v", err)
 		return
 	}
 	top := len(res.Patterns)
@@ -460,17 +462,25 @@ func (s *Server) handleCausality(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAWG renders one scenario's slow-class Aggregated Wait Graph as
-// text (default) or DOT.
+// text (default) or DOT: the graph a causality query mines, without the
+// mining.
 func (s *Server) handleAWG(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("query_awg")
 	defer sp.End()
-	res, status, err := s.causalityFor(r)
+	scen, _, err := causalityParams(r)
 	if err != nil {
-		httpError(w, s.rec, status, "%v", err)
+		httpError(w, s.rec, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if res.SlowAWG == nil {
-		httpError(w, s.rec, http.StatusNotFound, "scenario %q has no slow class yet", res.Scenario)
+	s.mu.RLock()
+	slowAWG, err := s.inc.SlowAWG(scen)
+	s.mu.RUnlock()
+	if err != nil {
+		httpError(w, s.rec, http.StatusNotFound, "%v", err)
+		return
+	}
+	if slowAWG == nil {
+		httpError(w, s.rec, http.StatusNotFound, "scenario %q has no slow class yet", scen)
 		return
 	}
 	maxDepth := 64
@@ -485,10 +495,10 @@ func (s *Server) handleAWG(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = res.SlowAWG.WriteText(w, maxDepth)
+		err = slowAWG.WriteText(w, maxDepth)
 	case "dot":
 		w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-		err = res.SlowAWG.WriteDOT(w, res.Scenario)
+		err = slowAWG.WriteDOT(w, scen)
 	default:
 		httpError(w, s.rec, http.StatusBadRequest, "bad format %q (want text or dot)", format)
 		return

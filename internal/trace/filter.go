@@ -116,30 +116,21 @@ func wildcardMatch(p, s string) bool {
 
 // FilterCache is the per-stream resolver of one analysis fold: it
 // answers a ComponentFilter's per-stack questions from a dense table
-// indexed by StackID, and lends the fold its mark sets indexed by event
-// number — one for the walk in progress (BeginWalk) and one per consumer
-// that keeps a set for the whole stream (LeaseMarks, an impact partial's
-// distinct waits). All of it is scoped to the *current* stream — the one
-// most recently passed to BeginWalk, TopSignature or MatchStack. A
-// different stream resets the table and reclaims every lease, and Forget
-// drops the stream altogether, so a FilterCache never keeps alive any
-// stream but the one being folded and none once that fold has ended
-// (DESIGN.md §10). Every consumer of one fold — impact partials, AWG
+// indexed by StackID, and lends the walk in progress its visit marks,
+// indexed by event number (BeginWalk). All of it is scoped to the
+// *current* stream — the one most recently passed to BeginWalk,
+// TopSignature or MatchStack. A different stream resets the table, and
+// Forget drops the stream altogether, so a FilterCache never keeps alive
+// any stream but the one being folded and none once that fold has ended
+// (DESIGN.md §10). Every consumer of one fold — the impact walk, AWG
 // aggregators — should share one FilterCache, so each stack is resolved
-// once per stream rather than once per consumer, and the sets it lends
-// are reused from stream to stream. Not safe for concurrent use.
+// once per stream rather than once per consumer. Not safe for concurrent
+// use.
 type FilterCache struct {
 	f     *ComponentFilter
 	cur   *Stream
 	sigs  []stackSig // indexed by cur's StackIDs
 	marks Marks
-
-	// The sets on lease over the current stream are lent[:nlent]; the rest
-	// wait for the next LeaseMarks. seq counts stream ends, so the holder
-	// of a lease can tell that it has been reclaimed.
-	lent  []*Marks
-	nlent int
-	seq   uint64
 }
 
 type stackSig struct {
@@ -157,7 +148,7 @@ func NewFilterCache(f *ComponentFilter) *FilterCache {
 func (c *FilterCache) Filter() *ComponentFilter { return c.f }
 
 // bind makes s the current stream, discarding the previous stream's
-// resolved signatures and leases.
+// resolved signatures.
 func (c *FilterCache) bind(s *Stream) {
 	c.Forget()
 	c.cur = s
@@ -169,16 +160,13 @@ func (c *FilterCache) bind(s *Stream) {
 }
 
 // Forget ends the fold of the current stream: the cache drops its
-// reference to the stream and every signature resolved from it, and
-// takes back every set it lent. A cache that outlives a stream's fold
-// (core.Incremental's) must be told, or it keeps the last stream it
-// folded alive.
+// reference to the stream and every signature resolved from it. A cache
+// that outlives a stream's fold (core.Incremental's) must be told, or it
+// keeps the last stream it folded alive.
 func (c *FilterCache) Forget() {
 	c.cur = nil
 	clear(c.sigs) // the signatures are the stream's frame strings
 	c.sigs = c.sigs[:0]
-	c.nlent = 0
-	c.seq++
 }
 
 // BeginWalk makes s the current stream and returns an empty visit-mark
@@ -191,29 +179,6 @@ func (c *FilterCache) BeginWalk(s *Stream) *Marks {
 	c.marks.Begin(len(s.Events))
 	return &c.marks
 }
-
-// LeaseMarks lends an empty mark set over the current stream's event
-// numbers for as long as the stream stays current: the next stream, or
-// Forget, reclaims it, and StreamSeq moves. The cache keeps the sets it
-// has lent and hands them out again, so a fold's steady state allocates
-// none; it holds as many as one stream had leases at once.
-func (c *FilterCache) LeaseMarks() *Marks {
-	if c.nlent == len(c.lent) {
-		c.lent = append(c.lent, NewMarks())
-	}
-	m := c.lent[c.nlent]
-	c.nlent++
-	n := 0
-	if c.cur != nil {
-		n = len(c.cur.Events)
-	}
-	m.Begin(n)
-	return m
-}
-
-// StreamSeq identifies the current stream's tenure: it changes whenever
-// a stream stops being current, which is when leases end.
-func (c *FilterCache) StreamSeq() uint64 { return c.seq }
 
 // TopSignature is ComponentFilter.TopSignature, resolved once per stack
 // of the current stream. Stacks interned after the stream became current

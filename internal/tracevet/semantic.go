@@ -28,9 +28,10 @@ func semanticFilter() *trace.ComponentFilter { return trace.NewComponentFilter("
 
 // vetSemantic runs the analysis-layer conservation rules over a source
 // whose structural rules passed, in one stream-major pass: each stream
-// is fetched once, each instance's Wait Graph is built once and feeds
-// its scenario's conserveCheck, and the stream is dropped before the
-// next is fetched — what stays resident is per-scenario aggregates.
+// is fetched once, each instance's Wait Graph is built once, measured
+// once and feeds its scenario's conserveCheck, and the stream is dropped
+// before the next is fetched — what stays resident is per-scenario
+// aggregates.
 // Findings are positioned on the stream artifact (per-instance checks)
 // or on the synthetic "corpus" artifact (per-scenario aggregate
 // checks) and come out scenario by scenario, in src.Scenarios() order.
@@ -47,6 +48,7 @@ func vetSemantic(src trace.Source, opts Options) []diag.Diagnostic {
 	fc := trace.NewFilterCache(semanticFilter())
 	checks := make(map[string]*conserveCheck)
 	var open []*conserveCheck // checks holding a shard of the current stream
+	var waits []impact.Wait   // the measurement buffer
 
 	err := impact.GraphsOver(src, src.InstancesOf(""), func(ref trace.InstanceRef, g *waitgraph.Graph, last bool) {
 		meta := src.InstanceMeta(ref)
@@ -56,7 +58,9 @@ func vetSemantic(src trace.Source, opts Options) []diag.Diagnostic {
 			checks[meta.Scenario] = c
 		}
 		if checkImpact {
-			c.addImpact(src, ref, meta, g, fc)
+			m := impact.Measure(g, fc, waits)
+			waits = m.Waits
+			c.addImpact(src, ref, meta, m)
 		}
 		if checkAWG {
 			if c.shard == nil {
@@ -109,17 +113,17 @@ func newConserveCheck(fc *trace.FilterCache) *conserveCheck {
 	}
 }
 
-// addImpact folds one instance into the scenario's partial and checks
-// the per-instance identity: Dwaitdist <= wall time (distinct waits are
-// counted once and each is bounded by the window that contains it).
-func (c *conserveCheck) addImpact(src trace.Source, ref trace.InstanceRef, meta trace.Instance, g *waitgraph.Graph, fc *trace.FilterCache) {
-	c.whole.AddGraph(g, fc)
-	one := impact.NewPartial()
-	one.AddGraph(g, fc)
-	if wall := meta.Duration(); one.Dwaitdist > wall {
+// addImpact folds one instance's measurement into the scenario's partial
+// and checks the per-instance identity on the measurement itself:
+// Dwaitdist <= wall time (distinct waits are counted once and each is
+// bounded by the window that contains it) — within one graph every
+// counted wait is distinct, so the instance's Dwaitdist is its Dwait.
+func (c *conserveCheck) addImpact(src trace.Source, ref trace.InstanceRef, meta trace.Instance, m impact.Measurement) {
+	c.whole.Add(m)
+	if wall := meta.Duration(); m.Dwait > wall {
 		c.instances = append(c.instances, vd(streamArtifact(src, ref.Stream), ref.Instance+1, "impact-conserve", diag.SevError,
 			"scenario %q instance %d of stream %d: distinct wait %d exceeds the instance's wall time %d",
-			meta.Scenario, ref.Instance, ref.Stream, int64(one.Dwaitdist), int64(wall)))
+			meta.Scenario, ref.Instance, ref.Stream, int64(m.Dwait), int64(wall)))
 	}
 }
 
