@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet lint lint-fix lint-json lint-sarif metrics-doc \
-	metrics-doc-update test test-short test-race test-allocs \
+	metrics-doc-update doc-names test test-short test-race test-allocs \
 	bench bench-smoke \
 	daemon-smoke diff-smoke vet-gate experiments experiments-md report fuzz clean
 
@@ -57,6 +57,12 @@ metrics-doc:
 metrics-doc-update:
 	$(GO) run ./cmd/tracelint -metricsdoc METRICS.md ./internal/...
 
+# Doc-identifier gate (CI gates on this): every backticked `pkg.Name`
+# and `Type.Name` in DESIGN.md and README.md that points into this
+# module must still name a non-test declaration.
+doc-names:
+	./scripts/doc_names.sh
+
 test:
 	$(GO) test ./...
 
@@ -72,10 +78,12 @@ test-short:
 # fold with the sequential one — and the diff's all-instances forest,
 # merged across workers and across classes, with a sequential aggregate —
 # then run ten more times a count: ten draws of the assignment, not one.
+# The engine's stop-on-error bound is a scheduling race too: 200 draws.
 test-race:
 	for p in 1 2 4 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 ./... || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -count=10 -run 'TestFoldAnyAssignment|TestParallel.*Equivalence|TestNineCallsMatchIncremental|TestDiffForestEqualsSequentialAggregate' ./internal/core || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=200 -run TestFoldErrorStopsTheRest ./internal/engine || exit 1; \
 	done
 
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
@@ -150,7 +158,6 @@ fuzz:
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzColBlockDecode -fuzztime 30s
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzInternRecords -fuzztime 15s
 	$(GO) test ./internal/trace/ -fuzz FuzzWildcardMatch -fuzztime 15s
-	$(GO) test ./internal/trace/ -fuzz FuzzSlice -fuzztime 15s
 	$(GO) test ./internal/lint/ -fuzz FuzzDirectiveText -fuzztime 15s
 	$(GO) test ./internal/lint/ -fuzz FuzzSplitQuoted -fuzztime 15s
 	$(GO) test ./internal/lint/ -fuzz FuzzLoadDir -fuzztime 30s

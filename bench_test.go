@@ -241,26 +241,27 @@ func BenchmarkAblationSegmentK(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReduce compares causality analysis with and without
-// the non-optimizable reduction of Algorithm 1.
+// BenchmarkAblationReduce compares aggregating and mining a slow class
+// with and without the non-optimizable reduction of Algorithm 1, at the
+// layer that owns it: awg.Aggregate, then meta-pattern enumeration.
 func BenchmarkAblationReduce(b *testing.B) {
-	s := benchSetup(b)
-	tf, ts, _ := scenario.Thresholds(scenario.BrowserTabSwitch)
-	an := core.NewAnalyzer(s.Corpus)
-	for _, disable := range []bool{false, true} {
+	graphs := slowGraphs(b, scenario.BrowserTabSwitch)
+	var params mining.Params
+	params.ApplyDefaults()
+	for _, reduce := range []bool{true, false} {
 		name := "reduce=on"
-		if disable {
+		if !reduce {
 			name = "reduce=off"
 		}
 		b.Run(name, func(b *testing.B) {
+			var nodes, metas int
 			for i := 0; i < b.N; i++ {
-				if _, err := an.Causality(core.CausalityConfig{
-					Scenario: scenario.BrowserTabSwitch, Tfast: tf, Tslow: ts,
-					DisableReduce: disable,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				g := awg.Aggregate(graphs, trace.AllDrivers(), awg.Options{Reduce: reduce})
+				m, _ := mining.EnumerateMetas(g, params.K, params.MaxSegments)
+				nodes, metas = g.NumNodes(), len(m)
 			}
+			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(metas), "metas")
 		})
 	}
 }
@@ -407,21 +408,26 @@ func BenchmarkBaselineContention(b *testing.B) {
 	}
 }
 
-// BenchmarkAWGAggregate measures Algorithm 1 over the slow class of the
-// heaviest scenario.
-func BenchmarkAWGAggregate(b *testing.B) {
+// slowGraphs builds the Wait Graph of every slow-class instance of a
+// scenario in the shared benchmark corpus.
+func slowGraphs(b *testing.B, name string) []*waitgraph.Graph {
 	s := benchSetup(b)
-	tf, ts, _ := scenario.Thresholds(scenario.WebPageNavigation)
+	_, ts, _ := scenario.Thresholds(name)
 	builders := waitgraph.BuildAll(s.Corpus, waitgraph.Options{})
 	var graphs []*waitgraph.Graph
-	for _, ref := range s.Corpus.InstancesOf(scenario.WebPageNavigation) {
-		stream := s.Corpus.Streams[ref.Stream]
-		in := stream.Instances[ref.Instance]
+	for _, ref := range s.Corpus.InstancesOf(name) {
+		in := s.Corpus.Streams[ref.Stream].Instances[ref.Instance]
 		if in.Duration() > ts {
 			graphs = append(graphs, builders[ref.Stream].Instance(in))
 		}
 	}
-	_ = tf
+	return graphs
+}
+
+// BenchmarkAWGAggregate measures Algorithm 1 over the slow class of the
+// heaviest scenario.
+func BenchmarkAWGAggregate(b *testing.B) {
+	graphs := slowGraphs(b, scenario.WebPageNavigation)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -467,23 +473,6 @@ func BenchmarkLocatePattern(b *testing.B) {
 		occ := an.LocatePattern(res, res.Patterns[0], nil, 8)
 		if len(occ) == 0 {
 			b.Fatal("pattern not locatable")
-		}
-	}
-}
-
-// BenchmarkStreamSlice measures incident-window extraction.
-func BenchmarkStreamSlice(b *testing.B) {
-	s := benchSetup(b)
-	stream := s.Corpus.Streams[0]
-	d := trace.Time(stream.Duration())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := stream.Slice(d/4, 3*d/4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out.Events) == 0 {
-			b.Fatal("empty slice")
 		}
 	}
 }

@@ -51,11 +51,11 @@ type Options struct {
 // wrapped in a *trace.CachedSource); results are identical either way.
 //
 // A fold's configuration is the component filter (compared by its
-// patterns), the AWG depth bound, and the thresholds: the function given
-// with WithThresholds, with a Causality call's own Tfast/Tslow standing
-// in for its scenario. Its scope is what the call asks for: a call
-// naming a scenario folds only that scenario's instances, over only the
-// streams the index says hold them; a call for "" folds every instance.
+// patterns) and the thresholds: the function given with WithThresholds,
+// with a Causality call's own Tfast/Tslow standing in for its scenario.
+// Its scope is what the call asks for: a call naming a scenario folds
+// only that scenario's instances, over only the streams the index says
+// hold them; a call for "" folds every instance.
 // A later call outside a one-scenario fold refolds over everything, and
 // a call under a different configuration refolds under its own. The
 // Analyzer holds one fold at a time, so no call sequence folds more than
@@ -145,9 +145,8 @@ func (a *Analyzer) Impact(filter *trace.ComponentFilter, scenario string) impact
 }
 
 // foldFor returns folded state that answers a call over scenario under
-// filter and — for a Causality call — under caus's depth bound and
-// thresholds: the held fold when it serves the call, a new one (which
-// replaces it) otherwise.
+// filter and — for a Causality call — under caus's thresholds: the held
+// fold when it serves the call, a new one (which replaces it) otherwise.
 func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus *CausalityConfig) (*Incremental, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -173,7 +172,6 @@ func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus 
 			only:       scenario,
 		}
 		if caus != nil {
-			cfg.MaxAWGDepth = caus.MaxAWGDepth
 			cfg.Thresholds = withThresholds(a.opts.Thresholds, caus.Scenario, caus.Tfast, caus.Tslow)
 		}
 	}
@@ -196,14 +194,13 @@ func (a *Analyzer) foldFor(filter *trace.ComponentFilter, scenario string, caus 
 	return inc, nil
 }
 
-// configuredFor reports whether the state's depth bound and thresholds
-// are the ones a Causality call asks for; an Impact call (nil) depends
-// on neither.
+// configuredFor reports whether the state's thresholds are the ones a
+// Causality call asks for; an Impact call (nil) does not depend on them.
 func (inc *Incremental) configuredFor(caus *CausalityConfig) bool {
 	if caus == nil {
 		return true
 	}
-	if inc.cfg.MaxAWGDepth != caus.MaxAWGDepth || inc.cfg.Thresholds == nil {
+	if inc.cfg.Thresholds == nil {
 		return false
 	}
 	tf, ts, ok := inc.cfg.Thresholds(caus.Scenario)
@@ -237,11 +234,6 @@ type CausalityConfig struct {
 	// Mining bounds pattern discovery; zero values take the paper's
 	// defaults (k=5).
 	Mining mining.Params
-	// DisableReduce turns off the non-optimizable reduction of
-	// Algorithm 1 (for ablation only; the paper always reduces).
-	DisableReduce bool
-	// MaxAWGDepth bounds aggregation depth; zero takes the default.
-	MaxAWGDepth int
 }
 
 func (c *CausalityConfig) applyDefaults() error {

@@ -29,8 +29,6 @@ type DiffOptions struct {
 	// Mining bounds the contrast-mining step; zero values take the
 	// paper's defaults (k=5).
 	Mining mining.Params
-	// MaxAWGDepth bounds aggregation depth; zero takes the awg default.
-	MaxAWGDepth int
 	// TopEdges bounds the globally ranked regression/improvement lists.
 	// Zero means 10; negative means unbounded.
 	TopEdges int
@@ -182,11 +180,11 @@ func Diff(base, cand trace.Source, opts ...DiffOption) (*DiffResult, error) {
 // DiffIncrementals diffs two already-built incremental states — the
 // tracescoped daemon's path: its live state (snapshotted) against a
 // freshly profiled baseline corpus. Both states must have been built
-// with the same filter, thresholds, and depth configuration; the states
-// are only read, never mutated: queries clone the forests they reduce —
-// for the all-instances AWG compared here, a scenario's three. Only the
-// mining, ranking, and observability options apply here — filter,
-// thresholds, and depth were fixed when the states ingested.
+// with the same filter and thresholds; the states are only read, never
+// mutated: queries clone the forests they reduce — for the all-instances
+// AWG compared here, a scenario's three. Only the mining, ranking, and
+// observability options apply here — filter and thresholds were fixed
+// when the states ingested.
 func DiffIncrementals(base, cand *Incremental, opts ...DiffOption) *DiffResult {
 	var o DiffOptions
 	for _, opt := range opts {
@@ -194,7 +192,6 @@ func DiffIncrementals(base, cand *Incremental, opts ...DiffOption) *DiffResult {
 	}
 	// Profiling configuration comes from the states themselves.
 	o.Filter = cand.filter
-	o.MaxAWGDepth = cand.cfg.MaxAWGDepth
 	o.applyDefaults()
 	rec := obs.OrNop(o.Recorder)
 	sp := rec.Start("diff_analysis")
@@ -205,11 +202,10 @@ func DiffIncrementals(base, cand *Incremental, opts ...DiffOption) *DiffResult {
 // diffProfile builds one side's incremental profile over a source.
 func diffProfile(src trace.Source, o DiffOptions) (*Incremental, error) {
 	inc := NewIncremental(IncrementalConfig{
-		Filter:      o.Filter,
-		Thresholds:  o.Thresholds,
-		MaxAWGDepth: o.MaxAWGDepth,
-		Workers:     o.Workers,
-		Recorder:    o.Recorder,
+		Filter:     o.Filter,
+		Thresholds: o.Thresholds,
+		Workers:    o.Workers,
+		Recorder:   o.Recorder,
 	})
 	if err := inc.IngestSource(src); err != nil {
 		return nil, err
@@ -268,9 +264,8 @@ func diffStates(base, cand *Incremental, o DiffOptions, rec obs.Recorder) *DiffR
 
 // diffScenario compares one matched scenario across the two profiles.
 func diffScenario(name string, base, cand *Incremental, bsc, csc *scenarioState, o DiffOptions) ScenarioDiff {
-	awgOpts := awg.Options{MaxDepth: o.MaxAWGDepth, Reduce: true}
-	baseAWG := finishClone(o.Filter, awgOpts, bsc.fast, bsc.between, bsc.slow)
-	candAWG := finishClone(o.Filter, awgOpts, csc.fast, csc.between, csc.slow)
+	baseAWG := finishClone(o.Filter, bsc.fast, bsc.between, bsc.slow)
+	candAWG := finishClone(o.Filter, csc.fast, csc.between, csc.slow)
 
 	sd := ScenarioDiff{
 		Scenario: name,

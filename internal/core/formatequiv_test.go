@@ -9,6 +9,22 @@ import (
 	"tracescope/internal/trace"
 )
 
+// writeDirCompressed writes c to a fresh dir through an Appender with
+// block compression on.
+func writeDirCompressed(c *trace.Corpus, dir string) error {
+	app, err := trace.OpenAppender(dir)
+	if err != nil {
+		return err
+	}
+	app.SetCompression(true)
+	for _, s := range c.Streams {
+		if _, err := app.Append(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestFormatEquivalence is the corpus-format acceptance test: the full
 // pipeline (impact + causality) over the same corpus stored on disk,
 // with and without block compression, must be bit-for-bit identical to
@@ -23,7 +39,7 @@ func TestFormatEquivalence(t *testing.T) {
 		write func(*trace.Corpus, string) error
 	}{
 		{"v4", (*trace.Corpus).WriteDir},
-		{"v4-compressed", (*trace.Corpus).WriteDirCompressed},
+		{"v4-compressed", writeDirCompressed},
 	}
 	dirs := make(map[string]string, len(formats))
 	for _, f := range formats {

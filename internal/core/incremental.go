@@ -27,13 +27,6 @@ type IncrementalConfig struct {
 	// pure: it is called from concurrent warm-up workers and its answer
 	// for a scenario must never change across calls.
 	Thresholds func(scenario string) (tfast, tslow trace.Duration, ok bool)
-	// MaxAWGDepth bounds aggregation depth; zero takes the awg default.
-	// Fixed at ingest time because the depth bound is applied as graphs
-	// are folded in.
-	MaxAWGDepth int
-	// DisableReduce turns off the non-optimizable reduction at query
-	// time (ablation only).
-	DisableReduce bool
 	// Workers bounds the IngestSource pool. Zero means GOMAXPROCS.
 	Workers int
 	// Recorder receives ingest/query observability events. Nil means
@@ -185,7 +178,7 @@ func (inc *Incremental) state(scenario string) *scenarioState {
 	sc, ok := inc.scen[scenario]
 	if !ok {
 		forest := func() *awg.Aggregator {
-			return awg.NewAggregatorOn(inc.work.fc, awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: false})
+			return awg.NewAggregatorOn(inc.work.fc, awg.Options{})
 		}
 		sc = &scenarioState{
 			impact: impact.NewPartial(), slowImpact: impact.NewPartial(),
@@ -262,9 +255,9 @@ func (inc *Incremental) ingest(streamIndex int, s *trace.Stream, dur trace.Durat
 }
 
 // Merge folds another incremental state into this one. Both must have
-// been built with the same configuration (filter, thresholds, depth
-// bound); the receiver adopts the other's forests, and other must not
-// be used afterwards.
+// been built with the same configuration (filter, thresholds); the
+// receiver adopts the other's forests, and other must not be used
+// afterwards.
 func (inc *Incremental) Merge(other *Incremental) {
 	if other == nil {
 		return
@@ -394,13 +387,11 @@ func (inc *Incremental) Causality(scenario string, params mining.Params) (*Causa
 		return nil, err
 	}
 	cfg := CausalityConfig{
-		Scenario:      scenario,
-		Tfast:         sc.tfast,
-		Tslow:         sc.tslow,
-		Filter:        inc.filter,
-		Mining:        params,
-		DisableReduce: inc.cfg.DisableReduce,
-		MaxAWGDepth:   inc.cfg.MaxAWGDepth,
+		Scenario: scenario,
+		Tfast:    sc.tfast,
+		Tslow:    sc.tslow,
+		Filter:   inc.filter,
+		Mining:   params,
 	}
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -425,7 +416,7 @@ func (inc *Incremental) classedState(scenario string) (*scenarioState, error) {
 
 // answer is the query tail both Incremental.Causality and
 // Analyzer.Causality end in: clone the scenario's class forests, finish
-// the clones under cfg's reduction and depth options, and mine them.
+// the clones (finishClone) and mine them.
 // cfg has its defaults applied and carries sc's thresholds. It only
 // reads the state, so concurrent queries may share one.
 func (inc *Incremental) answer(sc *scenarioState, cfg CausalityConfig) *CausalityResult {
@@ -444,9 +435,8 @@ func (inc *Incremental) answer(sc *scenarioState, cfg CausalityConfig) *Causalit
 		return res
 	}
 
-	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: !cfg.DisableReduce}
-	slowAWG := finishClone(inc.filter, awgOpts, sc.slow)
-	fastAWG := finishClone(inc.filter, awgOpts, sc.fast)
+	slowAWG := finishClone(inc.filter, sc.slow)
+	fastAWG := finishClone(inc.filter, sc.fast)
 	finishCausality(inc.rec, cfg, res, slowAWG, fastAWG, sc.slowImpact.Metrics)
 	return res
 }
@@ -460,17 +450,17 @@ func (inc *Incremental) SlowAWG(scenario string) (*awg.Graph, error) {
 	if err != nil || sc.slowCount == 0 {
 		return nil, err
 	}
-	awgOpts := awg.Options{MaxDepth: inc.cfg.MaxAWGDepth, Reduce: !inc.cfg.DisableReduce}
-	return finishClone(inc.filter, awgOpts, sc.slow), nil
+	return finishClone(inc.filter, sc.slow), nil
 }
 
 // finishClone clones unreduced persistent forests and finishes the merge
-// of the clones under the query options — the exact counterpart of the
-// batch path's final merge-then-reduce aggregator, leaving the persistent
+// of the clones under the paper's options (awg.DefaultOptions: the
+// non-optimizable reduction on) — the exact counterpart of the batch
+// path's final merge-then-reduce aggregator, leaving the persistent
 // forests untouched. Disjoint forests merge, node for node, into the one
 // their graphs would have been aggregated into together.
-func finishClone(filter *trace.ComponentFilter, opts awg.Options, forests ...*awg.Aggregator) *awg.Graph {
-	final := awg.NewAggregator(filter, opts)
+func finishClone(filter *trace.ComponentFilter, forests ...*awg.Aggregator) *awg.Graph {
+	final := awg.NewAggregator(filter, awg.DefaultOptions())
 	for _, ag := range forests {
 		final.Merge(ag.Partial().Clone())
 	}
@@ -491,28 +481,27 @@ func (inc *Incremental) Snapshot() *Incremental {
 	snap.totalDur = inc.totalDur
 	snap.global = inc.global.Clone()
 	for name, sc := range inc.scen {
-		snap.scen[name] = sc.clone(snap.work.fc, inc.cfg)
+		snap.scen[name] = sc.clone(snap.work.fc)
 	}
 	return snap
 }
 
 // clone deep-copies one scenario's state via the same clone-then-merge
 // idiom queries use; fc is the resolver of the state the copy joins.
-func (sc *scenarioState) clone(fc *trace.FilterCache, cfg IncrementalConfig) *scenarioState {
-	awgOpts := awg.Options{MaxDepth: cfg.MaxAWGDepth, Reduce: false}
+func (sc *scenarioState) clone(fc *trace.FilterCache) *scenarioState {
 	c := *sc
 	c.impact, c.slowImpact = sc.impact.Clone(), sc.slowImpact.Clone()
-	c.fast = cloneAggregator(sc.fast, fc, awgOpts)
-	c.slow = cloneAggregator(sc.slow, fc, awgOpts)
-	c.between = cloneAggregator(sc.between, fc, awgOpts)
+	c.fast = cloneAggregator(sc.fast, fc)
+	c.slow = cloneAggregator(sc.slow, fc)
+	c.between = cloneAggregator(sc.between, fc)
 	return &c
 }
 
 // cloneAggregator copies an unreduced aggregation into a fresh
 // aggregator of the same configuration, resolving through fc (the
 // owning state's).
-func cloneAggregator(ag *awg.Aggregator, fc *trace.FilterCache, opts awg.Options) *awg.Aggregator {
-	c := awg.NewAggregatorOn(fc, opts)
+func cloneAggregator(ag *awg.Aggregator, fc *trace.FilterCache) *awg.Aggregator {
+	c := awg.NewAggregatorOn(fc, awg.Options{})
 	c.Merge(ag.Partial().Clone())
 	return c
 }

@@ -82,12 +82,6 @@ func WithMiningParams(p mining.Params) DiffOption {
 	return diffOption(func(d *DiffOptions) { d.Mining = p })
 }
 
-// WithMaxAWGDepth bounds Aggregated-Wait-Graph aggregation depth on both
-// sides of the diff; zero takes the awg default.
-func WithMaxAWGDepth(n int) DiffOption {
-	return diffOption(func(d *DiffOptions) { d.MaxAWGDepth = n })
-}
-
 // WithTopEdges bounds the globally ranked regression and improvement
 // lists of the DiffResult. Zero takes the default (10); negative means
 // unbounded. Per-scenario edge deltas are always complete.

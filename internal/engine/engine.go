@@ -1,13 +1,14 @@
 // Package engine provides the bounded worker pool that parallelises the
-// analysis pipeline, in two shapes. Fold is the one loop every
-// corpus-sized fold runs: each worker owns one state and pulls the next
-// unit (a whole trace stream — per-stream Wait-Graph builders are
-// single-writer) from a shared cursor until it runs dry, and the caller
-// merges the at most one state per worker. Which worker takes which unit
-// depends on scheduling, so a Fold is for accumulations that do not care
-// — sums, maxima, unions of keyed maps read back in sorted order — and
-// for those the merged result is bit-for-bit the sequential one at any
-// worker count. Map is for results that must come back in index order.
+// analysis pipeline. Fold is the one loop every corpus-sized fan-out
+// runs: each worker owns one state and pulls the next unit (a whole
+// trace stream — per-stream Wait-Graph builders are single-writer) from
+// a shared cursor until it runs dry, and the caller merges the at most
+// one state per worker. Which worker takes which unit depends on
+// scheduling, so a Fold is for accumulations that do not care — sums,
+// maxima, unions of keyed maps read back in sorted order — and for those
+// the merged result is bit-for-bit the sequential one at any worker
+// count. A caller that needs results in index order writes unit i's
+// into slot i of a slice it owns.
 package engine
 
 import (
@@ -98,12 +99,14 @@ func Fold[S any](n int, opts Options, newState func(worker int) S, fn func(state
 				return
 			}
 			if e := fn(states[w], i); e != nil {
+				// Stop the others before queueing for the lock: a worker
+				// descheduled in between would let them drain the cursor.
+				failed.Store(true)
 				mu.Lock()
 				if i < errAt {
 					err, errAt = e, i
 				}
 				mu.Unlock()
-				failed.Store(true)
 				return
 			}
 			rec.Progress(label, done.Add(1), int64(n))
@@ -123,56 +126,4 @@ func Fold[S any](n int, opts Options, newState func(worker int) S, fn func(state
 		return nil, err
 	}
 	return states, nil
-}
-
-// Map runs fn(i) for every i in [0, n) on a bounded worker pool and
-// returns the results in index order, regardless of completion order.
-// Each unit completes a "<label>_shard" span and a progress report on
-// the run's recorder; the recorded event set is identical at any worker
-// count (only the interleaving varies), so metric snapshots stay
-// deterministic alongside the results.
-func Map[R any](n int, opts Options, fn func(i int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]R, n)
-	rec := obs.OrNop(opts.Recorder)
-	label := opts.label()
-	workers := opts.EffectiveWorkers()
-	if workers > n {
-		workers = n
-	}
-	rec.Add("engine_runs_total", 1)
-	rec.Add("engine_shards_total", int64(n))
-	rec.Add("engine_workers_total", int64(workers))
-	var done int64
-	runOne := func(i int) {
-		sp := rec.Start(label + "_shard")
-		out[i] = fn(i)
-		sp.End()
-		rec.Progress(label, atomic.AddInt64(&done, 1), int64(n))
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			runOne(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runOne(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
 }

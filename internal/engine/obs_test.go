@@ -6,37 +6,6 @@ import (
 	"tracescope/internal/obs"
 )
 
-// TestMapRecordsShardSpans: every unit of a Map run is wrapped in a
-// labelled shard span, and the run/shard/worker counters reconcile with
-// the call — the invariant the CI bench-smoke step checks end to end.
-func TestMapRecordsShardSpans(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rec := obs.NewMemRecorder()
-		opts := Options{Workers: workers, Recorder: rec, Label: "test"}
-		n := 13
-		out := Map(n, opts, func(i int) int { return i * i })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-		if got := rec.SpanCount("test_shard"); got != int64(n) {
-			t.Errorf("workers=%d: shard spans = %d, want %d", workers, got, n)
-		}
-		if got := rec.CounterValue("engine_shards_total"); got != int64(n) {
-			t.Errorf("workers=%d: engine_shards_total = %d, want %d", workers, got, n)
-		}
-		if got := rec.CounterValue("engine_runs_total"); got != 1 {
-			t.Errorf("workers=%d: engine_runs_total = %d, want 1", workers, got)
-		}
-		snap := rec.Snapshot()
-		if len(snap.Progress) != 1 || snap.Progress[0].Phase != "test" ||
-			snap.Progress[0].Done != int64(n) || snap.Progress[0].Total != int64(n) {
-			t.Errorf("workers=%d: progress = %+v", workers, snap.Progress)
-		}
-	}
-}
-
 // TestFoldRecordsWorkerRuns: a Fold's "shard" is one worker's run — as
 // many spans as engine_shards_total, min(workers, n) of each — progress
 // ticks once per unit, and an unlabelled Options falls back to the
@@ -65,17 +34,6 @@ func TestFoldRecordsWorkerRuns(t *testing.T) {
 			snap.Progress[0].Done != int64(tc.n) || snap.Progress[0].Total != int64(tc.n) ||
 			snap.Progress[0].Events != int64(tc.n) {
 			t.Errorf("%+v: progress = %+v", tc, snap.Progress)
-		}
-	}
-}
-
-// TestMapNilRecorder: an unset recorder must not panic or change
-// results.
-func TestMapNilRecorder(t *testing.T) {
-	out := Map(4, Options{Workers: 2}, func(i int) int { return i })
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
 }

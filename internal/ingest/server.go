@@ -51,8 +51,6 @@ type Config struct {
 	Thresholds func(scenario string) (tfast, tslow trace.Duration, ok bool)
 	// Workers bounds the startup warm-up pool. Zero means GOMAXPROCS.
 	Workers int
-	// MaxAWGDepth bounds AWG aggregation depth; zero takes the default.
-	MaxAWGDepth int
 	// Recorder receives every layer's observability events and backs
 	// /metrics. Nil means a fresh clockless MemRecorder (deterministic
 	// snapshots); pass obs.NewMemRecorder(obs.WithClock(...)) for real
@@ -92,11 +90,10 @@ func NewServer(cfg Config) (*Server, error) {
 		rec: rec,
 		app: app,
 		inc: core.NewIncremental(core.IncrementalConfig{
-			Filter:      cfg.Filter,
-			Thresholds:  cfg.Thresholds,
-			MaxAWGDepth: cfg.MaxAWGDepth,
-			Workers:     cfg.Workers,
-			Recorder:    rec,
+			Filter:     cfg.Filter,
+			Thresholds: cfg.Thresholds,
+			Workers:    cfg.Workers,
+			Recorder:   rec,
 		}),
 	}
 	if app.NumStreams() > 0 {
@@ -559,11 +556,10 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	base := core.NewIncremental(core.IncrementalConfig{
-		Filter:      s.cfg.Filter,
-		Thresholds:  s.cfg.Thresholds,
-		MaxAWGDepth: s.cfg.MaxAWGDepth,
-		Workers:     s.cfg.Workers,
-		Recorder:    s.rec,
+		Filter:     s.cfg.Filter,
+		Thresholds: s.cfg.Thresholds,
+		Workers:    s.cfg.Workers,
+		Recorder:   s.rec,
 	})
 	if err := base.IngestSource(baseSrc); err != nil {
 		httpError(w, s.rec, http.StatusInternalServerError, "profiling baseline: %v", err)

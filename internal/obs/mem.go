@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// DefaultBoundaries are the fixed histogram bucket upper bounds in
-// nanoseconds: decades from 1µs to 10s. Fixed boundaries keep snapshot
-// shapes identical across runs and recorders, so snapshots diff cleanly.
+// DefaultBoundaries are the histogram bucket upper bounds in
+// nanoseconds: decades from 1µs to 10s. Every recorder uses them, which
+// keeps snapshot shapes identical across runs and recorders, so
+// snapshots diff cleanly.
 var DefaultBoundaries = []int64{
 	1_000,          // 1µs
 	10_000,         // 10µs
@@ -31,8 +32,7 @@ var DefaultBoundaries = []int64{
 // histogram shapes stay meaningful and reproducible, while wall-time
 // measurement is an explicit opt-in owned by the caller.
 type MemRecorder struct {
-	clock      Clock
-	boundaries []int64
+	clock Clock
 
 	mu       sync.Mutex
 	counters map[string]int64
@@ -44,7 +44,7 @@ type MemRecorder struct {
 type histogram struct {
 	count   int64
 	sum     int64
-	buckets []int64 // len(boundaries)+1; last is overflow
+	buckets []int64 // len(DefaultBoundaries)+1; last is overflow
 }
 
 type progressState struct {
@@ -64,20 +64,13 @@ func WithClock(c Clock) MemOption {
 	return func(m *MemRecorder) { m.clock = c }
 }
 
-// WithBoundaries replaces the histogram bucket upper bounds
-// (nanoseconds, strictly ascending).
-func WithBoundaries(b []int64) MemOption {
-	return func(m *MemRecorder) { m.boundaries = append([]int64(nil), b...) }
-}
-
 // NewMemRecorder builds an empty in-memory recorder.
 func NewMemRecorder(opts ...MemOption) *MemRecorder {
 	m := &MemRecorder{
-		boundaries: DefaultBoundaries,
-		counters:   make(map[string]int64),
-		spans:      make(map[string]*histogram),
-		obs:        make(map[string]*histogram),
-		progress:   make(map[string]*progressState),
+		counters: make(map[string]int64),
+		spans:    make(map[string]*histogram),
+		obs:      make(map[string]*histogram),
+		progress: make(map[string]*progressState),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -148,12 +141,12 @@ func (s *memSpan) End() {
 func (m *MemRecorder) observeLocked(hists map[string]*histogram, name string, value int64) {
 	h, ok := hists[name]
 	if !ok {
-		h = &histogram{buckets: make([]int64, len(m.boundaries)+1)}
+		h = &histogram{buckets: make([]int64, len(DefaultBoundaries)+1)}
 		hists[name] = h
 	}
 	h.count++
 	h.sum += value
-	idx := sort.Search(len(m.boundaries), func(i int) bool { return value <= m.boundaries[i] })
+	idx := sort.Search(len(DefaultBoundaries), func(i int) bool { return value <= DefaultBoundaries[i] })
 	h.buckets[idx]++
 }
 
@@ -182,8 +175,8 @@ func (m *MemRecorder) Snapshot() Snapshot {
 	defer m.mu.Unlock()
 	snap := Snapshot{
 		Counters:     make([]CounterSnapshot, 0, len(m.counters)),
-		Spans:        snapHistograms(m.spans, m.boundaries),
-		Observations: snapHistograms(m.obs, m.boundaries),
+		Spans:        snapHistograms(m.spans),
+		Observations: snapHistograms(m.obs),
 		Progress:     make([]ProgressSnapshot, 0, len(m.progress)),
 	}
 	for name, v := range m.counters {
@@ -199,14 +192,14 @@ func (m *MemRecorder) Snapshot() Snapshot {
 	return snap
 }
 
-func snapHistograms(hists map[string]*histogram, boundaries []int64) []HistogramSnapshot {
+func snapHistograms(hists map[string]*histogram) []HistogramSnapshot {
 	out := make([]HistogramSnapshot, 0, len(hists))
 	for name, h := range hists {
 		out = append(out, HistogramSnapshot{
 			Name:       name,
 			Count:      h.count,
 			Sum:        h.sum,
-			Boundaries: boundaries,
+			Boundaries: DefaultBoundaries,
 			Counts:     append([]int64(nil), h.buckets...),
 		})
 	}

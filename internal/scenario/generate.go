@@ -3,9 +3,9 @@ package scenario
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"tracescope/internal/drivers"
+	"tracescope/internal/engine"
 	"tracescope/internal/sim"
 	"tracescope/internal/stats"
 	"tracescope/internal/trace"
@@ -89,36 +89,13 @@ var themeWeights = map[string]float64{
 // each stream has its own seeded generator and a fixed slot.
 func Generate(cfg Config) *trace.Corpus {
 	cfg.applyDefaults()
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > cfg.Streams {
-		par = cfg.Streams
-	}
 	streams := make([]*trace.Stream, cfg.Streams)
-	if par <= 1 {
-		for i := range streams {
+	// No unit fails, so the fold cannot; its per-worker states are unused.
+	_, _ = engine.Fold(len(streams), engine.Options{Workers: cfg.Parallelism},
+		func(int) struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 			streams[i] = generateStream(cfg, i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					streams[i] = generateStream(cfg, i)
-				}
-			}()
-		}
-		for i := range streams {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+			return nil
+		})
 	return &trace.Corpus{Streams: streams}
 }
 

@@ -72,6 +72,26 @@ func OpenAppender(dir string) (*Appender, error) {
 	return &Appender{dir: dir, n: len(metas), intern: it}, nil
 }
 
+// createAppender starts the corpus in dir over, creating dir if needed:
+// corpus.index and then corpus.intern are cut back to their header
+// lines. That is the Appender's commit order undone, so a crash between
+// the two leaves an index without records over an intern table of
+// orphans, never records naming intern entries that are gone. Stream
+// files past the new corpus's end stay, unindexed, until an append of
+// that index overwrites them.
+func createAppender(dir string) (*Appender, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(indexHeader+"\n"), 0o644); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, internFile), []byte(colfmt.InternMagic), 0o644); err != nil {
+		return nil, err
+	}
+	return &Appender{dir: dir, intern: NewInternTable()}, nil
+}
+
 // SetCompression toggles flate compression of event blocks for
 // subsequent appends (off by default; decode throughput beats size
 // on the analysis path).

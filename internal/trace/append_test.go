@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tracescope/internal/trace/colfmt"
 )
 
 // TestAppenderRoundTrip grows a fresh corpus one stream at a time and
@@ -84,6 +86,60 @@ func TestAppenderContinuesExistingCorpus(t *testing.T) {
 	}
 	if _, err := d.Stream(2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteDirReplacesCorpus: WriteDir over a directory holding a corpus
+// replaces it — OpenDir reads back exactly the new streams (for none,
+// from header-only files) and an Appender continues after them.
+func TestWriteDirReplacesCorpus(t *testing.T) {
+	for _, n := range []int{2, 0} {
+		dir := t.TempDir()
+		old := NewCorpus(randomStream(11), randomStream(12), randomStream(13), randomStream(14), randomStream(15))
+		if err := old.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCorpus()
+		for i := 0; i < n; i++ {
+			c.Add(randomStream(int64(i + 1)))
+		}
+		if err := c.WriteDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			if got := mustReadFile(t, filepath.Join(dir, indexFile)); got != indexHeader+"\n" {
+				t.Errorf("empty corpus index = %q, want the header line", got)
+			}
+			if got := mustReadFile(t, filepath.Join(dir, internFile)); got != colfmt.InternMagic {
+				t.Errorf("empty corpus intern file = %q, want the header line", got)
+			}
+		}
+		d, err := OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.NumStreams() != n {
+			t.Fatalf("n=%d: OpenDir sees %d streams", n, d.NumStreams())
+		}
+		for i, want := range c.Streams {
+			if got, err := d.Stream(i); err != nil || !streamsEqual(got, want) {
+				t.Fatalf("n=%d: stream %d does not read back (%v)", n, i, err)
+			}
+		}
+		a, err := OpenAppender(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := randomStream(9)
+		if idx, err := a.Append(next); err != nil || idx != n {
+			t.Fatalf("n=%d: Append returned %d, %v; want %d", n, idx, err, n)
+		}
+		if d, err = OpenDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := d.Stream(n); d.NumStreams() != n+1 || err != nil || !streamsEqual(got, next) {
+			t.Fatalf("n=%d: after one append OpenDir sees %d streams, stream %d: %v", n, d.NumStreams(), n, err)
+		}
 	}
 }
 

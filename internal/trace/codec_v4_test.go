@@ -23,7 +23,7 @@ func TestV4RoundTrip(t *testing.T) {
 		write func(dir string) error
 	}{
 		{"plain", func(dir string) error { return c.WriteDir(dir) }},
-		{"compressed", func(dir string) error { return c.WriteDirCompressed(dir) }},
+		{"compressed", func(dir string) error { return writeDirCompressed(c, dir) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -45,6 +45,22 @@ func TestV4RoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeDirCompressed writes c to a fresh dir through an Appender with
+// block compression on.
+func writeDirCompressed(c *Corpus, dir string) error {
+	app, err := OpenAppender(dir)
+	if err != nil {
+		return err
+	}
+	app.SetCompression(true)
+	for _, s := range c.Streams {
+		if _, err := app.Append(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestV4InternSharing checks that streams sharing frames share intern
@@ -363,7 +379,7 @@ func TestCollectDirStats(t *testing.T) {
 		}
 		rep.SetThread(0, "App", "T0")
 		rep.Instances = append(rep.Instances, Instance{Scenario: "S1", TID: 0, Start: 0, End: 50001})
-		if err := NewCorpus(rep).WriteDirCompressed(dir); err != nil {
+		if err := writeDirCompressed(NewCorpus(rep), dir); err != nil {
 			t.Fatal(err)
 		}
 		st, err := CollectDirStats(dir)

@@ -2,11 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-
-	"tracescope/internal/trace/colfmt"
 )
 
 // Corpus is a collection of trace streams, the unit over which impact and
@@ -114,70 +110,29 @@ func (c *Corpus) Validate() error {
 	return nil
 }
 
-// WriteDir persists the corpus: one columnar binary file per stream,
-// the corpus.intern frame/stack container, and a corpus.index recording
-// per-stream and per-instance metadata, creating dir if needed. The
-// index lets OpenDir enumerate scenarios and instances without decoding
-// any stream.
+// WriteDir persists the corpus to dir, creating it if needed and
+// replacing any corpus already there: it starts the directory over and
+// appends every stream through an Appender — one columnar file per
+// stream, the corpus.intern frame/stack container, and a corpus.index
+// recording per-stream and per-instance metadata, which lets OpenDir
+// enumerate scenarios and instances without decoding any stream. Every
+// stream must validate (Stream.Validate).
 func (c *Corpus) WriteDir(dir string) error {
-	return c.writeDir(dir, false)
-}
-
-// WriteDirCompressed is WriteDir with flate compression on every event
-// block — smaller files at decode-throughput cost.
-func (c *Corpus) WriteDirCompressed(dir string) error {
-	return c.writeDir(dir, true)
+	a, err := createAppender(dir)
+	if err != nil {
+		return err
+	}
+	for _, s := range c.Streams {
+		if _, err := a.Append(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // streamFileName names stream i's columnar container file.
 func streamFileName(i int) string {
 	return fmt.Sprintf("stream-%05d.tsc4", i)
-}
-
-func (c *Corpus) writeDir(dir string, compress bool) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	it := NewInternTable()
-	enc := colfmt.NewEncoder(eventColumns)
-	metas := make([]StreamMeta, 0, len(c.Streams))
-	for i, s := range c.Streams {
-		name := streamFileName(i)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		err = s.writeBinaryV4(f, it, enc, compress)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("trace: writing %s: %w", name, err)
-		}
-		m := c.StreamMeta(i)
-		m.File = name
-		metas = append(metas, m)
-	}
-	f, err := os.Create(filepath.Join(dir, internFile))
-	if err != nil {
-		return err
-	}
-	err = it.writeInternFile(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", internFile, err)
-	}
-	index, err := os.Create(filepath.Join(dir, indexFile))
-	if err != nil {
-		return err
-	}
-	err = writeIndex(index, metas)
-	if cerr := index.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // ReadDir loads a corpus previously written with WriteDir eagerly into

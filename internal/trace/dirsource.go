@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -47,18 +46,6 @@ const (
 	// indexVersion), written with a terminating newline.
 	indexHeader = indexMagic + " 4"
 )
-
-// writeIndex writes a corpus index for the given stream metadata.
-func writeIndex(w io.Writer, metas []StreamMeta) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, indexHeader)
-	for seq, m := range metas {
-		if err := writeStreamRecord(bw, seq, m); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // writeStreamRecord writes one stream record (the "s" line plus its "i"
 // instance lines) to w.

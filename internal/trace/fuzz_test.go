@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,6 +43,19 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("accepted the same stream with a trailing byte: %v", err)
 		}
 	})
+}
+
+// writeIndex writes a corpus index for the given stream metadata.
+func writeIndex(w io.Writer, metas []StreamMeta) error {
+	if _, err := fmt.Fprintln(w, indexHeader); err != nil {
+		return err
+	}
+	for seq, m := range metas {
+		if err := writeStreamRecord(w, seq, m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addIndexSeeds seeds an index-text fuzzer: a well-formed index, the
@@ -187,27 +202,6 @@ func FuzzWildcardMatch(f *testing.F) {
 		filter.MatchModule(module) // must not panic
 		if !NewComponentFilter("*").MatchModule(module) {
 			t.Fatal("universal pattern rejected a module")
-		}
-	})
-}
-
-// FuzzSlice checks window slicing on random windows of a fixed stream.
-func FuzzSlice(f *testing.F) {
-	f.Add(int64(0), int64(1000))
-	f.Add(int64(500), int64(200000))
-	f.Fuzz(func(t *testing.T, from, to int64) {
-		s := randomStream(7)
-		out, err := s.Slice(Time(from), Time(to))
-		if err != nil {
-			return
-		}
-		if verr := out.Validate(); verr != nil {
-			t.Fatalf("slice produced invalid stream: %v", verr)
-		}
-		for _, e := range out.Events {
-			if e.Time < 0 || e.End() > Time(to-from) {
-				t.Fatalf("event [%d,%d) outside rebased window [0,%d)", e.Time, e.End(), to-from)
-			}
 		}
 	})
 }

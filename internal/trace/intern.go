@@ -23,7 +23,7 @@ const internFile = "corpus.intern"
 // disk reproduces the writer's IDs exactly.
 //
 // The index maps are built lazily: pure readers (stream decode) never
-// need them, writers (WriteDir, Appender) build them on first intern.
+// need them, writers (the Appender) build them on first intern.
 // An InternTable is not safe for concurrent mutation; DirSource only
 // mutates its table inside Reload, which callers already serialize.
 type InternTable struct {
@@ -179,14 +179,4 @@ func (t *InternTable) appendRecordsSince(w io.Writer) error {
 	t.flushedFrames = len(t.frames)
 	t.flushedStacks = len(t.stacks)
 	return nil
-}
-
-// writeInternFile writes the complete container: header plus every
-// record, marking everything flushed.
-func (t *InternTable) writeInternFile(w io.Writer) error {
-	if _, err := io.WriteString(w, colfmt.InternMagic); err != nil {
-		return err
-	}
-	t.flushedFrames, t.flushedStacks = 0, 0
-	return t.appendRecordsSince(w)
 }

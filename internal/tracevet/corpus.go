@@ -83,12 +83,16 @@ type dirStream struct {
 	stacks []uint64
 }
 
-// vetDirStreams verifies every indexed stream file in parallel.
+// vetDirStreams verifies every indexed stream file in parallel, each
+// into its own slot, so the findings come back in stream order.
 func vetDirStreams(dir string, sc *scannedIndex, it *internScan, opts Options) ([]diag.Diagnostic, []dirStream) {
-	streams := engine.Map(len(sc.metas), engine.Options{
+	streams := make([]dirStream, len(sc.metas))
+	// No unit fails, so the fold cannot; its per-worker states are unused.
+	_, _ = engine.Fold(len(streams), engine.Options{
 		Workers: opts.Workers, Recorder: opts.Recorder, Label: "vet",
-	}, func(i int) dirStream {
-		return vetDirStream(dir, sc, it, i, opts)
+	}, func(int) struct{} { return struct{}{} }, func(_ struct{}, i int) error {
+		streams[i] = vetDirStream(dir, sc, it, i, opts)
+		return nil
 	})
 	var diags []diag.Diagnostic
 	for _, st := range streams {

@@ -36,7 +36,7 @@
 // artifact (corpus.index, a stream file) and Line a 1-based record or
 // event ordinal, so the human, JSON, and SARIF writers shared with
 // tracelint work unchanged. Verification parallelises per stream via
-// engine.Map and merges findings in stream order, so the report is
+// engine.Fold and merges findings in stream order, so the report is
 // byte-stable at any worker count.
 package tracevet
 
@@ -46,7 +46,6 @@ import (
 	"strings"
 
 	"tracescope/internal/diag"
-	"tracescope/internal/engine"
 	"tracescope/internal/obs"
 	"tracescope/internal/trace"
 )
@@ -127,7 +126,8 @@ type Options struct {
 	// build wait graphs, so callers on a hot path leave this off.
 	Semantic bool
 	// Recorder receives the vet_streams_total / vet_violations_total
-	// counters and the engine's vet_shard spans. Nil is allowed.
+	// counters and the engine's vet_shard spans, one per worker. Nil is
+	// allowed.
 	Recorder obs.Recorder
 }
 
@@ -178,42 +178,6 @@ func finishReport(diags []diag.Diagnostic, streams int, tailOffset int64, rec ob
 func VetStream(s *trace.Stream, artifact string, opts Options) []diag.Diagnostic {
 	diags := vetStream(s, artifact, opts)
 	diag.Sort(diags)
-	return diags
-}
-
-// VetSource runs the per-stream structural rules (plus index-meta
-// cross-checks against the source's metadata, and the semantic
-// conservation rules when enabled) over every stream of a source.
-func VetSource(src trace.Source, opts Options) *Report {
-	n := src.NumStreams()
-	perStream := engine.Map(n, engine.Options{
-		Workers: opts.Workers, Recorder: opts.Recorder, Label: "vet",
-	}, func(i int) []diag.Diagnostic {
-		return vetSourceStream(src, i, opts)
-	})
-	var diags []diag.Diagnostic
-	for _, ds := range perStream {
-		diags = append(diags, ds...)
-	}
-	if opts.Semantic && !hasErrors(diags) {
-		diags = append(diags, vetSemantic(src, opts)...)
-	}
-	return finishReport(diags, n, -1, opts.Recorder)
-}
-
-// vetSourceStream fetches and verifies one stream of a source.
-func vetSourceStream(src trace.Source, i int, opts Options) []diag.Diagnostic {
-	artifact := streamArtifact(src, i)
-	s, err := src.Stream(i)
-	if err != nil {
-		if !opts.enabled("stream-decode") {
-			return nil
-		}
-		return []diag.Diagnostic{vd(artifact, 1, "stream-decode", diag.SevError,
-			"stream %d failed to decode: %v", i, err)}
-	}
-	diags := vetStream(s, artifact, opts)
-	diags = append(diags, vetStreamMeta(s, src.StreamMeta(i), artifact, opts)...)
 	return diags
 }
 

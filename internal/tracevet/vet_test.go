@@ -118,9 +118,19 @@ func TestVetStreamTailOrphanWaitTolerated(t *testing.T) {
 	}
 }
 
-func TestVetSourceMetaCrossCheck(t *testing.T) {
-	c := trace.NewCorpus(goodStream("m1"), goodStream("m2"))
-	rep := VetSource(c, Options{})
+// writeCorpus writes streams to a temporary directory with
+// Corpus.WriteDir.
+func writeCorpus(t *testing.T, streams ...*trace.Stream) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := trace.NewCorpus(streams...).WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func TestVetDirMetaCrossCheck(t *testing.T) {
+	rep := mustVetDir(t, writeCorpus(t, goodStream("m1"), goodStream("m2")), Options{})
 	if rep.Findings() != 0 {
 		t.Fatalf("clean corpus has findings: %v", rep.Diags)
 	}
@@ -129,10 +139,9 @@ func TestVetSourceMetaCrossCheck(t *testing.T) {
 	}
 }
 
-func TestVetSourceSemanticClean(t *testing.T) {
-	c := trace.NewCorpus(goodStream("m1"), goodStream("m2"), goodStream("m3"))
-	rep := VetSource(c, Options{Semantic: true})
-	if rep.Findings() != 0 {
+func TestVetDirSemanticClean(t *testing.T) {
+	dir := writeCorpus(t, goodStream("m1"), goodStream("m2"), goodStream("m3"))
+	if rep := mustVetDir(t, dir, Options{Semantic: true}); rep.Findings() != 0 {
 		t.Fatalf("semantic pass flagged a clean corpus: %v", rep.Diags)
 	}
 }
@@ -147,19 +156,20 @@ func renderReport(rep *Report) string {
 	return b.String()
 }
 
-// TestVetSourceDeterministicAcrossWorkers: the report over a corrupted
-// corpus is byte-identical at any worker count.
-func TestVetSourceDeterministicAcrossWorkers(t *testing.T) {
+// TestVetDirCorruptStreamsDeterministicAcrossWorkers: the report over
+// streams that break the per-stream rules is byte-identical at any
+// worker count.
+func TestVetDirCorruptStreamsDeterministicAcrossWorkers(t *testing.T) {
 	var streams []*trace.Stream
 	for i := 0; i < 8; i++ {
 		s := goodStream(fmt.Sprintf("m%d", i))
 		s.Events[2].Time = 50 // non-monotone + unpaired wait in every stream
 		streams = append(streams, s)
 	}
-	c := trace.NewCorpus(streams...)
-	want := renderReport(VetSource(c, Options{Workers: 1}))
+	dir := writeCorpus(t, streams...)
+	want := renderReport(mustVetDir(t, dir, Options{Workers: 1}))
 	for _, w := range []int{2, 4, 8} {
-		if got := renderReport(VetSource(c, Options{Workers: w})); got != want {
+		if got := renderReport(mustVetDir(t, dir, Options{Workers: w})); got != want {
 			t.Fatalf("workers=%d report differs:\n%s\nvs workers=1:\n%s", w, got, want)
 		}
 	}

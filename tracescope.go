@@ -143,11 +143,12 @@ type (
 	// A nil clock records zero durations, keeping snapshots
 	// deterministic; CLIs may inject a wall clock.
 	MetricsClock = obs.Clock
-	// MemRecorder aggregates events in memory: counters, fixed-boundary
-	// latency histograms, and progress state, exportable as a
-	// deterministic snapshot.
+	// MemRecorder aggregates events in memory: counters, latency
+	// histograms over fixed decade boundaries (1µs to 10s), and progress
+	// state, exportable as a deterministic snapshot.
 	MemRecorder = obs.MemRecorder
-	// MemRecorderOption configures NewMemRecorder.
+	// MemRecorderOption configures NewMemRecorder; WithMetricsClock is
+	// the one option.
 	MemRecorderOption = obs.MemOption
 	// MetricsSnapshot is a point-in-time export of a MemRecorder with
 	// deterministic ordering; it marshals to indented JSON (WriteJSON)
@@ -173,10 +174,6 @@ func NewMemRecorder(opts ...MemRecorderOption) *MemRecorder {
 
 // WithMetricsClock sets the MemRecorder's span clock (nanoseconds).
 func WithMetricsClock(c MetricsClock) MemRecorderOption { return obs.WithClock(c) }
-
-// WithMetricsBoundaries replaces the default histogram bucket
-// boundaries (ascending, in nanoseconds).
-func WithMetricsBoundaries(b []int64) MemRecorderOption { return obs.WithBoundaries(b) }
 
 // NewProgressPrinter builds a Recorder that prints throttled progress
 // lines to w, at most one per phase per minIntervalNS nanoseconds
@@ -331,7 +328,7 @@ func WithRecorder(r Recorder) CommonOption { return core.WithRecorder(r) }
 // Corpus-vs-corpus diff types: the regression-analysis entry point.
 type (
 	// DiffOption configures a Diff run (WithFilter, WithThresholds,
-	// WithMiningParams, WithMaxAWGDepth, WithTopEdges, plus the shared
+	// WithMiningParams, WithTopEdges, plus the shared
 	// WithWorkers/WithRecorder).
 	DiffOption = core.DiffOption
 	// CommonOption is accepted by both NewAnalyzer and Diff — what
@@ -401,10 +398,6 @@ func WithThresholds(fn func(scenario string) (tfast, tslow Duration, ok bool)) C
 // WithMiningParams bounds the diff's contrast-mining step; zero fields
 // take the paper's defaults.
 func WithMiningParams(p MiningParams) DiffOption { return core.WithMiningParams(p) }
-
-// WithMaxAWGDepth bounds Aggregated-Wait-Graph aggregation depth on
-// both sides of the diff; zero takes the awg default.
-func WithMaxAWGDepth(n int) DiffOption { return core.WithMaxAWGDepth(n) }
 
 // WithTopEdges bounds the globally ranked regression and improvement
 // lists of the DiffResult. Zero takes the default (10); negative means
