@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-json lint-sarif metrics-doc \
+.PHONY: all build vet lint metrics-doc \
 	metrics-doc-update doc-names test test-short test-race test-allocs \
 	bench bench-smoke \
 	daemon-smoke diff-smoke vet-gate experiments experiments-md report fuzz clean
@@ -15,34 +15,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Determinism-and-invariant static analysis (internal/lint). Packages
-# under internal/ are loaded whole and type-checked (stdlib go/types),
-# arming the type-aware analyzers. Seven analyzers: mapiter, walltime,
-# unstablesort, detertaint (cross-function map-order taint), spanend,
-# errdrop and obsreg (metric-name registry: format, _total discipline,
-# kind conflicts). Concurrency is not tracelint's job: `make vet`
-# catches copied locks and `make test-race` the rest. CI gates on this;
-# findings exit non-zero.
+# Determinism-and-invariant static analysis (internal/lint). Every
+# package directory is type-checked with its in-package tests (stdlib
+# go/types, the standard library from export data). Six analyzers,
+# each of which alone catches a planted bug the tests miss: mapiter,
+# walltime, unstablesort, spanend, errdrop and obsreg (metric-name
+# registry: format, _total discipline, kind conflicts). Concurrency is
+# not tracelint's job: `make vet` catches copied locks and
+# `make test-race` the rest. CI gates on this; findings exit non-zero.
 # Silence a deliberate site with:  //lint:ignore <analyzer> <reason>
 # (naming an analyzer that does not exist is itself a finding).
 lint:
-	$(GO) run ./cmd/tracelint -tests ./...
-
-# Apply the safe rewrites analyzers attach (sort.Slice → SliceStable on
-# single-key comparators, defer sp.End() for never-ended spans) and
-# report what remains.
-lint-fix:
-	$(GO) run ./cmd/tracelint -tests -fix ./...
-
-# Machine-readable findings report; CI uploads tracelint.json as a
-# build artifact on every run.
-lint-json:
-	$(GO) run ./cmd/tracelint -tests -json ./... > tracelint.json
-
-# SARIF 2.1.0 findings log; CI uploads tracelint.sarif so code review
-# shows findings inline.
-lint-sarif:
-	$(GO) run ./cmd/tracelint -tests -sarif tracelint.sarif ./...
+	$(GO) run ./cmd/tracelint ./...
 
 # Metric-registry doc gate (CI gates on this): regenerate the registry
 # the obsreg analyzer harvests from every obs.Recorder call site and
@@ -165,5 +149,5 @@ fuzz:
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetCorpus -fuzztime 15s
 
 clean:
-	rm -f report.html test_output.txt bench_output.txt *.dot tracelint.json tracelint.sarif tracevet.sarif
+	rm -f report.html test_output.txt bench_output.txt *.dot tracevet.sarif
 	rm -rf .bench_build

@@ -110,7 +110,7 @@ func run(argv []string) int {
 	}
 
 	if *jsonOut {
-		if err := diag.WriteJSON(os.Stdout, diags, true); err != nil {
+		if err := diag.WriteJSON(os.Stdout, diags); err != nil {
 			fmt.Fprintf(os.Stderr, "tracevet: %v\n", err)
 			return 2
 		}

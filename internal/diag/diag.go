@@ -1,12 +1,10 @@
 // Package diag is the shared diagnostics layer behind tracescope's
 // static verifiers: tracelint (Go-source determinism analysis) and
 // tracevet (corpus/trace semantic verification). Both tools report the
-// same shape — a rule name, a position, a message, optional
-// machine-applicable fixes — and share the human, JSON, and SARIF 2.1.0
-// renderings plus the 0/1/2 exit-code convention (0 clean, 1 findings,
-// 2 operational errors). Keeping one Diagnostic type means one sort
-// order, one suppression-coverage rule, and byte-identical artifacts
-// from either tool given the same findings.
+// same shape — a rule name, a position, a message, a severity — in one
+// sort order, render it as file:line:col lines, and share the 0/1/2
+// exit-code convention (0 clean, 1 findings, 2 operational errors).
+// tracevet also renders findings as JSON and as a SARIF 2.1.0 log.
 package diag
 
 import (
@@ -53,9 +51,6 @@ type Diagnostic struct {
 	Message  string
 	// Severity ranks the finding; the zero value means warning.
 	Severity Severity
-	// Fixes holds machine-applicable rewrites for the finding, empty
-	// when the fix needs human judgment.
-	Fixes []Fix
 }
 
 // String renders the diagnostic in the conventional file:line:col form.

@@ -1,7 +1,5 @@
-// Machine-readable findings report — the JSON array CI uploads as a
-// build artifact. The shape predates this package (tracelint's -json
-// output); the optional severity field is omitted when empty so
-// tracelint's artifact stays byte-identical.
+// Machine-readable findings report — the JSON array `tracevet -json`
+// prints and the ingest gate's 400 body carries as "violations".
 
 package diag
 
@@ -17,31 +15,25 @@ type Finding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Severity string `json:"severity,omitempty"`
-	Fixable  bool   `json:"fixable,omitempty"`
+	Severity string `json:"severity"`
 }
 
-// Findings converts diagnostics to the JSON shape, preserving order.
-// When withSeverity is set each finding carries its resolved level;
-// tracelint passes false to keep its historical artifact bytes.
-func Findings(diags []Diagnostic, withSeverity bool) []Finding {
+// Findings converts diagnostics to the JSON shape, preserving order;
+// each finding carries its resolved severity level.
+func Findings(diags []Diagnostic) []Finding {
 	out := make([]Finding, 0, len(diags))
 	for _, d := range diags {
-		f := Finding{
+		out = append(out, Finding{
 			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message, Fixable: len(d.Fixes) > 0,
-		}
-		if withSeverity {
-			f.Severity = d.Severity.Level()
-		}
-		out = append(out, f)
+			Analyzer: d.Analyzer, Message: d.Message, Severity: d.Severity.Level(),
+		})
 	}
 	return out
 }
 
 // WriteJSON renders the diagnostics as a 2-space-indented JSON array.
-func WriteJSON(w io.Writer, diags []Diagnostic, withSeverity bool) error {
+func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(Findings(diags, withSeverity))
+	return enc.Encode(Findings(diags))
 }

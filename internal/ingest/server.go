@@ -303,7 +303,7 @@ func (s *Server) rejectIngest(w http.ResponseWriter, vio []diag.Diagnostic) {
 	s.rec.Add("ingest_http_errors_total", 1)
 	writeJSON(w, s.rec, http.StatusBadRequest, map[string]any{
 		"error":      fmt.Sprintf("stream rejected: %d verification violation(s)", len(vio)),
-		"violations": diag.Findings(vio, true),
+		"violations": diag.Findings(vio),
 	})
 }
 

@@ -15,12 +15,11 @@ import (
 
 // ErrDrop reports call statements that discard an error result in the
 // hot-path packages internal/engine, internal/impact, internal/trace,
-// internal/core, and internal/ingest.
+// internal/core, internal/ingest, internal/tracevet and internal/diag.
 //
 // Flagged: an expression statement, defer, or go statement whose call
 // returns an error (alone or among other results) that nothing
-// consumes. The check is type-aware and only runs on files loaded with
-// type information; _test.go files are exempt.
+// consumes. _test.go files are exempt.
 //
 // Documented false-positive policy — exempt by design:
 //
@@ -39,8 +38,8 @@ const errdropName = "errdrop"
 
 var ErrDrop = &Analyzer{
 	Name: errdropName,
-	Doc:  "flags discarded error results on analysis hot paths (internal/engine, impact, trace, core, ingest, tracevet, diag, cmd/tracevet)",
-	Run:  runErrDrop,
+	Doc:  "flags discarded error results on analysis hot paths (internal/engine, impact, trace, core, ingest, tracevet, diag)",
+	Run:  perFile(runErrDrop),
 }
 
 // errdropPackages are the directory names under internal/ the analyzer
@@ -51,13 +50,6 @@ var ErrDrop = &Analyzer{
 var errdropPackages = map[string]bool{
 	"engine": true, "impact": true, "trace": true, "core": true,
 	"ingest": true, "tracevet": true, "diag": true,
-}
-
-// errdropCommands are the cmd/ entry points in scope. A verifier that
-// drops an error reports "clean" on a corpus it never actually checked,
-// so cmd/tracevet is held to the hot-path standard too.
-var errdropCommands = map[string]bool{
-	"tracevet": true,
 }
 
 // inErrdropScope reports whether the file path is under one of the
@@ -73,9 +65,6 @@ func inErrdropScope(path string) bool {
 		if el == "internal" && errdropPackages[next] {
 			return true
 		}
-		if el == "cmd" && errdropCommands[next] {
-			return true
-		}
 		if el == "testdata" && next == errdropName {
 			return true
 		}
@@ -84,7 +73,7 @@ func inErrdropScope(path string) bool {
 }
 
 func runErrDrop(f *File) []Diagnostic {
-	if f.Pkg == nil || !inErrdropScope(f.Filename) || strings.HasSuffix(f.Filename, "_test.go") {
+	if !inErrdropScope(f.Filename) || strings.HasSuffix(f.Filename, "_test.go") {
 		return nil
 	}
 	var diags []Diagnostic
@@ -150,7 +139,7 @@ func exemptWriterCall(f *File, call *ast.CallExpr) bool {
 		return false
 	}
 	// fmt.Fprint/Fprintf/Fprintln with an exempt destination.
-	if id, ok := sel.X.(*ast.Ident); ok && f.IsPkgIdent(id, "fmt", f.ImportName("fmt")) {
+	if id, ok := sel.X.(*ast.Ident); ok && f.IsPkgIdent(id, "fmt") {
 		if strings.HasPrefix(sel.Sel.Name, "Fprint") && len(call.Args) > 0 {
 			return exemptWriterType(f.Pkg.TypeOf(call.Args[0]))
 		}

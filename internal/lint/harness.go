@@ -8,9 +8,6 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -25,49 +22,20 @@ type TB interface {
 	Fatalf(format string, args ...interface{})
 }
 
-// RunTestdata parses every .go file under dir, runs the analyzers over
-// each (suppressions applied, exactly like production), and checks the
-// findings against the files' `// want "regexp"` comments:
+// RunTestdataPackage loads dir as one type-checked package (module
+// imports resolved, type errors tolerated), runs the analyzers over it
+// via RunPkg (suppressions applied, exactly like production), and
+// checks the findings against the files' `// want "regexp"` comments:
 //
 //   - every want on line L must be matched by some finding on line L
 //     (the regexp runs against "analyzer: message");
 //   - every finding must be matched by some want on its line;
 //   - several wants on one line each need a distinct matching finding.
-func RunTestdata(t TB, dir string, analyzers []*Analyzer) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("lint harness: %v", err)
-	}
-	ran := false
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		ran = true
-		checkFile(t, filepath.Join(dir, e.Name()), analyzers)
-	}
-	if !ran {
-		t.Fatalf("lint harness: no .go fixtures in %s", dir)
-	}
-}
-
-// RunTestdataPackage is RunTestdata for type-aware analyzers: it loads
-// dir as one type-checked package (module imports resolved, type errors
-// tolerated) and runs the analyzers in package mode via RunPkg, then
-// checks the merged findings against every file's `// want` comments.
 func RunTestdataPackage(t TB, dir string, analyzers []*Analyzer) {
 	t.Helper()
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("lint harness: %v", err)
-	}
-	pkg, err := NewLoader(abs).LoadDir(abs)
+	pkg, err := NewLoader(dir).LoadDir(dir)
 	if err != nil {
 		t.Fatalf("lint harness: load %s: %v", dir, err)
-	}
-	if len(pkg.AllFiles()) == 0 {
-		t.Fatalf("lint harness: no .go fixtures in %s", dir)
 	}
 	wants := make(map[string][]expectation)
 	for _, f := range pkg.AllFiles() {
@@ -109,47 +77,6 @@ type expectation struct {
 	pattern string
 	re      *regexp.Regexp
 	matched bool
-}
-
-func checkFile(t TB, path string, analyzers []*Analyzer) {
-	t.Helper()
-	// Parse under the absolute path: path-scoped analyzers (walltime
-	// only applies under internal/) must see the fixture's real location
-	// under internal/lint/testdata.
-	if abs, err := filepath.Abs(path); err == nil {
-		path = abs
-	}
-	fset := token.NewFileSet()
-	f, err := ParseFile(fset, path, nil)
-	if err != nil {
-		t.Fatalf("lint harness: %v", err)
-	}
-	wants, err := parseWants(f)
-	if err != nil {
-		t.Fatalf("lint harness: %s: %v", path, err)
-	}
-	diags := Run(f, analyzers)
-	for _, d := range diags {
-		full := fmt.Sprintf("%s: %s", d.Analyzer, d.Message)
-		found := false
-		for i := range wants {
-			w := &wants[i]
-			if w.matched || w.line != d.Pos.Line || !w.re.MatchString(full) {
-				continue
-			}
-			w.matched = true
-			found = true
-			break
-		}
-		if !found {
-			t.Errorf("%s:%d: unexpected finding: %s", path, d.Pos.Line, full)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: expected finding matching %q, got none", path, w.line, w.pattern)
-		}
-	}
 }
 
 // wantPrefix introduces an expectation comment.
@@ -217,38 +144,4 @@ func splitQuoted(s string) ([]string, error) {
 		s = strings.TrimSpace(s[end+1:])
 	}
 	return out, nil
-}
-
-// FilesIn lists the .go files tracelint would analyze under root:
-// recursive, skipping testdata, vendor, hidden and underscore-prefixed
-// entries, and (unless tests is set) _test.go files. Shared by the CLI
-// and the self-check tests so both walk the identical file set.
-func FilesIn(root string, tests bool) ([]string, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			return nil
-		}
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		files = append(files, path)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(files)
-	return files, nil
 }

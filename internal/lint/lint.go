@@ -7,16 +7,11 @@
 // those conventions into machine-checked properties.
 //
 // The framework is deliberately small and zero-dependency (stdlib
-// go/ast, go/parser, go/token, go/types, go/importer only). Analyzers
-// come in two shapes: per-file checks that keep working on code that
-// does not compile yet, and package-level checks that see a whole
-// type-checked package at once — a Loader parses and type-checks each
-// package exactly once (load.go) and hands every analyzer the shared
-// *types.Info, so interprocedural properties like "this function's
-// return value is in map-iteration order" become checkable. Per-file
-// analyzers consult the same type information when a file was loaded as
-// part of a package and fall back to their documented syntactic
-// heuristics when it was not. Findings are silenced per-site with
+// go/ast, go/parser, go/token, go/types, go/importer only). There is one
+// path: a Loader parses and type-checks each package directory together
+// with its in-package _test.go files (load.go), and every analyzer sees
+// the whole type-checked package and its shared *types.Info. Findings
+// are silenced per-site with
 //
 //	//lint:ignore <analyzer>[,<analyzer>] <reason>
 //
@@ -28,7 +23,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"strings"
@@ -37,22 +31,17 @@ import (
 )
 
 // Diagnostic is one finding at one source position. The type lives in
-// internal/diag — shared with tracevet, the corpus verifier — so both
-// tools emit identical artifacts; every finding this suite reports
-// keeps the zero Severity, which renders as "warning" everywhere, as
-// tracelint's severity signal is its exit status, not a per-finding
-// ranking.
+// internal/diag — shared with tracevet, the corpus verifier; every
+// finding this suite reports keeps the zero Severity, as tracelint's
+// severity signal is its exit status, not a per-finding ranking.
 type Diagnostic = diag.Diagnostic
 
-// File is one parsed source file handed to analyzers.
+// File is one parsed, type-checked source file handed to analyzers.
 type File struct {
 	Fset     *token.FileSet
 	AST      *ast.File
 	Filename string
-	// Pkg points back to the type-checked package the file was loaded
-	// into, or nil when the file was parsed stand-alone (ParseFile).
-	// Analyzers consult it for optional type information and must keep
-	// working — at their documented syntactic scope — when it is nil.
+	// Pkg points back to the package the file was type-checked with.
 	Pkg *Package
 }
 
@@ -64,64 +53,40 @@ func (f *File) Diag(name string, p token.Pos, format string, args ...interface{}
 	return Diagnostic{Pos: f.Position(p), Analyzer: name, Message: fmt.Sprintf(format, args...)}
 }
 
-// IsPkgIdent reports whether id refers to the package imported under
-// the given path. With type information (file loaded as part of a
-// package) the identifier is resolved through the type checker, which
-// removes the syntactic mode's one documented false-positive class — a
-// local variable shadowing the import name. Without type information it
-// falls back to comparing against syntacticName (the name ImportName
-// resolved), preserving the old behaviour on stand-alone files.
-func (f *File) IsPkgIdent(id *ast.Ident, path, syntacticName string) bool {
-	if obj := f.Pkg.ObjectOf(id); obj != nil {
-		pn, ok := obj.(*types.PkgName)
-		return ok && pn.Imported().Path() == path
-	}
-	return syntacticName != "" && id.Name == syntacticName
+// IsPkgIdent reports whether id resolves to the import of the package
+// at path, however the import is named — a local variable shadowing
+// the import name does not count.
+func (f *File) IsPkgIdent(id *ast.Ident, path string) bool {
+	pn, ok := f.Pkg.ObjectOf(id).(*types.PkgName)
+	return ok && pn.Imported().Path() == path
 }
 
-// ImportName returns the identifier the file uses for the import of the
-// given path ("" if the path is not imported, "." and "_" passed
-// through). Analyzers use it so renamed imports are still matched and
-// unrelated packages that happen to be called "rand" are not.
-func (f *File) ImportName(path string) string {
-	for _, imp := range f.AST.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
-// Analyzer is one named check. Per-file analyzers set Run and work on
-// one file at a time (with optional type info through File.Pkg);
-// package-level analyzers set RunPackage and see a whole type-checked
-// package at once — the scope interprocedural checks like detertaint
-// need. Exactly one of the two must be set.
+// Analyzer is one named check over a type-checked package.
 type Analyzer struct {
 	// Name is the identifier used in diagnostics and suppressions.
 	Name string
-	// Doc is a one-line description for -help style listings.
+	// Doc is a one-line description for -analyzers listings.
 	Doc string
-	// Run reports the analyzer's findings for one file.
-	Run func(f *File) []Diagnostic
-	// RunPackage reports the analyzer's findings for a loaded package.
-	// Package analyzers require type information and are skipped in
-	// single-file (syntactic) mode.
-	RunPackage func(p *Package) []Diagnostic
+	// Run reports the analyzer's findings for a loaded package.
+	Run func(p *Package) []Diagnostic
+}
+
+// perFile lifts a check of one file into a package analyzer that runs it
+// over every file, in-package tests included.
+func perFile(check func(f *File) []Diagnostic) func(p *Package) []Diagnostic {
+	return func(p *Package) []Diagnostic {
+		var diags []Diagnostic
+		for _, f := range p.AllFiles() {
+			diags = append(diags, check(f)...)
+		}
+		return diags
+	}
 }
 
 // All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapIter, WallTime, UnstableSort, DeterTaint, SpanEnd, ErrDrop, ObsReg,
+		MapIter, WallTime, UnstableSort, SpanEnd, ErrDrop, ObsReg,
 	}
 }
 
@@ -135,57 +100,16 @@ func isAnalyzer(name string) bool {
 	return false
 }
 
-// ParseFile parses one source file (src may be nil to read filename from
-// disk) with comments retained, as suppressions and the test harness
-// both need them.
-func ParseFile(fset *token.FileSet, filename string, src interface{}) (*File, error) {
-	astf, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return &File{Fset: fset, AST: astf, Filename: filename}, nil
-}
-
-// Run executes the per-file analyzers over the file, drops suppressed
-// findings, adds findings for malformed suppression comments, and
-// returns the result in deterministic order. Package-level analyzers
-// are skipped: they need a loaded package (use RunPkg).
-func Run(f *File, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run != nil {
-			diags = append(diags, a.Run(f)...)
-		}
-	}
-	sups, malformed := suppressions(f)
-	diags = append(diags, malformed...)
-	out := diags[:0]
-	for _, d := range diags {
-		if !sups.covers(d) {
-			out = append(out, d)
-		}
-	}
-	SortDiagnostics(out)
-	return out
-}
-
-// RunPkg executes the full suite — per-file analyzers over every file,
-// package-level analyzers over the package — with suppressions gathered
-// from all files, and returns the findings in deterministic order.
+// RunPkg executes the analyzers over the package with suppressions
+// gathered from all its files, adds findings for malformed suppression
+// comments, and returns the result in deterministic order.
 func RunPkg(p *Package, analyzers []*Analyzer) []Diagnostic {
 	var (
 		diags []Diagnostic
 		sups  suppressionSet
 	)
 	for _, a := range analyzers {
-		switch {
-		case a.RunPackage != nil:
-			diags = append(diags, a.RunPackage(p)...)
-		case a.Run != nil:
-			for _, f := range p.AllFiles() {
-				diags = append(diags, a.Run(f)...)
-			}
-		}
+		diags = append(diags, a.Run(p)...)
 	}
 	for _, f := range p.AllFiles() {
 		fileSups, malformed := suppressions(f)

@@ -3,28 +3,27 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestMapIterTestdata, TestWallTimeTestdata and TestUnstableSortTestdata
-// are the self-check required of every analyzer: one positive and one
-// negative fixture, exercised through the same // want harness CI runs.
+// Every analyzer's self-check: its fixture directory — positive and
+// negative files — is loaded as one type-checked package and run
+// through the same // want harness CI runs.
 func TestMapIterTestdata(t *testing.T) {
-	RunTestdata(t, filepath.Join("testdata", "mapiter"), []*Analyzer{MapIter})
+	RunTestdataPackage(t, filepath.Join("testdata", "mapiter"), []*Analyzer{MapIter})
 }
 
 func TestWallTimeTestdata(t *testing.T) {
-	RunTestdata(t, filepath.Join("testdata", "walltime"), []*Analyzer{WallTime})
+	RunTestdataPackage(t, filepath.Join("testdata", "walltime"), []*Analyzer{WallTime})
 }
 
 func TestUnstableSortTestdata(t *testing.T) {
-	RunTestdata(t, filepath.Join("testdata", "unstablesort"), []*Analyzer{UnstableSort})
+	RunTestdataPackage(t, filepath.Join("testdata", "unstablesort"), []*Analyzer{UnstableSort})
 }
 
-// The type-aware analyzers load their fixture directories as real
-// packages: imports resolved, types checked, cross-file taint visible.
 func TestErrDropTestdata(t *testing.T) {
 	RunTestdataPackage(t, filepath.Join("testdata", "errdrop"), []*Analyzer{ErrDrop})
 }
@@ -33,23 +32,37 @@ func TestSpanEndTestdata(t *testing.T) {
 	RunTestdataPackage(t, filepath.Join("testdata", "spanend"), []*Analyzer{SpanEnd})
 }
 
-func TestDeterTaintTestdata(t *testing.T) {
-	RunTestdataPackage(t, filepath.Join("testdata", "detertaint"), []*Analyzer{DeterTaint})
-}
-
 func TestObsRegTestdata(t *testing.T) {
 	RunTestdataPackage(t, filepath.Join("testdata", "obsreg"), []*Analyzer{ObsReg})
 }
 
-// parse is a helper wrapping ParseFile for inline sources.
-func parse(t *testing.T, filename, src string) *File {
+// loadFiles writes the files into relDir under a fresh temp directory
+// and loads them as one package. relDir places the package for the
+// path-scoped analyzers (walltime applies under internal/ only).
+func loadFiles(t *testing.T, relDir string, files map[string]string) *Package {
 	t.Helper()
-	f, err := ParseFile(token.NewFileSet(), filename, src)
-	if err != nil {
-		t.Fatalf("parse %s: %v", filename, err)
+	dir := filepath.Join(t.TempDir(), relDir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	return f
+	for name, src := range files {
+		writeFile(t, dir, name, src)
+	}
+	pkg, err := NewLoader(dir).LoadDir(dir)
+	if err != nil {
+		t.Fatalf("load %s: %v", relDir, err)
+	}
+	return pkg
 }
+
+// parse loads one inline source as a package file at rel.
+func parse(t *testing.T, rel, src string) *File {
+	t.Helper()
+	return loadFiles(t, filepath.Dir(rel), map[string]string{filepath.Base(rel): src}).Files[0]
+}
+
+// run is RunPkg over the package a parsed file belongs to.
+func run(f *File, analyzers []*Analyzer) []Diagnostic { return RunPkg(f.Pkg, analyzers) }
 
 func TestSuppressionSameLine(t *testing.T) {
 	src := `package p
@@ -61,7 +74,7 @@ func f(xs []int) {
 }
 `
 	f := parse(t, filepath.Join("internal", "p", "p.go"), src)
-	if diags := Run(f, All()); len(diags) != 0 {
+	if diags := run(f, All()); len(diags) != 0 {
 		t.Fatalf("same-line suppression not honoured: %v", diags)
 	}
 }
@@ -77,7 +90,7 @@ func f(xs []int) {
 }
 `
 	f := parse(t, filepath.Join("internal", "p", "p.go"), src)
-	diags := Run(f, All())
+	diags := run(f, All())
 	if len(diags) != 1 || diags[0].Analyzer != "unstablesort" {
 		t.Fatalf("suppression for another analyzer must not silence unstablesort, got %v", diags)
 	}
@@ -99,7 +112,7 @@ func g(xs []int) {
 }
 `
 	f := parse(t, filepath.Join("internal", "p", "p.go"), src)
-	if diags := Run(f, All()); len(diags) != 0 {
+	if diags := run(f, All()); len(diags) != 0 {
 		t.Fatalf("wildcard/list suppressions not honoured: %v", diags)
 	}
 }
@@ -113,7 +126,7 @@ func f() {
 }
 `
 	f := parse(t, "p.go", src)
-	diags := Run(f, nil)
+	diags := run(f, nil)
 	if len(diags) != 1 || diags[0].Analyzer != "ignore" {
 		t.Fatalf("malformed suppression must be reported, got %v", diags)
 	}
@@ -128,22 +141,28 @@ func main() { _ = time.Now() }
 `
 	// Outside internal/: wall-clock use is legal (commands time themselves).
 	f := parse(t, filepath.Join("cmd", "tracegen", "main.go"), src)
-	if diags := Run(f, []*Analyzer{WallTime}); len(diags) != 0 {
+	if diags := run(f, []*Analyzer{WallTime}); len(diags) != 0 {
 		t.Fatalf("walltime must not fire outside internal/, got %v", diags)
 	}
 	// Same source under internal/: flagged.
 	f = parse(t, filepath.Join("internal", "core", "x.go"), src)
-	if diags := Run(f, []*Analyzer{WallTime}); len(diags) != 1 {
+	if diags := run(f, []*Analyzer{WallTime}); len(diags) != 1 {
 		t.Fatalf("walltime must fire under internal/, got %v", diags)
 	}
 	// Test files are exempt (benchmarks time themselves).
-	f = parse(t, filepath.Join("internal", "core", "x_test.go"), src)
-	if diags := Run(f, []*Analyzer{WallTime}); len(diags) != 0 {
+	pkg := loadFiles(t, filepath.Join("internal", "core"), map[string]string{
+		"x.go":      "package main\n",
+		"x_test.go": strings.Replace(src, "func main()", "func stamp()", 1),
+	})
+	if len(pkg.TestFiles) != 1 {
+		t.Fatalf("want the test file loaded, got %d", len(pkg.TestFiles))
+	}
+	if diags := RunPkg(pkg, []*Analyzer{WallTime}); len(diags) != 0 {
 		t.Fatalf("walltime must not fire in _test.go, got %v", diags)
 	}
 }
 
-func TestImportNameResolvesRenames(t *testing.T) {
+func TestRenamedImportResolved(t *testing.T) {
 	src := `package p
 
 import (
@@ -156,10 +175,7 @@ var _ = time.Time{}
 func f(n int) int { return r.Intn(n) }
 `
 	f := parse(t, filepath.Join("internal", "p", "p.go"), src)
-	if got := f.ImportName("math/rand"); got != "r" {
-		t.Fatalf("ImportName(math/rand) = %q, want r", got)
-	}
-	diags := Run(f, []*Analyzer{WallTime})
+	diags := run(f, []*Analyzer{WallTime})
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "r.Intn") {
 		t.Fatalf("renamed math/rand import must still be flagged, got %v", diags)
 	}
@@ -173,7 +189,7 @@ import "crypto/rand"
 func f(b []byte) { rand.Read(b) }
 `
 	f := parse(t, filepath.Join("internal", "p", "p.go"), src)
-	if diags := Run(f, []*Analyzer{WallTime}); len(diags) != 0 {
+	if diags := run(f, []*Analyzer{WallTime}); len(diags) != 0 {
 		t.Fatalf("crypto/rand is not the global PRNG, got %v", diags)
 	}
 }
@@ -211,91 +227,60 @@ func TestSortDiagnosticsDeterministic(t *testing.T) {
 	}
 }
 
-func TestFilesInSkipsTestdataAndTests(t *testing.T) {
-	files, err := FilesIn(".", false)
+func TestPackageDirsSkipsTestdata(t *testing.T) {
+	dirs, err := PackageDirs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		t.Fatal("FilesIn found nothing")
-	}
-	for _, f := range files {
-		if strings.Contains(f, "testdata") {
-			t.Errorf("FilesIn must skip testdata, got %s", f)
+	seen := make(map[string]bool)
+	for _, d := range dirs {
+		if seen[d] {
+			t.Errorf("PackageDirs lists %s twice", d)
 		}
-		if strings.HasSuffix(f, "_test.go") {
-			t.Errorf("FilesIn must skip _test.go by default, got %s", f)
+		seen[d] = true
+		if strings.Contains(filepath.ToSlash(d), "testdata") {
+			t.Errorf("PackageDirs must skip testdata, got %s", d)
 		}
 	}
-	withTests, err := FilesIn(".", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withTests) <= len(files) {
-		t.Error("FilesIn(tests=true) must include test files")
+	// internal/trace is split by its colfmt subdirectory in walk order;
+	// it must still be listed, once.
+	for _, want := range []string{"internal/lint", "internal/trace", "internal/trace/colfmt", "cmd/tracelint"} {
+		if !seen[filepath.Join("..", "..", want)] {
+			t.Errorf("PackageDirs misses %s (got %v)", want, dirs)
+		}
 	}
 }
 
-// TestRepoIsLintClean runs the full suite over the module's non-test
-// sources — the same set `make lint` gates — so `go test` alone already
-// enforces the determinism contract on the tree. Packages under
-// internal/ are loaded whole and type-checked, exactly as the CLI does,
-// so the type-aware analyzers (errdrop, spanend, detertaint, obsreg)
-// run armed; everything else is checked per file at the syntactic
-// scope.
+// TestRepoIsLintClean runs the full suite over every package directory
+// of the module, in-package tests included — the same set `make lint`
+// gates — so `go test` alone already enforces the determinism contract
+// on the tree.
 func TestRepoIsLintClean(t *testing.T) {
 	root := filepath.Join("..", "..")
-	files, err := FilesIn(root, false)
+	dirs, err := PackageDirs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 20 {
-		t.Fatalf("suspiciously few files under module root: %d", len(files))
+	if len(dirs) < 30 {
+		t.Fatalf("suspiciously few package directories under the module root: %d", len(dirs))
 	}
-	var (
-		typedDirs []string
-		seenDir   = map[string]bool{}
-		plain     []string
-	)
-	for _, path := range files {
-		dir := filepath.Dir(path)
-		if strings.Contains(filepath.ToSlash(dir), "/internal/") || filepath.Base(dir) == "internal" {
-			if !seenDir[dir] {
-				seenDir[dir] = true
-				typedDirs = append(typedDirs, dir)
-			}
-			continue
-		}
-		plain = append(plain, path)
-	}
-	if len(typedDirs) < 10 {
-		t.Fatalf("suspiciously few internal/ packages: %d", len(typedDirs))
-	}
-
 	loader := NewLoader(root)
-	for _, dir := range typedDirs {
+	tests := 0
+	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			t.Errorf("load %s: %v", dir, err)
 			continue
 		}
+		tests += len(pkg.TestFiles)
 		if len(pkg.TypeErrors) > 0 {
-			t.Errorf("%s: type errors weaken the typed analyzers: %v", dir, pkg.TypeErrors[0])
+			t.Errorf("%s: type errors weaken the analyzers: %v", dir, pkg.TypeErrors[0])
 		}
 		for _, d := range RunPkg(pkg, All()) {
 			t.Errorf("%s", d)
 		}
 	}
-
-	fset := token.NewFileSet()
-	for _, path := range plain {
-		f, err := ParseFile(fset, path, nil)
-		if err != nil {
-			t.Errorf("parse %s: %v", path, err)
-			continue
-		}
-		for _, d := range Run(f, All()) {
-			t.Errorf("%s", d)
-		}
+	if tests < 50 {
+		t.Fatalf("suspiciously few in-package test files: %d", tests)
 	}
 }

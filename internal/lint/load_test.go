@@ -10,7 +10,7 @@ import (
 
 // TestLoadDirTypesOwnModule proves the loader's central promise: a
 // package of this module type-checks with intra-module imports resolved
-// through the loader itself and stdlib imports through $GOROOT/src.
+// through the loader itself and stdlib imports through export data.
 func TestLoadDirTypesOwnModule(t *testing.T) {
 	l := NewLoader(".")
 	pkg, err := l.LoadDir(filepath.Join("..", "engine"))
@@ -66,32 +66,39 @@ func TestLoadDirCaches(t *testing.T) {
 	}
 }
 
-// TestLoadDirTestFiles checks _test.go handling: excluded by default,
-// parsed (not type-checked) with Tests set, external _test packages
-// always skipped.
+// TestLoadDirTestFiles checks _test.go handling: in-package test files
+// are loaded and type-checked with the package, and external _test
+// packages are skipped.
 func TestLoadDirTestFiles(t *testing.T) {
-	l := NewLoader(".")
-	pkg, err := l.LoadDir(".")
+	pkg, err := NewLoader(".").LoadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkg.TestFiles) != 0 {
-		t.Fatalf("Tests unset must not load test files, got %d", len(pkg.TestFiles))
-	}
-
-	lt := NewLoader(".")
-	lt.Tests = true
-	pkg, err = lt.LoadDir(".")
-	if err != nil {
-		t.Fatal(err)
+	if len(pkg.TypeErrors) != 0 {
+		t.Fatalf("internal/lint with its tests must type-check cleanly, got: %v", pkg.TypeErrors)
 	}
 	if len(pkg.TestFiles) == 0 {
-		t.Fatal("Tests set must parse the package's _test.go files")
+		t.Fatal("the package's _test.go files must be loaded")
 	}
 	for _, f := range pkg.TestFiles {
 		if !strings.HasSuffix(f.Filename, "_test.go") {
 			t.Errorf("non-test file %s in TestFiles", f.Filename)
 		}
+	}
+	if pkg.Types.Scope().Lookup("TestLoadDirTestFiles") == nil {
+		t.Error("test declarations must be type-checked with the package")
+	}
+
+	dir := t.TempDir()
+	writeFile(t, dir, "p.go", "package p\n")
+	writeFile(t, dir, "p_test.go", "package p\n\nfunc helper() {}\n")
+	writeFile(t, dir, "x_test.go", "package p_test\n\nfunc other() {}\n")
+	pkg, err = NewLoader(dir).LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.TestFiles) != 1 || filepath.Base(pkg.TestFiles[0].Filename) != "p_test.go" {
+		t.Fatalf("want only the in-package test file, got %d", len(pkg.TestFiles))
 	}
 }
 
@@ -129,20 +136,8 @@ func TestLoadDirParseErrorFails(t *testing.T) {
 	}
 }
 
-// TestPackageTypeOfNilSafe: TypeOf and ObjectOf must be callable on a
-// nil package (stand-alone parsed files).
-func TestPackageTypeOfNilSafe(t *testing.T) {
-	var p *Package
-	if p.TypeOf(nil) != nil {
-		t.Fatal("nil package TypeOf must be nil")
-	}
-	if p.ObjectOf(nil) != nil {
-		t.Fatal("nil package ObjectOf must be nil")
-	}
-}
-
-// TestLoaderStdlibImport: the stdlib resolves through the source
-// importer (sync.Mutex must be a struct with state).
+// TestLoaderStdlibImport: the stdlib resolves through export data
+// (sync.Mutex must be a struct with state).
 func TestLoaderStdlibImport(t *testing.T) {
 	l := NewLoader(".")
 	pkg, err := l.Import("sync")

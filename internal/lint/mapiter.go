@@ -2,8 +2,8 @@
 // partition-invariant merges: ranging over a map directly into ordered
 // output. Go randomises map iteration order per run, so a loop that
 // appends to a slice, writes to an io.Writer/encoder, or accumulates a
-// float sum while ranging over a map produces run-dependent results
-// unless a deterministic sort follows.
+// float sum or a string while ranging over a map produces run-dependent
+// results unless a deterministic sort follows.
 package lint
 
 import (
@@ -14,141 +14,42 @@ import (
 
 // MapIter reports nondeterministic map-iteration patterns.
 //
-// With type information (file loaded as part of a package) an
-// expression counts as a map exactly when its static type is a map,
-// which removes both documented heuristic error classes of the
-// syntactic mode: a selector whose field shares its name with a map
-// field of an unrelated struct in the same file is no longer a false
-// positive, and maps the syntax cannot see — named map types, fields of
-// structs declared in other files, call results — are no longer missed.
-// Without type information the analyzer falls back to the original
-// heuristic: an identifier declared as a map in the same function or
-// file (var decl, make, composite literal, parameter), or a selector
-// whose field is declared with a map type anywhere in the file. Three
-// loop bodies are flagged:
+// An expression counts as a map exactly when its static type is a map.
+// Three loop bodies are flagged:
 //
 //   - appending to a slice declared outside the loop, unless a sort.*
 //     call follows the loop in the same function (the collect-then-sort
 //     idiom is the sanctioned fix and stays silent);
 //   - writing to a writer or encoder (fmt.Fprint*, Write*, Encode, ...)
 //     — sorting afterwards cannot reorder bytes already written;
-//   - accumulating into a float variable with += — float addition is not
-//     associative, so even a commutative-looking sum is order-sensitive.
+//   - accumulating into a float or a string with += — float addition is
+//     not associative and concatenation is not commutative, so even a
+//     commutative-looking sum follows map order.
 const mapiterName = "mapiter"
 
 var MapIter = &Analyzer{
 	Name: mapiterName,
 	Doc:  "flags range-over-map loops that feed ordered output without a deterministic sort",
-	Run:  runMapIter,
+	Run:  perFile(runMapIter),
 }
 
 func runMapIter(f *File) []Diagnostic {
-	mapFields := collectMapFields(f.AST)
 	var diags []Diagnostic
 	for _, decl := range f.AST.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
 		}
-		diags = append(diags, mapIterFunc(f, fn, mapFields)...)
+		diags = append(diags, mapIterFunc(f, fn)...)
 	}
 	return diags
 }
 
-// collectMapFields gathers names of struct fields declared with a map
-// type anywhere in the file, so `g.roots` resolves as a map when the
-// Graph struct lives in the same file.
-func collectMapFields(astf *ast.File) map[string]bool {
-	fields := make(map[string]bool)
-	ast.Inspect(astf, func(n ast.Node) bool {
-		st, ok := n.(*ast.StructType)
-		if !ok || st.Fields == nil {
-			return true
-		}
-		for _, fld := range st.Fields.List {
-			if _, isMap := fld.Type.(*ast.MapType); !isMap {
-				continue
-			}
-			for _, name := range fld.Names {
-				fields[name.Name] = true
-			}
-		}
-		return true
-	})
-	return fields
-}
-
-// funcScope is the per-function name environment the heuristics consult.
-type funcScope struct {
-	file      *File           // for optional type information
-	maps      map[string]bool // identifiers declared with a map type
-	floats    map[string]bool // identifiers declared with a float type
-	mapFields map[string]bool // file-level struct fields of map type
-}
-
-func mapIterFunc(f *File, fn *ast.FuncDecl, mapFields map[string]bool) []Diagnostic {
-	sc := &funcScope{
-		file:      f,
-		maps:      make(map[string]bool),
-		floats:    make(map[string]bool),
-		mapFields: mapFields,
-	}
-	if fn.Recv != nil {
-		sc.addFieldList(fn.Recv)
-	}
-	if fn.Type.Params != nil {
-		sc.addFieldList(fn.Type.Params)
-	}
-	if fn.Type.Results != nil {
-		sc.addFieldList(fn.Type.Results)
-	}
-	// One declaration pre-pass over the whole body: Go requires
-	// declaration before use in statement order, so collecting names
-	// up-front only widens scopes, never misses one.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.DeclStmt:
-			if gd, ok := st.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for _, name := range vs.Names {
-						if isMapType(vs.Type) {
-							sc.maps[name.Name] = true
-						}
-						if isFloatType(vs.Type) {
-							sc.floats[name.Name] = true
-						}
-					}
-					for i, v := range vs.Values {
-						if i < len(vs.Names) {
-							sc.classifyValue(vs.Names[i], v)
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if st.Tok != token.DEFINE && st.Tok != token.ASSIGN {
-				return true
-			}
-			if len(st.Lhs) != len(st.Rhs) {
-				return true
-			}
-			for i, lhs := range st.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					sc.classifyValue(id, st.Rhs[i])
-				}
-			}
-		}
-		return true
-	})
-
+func mapIterFunc(f *File, fn *ast.FuncDecl) []Diagnostic {
 	// Positions of sort.* calls, for the collect-then-sort exemption.
 	var sortCalls []token.Pos
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isSortCall(call) {
+		if call, ok := n.(*ast.CallExpr); ok && isSortCall(f, call) {
 			sortCalls = append(sortCalls, call.Pos())
 		}
 		return true
@@ -165,10 +66,10 @@ func mapIterFunc(f *File, fn *ast.FuncDecl, mapFields map[string]bool) []Diagnos
 	var diags []Diagnostic
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
-		if !ok || !sc.isMapExpr(rng.X) {
+		if !ok || !isMap(f.Pkg.TypeOf(rng.X)) {
 			return true
 		}
-		appends, writes, floatAdds := inspectRangeBody(rng.Body, sc)
+		appends, writes, adds := inspectRangeBody(f, rng.Body)
 		for _, name := range appends {
 			if sortedAfter(rng.End()) {
 				continue
@@ -180,91 +81,47 @@ func mapIterFunc(f *File, fn *ast.FuncDecl, mapFields map[string]bool) []Diagnos
 			diags = append(diags, f.Diag(mapiterName, rng.Pos(),
 				"writes via %s while ranging over a map; output order is nondeterministic — collect, sort, then emit", name))
 		}
-		for _, name := range floatAdds {
+		for _, a := range adds {
 			diags = append(diags, f.Diag(mapiterName, rng.Pos(),
-				"accumulates float %s while ranging over a map; float addition is order-sensitive and map order is nondeterministic", name))
+				"accumulates %s %s while ranging over a map; the result depends on the order of the additions, and map order is nondeterministic", a.kind, a.name))
 		}
 		return true
 	})
 	return diags
 }
 
-func (sc *funcScope) addFieldList(fl *ast.FieldList) {
-	for _, fld := range fl.List {
-		for _, name := range fld.Names {
-			if isMapType(fld.Type) {
-				sc.maps[name.Name] = true
-			}
-			if isFloatType(fld.Type) {
-				sc.floats[name.Name] = true
-			}
-		}
+// isMap reports whether t is a map type.
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
 	}
-}
-
-// classifyValue records the name as a map or float when the bound value
-// makes that evident without type information.
-func (sc *funcScope) classifyValue(id *ast.Ident, v ast.Expr) {
-	switch rhs := v.(type) {
-	case *ast.CallExpr:
-		if fun, ok := rhs.Fun.(*ast.Ident); ok {
-			if fun.Name == "make" && len(rhs.Args) > 0 && isMapType(rhs.Args[0]) {
-				sc.maps[id.Name] = true
-			}
-			if fun.Name == "float64" || fun.Name == "float32" {
-				sc.floats[id.Name] = true
-			}
-		}
-	case *ast.CompositeLit:
-		if isMapType(rhs.Type) {
-			sc.maps[id.Name] = true
-		}
-	case *ast.BasicLit:
-		if rhs.Kind == token.FLOAT {
-			sc.floats[id.Name] = true
-		}
-	}
-}
-
-// isMapExpr reports whether the expression is a map. The type checker
-// answers authoritatively when the file carries type information; the
-// syntactic fallback recognises known local/param identifiers and
-// map-typed struct fields.
-func (sc *funcScope) isMapExpr(x ast.Expr) bool {
-	if t := sc.file.Pkg.TypeOf(x); t != nil {
-		_, ok := t.Underlying().(*types.Map)
-		return ok
-	}
-	switch e := x.(type) {
-	case *ast.Ident:
-		return sc.maps[e.Name]
-	case *ast.SelectorExpr:
-		return sc.mapFields[e.Sel.Name]
-	case *ast.ParenExpr:
-		return sc.isMapExpr(e.X)
-	}
-	return false
-}
-
-// isFloatExpr reports whether the expression is a float accumulator.
-// Typed when possible, name-environment fallback otherwise.
-func (sc *funcScope) isFloatExpr(x ast.Expr) bool {
-	if t := sc.file.Pkg.TypeOf(x); t != nil {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsFloat != 0
-	}
-	id, ok := x.(*ast.Ident)
-	return ok && sc.floats[id.Name]
-}
-
-func isMapType(t ast.Expr) bool {
-	_, ok := t.(*ast.MapType)
+	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
 
-func isFloatType(t ast.Expr) bool {
-	id, ok := t.(*ast.Ident)
-	return ok && (id.Name == "float64" || id.Name == "float32")
+// orderedAdd is a += target whose result depends on the order of the
+// additions.
+type orderedAdd struct {
+	name, kind string
+}
+
+// addKind names the type of a += target that is order-sensitive —
+// "float" (addition is not associative) or "string" (concatenation is
+// not commutative) — and returns "" for every other type.
+func addKind(t types.Type) string {
+	if t == nil {
+		return ""
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	switch {
+	case !ok:
+		return ""
+	case b.Info()&types.IsFloat != 0:
+		return "float"
+	case b.Info()&types.IsString != 0:
+		return "string"
+	}
+	return ""
 }
 
 // writerMethods are selector names whose call inside a map range commits
@@ -277,13 +134,13 @@ var writerMethods = map[string]bool{
 	"Encode": true,
 }
 
-// inspectRangeBody scans a map-range body for the three flagged
-// accumulation shapes. Nested closures are scanned too: a write is a
-// write regardless of the function literal it hides in.
-func inspectRangeBody(body *ast.BlockStmt, sc *funcScope) (appends, writes, floatAdds []string) {
+// inspectRangeBody scans a map-range body for the flagged accumulation
+// shapes. Nested closures are scanned too: a write is a write regardless
+// of the function literal it hides in.
+func inspectRangeBody(f *File, body *ast.BlockStmt) (appends, writes []string, adds []orderedAdd) {
 	seenAppend := make(map[string]bool)
 	seenWrite := make(map[string]bool)
-	seenFloat := make(map[string]bool)
+	seenAdd := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
@@ -303,11 +160,12 @@ func inspectRangeBody(body *ast.BlockStmt, sc *funcScope) (appends, writes, floa
 					}
 				}
 			}
-			// sum += v on a known float.
-			if st.Tok == token.ADD_ASSIGN && len(st.Lhs) == 1 && sc.isFloatExpr(st.Lhs[0]) {
-				if name := exprName(st.Lhs[0]); name != "" && !seenFloat[name] {
-					seenFloat[name] = true
-					floatAdds = append(floatAdds, name)
+			// sum += v on a float, s += k on a string.
+			if st.Tok == token.ADD_ASSIGN && len(st.Lhs) == 1 {
+				kind := addKind(f.Pkg.TypeOf(st.Lhs[0]))
+				if name := exprName(st.Lhs[0]); kind != "" && name != "" && !seenAdd[name] {
+					seenAdd[name] = true
+					adds = append(adds, orderedAdd{name: name, kind: kind})
 				}
 			}
 		case *ast.CallExpr:
@@ -323,20 +181,19 @@ func inspectRangeBody(body *ast.BlockStmt, sc *funcScope) (appends, writes, floa
 		}
 		return true
 	})
-	return appends, writes, floatAdds
+	return appends, writes, adds
 }
 
-// isSortCall matches sort.<Anything>(...) — the package-qualified calls
-// of the stdlib sort package. Matching loosely on the package name keeps
-// the exemption simple; a false exemption only reduces findings on code
-// that already references sort.
-func isSortCall(call *ast.CallExpr) bool {
+// isSortCall matches sort.<Anything>(...) — any call into the stdlib
+// sort package. Matching on the package keeps the exemption simple; a
+// false exemption only reduces findings on code that already sorts.
+func isSortCall(f *File, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "sort"
+	return ok && f.IsPkgIdent(id, "sort")
 }
 
 // exprName renders a short dotted name for diagnostics ("out",

@@ -48,9 +48,9 @@ import (
 const obsregName = "obsreg"
 
 var ObsReg = &Analyzer{
-	Name:       obsregName,
-	Doc:        "harvests obs metric names into a registry and flags duplicates and format drift",
-	RunPackage: runObsReg,
+	Name: obsregName,
+	Doc:  "harvests obs metric names into a registry and flags duplicates and format drift",
+	Run:  runObsReg,
 }
 
 // MetricSite is one harvested Recorder call.
@@ -65,11 +65,8 @@ type MetricSite struct {
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // harvestMetrics collects every recognisable Recorder call in the
-// package, in deterministic file and source order.
+// package's non-test files, in deterministic file and source order.
 func harvestMetrics(p *Package) []MetricSite {
-	if p.Info == nil {
-		return nil
-	}
 	var sites []MetricSite
 	for _, f := range p.Files {
 		ast.Inspect(f.AST, func(n ast.Node) bool {

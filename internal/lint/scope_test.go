@@ -26,7 +26,6 @@ func TestErrdropScopeCoversTraceSubpackages(t *testing.T) {
 		{"internal/ingest/server.go", true},
 		{"internal/tracevet/corpus.go", true},
 		{"internal/diag/diag.go", true},
-		{"cmd/tracevet/main.go", true},
 		{"internal/obs/obs.go", false},
 		{"internal/scenario/generate.go", false},
 		{"cmd/tracegen/main.go", false},

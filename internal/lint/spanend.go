@@ -21,7 +21,7 @@ import (
 // seam shaped like it). The analyzer accepts, in order of preference:
 //
 //   - a `defer sp.End()` anywhere in the function — ends on every path
-//     including panics, and is the fix -fix inserts;
+//     including panics;
 //   - explicit sp.End() calls that a conservative path walk proves are
 //     reached on every return path and at normal fall-through. The walk
 //     understands straight-line code, blocks, and if/else (including
@@ -30,37 +30,58 @@ import (
 //
 // A span that escapes the starting function — returned, passed to
 // another call, stored through a selector or closure — transfers the
-// obligation to the receiver and stays silent. _test.go files are
-// exempt; the check is type-aware and only runs on files loaded with
-// type information.
+// obligation to the receiver and stays silent; `_ = sp` is not an
+// escape. A span that is never held at all — a call returning a span
+// type used as a statement, or assigned to the blank identifier — can
+// never be ended and is flagged. _test.go files are exempt.
 const spanendName = "spanend"
 
 var SpanEnd = &Analyzer{
 	Name: spanendName,
 	Doc:  "flags Recorder.Start spans not ended on all paths (use defer end())",
-	Run:  runSpanEnd,
+	Run:  perFile(runSpanEnd),
 }
 
 func runSpanEnd(f *File) []Diagnostic {
-	if f.Pkg == nil || f.Pkg.Info == nil || strings.HasSuffix(f.Filename, "_test.go") {
+	if strings.HasSuffix(f.Filename, "_test.go") {
 		return nil
 	}
 	var diags []Diagnostic
+	discarded := func(x ast.Expr) {
+		if call, ok := x.(*ast.CallExpr); ok && isSpanType(f.Pkg.TypeOf(call)) {
+			diags = append(diags, f.Diag(spanendName, call.Pos(),
+				"span returned by %s is discarded and can never be ended — assign it and `defer sp.End()`", callName(call)))
+		}
+	}
 	ast.Inspect(f.AST, func(n ast.Node) bool {
-		var body *ast.BlockStmt
-		switch fn := n.(type) {
+		switch n := n.(type) {
 		case *ast.FuncDecl:
-			body = fn.Body
+			if n.Body != nil {
+				diags = append(diags, checkFuncSpans(f, n.Body)...)
+			}
 		case *ast.FuncLit:
-			body = fn.Body
+			diags = append(diags, checkFuncSpans(f, n.Body)...)
+		case *ast.ExprStmt:
+			discarded(n.X)
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				break
+			}
+			for i, lhs := range n.Lhs {
+				if isBlank(lhs) {
+					discarded(n.Rhs[i])
+				}
+			}
 		}
-		if body == nil {
-			return true
-		}
-		diags = append(diags, checkFuncSpans(f, body)...)
 		return true
 	})
 	return diags
+}
+
+// isBlank reports whether x is the blank identifier.
+func isBlank(x ast.Expr) bool {
+	id, ok := x.(*ast.Ident)
+	return ok && id.Name == "_"
 }
 
 // spanStart is one `sp := x.Start(...)` site under analysis.
@@ -151,9 +172,19 @@ func checkOneSpan(f *File, body *ast.BlockStmt, st spanStart) *Diagnostic {
 	endStmts := make(map[ast.Stmt]bool)
 	goodIdents := map[*ast.Ident]bool{st.ident: true}
 
-	// First mark the idents consumed by the two sanctioned shapes …
+	// First mark the idents consumed by the two sanctioned shapes, and
+	// by `_ = sp`, which only silences the compiler …
 	inspectSkipFuncLit(body, func(n ast.Node) {
 		switch s := n.(type) {
+		case *ast.AssignStmt:
+			if len(s.Lhs) != len(s.Rhs) {
+				break
+			}
+			for i, lhs := range s.Lhs {
+				if id, ok := s.Rhs[i].(*ast.Ident); ok && isBlank(lhs) && f.Pkg.ObjectOf(id) == st.obj {
+					goodIdents[id] = true
+				}
+			}
 		case *ast.DeferStmt:
 			if id := endCallOn(f, s.Call, st.obj); id != nil {
 				deferEnd = true
@@ -195,18 +226,6 @@ func checkOneSpan(f *File, body *ast.BlockStmt, st spanStart) *Diagnostic {
 		msg = "span %s is never ended — add `defer %s.End()` right after Start"
 	}
 	d := f.Diag(spanendName, st.assign.Pos(), msg, st.ident.Name, st.ident.Name)
-	if len(endStmts) == 0 {
-		// With no explicit End anywhere the deferred End cannot double
-		// up with one, so the insertion is a safe -fix rewrite. Sites
-		// with partial explicit Ends need a human to pick defer or
-		// complete the paths.
-		off := f.Position(st.assign.End()).Offset
-		d.Fixes = []Fix{{
-			Start: off, End: off,
-			Text:           "\ndefer " + st.ident.Name + ".End()",
-			IndentNewlines: true,
-		}}
-	}
 	return &d
 }
 

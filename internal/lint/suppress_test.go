@@ -43,12 +43,12 @@ func TestSortDiagnosticsTieBreaks(t *testing.T) {
 // their input order (the sort is stable), so repeated runs cannot
 // shuffle equal findings.
 func TestSortDiagnosticsStable(t *testing.T) {
-	a := Diagnostic{Pos: token.Position{Filename: "a.go", Line: 1, Column: 1}, Analyzer: "x", Message: "same", Fixes: []Fix{{Start: 1}}}
+	a := Diagnostic{Pos: token.Position{Filename: "a.go", Line: 1, Column: 1}, Analyzer: "x", Message: "same", Severity: "first"}
 	b := a
-	b.Fixes = []Fix{{Start: 2}} // distinguishable payload, equal sort key
+	b.Severity = "second" // distinguishable payload, equal sort key
 	in := []Diagnostic{a, b}
 	SortDiagnostics(in)
-	if in[0].Fixes[0].Start != 1 || in[1].Fixes[0].Start != 2 {
+	if in[0].Severity != "first" || in[1].Severity != "second" {
 		t.Errorf("equal-key diagnostics were reordered: %v", in)
 	}
 }
@@ -159,7 +159,7 @@ func f(m map[string]int) []string {
 }
 `
 	f := parse(t, "internal/p/p.go", src)
-	diags := Run(f, []*Analyzer{MapIter})
+	diags := run(f, []*Analyzer{MapIter})
 	if len(diags) != 1 || diags[0].Analyzer != "ignore" || diags[0].Pos.Line != 5 ||
 		diags[0].Message != `unknown analyzer "nosuch"` {
 		t.Fatalf("want one ignore finding for nosuch on line 5, got %v", diags)

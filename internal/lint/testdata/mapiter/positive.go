@@ -56,3 +56,12 @@ func (r *registry) names() []string {
 	}
 	return out
 }
+
+// lineOf concatenates keys in map order: the string differs run to run.
+func lineOf(m map[string]int) string {
+	var line string
+	for k := range m { // want "mapiter: accumulates string line"
+		line += k
+	}
+	return line
+}

@@ -38,3 +38,20 @@ func endInsideLoop(r recorder, n int) {
 func neverEnded(r recorder) {
 	sp := r.Start("forgotten") // want "span sp is never ended"
 }
+
+// blankedSpan silences the compiler with `_ = sp`, which is not an
+// escape: nothing can end the span.
+func blankedSpan(r recorder) {
+	sp := r.Start("blanked") // want "span sp is never ended"
+	_ = sp
+}
+
+// droppedStatement never holds the span at all.
+func droppedStatement(r recorder) {
+	r.Start("dropped") // want "span returned by r.Start is discarded"
+}
+
+// droppedBlank assigns the span straight to the blank identifier.
+func droppedBlank(r recorder) {
+	_ = r.Start("blank") // want "span returned by r.Start is discarded"
+}

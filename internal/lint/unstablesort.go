@@ -27,14 +27,10 @@ const unstablesortName = "unstablesort"
 var UnstableSort = &Analyzer{
 	Name: unstablesortName,
 	Doc:  "flags sort.Slice comparators that order by a single key with no tie-break",
-	Run:  runUnstableSort,
+	Run:  perFile(runUnstableSort),
 }
 
 func runUnstableSort(f *File) []Diagnostic {
-	sortName := f.ImportName("sort")
-	if sortName == "" {
-		return nil
-	}
 	var diags []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -45,9 +41,9 @@ func runUnstableSort(f *File) []Diagnostic {
 		if !ok || sel.Sel.Name != "Slice" {
 			return true
 		}
-		// With type information the receiver must resolve to package
-		// sort itself — a value shadowing the import name stays silent.
-		if pkg, ok := sel.X.(*ast.Ident); !ok || !f.IsPkgIdent(pkg, "sort", sortName) {
+		// The receiver must resolve to package sort itself — a value
+		// shadowing the import name stays silent.
+		if pkg, ok := sel.X.(*ast.Ident); !ok || !f.IsPkgIdent(pkg, "sort") {
 			return true
 		}
 		cmp, ok := call.Args[1].(*ast.FuncLit)
@@ -55,17 +51,8 @@ func runUnstableSort(f *File) []Diagnostic {
 			return true
 		}
 		if key, found := singleKeyComparator(cmp); found {
-			d := f.Diag(unstablesortName, call.Pos(),
-				"sort.Slice comparator orders by the single key %s; equal keys land in nondeterministic order — use sort.SliceStable or add a tie-break", key)
-			// Swapping in the stable sort never changes a correct
-			// program and removes the tie nondeterminism, so it is a
-			// safe -fix rewrite.
-			d.Fixes = []Fix{{
-				Start: f.Position(sel.Sel.Pos()).Offset,
-				End:   f.Position(sel.Sel.End()).Offset,
-				Text:  "SliceStable",
-			}}
-			diags = append(diags, d)
+			diags = append(diags, f.Diag(unstablesortName, call.Pos(),
+				"sort.Slice comparator orders by the single key %s; equal keys land in nondeterministic order — use sort.SliceStable or add a tie-break", key))
 		}
 		return true
 	})

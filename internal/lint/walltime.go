@@ -20,17 +20,15 @@ import (
 // rand.Shuffle, ...). Allowed: the rand.New/rand.NewSource/rand.NewZipf
 // constructors (they build the explicitly seeded generators stats.Rand
 // wraps) and everything in _test.go files and outside internal/ — the
-// cmd/ benchmarks legitimately measure wall time. Renamed imports are
-// resolved; a local package named "rand" that is not math/rand is not
-// flagged. With type information the receiver identifier is resolved
-// through the type checker, so a local variable shadowing the import
-// name no longer false-positives.
+// cmd/ benchmarks legitimately measure wall time. The receiver must
+// resolve to the time or math/rand import, so renamed imports are
+// matched and a local variable or another package named "rand" is not.
 const walltimeName = "walltime"
 
 var WallTime = &Analyzer{
 	Name: walltimeName,
 	Doc:  "forbids time.Now/time.Since and global math/rand in internal analysis packages",
-	Run:  runWallTime,
+	Run:  perFile(runWallTime),
 }
 
 // wallClockFuncs are the time package functions that read the machine
@@ -53,11 +51,6 @@ func runWallTime(f *File) []Diagnostic {
 	if !inInternal(f.Filename) || strings.HasSuffix(f.Filename, "_test.go") {
 		return nil
 	}
-	timeName := f.ImportName("time")
-	randName := f.ImportName("math/rand")
-	if timeName == "" && randName == "" {
-		return nil
-	}
 	var diags []Diagnostic
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -72,15 +65,12 @@ func runWallTime(f *File) []Diagnostic {
 		if !ok {
 			return true
 		}
-		// With type information the identifier must resolve to the
-		// actual package import — a local variable that happens to be
-		// named "time" or "rand" no longer false-positives.
 		switch {
-		case f.IsPkgIdent(pkg, "time", timeName) && wallClockFuncs[sel.Sel.Name]:
+		case f.IsPkgIdent(pkg, "time") && wallClockFuncs[sel.Sel.Name]:
 			diags = append(diags, f.Diag(walltimeName, call.Pos(),
 				"%s.%s reads the wall clock; analysis code runs on simulated trace.Time — inject a clock if one is really needed",
 				pkg.Name, sel.Sel.Name))
-		case f.IsPkgIdent(pkg, "math/rand", randName) && globalRandFuncs[sel.Sel.Name]:
+		case f.IsPkgIdent(pkg, "math/rand") && globalRandFuncs[sel.Sel.Name]:
 			diags = append(diags, f.Diag(walltimeName, call.Pos(),
 				"%s.%s uses the global math/rand generator; use an explicitly seeded stats.Rand so runs are reproducible",
 				pkg.Name, sel.Sel.Name))
