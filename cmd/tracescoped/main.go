@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tracescoped -corpus DIR [-addr HOST:PORT] [-components PATTERN]
-//	            [-workers N] [-watch DURATION] [-timing] [-pprof ADDR]
+//	            [-workers N] [-timing] [-pprof ADDR]
 //
 // Endpoints:
 //
@@ -24,11 +24,13 @@
 //	                               directory (&top=N &k=K &format=json|md)
 //
 // The daemon prints its listening address on startup (so -addr :0
-// works in scripts) and shuts down gracefully on SIGINT/SIGTERM. With
-// -watch, it also polls the corpus index for streams appended by other
-// processes. Without -timing the metrics registry is clockless: two
-// daemons fed the same streams serve byte-identical /metrics, whatever
-// the arrival order or timing.
+// works in scripts) and shuts down gracefully on SIGINT/SIGTERM. It is
+// the corpus directory's only writer while it runs: a stream produced
+// elsewhere enters by POST /ingest (tracegen -stream is a reference
+// client), or is appended while the daemon is stopped and folded by the
+// warm-up at its next start. Without -timing the metrics registry is
+// clockless: two daemons fed the same streams serve byte-identical
+// /metrics, whatever the arrival order or timing.
 package main
 
 import (
@@ -55,7 +57,6 @@ func main() {
 		dir        = flag.String("corpus", "", "corpus directory to own (required; created if missing)")
 		addr       = flag.String("addr", "127.0.0.1:8754", "listen address (use :0 for an ephemeral port)")
 		components = flag.String("components", "*.sys", "component pattern under analysis")
-		watch      = flag.Duration("watch", 0, "poll the corpus index for externally appended streams (0 = off)")
 		timing     = flag.Bool("timing", false, "record real span durations in /metrics (breaks snapshot determinism)")
 	)
 	var cf cliflags.Flags
@@ -100,32 +101,11 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	stopWatch := make(chan struct{})
-	if *watch > 0 {
-		go func() {
-			t := time.NewTicker(*watch)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if n, err := srv.Sync(); err != nil {
-						fmt.Fprintf(os.Stderr, "tracescoped: watch: %v\n", err)
-					} else if n > 0 {
-						fmt.Printf("tracescoped: discovered %d stream(s) on disk\n", n)
-					}
-				case <-stopWatch:
-					return
-				}
-			}
-		}()
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Printf("tracescoped: %v, shutting down\n", sig)
-		close(stopWatch)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {

@@ -78,9 +78,7 @@ func DiffPatterns(before, after *CausalityResult) PatternDiff {
 	}
 	for _, pb := range before.Patterns {
 		if !seen[pb.Tuple.Key()] {
-			if _, stillThere := findKey(after.Patterns, pb.Tuple.Key()); !stillThere {
-				d.Resolved = append(d.Resolved, pb)
-			}
+			d.Resolved = append(d.Resolved, pb)
 		}
 	}
 	sortPatterns(d.Introduced)
@@ -88,15 +86,6 @@ func DiffPatterns(before, after *CausalityResult) PatternDiff {
 	sortChanges(d.Regressed, true)
 	sortChanges(d.Improved, false)
 	return d
-}
-
-func findKey(patterns []mining.Pattern, key string) (mining.Pattern, bool) {
-	for _, p := range patterns {
-		if p.Tuple.Key() == key {
-			return p, true
-		}
-	}
-	return mining.Pattern{}, false
 }
 
 func sortPatterns(ps []mining.Pattern) {

@@ -292,9 +292,9 @@ func (inc *Incremental) Merge(other *Incremental) {
 // IngestSource folds every not-yet-ingested stream of src — indices
 // [NumStreams(), src.NumStreams()) — into the state, in parallel (see
 // foldStreams). Results are bit-for-bit identical at any worker count.
-// This is the daemon's warm-up over an existing corpus and its -watch
-// catch-up; it assumes the state was fed streams 0..NumStreams()-1 of
-// the same corpus (or nothing).
+// This is the daemon's warm-up over the corpus it owns; it assumes the
+// state was fed streams 0..NumStreams()-1 of the same corpus (or
+// nothing).
 func (inc *Incremental) IngestSource(src trace.Source) error {
 	start := inc.streams
 	n := src.NumStreams() - start
@@ -311,7 +311,7 @@ func (inc *Incremental) IngestSource(src trace.Source) error {
 }
 
 // foldStreams is the one loop every corpus-sized fold runs — the
-// daemon's warm-up and catch-up, each side of a Diff, the Analyzer's fold
+// daemon's warm-up, each side of a Diff, the Analyzer's fold
 // — over streams none of which is listed twice or was ingested before
 // (engine.Fold). Each worker owns one scratch (worker 0 the receiver's)
 // and one partial state on it, and folds whichever stream the shared

@@ -59,8 +59,9 @@ type Config struct {
 }
 
 // Server is the ingest-and-query HTTP surface over one corpus
-// directory. All state transitions (append, reload, ingest) happen
-// under one write lock; queries share a read lock, so they see a
+// directory, and that directory's only writer: after the warm-up it
+// never reads the corpus back. Each state transition (append, ingest)
+// happens under one write lock; queries share a read lock, so they see a
 // consistent stream count and never block each other.
 type Server struct {
 	cfg Config
@@ -69,7 +70,6 @@ type Server struct {
 
 	mu  sync.RWMutex
 	app *trace.Appender
-	src *trace.DirSource // nil until the corpus has an index
 	inc *core.Incremental
 }
 
@@ -97,10 +97,14 @@ func NewServer(cfg Config) (*Server, error) {
 		}),
 	}
 	if app.NumStreams() > 0 {
-		if err := s.openSourceLocked(); err != nil {
+		// The one time the server reads its corpus: every later stream
+		// arrives through handleIngest, already decoded.
+		src, err := trace.OpenDir(cfg.Dir)
+		if err != nil {
 			return nil, err
 		}
-		if err := s.inc.IngestSource(s.src); err != nil {
+		src.SetRecorder(rec)
+		if err := s.inc.IngestSource(src); err != nil {
 			return nil, err
 		}
 	}
@@ -124,94 +128,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// openSourceLocked opens the lazy directory source; the caller holds
-// the write lock (or is still single-threaded in NewServer).
-func (s *Server) openSourceLocked() error {
-	src, err := trace.OpenDir(s.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	src.SetRecorder(s.rec)
-	s.src = src
-	return nil
-}
-
-// ingestUploadLocked folds the upload just appended as stream idx, which
-// the caller holds decoded, into the analysis state: when it is the only
-// indexed-but-not-yet-ingested stream — the common path — it is folded
-// as it is, never re-read. An upload landing beside streams another
-// process appended goes in with them, as a -watch catch-up does: through
-// the fold every corpus-sized sweep runs (Incremental.IngestSource),
-// parallel, decoding into its workers' buffers, and all or nothing, so a
-// stream that cannot be fetched leaves the state as it was. The caller
-// holds the write lock.
-func (s *Server) ingestUploadLocked(idx int, stream *trace.Stream) error {
-	if idx == s.inc.NumStreams() && idx+1 == s.src.NumStreams() {
-		s.inc.Ingest(idx, stream)
-		return nil
-	}
-	return s.inc.IngestSource(s.src)
-}
-
-// Sync reloads the corpus index and ingests any streams that landed on
-// disk outside the HTTP path (another process appending to the same
-// directory). It returns the number of newly ingested streams; a
-// corpus directory that still has no index is not an error. The
-// tracescoped -watch loop calls this periodically.
-func (s *Server) Sync() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp := s.rec.Start("ingest_sync")
-	defer sp.End()
-	if s.src == nil {
-		// s.app counts only what this server appended; whether another
-		// process has started the corpus since is a question for the disk.
-		app, err := trace.OpenAppender(s.cfg.Dir)
-		if err != nil {
-			return 0, err
-		}
-		if app.NumStreams() == 0 {
-			return 0, nil
-		}
-		if err := s.openSourceLocked(); err != nil {
-			return 0, err
-		}
-		s.app = app
-	} else {
-		// Only here can another process have written the index, so only
-		// here is its whole prefix re-read and compared; Reload itself
-		// trusts everything before its last known record.
-		if err := s.src.VerifyPrefix(); err != nil {
-			return 0, err
-		}
-		// The reload runs under the write lock by design: Sync is the
-		// serialization point, the index reload must see a frozen analysis
-		// state, and the watch loop is the only caller.
-		if _, err := s.src.Reload(); err != nil {
-			return 0, err
-		}
-	}
-	before := s.inc.NumStreams()
-	if err := s.inc.IngestSource(s.src); err != nil {
-		return 0, err
-	}
-	n := s.inc.NumStreams() - before
-	if s.app.NumStreams() != s.src.NumStreams() {
-		// Another appender grew the index past ours; re-open so the next
-		// HTTP ingest continues from the true stream count instead of
-		// overwriting the externally landed files.
-		app, err := trace.OpenAppender(s.cfg.Dir)
-		if err != nil {
-			return n, err
-		}
-		s.app = app
-	}
-	return n, nil
-}
-
 // handleIngest accepts one TSCP binary stream per POST, appends it to
-// the corpus, reloads the source metadata, and folds it into the
-// analysis state. The response names the assigned stream index.
+// the corpus, and folds the decoded stream it holds into the analysis
+// state. The response names the assigned stream index.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, s.rec, http.StatusMethodNotAllowed, "POST a TSCP binary stream to /ingest")
@@ -244,35 +163,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.rec.Add("vet_streams_total", 1)
 
 	// Ingestion is deliberately serialized under the write lock: append
-	// order defines stream indices, and a concurrent append would fork
-	// the index (see DESIGN.md on the single-writer corpus contract).
+	// order defines stream indices, and the fold takes each stream as the
+	// index the appender just gave it (see DESIGN.md on the single-writer
+	// corpus contract).
 	s.mu.Lock()
 	idx, err := s.app.Append(stream)
+	if err == nil {
+		s.inc.Ingest(idx, stream)
+	}
+	streams, events, instances := s.inc.NumStreams(), s.inc.NumEvents(), s.inc.NumInstances()
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		s.rec.Add("ingest_rejected_total", 1)
 		status := http.StatusInternalServerError
 		if errors.Is(err, trace.ErrBadFormat) {
 			status = http.StatusBadRequest
 		}
 		httpError(w, s.rec, status, "appending stream: %v", err)
-		return
-	}
-	if s.src == nil {
-		err = s.openSourceLocked()
-	} else {
-		// The reload must observe the append this same critical section
-		// just made; releasing between the two would let a second ingest
-		// interleave and misnumber both responses.
-		_, err = s.src.Reload()
-	}
-	if err == nil {
-		err = s.ingestUploadLocked(idx, stream)
-	}
-	streams, events, instances := s.inc.NumStreams(), s.inc.NumEvents(), s.inc.NumInstances()
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, s.rec, http.StatusInternalServerError, "ingesting stream: %v", err)
 		return
 	}
 

@@ -3,7 +3,7 @@ package ingest
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +18,7 @@ import (
 	"tracescope/internal/report"
 	"tracescope/internal/scenario"
 	"tracescope/internal/trace"
+	"tracescope/internal/tracevet"
 )
 
 func testCorpus(t *testing.T) *trace.Corpus {
@@ -297,204 +298,115 @@ func TestServerRestartsOverTornFirstUpload(t *testing.T) {
 	}
 }
 
-// TestServerSync: streams landed on disk by another appender are
-// discovered by Sync without re-decoding what is already in.
-func TestServerSync(t *testing.T) {
+// TestServerRestartMidFeedEqualsStreaming is the workflow a stream
+// produced elsewhere takes into a corpus: a daemon takes the first k
+// uploads of a shuffled order, stops, restarts over its directory (the
+// warm-up folds what it appended) and takes the rest over HTTP. Every
+// query endpoint — the 404s and /diff included — must answer byte for
+// byte as one daemon fed everything does, and again after a second
+// restart.
+func TestServerRestartMidFeedEqualsStreaming(t *testing.T) {
 	corpus := testCorpus(t)
-	dir := t.TempDir()
-	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
-	if err != nil {
+	n := len(corpus.Streams)
+	order := rand.New(rand.NewSource(9)).Perm(n)
+	baseDir := t.TempDir()
+	if err := scenario.Generate(scenario.Config{Seed: 6, Streams: 4, Episodes: 6}).WriteDir(baseDir); err != nil {
 		t.Fatal(err)
 	}
-	feedAll(t, s, corpus, []int{0, 1})
+	scen := scenario.BrowserTabCreate
+	endpoints := append(queryEndpoints(scen),
+		"/causality?scenario=NoSuch", "/awg?scenario=NoSuch",
+		"/diff?baseline="+url.QueryEscape(baseDir),
+		"/diff?baseline="+url.QueryEscape(baseDir)+"&format=md")
 
-	app, err := trace.OpenAppender(dir)
-	if err != nil {
-		t.Fatal(err)
+	streamed := newTestServer(t)
+	feedAll(t, streamed, corpus, identityOrder(n))
+	want := make([]string, len(endpoints))
+	for i, u := range endpoints {
+		code, body := get(t, streamed, u)
+		want[i] = strconv.Itoa(code) + " " + body
 	}
-	if _, err := app.Append(corpus.Streams[2]); err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("Sync discovered %d streams, want 1", n)
-	}
-	var health struct {
-		Streams int `json:"streams"`
-	}
-	if err := json.Unmarshal([]byte(mustGet(t, s, "/healthz")), &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Streams != 3 {
-		t.Fatalf("healthz reports %d streams after sync, want 3", health.Streams)
-	}
-	// The HTTP path must keep working after an external append: the
-	// appender re-syncs to the grown index.
-	feedAll(t, s, corpus, []int{3})
-	if err := json.Unmarshal([]byte(mustGet(t, s, "/healthz")), &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Streams != 4 {
-		t.Fatalf("healthz reports %d streams after post-sync ingest, want 4", health.Streams)
-	}
-}
-
-// TestServerSyncAdoptsCorpusCreatedAfterStart: a server started over an
-// empty directory must adopt a corpus another process writes there
-// afterwards. Sync asks the disk, not the server's own appender, whether
-// a corpus exists — otherwise it returns 0 forever and the next POST
-// truncates the index and overwrites stream 0.
-func TestServerSyncAdoptsCorpusCreatedAfterStart(t *testing.T) {
-	corpus := testCorpus(t)
-	dir := t.TempDir()
-	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.Sync(); n != 0 || err != nil {
-		t.Fatalf("Sync over an empty directory = %d, %v; want 0, nil", n, err)
-	}
-
-	app, err := trace.OpenAppender(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range corpus.Streams[:2] {
-		if _, err := app.Append(st); err != nil {
-			t.Fatal(err)
+	check := func(s *Server, what string) {
+		t.Helper()
+		for i, u := range endpoints {
+			code, body := get(t, s, u)
+			if got := strconv.Itoa(code) + " " + body; got != want[i] {
+				t.Errorf("%s: GET %s differs from the streamed daemon:\n%s\n--- want ---\n%s", what, u, got, want[i])
+			}
 		}
 	}
-	if n, err := s.Sync(); n != 2 || err != nil {
-		t.Fatalf("Sync after an external appender started the corpus = %d, %v; want 2, nil", n, err)
-	}
 
-	feedAll(t, s, corpus, []int{2})
-	var health struct {
-		Streams int `json:"streams"`
-	}
-	if err := json.Unmarshal([]byte(mustGet(t, s, "/healthz")), &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Streams != 3 {
-		t.Fatalf("healthz reports %d streams, want 3", health.Streams)
-	}
-	src, err := trace.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.NumStreams() != 3 {
-		t.Fatalf("corpus on disk has %d streams, want 3", src.NumStreams())
-	}
-	if got, want := src.StreamMeta(0).ID, corpus.Streams[0].ID; got != want {
-		t.Fatalf("stream 0 on disk is %q, want the externally appended %q", got, want)
+	for _, k := range []int{0, 1, n / 2, n - 1} {
+		dir := t.TempDir()
+		open := func() *Server {
+			t.Helper()
+			s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		feedAll(t, open(), corpus, order[:k])
+		restarted := open()
+		feedAll(t, restarted, corpus, order[k:])
+		check(restarted, fmt.Sprintf("k=%d, restarted", k))
+		check(open(), fmt.Sprintf("k=%d, second restart", k))
 	}
 }
 
-// TestServerSyncCatchUpAllOrNothing: a catch-up over many streams is one
-// fold (Incremental.IngestSource), so a stream whose file cannot be read
-// fails the whole Sync and leaves every answer as it was — not a state
-// caught up as far as the bad stream — and once the file is back the
-// next Sync folds all of them, to the answers of a server that was
-// POSTed the same streams.
-func TestServerSyncCatchUpAllOrNothing(t *testing.T) {
-	corpus := scenario.Generate(scenario.Config{Seed: 5, Streams: 14, Episodes: 6})
+// TestServerRefusesUploadBehindForeignWriter: the daemon is its corpus's
+// only writer. When another appender lands a stream in the directory
+// anyway, the next upload is refused with a 500 before anything is
+// written — the state the daemon serves stays as it was, and the
+// directory stays the other writer's corpus, which loads and vets clean.
+func TestServerRefusesUploadBehindForeignWriter(t *testing.T) {
+	corpus := testCorpus(t)
 	dir := t.TempDir()
-	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds, Workers: 4})
+	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedAll(t, s, corpus, []int{0, 1})
 	endpoints := queryEndpoints(scenario.BrowserTabCreate)
 	before := make([]string, len(endpoints))
-	for i, url := range endpoints {
-		_, before[i] = get(t, s, url)
+	for i, u := range endpoints {
+		before[i] = mustGet(t, s, u)
 	}
 
-	app, err := trace.OpenAppender(dir)
+	foreign, err := trace.OpenAppender(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range corpus.Streams[2:] {
-		if _, err := app.Append(st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	disk, err := trace.OpenDir(dir)
-	if err != nil {
+	if _, err := foreign.Append(corpus.Streams[2]); err != nil {
 		t.Fatal(err)
 	}
-	file := filepath.Join(dir, disk.StreamMeta(9).File)
-	if err := os.Rename(file, file+".away"); err != nil {
-		t.Fatal(err)
+	if code, body := post(t, s, corpus.Streams[3]); code != http.StatusInternalServerError {
+		t.Fatalf("upload behind a foreign writer: %d: %s", code, body)
 	}
-
-	if n, err := s.Sync(); n != 0 || !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Sync with stream 9's file missing = %d, %v; want 0 and the missing file", n, err)
-	}
-	for i, url := range endpoints {
-		if _, after := get(t, s, url); after != before[i] {
-			t.Errorf("GET %s changed over a failed Sync:\n%s\n--- before ---\n%s", url, after, before[i])
+	for i, u := range endpoints {
+		if after := mustGet(t, s, u); after != before[i] {
+			t.Errorf("GET %s changed over a refused upload:\n%s\n--- before ---\n%s", u, after, before[i])
 		}
 	}
 
-	if err := os.Rename(file+".away", file); err != nil {
-		t.Fatal(err)
+	src, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatalf("OpenDir after the refused upload: %v", err)
 	}
-	if n, err := s.Sync(); n != 12 || err != nil {
-		t.Fatalf("Sync with the file back = %d, %v; want 12, nil", n, err)
-	}
-	posted := newTestServer(t)
-	feedAll(t, posted, corpus, identityOrder(len(corpus.Streams)))
-	for _, url := range endpoints {
-		if got, want := mustGet(t, s, url), mustGet(t, posted, url); got != want {
-			t.Errorf("GET %s after the catch-up differs from a server POSTed the same streams:\n%s\n--- want ---\n%s", url, got, want)
+	for i, want := range []int{0, 1, 2} {
+		if got := src.StreamMeta(i).ID; got != corpus.Streams[want].ID {
+			t.Errorf("stream %d on disk is %q, want %q", i, got, corpus.Streams[want].ID)
 		}
 	}
-}
-
-// TestServerSyncRejectsEditedPrefix: Sync is where another writer can
-// exist, so it re-reads the whole index: a record before the last one
-// edited in place (same length — the edit a tail-only Reload cannot see)
-// is reported, and the stream appended after it is not ingested.
-func TestServerSyncRejectsEditedPrefix(t *testing.T) {
-	corpus := testCorpus(t)
-	dir := t.TempDir()
-	s, err := NewServer(Config{Dir: dir, Filter: trace.AllDrivers(), Thresholds: scenario.Thresholds})
+	if src.NumStreams() != 3 {
+		t.Errorf("corpus on disk has %d streams, want 3", src.NumStreams())
+	}
+	rep, err := tracevet.VetDir(dir, tracevet.Options{Semantic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedAll(t, s, corpus, []int{0, 1})
-	before := mustGet(t, s, "/corpus")
-
-	index := filepath.Join(dir, "corpus.index")
-	data, err := os.ReadFile(index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := []byte(strconv.Quote(corpus.Streams[0].ID))
-	edited := bytes.Replace(data, id, bytes.ToUpper(id), 1)
-	if bytes.Equal(edited, data) || len(edited) != len(data) {
-		t.Fatalf("test setup: stream 0's ID %s must change case in place", id)
-	}
-	if err := os.WriteFile(index, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	app, err := trace.OpenAppender(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := app.Append(corpus.Streams[2]); err != nil {
-		t.Fatal(err)
-	}
-
-	if n, err := s.Sync(); n != 0 || !errors.Is(err, trace.ErrBadFormat) {
-		t.Fatalf("Sync over an edited index prefix = %d, %v; want 0, ErrBadFormat", n, err)
-	}
-	if after := mustGet(t, s, "/corpus"); after != before {
-		t.Fatalf("a rejected Sync changed the corpus:\n%s\n--- before ---\n%s", after, before)
+	if rep.Findings() != 0 {
+		t.Errorf("tracevet over the directory: %v", rep.Diags)
 	}
 }
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -13,10 +12,8 @@ import (
 // Appender grows a corpus directory one stream at a time without ever
 // rewriting what is already there: each Append writes one new stream
 // file and appends its metadata records to corpus.index.
-// This is the continuous-ingestion write path — a DirSource opened over
-// the same directory picks the new streams up with Reload, reading only
-// the index's new tail, and every previously assigned stream index stays
-// valid because the index is append-only.
+// This is the continuous-ingestion write path, and every previously
+// assigned stream index stays valid because the index is append-only.
 //
 // Crash safety: new intern records land in corpus.intern first, the
 // stream file is fully written and closed second, and the index records
@@ -26,7 +23,10 @@ import (
 // file or a stream file referencing unflushed intern records.
 //
 // An Appender is not safe for concurrent use, and exactly one Appender
-// must own a directory at a time; the ingest server serializes both.
+// must own a directory at a time. It holds the lengths it last left
+// corpus.index and corpus.intern at, and refuses to append once either
+// has changed behind it: its stream count and intern IDs would then
+// collide with another writer's.
 type Appender struct {
 	dir string
 	n   int // streams already indexed
@@ -36,6 +36,9 @@ type Appender struct {
 	// reference yet; it clears on the first intern flush, which may land
 	// before an Append that then fails.
 	fresh, freshIntern bool
+	// The byte lengths this appender last left the two append-only files
+	// at (0 for a missing file).
+	indexLen, internLen int64
 
 	// The corpus intern table (source of truth while this appender owns
 	// the directory) and the reusable block encoder.
@@ -59,17 +62,22 @@ func OpenAppender(dir string) (*Appender, error) {
 		return nil, err
 	}
 	if noCommittedRecords(string(data)) {
-		return &Appender{dir: dir, fresh: true, freshIntern: true, intern: NewInternTable()}, nil
+		internLen, err := fileLen(filepath.Join(dir, internFile))
+		if err != nil {
+			return nil, err
+		}
+		return &Appender{dir: dir, fresh: true, freshIntern: true, intern: NewInternTable(),
+			indexLen: int64(len(data)), internLen: internLen}, nil
 	}
 	metas, err := parseIndex(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
-	it, _, err := loadInternTable(dir)
+	it, internLen, err := loadInternTable(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Appender{dir: dir, n: len(metas), intern: it}, nil
+	return &Appender{dir: dir, n: len(metas), intern: it, indexLen: int64(len(data)), internLen: internLen}, nil
 }
 
 // createAppender starts the corpus in dir over, creating dir if needed:
@@ -89,7 +97,8 @@ func createAppender(dir string) (*Appender, error) {
 	if err := os.WriteFile(filepath.Join(dir, internFile), []byte(colfmt.InternMagic), 0o644); err != nil {
 		return nil, err
 	}
-	return &Appender{dir: dir, intern: NewInternTable()}, nil
+	return &Appender{dir: dir, intern: NewInternTable(),
+		indexLen: int64(len(indexHeader) + 1), internLen: int64(len(colfmt.InternMagic))}, nil
 }
 
 // SetCompression toggles flate compression of event blocks for
@@ -103,10 +112,15 @@ func (a *Appender) NumStreams() int { return a.n }
 // Append validates s, writes it as the corpus's next stream file, and
 // appends its metadata records to the index. It returns the stream's
 // index in the corpus — the index a DirSource over the same directory
-// assigns it after Reload.
+// assigns it. If another writer has grown or cut corpus.index or
+// corpus.intern since this appender last wrote them, Append fails
+// without touching the directory.
 func (a *Appender) Append(s *Stream) (int, error) {
 	if err := s.Validate(); err != nil {
 		return 0, fmt.Errorf("trace: appending stream: %w", err)
+	}
+	if err := a.checkSoleWriter(); err != nil {
+		return 0, err
 	}
 	idx := a.n
 	name := streamFileName(idx)
@@ -126,6 +140,38 @@ func (a *Appender) Append(s *Stream) (int, error) {
 	a.n++
 	a.fresh = false
 	return idx, nil
+}
+
+// checkSoleWriter stats corpus.index and corpus.intern and fails unless
+// both are the lengths this appender left them at. Lengths only: an
+// in-place edit that keeps them is not seen.
+func (a *Appender) checkSoleWriter() error {
+	for _, f := range [...]struct {
+		name string
+		want int64
+	}{{indexFile, a.indexLen}, {internFile, a.internLen}} {
+		got, err := fileLen(filepath.Join(a.dir, f.name))
+		if err != nil {
+			return err
+		}
+		if got != f.want {
+			return fmt.Errorf("trace: %s is %d bytes, not the %d this appender left it at: another writer has been at the corpus; re-open it before appending",
+				f.name, got, f.want)
+		}
+	}
+	return nil
+}
+
+// fileLen returns the length of the file at path, 0 if there is none.
+func fileLen(path string) (int64, error) {
+	st, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
 }
 
 // writeStreamFile encodes s against the corpus intern table, flushes
@@ -168,21 +214,14 @@ func (a *Appender) appendInternRecords() error {
 		a.intern.flushedStacks == len(a.intern.stacks) {
 		return nil
 	}
-	f, err := os.OpenFile(filepath.Join(a.dir, internFile), appendFlags(a.freshIntern), 0o644)
-	if err != nil {
-		return err
-	}
 	ff, fs := a.intern.flushedFrames, a.intern.flushedStacks
-	bw := bufio.NewWriter(f)
+	var buf bytes.Buffer
 	if a.freshIntern {
-		bw.WriteString(colfmt.InternMagic) //nolint:errcheck // bufio defers errors to Flush
+		buf.WriteString(colfmt.InternMagic)
 	}
-	err = a.intern.appendRecordsSince(bw)
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	err := a.intern.appendRecordsSince(&buf)
+	if err == nil {
+		err = appendFile(filepath.Join(a.dir, internFile), a.freshIntern, buf.Bytes(), &a.internLen)
 	}
 	if err != nil {
 		a.intern.flushedFrames, a.intern.flushedStacks = ff, fs
@@ -192,32 +231,39 @@ func (a *Appender) appendInternRecords() error {
 	return nil
 }
 
-// appendFlags opens an append-only corpus file for its next record;
-// fresh starts the file over instead.
-func appendFlags(fresh bool) int {
+// appendFile appends data to the append-only corpus file at path — or,
+// fresh, starts the file over with it — and keeps *size, the length
+// this appender left the file at, in step with what lands.
+func appendFile(path string, fresh bool, data []byte, size *int64) error {
+	flags := os.O_WRONLY | os.O_APPEND
 	if fresh {
-		return os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 	}
-	return os.O_WRONLY | os.O_APPEND
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
+		return err
+	}
+	if fresh {
+		*size = 0
+	}
+	n, err := f.Write(data)
+	*size += int64(n)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // appendIndexRecord appends one stream's records to the index, writing
 // the header first when the corpus is fresh.
 func (a *Appender) appendIndexRecord(seq int, m StreamMeta) error {
-	f, err := os.OpenFile(filepath.Join(a.dir, indexFile), appendFlags(a.fresh), 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
+	var buf bytes.Buffer
 	if a.fresh {
-		fmt.Fprintln(bw, indexHeader)
+		buf.WriteString(indexHeader + "\n")
 	}
-	err = writeStreamRecord(bw, seq, m)
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	err := writeStreamRecord(&buf, seq, m)
+	if err == nil {
+		err = appendFile(filepath.Join(a.dir, indexFile), a.fresh, buf.Bytes(), &a.indexLen)
 	}
 	if err != nil {
 		return fmt.Errorf("trace: appending to %s: %w", indexFile, err)

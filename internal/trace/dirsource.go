@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -310,8 +309,7 @@ func checkIndexFile(name string, seen map[string]bool) error {
 // DirSource is safe for concurrent use: its metadata is immutable after
 // OpenDir and Stream only reads files. The one exception is Reload,
 // which appends metadata for newly landed streams; callers must
-// serialize Reload against all other methods (the tracescoped daemon
-// holds its state lock across it).
+// serialize Reload against all other methods.
 type DirSource struct {
 	dir   string
 	metas []StreamMeta
@@ -387,7 +385,7 @@ func (d *DirSource) adopt(tail string, size int64) (int, error) {
 //
 // Reload does not see an edit before its last record that keeps every
 // length: the directory's single owner wrote and validated those bytes
-// itself. Where another writer can exist, call VerifyPrefix first.
+// itself.
 //
 // Reload returns the number of newly discovered streams. It mutates the
 // source's metadata, so callers must serialize it against every other
@@ -416,34 +414,6 @@ func (d *DirSource) Reload() (int, error) {
 	d.rec.Add("trace_index_reloads_total", 1)
 	d.rec.Add("trace_index_streams_discovered_total", int64(n))
 	return n, nil
-}
-
-// VerifyPrefix re-reads the whole index and checks that every record the
-// source knows is still there, unchanged and in order: the O(corpus) half
-// of the append-only contract (a rewritten index would silently renumber
-// streams, and EventIDs and InstanceRefs reference streams by index),
-// for callers that share the directory with another writer.
-func (d *DirSource) VerifyPrefix() error {
-	data, err := os.ReadFile(filepath.Join(d.dir, indexFile))
-	if err != nil {
-		return err
-	}
-	metas, err := parseIndex(string(data))
-	if err != nil {
-		return fmt.Errorf("trace: %s: %w", indexFile, err)
-	}
-	if len(metas) < len(d.metas) {
-		return fmt.Errorf("trace: %s: %w: index shrank from %d to %d streams (append-only contract broken)",
-			indexFile, ErrBadFormat, len(d.metas), len(metas))
-	}
-	for i, old := range d.metas {
-		if metas[i].File != old.File || metas[i].ID != old.ID || metas[i].Events != old.Events ||
-			metas[i].Duration != old.Duration || !slices.Equal(metas[i].Instances, old.Instances) {
-			return fmt.Errorf("trace: %s: %w: stream record %d changed (append-only contract broken)",
-				indexFile, ErrBadFormat, i)
-		}
-	}
-	return nil
 }
 
 // Dir returns the backing corpus directory.

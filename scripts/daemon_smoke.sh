@@ -4,7 +4,10 @@
 # poll /healthz, and pull every query endpoint. Run the whole dance
 # twice with different arrival orders (and once more restarted over the
 # first run's corpus, exercising the warm-up path) and fail unless the
-# query responses — /metrics included — are byte-identical.
+# query responses — /metrics included — are byte-identical. Last, check
+# that the daemon is its corpus's only writer: once a second writer has
+# landed a corpus in its directory, the next upload is refused and the
+# directory stays that writer's corpus, which vets clean.
 #
 # Usage: scripts/daemon_smoke.sh [STREAMS] [EPISODES]
 set -euo pipefail
@@ -100,6 +103,20 @@ echo "== vetting the ingested corpora (every stream passed the admission gate)"
 "$WORK/bin/tracevet" -semantic "$WORK/corpus-a" "$WORK/corpus-b" \
     || { echo "daemon-grown corpus failed verification" >&2; exit 1; }
 
+echo "== one writer: an upload behind a second writer is refused"
+start_daemon "$WORK/corpus-w" "$WORK/daemon-w.log"
+"$WORK/bin/tracegen" -stream "$DAEMON_ADDR" -streams 3 -episodes "$EPISODES" > "$WORK/feed-w.log"
+"$WORK/bin/tracegen" -out "$WORK/corpus-w" -seed 2 -streams 5 -episodes "$EPISODES" > "$WORK/gen-w.log"
+if "$WORK/bin/tracegen" -stream "$DAEMON_ADDR" -seed 3 -streams 1 -episodes "$EPISODES" \
+        > "$WORK/feed-w2.log" 2>&1; then
+    echo "daemon accepted an upload behind a second writer" >&2; exit 1
+fi
+grep -q '"streams": 3' <(curl -sf "$DAEMON_ADDR/healthz") \
+    || { echo "a refused upload changed the daemon's state" >&2; curl -s "$DAEMON_ADDR/healthz" >&2; exit 1; }
+stop_daemon
+"$WORK/bin/tracevet" -semantic "$WORK/corpus-w" \
+    || { echo "the second writer's corpus failed verification after the refused upload" >&2; exit 1; }
+
 echo "== comparing arrival orders (all endpoints, /metrics included)"
 diff -ru "$WORK/out-a" "$WORK/out-b"
 
@@ -116,4 +133,4 @@ if survivors="$(pgrep -f "^$WORK/bin/tracescoped ")"; then
     exit 1
 fi
 
-echo "daemon smoke: OK ($STREAMS streams, two arrival orders + warm-up restart, byte-identical)"
+echo "daemon smoke: OK ($STREAMS streams, two arrival orders + warm-up restart, byte-identical; one writer)"

@@ -479,8 +479,8 @@ type (
 
 // OpenCorpusAppender opens dir for appending streams, creating it if
 // needed (the first append writes the index header). The appender
-// assumes exclusive ownership of the directory — after another writer
-// appends, re-open (as ingest.Server.Sync does) before appending again.
+// assumes exclusive ownership of the directory: once another writer has
+// appended, it refuses to append until re-opened.
 func OpenCorpusAppender(dir string) (*CorpusAppender, error) {
 	return trace.OpenAppender(dir)
 }
