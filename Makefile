@@ -72,9 +72,9 @@ test-race:
 
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
 # race detector, which inflates allocations): bytes allocated by one
-# fold pass and by one warm daemon ingest.
+# fold pass, by one warm daemon ingest and by one causality sweep.
 test-allocs:
-	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs' -v ./internal/core
+	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs|TestCausalityQueryAllocBudget' -v ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -133,7 +133,8 @@ report:
 	$(GO) run ./cmd/experiments -html report.html
 
 # Short fuzzing pass over the decoders, index parser, matcher, the
-# lint suite's directive parser and package loader, and the verifier.
+# lint suite's directive parser and package loader, the verifier, and
+# mining against its string reference.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzParseIndex -fuzztime 30s
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test ./internal/lint/ -fuzz FuzzLoadDir -fuzztime 30s
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetStream -fuzztime 30s
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetCorpus -fuzztime 15s
+	$(GO) test ./internal/mining/ -fuzz FuzzMiningMatchesReference -fuzztime 15s
 
 clean:
 	rm -f report.html test_output.txt bench_output.txt *.dot tracevet.sarif

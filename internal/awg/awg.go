@@ -95,13 +95,23 @@ func appendKey(buf []byte, kind Kind, sig, usig string) []byte {
 	return append(buf, sig...)
 }
 
-// Children returns the node's children sorted by key (deterministic).
-func (n *Node) Children() []*Node {
-	out := make([]*Node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
+// Children returns the node's children sorted by Key (deterministic).
+func (n *Node) Children() []*Node { return sortedByKey(n.children) }
+
+// sortedByKey returns a sibling map's nodes in key order. Every sibling
+// map is keyed by its nodes' Keys (child, mergeForest and cloneNodes
+// keep it so), so sorting the map's keys sorts the nodes without
+// building a Key per comparison.
+func sortedByKey(m map[string]*Node) []*Node {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sort.Strings(keys)
+	out := make([]*Node, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
 	return out
 }
 
@@ -123,15 +133,8 @@ type Graph struct {
 	KeptCost    trace.Duration
 }
 
-// Roots returns the forest roots sorted by key.
-func (g *Graph) Roots() []*Node {
-	out := make([]*Node, 0, len(g.roots))
-	for _, r := range g.roots {
-		out = append(out, r)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
+// Roots returns the forest roots sorted by Key.
+func (g *Graph) Roots() []*Node { return sortedByKey(g.roots) }
 
 // NumNodes counts all nodes in the forest.
 func (g *Graph) NumNodes() int {

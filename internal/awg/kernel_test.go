@@ -199,3 +199,33 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		}
 	}
 }
+
+// TestSiblingKeysAreNodeKeys: every sibling map is keyed by its nodes'
+// Keys — what Children and Roots sort by — in a forest built by Add, by
+// Merge of partial forests, by Finish, and by Clone.
+func TestSiblingKeysAreNodeKeys(t *testing.T) {
+	graphs := caseGraphs(t)
+	var check func(label string, m map[string]*Node)
+	check = func(label string, m map[string]*Node) {
+		for key, n := range m {
+			if key != n.Key() {
+				t.Errorf("%s: node %q filed under %q", label, n.Key(), key)
+			}
+			check(label, n.children)
+		}
+	}
+	half := NewAggregator(trace.AllDrivers(), Options{})
+	for _, wg := range graphs[:len(graphs)/2] {
+		half.Add(wg)
+	}
+	ag := NewAggregator(trace.AllDrivers(), DefaultOptions())
+	for _, wg := range graphs[len(graphs)/2:] {
+		ag.Add(wg)
+	}
+	check("add", ag.Partial().roots)
+	ag.Merge(half.Partial())
+	check("merge", ag.Partial().roots)
+	g := ag.Finish()
+	check("finish", g.roots)
+	check("clone", g.Clone().roots)
+}

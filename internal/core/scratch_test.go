@@ -282,3 +282,37 @@ func BenchmarkIngestStream(b *testing.B) {
 		inc.Ingest(i+1, s)
 	}
 }
+
+// TestCausalityQueryAllocBudget: the query tail — clone, finish and
+// mine a scenario's class forests — allocates for the forests' nodes and
+// for the distinct metas and patterns it returns, not for every path
+// segment it walks. One warm sweep of the eight catalogue scenarios over
+// the 48-stream corpus of EXPERIMENTS.md measures 2.5 MB; mining that
+// built a signature set and a key string per segment measured 16.7 MB.
+// The budget is the measurement plus 25 %. CI runs this without -race,
+// which inflates allocations.
+func TestCausalityQueryAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus generation in -short mode")
+	}
+	const budget = 3200 << 10
+	corpus := scenario.Generate(scenario.Config{Seed: 1, Streams: 48, Episodes: 14})
+	inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds, Workers: 1})
+	for si, s := range corpus.Streams {
+		inc.Ingest(si, s)
+	}
+	sweep := func() {
+		for _, name := range scenario.Selected() {
+			if _, err := inc.Causality(name, mining.Params{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sweep()
+	got := allocated(sweep)
+	t.Logf("a warm causality sweep of %d scenarios over %d streams allocated %.2f MB (budget %.2f MB)",
+		len(scenario.Selected()), corpus.NumStreams(), float64(got)/(1<<20), float64(budget)/(1<<20))
+	if got > budget {
+		t.Errorf("causality sweep allocated %d bytes, budget %d", got, budget)
+	}
+}

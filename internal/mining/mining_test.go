@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -309,4 +310,38 @@ func TestDescribeEmptySets(t *testing.T) {
 
 func containsStr(s, sub string) bool {
 	return len(s) >= len(sub) && strings.Contains(s, sub)
+}
+
+// TestSeparatorSignaturesStayApart: a signature holding a ',' (a Go
+// function with two type parameters) is one member, not two. The path
+// wait{a,b} and the path wait{a} → wait{b} are distinct metas and
+// distinct patterns, each with its own cost.
+func TestSeparatorSignaturesStayApart(t *testing.T) {
+	const a, b, ab, u, r = "x.sys!A", "x.sys!B", "x.sys!A,x.sys!B", "u.sys!U", "r.sys!R"
+	f := newFixture()
+	g := f.agg(
+		f.wait(10*ms, ab, u, f.run(3*ms, r)),
+		f.wait(20*ms, a, u, f.wait(15*ms, b, u, f.run(7*ms, r))),
+	)
+	metas, _ := EnumerateMetas(g, 5, 1<<20)
+	joined := sigset.New([]string{ab}, []string{u}, []string{r})
+	split := sigset.New([]string{a, b}, []string{u}, []string{r})
+	for _, c := range []struct {
+		tu   sigset.Tuple
+		cost trace.Duration
+	}{{joined, 3 * ms}, {split, 7 * ms}} {
+		m, ok := metas[c.tu.Key()]
+		if !ok || !reflect.DeepEqual(m.Tuple, c.tu) || m.C != c.cost || m.N != 1 {
+			t.Errorf("meta %v = %+v, want C=%v N=1", c.tu, m, c.cost)
+		}
+	}
+
+	patterns := DiscoverPatterns(g, DiscoverContrasts(metas, nil, 100*ms, 300*ms))
+	if len(patterns) != 2 {
+		t.Fatalf("patterns = %d, want the two paths apart", len(patterns))
+	}
+	if !reflect.DeepEqual(patterns[0].Tuple, split) || patterns[0].C != 7*ms ||
+		!reflect.DeepEqual(patterns[1].Tuple, joined) || patterns[1].C != 3*ms {
+		t.Errorf("patterns = %+v", patterns)
+	}
 }

@@ -61,16 +61,28 @@ func (t Tuple) IsEmpty() bool {
 	return len(t.Wait) == 0 && len(t.Unwait) == 0 && len(t.Running) == 0
 }
 
-// Key returns a canonical string form usable as a map key.
+// Key returns a canonical string form usable as a map key: each set in
+// order behind its letter ('W', 'U', 'R'), members separated by ',' and
+// the set closed by ';'. A '\', ',' or ';' inside a signature is escaped
+// with a '\', so distinct tuples never share a key — a Go function name
+// with two type parameters carries a ','. A signature without those
+// characters is written as is.
 func (t Tuple) Key() string {
+	n := 6 // three letters, three ';'
+	for _, set := range [3][]string{t.Wait, t.Unwait, t.Running} {
+		for _, s := range set {
+			n += len(s) + 1
+		}
+	}
 	var b strings.Builder
+	b.Grow(n)
 	writeSet := func(prefix byte, set []string) {
 		b.WriteByte(prefix)
 		for i, s := range set {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(s)
+			writeEscaped(&b, s)
 		}
 		b.WriteByte(';')
 	}
@@ -78,6 +90,20 @@ func (t Tuple) Key() string {
 	writeSet('U', t.Unwait)
 	writeSet('R', t.Running)
 	return b.String()
+}
+
+// writeEscaped writes s to b with every '\', ',' and ';' preceded by a '\'.
+func writeEscaped(b *strings.Builder, s string) {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\', ',', ';':
+			b.WriteString(s[start:i])
+			b.WriteByte('\\')
+			start = i
+		}
+	}
+	b.WriteString(s[start:])
 }
 
 // String renders the tuple in the paper's display form.
@@ -119,15 +145,6 @@ func containsAll(haystack, needle []string) bool {
 		i++
 	}
 	return true
-}
-
-// Merge returns the set-wise union of two tuples.
-func Merge(a, b Tuple) Tuple {
-	return New(
-		append(append([]string{}, a.Wait...), b.Wait...),
-		append(append([]string{}, a.Unwait...), b.Unwait...),
-		append(append([]string{}, a.Running...), b.Running...),
-	)
 }
 
 // Signatures returns all signatures of the tuple (union of the three

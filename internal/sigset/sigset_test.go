@@ -55,6 +55,34 @@ func TestKeyEqualForEqualTuples(t *testing.T) {
 	}
 }
 
+// TestKeyEscapesSeparators: a signature holding the key's separators
+// (a ',' in a Go function name with two type parameters, a ';', a '\')
+// keys apart from the tuples its pieces would form.
+func TestKeyEscapesSeparators(t *testing.T) {
+	groups := [][]Tuple{
+		{New([]string{"a,b"}, nil, nil), New([]string{"a", "b"}, nil, nil)},
+		{New([]string{"a;Ub"}, nil, []string{"r"}), New([]string{"a"}, []string{"b;U"}, []string{"r"})},
+		{New([]string{`a\`, "b"}, nil, nil), New([]string{`a\,b`}, nil, nil), New([]string{`a\`, `\b`}, nil, nil)},
+	}
+	for _, g := range groups {
+		seen := map[string]Tuple{}
+		for _, tu := range g {
+			if prev, dup := seen[tu.Key()]; dup {
+				t.Errorf("%v and %v share the key %q", prev, tu, tu.Key())
+			}
+			seen[tu.Key()] = tu
+		}
+	}
+	// Keys of signatures without separators are unchanged.
+	plain := New([]string{"fv.sys!Query", "fs.sys!AcquireMDU"}, []string{"fs.sys!AcquireMDU"}, []string{HardwareSignature})
+	if got, want := plain.Key(), "Wfs.sys!AcquireMDU,fv.sys!Query;Ufs.sys!AcquireMDU;RHardwareService;"; got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
+	}
+	if got, want := New([]string{"m.sys!F[int,string]"}, nil, nil).Key(), `Wm.sys!F[int\,string];U;R;`; got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
+	}
+}
+
 func TestContains(t *testing.T) {
 	full := New([]string{"a", "b", "c"}, []string{"u1", "u2"}, []string{"r"})
 	cases := []struct {
@@ -73,18 +101,6 @@ func TestContains(t *testing.T) {
 		if got := full.Contains(c.sub); got != c.want {
 			t.Errorf("case %d: Contains(%v) = %v, want %v", i, c.sub, got, c.want)
 		}
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := New([]string{"w1"}, []string{"u1"}, nil)
-	b := New([]string{"w2", "w1"}, nil, []string{"r1"})
-	m := Merge(a, b)
-	if !m.Contains(a) || !m.Contains(b) {
-		t.Error("merge does not contain operands")
-	}
-	if len(m.Wait) != 2 || len(m.Unwait) != 1 || len(m.Running) != 1 {
-		t.Errorf("merge = %v", m)
 	}
 }
 
@@ -131,14 +147,11 @@ func TestCanonicalisationIdempotent(t *testing.T) {
 	}
 }
 
-// TestContainsReflexiveAndMergeSuperset: every tuple contains itself, and
-// a merge contains both operands.
-func TestContainsReflexiveAndMergeSuperset(t *testing.T) {
-	prop := func(w1, u1, r1, w2, u2, r2 []string) bool {
-		a := New(sanitize(w1), sanitize(u1), sanitize(r1))
-		b := New(sanitize(w2), sanitize(u2), sanitize(r2))
-		m := Merge(a, b)
-		return a.Contains(a) && b.Contains(b) && m.Contains(a) && m.Contains(b)
+// TestContainsReflexive: every tuple contains itself.
+func TestContainsReflexive(t *testing.T) {
+	prop := func(w, u, r []string) bool {
+		a := New(sanitize(w), sanitize(u), sanitize(r))
+		return a.Contains(a)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
