@@ -72,9 +72,10 @@ test-race:
 
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
 # race detector, which inflates allocations): bytes allocated by one
-# fold pass, by one warm daemon ingest and by one causality sweep.
+# fold pass, by one warm daemon ingest, by one causality sweep that
+# mines and by one answered from the memo.
 test-allocs:
-	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs|TestCausalityQueryAllocBudget' -v ./internal/core
+	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs|TestCausalityQueryAllocBudget|TestCausalityMemoHitAllocBudget' -v ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -61,10 +61,12 @@ type Options struct {
 // Analyzer holds one fold at a time, so no call sequence folds more than
 // twice per configuration and a mismatch costs one sweep. What the held
 // fold keeps in memory is aggregates — the impact partials' sums and the
-// class forests — never a stream.
+// class forests — and the answers asked of them, never a stream.
 //
 // An Analyzer is safe for concurrent use: folds are built under a mutex,
-// and answers read the held state and mutate only clones of its forests.
+// and answers read the held state, mutate only clones of its forests and
+// are memoised in it per scenario (Incremental.Causality): the same
+// question under the same fold returns the same, shared result.
 type Analyzer struct {
 	src  trace.Source
 	opts Options
@@ -254,7 +256,9 @@ func (c *CausalityConfig) applyDefaults() error {
 
 // CausalityResult is the outcome of one causality analysis, carrying the
 // ranked contrast patterns plus every aggregate the evaluation tables
-// report.
+// report. A result is memoised with the state it answers and shared by
+// every caller that asks the same question, so it is read-only: do not
+// modify Patterns (nor their tuples' signature slices) or SlowAWG.
 type CausalityResult struct {
 	Scenario string
 	Tfast    trace.Duration
@@ -316,8 +320,10 @@ func phaseRun(rec obs.Recorder, name string, fn func()) {
 
 // Causality runs step two of the approach for one scenario: the fold
 // supplies the scenario's contrast-class forests, and the call clones,
-// reduces and mines them. If the fold fails the error is returned (and
-// latched, see Err).
+// reduces and mines them — once per fold and mining parameters: a
+// repeated call returns the memoised result, which is shared and must
+// not be modified. If the fold fails the error is returned (and latched,
+// see Err).
 func (a *Analyzer) Causality(cfg CausalityConfig) (*CausalityResult, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err

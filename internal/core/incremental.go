@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"tracescope/internal/awg"
 	"tracescope/internal/engine"
@@ -44,7 +45,8 @@ type IncrementalConfig struct {
 // and three disjoint unreduced AWG aggregations — the two contrast
 // classes', and one of every instance in neither (without thresholds,
 // every instance). An instance's graph goes into exactly one, so the
-// all-instances AWG a corpus diff compares is the three merged.
+// all-instances AWG a corpus diff compares is the three merged. memo
+// holds the scenario's last finished answer until its next fold.
 type scenarioState struct {
 	tfast, tslow trace.Duration
 	classed      bool // thresholds known: instances are classified
@@ -57,16 +59,34 @@ type scenarioState struct {
 	slowImpact *impact.Partial // slow class only
 	fast, slow *awg.Aggregator // unreduced forests per contrast class
 	between    *awg.Aggregator // and of every instance in neither
+
+	memo atomic.Pointer[answerMemo]
+}
+
+// answerMemo is a scenario's finished answer to its state as it stands:
+// the finished slow-class AWG, and the causality result mined under
+// params once a Causality call has asked. The writer (ingest, Merge)
+// drops it whenever it changes the scenario's state, so a memo that is
+// there is current; readers fill it, and share what it holds read-only.
+// It costs one finished slow graph plus one result per scenario unchanged
+// since its last query. The finished fast graph is not kept: only a
+// different k on the same state needs it again.
+type answerMemo struct {
+	params mining.Params    // the applied parameters res was mined under
+	slow   *awg.Graph       // nil when the scenario has no slow instance
+	res    *CausalityResult // nil when only SlowAWG has asked
 }
 
 // Incremental is the analysis state everything folds into: streams are
 // folded in one at a time with Ingest (or in parallel with
 // IngestSource), and Impact/Causality answer queries over everything
-// ingested so far without disturbing the state — queries clone the
-// persistent forests and reduce only the clones, so ingestion can
-// continue afterwards. The daemon feeds one as uploads arrive, Diff
-// builds one per side, and the batch Analyzer folds one over its corpus
-// and holds it.
+// ingested so far without disturbing the state — an answer is computed
+// from clones of the persistent forests, which stay unreduced, so
+// ingestion can continue afterwards. Each scenario keeps its last
+// finished answer until the next fold touches it: asking an unchanged
+// question again returns the same result, not a recomputed one. The
+// daemon feeds one as uploads arrive, Diff builds one per side, and the
+// batch Analyzer folds one over its corpus and holds it.
 //
 // Determinism contract: after ingesting streams 1..N in any arrival
 // order — one at a time, or split any way between partial states merged
@@ -80,10 +100,14 @@ type scenarioState struct {
 // this: which of its workers folds which stream is left to the
 // scheduler (foldStreams).
 //
-// Queries only read the state, so any number may run at once; Ingest and
-// Merge need exclusive access (the tracescoped daemon puts them behind
-// the write side of one RWMutex, the Analyzer finishes folding before it
-// publishes the state). Ingest must see each stream exactly once, and
+// Queries read the folded state and at most fill a scenario's answer
+// memo (atomically), so any number may run at once; Ingest and Merge
+// need exclusive access (the tracescoped daemon puts them behind the
+// write side of one RWMutex, the Analyzer finishes folding before it
+// publishes the state), and drop the memo of every scenario they touch.
+// Answers are shared between the callers that ask the same question and
+// are read-only: a caller must not modify a CausalityResult's patterns
+// or its graphs. Ingest must see each stream exactly once, and
 // stream-disjoint states only may be merged — the impact partials panic
 // on a stream index they have already covered (impact.Partial).
 type Incremental struct {
@@ -230,6 +254,7 @@ func (inc *Incremental) ingest(streamIndex int, s *trace.Stream, dur trace.Durat
 		m := impact.Measure(g, fc, inc.work.waits)
 		inc.work.waits = m.Waits
 		sc := inc.state(in.Scenario)
+		sc.memo.Store(nil)
 		inc.global.Add(m)
 		sc.impact.Add(m)
 		sc.instances++
@@ -278,6 +303,7 @@ func (inc *Incremental) Merge(other *Incremental) {
 	for _, name := range names {
 		o := other.scen[name]
 		sc := inc.state(name)
+		sc.memo.Store(nil)
 		sc.instances += o.instances
 		sc.fastCount += o.fastCount
 		sc.slowCount += o.slowCount
@@ -380,7 +406,9 @@ func (inc *Incremental) impactOf(scenario string) impact.Metrics {
 // Causality answers a causality query over everything ingested so far,
 // using the thresholds fixed at ingest time. The persistent forests are
 // cloned and only the clones reduced, so the state remains valid for
-// further ingestion and queries.
+// further ingestion and queries. Until the next fold into the scenario,
+// the same question returns the same result, which callers share and
+// must not modify.
 func (inc *Incremental) Causality(scenario string, params mining.Params) (*CausalityResult, error) {
 	sc, err := inc.classedState(scenario)
 	if err != nil {
@@ -415,14 +443,22 @@ func (inc *Incremental) classedState(scenario string) (*scenarioState, error) {
 }
 
 // answer is the query tail both Incremental.Causality and
-// Analyzer.Causality end in: clone the scenario's class forests, finish
-// the clones (finishClone) and mine them.
-// cfg has its defaults applied and carries sc's thresholds. It only
-// reads the state, so concurrent queries may share one.
+// Analyzer.Causality end in: the memoised result when it was mined under
+// the same parameters, else clone the scenario's class forests, finish
+// the clones (finishClone; the memo's slow graph stands in for its own)
+// and mine them, and memoise that. cfg has its defaults applied and
+// carries sc's thresholds. It reads the folded state and fills only the
+// memo, so concurrent queries may share one; two that miss at once both
+// mine, and the last to finish is kept.
 func (inc *Incremental) answer(sc *scenarioState, cfg CausalityConfig) *CausalityResult {
 	inc.rec.Add("causality_instances_total", int64(sc.instances))
 	inc.rec.Add("causality_fast_total", int64(sc.fastCount))
 	inc.rec.Add("causality_slow_total", int64(sc.slowCount))
+	memo := sc.memo.Load()
+	if memo != nil && memo.res != nil && memo.params == cfg.Mining {
+		inc.rec.Add("causality_memo_hits_total", 1)
+		return memo.res
+	}
 	res := &CausalityResult{
 		Scenario:  cfg.Scenario,
 		Tfast:     cfg.Tfast,
@@ -431,26 +467,37 @@ func (inc *Incremental) answer(sc *scenarioState, cfg CausalityConfig) *Causalit
 		FastCount: sc.fastCount,
 		SlowCount: sc.slowCount,
 	}
-	if sc.slowCount == 0 {
-		return res
+	var slowAWG *awg.Graph
+	if sc.slowCount > 0 {
+		if memo != nil {
+			slowAWG = memo.slow
+		} else {
+			slowAWG = finishClone(inc.filter, sc.slow)
+		}
+		fastAWG := finishClone(inc.filter, sc.fast)
+		finishCausality(inc.rec, cfg, res, slowAWG, fastAWG, sc.slowImpact.Metrics)
 	}
-
-	slowAWG := finishClone(inc.filter, sc.slow)
-	fastAWG := finishClone(inc.filter, sc.fast)
-	finishCausality(inc.rec, cfg, res, slowAWG, fastAWG, sc.slowImpact.Metrics)
+	sc.memo.Store(&answerMemo{params: cfg.Mining, slow: slowAWG, res: res})
 	return res
 }
 
 // SlowAWG returns the Aggregated Wait Graph of the scenario's slow class
 // — the CausalityResult.SlowAWG a Causality call would return, without
 // mining it. The errors are Causality's; a scenario none of whose
-// instances is slow yet has no such graph, and the result is nil.
+// instances is slow yet has no such graph, and the result is nil. The
+// graph is memoised with the scenario's answer and shared with every
+// caller until the next fold into the scenario: it must not be modified.
 func (inc *Incremental) SlowAWG(scenario string) (*awg.Graph, error) {
 	sc, err := inc.classedState(scenario)
 	if err != nil || sc.slowCount == 0 {
 		return nil, err
 	}
-	return finishClone(inc.filter, sc.slow), nil
+	if memo := sc.memo.Load(); memo != nil {
+		return memo.slow, nil
+	}
+	slowAWG := finishClone(inc.filter, sc.slow)
+	sc.memo.CompareAndSwap(nil, &answerMemo{slow: slowAWG})
+	return slowAWG, nil
 }
 
 // finishClone clones unreduced persistent forests and finishes the merge
@@ -489,12 +536,14 @@ func (inc *Incremental) Snapshot() *Incremental {
 // clone deep-copies one scenario's state via the same clone-then-merge
 // idiom queries use; fc is the resolver of the state the copy joins.
 func (sc *scenarioState) clone(fc *trace.FilterCache) *scenarioState {
-	c := *sc
-	c.impact, c.slowImpact = sc.impact.Clone(), sc.slowImpact.Clone()
-	c.fast = cloneAggregator(sc.fast, fc)
-	c.slow = cloneAggregator(sc.slow, fc)
-	c.between = cloneAggregator(sc.between, fc)
-	return &c
+	return &scenarioState{
+		tfast: sc.tfast, tslow: sc.tslow, classed: sc.classed,
+		instances: sc.instances, fastCount: sc.fastCount, slowCount: sc.slowCount,
+		impact: sc.impact.Clone(), slowImpact: sc.slowImpact.Clone(),
+		fast:    cloneAggregator(sc.fast, fc),
+		slow:    cloneAggregator(sc.slow, fc),
+		between: cloneAggregator(sc.between, fc),
+	}
 }
 
 // cloneAggregator copies an unreduced aggregation into a fresh

@@ -283,36 +283,67 @@ func BenchmarkIngestStream(b *testing.B) {
 	}
 }
 
-// TestCausalityQueryAllocBudget: the query tail — clone, finish and
-// mine a scenario's class forests — allocates for the forests' nodes and
-// for the distinct metas and patterns it returns, not for every path
-// segment it walks. One warm sweep of the eight catalogue scenarios over
-// the 48-stream corpus of EXPERIMENTS.md measures 2.5 MB; mining that
-// built a signature set and a key string per segment measured 16.7 MB.
-// The budget is the measurement plus 25 %. CI runs this without -race,
-// which inflates allocations.
-func TestCausalityQueryAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus generation in -short mode")
-	}
-	const budget = 3200 << 10
+// causalitySweepStates returns n Incrementals fed the 48-stream corpus
+// of EXPERIMENTS.md identically, and a sweep that asks one of them every
+// catalogue scenario's causality.
+func causalitySweepStates(t *testing.T, n int) (states []*Incremental, sweep func(*Incremental)) {
+	t.Helper()
 	corpus := scenario.Generate(scenario.Config{Seed: 1, Streams: 48, Episodes: 14})
-	inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds, Workers: 1})
-	for si, s := range corpus.Streams {
-		inc.Ingest(si, s)
+	for range n {
+		inc := NewIncremental(IncrementalConfig{Thresholds: scenario.Thresholds, Workers: 1})
+		for si, s := range corpus.Streams {
+			inc.Ingest(si, s)
+		}
+		states = append(states, inc)
 	}
-	sweep := func() {
+	return states, func(inc *Incremental) {
 		for _, name := range scenario.Selected() {
 			if _, err := inc.Causality(name, mining.Params{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	sweep()
-	got := allocated(sweep)
-	t.Logf("a warm causality sweep of %d scenarios over %d streams allocated %.2f MB (budget %.2f MB)",
-		len(scenario.Selected()), corpus.NumStreams(), float64(got)/(1<<20), float64(budget)/(1<<20))
+}
+
+// TestCausalityQueryAllocBudget: the query tail — clone, finish and
+// mine a scenario's class forests — allocates for the forests' nodes and
+// for the distinct metas and patterns it returns, not for every path
+// segment it walks. A sweep of the eight catalogue scenarios over the
+// 48-stream corpus of EXPERIMENTS.md, on a second identically fed state
+// (its answers not yet memoised) after a first sweep has warmed the
+// runtime, measures 2.5 MB; mining that built a signature set and a key
+// string per segment measured 16.7 MB. The budget is the measurement
+// plus 25 %. CI runs this without -race, which inflates allocations.
+func TestCausalityQueryAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus generation in -short mode")
+	}
+	const budget = 3200 << 10
+	states, sweep := causalitySweepStates(t, 2)
+	sweep(states[0])
+	got := allocated(func() { sweep(states[1]) })
+	t.Logf("a cold-memo causality sweep of %d scenarios allocated %.2f MB (budget %.2f MB)",
+		len(scenario.Selected()), float64(got)/(1<<20), float64(budget)/(1<<20))
 	if got > budget {
 		t.Errorf("causality sweep allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestCausalityMemoHitAllocBudget: asking the same sweep again of an
+// unchanged state returns the memoised answers, and it measures 0 bytes
+// allocated; the budget is that plus 25 %, so none. A sweep that mined
+// again would allocate TestCausalityQueryAllocBudget's 2.5 MB.
+func TestCausalityMemoHitAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus generation in -short mode")
+	}
+	const budget = 0
+	states, sweep := causalitySweepStates(t, 1)
+	sweep(states[0])
+	got := allocated(func() { sweep(states[0]) })
+	t.Logf("a repeated causality sweep of %d scenarios allocated %d bytes (budget %d)",
+		len(scenario.Selected()), got, budget)
+	if got > budget {
+		t.Errorf("repeated causality sweep allocated %d bytes, budget %d", got, budget)
 	}
 }

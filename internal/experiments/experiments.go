@@ -24,9 +24,9 @@ import (
 	"tracescope/internal/waitgraph"
 )
 
-// Suite holds a corpus and the analyses already run on it. Causality
-// results are cached per scenario, so rendering several tables shares
-// the mining work, and the analyzer is configured with the catalogue
+// Suite holds a corpus and the analyzer over it. The analyzer memoises
+// each scenario's causality result, so rendering several tables shares
+// the mining work, and it is configured with the catalogue
 // thresholds, so the whole evaluation reads at most two folds of the
 // corpus (one, when it starts with Headline). The corpus may be
 // in-memory (Corpus) or an out-of-core source (Source); exactly one must
@@ -36,8 +36,6 @@ type Suite struct {
 	Corpus *trace.Corpus
 	Source trace.Source
 	An     *core.Analyzer
-
-	causality map[string]*core.CausalityResult
 }
 
 // NewSuite generates the corpus and indexes it with default analysis
@@ -52,10 +50,9 @@ func NewSuite(cfg scenario.Config) *Suite {
 func NewSuiteOptions(cfg scenario.Config, opts ...core.Option) *Suite {
 	corpus := scenario.Generate(cfg)
 	return &Suite{
-		Cfg:       cfg,
-		Corpus:    corpus,
-		An:        newAnalyzer(corpus, opts),
-		causality: make(map[string]*core.CausalityResult),
+		Cfg:    cfg,
+		Corpus: corpus,
+		An:     newAnalyzer(corpus, opts),
 	}
 }
 
@@ -72,10 +69,9 @@ func newAnalyzer(src trace.Source, opts []core.Option) *core.Analyzer {
 // value for externally produced corpora.
 func NewSuiteFromSource(cfg scenario.Config, src trace.Source, opts ...core.Option) *Suite {
 	s := &Suite{
-		Cfg:       cfg,
-		Source:    src,
-		An:        newAnalyzer(src, opts),
-		causality: make(map[string]*core.CausalityResult),
+		Cfg:    cfg,
+		Source: src,
+		An:     newAnalyzer(src, opts),
 	}
 	if c, ok := src.(*trace.Corpus); ok {
 		s.Corpus = c
@@ -91,33 +87,18 @@ func (s *Suite) src() trace.Source {
 	return s.Corpus
 }
 
-// ResetCache drops cached causality results, so benchmarks re-measure the
-// full pipeline. It also makes a hand-assembled Suite usable.
-func (s *Suite) ResetCache() {
-	s.causality = make(map[string]*core.CausalityResult)
-}
-
-// Causality runs (or returns the cached) causality analysis for one
-// selected scenario with its catalogue thresholds.
+// Causality runs the causality analysis for one selected scenario with
+// its catalogue thresholds. Every table asks it of the same fold, so the
+// Analyzer answers a repeated scenario from its memo (and the result is
+// shared: read-only).
 func (s *Suite) Causality(name string) (*core.CausalityResult, error) {
-	if s.causality == nil {
-		s.ResetCache()
-	}
-	if res, ok := s.causality[name]; ok {
-		return res, nil
-	}
 	tfast, tslow, ok := scenario.Thresholds(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scenario %q", name)
 	}
-	res, err := s.An.Causality(core.CausalityConfig{
+	return s.An.Causality(core.CausalityConfig{
 		Scenario: name, Tfast: tfast, Tslow: tslow,
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.causality[name] = res
-	return res, nil
 }
 
 // Headline runs the §5.1 impact analysis over all instances with the

@@ -112,32 +112,6 @@ func TestHardFaultAndBaselines(t *testing.T) {
 	}
 }
 
-func TestCausalityCache(t *testing.T) {
-	s := smallSuite(t)
-	a, err := s.Causality(scenario.BrowserTabCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Causality(scenario.BrowserTabCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("causality result not cached")
-	}
-	s.ResetCache()
-	c, err := s.Causality(scenario.BrowserTabCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == c {
-		t.Error("cache not reset")
-	}
-	if _, err := s.Causality("NoSuch"); err == nil {
-		t.Error("unknown scenario must error")
-	}
-}
-
 func TestScenarioDurationsSorted(t *testing.T) {
 	s := smallSuite(t)
 	ds := s.ScenarioDurations(scenario.WebPageNavigation)

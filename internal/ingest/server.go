@@ -4,7 +4,11 @@
 // incremental analysis state (core.Incremental) one stream at a time.
 // Queries — per-scenario impact metrics, contrast patterns, AWG renders
 // — answer from that state without rescanning the corpus, and /metrics
-// exposes the shared obs registry.
+// exposes the shared obs registry. The state memoises each scenario's
+// finished answer (its slow-class AWG and its mined patterns) until the
+// next upload folds an instance into that scenario, so a question asked
+// again over an unchanged scenario is not mined again; every response
+// body is still built per request.
 //
 // Determinism: the analysis state is order-invariant (see
 // core.Incremental), and the default recorder is a clockless
@@ -61,8 +65,10 @@ type Config struct {
 // Server is the ingest-and-query HTTP surface over one corpus
 // directory, and that directory's only writer: after the warm-up it
 // never reads the corpus back. Each state transition (append, ingest)
-// happens under one write lock; queries share a read lock, so they see a
-// consistent stream count and never block each other.
+// happens under one write lock, which also drops the memoised answers
+// of the scenarios it folds into; queries share a read lock, so they see
+// a consistent stream count and never block each other, and they fill
+// the memo they miss.
 type Server struct {
 	cfg Config
 	rec *obs.MemRecorder

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"tracescope/internal/core"
@@ -230,6 +231,68 @@ func TestServerArrivalOrderDeterminism(t *testing.T) {
 		rb := mustGet(t, b, url)
 		if ra != rb {
 			t.Errorf("GET %s differs across arrival orders:\n%s\n--- other ---\n%s", url, ra, rb)
+		}
+	}
+}
+
+// TestServerMemoUnderConcurrentQueries: one poster uploads the corpus
+// while two queriers ask every scenario's causality and AWG over and
+// over, filling and reading memoised answers that each upload drops.
+// Afterwards every endpoint answers byte for byte as a server that was
+// fed the same streams and asked nothing. CI runs it under -race at
+// GOMAXPROCS 1, 2, 4 and 8.
+func TestServerMemoUnderConcurrentQueries(t *testing.T) {
+	corpus := testCorpus(t)
+	bodies := make([][]byte, len(corpus.Streams))
+	for i, st := range corpus.Streams {
+		bodies[i] = wireBytes(t, st)
+	}
+	var asked []string
+	for _, name := range scenario.Selected() {
+		asked = append(asked, "/causality?scenario="+name, "/awg?scenario="+name,
+			"/causality?scenario="+name+"&k=2", "/awg?scenario="+name+"&format=dot")
+	}
+
+	s := newTestServer(t)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for q := 0; q < 2; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			for i := q; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				url := asked[i%len(asked)]
+				if code, body := get(t, s, url); code != http.StatusOK && code != http.StatusNotFound {
+					t.Errorf("GET %s while posting: %d: %s", url, code, body)
+				}
+			}
+		}(q)
+	}
+	for i, body := range bodies {
+		if code, resp := postBytes(t, s, body); code != http.StatusOK {
+			t.Errorf("ingest stream %d: %d: %s", i, code, resp)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	fresh := newTestServer(t)
+	feedAll(t, fresh, corpus, identityOrder(len(corpus.Streams)))
+	var endpoints []string
+	for _, name := range scenario.Selected() {
+		endpoints = append(endpoints, queryEndpoints(name)...)
+		endpoints = append(endpoints, "/causality?scenario="+name+"&k=2", "/awg?scenario="+name+"&maxdepth=3")
+	}
+	for _, url := range endpoints {
+		gc, got := get(t, s, url)
+		wc, want := get(t, fresh, url)
+		if gc != wc || got != want {
+			t.Errorf("GET %s after concurrent queries: %d\n%s\n--- fresh server: %d ---\n%s", url, gc, got, wc, want)
 		}
 	}
 }

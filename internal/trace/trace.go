@@ -23,6 +23,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -38,16 +39,41 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1000.0 }
 // Seconds converts d to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e6 }
 
-// String renders the duration in a human-friendly unit.
-func (d Duration) String() string {
+// String renders the duration in a human-friendly unit: whole
+// microseconds below a millisecond, else milliseconds or seconds to two
+// decimals.
+func (d Duration) String() string { return string(d.Append(nil)) }
+
+// Append appends String's rendering of d to b. It is the form renderers
+// that write many durations use, and it formats without fmt.
+func (d Duration) Append(b []byte) []byte {
 	switch {
-	case d >= 1e6:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= 1000:
-		return fmt.Sprintf("%.2fms", d.Milliseconds())
+	case d >= Second:
+		return append(appendHundredths(b, d, Second/100, d.Seconds()), 's')
+	case d >= Millisecond:
+		return append(appendHundredths(b, d, Millisecond/100, d.Milliseconds()), "ms"...)
 	default:
-		return fmt.Sprintf("%dus", int64(d))
+		return append(strconv.AppendInt(b, int64(d), 10), "us"...)
 	}
+}
+
+// appendHundredths appends d/(100·unit) to two decimals, rounded as
+// strconv's 'f' format rounds f, the same quotient in floating point.
+// Rounding the integer remainder agrees with it whenever the remainder
+// is not exactly half a unit: the float quotient errs by less than
+// half a microsecond below 2^52 µs, and a remainder off the midpoint is
+// at least a microsecond from it. An exact tie, where the float's binary
+// value decides, and larger durations take the float path.
+func appendHundredths(b []byte, d, unit Duration, f float64) []byte {
+	h, r := d/unit, d%unit
+	if 2*r == unit || d >= 1<<52 {
+		return strconv.AppendFloat(b, f, 'f', 2, 64)
+	}
+	if 2*r > unit {
+		h++
+	}
+	b = strconv.AppendInt(b, int64(h/100), 10)
+	return append(b, '.', byte('0'+h%100/10), byte('0'+h%10))
 }
 
 // Millisecond is one millisecond expressed as a Duration.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,6 +150,45 @@ func TestDurationFormatting(t *testing.T) {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("%d -> %q, want %q", c.d, got, c.want)
 		}
+	}
+}
+
+// TestDurationAppendMatchesFmt: Append's integer rounding renders every
+// duration byte for byte as the fmt formula it replaced: densely below
+// three seconds, at a million seeded values up to 2^50 µs, and at the
+// exact half-hundredth ties, where the float's binary value decides.
+func TestDurationAppendMatchesFmt(t *testing.T) {
+	ref := func(d Duration) string {
+		switch {
+		case d >= 1e6:
+			return fmt.Sprintf("%.2fs", d.Seconds())
+		case d >= 1000:
+			return fmt.Sprintf("%.2fms", d.Milliseconds())
+		default:
+			return fmt.Sprintf("%dus", int64(d))
+		}
+	}
+	var buf []byte
+	check := func(d Duration) {
+		buf = d.Append(buf[:0])
+		if want := ref(d); string(buf) != want {
+			t.Fatalf("%d: Append %q, fmt %q", d, buf, want)
+		}
+	}
+	for d := Duration(-1000); d < 3e6; d++ {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1e6; i++ {
+		check(Duration(rng.Int63n(1 << 50)))
+	}
+	for i := 0; i < 1e4; i++ {
+		q := Duration(rng.Int63n(1 << 36))
+		check(q*1e4 + 5000) // second ties
+		check(q*10 + 1005)  // millisecond ties, when below a second
+	}
+	for _, d := range []Duration{1<<52 - 1, 1 << 52, 1<<53 + 5000, 1<<62 + 12345, 1<<63 - 1} {
+		check(d)
 	}
 }
 

@@ -35,11 +35,12 @@
 // stream — one Wait Graph per instance, feeding the impact metrics and
 // each scenario's fast/slow class graphs — and Impact and every
 // Causality call that uses those thresholds are answered from the folded
-// state. A Causality call may still carry thresholds of its own: that is
-// a different configuration, and costs one more sweep of the corpus (as
-// does a different component filter). Between calls the Analyzer keeps
-// the fold's aggregates — the impact sums and the class graphs — and
-// never a decoded stream. While it folds, each worker decodes, indexes
+// state (a repeated call from the scenario's memoised answer, not mined
+// again). A Causality call may still carry thresholds of its own: that
+// is a different configuration, and costs one more sweep of the corpus
+// (as does a different component filter). Between calls the Analyzer
+// keeps the fold's aggregates — the impact sums and the class graphs —
+// and the answers asked of them, never a decoded stream. While it folds, each worker decodes, indexes
 // and graphs every stream it is given in one working set it owns and
 // reuses, so a pass allocates for its largest stream rather than for
 // every stream; a Wait Graph handed to a callback (LocatePattern's and
@@ -117,7 +118,8 @@ type (
 	// CausalityConfig parameterises a causality analysis.
 	CausalityConfig = core.CausalityConfig
 	// CausalityResult carries ranked contrast patterns and the
-	// evaluation's aggregates.
+	// evaluation's aggregates. Results are memoised and shared between
+	// callers that ask the same question: treat them as read-only.
 	CausalityResult = core.CausalityResult
 	// Pattern is a ranked contrast pattern.
 	Pattern = mining.Pattern
