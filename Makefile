@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet lint metrics-doc \
-	metrics-doc-update doc-names test test-short test-race test-allocs \
+	metrics-doc-update doc-names experiments-doc test test-short test-race test-allocs \
 	bench bench-smoke \
 	daemon-smoke diff-smoke vet-gate experiments experiments-md report fuzz clean
 
@@ -41,6 +41,16 @@ metrics-doc:
 metrics-doc-update:
 	$(GO) run ./cmd/tracelint -metricsdoc METRICS.md ./internal/...
 
+# Evaluation doc gate (CI gates on this): regenerate EXPERIMENTS.md the
+# way experiments-md does and fail if the committed copy differs — the
+# evaluation is deterministic, so any change to it is a change to the
+# analysis and must be committed with it.
+experiments-doc:
+	$(GO) run ./cmd/experiments -md -streams 48 -episodes 14 > /tmp/EXPERIMENTS.md.gen
+	cmp EXPERIMENTS.md /tmp/EXPERIMENTS.md.gen || \
+		{ echo "EXPERIMENTS.md is stale; run 'make experiments-md' and commit the diff" >&2; exit 1; }
+	rm -f /tmp/EXPERIMENTS.md.gen
+
 # Doc-identifier gate (CI gates on this): every backticked `pkg.Name`
 # and `Type.Name` in DESIGN.md and README.md that points into this
 # module must still name a non-test declaration.
@@ -73,9 +83,11 @@ test-race:
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
 # race detector, which inflates allocations): bytes allocated by one
 # fold pass, by one warm daemon ingest, by one causality sweep that
-# mines and by one answered from the memo.
+# mines and by one answered from the memo, and by the daemon's 40-GET
+# query rotation answered from the memo.
 test-allocs:
 	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs|TestCausalityQueryAllocBudget|TestCausalityMemoHitAllocBudget' -v ./internal/core
+	$(GO) test -count=1 -run 'TestServerQueryHitAllocBudget' -v ./internal/ingest
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -134,8 +146,9 @@ report:
 	$(GO) run ./cmd/experiments -html report.html
 
 # Short fuzzing pass over the decoders, index parser, matcher, the
-# lint suite's directive parser and package loader, the verifier, and
-# mining against its string reference.
+# lint suite's directive parser and package loader, the verifier,
+# mining against its string reference, and the daemon's JSON appender
+# against encoding/json.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzParseIndex -fuzztime 30s
@@ -150,6 +163,7 @@ fuzz:
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetStream -fuzztime 30s
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetCorpus -fuzztime 15s
 	$(GO) test ./internal/mining/ -fuzz FuzzMiningMatchesReference -fuzztime 15s
+	$(GO) test ./internal/ingest/ -fuzz FuzzJSONMatchesEncodingJSON -fuzztime 15s
 
 clean:
 	rm -f report.html test_output.txt bench_output.txt *.dot tracevet.sarif

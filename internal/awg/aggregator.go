@@ -14,6 +14,9 @@ import (
 // commutative and associative, and a forest is read back in sorted order
 // (Node.Children, Graph.Roots): graphs split any way between aggregators
 // and merged in any order equal the sequential aggregation bit for bit.
+// Finish sorts each sibling set once and stores that order, so a finished
+// graph is read in order without sorting; Add and Merge after Finish
+// panic, as the order they would leave behind is no longer the graph's.
 type Aggregator struct {
 	g        *Graph
 	filter   *trace.FilterCache
@@ -50,6 +53,7 @@ func NewAggregatorOn(fc *trace.FilterCache, opts Options) *Aggregator {
 // elimination, wait/unwait pair merging, and common-prefix aggregation,
 // with per-(node, event) dedup local to this source graph.
 func (ag *Aggregator) Add(wg *waitgraph.Graph) {
+	ag.mustBeOpen("Add")
 	clear(ag.seen)
 	for _, root := range wg.Roots {
 		ag.walk(wg.Stream, root, nil, 0)
@@ -66,6 +70,7 @@ func (ag *Aggregator) Partial() *Graph { return ag.g }
 // Nodes present in both forests have their C and N summed and their MaxC
 // maximised; subtrees unique to other are adopted wholesale.
 func (ag *Aggregator) Merge(other *Graph) {
+	ag.mustBeOpen("Merge")
 	if other == nil {
 		return
 	}
@@ -74,16 +79,25 @@ func (ag *Aggregator) Merge(other *Graph) {
 	ag.g.KeptCost += other.KeptCost
 }
 
-// Finish applies the reduction (when configured) and returns the final
-// graph. Repeated calls return the same graph without re-reducing.
+// Finish applies the reduction (when configured), stores the forest's
+// key order (Graph.Roots, Node.Children) and returns the final graph.
+// Repeated calls return the same graph without re-reducing.
 func (ag *Aggregator) Finish() *Graph {
 	if !ag.finished {
 		ag.finished = true
 		if ag.opts.Reduce {
 			ag.g.reduce()
 		}
+		ag.g.order = setOrder(ag.g.roots)
 	}
 	return ag.g
+}
+
+// mustBeOpen panics when op would change a finished forest.
+func (ag *Aggregator) mustBeOpen(op string) {
+	if ag.finished {
+		panic("awg: " + op + " after Finish")
+	}
 }
 
 // mergeForest folds src's nodes into dst, recursing into children of

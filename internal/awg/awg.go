@@ -59,6 +59,9 @@ type Node struct {
 	MaxC trace.Duration
 
 	children map[string]*Node
+	// kids holds children in key order once Finish has run; until then,
+	// and in a Clone, it is nil.
+	kids []*Node
 }
 
 // Key canonically identifies the node's signatures within its siblings:
@@ -96,7 +99,21 @@ func appendKey(buf []byte, kind Kind, sig, usig string) []byte {
 }
 
 // Children returns the node's children sorted by Key (deterministic).
-func (n *Node) Children() []*Node { return sortedByKey(n.children) }
+// On a finished graph this is the order Finish stored, shared by every
+// caller, which must not modify it.
+func (n *Node) Children() []*Node { return inOrder(n.kids, n.children) }
+
+// inOrder returns a sibling map's nodes in key order: order, when it is
+// that (Finish stored it and the map has not grown since), else the
+// map sorted afresh. A sibling map loses entries only to reduce, which
+// runs before Finish orders anything, so an order as long as its map
+// holds the map's nodes.
+func inOrder(order []*Node, m map[string]*Node) []*Node {
+	if len(order) == len(m) {
+		return order
+	}
+	return sortedByKey(m)
+}
 
 // sortedByKey returns a sibling map's nodes in key order. Every sibling
 // map is keyed by its nodes' Keys (child, mergeForest and cloneNodes
@@ -115,6 +132,18 @@ func sortedByKey(m map[string]*Node) []*Node {
 	return out
 }
 
+// setOrder stores the key order of a sibling map's nodes and, below
+// them, of every inner node's children, and returns the map's own.
+func setOrder(m map[string]*Node) []*Node {
+	nodes := sortedByKey(m)
+	for _, n := range nodes {
+		if len(n.children) > 0 {
+			n.kids = setOrder(n.children)
+		}
+	}
+	return nodes
+}
+
 // AvgC returns the node's average cost per occurrence.
 func (n *Node) AvgC() trace.Duration {
 	if n.N == 0 {
@@ -126,6 +155,7 @@ func (n *Node) AvgC() trace.Duration {
 // Graph is an Aggregated Wait Graph (a forest keyed by root signature).
 type Graph struct {
 	roots map[string]*Node
+	order []*Node // roots in key order, set by Finish like Node.kids
 
 	// Reduction accounting (§5.2.2): cost removed as non-optimizable
 	// wait→hardware-only portions, and the cost kept.
@@ -133,8 +163,10 @@ type Graph struct {
 	KeptCost    trace.Duration
 }
 
-// Roots returns the forest roots sorted by Key.
-func (g *Graph) Roots() []*Node { return sortedByKey(g.roots) }
+// Roots returns the forest roots sorted by Key. On a finished graph this
+// is the order Finish stored, shared by every caller, which must not
+// modify it.
+func (g *Graph) Roots() []*Node { return inOrder(g.order, g.roots) }
 
 // NumNodes counts all nodes in the forest.
 func (g *Graph) NumNodes() int {
@@ -299,16 +331,25 @@ func (ag *Aggregator) accumulate(node *Node, n *waitgraph.Node) {
 // component, which developers cannot optimise (§4.2.2, §5.2.2).
 func (g *Graph) reduce() {
 	for key, root := range g.roots {
-		if root.Kind == Waiting && len(root.children) == 1 {
-			only := root.Children()[0]
-			if only.Kind == Hardware && len(only.children) == 0 {
-				g.ReducedCost += root.C
-				delete(g.roots, key)
-				continue
-			}
+		if root.hardwareOnly() {
+			g.ReducedCost += root.C
+			delete(g.roots, key)
+			continue
 		}
 		g.KeptCost += root.C
 	}
+}
+
+// hardwareOnly reports whether n is a waiting node whose only child is a
+// hardware-service leaf.
+func (n *Node) hardwareOnly() bool {
+	if n.Kind != Waiting || len(n.children) != 1 {
+		return false
+	}
+	for _, only := range n.children {
+		return only.Kind == Hardware && len(only.children) == 0
+	}
+	return false
 }
 
 // TotalCost sums root costs (after any reduction).

@@ -4,7 +4,9 @@ package awg
 // mutating the clone (merging it elsewhere, reducing it) leaves the
 // receiver untouched. This is what lets long-lived incremental state
 // answer repeated queries — the persistent unreduced forest is cloned,
-// and the clone alone is merged and reduced per query.
+// and the clone alone is merged and reduced per query. The clone carries
+// no stored order (Aggregator.Finish): a clone is a forest to merge, read
+// in order by sorting until an aggregator holding it finishes.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		roots:       cloneNodes(g.roots),
@@ -22,6 +24,7 @@ func cloneNodes(src map[string]*Node) map[string]*Node {
 	for key, n := range src {
 		c := *n
 		c.children = cloneNodes(n.children)
+		c.kids = nil
 		dst[key] = &c
 	}
 	return dst

@@ -2,8 +2,8 @@ package awg
 
 import (
 	"io"
-	"sort"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -15,30 +15,36 @@ const renderFlush = 32 << 10
 const spaces = "                                                                "
 
 // renderer appends a rendering into one buffer, flushed to w as it
-// fills, and sorts each visited node's children into one scratch stack.
+// fills. It visits nodes in Roots and Children order, which a finished
+// graph has stored.
 type renderer struct {
-	w    io.Writer
-	buf  []byte
-	err  error       // the first write error; nothing is written after it
-	kids []keyedNode // the sorted sibling lists of the nodes being visited
+	w   io.Writer
+	buf []byte
+	err error // the first write error; nothing is written after it
 }
 
-type keyedNode struct {
-	key  string
-	node *Node
-}
+// renderers holds renderers done with, so that a render reuses an
+// earlier one's buffer instead of allocating its own.
+var renderers = sync.Pool{New: func() any {
+	// A flush's worth of lines plus the line that crosses the threshold.
+	return &renderer{buf: make([]byte, 0, renderFlush+renderFlush/4)}
+}}
 
-// byKey orders keyed nodes by key; sibling keys are unique.
-type byKey []keyedNode
-
-func (s byKey) Len() int           { return len(s) }
-func (s byKey) Less(i, j int) bool { return s[i].key < s[j].key }
-func (s byKey) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-// newRenderer sizes the buffer for a flush's worth of lines plus the
-// line that crosses the threshold.
+// newRenderer returns an empty renderer writing to w; done returns it.
 func newRenderer(w io.Writer) *renderer {
-	return &renderer{w: w, buf: make([]byte, 0, renderFlush+renderFlush/4)}
+	r := renderers.Get().(*renderer)
+	r.w = w
+	return r
+}
+
+// done flushes what is buffered, returns the renderer to the pool and
+// the first write error.
+func (r *renderer) done() error {
+	r.flush()
+	err := r.err
+	r.w, r.err = nil, nil
+	renderers.Put(r)
+	return err
 }
 
 // endLine flushes the buffer once it holds renderFlush bytes.
@@ -70,20 +76,6 @@ func (r *renderer) padFrom(start, width int) {
 	r.pad(width - utf8.RuneCount(r.buf[start:]))
 }
 
-// sorted pushes a sibling map's nodes onto the scratch stack in key
-// order and returns their range there; the caller reads r.kids[i].node
-// by index (deeper visits may move the stack) and pops them with
-// r.kids = r.kids[:lo]. Every sibling map is keyed by its nodes' Keys,
-// so this is Children's order.
-func (r *renderer) sorted(m map[string]*Node) (lo, hi int) {
-	lo = len(r.kids)
-	for k, n := range m {
-		r.kids = append(r.kids, keyedNode{k, n})
-	}
-	sort.Sort(byKey(r.kids[lo:]))
-	return lo, len(r.kids)
-}
-
 // WriteText renders the graph as an indented tree (the Figure 2 view):
 // each waiting node shows its wait→unwait signature pair, leaves show
 // running or hardware signatures, and every node carries its aggregated
@@ -93,23 +85,22 @@ func (g *Graph) WriteText(w io.Writer, maxDepth int) error {
 		maxDepth = 8
 	}
 	r := newRenderer(w)
-	r.textLevel(g.roots, 0, maxDepth)
-	r.flush()
-	return r.err
+	r.textLevel(g.Roots(), 0, maxDepth)
+	return r.done()
 }
 
-// textLevel renders one sibling map at depth, in key order, each node
-// followed by its subtree.
-func (r *renderer) textLevel(m map[string]*Node, depth, maxDepth int) {
-	lo, hi := r.sorted(m)
-	for i := lo; i < hi && r.err == nil; i++ {
-		n := r.kids[i].node
+// textLevel renders one sibling list at depth, each node followed by
+// its subtree.
+func (r *renderer) textLevel(nodes []*Node, depth, maxDepth int) {
+	for _, n := range nodes {
+		if r.err != nil {
+			return
+		}
 		r.textNode(n, depth)
 		if depth+1 < maxDepth {
-			r.textLevel(n.children, depth+1, maxDepth)
+			r.textLevel(n.Children(), depth+1, maxDepth)
 		}
 	}
-	r.kids = r.kids[:lo]
 }
 
 // textNode appends one node's line:
@@ -155,30 +146,30 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	r.buf = strconv.AppendQuote(r.buf, name)
 	r.buf = append(r.buf, " {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n"...)
 	id := 0
-	r.dotLevel(g.roots, 0, &id)
+	r.dotLevel(g.Roots(), 0, &id)
 	r.buf = append(r.buf, "}\n"...)
-	r.flush()
-	return r.err
+	return r.done()
 }
 
-// dotLevel renders one sibling map in key order, numbering nodes in
-// visit order from 1; each node's edge from parentID (0 for a root)
-// follows its own line, and its subtree follows both.
-func (r *renderer) dotLevel(m map[string]*Node, parentID int, id *int) {
-	lo, hi := r.sorted(m)
-	for i := lo; i < hi && r.err == nil; i++ {
-		n := r.kids[i].node
+// dotLevel renders one sibling list, numbering nodes in visit order
+// from 1; each node's edge from parentID (0 for a root) follows its own
+// line, and its subtree follows both.
+func (r *renderer) dotLevel(nodes []*Node, parentID int, id *int) {
+	for _, n := range nodes {
+		if r.err != nil {
+			return
+		}
 		*id++
 		myID := *id
 		r.dotNode(n, parentID, myID)
-		r.dotLevel(n.children, myID, id)
+		r.dotLevel(n.Children(), myID, id)
 	}
-	r.kids = r.kids[:lo]
 }
 
 // dotNode appends one node's statement
 // `  n%d [label="%s", style=filled, fillcolor=%s];` and, below a root,
-// its edge `  n%d -> n%d;`.
+// its edge `  n%d -> n%d;`. Signatures come from uploaded streams, so
+// they are escaped (dotEscape) to keep the label one quoted string.
 func (r *renderer) dotNode(n *Node, parentID, myID int) {
 	r.buf = append(r.buf, "  n"...)
 	r.buf = strconv.AppendInt(r.buf, int64(myID), 10)
@@ -187,16 +178,16 @@ func (r *renderer) dotNode(n *Node, parentID, myID int) {
 	switch n.Kind {
 	case Waiting:
 		r.buf = append(r.buf, "wait: "...)
-		r.buf = append(r.buf, n.WaitSig...)
+		r.buf = dotEscape(r.buf, n.WaitSig)
 		r.buf = append(r.buf, `\nunwait: `...)
-		r.buf = append(r.buf, n.UnwaitSig...)
+		r.buf = dotEscape(r.buf, n.UnwaitSig)
 		color = "lightblue"
 	case Running:
 		r.buf = append(r.buf, "run: "...)
-		r.buf = append(r.buf, n.RunSig...)
+		r.buf = dotEscape(r.buf, n.RunSig)
 		color = "palegreen"
 	default:
-		r.buf = append(r.buf, n.RunSig...)
+		r.buf = dotEscape(r.buf, n.RunSig)
 		color = "lightsalmon"
 	}
 	r.buf = append(r.buf, `\nC=`...)
@@ -214,4 +205,24 @@ func (r *renderer) dotNode(n *Node, parentID, myID int) {
 		r.buf = append(r.buf, ";\n"...)
 	}
 	r.endLine()
+}
+
+// dotEscape appends s for use inside a double-quoted DOT string: '"' and
+// '\' take a backslash and a newline becomes the `\n` line break. A
+// signature without those bytes is appended as it is.
+func dotEscape(buf []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', c)
+			start = i + 1
+		case '\n':
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\n`...)
+			start = i + 1
+		}
+	}
+	return append(buf, s[start:]...)
 }

@@ -13,7 +13,9 @@ import (
 )
 
 // refWriteText and refWriteDOT are the fmt renderers WriteText and
-// WriteDOT replaced, kept as their byte-for-byte oracle.
+// WriteDOT replaced, kept as their byte-for-byte oracle. refWriteDOT
+// escapes signatures in labels (refDOTLabel), which the fmt renderer did
+// not: a signature holding '"', '\' or a newline made its DOT invalid.
 func refWriteText(w io.Writer, g *Graph, maxDepth int) {
 	if maxDepth <= 0 {
 		maxDepth = 8
@@ -55,13 +57,13 @@ func refWriteDOT(w io.Writer, g *Graph, name string) {
 		var label, color string
 		switch n.Kind {
 		case Waiting:
-			label = fmt.Sprintf("wait: %s\\nunwait: %s", n.WaitSig, n.UnwaitSig)
+			label = fmt.Sprintf("wait: %s\\nunwait: %s", refDOTLabel(n.WaitSig), refDOTLabel(n.UnwaitSig))
 			color = "lightblue"
 		case Running:
-			label = "run: " + n.RunSig
+			label = "run: " + refDOTLabel(n.RunSig)
 			color = "palegreen"
 		default:
-			label = n.RunSig
+			label = refDOTLabel(n.RunSig)
 			color = "lightsalmon"
 		}
 		label += fmt.Sprintf("\\nC=%v N=%d", n.C, n.N)
@@ -79,6 +81,10 @@ func refWriteDOT(w io.Writer, g *Graph, name string) {
 	fmt.Fprintln(w, "}")
 }
 
+// refDOTLabel escapes a signature for a DOT label; a signature without
+// '"', '\' or a newline is unchanged.
+var refDOTLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
+
 // oddForest has labels the padding must count in runes (multi-byte
 // signatures), labels past the 70-column field, and costs from
 // microseconds to seconds.
@@ -91,6 +97,19 @@ func oddForest() *Graph {
 		f.node(trace.Running, 999, f.stack("sé.sys!Déchiffrer")),
 		f.node(trace.Running, 1_005, f.stack(long)),
 		f.node(trace.HardwareService, 12*ms, f.stack("dp.sys!Motion")),
+	)
+	return Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: true})
+}
+
+// quotedForest has signatures holding the bytes a DOT label must
+// escape: '"', '\' and a newline.
+func quotedForest() *Graph {
+	f := newFixture()
+	wait := f.stack("kernel!Wait", `q".sys!Lock\Wait`, "App!Main")
+	unwait := f.stack("kernel!Signal", "nl.sys!Line\nBreak")
+	root := f.waitNode(3*ms, wait, unwait,
+		f.node(trace.Running, 2*ms, f.stack(`b\.sys!Run"`)),
+		f.node(trace.HardwareService, ms, f.stack("dp.sys!Motion")),
 	)
 	return Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: true})
 }
@@ -112,7 +131,7 @@ func bigForest() *Graph {
 // did, through buffers that flush many times over.
 func TestRenderMatchesFmt(t *testing.T) {
 	big := bigForest()
-	for label, g := range map[string]*Graph{"fixture": buildForest(), "odd": oddForest(), "big": big, "empty": {}} {
+	for label, g := range map[string]*Graph{"fixture": buildForest(), "odd": oddForest(), "quoted": quotedForest(), "big": big, "empty": {}} {
 		for _, depth := range []int{0, 1, 3, 64} {
 			var got, want bytes.Buffer
 			if err := g.WriteText(&got, depth); err != nil {
@@ -140,6 +159,26 @@ func TestRenderMatchesFmt(t *testing.T) {
 	}
 	if text.Len() < 4*renderFlush {
 		t.Fatalf("big forest renders %d bytes, want several flushes of %d", text.Len(), renderFlush)
+	}
+}
+
+// TestWriteDOTQuotesSignatures: a label holding a signature with '"',
+// '\' or a newline stays one DOT string — its quotes balance and no
+// newline breaks it — and keeps the signature, escaped.
+func TestWriteDOTQuotesSignatures(t *testing.T) {
+	var dot bytes.Buffer
+	if err := quotedForest().WriteDOT(&dot, "awg"); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(dot.String(), "\n"), "\n") {
+		if quotes := strings.Count(line, `"`) - strings.Count(line, `\"`); quotes%2 != 0 {
+			t.Errorf("unbalanced quotes in %q", line)
+		}
+	}
+	for _, want := range []string{`q\".sys!Lock\\Wait`, `nl.sys!Line\nBreak`, `b\\.sys!Run\"`} {
+		if !strings.Contains(dot.String(), want) {
+			t.Errorf("DOT lacks the escaped signature %s:\n%s", want, dot.String())
+		}
 	}
 }
 

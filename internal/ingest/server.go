@@ -7,8 +7,11 @@
 // exposes the shared obs registry. The state memoises each scenario's
 // finished answer (its slow-class AWG and its mined patterns) until the
 // next upload folds an instance into that scenario, so a question asked
-// again over an unchanged scenario is not mined again; every response
-// body is still built per request.
+// again over an unchanged scenario is not mined again. Every JSON body
+// is appended by hand (jsonw), byte for byte what encoding/json's
+// indented form of the same maps would be, so a memo hit reflects on
+// nothing and sorts nothing: the AWG it renders or mines carries the key
+// order its Finish computed. No response is cached.
 //
 // Determinism: the analysis state is order-invariant (see
 // core.Incremental), and the default recorder is a clockless
@@ -18,19 +21,16 @@
 package ingest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"go/token"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
 	"tracescope/internal/core"
 	"tracescope/internal/diag"
-	"tracescope/internal/impact"
 	"tracescope/internal/mining"
 	"tracescope/internal/obs"
 	"tracescope/internal/report"
@@ -191,15 +191,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	s.rec.Add("ingest_streams_total", 1)
 	s.rec.Add("ingest_instances_total", int64(len(stream.Instances)))
-	writeJSON(w, s.rec, http.StatusOK, map[string]any{
-		"stream":           idx,
-		"id":               stream.ID,
-		"events":           len(stream.Events),
-		"instances":        len(stream.Instances),
-		"corpus_streams":   streams,
-		"corpus_events":    events,
-		"corpus_instances": instances,
-	})
+	j := newJSON()
+	j.beginObject()
+	j.intKey("corpus_events", int64(events))
+	j.intKey("corpus_instances", int64(instances))
+	j.intKey("corpus_streams", int64(streams))
+	j.intKey("events", int64(len(stream.Events)))
+	j.stringKey("id", stream.ID)
+	j.intKey("instances", int64(len(stream.Instances)))
+	j.intKey("stream", int64(idx))
+	j.endObject()
+	writeJSON(w, s.rec, http.StatusOK, j)
 }
 
 // ingestArtifact names the uploaded stream in rejection violations: the
@@ -214,10 +216,26 @@ func (s *Server) rejectIngest(w http.ResponseWriter, vio []diag.Diagnostic) {
 	s.rec.Add("vet_violations_total", int64(len(vio)))
 	s.rec.Add("ingest_rejected_total", 1)
 	s.rec.Add("ingest_http_errors_total", 1)
-	writeJSON(w, s.rec, http.StatusBadRequest, map[string]any{
-		"error":      fmt.Sprintf("stream rejected: %d verification violation(s)", len(vio)),
-		"violations": diag.Findings(vio),
-	})
+	j := newJSON()
+	j.beginObject()
+	j.stringKey("error", fmt.Sprintf("stream rejected: %d verification violation(s)", len(vio)))
+	j.key("violations")
+	j.beginArray()
+	for _, f := range diag.Findings(vio) {
+		// A struct's members, in diag.Finding's field order.
+		j.elem()
+		j.beginObject()
+		j.stringKey("file", f.File)
+		j.intKey("line", int64(f.Line))
+		j.intKey("col", int64(f.Col))
+		j.stringKey("analyzer", f.Analyzer)
+		j.stringKey("message", f.Message)
+		j.stringKey("severity", f.Severity)
+		j.endObject()
+	}
+	j.endArray()
+	j.endObject()
+	writeJSON(w, s.rec, http.StatusBadRequest, j)
 }
 
 // handleHealthz reports liveness plus the corpus totals ingested so far.
@@ -228,13 +246,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	instances := s.inc.NumInstances()
 	dur := s.inc.TotalDuration()
 	s.mu.RUnlock()
-	writeJSON(w, s.rec, http.StatusOK, map[string]any{
-		"status":      "ok",
-		"streams":     streams,
-		"events":      events,
-		"instances":   instances,
-		"duration_us": int64(dur),
-	})
+	j := newJSON()
+	j.beginObject()
+	j.intKey("duration_us", int64(dur))
+	j.intKey("events", int64(events))
+	j.intKey("instances", int64(instances))
+	j.stringKey("status", "ok")
+	j.intKey("streams", int64(streams))
+	j.endObject()
+	writeJSON(w, s.rec, http.StatusOK, j)
 }
 
 // handleMetrics serves the obs registry in Prometheus text format.
@@ -260,11 +280,22 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	counts := s.inc.Scenarios()
 	s.mu.RUnlock()
-	out := make([]map[string]any, 0, len(counts))
+	j := newJSON()
+	j.scenarioCounts(counts)
+	writeJSON(w, s.rec, http.StatusOK, j)
+}
+
+// scenarioCounts writes the scenario list /scenarios and /corpus share.
+func (j *jsonw) scenarioCounts(counts []trace.ScenarioCount) {
+	j.beginArray()
 	for _, sc := range counts {
-		out = append(out, map[string]any{"scenario": sc.Name, "instances": sc.Instances})
+		j.elem()
+		j.beginObject()
+		j.intKey("instances", int64(sc.Instances))
+		j.stringKey("scenario", sc.Name)
+		j.endObject()
 	}
-	writeJSON(w, s.rec, http.StatusOK, out)
+	j.endArray()
 }
 
 // handleImpact serves the impact metrics of one scenario (or, with no
@@ -276,21 +307,19 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	m := s.inc.Impact(scen)
 	s.mu.RUnlock()
-	writeJSON(w, s.rec, http.StatusOK, impactJSON(scen, m))
-}
-
-func impactJSON(scenario string, m impact.Metrics) map[string]any {
-	return map[string]any{
-		"scenario":     scenario,
-		"instances":    m.Instances,
-		"dscn_us":      int64(m.Dscn),
-		"dwait_us":     int64(m.Dwait),
-		"drun_us":      int64(m.Drun),
-		"dwaitdist_us": int64(m.Dwaitdist),
-		"ia_wait":      m.IAwait(),
-		"ia_run":       m.IArun(),
-		"ia_opt":       m.IAopt(),
-	}
+	j := newJSON()
+	j.beginObject()
+	j.intKey("drun_us", int64(m.Drun))
+	j.intKey("dscn_us", int64(m.Dscn))
+	j.intKey("dwait_us", int64(m.Dwait))
+	j.intKey("dwaitdist_us", int64(m.Dwaitdist))
+	j.floatKey("ia_opt", m.IAopt())
+	j.floatKey("ia_run", m.IArun())
+	j.floatKey("ia_wait", m.IAwait())
+	j.intKey("instances", int64(m.Instances))
+	j.stringKey("scenario", scen)
+	j.endObject()
+	writeJSON(w, s.rec, http.StatusOK, j)
 }
 
 // causalityParams reads the two parameters /causality and /awg take: the
@@ -340,35 +369,47 @@ func (s *Server) handleCausality(w http.ResponseWriter, r *http.Request) {
 			top = t
 		}
 	}
-	patterns := make([]map[string]any, 0, top)
+	j := newJSON()
+	j.beginObject()
+	j.floatKey("driver_cost_share", res.DriverCostShare)
+	j.intKey("fast", int64(res.FastCount))
+	j.intKey("instances", int64(res.Instances))
+	j.floatKey("itc", res.ITC)
+	j.intKey("num_contrasts", int64(res.NumContrasts))
+	j.key("patterns")
+	j.beginArray()
 	for _, p := range res.Patterns[:top] {
-		patterns = append(patterns, map[string]any{
-			"wait":        sortedCopy(p.Tuple.Wait),
-			"unwait":      sortedCopy(p.Tuple.Unwait),
-			"running":     sortedCopy(p.Tuple.Running),
-			"cost_us":     int64(p.C),
-			"n":           p.N,
-			"avg_us":      int64(p.AvgC()),
-			"max_exec_us": int64(p.MaxExec),
-			"description": p.Describe(),
-		})
+		j.elem()
+		j.pattern(p)
 	}
-	writeJSON(w, s.rec, http.StatusOK, map[string]any{
-		"scenario":            res.Scenario,
-		"tfast_us":            int64(res.Tfast),
-		"tslow_us":            int64(res.Tslow),
-		"instances":           res.Instances,
-		"fast":                res.FastCount,
-		"slow":                res.SlowCount,
-		"patterns":            patterns,
-		"num_contrasts":       res.NumContrasts,
-		"slow_only_contrasts": res.SlowOnlyContrasts,
-		"ratio_contrasts":     res.RatioContrasts,
-		"itc":                 res.ITC,
-		"ttc":                 res.TTC,
-		"reduced_share":       res.ReducedShare,
-		"driver_cost_share":   res.DriverCostShare,
-	})
+	j.endArray()
+	j.intKey("ratio_contrasts", int64(res.RatioContrasts))
+	j.floatKey("reduced_share", res.ReducedShare)
+	j.stringKey("scenario", res.Scenario)
+	j.intKey("slow", int64(res.SlowCount))
+	j.intKey("slow_only_contrasts", int64(res.SlowOnlyContrasts))
+	j.intKey("tfast_us", int64(res.Tfast))
+	j.intKey("tslow_us", int64(res.Tslow))
+	j.floatKey("ttc", res.TTC)
+	j.endObject()
+	writeJSON(w, s.rec, http.StatusOK, j)
+}
+
+// pattern writes one ranked pattern. Its signature sets are a
+// sigset.Tuple's: sorted, and nil when empty, so an empty set is null.
+func (j *jsonw) pattern(p mining.Pattern) {
+	j.beginObject()
+	j.intKey("avg_us", int64(p.AvgC()))
+	j.intKey("cost_us", int64(p.C))
+	j.key("description")
+	j.tmp = p.AppendDescribe(j.tmp[:0])
+	j.buf = appendJSONString(j.buf, j.tmp)
+	j.intKey("max_exec_us", int64(p.MaxExec))
+	j.intKey("n", p.N)
+	j.stringsKey("running", p.Tuple.Running)
+	j.stringsKey("unwait", p.Tuple.Unwait)
+	j.stringsKey("wait", p.Tuple.Wait)
+	j.endObject()
 }
 
 // handleAWG renders one scenario's slow-class Aggregated Wait Graph as
@@ -512,42 +553,33 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	instances := s.inc.NumInstances()
 	dur := s.inc.TotalDuration()
 	s.mu.RUnlock()
-	scenarios := make([]map[string]any, 0, len(counts))
-	for _, sc := range counts {
-		scenarios = append(scenarios, map[string]any{"scenario": sc.Name, "instances": sc.Instances})
-	}
-	writeJSON(w, s.rec, http.StatusOK, map[string]any{
-		"streams":     streams,
-		"events":      events,
-		"instances":   instances,
-		"duration_us": int64(dur),
-		"scenarios":   scenarios,
-	})
+	j := newJSON()
+	j.beginObject()
+	j.intKey("duration_us", int64(dur))
+	j.intKey("events", int64(events))
+	j.intKey("instances", int64(instances))
+	j.key("scenarios")
+	j.scenarioCounts(counts)
+	j.intKey("streams", int64(streams))
+	j.endObject()
+	writeJSON(w, s.rec, http.StatusOK, j)
 }
 
-// sortedCopy returns a sorted copy of a signature set, so JSON output
-// is deterministic even if the tuple's canonical order ever changes.
-func sortedCopy(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	return out
-}
-
-// writeJSON writes v as indented JSON (map keys marshal sorted, so
-// responses are deterministic). Response-write failures (client went
-// away) are counted, not surfaced.
-func writeJSON(w http.ResponseWriter, rec obs.Recorder, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		// Only unmarshalable values fail here; every payload above is
-		// plain maps and slices, so this is a programming error.
+// writeJSON writes the body j holds, closed by a newline, and releases j. A body holding
+// a NaN or an infinity, which JSON cannot carry, is a programming error
+// answered 500, as encoding/json would have refused it. Response-write
+// failures (client went away) are counted, not surfaced.
+func writeJSON(w http.ResponseWriter, rec obs.Recorder, status int, j *jsonw) {
+	defer j.release()
+	if j.bad {
 		http.Error(w, "internal marshal failure", http.StatusInternalServerError)
 		rec.Add("ingest_response_errors_total", 1)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(append(data, '\n')); err != nil {
+	j.buf = append(j.buf, '\n')
+	if _, err := w.Write(j.buf); err != nil {
 		rec.Add("ingest_response_errors_total", 1)
 	}
 }
@@ -555,5 +587,9 @@ func writeJSON(w http.ResponseWriter, rec obs.Recorder, status int, v any) {
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, rec obs.Recorder, status int, format string, args ...any) {
 	rec.Add("ingest_http_errors_total", 1)
-	writeJSON(w, rec, status, map[string]any{"error": fmt.Sprintf(format, args...)})
+	j := newJSON()
+	j.beginObject()
+	j.stringKey("error", fmt.Sprintf(format, args...))
+	j.endObject()
+	writeJSON(w, rec, status, j)
 }

@@ -7,9 +7,8 @@ package mining
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"tracescope/internal/awg"
 	"tracescope/internal/sigset"
@@ -114,7 +113,9 @@ func EnumerateMetas(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 // index is a graph flattened for mining: its nodes in visit order —
 // pre-order over Roots, children in Key order — with every wait, unwait
 // and run signature interned to an id. Ids follow the signatures' sort
-// order, so a sorted id set names a canonical (sorted) signature set.
+// order, so a sorted id set names a canonical (sorted) signature set. A
+// finished graph has that order stored (awg.Aggregator.Finish), so
+// building the index sorts nothing but the signatures.
 type index struct {
 	nodes []inode
 	sigs  []string         // by id
@@ -407,29 +408,35 @@ func (p Pattern) AvgC() trace.Duration {
 // Describe renders the pattern the way §2.3 explains one to an analyst:
 // the cost of the running signatures propagates through the unwait
 // signatures to the wait signatures.
-func (p Pattern) Describe() string {
-	var b strings.Builder
-	b.WriteString("the cost of ")
-	writeList(&b, p.Tuple.Running, "the measured components")
-	b.WriteString(" is propagated through ")
-	writeList(&b, p.Tuple.Unwait, "direct wake-ups")
-	b.WriteString(" to threads blocked in ")
-	writeList(&b, p.Tuple.Wait, "the scenario")
-	fmt.Fprintf(&b, " (avg %v per occurrence, %d occurrences)", p.AvgC(), p.N)
-	return b.String()
+func (p Pattern) Describe() string { return string(p.AppendDescribe(nil)) }
+
+// AppendDescribe appends Describe's text to buf, without fmt: the form a
+// response that describes many patterns uses.
+func (p Pattern) AppendDescribe(buf []byte) []byte {
+	buf = append(buf, "the cost of "...)
+	buf = appendList(buf, p.Tuple.Running, "the measured components")
+	buf = append(buf, " is propagated through "...)
+	buf = appendList(buf, p.Tuple.Unwait, "direct wake-ups")
+	buf = append(buf, " to threads blocked in "...)
+	buf = appendList(buf, p.Tuple.Wait, "the scenario")
+	buf = append(buf, " (avg "...)
+	buf = p.AvgC().Append(buf)
+	buf = append(buf, " per occurrence, "...)
+	buf = strconv.AppendInt(buf, p.N, 10)
+	return append(buf, " occurrences)"...)
 }
 
-func writeList(b *strings.Builder, items []string, empty string) {
+func appendList(buf []byte, items []string, empty string) []byte {
 	if len(items) == 0 {
-		b.WriteString(empty)
-		return
+		return append(buf, empty...)
 	}
 	for i, s := range items {
 		if i > 0 {
-			b.WriteString(", ")
+			buf = append(buf, ", "...)
 		}
-		b.WriteString(s)
+		buf = append(buf, s...)
 	}
+	return buf
 }
 
 // DiscoverPatterns computes a pattern for each full root-to-leaf path of
@@ -566,7 +573,8 @@ func containsAll(haystack, needle []int32) bool {
 // TotalPathCost sums the end-node cost of every full root-to-leaf path in
 // the graph: the total driver time represented by the (reduced) graph,
 // under the same accounting as pattern costs. Adding the graph's
-// ReducedCost yields the coverage denominator of Table 2.
+// ReducedCost yields the coverage denominator of Table 2. It walks the
+// order a finished graph has stored, sorting nothing.
 func TotalPathCost(g *awg.Graph) trace.Duration {
 	var total trace.Duration
 	var walk func(n *awg.Node)

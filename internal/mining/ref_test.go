@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -275,5 +276,50 @@ func TestMiningMatchesReference(t *testing.T) {
 				checkAgainstReference(t, label, cp.slow, cp.fast, p.K, p.MaxSegments, cp.tf, cp.ts)
 			}
 		}
+	}
+}
+
+// refDescribe is the fmt form of Pattern.Describe, kept as its oracle.
+func refDescribe(p Pattern) string {
+	var b strings.Builder
+	list := func(items []string, empty string) {
+		if len(items) == 0 {
+			b.WriteString(empty)
+			return
+		}
+		b.WriteString(strings.Join(items, ", "))
+	}
+	b.WriteString("the cost of ")
+	list(p.Tuple.Running, "the measured components")
+	b.WriteString(" is propagated through ")
+	list(p.Tuple.Unwait, "direct wake-ups")
+	b.WriteString(" to threads blocked in ")
+	list(p.Tuple.Wait, "the scenario")
+	fmt.Fprintf(&b, " (avg %v per occurrence, %d occurrences)", p.AvgC(), p.N)
+	return b.String()
+}
+
+// TestDescribeMatchesFmt: Describe, and AppendDescribe after whatever a
+// buffer already holds, write what the fmt form wrote, for every ranked
+// pattern of every catalogue scenario and for empty sets and counts.
+func TestDescribeMatchesFmt(t *testing.T) {
+	patterns := []Pattern{{}, {N: 3, C: 7}, {Tuple: sigset.New([]string{"a"}, nil, []string{"b", "c"}), N: 1, C: 2 * trace.Second}}
+	for _, c := range classForestsOnce() {
+		slow, _ := EnumerateMetas(c.slow, 5, 4_000_000)
+		fast, _ := EnumerateMetas(c.fast, 5, 4_000_000)
+		patterns = append(patterns, DiscoverPatterns(c.slow, DiscoverContrasts(slow, fast, c.tf, c.ts))...)
+	}
+	buf := []byte("prefix ")
+	for _, p := range patterns {
+		want := refDescribe(p)
+		if got := p.Describe(); got != want {
+			t.Fatalf("Describe = %q, fmt %q", got, want)
+		}
+		if got := string(p.AppendDescribe(buf)); got != "prefix "+want {
+			t.Fatalf("AppendDescribe = %q, want %q", got, "prefix "+want)
+		}
+	}
+	if len(patterns) < 50 {
+		t.Fatalf("only %d patterns described", len(patterns))
 	}
 }
