@@ -146,9 +146,9 @@ report:
 	$(GO) run ./cmd/experiments -html report.html
 
 # Short fuzzing pass over the decoders, index parser, matcher, the
-# lint suite's directive parser and package loader, the verifier,
-# mining against its string reference, and the daemon's JSON appender
-# against encoding/json.
+# lint suite's directive parser and package loader, the verifier, AWG
+# aggregation and mining against their references, and the daemon's
+# JSON appender against encoding/json.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzParseIndex -fuzztime 30s
@@ -162,6 +162,7 @@ fuzz:
 	$(GO) test ./internal/lint/ -fuzz FuzzLoadDir -fuzztime 30s
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetStream -fuzztime 30s
 	$(GO) test ./internal/tracevet/ -fuzz FuzzVetCorpus -fuzztime 15s
+	$(GO) test ./internal/awg/ -fuzz FuzzAggregatorMatchesReference -fuzztime 15s
 	$(GO) test ./internal/mining/ -fuzz FuzzMiningMatchesReference -fuzztime 15s
 	$(GO) test ./internal/ingest/ -fuzz FuzzJSONMatchesEncodingJSON -fuzztime 15s
 

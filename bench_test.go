@@ -186,7 +186,7 @@ func BenchmarkWaitGraphBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builders := waitgraph.BuildAll(s.Corpus, waitgraph.Options{})
+		builders := buildAll(s.Corpus)
 		nodes := 0
 		for _, ref := range refs {
 			g := builders[ref.Stream].Instance(s.Corpus.Streams[ref.Stream].Instances[ref.Instance])
@@ -408,12 +408,21 @@ func BenchmarkBaselineContention(b *testing.B) {
 	}
 }
 
+// buildAll constructs a Wait-Graph builder for every stream of a corpus.
+func buildAll(c *trace.Corpus) []*waitgraph.Builder {
+	out := make([]*waitgraph.Builder, len(c.Streams))
+	for i, s := range c.Streams {
+		out[i] = waitgraph.NewBuilder(s, i, waitgraph.Options{})
+	}
+	return out
+}
+
 // slowGraphs builds the Wait Graph of every slow-class instance of a
 // scenario in the shared benchmark corpus.
 func slowGraphs(b *testing.B, name string) []*waitgraph.Graph {
 	s := benchSetup(b)
 	_, ts, _ := scenario.Thresholds(name)
-	builders := waitgraph.BuildAll(s.Corpus, waitgraph.Options{})
+	builders := buildAll(s.Corpus)
 	var graphs []*waitgraph.Graph
 	for _, ref := range s.Corpus.InstancesOf(name) {
 		in := s.Corpus.Streams[ref.Stream].Instances[ref.Instance]

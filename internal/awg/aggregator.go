@@ -1,6 +1,8 @@
 package awg
 
 import (
+	"slices"
+
 	"tracescope/internal/trace"
 	"tracescope/internal/waitgraph"
 )
@@ -11,22 +13,18 @@ import (
 // once all inputs are in. This is the streaming form of Aggregate — no
 // slice of source graphs is ever materialized — and the merge operations
 // (C and N sums, MaxC maximum, node-set union keyed by signature) are
-// commutative and associative, and a forest is read back in sorted order
-// (Node.Children, Graph.Roots): graphs split any way between aggregators
-// and merged in any order equal the sequential aggregation bit for bit.
-// Finish sorts each sibling set once and stores that order, so a finished
-// graph is read in order without sorting; Add and Merge after Finish
-// panic, as the order they would leave behind is no longer the graph's.
+// commutative and associative, and Finish lays the forest out in Key
+// order: graphs split any way between aggregators and merged in any
+// order equal the sequential aggregation bit for bit. Add and Merge
+// after Finish panic.
 type Aggregator struct {
-	g        *Graph
-	filter   *trace.FilterCache
-	opts     Options
-	finished bool
+	g      *Graph
+	filter *trace.FilterCache
+	opts   Options
 
-	// Scratch reused across Adds, so folding a graph into AWG nodes that
+	// seen is reused across Adds, so folding a graph into AWG nodes that
 	// already exist allocates nothing.
 	seen map[nodeEvent]struct{} // (node, event) pairs accumulated by the current Add
-	key  []byte                 // sibling-key buffer for child lookups
 }
 
 // NewAggregator prepares an empty aggregation for one contrast class,
@@ -42,7 +40,7 @@ func NewAggregator(filter *trace.ComponentFilter, opts Options) *Aggregator {
 func NewAggregatorOn(fc *trace.FilterCache, opts Options) *Aggregator {
 	opts.applyDefaults()
 	return &Aggregator{
-		g:      &Graph{roots: make(map[string]*Node)},
+		g:      &Graph{},
 		filter: fc,
 		opts:   opts,
 		seen:   make(map[nodeEvent]struct{}),
@@ -56,69 +54,68 @@ func (ag *Aggregator) Add(wg *waitgraph.Graph) {
 	ag.mustBeOpen("Add")
 	clear(ag.seen)
 	for _, root := range wg.Roots {
-		ag.walk(wg.Stream, root, nil, 0)
+		ag.walk(wg.Stream, root, -1, 0)
 	}
 }
 
 // Partial returns the unreduced forest accumulated so far, suitable for
-// merging into another aggregator. The forest is shared, not copied: the
-// receiving aggregator takes ownership and this one must not be used
-// afterwards.
+// merging into another aggregator. It is shared, not copied; Merge only
+// reads it.
 func (ag *Aggregator) Partial() *Graph { return ag.g }
 
-// Merge folds another aggregation's unreduced forest into this one.
-// Nodes present in both forests have their C and N summed and their MaxC
-// maximised; subtrees unique to other are adopted wholesale.
+// Merge folds another forest, open or finished, into this one. Nodes
+// present in both forests have their C and N summed and their MaxC
+// maximised; the rest are copied. other is left as it was.
 func (ag *Aggregator) Merge(other *Graph) {
 	ag.mustBeOpen("Merge")
 	if other == nil {
 		return
 	}
-	mergeForest(ag.g.roots, other.roots)
-	ag.g.ReducedCost += other.ReducedCost
-	ag.g.KeptCost += other.KeptCost
+	g := ag.g
+	g.ReducedCost += other.ReducedCost
+	g.KeptCost += other.KeptCost
+	if len(g.nodes) == 0 {
+		// Parents precede children in either layout, so the slab is a
+		// forest to grow as it is; its lookup is built when needed.
+		g.nodes, g.index = append(g.nodes, other.nodes...), nil
+		return
+	}
+	at := make([]int32, len(other.nodes)) // other's node i is g's at[i]
+	for i := range other.nodes {
+		src := &other.nodes[i]
+		parent := src.parent
+		if parent >= 0 {
+			parent = at[parent] // parents come first in either layout
+		}
+		at[i] = g.child(src.keyUnder(parent))
+		dst := &g.nodes[at[i]]
+		dst.C += src.C
+		dst.N += src.N
+		dst.MaxC = max(dst.MaxC, src.MaxC)
+	}
 }
 
-// Finish applies the reduction (when configured), stores the forest's
-// key order (Graph.Roots, Node.Children) and returns the final graph.
-// Repeated calls return the same graph without re-reducing.
+// Finish applies the reduction (when configured), lays the forest out
+// (Graph.Nodes) and returns the final graph. Repeated calls return the
+// same graph without re-reducing.
 func (ag *Aggregator) Finish() *Graph {
-	if !ag.finished {
-		ag.finished = true
-		if ag.opts.Reduce {
-			ag.g.reduce()
-		}
-		ag.g.order = setOrder(ag.g.roots)
+	if !ag.g.finished {
+		ag.g.layout(ag.opts.Reduce)
 	}
 	return ag.g
 }
 
 // mustBeOpen panics when op would change a finished forest.
 func (ag *Aggregator) mustBeOpen(op string) {
-	if ag.finished {
+	if ag.g.finished {
 		panic("awg: " + op + " after Finish")
 	}
 }
 
-// mergeForest folds src's nodes into dst, recursing into children of
-// nodes present in both.
-func mergeForest(dst, src map[string]*Node) {
-	for key, sn := range src {
-		dn, ok := dst[key]
-		if !ok {
-			dst[key] = sn
-			continue
-		}
-		dn.C += sn.C
-		dn.N += sn.N
-		if sn.MaxC > dn.MaxC {
-			dn.MaxC = sn.MaxC
-		}
-		if len(sn.children) > 0 {
-			if dn.children == nil {
-				dn.children = make(map[string]*Node, len(sn.children))
-			}
-			mergeForest(dn.children, sn.children)
-		}
-	}
+// Clone returns a deep copy of the graph, open if the graph is: mutating
+// the clone leaves the receiver untouched.
+func (g *Graph) Clone() *Graph {
+	c := *g
+	c.nodes, c.index = slices.Clone(g.nodes), nil
+	return &c
 }

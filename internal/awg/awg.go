@@ -8,6 +8,8 @@
 package awg
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,15 +60,16 @@ type Node struct {
 	N    int64
 	MaxC trace.Duration
 
-	children map[string]*Node
-	// kids holds children in key order once Finish has run; until then,
-	// and in a Clone, it is nil.
-	kids []*Node
+	parent int32    // the parent's index in the forest, -1 for a root
+	end    int32    // set by Finish: the index just past the subtree
+	sigIDs [3]int32 // set by Finish: wait, unwait and run ids, -1 if absent
 }
 
-// Key canonically identifies the node's signatures within its siblings:
-// "w|wait|unwait" for waiting nodes, "r|sig" for running nodes and
-// "h|sig" for hardware nodes.
+// Key canonically names the node's signatures: "w|wait|unwait" for
+// waiting nodes, "r|sig" for running nodes and "h|sig" for hardware
+// nodes. Siblings are ordered by it. A '|' inside a signature can make
+// two waiting nodes' Keys equal, so nodes are looked up by their
+// signatures, never by Key.
 func (n *Node) Key() string {
 	switch n.Kind {
 	case Waiting:
@@ -78,71 +81,13 @@ func (n *Node) Key() string {
 	}
 }
 
-// appendKey appends to buf the Key of a node of the given kind, where
-// sig is a waiting node's wait signature or another node's run
-// signature, and usig a waiting node's unwait signature. It is Key for
-// a node that may not exist yet: Aggregator.child looks the bytes up
-// without building a string (TestAppendKeyMatchesKey).
-func appendKey(buf []byte, kind Kind, sig, usig string) []byte {
-	switch kind {
-	case Waiting:
-		buf = append(buf, "w|"...)
-		buf = append(buf, sig...)
-		buf = append(buf, '|')
-		return append(buf, usig...)
-	case Running:
-		buf = append(buf, "r|"...)
-	default:
-		buf = append(buf, "h|"...)
-	}
-	return append(buf, sig...)
-}
+// End returns the index in Graph.Nodes just past the node's subtree.
+func (n *Node) End() int32 { return n.end }
 
-// Children returns the node's children sorted by Key (deterministic).
-// On a finished graph this is the order Finish stored, shared by every
-// caller, which must not modify it.
-func (n *Node) Children() []*Node { return inOrder(n.kids, n.children) }
-
-// inOrder returns a sibling map's nodes in key order: order, when it is
-// that (Finish stored it and the map has not grown since), else the
-// map sorted afresh. A sibling map loses entries only to reduce, which
-// runs before Finish orders anything, so an order as long as its map
-// holds the map's nodes.
-func inOrder(order []*Node, m map[string]*Node) []*Node {
-	if len(order) == len(m) {
-		return order
-	}
-	return sortedByKey(m)
-}
-
-// sortedByKey returns a sibling map's nodes in key order. Every sibling
-// map is keyed by its nodes' Keys (child, mergeForest and cloneNodes
-// keep it so), so sorting the map's keys sorts the nodes without
-// building a Key per comparison.
-func sortedByKey(m map[string]*Node) []*Node {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Node, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
-}
-
-// setOrder stores the key order of a sibling map's nodes and, below
-// them, of every inner node's children, and returns the map's own.
-func setOrder(m map[string]*Node) []*Node {
-	nodes := sortedByKey(m)
-	for _, n := range nodes {
-		if len(n.children) > 0 {
-			n.kids = setOrder(n.children)
-		}
-	}
-	return nodes
-}
+// SigIDs returns the ids (Graph.Sigs) of the node's wait, unwait and
+// run signatures, in the order of sigset.Tuple's sets; a signature the
+// node lacks is -1.
+func (n *Node) SigIDs() [3]int32 { return n.sigIDs }
 
 // AvgC returns the node's average cost per occurrence.
 func (n *Node) AvgC() trace.Duration {
@@ -152,10 +97,54 @@ func (n *Node) AvgC() trace.Duration {
 	return n.C / trace.Duration(n.N)
 }
 
-// Graph is an Aggregated Wait Graph (a forest keyed by root signature).
+// compareKeys orders siblings by the bytes of their Keys, and two
+// waiting nodes whose Keys are equal by WaitSig.
+func compareKeys(a, b *Node) int {
+	if a.Kind != b.Kind {
+		return cmp.Compare(b.Kind, a.Kind) // "h|" < "r|" < "w|"
+	}
+	if a.Kind != Waiting {
+		return strings.Compare(a.RunSig, b.RunSig)
+	}
+	if c := compareJoined(a, b); c != 0 {
+		return c
+	}
+	return strings.Compare(a.WaitSig, b.WaitSig)
+}
+
+// compareJoined compares a.WaitSig+"|"+a.UnwaitSig with b's, without
+// building either.
+func compareJoined(a, b *Node) int {
+	x := [3]string{a.WaitSig, "|", a.UnwaitSig}
+	y := [3]string{b.WaitSig, "|", b.UnwaitSig}
+	for i, j := 0, 0; ; {
+		for ; i < 2 && x[i] == ""; i++ {
+		}
+		for ; j < 2 && y[j] == ""; j++ {
+		}
+		n := min(len(x[i]), len(y[j]))
+		if n == 0 { // one side has run out
+			return cmp.Compare(len(x[i]), len(y[j]))
+		}
+		if c := strings.Compare(x[i][:n], y[j][:n]); c != 0 {
+			return c
+		}
+		x[i], y[j] = x[i][n:], y[j][n:]
+	}
+}
+
+// Graph is an Aggregated Wait Graph: a forest held as one slab of
+// nodes. While it is open (an Aggregator's Partial, or a Clone of one)
+// nodes are in insertion order, parents before children, and index
+// finds a child by its parent and signatures; it is built when a node is
+// first looked up. Finish lays the slab out in pre-order, siblings in
+// Key order, interns the signatures and drops index: a finished graph is
+// read, never grown.
 type Graph struct {
-	roots map[string]*Node
-	order []*Node // roots in key order, set by Finish like Node.kids
+	nodes    []Node
+	index    map[childKey]int32
+	sigs     []string // set by Finish: the signatures by id, sorted
+	finished bool
 
 	// Reduction accounting (§5.2.2): cost removed as non-optimizable
 	// wait→hardware-only portions, and the cost kept.
@@ -163,26 +152,161 @@ type Graph struct {
 	KeptCost    trace.Duration
 }
 
-// Roots returns the forest roots sorted by Key. On a finished graph this
-// is the order Finish stored, shared by every caller, which must not
-// modify it.
-func (g *Graph) Roots() []*Node { return inOrder(g.order, g.roots) }
+// childKey identifies a node among its siblings: sig is a waiting
+// node's wait signature and any other node's run signature, usig a
+// waiting node's unwait signature.
+type childKey struct {
+	parent    int32
+	kind      Kind
+	sig, usig string
+}
 
-// NumNodes counts all nodes in the forest.
-func (g *Graph) NumNodes() int {
-	n := 0
-	var walk func(*Node)
-	walk = func(v *Node) {
-		n++
-		for _, c := range v.children {
-			walk(c)
+// keyUnder returns n's childKey below parent.
+func (n *Node) keyUnder(parent int32) childKey {
+	if n.Kind == Waiting {
+		return childKey{parent, Waiting, n.WaitSig, n.UnwaitSig}
+	}
+	return childKey{parent: parent, kind: n.Kind, sig: n.RunSig}
+}
+
+// child finds or inserts the node k names and returns its index.
+func (g *Graph) child(k childKey) int32 {
+	if g.index == nil {
+		g.index = make(map[childKey]int32, len(g.nodes))
+		for i := range g.nodes {
+			g.index[g.nodes[i].keyUnder(g.nodes[i].parent)] = int32(i)
 		}
 	}
-	for _, r := range g.roots {
-		walk(r)
+	if i, ok := g.index[k]; ok {
+		return i
 	}
-	return n
+	i := int32(len(g.nodes))
+	n := Node{Kind: k.kind, parent: k.parent}
+	if k.kind == Waiting {
+		n.WaitSig, n.UnwaitSig = k.sig, k.usig
+	} else {
+		n.RunSig = k.sig
+	}
+	g.nodes = append(g.nodes, n)
+	g.index[k] = i
+	return i
 }
+
+// Nodes returns the forest in pre-order, siblings in Key order: node
+// i's subtree is nodes[i:nodes[i].End()], so its first child, if any,
+// is i+1 and each further child starts at its predecessor's End. A
+// finished graph returns the slab Finish laid out, shared by every
+// caller, which must not modify it; an open one is laid out afresh.
+func (g *Graph) Nodes() []Node { return g.laidOut().nodes }
+
+// Sigs returns the signatures the nodes' SigIDs name, by id. Ids follow
+// sort order, so a sorted id set names a sorted signature set.
+func (g *Graph) Sigs() []string { return g.laidOut().sigs }
+
+// laidOut returns g once finished, else an unreduced laid-out copy.
+func (g *Graph) laidOut() *Graph {
+	if g.finished {
+		return g
+	}
+	c := &Graph{nodes: g.nodes}
+	c.layout(false)
+	return c
+}
+
+// NumNodes counts all nodes in the forest.
+func (g *Graph) NumNodes() int { return len(g.nodes) }
+
+// TotalCost sums root costs (after any reduction).
+func (g *Graph) TotalCost() trace.Duration {
+	var c trace.Duration
+	for i := range g.nodes {
+		if g.nodes[i].parent < 0 {
+			c += g.nodes[i].C
+		}
+	}
+	return c
+}
+
+// layout is Finish's one pass over the forest. It lays the nodes out in
+// pre-order, siblings in Key order, with each node's subtree end and its
+// parent's new index; with reduce it drops the non-optimizable roots
+// (ReduceAWG, Algorithm 1 line 15): waiting roots whose only child is a
+// hardware-service leaf — hardware cost not propagated to any other
+// component, which developers cannot optimise (§4.2.2, §5.2.2). Then it
+// interns the signatures in sort order and drops index.
+func (g *Graph) layout(reduce bool) {
+	g.finished = true
+	old := g.nodes
+	// byParent holds the nodes by (parent, Key), so node p's children are
+	// byParent[first[p+1]:first[p+2]], and the roots (parent -1) come first.
+	byParent := make([]int32, len(old))
+	first := make([]int32, len(old)+2)
+	for i := range old {
+		byParent[i] = int32(i)
+		first[old[i].parent+2]++
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	slices.SortFunc(byParent, func(a, b int32) int {
+		if c := cmp.Compare(old[a].parent, old[b].parent); c != 0 {
+			return c
+		}
+		return compareKeys(&old[a], &old[b])
+	})
+	children := func(p int32) []int32 { return byParent[first[p+1]:first[p+2]] }
+	hardwareOnly := func(p int32) bool {
+		kids := children(p)
+		return old[p].Kind == Waiting && len(kids) == 1 &&
+			old[kids[0]].Kind == Hardware && len(children(kids[0])) == 0
+	}
+
+	nodes := make([]Node, 0, len(old))
+	var place func(p, at int32)
+	place = func(p, at int32) {
+		for _, o := range children(p) {
+			if p < 0 && reduce {
+				if hardwareOnly(o) {
+					g.ReducedCost += old[o].C
+					continue
+				}
+				g.KeptCost += old[o].C
+			}
+			i := int32(len(nodes))
+			nodes = append(nodes, old[o])
+			nodes[i].parent = at
+			place(o, i)
+			nodes[i].end = int32(len(nodes))
+		}
+	}
+	place(-1, -1)
+
+	ids := make(map[string]int32) // "" stays -1: a role the node lacks
+	for i := range nodes {
+		for _, s := range nodes[i].roleSigs() {
+			ids[s] = -1
+		}
+	}
+	sigs := make([]string, 0, len(ids))
+	for s := range ids {
+		if s != "" {
+			sigs = append(sigs, s)
+		}
+	}
+	sort.Strings(sigs)
+	for id, s := range sigs {
+		ids[s] = int32(id)
+	}
+	for i := range nodes {
+		for r, s := range nodes[i].roleSigs() {
+			nodes[i].sigIDs[r] = ids[s]
+		}
+	}
+	g.nodes, g.sigs, g.index = nodes, sigs, nil
+}
+
+// roleSigs returns the node's wait, unwait and run signatures.
+func (n *Node) roleSigs() [3]string { return [3]string{n.WaitSig, n.UnwaitSig, n.RunSig} }
 
 // Options bound aggregation.
 type Options struct {
@@ -221,16 +345,16 @@ func Aggregate(graphs []*waitgraph.Graph, filter *trace.ComponentFilter, opts Op
 // in two AWG nodes when two paths to it aggregate differently, so marks
 // indexed by event alone could not express it.
 type nodeEvent struct {
-	node  *Node
+	node  int32
 	event trace.EventID
 }
 
-// walk merges a Wait-Graph subtree of stream s into the AWG under parent
-// (nil means top level). Component-irrelevant wait nodes are
-// transparent: their children attach to the current parent, which
-// realises the irrelevant-node elimination of Algorithm 1 along whole
-// paths, not just at the roots.
-func (ag *Aggregator) walk(s *trace.Stream, n *waitgraph.Node, parent *Node, depth int) {
+// walk merges a Wait-Graph subtree of stream s into the AWG under the
+// node at index parent (-1 means top level). Component-irrelevant wait
+// nodes are transparent: their children attach to the current parent,
+// which realises the irrelevant-node elimination of Algorithm 1 along
+// whole paths, not just at the roots.
+func (ag *Aggregator) walk(s *trace.Stream, n *waitgraph.Node, parent int32, depth int) {
 	if depth > ag.opts.MaxDepth {
 		return
 	}
@@ -244,7 +368,7 @@ func (ag *Aggregator) walk(s *trace.Stream, n *waitgraph.Node, parent *Node, dep
 			}
 			return
 		}
-		node := ag.child(parent, Waiting, wsig, ag.unwaitSig(s, n))
+		node := ag.g.child(childKey{parent, Waiting, wsig, ag.unwaitSig(s, n)})
 		ag.accumulate(node, n)
 		for _, c := range n.Children {
 			ag.walk(s, c, node, depth+1)
@@ -255,10 +379,10 @@ func (ag *Aggregator) walk(s *trace.Stream, n *waitgraph.Node, parent *Node, dep
 		if !ok {
 			return
 		}
-		ag.accumulate(ag.child(parent, Running, rsig, ""), n)
+		ag.accumulate(ag.g.child(childKey{parent: parent, kind: Running, sig: rsig}), n)
 
 	case trace.HardwareService:
-		ag.accumulate(ag.child(parent, Hardware, sigset.HardwareSignature, ""), n)
+		ag.accumulate(ag.g.child(childKey{parent: parent, kind: Hardware, sig: sigset.HardwareSignature}), n)
 	}
 }
 
@@ -284,79 +408,18 @@ func (ag *Aggregator) unwaitSig(s *trace.Stream, n *waitgraph.Node) string {
 	return ""
 }
 
-// child finds or inserts, under parent (or the root set), the node of
-// the given kind and signatures: sig is the wait signature of a waiting
-// node and the run signature otherwise, usig a waiting node's unwait
-// signature. The sibling key is assembled in a reused buffer and looked
-// up without conversion, so only a new node allocates.
-func (ag *Aggregator) child(parent *Node, kind Kind, sig, usig string) *Node {
-	m := ag.g.roots
-	if parent != nil {
-		if parent.children == nil {
-			parent.children = make(map[string]*Node)
-		}
-		m = parent.children
-	}
-	ag.key = appendKey(ag.key[:0], kind, sig, usig)
-	if n, ok := m[string(ag.key)]; ok {
-		return n
-	}
-	n := &Node{Kind: kind}
-	if kind == Waiting {
-		n.WaitSig, n.UnwaitSig = sig, usig
-	} else {
-		n.RunSig = sig
-	}
-	m[string(ag.key)] = n
-	return n
-}
-
-// accumulate folds one trace event's metrics into an AWG node, once per
-// (node, event) pair per source graph.
-func (ag *Aggregator) accumulate(node *Node, n *waitgraph.Node) {
-	k := nodeEvent{node: node, event: n.Event}
+// accumulate folds one trace event's metrics into the AWG node at index
+// i, once per (node, event) pair per source graph.
+func (ag *Aggregator) accumulate(i int32, n *waitgraph.Node) {
+	k := nodeEvent{node: i, event: n.Event}
 	if _, dup := ag.seen[k]; dup {
 		return
 	}
 	ag.seen[k] = struct{}{}
+	node := &ag.g.nodes[i]
 	node.C += n.Cost
 	node.N++
 	if n.Cost > node.MaxC {
 		node.MaxC = n.Cost
 	}
-}
-
-// reduce prunes root waiting nodes whose entire subtree is a single
-// hardware-service leaf: hardware cost not propagated to any other
-// component, which developers cannot optimise (§4.2.2, §5.2.2).
-func (g *Graph) reduce() {
-	for key, root := range g.roots {
-		if root.hardwareOnly() {
-			g.ReducedCost += root.C
-			delete(g.roots, key)
-			continue
-		}
-		g.KeptCost += root.C
-	}
-}
-
-// hardwareOnly reports whether n is a waiting node whose only child is a
-// hardware-service leaf.
-func (n *Node) hardwareOnly() bool {
-	if n.Kind != Waiting || len(n.children) != 1 {
-		return false
-	}
-	for _, only := range n.children {
-		return only.Kind == Hardware && len(only.children) == 0
-	}
-	return false
-}
-
-// TotalCost sums root costs (after any reduction).
-func (g *Graph) TotalCost() trace.Duration {
-	var c trace.Duration
-	for _, r := range g.roots {
-		c += r.C
-	}
-	return c
 }

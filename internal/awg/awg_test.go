@@ -49,6 +49,27 @@ func (f *fixture) graph(roots ...*waitgraph.Node) *waitgraph.Graph {
 	return &waitgraph.Graph{Stream: f.s, StreamIndex: 0, Roots: roots}
 }
 
+// tnode is a node of a test's pointer view of a forest.
+type tnode struct {
+	*Node
+	kids []*tnode
+}
+
+// tree reads g's laid-out slab (Graph.Nodes) into that view: its roots,
+// each with its children in order.
+func tree(g *Graph) []*tnode {
+	nodes := g.Nodes()
+	var level func(i, end int32) []*tnode
+	level = func(i, end int32) []*tnode {
+		var out []*tnode
+		for ; i < end; i = nodes[i].end {
+			out = append(out, &tnode{Node: &nodes[i], kids: level(i+1, nodes[i].end)})
+		}
+		return out
+	}
+	return level(0, int32(len(nodes)))
+}
+
 func TestAggregateSingleChain(t *testing.T) {
 	f := newFixture()
 	wStack := f.stack("kernel!AcquireLock", "fv.sys!Query", "App!Main")
@@ -59,7 +80,7 @@ func TestAggregateSingleChain(t *testing.T) {
 	root := f.waitNode(10*ms, wStack, uStack, run)
 	g := Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: true})
 
-	roots := g.Roots()
+	roots := tree(g)
 	if len(roots) != 1 {
 		t.Fatalf("roots = %d, want 1", len(roots))
 	}
@@ -70,7 +91,7 @@ func TestAggregateSingleChain(t *testing.T) {
 	if r.C != 10*ms || r.N != 1 || r.MaxC != 10*ms {
 		t.Errorf("root metrics: C=%v N=%d MaxC=%v", r.C, r.N, r.MaxC)
 	}
-	kids := r.Children()
+	kids := r.kids
 	if len(kids) != 1 || kids[0].Kind != Running || kids[0].RunSig != "se.sys!Decrypt" {
 		t.Fatalf("children = %+v", kids)
 	}
@@ -89,7 +110,7 @@ func TestAggregateMergesCommonPrefix(t *testing.T) {
 	g2 := f.graph(f.waitNode(7*ms, wStack, uStack, f.node(trace.Running, 2*ms, runB)))
 
 	g := Aggregate([]*waitgraph.Graph{g1, g2}, trace.AllDrivers(), Options{Reduce: true})
-	roots := g.Roots()
+	roots := tree(g)
 	if len(roots) != 1 {
 		t.Fatalf("roots = %d, want 1 (common prefix must merge)", len(roots))
 	}
@@ -97,8 +118,8 @@ func TestAggregateMergesCommonPrefix(t *testing.T) {
 	if r.C != 12*ms || r.N != 2 || r.MaxC != 7*ms {
 		t.Errorf("merged root: C=%v N=%d MaxC=%v", r.C, r.N, r.MaxC)
 	}
-	if len(r.Children()) != 2 {
-		t.Errorf("children = %d, want 2 (divergent leaves)", len(r.Children()))
+	if len(r.kids) != 2 {
+		t.Errorf("children = %d, want 2 (divergent leaves)", len(r.kids))
 	}
 	if r.AvgC() != 6*ms {
 		t.Errorf("AvgC = %v", r.AvgC())
@@ -116,7 +137,7 @@ func TestIrrelevantWaitIsTransparent(t *testing.T) {
 	outer := f.waitNode(9*ms, appWait, appUnwait, inner)
 
 	g := Aggregate([]*waitgraph.Graph{f.graph(outer)}, trace.AllDrivers(), Options{Reduce: true})
-	roots := g.Roots()
+	roots := tree(g)
 	if len(roots) != 1 {
 		t.Fatalf("roots = %d, want 1 (app wait must pass through)", len(roots))
 	}
@@ -133,10 +154,10 @@ func TestIrrelevantRunningDropped(t *testing.T) {
 
 	root := f.waitNode(5*ms, drvWait, drvUnwait, f.node(trace.Running, 3*ms, appRun))
 	g := Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: true})
-	if len(g.Roots()) != 1 {
+	if len(tree(g)) != 1 {
 		t.Fatal("driver wait lost")
 	}
-	if len(g.Roots()[0].Children()) != 0 {
+	if len(tree(g)[0].kids) != 0 {
 		t.Error("app running node must be dropped")
 	}
 }
@@ -166,7 +187,7 @@ func TestReducePrunesHardwareOnlyRoots(t *testing.T) {
 	if g.KeptCost != 4*ms {
 		t.Errorf("KeptCost = %v, want 4ms", g.KeptCost)
 	}
-	if n := len(g.Roots()); n != 1 {
+	if n := len(tree(g)); n != 1 {
 		t.Errorf("roots after reduce = %d, want 1", n)
 	}
 }
@@ -177,7 +198,7 @@ func TestReduceDisabled(t *testing.T) {
 	hwStack := f.stack("disk!Service")
 	root := f.waitNode(8*ms, drvWait, hwStack, f.node(trace.HardwareService, 8*ms, hwStack))
 	g := Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: false})
-	if len(g.Roots()) != 1 || g.ReducedCost != 0 {
+	if len(tree(g)) != 1 || g.ReducedCost != 0 {
 		t.Error("reduction ran although disabled")
 	}
 }
@@ -197,14 +218,14 @@ func TestDiamondDedupSameParentSignature(t *testing.T) {
 	b := f.waitNode(6*ms, drvWaitB, unw, shared)
 	g := Aggregate([]*waitgraph.Graph{f.graph(a, b)}, trace.AllDrivers(), Options{Reduce: true})
 
-	roots := g.Roots()
+	roots := tree(g)
 	if len(roots) != 1 {
 		t.Fatalf("roots = %d, want 1 (same signatures merge)", len(roots))
 	}
 	if roots[0].C != 11*ms || roots[0].N != 2 {
 		t.Errorf("merged parent C=%v N=%d, want 11ms / 2", roots[0].C, roots[0].N)
 	}
-	kids := roots[0].Children()
+	kids := roots[0].kids
 	if len(kids) != 1 || kids[0].C != 2*ms || kids[0].N != 1 {
 		t.Fatalf("shared child must accumulate once: %+v", kids)
 	}
@@ -226,8 +247,8 @@ func TestDiamondSharedEventDistinctParents(t *testing.T) {
 
 	var totalRunC trace.Duration
 	var totalRunN int64
-	for _, r := range g.Roots() {
-		for _, c := range r.Children() {
+	for _, r := range tree(g) {
+		for _, c := range r.kids {
 			if c.Kind == Running {
 				totalRunC += c.C
 				totalRunN += c.N
@@ -247,7 +268,7 @@ func TestHardwareDummySignature(t *testing.T) {
 	root := f.waitNode(4*ms, drvWait, hwStack, f.node(trace.HardwareService, 3*ms, hwStack), run)
 	g := Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: true})
 	found := false
-	for _, c := range g.Roots()[0].Children() {
+	for _, c := range tree(g)[0].kids {
 		if c.Kind == Hardware {
 			found = true
 			if c.RunSig != sigset.HardwareSignature {
@@ -268,7 +289,7 @@ func TestUnwaitSigFallback(t *testing.T) {
 	run := f.node(trace.Running, 1*ms, f.stack("se.sys!Decrypt"))
 	root := f.waitNode(4*ms, drvWait, unw, run)
 	g := Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), Options{Reduce: true})
-	if got := g.Roots()[0].UnwaitSig; got != "disk!Service" {
+	if got := tree(g)[0].UnwaitSig; got != "disk!Service" {
 		t.Errorf("UnwaitSig = %q, want disk!Service", got)
 	}
 }
@@ -314,6 +335,40 @@ func TestNumNodesAndTotalCost(t *testing.T) {
 	}
 }
 
+// TestWaitKeyCollisionStaysApart: two waiting nodes whose Keys are the
+// same bytes — a '|' inside one pair's wait signature, inside the
+// other's unwait signature — are two nodes, each keeping its own
+// signatures and metrics.
+func TestWaitKeyCollisionStaysApart(t *testing.T) {
+	f := newFixture()
+	run := f.stack("se.sys!Decrypt")
+	first := f.waitNode(4*ms, f.stack("kernel!Wait", "a.sys!A|b.sys!B"), f.stack("c.sys!C"), f.node(trace.Running, ms, run))
+	second := f.waitNode(6*ms, f.stack("kernel!Wait", "a.sys!A"), f.stack("b.sys!B|c.sys!C"), f.node(trace.Running, 2*ms, run))
+	g := Aggregate([]*waitgraph.Graph{f.graph(first, second)}, trace.AllDrivers(), DefaultOptions())
+	if n := g.NumNodes(); n != 4 {
+		t.Errorf("NumNodes = %d, want 4 (two roots, a leaf under each)", n)
+	}
+	var text bytes.Buffer
+	if err := g.WriteText(&text, 8); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(text.String(), "\n")
+	for _, want := range []string{
+		"wait a.sys!A|b.sys!B -> unwait c.sys!C ",
+		"wait a.sys!A -> unwait b.sys!B|c.sys!C ",
+	} {
+		seen := 0
+		for _, line := range lines {
+			if strings.HasPrefix(line, want) && strings.Contains(line, " N=1 ") {
+				seen++
+			}
+		}
+		if seen != 1 {
+			t.Errorf("rendering shows %q with N=1 %d times, want once:\n%s", want, seen, text.String())
+		}
+	}
+}
+
 func TestMaxDepthBound(t *testing.T) {
 	f := newFixture()
 	// A deep chain of distinct driver waits.
@@ -327,16 +382,16 @@ func TestMaxDepthBound(t *testing.T) {
 	g := Aggregate([]*waitgraph.Graph{f.graph(node)}, trace.AllDrivers(), Options{Reduce: true, MaxDepth: 3})
 	// Depth-bounded aggregation keeps at most 4 levels (depth 0..3).
 	depth := 0
-	var walk func(n *Node, d int)
-	walk = func(n *Node, d int) {
+	var walk func(n *tnode, d int)
+	walk = func(n *tnode, d int) {
 		if d > depth {
 			depth = d
 		}
-		for _, c := range n.Children() {
+		for _, c := range n.kids {
 			walk(c, d+1)
 		}
 	}
-	for _, r := range g.Roots() {
+	for _, r := range tree(g) {
 		walk(r, 0)
 	}
 	if depth > 3 {

@@ -9,8 +9,8 @@ import (
 )
 
 // buildForest hand-crafts an AWG with several roots and sibling children
-// so the internal maps hold multiple entries — the shapes whose
-// iteration order Go randomises per construction.
+// — the shapes a forest kept in maps would read back in a different
+// order per construction.
 func buildForest() *Graph {
 	f := newFixture()
 	wA := f.stack("kernel!AcquireLock", "fv.sys!Query", "App!Main")
@@ -35,8 +35,8 @@ func buildForest() *Graph {
 }
 
 // TestRenderByteEquality pins the render-path determinism contract: the
-// same logical forest, built from scratch each time (fresh Go maps, so
-// fresh randomised iteration orders), must render to identical bytes in
+// same logical forest, built from scratch each time (a fresh lookup
+// map, with a fresh randomised iteration order), must render to identical bytes in
 // both the text and the DOT form. This is the regression test for the
 // unsorted-iteration bug class tracelint's mapiter/unstablesort
 // analyzers guard against.
@@ -65,20 +65,20 @@ func TestRenderByteEquality(t *testing.T) {
 	}
 }
 
-// TestRootsAndChildrenStableOrder pins the accessor-level contract the
-// renderers rely on: Roots() and Children() return key-sorted slices on
-// every call, on every rebuild.
+// TestRootsAndChildrenStableOrder pins the layout contract the
+// renderers rely on: roots and each node's children are key-sorted in
+// Graph.Nodes, on every rebuild.
 func TestRootsAndChildrenStableOrder(t *testing.T) {
 	for run := 0; run < 4; run++ {
 		g := buildForest()
-		roots := g.Roots()
+		roots := tree(g)
 		for i := 1; i < len(roots); i++ {
 			if roots[i-1].Key() >= roots[i].Key() {
 				t.Fatalf("run %d: roots out of order: %q >= %q", run, roots[i-1].Key(), roots[i].Key())
 			}
 		}
 		for _, r := range roots {
-			kids := r.Children()
+			kids := r.kids
 			for i := 1; i < len(kids); i++ {
 				if kids[i-1].Key() >= kids[i].Key() {
 					t.Fatalf("run %d: children out of order under %q", run, r.Key())

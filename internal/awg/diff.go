@@ -1,9 +1,8 @@
 package awg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
 
 	"tracescope/internal/trace"
 )
@@ -70,6 +69,8 @@ type EdgeDelta struct {
 	// relays a deeper regression has OwnDeltaC near zero, while the hop
 	// where the regression actually originates keeps it.
 	OwnDeltaC trace.Duration
+
+	chain string // Chain's text, built from the path's signatures
 }
 
 // Label renders the node the way the text renderer does.
@@ -85,31 +86,27 @@ func (d EdgeDelta) Label() string {
 }
 
 // Chain renders the full root-to-node wait chain as a readable arrow
-// path (keys are canonical, so this is deterministic).
-func (d EdgeDelta) Chain() string {
-	parts := make([]string, len(d.Path))
-	for i, key := range d.Path {
-		parts[i] = chainElem(key)
-	}
-	return strings.Join(parts, " => ")
-}
+// path: "wait W <- U" (or "wait W" with no unwait signature), "run R"
+// and "hw H" per node, joined by " => ".
+func (d EdgeDelta) Chain() string { return d.chain }
 
-// chainElem prettifies one canonical node key for Chain.
-func chainElem(key string) string {
-	switch {
-	case strings.HasPrefix(key, "w|"):
-		rest := strings.SplitN(key[2:], "|", 2)
-		if len(rest) == 2 && rest[1] != "" {
-			return "wait " + rest[0] + " <- " + rest[1]
+// appendChainElem appends one node's element of a Chain.
+func appendChainElem(buf []byte, n *Node) []byte {
+	switch n.Kind {
+	case Waiting:
+		buf = append(buf, "wait "...)
+		buf = append(buf, n.WaitSig...)
+		if n.UnwaitSig != "" {
+			buf = append(buf, " <- "...)
+			buf = append(buf, n.UnwaitSig...)
 		}
-		return "wait " + rest[0]
-	case strings.HasPrefix(key, "r|"):
-		return "run " + key[2:]
-	case strings.HasPrefix(key, "h|"):
-		return "hw " + key[2:]
+		return buf
+	case Running:
+		buf = append(buf, "run "...)
 	default:
-		return key
+		buf = append(buf, "hw "...)
 	}
+	return append(buf, n.RunSig...)
 }
 
 // Depth is the node's depth in the forest (roots are 1).
@@ -128,59 +125,80 @@ func (d EdgeDelta) Depth() int { return len(d.Path) }
 // configuration — diffing a reduced graph against an unreduced one
 // reports the reduction itself as a regression.
 func DiffGraphs(base, cand *Graph) []EdgeDelta {
-	var out []EdgeDelta
-	var baseRoots, candRoots map[string]*Node
+	var d differ
 	if base != nil {
-		baseRoots = base.roots
+		d.base = base.Nodes()
 	}
 	if cand != nil {
-		candRoots = cand.roots
+		d.cand = cand.Nodes()
 	}
-	diffLevel(&out, nil, baseRoots, candRoots)
-	return out
+	d.level(0, int32(len(d.base)), 0, int32(len(d.cand)))
+	return d.out
 }
 
-// diffLevel diffs one sibling level, recursing depth-first so each
-// node's OwnDeltaC can subtract its children's DeltaC.
-func diffLevel(out *[]EdgeDelta, path []string, base, cand map[string]*Node) trace.Duration {
-	keys := make([]string, 0, len(base)+len(cand))
-	for key := range base {
-		keys = append(keys, key)
-	}
-	for key := range cand {
-		if _, dup := base[key]; !dup {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
+// differ walks two laid-out forests side by side.
+type differ struct {
+	base, cand []Node
+	path       []*Node // the nodes from a root down to the current one
+	out        []EdgeDelta
+}
 
+// level diffs the sibling runs base[bi:bend] and cand[ci:cend], both in
+// Key order, as a merge: a node on one side only is new or vanished.
+// It recurses depth-first so each node's OwnDeltaC can subtract its
+// children's DeltaC, and returns the level's summed DeltaC.
+func (d *differ) level(bi, bend, ci, cend int32) trace.Duration {
 	var levelDelta trace.Duration
-	for _, key := range keys {
-		bn, cn := base[key], cand[key]
-		d := nodeDelta(append(path, key), bn, cn)
-		levelDelta += d.DeltaC
-
-		var bc, cc map[string]*Node
+	for bi < bend || ci < cend {
+		var bn, cn *Node
+		switch {
+		case ci == cend:
+			bn = &d.base[bi]
+		case bi == bend:
+			cn = &d.cand[ci]
+		default:
+			c := compareKeys(&d.base[bi], &d.cand[ci])
+			if c <= 0 {
+				bn = &d.base[bi]
+			}
+			if c >= 0 {
+				cn = &d.cand[ci]
+			}
+		}
+		// A side without the node has no children: the empty run 0:0.
+		var bkids, ckids [2]int32
 		if bn != nil {
-			bc = bn.children
+			bkids, bi = [2]int32{bi + 1, bn.end}, bn.end
 		}
 		if cn != nil {
-			cc = cn.children
+			ckids, ci = [2]int32{ci + 1, cn.end}, cn.end
 		}
-		childDelta := diffLevel(out, d.Path, bc, cc)
-		d.OwnDeltaC = d.DeltaC - childDelta
-
-		if d.Status != EdgeChanged || d.DeltaC != 0 || d.BaseN != d.CandN ||
-			d.BaseMaxC != d.CandMaxC || d.OwnDeltaC != 0 {
-			*out = append(*out, d)
+		e := nodeDelta(bn, cn)
+		levelDelta += e.DeltaC
+		d.path = append(d.path, cmp.Or(cn, bn))
+		e.OwnDeltaC = e.DeltaC - d.level(bkids[0], bkids[1], ckids[0], ckids[1])
+		if e.Status != EdgeChanged || e.DeltaC != 0 || e.BaseN != e.CandN ||
+			e.BaseMaxC != e.CandMaxC || e.OwnDeltaC != 0 {
+			e.Path = make([]string, len(d.path))
+			var chain []byte
+			for i, n := range d.path {
+				e.Path[i] = n.Key()
+				if i > 0 {
+					chain = append(chain, " => "...)
+				}
+				chain = appendChainElem(chain, n)
+			}
+			e.chain = string(chain)
+			d.out = append(d.out, e)
 		}
+		d.path = d.path[:len(d.path)-1]
 	}
 	return levelDelta
 }
 
-// nodeDelta builds the delta record of one union node; bn or cn may be
-// nil but not both.
-func nodeDelta(path []string, bn, cn *Node) EdgeDelta {
+// nodeDelta builds the delta record of one union node, all but its path;
+// bn or cn may be nil but not both.
+func nodeDelta(bn, cn *Node) EdgeDelta {
 	src := bn
 	status := EdgeVanished
 	if cn != nil {
@@ -191,7 +209,6 @@ func nodeDelta(path []string, bn, cn *Node) EdgeDelta {
 		}
 	}
 	d := EdgeDelta{
-		Path:      append([]string(nil), path...),
 		Kind:      src.Kind,
 		WaitSig:   src.WaitSig,
 		UnwaitSig: src.UnwaitSig,

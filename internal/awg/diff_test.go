@@ -140,3 +140,23 @@ func TestEdgeDeltaRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeDeltaChainKeepsSignatures: a chain element shows the node's
+// own wait and unwait signatures, even where a '|' inside one makes its
+// Key read as another split.
+func TestEdgeDeltaChainKeepsSignatures(t *testing.T) {
+	f := newFixture()
+	root := f.waitNode(5*ms, f.stack("kernel!Wait", "a.sys!A|b.sys!B"), f.stack("c.sys!C"),
+		f.node(trace.Running, ms, f.stack("se.sys!Decrypt")))
+	cand := Aggregate([]*waitgraph.Graph{f.graph(root)}, trace.AllDrivers(), DefaultOptions())
+	deltas := DiffGraphs(nil, cand)
+	if len(deltas) != 2 {
+		t.Fatalf("deltas = %d, want 2", len(deltas))
+	}
+	if got, want := deltas[0].Chain(), "wait a.sys!A|b.sys!B <- c.sys!C => run se.sys!Decrypt"; got != want {
+		t.Errorf("Chain() = %q, want %q", got, want)
+	}
+	if got, want := deltas[1].Chain(), "wait a.sys!A|b.sys!B <- c.sys!C"; got != want {
+		t.Errorf("root Chain() = %q, want %q", got, want)
+	}
+}

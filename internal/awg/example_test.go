@@ -21,9 +21,11 @@ func Example() {
 	}
 	g := awg.Aggregate(graphs, trace.AllDrivers(), awg.DefaultOptions())
 
-	// Follow the chain from the FileTable root.
-	for _, root := range g.Roots() {
-		if root.Kind == awg.Waiting && root.WaitSig == "fv.sys!QueryFileTable" {
+	// Find the FileTable root; the roots are the nodes a walk reaches
+	// by stepping over each subtree.
+	nodes := g.Nodes()
+	for i := 0; i < len(nodes); i = int(nodes[i].End()) {
+		if root := &nodes[i]; root.Kind == awg.Waiting && root.WaitSig == "fv.sys!QueryFileTable" {
 			fmt.Println("root:", root.WaitSig, "->", root.UnwaitSig)
 		}
 	}

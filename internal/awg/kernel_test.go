@@ -2,6 +2,7 @@ package awg
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,10 +13,21 @@ import (
 )
 
 // refCell is one AWG node's aggregates; the reference keys cells by the
-// node's whole path of sibling keys.
+// node's whole path of refKeys.
 type refCell struct {
 	C, MaxC trace.Duration
 	N       int64
+}
+
+// refKey names a node among its siblings injectively: its kind's letter
+// and its signatures quoted, so a '|' or '/' inside a signature cannot
+// make two nodes' keys, or two paths, equal.
+func refKey(kind byte, sigs ...string) string {
+	key := string(kind)
+	for _, s := range sigs {
+		key += strconv.Quote(s)
+	}
+	return key
 }
 
 // refAdd is the map-based reference fold Aggregator.Add must match: a
@@ -56,11 +68,11 @@ func refAdd(cells map[string]*refCell, g *waitgraph.Graph, f *trace.ComponentFil
 			if !n.HasUnwait {
 				usig = ""
 			}
-			key = "w|" + sig + "|" + usig
+			key = refKey('w', sig, usig)
 		case n.Type == trace.Running && ok:
-			key = "r|" + sig
+			key = refKey('r', sig)
 		case n.Type == trace.HardwareService:
-			key = "h|" + sigset.HardwareSignature
+			key = refKey('h', sigset.HardwareSignature)
 		default:
 			return
 		}
@@ -88,15 +100,19 @@ func refAdd(cells map[string]*refCell, g *waitgraph.Graph, f *trace.ComponentFil
 // flatten renders a forest in the reference's path-keyed form.
 func flatten(g *Graph) map[string]*refCell {
 	out := make(map[string]*refCell)
-	var walk func(n *Node, path string)
-	walk = func(n *Node, path string) {
-		path += "/" + n.Key()
+	var walk func(n *tnode, path string)
+	walk = func(n *tnode, path string) {
+		if n.Kind == Waiting {
+			path += "/" + refKey('w', n.WaitSig, n.UnwaitSig)
+		} else {
+			path += "/" + refKey(n.Key()[0], n.RunSig)
+		}
 		out[path] = &refCell{C: n.C, N: n.N, MaxC: n.MaxC}
-		for _, c := range n.Children() {
+		for _, c := range n.kids {
 			walk(c, path)
 		}
 	}
-	for _, r := range g.Roots() {
+	for _, r := range tree(g) {
 		walk(r, "")
 	}
 	return out
@@ -156,9 +172,9 @@ func TestAggregatorMatchesReference(t *testing.T) {
 }
 
 // TestAggregatorAddAllocs: within one stream's fold, adding a graph
-// whose AWG nodes all exist allocates nothing — the dedup set and the
-// key buffer are the aggregator's, and a child lookup that hits builds
-// no node and no key string.
+// whose AWG nodes all exist allocates nothing — the dedup set is the
+// aggregator's, and a child lookup that hits builds no node and no key
+// string.
 func TestAggregatorAddAllocs(t *testing.T) {
 	s := tracetest.RandomStream(5, 7, 60)
 	b := waitgraph.NewBuilder(s, 0, waitgraph.Options{})
@@ -181,37 +197,142 @@ func TestAggregatorAddAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendKeyMatchesKey: the bytes child looks a sibling up by are the
-// node's Key, for every kind.
-func TestAppendKeyMatchesKey(t *testing.T) {
-	for _, n := range []*Node{
-		{Kind: Waiting, WaitSig: "fs.sys!Acquire", UnwaitSig: "fs.sys!Release"},
-		{Kind: Waiting, WaitSig: "fs.sys!Acquire"},
-		{Kind: Running, RunSig: "se.sys!Decrypt"},
-		{Kind: Hardware, RunSig: sigset.HardwareSignature},
-	} {
-		sig := n.RunSig
-		if n.Kind == Waiting {
-			sig = n.WaitSig
+// refPool is the frame pool FuzzAggregatorMatchesReference's forests
+// draw signatures from: driver frames whose functions hold a '|', so
+// that ("a|b", "c") and ("a", "b|c") are both spellable, and a frame of
+// no driver, which makes a wait transparent or an unwait fall back.
+var refPool = []string{
+	"a.sys!A",
+	"b.sys!B",
+	"c.sys!C",
+	"a.sys!A|b.sys!B",
+	"b.sys!B|c.sys!C",
+	"App!Main",
+}
+
+// fuzzGraphs turns bytes into up to eight Wait Graphs over refPool:
+// wait, running and hardware nodes, and now and then a node built
+// before reused as a child, so that one event is reached twice.
+func fuzzGraphs(data []byte) []*waitgraph.Graph {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
 		}
-		if got := string(appendKey([]byte("stale")[:0], n.Kind, sig, n.UnwaitSig)); got != n.Key() {
-			t.Errorf("appendKey = %q, Key = %q", got, n.Key())
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	f := newFixture()
+	var built []*waitgraph.Node
+	var build func(depth int) *waitgraph.Node
+	build = func(depth int) *waitgraph.Node {
+		op, cost := next(), trace.Duration(1+next()%40)*ms
+		var n *waitgraph.Node
+		switch {
+		case op%5 < 2 && depth < 5:
+			wait := f.stack("kernel!Wait", refPool[next()%len(refPool)])
+			unwait := f.stack("kernel!Signal", refPool[next()%len(refPool)])
+			kids := make([]*waitgraph.Node, next()%4)
+			for i := range kids {
+				kids[i] = build(depth + 1)
+			}
+			n = f.waitNode(cost, wait, unwait, kids...)
+		case op%5 == 2 && len(built) > 0:
+			return built[next()%len(built)]
+		case op%5 == 3:
+			n = f.node(trace.HardwareService, cost, f.stack("disk!Service"))
+		default:
+			n = f.node(trace.Running, cost, f.stack(refPool[next()%len(refPool)]))
+		}
+		built = append(built, n)
+		return n
+	}
+	var graphs []*waitgraph.Graph
+	for i := 0; i < 8 && len(data) > 0; i++ {
+		graphs = append(graphs, f.graph(build(0)))
+	}
+	return graphs
+}
+
+// FuzzAggregatorMatchesReference: on any graphs over signatures that
+// hold '|', two aggregators taking every other graph, and the merge of
+// both, match the reference's forests, and lay their nodes out in Key
+// order (checkLayout).
+func FuzzAggregatorMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 5, 3, 4, 2, 1, 7, 0, 1, 2, 1, 4, 0, 9, 3, 3, 2, 8, 0, 1, 4, 0, 2, 5})
+	f.Add([]byte{1, 9, 0, 3, 3, 0, 2, 4, 1, 0, 4, 3, 2, 2, 1, 0, 0, 7, 4, 1, 3, 2, 6, 0, 2})
+	filter := trace.AllDrivers()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			return
+		}
+		graphs := fuzzGraphs(data)
+		ags := []*Aggregator{NewAggregator(filter, Options{}), NewAggregator(filter, Options{})}
+		want := []map[string]*refCell{{}, {}, {}}
+		for i, g := range graphs {
+			ags[i%2].Add(g)
+			refAdd(want[i%2], g, filter, 32)
+			refAdd(want[2], g, filter, 32)
+		}
+		merged := NewAggregator(filter, Options{})
+		merged.Merge(ags[0].Partial())
+		merged.Merge(ags[1].Partial())
+		for k, ag := range append(ags, merged) {
+			g := ag.Finish()
+			checkLayout(t, g)
+			if got := flatten(g); !reflect.DeepEqual(got, want[k]) {
+				t.Fatalf("aggregator %d: %d nodes differ from the reference's %d", k, len(got), len(want[k]))
+			}
+		}
+	})
+}
+
+// TestCompareKeysMatchesKeyOrder: the sibling order Finish lays out is
+// the byte order of the nodes' Keys, including where a signature is a
+// prefix of another ('|' sorts after '.', letters and digits), and
+// nodes whose Keys are equal are ordered by WaitSig.
+func TestCompareKeysMatchesKeyOrder(t *testing.T) {
+	nodes := []Node{
+		{Kind: Waiting, WaitSig: "fs.sys!Read", UnwaitSig: "fs.sys!Release"},
+		{Kind: Waiting, WaitSig: "fs.sys!ReadEx", UnwaitSig: "a.sys!A"},
+		{Kind: Waiting, WaitSig: "fs.sys!Read.1"},
+		{Kind: Waiting, WaitSig: "fs.sys!Read"},
+		{Kind: Waiting, WaitSig: "a.sys!A|b.sys!B", UnwaitSig: "c.sys!C"},
+		{Kind: Waiting, WaitSig: "a.sys!A", UnwaitSig: "b.sys!B|c.sys!C"},
+		{Kind: Waiting, WaitSig: "a.sys!A", UnwaitSig: "b.sys!B"},
+		{Kind: Running, RunSig: "se.sys!Decrypt"},
+		{Kind: Running, RunSig: "se.sys!Decrypt2"},
+		{Kind: Hardware, RunSig: sigset.HardwareSignature},
+	}
+	for i := range nodes {
+		for j := range nodes {
+			a, b := &nodes[i], &nodes[j]
+			want := strings.Compare(a.Key(), b.Key())
+			if want == 0 {
+				want = strings.Compare(a.WaitSig, b.WaitSig)
+			}
+			if got := compareKeys(a, b); got != want {
+				t.Errorf("compareKeys(%q, %q) = %d, want %d", a.Key(), b.Key(), got, want)
+			}
 		}
 	}
 }
 
-// TestSiblingKeysAreNodeKeys: every sibling map is keyed by its nodes'
-// Keys — what Children and Roots sort by — in a forest built by Add, by
-// Merge of partial forests, by Finish, and by Clone.
+// TestSiblingKeysAreNodeKeys: every entry of an open forest's lookup
+// names its node by the node's own parent and signatures, and every node
+// has one, in a forest built by Add, by Merge of partial forests and by
+// Clone, whose lookup is built at its first use; Finish drops the
+// lookup.
 func TestSiblingKeysAreNodeKeys(t *testing.T) {
 	graphs := caseGraphs(t)
-	var check func(label string, m map[string]*Node)
-	check = func(label string, m map[string]*Node) {
-		for key, n := range m {
-			if key != n.Key() {
-				t.Errorf("%s: node %q filed under %q", label, n.Key(), key)
+	check := func(label string, g *Graph) {
+		if len(g.index) != len(g.nodes) {
+			t.Errorf("%s: %d lookup entries for %d nodes", label, len(g.index), len(g.nodes))
+		}
+		for k, i := range g.index {
+			if n := &g.nodes[i]; n.keyUnder(n.parent) != k {
+				t.Errorf("%s: node %q under %d filed as %+v", label, n.Key(), n.parent, k)
 			}
-			check(label, n.children)
 		}
 	}
 	half := NewAggregator(trace.AllDrivers(), Options{})
@@ -222,10 +343,15 @@ func TestSiblingKeysAreNodeKeys(t *testing.T) {
 	for _, wg := range graphs[len(graphs)/2:] {
 		ag.Add(wg)
 	}
-	check("add", ag.Partial().roots)
+	check("add", ag.Partial())
 	ag.Merge(half.Partial())
-	check("merge", ag.Partial().roots)
-	g := ag.Finish()
-	check("finish", g.roots)
-	check("clone", g.Clone().roots)
+	check("merge", ag.Partial())
+	clone := ag.Partial().Clone()
+	if n := &clone.nodes[3]; clone.child(n.keyUnder(n.parent)) != 3 {
+		t.Error("a clone's lookup misses its node")
+	}
+	check("clone", clone)
+	if g := ag.Finish(); g.index != nil {
+		t.Error("a finished graph keeps its lookup")
+	}
 }

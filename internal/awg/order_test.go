@@ -1,50 +1,48 @@
 package awg
 
 import (
+	"reflect"
 	"testing"
 
 	"tracescope/internal/trace"
 	"tracescope/internal/waitgraph"
 )
 
-// orderWant is what checkOrder requires of a forest's stored order.
-type orderWant int
-
-const (
-	sortedAfresh orderWant = iota // nothing stored: every list sorted per call
-	storedOrder                   // every list the one Finish stored
-	eitherOrder                   // some stored, some sorted per call
-)
-
-// checkOrder walks a forest through Roots and Children and fails unless
-// every sibling list is its map's nodes — the very nodes, not copies or
-// another forest's — in strictly increasing key order, and stored as
-// want says.
-func checkOrder(t *testing.T, label string, g *Graph, want orderWant) {
+// checkLayout fails unless g is laid out as Finish leaves it: no
+// lookup; every node's subtree within its parent's, which is the node
+// its parent index names; siblings in strictly increasing sibling order
+// and non-decreasing Key order; each signature id naming the node's
+// signature in g's sorted, duplicate-free signature table.
+func checkLayout(t *testing.T, g *Graph) {
 	t.Helper()
-	var level func(path string, got []*Node, m map[string]*Node, order []*Node)
-	level = func(path string, got []*Node, m map[string]*Node, order []*Node) {
-		if len(got) != len(m) {
-			t.Fatalf("%s %s: %d nodes in order, %d in the map", label, path, len(got), len(m))
-		}
-		if want == storedOrder && len(got) > 0 && &got[0] != &order[0] {
-			t.Fatalf("%s %s: order not the one Finish stored", label, path)
-		}
-		for i, n := range got {
-			key := n.Key()
-			if i > 0 && got[i-1].Key() >= key {
-				t.Fatalf("%s %s: %q before %q", label, path, got[i-1].Key(), key)
-			}
-			if m[key] != n {
-				t.Fatalf("%s %s/%s: ordered node is not the map's", label, path, key)
-			}
-			if has := want == storedOrder && len(n.children) > 0; want != eitherOrder && (n.kids != nil) != has {
-				t.Fatalf("%s %s/%s: stored order %v, want %v", label, path, key, n.kids != nil, has)
-			}
-			level(path+"/"+key, n.Children(), n.children, n.kids)
+	if !g.finished || g.index != nil {
+		t.Fatal("a laid-out graph is open or keeps its lookup")
+	}
+	for i := 1; i < len(g.sigs); i++ {
+		if g.sigs[i-1] >= g.sigs[i] {
+			t.Fatalf("signatures %q, %q out of order", g.sigs[i-1], g.sigs[i])
 		}
 	}
-	level("", g.Roots(), g.roots, g.order)
+	nodes := g.nodes
+	var level func(i, end, parent int32)
+	level = func(i, end, parent int32) {
+		for prev := int32(-1); i < end; prev, i = i, nodes[i].end {
+			n := &nodes[i]
+			if n.parent != parent || n.end <= i || n.end > end {
+				t.Fatalf("node %d %q: parent %d end %d, want parent %d, end in (%d, %d]", i, n.Key(), n.parent, n.end, parent, i, end)
+			}
+			if prev >= 0 && (compareKeys(&nodes[prev], n) >= 0 || nodes[prev].Key() > n.Key()) {
+				t.Fatalf("node %d: %q before %q", i, nodes[prev].Key(), n.Key())
+			}
+			for r, sig := range n.roleSigs() {
+				if id := n.sigIDs[r]; (sig == "") != (id < 0) || id >= 0 && g.sigs[id] != sig {
+					t.Fatalf("node %d %q: role %d id %d for %q", i, n.Key(), r, id, sig)
+				}
+			}
+			level(i+1, n.end, i)
+		}
+	}
+	level(0, int32(len(nodes)), -1)
 }
 
 // orderCases are forests of random graphs, one per seed, under the
@@ -58,9 +56,10 @@ func orderCases(t *testing.T, each func(label string, graphs []*waitgraph.Graph,
 	}
 }
 
-// TestFinishStoresKeyOrder: a finished forest's Roots and Children are
-// the key order Finish stored, for random forests, with and without the
-// reduction, which drops roots first.
+// TestFinishStoresKeyOrder: a finished forest is laid out in Key
+// order, for random forests, with and without the reduction, which
+// drops roots first; an open forest is laid out afresh when read, and
+// stays open.
 func TestFinishStoresKeyOrder(t *testing.T) {
 	reduced := false
 	orderCases(t, func(label string, graphs []*waitgraph.Graph, opts Options) {
@@ -68,9 +67,12 @@ func TestFinishStoresKeyOrder(t *testing.T) {
 		for _, g := range graphs {
 			ag.Add(g)
 		}
-		checkOrder(t, label+" unfinished", ag.Partial(), sortedAfresh)
+		checkLayout(t, ag.Partial().laidOut())
+		if ag.Partial().finished {
+			t.Fatalf("%s: reading an open forest finished it", label)
+		}
 		g := ag.Finish()
-		checkOrder(t, label, g, storedOrder)
+		checkLayout(t, g)
 		reduced = reduced || g.ReducedCost > 0
 	})
 	if !reduced {
@@ -82,40 +84,48 @@ func TestFinishStoresKeyOrder(t *testing.T) {
 // order sorts nothing and allocates nothing.
 func TestFinishedOrderReadsWithoutAllocating(t *testing.T) {
 	g := bigForest()
-	nodes := 0
-	var walk func([]*Node)
-	walk = func(level []*Node) {
-		for _, n := range level {
-			nodes++
-			walk(n.Children())
+	visited := 0
+	var walk func(nodes []Node, i, end int32)
+	walk = func(nodes []Node, i, end int32) {
+		for ; i < end; i = nodes[i].End() {
+			visited++
+			walk(nodes, i+1, nodes[i].End())
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { walk(g.Roots()) }); allocs != 0 {
+	read := func() {
+		nodes := g.Nodes()
+		walk(nodes, 0, int32(len(nodes)))
+	}
+	if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
 		t.Errorf("an in-order walk of a finished forest allocated %v times", allocs)
 	}
-	if nodes == 0 {
+	if visited == 0 {
 		t.Fatal("empty forest")
 	}
 }
 
-// TestCloneMergeFinishOrder: a clone of a finished graph carries no
-// stored order — its lists are its own nodes, sorted afresh — and the
-// forest its clones and other partials merge into is ordered afresh by
-// its own Finish, with the graphs added after the merge in it too. A
-// finished graph merged without cloning never has a stale order read.
+// TestCloneMergeFinishOrder: a clone of a finished graph is finished and
+// equal to it, one of an open graph is open; the forest clones and other
+// partials merge into is laid out by its own Finish, with the graphs
+// added after the merge in it too, and equals the sequential
+// aggregation. Merging a finished graph as it is leaves it as it was.
 func TestCloneMergeFinishOrder(t *testing.T) {
 	orderCases(t, func(label string, graphs []*waitgraph.Graph, opts Options) {
 		half := len(graphs) / 2
-		left := NewAggregator(trace.AllDrivers(), opts)
+		left := NewAggregator(trace.AllDrivers(), Options{MaxDepth: opts.MaxDepth})
 		for _, g := range graphs[:half] {
 			left.Add(g)
 		}
+		open := left.Partial().Clone()
 		finished := left.Finish()
+		before := renderAWG(t, finished)
 		clone := finished.Clone()
-		if clone.order != nil {
-			t.Fatalf("%s: clone carries the original's root order", label)
+		if !clone.finished || !reflect.DeepEqual(clone, finished) || &clone.nodes[0] == &finished.nodes[0] {
+			t.Fatalf("%s: the clone of a finished graph is not an equal finished copy", label)
 		}
-		checkOrder(t, label+" clone", clone, sortedAfresh)
+		if open.finished {
+			t.Fatalf("%s: the clone of an open graph is finished", label)
+		}
 
 		right := NewAggregator(trace.AllDrivers(), Options{MaxDepth: opts.MaxDepth})
 		for _, g := range graphs[half:] {
@@ -125,19 +135,27 @@ func TestCloneMergeFinishOrder(t *testing.T) {
 		final.Merge(clone)
 		final.Merge(right.Partial().Clone())
 		final.Add(graphs[0])
-		checkOrder(t, label+" merged", final.Partial(), sortedAfresh)
-		checkOrder(t, label+" merged", final.Finish(), storedOrder)
-		checkOrder(t, label+" original", finished, storedOrder)
+		got := final.Finish()
+		checkLayout(t, got)
 
-		// Merged as it is, the finished graph lends its nodes, stored
-		// order and all, to a forest that grows their sibling maps: a
-		// grown map's order is not read.
-		adopt := NewAggregator(trace.AllDrivers(), Options{MaxDepth: opts.MaxDepth})
+		want := NewAggregator(trace.AllDrivers(), opts)
+		for _, g := range append(graphs, graphs[0]) {
+			want.Add(g)
+		}
+		if a, b := renderAWG(t, got), renderAWG(t, want.Finish()); a != b {
+			t.Fatalf("%s: merged forest differs from the sequential one:\n%s\n--- want ---\n%s", label, a, b)
+		}
+
+		adopt := NewAggregator(trace.AllDrivers(), opts)
 		adopt.Merge(finished)
+		adopt.Merge(open)
 		for _, g := range graphs[half:] {
 			adopt.Add(g)
 		}
-		checkOrder(t, label+" adopted", adopt.Partial(), eitherOrder)
+		checkLayout(t, adopt.Finish())
+		if after := renderAWG(t, finished); after != before {
+			t.Fatalf("%s: merging a finished graph changed it", label)
+		}
 	})
 }
 

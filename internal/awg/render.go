@@ -15,8 +15,8 @@ const renderFlush = 32 << 10
 const spaces = "                                                                "
 
 // renderer appends a rendering into one buffer, flushed to w as it
-// fills. It visits nodes in Roots and Children order, which a finished
-// graph has stored.
+// fills. It visits nodes in Graph.Nodes order, which a finished graph
+// has laid out.
 type renderer struct {
 	w   io.Writer
 	buf []byte
@@ -84,21 +84,19 @@ func (g *Graph) WriteText(w io.Writer, maxDepth int) error {
 	if maxDepth <= 0 {
 		maxDepth = 8
 	}
+	nodes := g.Nodes()
 	r := newRenderer(w)
-	r.textLevel(g.Roots(), 0, maxDepth)
+	r.text(nodes, 0, int32(len(nodes)), 0, maxDepth)
 	return r.done()
 }
 
-// textLevel renders one sibling list at depth, each node followed by
-// its subtree.
-func (r *renderer) textLevel(nodes []*Node, depth, maxDepth int) {
-	for _, n := range nodes {
-		if r.err != nil {
-			return
-		}
-		r.textNode(n, depth)
+// text renders the sibling run nodes[i:end] at depth, each node
+// followed by its subtree.
+func (r *renderer) text(nodes []Node, i, end int32, depth, maxDepth int) {
+	for ; i < end && r.err == nil; i = nodes[i].end {
+		r.textNode(&nodes[i], depth)
 		if depth+1 < maxDepth {
-			r.textLevel(n.Children(), depth+1, maxDepth)
+			r.text(nodes, i+1, nodes[i].end, depth+1, maxDepth)
 		}
 	}
 }
@@ -145,25 +143,13 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	r.buf = append(r.buf, "digraph "...)
 	r.buf = strconv.AppendQuote(r.buf, name)
 	r.buf = append(r.buf, " {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n"...)
-	id := 0
-	r.dotLevel(g.Roots(), 0, &id)
+	// Nodes are numbered in visit order from 1, which is pre-order: a
+	// node's id is its index plus one, a root's parent id 0.
+	for i, nodes := 0, g.Nodes(); i < len(nodes) && r.err == nil; i++ {
+		r.dotNode(&nodes[i], int(nodes[i].parent)+1, i+1)
+	}
 	r.buf = append(r.buf, "}\n"...)
 	return r.done()
-}
-
-// dotLevel renders one sibling list, numbering nodes in visit order
-// from 1; each node's edge from parentID (0 for a root) follows its own
-// line, and its subtree follows both.
-func (r *renderer) dotLevel(nodes []*Node, parentID int, id *int) {
-	for _, n := range nodes {
-		if r.err != nil {
-			return
-		}
-		*id++
-		myID := *id
-		r.dotNode(n, parentID, myID)
-		r.dotLevel(n.Children(), myID, id)
-	}
 }
 
 // dotNode appends one node's statement

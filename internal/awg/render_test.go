@@ -20,8 +20,8 @@ func refWriteText(w io.Writer, g *Graph, maxDepth int) {
 	if maxDepth <= 0 {
 		maxDepth = 8
 	}
-	var node func(n *Node, depth int)
-	node = func(n *Node, depth int) {
+	var node func(n *tnode, depth int)
+	node = func(n *tnode, depth int) {
 		var label string
 		switch n.Kind {
 		case Waiting:
@@ -35,11 +35,11 @@ func refWriteText(w io.Writer, g *Graph, maxDepth int) {
 		if depth+1 >= maxDepth {
 			return
 		}
-		for _, c := range n.Children() {
+		for _, c := range n.kids {
 			node(c, depth+1)
 		}
 	}
-	for _, r := range g.Roots() {
+	for _, r := range tree(g) {
 		node(r, 0)
 	}
 }
@@ -50,8 +50,8 @@ func refWriteDOT(w io.Writer, g *Graph, name string) {
 	}
 	fmt.Fprintf(w, "digraph %q {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n", name)
 	id := 0
-	var emit func(n *Node, parentID int)
-	emit = func(n *Node, parentID int) {
+	var emit func(n *tnode, parentID int)
+	emit = func(n *tnode, parentID int) {
 		id++
 		myID := id
 		var label, color string
@@ -71,11 +71,11 @@ func refWriteDOT(w io.Writer, g *Graph, name string) {
 		if parentID > 0 {
 			fmt.Fprintf(w, "  n%d -> n%d;\n", parentID, myID)
 		}
-		for _, c := range n.Children() {
+		for _, c := range n.kids {
 			emit(c, myID)
 		}
 	}
-	for _, r := range g.Roots() {
+	for _, r := range tree(g) {
 		emit(r, 0)
 	}
 	fmt.Fprintln(w, "}")

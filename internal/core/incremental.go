@@ -500,16 +500,17 @@ func (inc *Incremental) SlowAWG(scenario string) (*awg.Graph, error) {
 	return slowAWG, nil
 }
 
-// finishClone clones unreduced persistent forests and finishes the merge
-// of the clones under the paper's options (awg.DefaultOptions: the
-// non-optimizable reduction on) — the exact counterpart of the batch
-// path's final merge-then-reduce aggregator, leaving the persistent
-// forests untouched. Disjoint forests merge, node for node, into the one
-// their graphs would have been aggregated into together.
+// finishClone merges unreduced persistent forests into a fresh
+// aggregator, which copies them, and finishes it under the paper's
+// options (awg.DefaultOptions: the non-optimizable reduction on) — the
+// exact counterpart of the batch path's final merge-then-reduce
+// aggregator, leaving the persistent forests untouched. Disjoint forests
+// merge, node for node, into the one their graphs would have been
+// aggregated into together.
 func finishClone(filter *trace.ComponentFilter, forests ...*awg.Aggregator) *awg.Graph {
 	final := awg.NewAggregator(filter, awg.DefaultOptions())
 	for _, ag := range forests {
-		final.Merge(ag.Partial().Clone())
+		final.Merge(ag.Partial())
 	}
 	return final.Finish()
 }
@@ -533,7 +534,7 @@ func (inc *Incremental) Snapshot() *Incremental {
 	return snap
 }
 
-// clone deep-copies one scenario's state via the same clone-then-merge
+// clone deep-copies one scenario's state via the same merge-into-fresh
 // idiom queries use; fc is the resolver of the state the copy joins.
 func (sc *scenarioState) clone(fc *trace.FilterCache) *scenarioState {
 	return &scenarioState{
@@ -551,6 +552,6 @@ func (sc *scenarioState) clone(fc *trace.FilterCache) *scenarioState {
 // owning state's).
 func cloneAggregator(ag *awg.Aggregator, fc *trace.FilterCache) *awg.Aggregator {
 	c := awg.NewAggregatorOn(fc, awg.Options{})
-	c.Merge(ag.Partial().Clone())
+	c.Merge(ag.Partial())
 	return c
 }

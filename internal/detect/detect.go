@@ -96,58 +96,3 @@ func (d *Detector) scenarioOf(s *trace.Stream, stack trace.StackID) string {
 	}
 	return ""
 }
-
-// MatchStats quantifies agreement between detected and recorded
-// instances.
-type MatchStats struct {
-	Recorded int
-	Detected int
-	// Matched counts recorded instances with a detected instance of the
-	// same scenario on the same thread whose span covers at least 80% of
-	// the recorded one.
-	Matched int
-}
-
-// Recall is the fraction of recorded instances that were detected.
-func (m MatchStats) Recall() float64 {
-	if m.Recorded == 0 {
-		return 0
-	}
-	return float64(m.Matched) / float64(m.Recorded)
-}
-
-// Compare evaluates detection against a stream's recorded ground truth.
-func Compare(recorded, detected []trace.Instance) MatchStats {
-	st := MatchStats{Recorded: len(recorded), Detected: len(detected)}
-	for _, r := range recorded {
-		for _, d := range detected {
-			if d.TID != r.TID || d.Scenario != r.Scenario {
-				continue
-			}
-			lo, hi := maxTime(r.Start, d.Start), minTime(r.End, d.End)
-			if hi <= lo {
-				continue
-			}
-			overlap := float64(hi - lo)
-			if span := float64(r.End - r.Start); span > 0 && overlap/span >= 0.8 {
-				st.Matched++
-				break
-			}
-		}
-	}
-	return st
-}
-
-func maxTime(a, b trace.Time) trace.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minTime(a, b trace.Time) trace.Time {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -7,6 +7,47 @@ import (
 	"tracescope/internal/trace"
 )
 
+// MatchStats quantifies agreement between detected and recorded
+// instances.
+type MatchStats struct {
+	Recorded int
+	Detected int
+	// Matched counts recorded instances with a detected instance of the
+	// same scenario on the same thread whose span covers at least 80% of
+	// the recorded one.
+	Matched int
+}
+
+// Recall is the fraction of recorded instances that were detected.
+func (m MatchStats) Recall() float64 {
+	if m.Recorded == 0 {
+		return 0
+	}
+	return float64(m.Matched) / float64(m.Recorded)
+}
+
+// Compare evaluates detection against a stream's recorded ground truth.
+func Compare(recorded, detected []trace.Instance) MatchStats {
+	st := MatchStats{Recorded: len(recorded), Detected: len(detected)}
+	for _, r := range recorded {
+		for _, d := range detected {
+			if d.TID != r.TID || d.Scenario != r.Scenario {
+				continue
+			}
+			lo, hi := max(r.Start, d.Start), min(r.End, d.End)
+			if hi <= lo {
+				continue
+			}
+			overlap := float64(hi - lo)
+			if span := float64(r.End - r.Start); span > 0 && overlap/span >= 0.8 {
+				st.Matched++
+				break
+			}
+		}
+	}
+	return st
+}
+
 func catalogRules(t *testing.T) []Rule {
 	t.Helper()
 	var rules []Rule

@@ -187,7 +187,7 @@ func refImpactJSON(scenario string, m impact.Metrics) map[string]any {
 func (s *Server) refHandleCausality(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("query_causality")
 	defer sp.End()
-	scen, params, err := causalityParams(r)
+	scen, params, err := causalityParams(r.URL.Query())
 	if err != nil {
 		refHttpError(w, s.rec, http.StatusBadRequest, "%v", err)
 		return
@@ -247,7 +247,7 @@ func (s *Server) refHandleCausality(w http.ResponseWriter, r *http.Request) {
 func (s *Server) refHandleAWG(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("query_awg")
 	defer sp.End()
-	scen, _, err := causalityParams(r)
+	scen, _, err := causalityParams(r.URL.Query())
 	if err != nil {
 		refHttpError(w, s.rec, http.StatusBadRequest, "%v", err)
 		return

@@ -26,6 +26,7 @@ import (
 	"go/token"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 
@@ -322,12 +323,11 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.rec, http.StatusOK, j)
 }
 
-// causalityParams reads the two parameters /causality and /awg take: the
-// scenario (required) and the mining bound k, which /awg has always
-// accepted and still validates, though an unmined graph does not depend
-// on it.
-func causalityParams(r *http.Request) (scen string, params mining.Params, err error) {
-	q := r.URL.Query()
+// causalityParams reads the two parameters /causality and /awg take from
+// the request's parsed query: the scenario (required) and the mining
+// bound k, which /awg has always accepted and still validates, though an
+// unmined graph does not depend on it.
+func causalityParams(q url.Values) (scen string, params mining.Params, err error) {
 	if scen = q.Get("scenario"); scen == "" {
 		return "", params, fmt.Errorf("scenario parameter is required")
 	}
@@ -346,7 +346,8 @@ func causalityParams(r *http.Request) (scen string, params mining.Params, err er
 func (s *Server) handleCausality(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("query_causality")
 	defer sp.End()
-	scen, params, err := causalityParams(r)
+	q := r.URL.Query()
+	scen, params, err := causalityParams(q)
 	if err != nil {
 		httpError(w, s.rec, http.StatusBadRequest, "%v", err)
 		return
@@ -359,7 +360,7 @@ func (s *Server) handleCausality(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	top := len(res.Patterns)
-	if tstr := r.URL.Query().Get("top"); tstr != "" {
+	if tstr := q.Get("top"); tstr != "" {
 		t, err := strconv.Atoi(tstr)
 		if err != nil || t < 0 {
 			httpError(w, s.rec, http.StatusBadRequest, "bad top %q", tstr)
@@ -418,7 +419,8 @@ func (j *jsonw) pattern(p mining.Pattern) {
 func (s *Server) handleAWG(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("query_awg")
 	defer sp.End()
-	scen, _, err := causalityParams(r)
+	q := r.URL.Query()
+	scen, _, err := causalityParams(q)
 	if err != nil {
 		httpError(w, s.rec, http.StatusBadRequest, "%v", err)
 		return
@@ -435,7 +437,7 @@ func (s *Server) handleAWG(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	maxDepth := 64
-	if dstr := r.URL.Query().Get("maxdepth"); dstr != "" {
+	if dstr := q.Get("maxdepth"); dstr != "" {
 		d, err := strconv.Atoi(dstr)
 		if err != nil || d < 1 {
 			httpError(w, s.rec, http.StatusBadRequest, "bad maxdepth %q", dstr)
@@ -443,7 +445,7 @@ func (s *Server) handleAWG(w http.ResponseWriter, r *http.Request) {
 		}
 		maxDepth = d
 	}
-	switch format := r.URL.Query().Get("format"); format {
+	switch format := q.Get("format"); format {
 	case "", "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		err = slowAWG.WriteText(w, maxDepth)

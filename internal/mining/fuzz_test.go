@@ -13,7 +13,9 @@ import (
 // carry the characters sigset.Tuple.Key separates members (',', as in
 // a Go function with two type parameters) and sets (';') with, spelled
 // so that an unescaped key would collide: wait{a,b} against wait{a},
-// wait{b}, and wait{a;Ub} unwait{a} against wait{a} unwait{b;Ua}.
+// wait{b}, and wait{a;Ub} unwait{a} against wait{a} unwait{b;Ua}. Two
+// more carry the '|' awg.Node.Key joins a wait and an unwait signature
+// with, so that the pairs (a|b, e) and (a, b|e) have equal Keys.
 var fuzzPool = []string{
 	"a.sys!A",
 	"b.sys!B",
@@ -21,6 +23,8 @@ var fuzzPool = []string{
 	"a.sys!A;Ub.sys!B",
 	"b.sys!B;Ua.sys!A",
 	"e.sys!Decrypt",
+	"a.sys!A|b.sys!B",
+	"b.sys!B|e.sys!Decrypt",
 }
 
 func (f *fixture) hw(cost trace.Duration) *waitgraph.Node {

@@ -7,6 +7,7 @@ package mining
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -61,13 +62,14 @@ func (m *Meta) AvgC() float64 {
 // a tuple. It returns the tuple-keyed map and the number of segments
 // enumerated (which saturates at maxSegments).
 //
-// Segments start at every node in visit order (pre-order over Roots,
-// children in Key order) and are walked on the graph's id index: the
-// path's role sets are kept as sorted ids, and a segment is merged into
-// its meta by id key without building a string. Strings are built once
-// per distinct meta, when the result map is made.
+// Segments start at every node in visit order (Graph.Nodes: pre-order,
+// siblings in Key order) and are walked on the finished forest's
+// interned signature ids: the path's role sets are kept as sorted ids,
+// and a segment is merged into its meta by id key without building a
+// string. Strings are built once per distinct meta, when the result map
+// is made.
 func EnumerateMetas(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
-	x, t := newIndex(g), newTally()
+	nodes, t := g.Nodes(), newTally()
 	var path roleSets
 	segments := 0
 	// walk emits the segments of length <= k starting where the path
@@ -77,7 +79,7 @@ func EnumerateMetas(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 		if segments >= maxSegments {
 			return
 		}
-		v := &x.nodes[i]
+		v := &nodes[i]
 		path.push(v)
 		segments++
 		if !path.empty() {
@@ -85,20 +87,20 @@ func EnumerateMetas(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 			e.add(v)
 		}
 		if depth < k {
-			for c := i + 1; c < v.end; c = x.nodes[c].end {
+			for c := i + 1; c < v.End(); c = nodes[c].End() {
 				walk(c, depth+1)
 			}
 		}
 		path.pop(v)
 	}
-	for start := range x.nodes {
+	for start := range nodes {
 		if segments >= maxSegments {
 			break
 		}
 		walk(int32(start), 1)
 	}
 
-	sigs := x.names(t.ids)
+	sigs := names(g.Sigs(), t.ids)
 	slab := make([]Meta, len(t.ents))
 	metas := make(map[string]*Meta, len(slab))
 	for i := range t.ents {
@@ -110,90 +112,15 @@ func EnumerateMetas(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 	return metas, segments
 }
 
-// index is a graph flattened for mining: its nodes in visit order —
-// pre-order over Roots, children in Key order — with every wait, unwait
-// and run signature interned to an id. Ids follow the signatures' sort
-// order, so a sorted id set names a canonical (sorted) signature set. A
-// finished graph has that order stored (awg.Aggregator.Finish), so
-// building the index sorts nothing but the signatures.
-type index struct {
-	nodes []inode
-	sigs  []string         // by id
-	ids   map[string]int32 // by signature
-}
-
-// inode is one flattened node. Its subtree is nodes[i:end]: its first
-// child is i+1 and each further child starts at its predecessor's end.
-// roles holds its wait, unwait and run ids, in the order of
-// sigset.Tuple's sets; a role the node does not fill holds noSig.
-type inode struct {
-	end     int32
-	roles   [3]int32
-	c, maxC trace.Duration
-	n       int64
-}
-
-// noSig marks an absent role; the empty signature is absent too, as
-// sigset.New drops it.
+// noSig marks a role a node does not fill (awg.Node.SigIDs); the empty
+// signature is absent too, as sigset.New drops it.
 const noSig = -1
 
-func newIndex(g *awg.Graph) *index {
-	x := &index{nodes: make([]inode, 0, g.NumNodes()), ids: make(map[string]int32)}
-	var visit func(n *awg.Node)
-	visit = func(n *awg.Node) {
-		i := len(x.nodes)
-		v := inode{roles: [3]int32{noSig, noSig, noSig}, c: n.C, maxC: n.MaxC, n: n.N}
-		switch n.Kind {
-		case awg.Waiting:
-			v.roles[0], v.roles[1] = x.intern(n.WaitSig), x.intern(n.UnwaitSig)
-		case awg.Running, awg.Hardware:
-			v.roles[2] = x.intern(n.RunSig)
-		}
-		x.nodes = append(x.nodes, v)
-		for _, c := range n.Children() {
-			visit(c)
-		}
-		x.nodes[i].end = int32(len(x.nodes))
-	}
-	for _, r := range g.Roots() {
-		visit(r)
-	}
-
-	// Renumber the ids, handed out in first-seen order, in sort order.
-	seen := x.sigs
-	x.sigs = append([]string(nil), seen...)
-	sort.Strings(x.sigs)
-	for id, s := range x.sigs {
-		x.ids[s] = int32(id)
-	}
-	for i := range x.nodes {
-		for r, id := range x.nodes[i].roles {
-			if id != noSig {
-				x.nodes[i].roles[r] = x.ids[seen[id]]
-			}
-		}
-	}
-	return x
-}
-
-func (x *index) intern(sig string) int32 {
-	if sig == "" {
-		return noSig
-	}
-	id, ok := x.ids[sig]
-	if !ok {
-		id = int32(len(x.sigs))
-		x.ids[sig] = id
-		x.sigs = append(x.sigs, sig)
-	}
-	return id
-}
-
 // names maps ids to their signatures.
-func (x *index) names(ids []int32) []string {
+func names(sigs []string, ids []int32) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = x.sigs[id]
+		out[i] = sigs[id]
 	}
 	return out
 }
@@ -203,14 +130,14 @@ func (x *index) names(ids []int32) []string {
 // sets of the path above it.
 type roleSets [3][]int32
 
-func (r *roleSets) push(v *inode) {
-	for i, id := range v.roles {
+func (r *roleSets) push(v *awg.Node) {
+	for i, id := range v.SigIDs() {
 		r[i] = insertID(r[i], id)
 	}
 }
 
-func (r *roleSets) pop(v *inode) {
-	for i, id := range v.roles {
+func (r *roleSets) pop(v *awg.Node) {
+	for i, id := range v.SigIDs() {
 		r[i] = removeID(r[i], id)
 	}
 }
@@ -310,11 +237,11 @@ func (t *tally) appendDistinct(s []int32) [2]int32 {
 	return [2]int32{lo, int32(len(t.ids))}
 }
 
-func (e *entry) add(v *inode) {
-	e.c += v.c
-	e.n += v.n
-	if v.maxC > e.maxC {
-		e.maxC = v.maxC
+func (e *entry) add(v *awg.Node) {
+	e.c += v.C
+	e.n += v.N
+	if v.MaxC > e.maxC {
+		e.maxC = v.MaxC
 	}
 }
 
@@ -444,38 +371,38 @@ func appendList(buf []byte, items []string, empty string) []byte {
 // meta-pattern, merges identical tuples, and ranks by average cost
 // descending (ties broken by total cost, then key, for determinism).
 //
-// Paths are walked on the graph's id index, as in EnumerateMetas, and
-// whether a path contains a contrast is decided once per distinct
+// Paths are walked on the graph's signature ids, as in EnumerateMetas,
+// and whether a path contains a contrast is decided once per distinct
 // full-path tuple, on sorted ids.
 func DiscoverPatterns(slowGraph *awg.Graph, contrasts []Contrast) []Pattern {
-	x := newIndex(slowGraph)
-	subs := contrastIDs(x, contrasts)
+	nodes, sigs := slowGraph.Nodes(), slowGraph.Sigs()
+	subs := contrastIDs(sigs, contrasts)
 	t := newTally()
 	var path roleSets
 	var root int32
 	var walk func(i int32)
 	walk = func(i int32) {
-		v := &x.nodes[i]
+		v := &nodes[i]
 		path.push(v)
-		if v.end == i+1 {
+		if v.End() == i+1 {
 			if !path.empty() {
 				e, added := t.find(&path)
 				if added {
 					e.keep = containsAny(t.ids, e, subs)
 				}
 				e.add(v)
-				if m := x.nodes[root].maxC; m > e.maxExec {
+				if m := nodes[root].MaxC; m > e.maxExec {
 					e.maxExec = m
 				}
 			}
 		} else {
-			for c := i + 1; c < v.end; c = x.nodes[c].end {
+			for c := i + 1; c < v.End(); c = nodes[c].End() {
 				walk(c)
 			}
 		}
 		path.pop(v)
 	}
-	for r := int32(0); int(r) < len(x.nodes); r = x.nodes[r].end {
+	for r := int32(0); int(r) < len(nodes); r = nodes[r].End() {
 		root = r
 		walk(r)
 	}
@@ -484,11 +411,11 @@ func DiscoverPatterns(slowGraph *awg.Graph, contrasts []Contrast) []Pattern {
 		key string
 		p   Pattern
 	}
-	sigs := x.names(t.ids)
+	byID := names(sigs, t.ids)
 	var rs []ranked
 	for i := range t.ents {
 		if e := &t.ents[i]; e.keep {
-			p := Pattern{Tuple: e.tuple(sigs), C: e.c, N: e.n, MaxC: e.maxC, MaxExec: e.maxExec}
+			p := Pattern{Tuple: e.tuple(byID), C: e.c, N: e.n, MaxC: e.maxC, MaxExec: e.maxExec}
 			rs = append(rs, ranked{p.Tuple.Key(), p})
 		}
 	}
@@ -509,10 +436,11 @@ func DiscoverPatterns(slowGraph *awg.Graph, contrasts []Contrast) []Pattern {
 	return out
 }
 
-// contrastIDs returns the contrasts' tuples as id sets of the index
-// (wait, unwait, run in turn), dropping any with a signature the graph
-// does not hold: no path of the graph can contain it.
-func contrastIDs(x *index, contrasts []Contrast) [][3][]int32 {
+// contrastIDs returns the contrasts' tuples as id sets over sigs, a
+// graph's sorted signatures (wait, unwait, run in turn), dropping any
+// with a signature the graph does not hold: no path of the graph can
+// contain it.
+func contrastIDs(sigs []string, contrasts []Contrast) [][3][]int32 {
 	var out [][3][]int32
 	var ids []int32
 next:
@@ -522,12 +450,12 @@ next:
 		for r, set := range [3][]string{t.Wait, t.Unwait, t.Running} {
 			lo := len(ids)
 			for _, s := range set {
-				id, ok := x.ids[s]
+				id, ok := slices.BinarySearch(sigs, s)
 				if !ok {
 					ids = ids[:lo]
 					continue next
 				}
-				ids = append(ids, id)
+				ids = append(ids, int32(id))
 			}
 			sub[r] = ids[lo:len(ids):len(ids)]
 		}
@@ -573,23 +501,13 @@ func containsAll(haystack, needle []int32) bool {
 // TotalPathCost sums the end-node cost of every full root-to-leaf path in
 // the graph: the total driver time represented by the (reduced) graph,
 // under the same accounting as pattern costs. Adding the graph's
-// ReducedCost yields the coverage denominator of Table 2. It walks the
-// order a finished graph has stored, sorting nothing.
+// ReducedCost yields the coverage denominator of Table 2.
 func TotalPathCost(g *awg.Graph) trace.Duration {
 	var total trace.Duration
-	var walk func(n *awg.Node)
-	walk = func(n *awg.Node) {
-		children := n.Children()
-		if len(children) == 0 {
-			total += n.C
-			return
+	for i, nodes := 0, g.Nodes(); i < len(nodes); i++ {
+		if nodes[i].End() == int32(i+1) {
+			total += nodes[i].C
 		}
-		for _, c := range children {
-			walk(c)
-		}
-	}
-	for _, r := range g.Roots() {
-		walk(r)
 	}
 	return total
 }

@@ -21,26 +21,47 @@ import (
 // reproduce exactly: the same segment count and cut-off point, the same
 // metas, the same ranked patterns.
 
+// refNode is a node of the reference's pointer view of a forest.
+type refNode struct {
+	*awg.Node
+	kids []*refNode
+}
+
+// refTree reads a forest into that view: its roots, each with its
+// children in order.
+func refTree(g *awg.Graph) []*refNode {
+	nodes := g.Nodes()
+	var level func(i, end int32) []*refNode
+	level = func(i, end int32) []*refNode {
+		var out []*refNode
+		for ; i < end; i = nodes[i].End() {
+			out = append(out, &refNode{Node: &nodes[i], kids: level(i+1, nodes[i].End())})
+		}
+		return out
+	}
+	return level(0, int32(len(nodes)))
+}
+
 // refEnumerate is the reference EnumerateMetas.
 func refEnumerate(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 	metas := make(map[string]*Meta)
 	segments := 0
 
-	var nodes []*awg.Node
-	var collect func(n *awg.Node)
-	collect = func(n *awg.Node) {
+	var nodes []*refNode
+	var collect func(n *refNode)
+	collect = func(n *refNode) {
 		nodes = append(nodes, n)
-		for _, c := range n.Children() {
+		for _, c := range n.kids {
 			collect(c)
 		}
 	}
-	for _, r := range g.Roots() {
+	for _, r := range refTree(g) {
 		collect(r)
 	}
 
-	var path []*awg.Node
-	var walk func(n *awg.Node)
-	walk = func(n *awg.Node) {
+	var path []*refNode
+	var walk func(n *refNode)
+	walk = func(n *refNode) {
 		if segments >= maxSegments {
 			return
 		}
@@ -60,7 +81,7 @@ func refEnumerate(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 			}
 		}
 		if len(path) < k {
-			for _, c := range n.Children() {
+			for _, c := range n.kids {
 				walk(c)
 			}
 		}
@@ -76,7 +97,7 @@ func refEnumerate(g *awg.Graph, k, maxSegments int) (map[string]*Meta, int) {
 }
 
 // refTupleOf builds the Signature Set Tuple of a node sequence.
-func refTupleOf(path []*awg.Node) sigset.Tuple {
+func refTupleOf(path []*refNode) sigset.Tuple {
 	var wait, unwait, running []string
 	for _, n := range path {
 		switch n.Kind {
@@ -96,11 +117,11 @@ func refTupleOf(path []*awg.Node) sigset.Tuple {
 func refDiscoverPatterns(slowGraph *awg.Graph, contrasts []Contrast) []Pattern {
 	byKey := make(map[string]*Pattern)
 
-	var path []*awg.Node
-	var walk func(n *awg.Node)
-	walk = func(n *awg.Node) {
+	var path []*refNode
+	var walk func(n *refNode)
+	walk = func(n *refNode) {
 		path = append(path, n)
-		if len(n.Children()) == 0 {
+		if len(n.kids) == 0 {
 			t := refTupleOf(path)
 			if !t.IsEmpty() && refContainsAnyContrast(t, contrasts) {
 				key := t.Key()
@@ -119,13 +140,13 @@ func refDiscoverPatterns(slowGraph *awg.Graph, contrasts []Contrast) []Pattern {
 				}
 			}
 		} else {
-			for _, c := range n.Children() {
+			for _, c := range n.kids {
 				walk(c)
 			}
 		}
 		path = path[:len(path)-1]
 	}
-	for _, r := range slowGraph.Roots() {
+	for _, r := range refTree(slowGraph) {
 		walk(r)
 	}
 

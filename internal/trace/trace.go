@@ -408,14 +408,5 @@ func Module(frame string) string {
 	return frame
 }
 
-// Function returns the function part of a "module!function" frame string,
-// or "" when it has no separator.
-func Function(frame string) string {
-	if i := strings.IndexByte(frame, '!'); i >= 0 {
-		return frame[i+1:]
-	}
-	return ""
-}
-
 // FrameString builds a "module!function" frame string.
 func FrameString(module, function string) string { return module + "!" + function }

@@ -168,22 +168,22 @@ func streamArtifact(src trace.Source, i int) string {
 }
 
 // serializeForest renders an AWG forest as deterministic text: one line
-// per node, depth-first over key-sorted children.
+// per node, in the finished forest's pre-order over key-sorted children.
 func serializeForest(g *awg.Graph) string {
 	var b strings.Builder
-	var walk func(n *awg.Node, depth int)
-	walk = func(n *awg.Node, depth int) {
-		b.WriteString(strconv.Itoa(depth))
-		b.WriteByte('|')
-		b.WriteString(n.Key())
-		fmt.Fprintf(&b, "|C=%d|N=%d|MaxC=%d\n", int64(n.C), n.N, int64(n.MaxC))
-		for _, c := range n.Children() {
-			walk(c, depth+1)
+	nodes := g.Nodes()
+	var walk func(i, end int32, depth int)
+	walk = func(i, end int32, depth int) {
+		for ; i < end; i = nodes[i].End() {
+			n := &nodes[i]
+			b.WriteString(strconv.Itoa(depth))
+			b.WriteByte('|')
+			b.WriteString(n.Key())
+			fmt.Fprintf(&b, "|C=%d|N=%d|MaxC=%d\n", int64(n.C), n.N, int64(n.MaxC))
+			walk(i+1, n.End(), depth+1)
 		}
 	}
-	for _, r := range g.Roots() {
-		walk(r, 0)
-	}
+	walk(0, int32(len(nodes)), 0)
 	return b.String()
 }
 

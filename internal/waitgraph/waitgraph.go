@@ -450,12 +450,3 @@ func (b *Builder) overlaps(i int32, start, end trace.Time) bool {
 	e := &b.s.Events[i]
 	return e.Type != trace.Unwait && e.Time < end && e.End() > start
 }
-
-// BuildAll constructs builders for every stream of a corpus.
-func BuildAll(c *trace.Corpus, opts Options) []*Builder {
-	out := make([]*Builder, len(c.Streams))
-	for i, s := range c.Streams {
-		out[i] = NewBuilder(s, i, opts)
-	}
-	return out
-}
