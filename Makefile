@@ -83,11 +83,11 @@ test-race:
 # Allocation budgets (CI gates on this, at GOMAXPROCS=1 and without the
 # race detector, which inflates allocations): bytes allocated by one
 # fold pass, by one warm daemon ingest, by one causality sweep that
-# mines and by one answered from the memo, and by the daemon's 40-GET
-# query rotation answered from the memo.
+# mines and by one answered from the memo, by the daemon's 40-GET
+# query rotation answered from the memo, and by one warm POST /ingest.
 test-allocs:
 	$(GO) test -count=1 -run 'TestFoldPassAllocBudget|TestIngestSteadyStateAllocs|TestCausalityQueryAllocBudget|TestCausalityMemoHitAllocBudget' -v ./internal/core
-	$(GO) test -count=1 -run 'TestServerQueryHitAllocBudget' -v ./internal/ingest
+	$(GO) test -count=1 -run 'TestServerQueryHitAllocBudget|TestIngestUploadAllocBudget' -v ./internal/ingest
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

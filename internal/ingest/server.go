@@ -135,9 +135,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// uploads holds upload buffers done with, so that a POST decodes into
+// the memory an earlier one grew.
+var uploads = sync.Pool{New: func() any { return new(trace.Upload) }}
+
+// maxPooledUpload bounds the bytes an upload's buffers may hold and
+// still go back to uploads: one large body must not pin its buffers for
+// every later one. A fleet stream of ≈ 7k events holds ≈ 0.35 MB.
+const maxPooledUpload = 4 << 20
+
+// releaseUpload returns u to uploads unless a large body grew it.
+func releaseUpload(u *trace.Upload) {
+	if u.Size() <= maxPooledUpload {
+		uploads.Put(u)
+	}
+}
+
 // handleIngest accepts one TSCP binary stream per POST, appends it to
 // the corpus, and folds the decoded stream it holds into the analysis
-// state. The response names the assigned stream index.
+// state. The response names the assigned stream index. The body is
+// decoded into pooled buffers, which go back to the pool once the fold
+// has run and the response holds what it reports of the stream.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, s.rec, http.StatusMethodNotAllowed, "POST a TSCP binary stream to /ingest")
@@ -146,8 +164,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start("ingest_request")
 	defer sp.End()
 
-	body := io.LimitReader(r.Body, maxStreamBytes+1)
-	stream, err := trace.ReadBinary(body)
+	up := uploads.Get().(*trace.Upload)
+	defer releaseUpload(up)
+	stream, err := trace.ReadUpload(io.LimitReader(r.Body, maxStreamBytes+1), up)
 	if err != nil {
 		// A payload that does not even decode still reports through the
 		// violation shape, so clients parse one rejection format.
@@ -174,7 +193,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// index the appender just gave it (see DESIGN.md on the single-writer
 	// corpus contract).
 	s.mu.Lock()
-	idx, err := s.app.Append(stream)
+	idx, err := s.app.AppendUpload(up)
 	if err == nil {
 		s.inc.Ingest(idx, stream)
 	}

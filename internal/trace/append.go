@@ -41,10 +41,15 @@ type Appender struct {
 	indexLen, internLen int64
 
 	// The corpus intern table (source of truth while this appender owns
-	// the directory) and the reusable block encoder.
+	// the directory), the reusable block encoder, and the buffers one
+	// append fills: Append's encoded blocks, a stream file's header and
+	// the index records.
 	intern   *InternTable
 	enc      *colfmt.Encoder
 	compress bool
+	blocks   bytes.Buffer
+	head     []byte
+	records  []byte
 }
 
 // OpenAppender opens dir for append-only corpus growth, creating the
@@ -119,12 +124,38 @@ func (a *Appender) Append(s *Stream) (int, error) {
 	if err := s.Validate(); err != nil {
 		return 0, fmt.Errorf("trace: appending stream: %w", err)
 	}
+	if a.enc == nil {
+		a.enc = colfmt.NewEncoder(eventColumns)
+	}
+	a.blocks.Reset()
+	if err := writeEventBlocks(&a.blocks, s.Events, a.enc, a.compress); err != nil {
+		return 0, fmt.Errorf("trace: encoding stream %q: %w", s.ID, err)
+	}
+	return a.append(s, a.blocks.Bytes())
+}
+
+// AppendUpload appends the stream u holds as Append does, storing the
+// event blocks it was decoded from as they arrived: the blocks and the
+// stream's events are one, so nothing is encoded again. The stream file
+// is Append's byte for byte when the body came from WriteBinary; other
+// block layouts (shorter blocks, compressed ones) are kept as sent and
+// decode to the same events. The compression setting does not apply.
+func (a *Appender) AppendUpload(u *Upload) (int, error) {
+	if u.stream == nil {
+		return 0, fmt.Errorf("trace: appending an upload that holds no decoded stream")
+	}
+	return a.append(u.stream, u.blocks)
+}
+
+// append lands one stream whose events blocks encodes: the one file
+// writer behind Append and AppendUpload.
+func (a *Appender) append(s *Stream, blocks []byte) (int, error) {
 	if err := a.checkSoleWriter(); err != nil {
 		return 0, err
 	}
 	idx := a.n
 	name := streamFileName(idx)
-	if err := a.writeStreamFile(name, s); err != nil {
+	if err := a.writeStreamFile(name, s, blocks); err != nil {
 		return 0, err
 	}
 	m := StreamMeta{
@@ -174,19 +205,15 @@ func fileLen(path string) (int64, error) {
 	return st.Size(), nil
 }
 
-// writeStreamFile encodes s against the corpus intern table, flushes
-// any new intern records to corpus.intern, and only then writes the
-// stream file — so no stream file on disk ever references an unflushed
-// intern record. Close errors surface (a short write otherwise goes
-// unnoticed until decode).
-func (a *Appender) writeStreamFile(name string, s *Stream) error {
-	if a.enc == nil {
-		a.enc = colfmt.NewEncoder(eventColumns)
-	}
-	var buf bytes.Buffer
-	if err := s.writeBinaryV4(&buf, a.intern, a.enc, a.compress); err != nil {
-		return fmt.Errorf("trace: encoding %s: %w", name, err)
-	}
+// writeStreamFile writes s's TSC4 header, interning its frames and
+// stacks into the corpus table, flushes any new intern records to
+// corpus.intern, and only then writes the stream file — header, then
+// blocks — so no stream file on disk ever references an unflushed intern
+// record. Close errors surface (a short write otherwise goes unnoticed
+// until decode).
+func (a *Appender) writeStreamFile(name string, s *Stream, blocks []byte) error {
+	a.head = a.intern.appendTables(appendPrefix(a.head[:0], binaryMagicV4, binaryVersionV4, s.ID), s)
+	a.head = appendSuffix(a.head, s)
 	if err := a.appendInternRecords(); err != nil {
 		return err
 	}
@@ -194,7 +221,10 @@ func (a *Appender) writeStreamFile(name string, s *Stream) error {
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(buf.Bytes())
+	_, err = f.Write(a.head)
+	if err == nil {
+		_, err = f.Write(blocks)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -207,10 +237,12 @@ func (a *Appender) writeStreamFile(name string, s *Stream) error {
 // appendInternRecords lands intern records added since the last flush,
 // starting corpus.intern over with its header on a fresh corpus's first
 // flush (whatever a crashed first append left there would shift every
-// ID this appender assigns). On failure the flushed cursors are rolled
-// back so the records retry on the next append.
+// ID this appender assigns). That first flush happens even with no
+// record to land: a corpus whose first stream holds no frame still
+// needs the file. On failure the flushed cursors are rolled back so the
+// records retry on the next append.
 func (a *Appender) appendInternRecords() error {
-	if a.intern.flushedFrames == len(a.intern.frames) &&
+	if !a.freshIntern && a.intern.flushedFrames == len(a.intern.frames) &&
 		a.intern.flushedStacks == len(a.intern.stacks) {
 		return nil
 	}
@@ -257,15 +289,12 @@ func appendFile(path string, fresh bool, data []byte, size *int64) error {
 // appendIndexRecord appends one stream's records to the index, writing
 // the header first when the corpus is fresh.
 func (a *Appender) appendIndexRecord(seq int, m StreamMeta) error {
-	var buf bytes.Buffer
+	a.records = a.records[:0]
 	if a.fresh {
-		buf.WriteString(indexHeader + "\n")
+		a.records = append(a.records, indexHeader+"\n"...)
 	}
-	err := writeStreamRecord(&buf, seq, m)
-	if err == nil {
-		err = appendFile(filepath.Join(a.dir, indexFile), a.fresh, buf.Bytes(), &a.indexLen)
-	}
-	if err != nil {
+	a.records = appendStreamRecord(a.records, seq, m)
+	if err := appendFile(filepath.Join(a.dir, indexFile), a.fresh, a.records, &a.indexLen); err != nil {
 		return fmt.Errorf("trace: appending to %s: %w", indexFile, err)
 	}
 	return nil

@@ -7,21 +7,32 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"unsafe"
+
+	"tracescope/internal/trace/colfmt"
 )
 
 // Wire stream container format (TSCP), what POST /ingest accepts. It is
-// never a corpus file: on disk a stream is a TSC4 container (codec_v4.go).
+// the TSC4 stream layout (codec_v4.go) carrying the stream's own frame
+// and stack tables where TSC4 references the corpus intern table:
 //
-//	magic "TSCP" | u16 version | ID | frame table | stack table |
-//	thread table | instance table | event sequence
+//	magic "TSCP" | u16 version 2 | ID |
+//	frame table:    uvarint n | n × frame string (distinct)
+//	stack table:    uvarint n | n × (uvarint depth | depth × uvarint local frame ID)
+//	thread table:   as TSC4
+//	instance table: as TSC4
+//	events:         uvarint n | colfmt blocks until n rows consumed, as TSC4
 //
-// All integers are unsigned varints (zig-zag for signed fields); strings
-// are length-prefixed UTF-8. Event times and costs are delta-encoded
-// against the previous event to keep corpora small.
+// So there is one event encoding, on the wire and on disk: the appender
+// stores an upload's event blocks as they arrived (Appender.AppendUpload)
+// behind a TSC4 header. Version 1, a row-per-event encoding, is gone;
+// its bodies are rejected with an error that names it.
 
 const (
 	binaryMagic   = "TSCP"
-	binaryVersion = 1
+	binaryVersion = 2
+	// retiredWireVersion is the row encoding TSCP version 2 replaced.
+	retiredWireVersion = 1
 	// maxTableLen bounds table sizes read from untrusted input so a
 	// corrupt length prefix cannot trigger a huge allocation.
 	maxTableLen = 1 << 28
@@ -44,273 +55,136 @@ func prealloc(n int) int {
 // ErrBadFormat reports a malformed binary stream.
 var ErrBadFormat = errors.New("trace: malformed binary stream")
 
-// WriteBinary encodes the stream in the tracescope binary container format.
+// WriteBinary encodes the stream in the TSCP wire format: its own
+// tables, then its events as colfmt blocks of DefaultBlockRows rows,
+// uncompressed — the blocks Appender.Append writes for it.
 func (s *Stream) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var verBuf [2]byte
-	binary.LittleEndian.PutUint16(verBuf[:], binaryVersion)
-	if _, err := bw.Write(verBuf[:]); err != nil {
-		return err
-	}
-	writeString(bw, s.ID)
-
-	writeUvarint(bw, uint64(len(s.frames)))
+	b := appendPrefix(nil, binaryMagic, binaryVersion, s.ID)
+	b = binary.AppendUvarint(b, uint64(len(s.frames)))
 	for _, f := range s.frames {
-		writeString(bw, f)
+		b = appendString(b, f)
 	}
-
-	writeUvarint(bw, uint64(len(s.stacks)))
+	b = binary.AppendUvarint(b, uint64(len(s.stacks)))
 	for _, st := range s.stacks {
-		writeUvarint(bw, uint64(len(st)))
+		b = binary.AppendUvarint(b, uint64(len(st)))
 		for _, f := range st {
-			writeUvarint(bw, uint64(f))
+			b = binary.AppendUvarint(b, uint64(f))
 		}
 	}
-
-	writeUvarint(bw, uint64(len(s.Threads)))
-	// Deterministic order: iterate ascending TIDs.
-	for _, tid := range sortedThreadIDs(s.Threads) {
-		ti := s.Threads[tid]
-		writeVarint(bw, int64(tid))
-		writeString(bw, ti.Process)
-		writeString(bw, ti.Name)
+	b = appendSuffix(b, s)
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(b); err != nil {
+		return err
 	}
-
-	writeUvarint(bw, uint64(len(s.Instances)))
-	for _, in := range s.Instances {
-		writeString(bw, in.Scenario)
-		writeVarint(bw, int64(in.TID))
-		writeVarint(bw, int64(in.Start))
-		writeVarint(bw, int64(in.End))
-	}
-
-	writeUvarint(bw, uint64(len(s.Events)))
-	var prevTime Time
-	for _, e := range s.Events {
-		if err := bw.WriteByte(byte(e.Type)); err != nil {
-			return err
-		}
-		writeVarint(bw, int64(e.Time-prevTime))
-		prevTime = e.Time
-		writeVarint(bw, int64(e.Cost))
-		writeVarint(bw, int64(e.TID))
-		writeVarint(bw, int64(e.WTID))
-		writeVarint(bw, int64(e.Stack))
+	if err := writeEventBlocks(bw, s.Events, colfmt.NewEncoder(eventColumns), false); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// ReadBinary decodes a stream written by WriteBinary. r must end where
-// the stream does: bytes after the declared events are rejected, not
-// dropped.
+// ReadBinary decodes a stream written by WriteBinary into memory the
+// stream owns. r must end where the stream does: bytes after the
+// declared events are rejected, not dropped.
 func ReadBinary(r io.Reader) (*Stream, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
-	}
-	verBuf := make([]byte, 2)
-	if _, err := io.ReadFull(br, verBuf); err != nil {
-		return nil, fmt.Errorf("%w: reading version: %v", ErrBadFormat, err)
-	}
-	if v := binary.LittleEndian.Uint16(verBuf); v != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
+	return ReadUpload(r, new(Upload))
+}
 
-	id, err := readString(br)
+// An Upload is one TSCP body and the stream decoded from it, held for
+// the write path: ReadUpload fills it, and Appender.AppendUpload stores
+// the body's event blocks as they arrived instead of encoding the
+// events again. The blocks travel with the upload, never with a Stream:
+// a Stream is mutable, and only blocks decoded into the very stream
+// being appended may stand for its events.
+//
+// Its buffers are reused by the next ReadUpload, under the Scratch
+// contract (DESIGN.md §10): the stream and everything reachable from it
+// but its strings is valid until then. The stream must not be modified
+// in between. The zero value is ready to use; not safe for concurrent
+// use.
+type Upload struct {
+	sc     Scratch
+	stream *Stream
+	blocks []byte // the body's event blocks, within sc.raw
+}
+
+// ReadUpload reads a TSCP body from r into u and decodes it there,
+// through the decoder TSC4 stream files use. Every rejection is
+// ErrBadFormat. On error u holds no stream.
+func ReadUpload(r io.Reader, u *Upload) (*Stream, error) {
+	u.stream, u.blocks = nil, nil
+	raw, err := readAll(r, u.sc.raw[:0])
+	u.sc.raw = raw
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading body: %v", ErrBadFormat, err)
+	}
+	s, blocksAt, err := decodeStream(raw, nil, &u.sc)
 	if err != nil {
 		return nil, err
 	}
-	s := NewStream(id)
-
-	nFrames, err := readLen(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nFrames; i++ {
-		f, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		s.InternFrame(f)
-	}
-
-	nStacks, err := readLen(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nStacks; i++ {
-		n, err := readLen(br)
-		if err != nil {
-			return nil, err
-		}
-		frames := make([]FrameID, 0, prealloc(n))
-		for j := 0; j < n; j++ {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: stack frame: %v", ErrBadFormat, err)
-			}
-			if v >= uint64(len(s.frames)) {
-				return nil, fmt.Errorf("%w: stack frame id %d out of range", ErrBadFormat, v)
-			}
-			frames = append(frames, FrameID(v))
-		}
-		s.InternStack(frames)
-	}
-
-	nThreads, err := readLen(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nThreads; i++ {
-		tid, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		proc, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		s.SetThread(ThreadID(tid), proc, name)
-	}
-
-	nInst, err := readLen(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nInst; i++ {
-		scen, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		tid, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		start, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		end, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		s.Instances = append(s.Instances, Instance{
-			Scenario: scen, TID: ThreadID(tid), Start: Time(start), End: Time(end),
-		})
-	}
-
-	nEvents, err := readLen(br)
-	if err != nil {
-		return nil, err
-	}
-	s.Events = make([]Event, 0, prealloc(nEvents))
-	var prevTime Time
-	for i := 0; i < nEvents; i++ {
-		tb, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: event type: %v", ErrBadFormat, err)
-		}
-		dt, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		cost, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		tid, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		wtid, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		stack, err := readVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prevTime += Time(dt)
-		s.Events = append(s.Events, Event{
-			Type:  EventType(tb),
-			Time:  prevTime,
-			Cost:  Duration(cost),
-			TID:   ThreadID(tid),
-			WTID:  ThreadID(wtid),
-			Stack: StackID(stack),
-		})
-	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("%w: trailing bytes after events", ErrBadFormat)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("%w: reading past events: %v", ErrBadFormat, err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
+	u.stream, u.blocks = s, raw[blocksAt:]
 	return s, nil
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // bufio defers errors to Flush
+// Size returns the bytes u's buffers hold, which a pool that keeps u for
+// the next upload keeps with it.
+func (u *Upload) Size() int {
+	sc := &u.sc
+	return cap(sc.raw) +
+		cap(sc.events)*int(unsafe.Sizeof(Event{})) +
+		cap(sc.instances)*int(unsafe.Sizeof(Instance{})) +
+		cap(sc.frames)*int(unsafe.Sizeof("")) +
+		cap(sc.stacks)*int(unsafe.Sizeof([]FrameID(nil))) +
+		(cap(sc.arena)+cap(sc.stackEnds))*int(unsafe.Sizeof(FrameID(0)))
 }
 
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // bufio defers errors to Flush
+// readAll reads r to its end into b, growing it as bytes arrive.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s) //nolint:errcheck // bufio defers errors to Flush
+// appendPrefix appends a stream container's magic, version and stream ID.
+func appendPrefix(b []byte, magic string, version uint16, id string) []byte {
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint16(b, version)
+	return appendString(b, id)
 }
 
-func readLen(br *bufio.Reader) (int, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("%w: length: %v", ErrBadFormat, err)
+// appendSuffix appends what follows the frame and stack tables in both
+// containers: the thread table in ascending TID order, the instance
+// table and the event count.
+func appendSuffix(b []byte, s *Stream) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Threads)))
+	for _, tid := range sortedThreadIDs(s.Threads) {
+		ti := s.Threads[tid]
+		b = binary.AppendVarint(b, int64(tid))
+		b = appendString(b, ti.Process)
+		b = appendString(b, ti.Name)
 	}
-	if v > maxTableLen {
-		return 0, fmt.Errorf("%w: length %d too large", ErrBadFormat, v)
+	b = binary.AppendUvarint(b, uint64(len(s.Instances)))
+	for _, in := range s.Instances {
+		b = appendString(b, in.Scenario)
+		b = binary.AppendVarint(b, int64(in.TID))
+		b = binary.AppendVarint(b, int64(in.Start))
+		b = binary.AppendVarint(b, int64(in.End))
 	}
-	return int(v), nil
+	return binary.AppendUvarint(b, uint64(len(s.Events)))
 }
 
-func readVarint(br *bufio.Reader) (int64, error) {
-	v, err := binary.ReadVarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("%w: varint: %v", ErrBadFormat, err)
-	}
-	return v, nil
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readLen(br)
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("%w: string length %d too large", ErrBadFormat, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("%w: string body: %v", ErrBadFormat, err)
-	}
-	return string(buf), nil
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 func sortedThreadIDs(m map[ThreadID]ThreadInfo) []ThreadID {

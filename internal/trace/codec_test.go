@@ -140,7 +140,7 @@ func TestReadBinaryRejectsCorruption(t *testing.T) {
 
 func TestReadBinaryRejectsHugeLengths(t *testing.T) {
 	// magic + version + a string length claiming 2^40 bytes.
-	data := []byte("TSCP\x01\x00")
+	data := []byte("TSCP\x02\x00")
 	data = append(data, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // huge uvarint
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Error("huge length accepted")

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -91,63 +90,6 @@ func (c *byteCursor) string() (string, error) {
 	return s, nil
 }
 
-// writeBinaryV4 encodes the stream against the corpus intern table,
-// interning any frames and stacks not yet in it. enc is the caller's
-// reusable block encoder (column count eventColumns).
-func (s *Stream) writeBinaryV4(w io.Writer, it *InternTable, enc *colfmt.Encoder, compress bool) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagicV4); err != nil {
-		return err
-	}
-	var verBuf [2]byte
-	binary.LittleEndian.PutUint16(verBuf[:], binaryVersionV4)
-	if _, err := bw.Write(verBuf[:]); err != nil {
-		return err
-	}
-	writeString(bw, s.ID)
-
-	// Local frame table → global frame IDs, preserving local order.
-	l2g := make([]FrameID, len(s.frames))
-	writeUvarint(bw, uint64(len(s.frames)))
-	for i, f := range s.frames {
-		l2g[i] = it.internFrame(f)
-		writeUvarint(bw, uint64(l2g[i]))
-	}
-
-	// Local stack table → global stack IDs, preserving local order.
-	writeUvarint(bw, uint64(len(s.stacks)))
-	var gframes []FrameID
-	for _, st := range s.stacks {
-		gframes = gframes[:0]
-		for _, f := range st {
-			gframes = append(gframes, l2g[f])
-		}
-		writeUvarint(bw, uint64(it.internStack(gframes)))
-	}
-
-	writeUvarint(bw, uint64(len(s.Threads)))
-	for _, tid := range sortedThreadIDs(s.Threads) {
-		ti := s.Threads[tid]
-		writeVarint(bw, int64(tid))
-		writeString(bw, ti.Process)
-		writeString(bw, ti.Name)
-	}
-
-	writeUvarint(bw, uint64(len(s.Instances)))
-	for _, in := range s.Instances {
-		writeString(bw, in.Scenario)
-		writeVarint(bw, int64(in.TID))
-		writeVarint(bw, int64(in.Start))
-		writeVarint(bw, int64(in.End))
-	}
-
-	writeUvarint(bw, uint64(len(s.Events)))
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return writeEventBlocks(w, s.Events, enc, compress)
-}
-
 // writeEventBlocks transposes the event sequence into colfmt blocks of
 // DefaultBlockRows rows each.
 func writeEventBlocks(w io.Writer, events []Event, enc *colfmt.Encoder, compress bool) error {
@@ -185,34 +127,245 @@ func writeEventBlocks(w io.Writer, events []Event, enc *colfmt.Encoder, compress
 	return flush()
 }
 
-// readBinaryV4 decodes a v4 stream file from data using the corpus
-// intern table, filling the buffer set b: every slice and the thread map
-// of the returned Stream are b's, so the stream is valid until b's next
-// decode. The Stream value itself is new each time — a FilterCache tells
-// streams apart by address. On error b is untouched enough to be reused.
-func readBinaryV4(data []byte, it *InternTable, b *Scratch) (*Stream, error) {
+// decodeStream decodes one stream container from data into the buffer
+// set b: a TSCP body when it is nil, else a TSC4 stream file whose tables
+// reference it. The two differ only in their frame and stack tables;
+// threads, instances and the event blocks are decoded by the same code.
+// Every slice and the thread map of the returned Stream are b's, so the
+// stream is valid until b's next decode; no string is (a TSC4 file's
+// frames are the intern table's, every other string is the stream's
+// own). The Stream value itself is new each time — a FilterCache tells
+// streams apart by address. blocksAt is the offset in data of the first event
+// block. On error b is untouched enough to be reused.
+func decodeStream(data []byte, it *InternTable, b *Scratch) (s *Stream, blocksAt int, err error) {
 	c := &byteCursor{data: data}
-	if len(data) < len(binaryMagicV4)+2 {
-		return nil, fmt.Errorf("%w: truncated v4 header", ErrBadFormat)
+	if err := c.header(it == nil); err != nil {
+		return nil, 0, err
 	}
-	if string(data[:4]) != binaryMagicV4 {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, data[:4])
-	}
-	c.off = 4
-	if v := binary.LittleEndian.Uint16(data[c.off:]); v != binaryVersionV4 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	c.off += 2
-
 	id, err := c.string()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	if it == nil {
+		err = b.wireTables(c)
+	} else {
+		err = b.internedTables(c, it)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 
+	// Threads.
+	nThreads, err := c.tableLen()
+	if err != nil {
+		return nil, 0, err
+	}
+	if b.threads == nil {
+		b.threads = make(map[ThreadID]ThreadInfo, prealloc(nThreads))
+	} else {
+		clear(b.threads)
+	}
+	for i := 0; i < nThreads; i++ {
+		tid, err := c.varint()
+		if err != nil {
+			return nil, 0, err
+		}
+		proc, err := c.string()
+		if err != nil {
+			return nil, 0, err
+		}
+		name, err := c.string()
+		if err != nil {
+			return nil, 0, err
+		}
+		b.threads[ThreadID(tid)] = ThreadInfo{Process: proc, Name: name}
+	}
+
+	// Instances.
+	nInst, err := c.tableLen()
+	if err != nil {
+		return nil, 0, err
+	}
+	if cap(b.instances) < nInst {
+		b.instances = make([]Instance, 0, prealloc(nInst))
+	}
+	b.instances = b.instances[:0]
+	for i := 0; i < nInst; i++ {
+		scen, err := c.string()
+		if err != nil {
+			return nil, 0, err
+		}
+		tid, err := c.varint()
+		if err != nil {
+			return nil, 0, err
+		}
+		start, err := c.varint()
+		if err != nil {
+			return nil, 0, err
+		}
+		end, err := c.varint()
+		if err != nil {
+			return nil, 0, err
+		}
+		b.instances = append(b.instances, Instance{
+			Scenario: scen, TID: ThreadID(tid), Start: Time(start), End: Time(end),
+		})
+	}
+
+	// Events: colfmt blocks.
+	nEvents, err := c.tableLen()
+	if err != nil {
+		return nil, 0, err
+	}
+	if cap(b.events) < nEvents {
+		b.events = make([]Event, 0, prealloc(nEvents))
+	}
+	b.events = b.events[:0]
+	if b.dec == nil {
+		b.dec = colfmt.NewDecoder(eventColumns)
+	}
+	blocksAt = c.off
+	var prevTime Time
+	for len(b.events) < nEvents {
+		rows, types, cols, n, err := b.dec.DecodeBlock(c.data[c.off:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: event block at offset %d: %v", ErrBadFormat, c.off, err)
+		}
+		c.off += n
+		if len(b.events)+rows > nEvents {
+			return nil, 0, fmt.Errorf("%w: event blocks hold more than the declared %d events", ErrBadFormat, nEvents)
+		}
+		dts, costs, tids, wtids, stks := cols[0], cols[1], cols[2], cols[3], cols[4]
+		for r := 0; r < rows; r++ {
+			prevTime += Time(dts[r])
+			b.events = append(b.events, Event{
+				Type:  EventType(types[r]),
+				Time:  prevTime,
+				Cost:  Duration(costs[r]),
+				TID:   ThreadID(tids[r]),
+				WTID:  ThreadID(wtids[r]),
+				Stack: StackID(stks[r]),
+			})
+		}
+	}
+	if c.off != len(c.data) {
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes after events", ErrBadFormat, len(c.data)-c.off)
+	}
+
+	// The index maps stay nil: InternFrame rebuilds them if ever needed.
+	s = &Stream{
+		ID:        id,
+		frames:    b.frames,
+		stacks:    b.stacks,
+		Events:    b.events,
+		Instances: b.instances,
+		Threads:   b.threads,
+	}
+	if err := s.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	return s, blocksAt, nil
+}
+
+// header checks a container's magic and version: TSCP's when wire is
+// set, else TSC4's.
+func (c *byteCursor) header(wire bool) error {
+	magic, version := binaryMagicV4, uint16(binaryVersionV4)
+	if wire {
+		magic, version = binaryMagic, binaryVersion
+	}
+	if len(c.data) < len(magic)+2 {
+		return fmt.Errorf("%w: truncated %s header", ErrBadFormat, magic)
+	}
+	if string(c.data[:len(magic)]) != magic {
+		return fmt.Errorf("%w: bad magic %q", ErrBadFormat, c.data[:len(magic)])
+	}
+	c.off = len(magic)
+	v := binary.LittleEndian.Uint16(c.data[c.off:])
+	c.off += 2
+	switch {
+	case v == version:
+		return nil
+	case wire && v == retiredWireVersion:
+		return fmt.Errorf("%w: TSCP version 1, the retired row encoding: this build reads only version %d; re-encode the stream with this build's tracegen -stream (Stream.WriteBinary)",
+			ErrBadFormat, binaryVersion)
+	default:
+		return fmt.Errorf("%w: unsupported %s version %d", ErrBadFormat, magic, v)
+	}
+}
+
+// wireTables decodes TSCP's own frame and stack tables into b. Frames
+// must be distinct: a TSC4 file can hold one local ID per frame string,
+// so a repeated frame would not read back as it arrived.
+func (b *Scratch) wireTables(c *byteCursor) error {
+	nFrames, err := c.tableLen()
+	if err != nil {
+		return err
+	}
+	if cap(b.frames) < nFrames {
+		b.frames = make([]string, 0, prealloc(nFrames))
+	}
+	b.frames = b.frames[:0]
+	if b.frameSet == nil {
+		b.frameSet = make(map[string]struct{}, prealloc(nFrames))
+	} else {
+		clear(b.frameSet)
+	}
+	for i := 0; i < nFrames; i++ {
+		f, err := c.string()
+		if err != nil {
+			return err
+		}
+		if _, dup := b.frameSet[f]; dup {
+			return fmt.Errorf("%w: frame table entry %d repeats frame %q", ErrBadFormat, i, f)
+		}
+		b.frameSet[f] = struct{}{}
+		b.frames = append(b.frames, f)
+	}
+
+	// Stack frame lists land in one arena; the stacks are cut from it
+	// once it has stopped growing.
+	nStacks, err := c.tableLen()
+	if err != nil {
+		return err
+	}
+	b.arena, b.stackEnds = b.arena[:0], b.stackEnds[:0]
+	for i := 0; i < nStacks; i++ {
+		depth, err := c.tableLen()
+		if err != nil {
+			return err
+		}
+		for j := 0; j < depth; j++ {
+			f, err := c.uvarint()
+			if err != nil {
+				return err
+			}
+			if f >= uint64(nFrames) {
+				return fmt.Errorf("%w: stack %d frame id %d out of range", ErrBadFormat, i, f)
+			}
+			b.arena = append(b.arena, FrameID(f))
+		}
+		b.stackEnds = append(b.stackEnds, len(b.arena))
+	}
+	if cap(b.stacks) < nStacks {
+		b.stacks = make([][]FrameID, 0, nStacks)
+	}
+	b.stacks = b.stacks[:0]
+	start := 0
+	for _, end := range b.stackEnds {
+		b.stacks = append(b.stacks, b.arena[start:end:end])
+		start = end
+	}
+	return nil
+}
+
+// internedTables decodes TSC4's frame and stack tables, references into
+// the corpus intern table, back into the stream's local ID spaces.
+func (b *Scratch) internedTables(c *byteCursor, it *InternTable) error {
 	// Local frame table: global IDs resolved against the intern table.
 	nFrames, err := c.tableLen()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cap(b.frames) < nFrames {
 		b.frames = make([]string, 0, prealloc(nFrames))
@@ -223,10 +376,10 @@ func readBinaryV4(data []byte, it *InternTable, b *Scratch) (*Stream, error) {
 	for i := 0; i < nFrames; i++ {
 		g, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if g >= uint64(it.NumFrames()) {
-			return nil, fmt.Errorf("%w: frame table entry %d references global frame %d of %d",
+			return fmt.Errorf("%w: frame table entry %d references global frame %d of %d",
 				ErrBadFormat, i, g, it.NumFrames())
 		}
 		b.frames = append(b.frames, it.frames[g])
@@ -255,7 +408,7 @@ func readBinaryV4(data []byte, it *InternTable, b *Scratch) (*Stream, error) {
 	// move.
 	nStacks, err := c.tableLen()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cap(b.stackGlobals) < nStacks {
 		b.stackGlobals = make([]StackID, 0, prealloc(nStacks))
@@ -265,10 +418,10 @@ func readBinaryV4(data []byte, it *InternTable, b *Scratch) (*Stream, error) {
 	for i := 0; i < nStacks; i++ {
 		g, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if g >= uint64(it.NumStacks()) {
-			return nil, fmt.Errorf("%w: stack table entry %d references global stack %d of %d",
+			return fmt.Errorf("%w: stack table entry %d references global stack %d of %d",
 				ErrBadFormat, i, g, it.NumStacks())
 		}
 		b.stackGlobals = append(b.stackGlobals, StackID(g))
@@ -287,121 +440,12 @@ func readBinaryV4(data []byte, it *InternTable, b *Scratch) (*Stream, error) {
 		for _, gf := range it.stacks[g] {
 			lf := b.g2l[gf]
 			if lf < 0 {
-				return nil, fmt.Errorf("%w: stack %d references frame %d absent from the local frame table",
+				return fmt.Errorf("%w: stack %d references frame %d absent from the local frame table",
 					ErrBadFormat, i, gf)
 			}
 			b.arena = append(b.arena, lf)
 		}
 		b.stacks = append(b.stacks, b.arena[start:len(b.arena):len(b.arena)])
 	}
-
-	// Threads.
-	nThreads, err := c.tableLen()
-	if err != nil {
-		return nil, err
-	}
-	if b.threads == nil {
-		b.threads = make(map[ThreadID]ThreadInfo, prealloc(nThreads))
-	} else {
-		clear(b.threads)
-	}
-	for i := 0; i < nThreads; i++ {
-		tid, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		proc, err := c.string()
-		if err != nil {
-			return nil, err
-		}
-		name, err := c.string()
-		if err != nil {
-			return nil, err
-		}
-		b.threads[ThreadID(tid)] = ThreadInfo{Process: proc, Name: name}
-	}
-
-	// Instances.
-	nInst, err := c.tableLen()
-	if err != nil {
-		return nil, err
-	}
-	if cap(b.instances) < nInst {
-		b.instances = make([]Instance, 0, prealloc(nInst))
-	}
-	b.instances = b.instances[:0]
-	for i := 0; i < nInst; i++ {
-		scen, err := c.string()
-		if err != nil {
-			return nil, err
-		}
-		tid, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		start, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		end, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		b.instances = append(b.instances, Instance{
-			Scenario: scen, TID: ThreadID(tid), Start: Time(start), End: Time(end),
-		})
-	}
-
-	// Events: colfmt blocks.
-	nEvents, err := c.tableLen()
-	if err != nil {
-		return nil, err
-	}
-	if cap(b.events) < nEvents {
-		b.events = make([]Event, 0, prealloc(nEvents))
-	}
-	b.events = b.events[:0]
-	if b.dec == nil {
-		b.dec = colfmt.NewDecoder(eventColumns)
-	}
-	var prevTime Time
-	for len(b.events) < nEvents {
-		rows, types, cols, n, err := b.dec.DecodeBlock(c.data[c.off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: event block at offset %d: %v", ErrBadFormat, c.off, err)
-		}
-		c.off += n
-		if len(b.events)+rows > nEvents {
-			return nil, fmt.Errorf("%w: event blocks hold more than the declared %d events", ErrBadFormat, nEvents)
-		}
-		dts, costs, tids, wtids, stks := cols[0], cols[1], cols[2], cols[3], cols[4]
-		for r := 0; r < rows; r++ {
-			prevTime += Time(dts[r])
-			b.events = append(b.events, Event{
-				Type:  EventType(types[r]),
-				Time:  prevTime,
-				Cost:  Duration(costs[r]),
-				TID:   ThreadID(tids[r]),
-				WTID:  ThreadID(wtids[r]),
-				Stack: StackID(stks[r]),
-			})
-		}
-	}
-	if c.off != len(c.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after events", ErrBadFormat, len(c.data)-c.off)
-	}
-
-	// The index maps stay nil: InternFrame rebuilds them if ever needed.
-	s := &Stream{
-		ID:        id,
-		frames:    b.frames,
-		stacks:    b.stacks,
-		Events:    b.events,
-		Instances: b.instances,
-		Threads:   b.threads,
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return s, nil
+	return nil
 }

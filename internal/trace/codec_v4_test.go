@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"tracescope/internal/trace/colfmt"
 )
 
 // TestV4RoundTrip checks that a v4 corpus decodes to streams
@@ -319,11 +317,11 @@ func TestV4CorruptInputs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(append([]byte(nil), valid...))
-			if _, err := readBinaryV4(mutated, d.intern, &sc); !errors.Is(err, ErrBadFormat) {
+			if _, _, err := decodeStream(mutated, d.intern, &sc); !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("decode of %s input: err = %v, want ErrBadFormat", tc.name, err)
 			}
 			// A failed decode leaves the Scratch good for the next one.
-			if _, err := readBinaryV4(valid, d.intern, &sc); err != nil {
+			if _, _, err := decodeStream(valid, d.intern, &sc); err != nil {
 				t.Fatalf("valid decode after the %s failure: %v", tc.name, err)
 			}
 		})
@@ -395,8 +393,9 @@ func TestCollectDirStats(t *testing.T) {
 	})
 }
 
-// TestV4StreamFileSmaller sanity-checks the columnar encoding pays for
-// itself on a repetitive stream (the common shape after interning).
+// TestV4StreamFileSmaller: a stream file holds the wire body's event
+// blocks behind tables of corpus IDs in place of frame strings, so on a
+// stream whose few frames repeat it is smaller than the TSCP body.
 func TestV4StreamFileSmaller(t *testing.T) {
 	s := NewStream("rep")
 	stk := s.InternStackStrings("fs.sys!Read", "kernel!Wait", "App!Main")
@@ -410,13 +409,22 @@ func TestV4StreamFileSmaller(t *testing.T) {
 	if err := s.WriteBinary(&wire); err != nil {
 		t.Fatal(err)
 	}
-	var v4 bytes.Buffer
-	it := NewInternTable()
-	enc := colfmt.NewEncoder(eventColumns)
-	if err := s.writeBinaryV4(&v4, it, enc, false); err != nil {
+	dir := t.TempDir()
+	if err := NewCorpus(s).WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if v4.Len() >= wire.Len() {
-		t.Fatalf("columnar encoding (%d bytes) not smaller than the row encoding (%d bytes) on a repetitive stream", v4.Len(), wire.Len())
+	v4, err := os.ReadFile(filepath.Join(dir, streamFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v4) >= wire.Len() {
+		t.Fatalf("stream file (%d bytes) not smaller than the wire body (%d bytes)", len(v4), wire.Len())
+	}
+	var u Upload
+	if _, err := ReadUpload(bytes.NewReader(wire.Bytes()), &u); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(v4, u.blocks) {
+		t.Fatal("the stream file does not end in the wire body's event blocks")
 	}
 }

@@ -34,8 +34,9 @@ import (
 // the corpus-level corpus.intern frame/stack table, which sits next to
 // the index and is itself append-only (Reload reads only its new tail).
 //
-// This is the only on-disk corpus the package opens or writes. The TSCP
-// row encoding (codec.go) is the ingest wire format, never a file.
+// This is the only on-disk corpus the package opens or writes. TSCP
+// (codec.go), the same container with the stream's own tables, is the
+// ingest wire format, never a file.
 
 const (
 	indexFile    = "corpus.index"
@@ -46,21 +47,30 @@ const (
 	indexHeader = indexMagic + " 4"
 )
 
-// writeStreamRecord writes one stream record (the "s" line plus its "i"
-// instance lines) to w.
-func writeStreamRecord(w io.Writer, seq int, m StreamMeta) error {
-	if _, err := fmt.Fprintf(w, "s %d %s %s %d %d %d\n",
-		seq, strconv.Quote(m.File), strconv.Quote(m.ID),
-		m.Events, int64(m.Duration), len(m.Instances)); err != nil {
-		return err
+// appendStreamRecord appends one stream record (the "s" line plus its
+// "i" instance lines) to b.
+func appendStreamRecord(b []byte, seq int, m StreamMeta) []byte {
+	b = append(b, "s "...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, ' ')
+	b = strconv.AppendQuote(b, m.File)
+	b = append(b, ' ')
+	b = strconv.AppendQuote(b, m.ID)
+	for _, v := range [...]int64{int64(m.Events), int64(m.Duration), int64(len(m.Instances))} {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, v, 10)
 	}
+	b = append(b, '\n')
 	for _, in := range m.Instances {
-		if _, err := fmt.Fprintf(w, "i %s %d %d %d\n",
-			strconv.Quote(in.Scenario), in.TID, int64(in.Start), int64(in.End)); err != nil {
-			return err
+		b = append(b, "i "...)
+		b = strconv.AppendQuote(b, in.Scenario)
+		for _, v := range [...]int64{int64(in.TID), int64(in.Start), int64(in.End)} {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, v, 10)
 		}
+		b = append(b, '\n')
 	}
-	return nil
+	return b
 }
 
 // parseIndex parses corpus.index contents and returns the per-stream
@@ -518,7 +528,8 @@ func (d *DirSource) readFileV4(name string, b *Scratch) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readBinaryV4(b.raw, d.intern, b)
+	s, _, err := decodeStream(b.raw, d.intern, b)
+	return s, err
 }
 
 // reloadIntern reads the corpus.intern records appended since the last

@@ -77,31 +77,34 @@ func (f *ComponentFilter) MatchStack(s *Stream, stack StackID) bool {
 }
 
 // wildcardMatch matches s against pattern p where '*' matches any (possibly
-// empty) substring. Both inputs must already be lower-cased.
+// empty) substring. Both inputs must already be lower-cased. It cuts the
+// pattern at its stars as it goes: a filter is matched against every
+// frame of every stack a fold resolves, and allocates nothing to do it.
 func wildcardMatch(p, s string) bool {
 	// Fast paths.
 	if p == "*" {
 		return true
 	}
-	if !strings.ContainsRune(p, '*') {
+	first, rest, found := strings.Cut(p, "*")
+	if !found {
 		return p == s
 	}
-	parts := strings.Split(p, "*")
 	// Anchor the first and last literal chunks.
-	if first := parts[0]; first != "" {
-		if !strings.HasPrefix(s, first) {
-			return false
-		}
-		s = s[len(first):]
+	if !strings.HasPrefix(s, first) {
+		return false
 	}
-	last := parts[len(parts)-1]
-	if last != "" {
-		if !strings.HasSuffix(s, last) {
-			return false
-		}
-		s = s[:len(s)-len(last)]
+	s = s[len(first):]
+	mids, last := "", rest
+	if i := strings.LastIndexByte(rest, '*'); i >= 0 {
+		mids, last = rest[:i], rest[i+1:]
 	}
-	for _, mid := range parts[1 : len(parts)-1] {
+	if !strings.HasSuffix(s, last) {
+		return false
+	}
+	s = s[:len(s)-len(last)]
+	for mids != "" {
+		var mid string
+		mid, mids, _ = strings.Cut(mids, "*")
 		if mid == "" {
 			continue
 		}

@@ -13,49 +13,17 @@ import (
 	"tracescope/internal/trace/colfmt"
 )
 
-// FuzzReadBinary feeds arbitrary bytes to the binary decoder: it must
-// never panic, every rejection must be ErrBadFormat, and anything it
-// accepts must validate and end where the input does (one more byte and
-// it is rejected).
-func FuzzReadBinary(f *testing.F) {
-	for seed := int64(0); seed < 4; seed++ {
-		var buf bytes.Buffer
-		if err := randomStream(seed).WriteBinary(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(append(buf.Bytes(), 0)) // one trailing byte
-	}
-	f.Add([]byte("TSCP"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBadFormat) {
-				t.Fatalf("rejection is not ErrBadFormat: %v", err)
-			}
-			return
-		}
-		if verr := s.Validate(); verr != nil {
-			t.Fatalf("accepted invalid stream: %v", verr)
-		}
-		if _, err := ReadBinary(bytes.NewReader(append(data[:len(data):len(data)], 0))); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("accepted the same stream with a trailing byte: %v", err)
-		}
-	})
-}
-
 // writeIndex writes a corpus index for the given stream metadata.
 func writeIndex(w io.Writer, metas []StreamMeta) error {
 	if _, err := fmt.Fprintln(w, indexHeader); err != nil {
 		return err
 	}
+	var b []byte
 	for seq, m := range metas {
-		if err := writeStreamRecord(w, seq, m); err != nil {
-			return err
-		}
+		b = appendStreamRecord(b, seq, m)
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // addIndexSeeds seeds an index-text fuzzer: a well-formed index, the
@@ -190,18 +158,62 @@ func FuzzReadV4Index(f *testing.F) {
 	})
 }
 
-// FuzzWildcardMatch checks the matcher never panics and honours the
-// universal pattern.
+// FuzzWildcardMatch checks the matcher never panics, honours the
+// universal pattern, and answers as splitWildcardMatch, the form that
+// split the pattern on every call, does.
 func FuzzWildcardMatch(f *testing.F) {
 	f.Add("*.sys", "fs.sys")
 	f.Add("a*b*c", "abc")
 	f.Add("", "")
 	f.Add("**", "x")
+	f.Add("x**y", "xy")
+	f.Add("ab*ba", "aba")
+	f.Add("*a*", "bab")
+	f.Add("a*b*", "ab")
 	f.Fuzz(func(t *testing.T, pattern, module string) {
 		filter := NewComponentFilter(pattern)
 		filter.MatchModule(module) // must not panic
 		if !NewComponentFilter("*").MatchModule(module) {
 			t.Fatal("universal pattern rejected a module")
 		}
+		if got, want := wildcardMatch(pattern, module), splitWildcardMatch(pattern, module); got != want {
+			t.Fatalf("wildcardMatch(%q, %q) = %v, want %v", pattern, module, got, want)
+		}
 	})
+}
+
+// splitWildcardMatch is wildcardMatch as it was: the reference the
+// allocation-free form is held to.
+func splitWildcardMatch(p, s string) bool {
+	if p == "*" {
+		return true
+	}
+	if !strings.ContainsRune(p, '*') {
+		return p == s
+	}
+	parts := strings.Split(p, "*")
+	if first := parts[0]; first != "" {
+		if !strings.HasPrefix(s, first) {
+			return false
+		}
+		s = s[len(first):]
+	}
+	last := parts[len(parts)-1]
+	if last != "" {
+		if !strings.HasSuffix(s, last) {
+			return false
+		}
+		s = s[:len(s)-len(last)]
+	}
+	for _, mid := range parts[1 : len(parts)-1] {
+		if mid == "" {
+			continue
+		}
+		i := strings.Index(s, mid)
+		if i < 0 {
+			return false
+		}
+		s = s[i+len(mid):]
+	}
+	return true
 }

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"tracescope/internal/trace/colfmt"
@@ -36,6 +38,12 @@ type InternTable struct {
 	// Appender can flush only the new tail (appendRecordsSince).
 	flushedFrames int
 	flushedStacks int
+
+	// A writer's scratch: a stack key, and a stream's frames and one of
+	// its stacks in global IDs (appendTables).
+	key     []byte
+	l2g     []FrameID
+	gframes []FrameID
 }
 
 // NewInternTable returns an empty table.
@@ -91,16 +99,36 @@ func (t *InternTable) internStack(frames []FrameID) StackID {
 			t.stackIndex[stackKey(st)] = StackID(i)
 		}
 	}
-	key := stackKey(frames)
-	if id, ok := t.stackIndex[key]; ok {
+	t.key = appendStackKey(t.key[:0], frames)
+	if id, ok := t.stackIndex[string(t.key)]; ok {
 		return id
 	}
 	id := StackID(len(t.stacks))
-	cp := make([]FrameID, len(frames))
-	copy(cp, frames)
-	t.stacks = append(t.stacks, cp)
-	t.stackIndex[key] = id
+	t.stacks = append(t.stacks, slices.Clone(frames))
+	t.stackIndex[string(t.key)] = id
 	return id
+}
+
+// appendTables appends s's TSC4 frame and stack tables to b, interning
+// every frame and stack s holds that t does not: local frame and stack
+// i become the global IDs of the tables' i-th entries.
+func (t *InternTable) appendTables(b []byte, s *Stream) []byte {
+	t.l2g = t.l2g[:0]
+	b = binary.AppendUvarint(b, uint64(len(s.frames)))
+	for _, f := range s.frames {
+		g := t.internFrame(f)
+		t.l2g = append(t.l2g, g)
+		b = binary.AppendUvarint(b, uint64(g))
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.stacks)))
+	for _, st := range s.stacks {
+		t.gframes = t.gframes[:0]
+		for _, f := range st {
+			t.gframes = append(t.gframes, t.l2g[f])
+		}
+		b = binary.AppendUvarint(b, uint64(t.internStack(t.gframes)))
+	}
+	return b
 }
 
 // addRecords parses intern records (the file body after the header, or

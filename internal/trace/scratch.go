@@ -2,10 +2,11 @@ package trace
 
 import "tracescope/internal/trace/colfmt"
 
-// Scratch is the complete buffer set one v4 stream decode fills: the raw
-// file bytes, the event/frame/stack/instance slices, the stack arena
-// backing every stack's frame list, the thread map, the global→local
-// scratch and the colfmt column decoder. Its owner — one engine worker,
+// Scratch is the complete buffer set one stream decode fills, of a TSC4
+// file or (inside an Upload) a TSCP body: the raw bytes, the
+// event/frame/stack/instance slices, the stack arena backing every
+// stack's frame list, the thread map, the global→local scratch and the
+// colfmt column decoder. Its owner — one engine worker,
 // one stream-major walk — passes it to StreamInto for every stream it
 // fetches, so a sweep decodes into the same memory from first stream to
 // last. The zero value is ready to use; not safe for concurrent use.
@@ -13,7 +14,8 @@ import "tracescope/internal/trace/colfmt"
 // The contract (DESIGN.md §10): a stream decoded into a Scratch, and
 // everything reachable from it — events, stack slices, instance records,
 // the thread map — is valid only until the Scratch's next decode.
-// Frame strings are exempt: they live in the corpus InternTable.
+// Strings are exempt: a TSC4 file's frames live in the corpus
+// InternTable, and every other string is the stream's own.
 type Scratch struct {
 	raw          []byte
 	events       []Event
@@ -21,7 +23,9 @@ type Scratch struct {
 	frameGlobals []FrameID // local frame table as global IDs (g2l reset list)
 	stackGlobals []StackID // local stack table as global IDs
 	stacks       [][]FrameID
-	arena        []FrameID // backing store for stacks' frame lists
+	arena        []FrameID           // backing store for stacks' frame lists
+	stackEnds    []int               // TSCP: where each stack's frames end in arena
+	frameSet     map[string]struct{} // TSCP: the frames decoded so far
 	instances    []Instance
 	threads      map[ThreadID]ThreadInfo
 	g2l          []FrameID // global frame ID → local, -1 when absent

@@ -21,6 +21,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -266,15 +267,15 @@ func (s *Stream) InternStackStrings(frames ...string) StackID {
 	return s.InternStack(ids)
 }
 
-func stackKey(frames []FrameID) string {
-	var b strings.Builder
-	for i, f := range frames {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", f)
+// stackKey is a stack's key in a stack index: its frame IDs, four
+// little-endian bytes each.
+func stackKey(frames []FrameID) string { return string(appendStackKey(nil, frames)) }
+
+func appendStackKey(b []byte, frames []FrameID) []byte {
+	for _, f := range frames {
+		b = binary.LittleEndian.AppendUint32(b, uint32(f))
 	}
-	return b.String()
+	return b
 }
 
 // Frame returns the frame string for id, or "" if out of range.

@@ -1,11 +1,14 @@
 // Package tracetest is test support for the trace consumers: small
 // adversarial trace streams for the analysis kernel's equivalence tests
 // (waitgraph, impact, awg) — the shapes a recorder rarely emits but the
-// kernel must still get right — and a source that watches the lifetime
-// of the streams it hands out.
+// kernel must still get right — a source that watches the lifetime of
+// the streams it hands out, and wire bodies in block layouts
+// Stream.WriteBinary does not write.
 package tracetest
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,6 +16,7 @@ import (
 
 	"tracescope/internal/stats"
 	"tracescope/internal/trace"
+	"tracescope/internal/trace/colfmt"
 )
 
 // RandomStream returns a valid, time-sorted stream of the given number
@@ -160,4 +164,40 @@ func (l *LiveSource) Settle() int {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// WireBody returns s as a TSCP body whose events are colfmt blocks of
+// at most rows rows, flate-compressed where that saves bytes when
+// compress is set. Stream.WriteBinary writes DefaultBlockRows-row blocks
+// uncompressed; a body in another layout is still valid, decodes to the
+// same stream, and is what a client with its own encoder may send. The
+// header is WriteBinary's for s without its events, whose event count
+// (the header's last byte, 0) gives way to s's.
+func WireBody(s *trace.Stream, rows int, compress bool) ([]byte, error) {
+	head := *s
+	head.Events = nil
+	var buf bytes.Buffer
+	if err := head.WriteBinary(&buf); err != nil {
+		return nil, err
+	}
+	body := binary.AppendUvarint(buf.Bytes()[:buf.Len()-1], uint64(len(s.Events)))
+	out := bytes.NewBuffer(body)
+	enc := colfmt.NewEncoder(5)
+	var prev trace.Time
+	for from := 0; from < len(s.Events); from += rows {
+		block := s.Events[from:min(from+rows, len(s.Events))]
+		types := make([]byte, len(block))
+		cols := make([][]int64, 5)
+		for i, e := range block {
+			types[i] = byte(e.Type)
+			for c, v := range [...]int64{int64(e.Time - prev), int64(e.Cost), int64(e.TID), int64(e.WTID), int64(e.Stack)} {
+				cols[c] = append(cols[c], v)
+			}
+			prev = e.Time
+		}
+		if err := enc.EncodeBlock(out, types, cols, compress); err != nil {
+			return nil, err
+		}
+	}
+	return out.Bytes(), nil
 }

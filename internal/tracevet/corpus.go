@@ -87,11 +87,12 @@ type dirStream struct {
 // into its own slot, so the findings come back in stream order.
 func vetDirStreams(dir string, sc *scannedIndex, it *internScan, opts Options) ([]diag.Diagnostic, []dirStream) {
 	streams := make([]dirStream, len(sc.metas))
-	// No unit fails, so the fold cannot; its per-worker states are unused.
+	// No unit fails, so the fold cannot. Each worker decodes every stream
+	// it vets into its one Scratch.
 	_, _ = engine.Fold(len(streams), engine.Options{
 		Workers: opts.Workers, Recorder: opts.Recorder, Label: "vet",
-	}, func(int) struct{} { return struct{}{} }, func(_ struct{}, i int) error {
-		streams[i] = vetDirStream(dir, sc, it, i, opts)
+	}, func(int) *trace.Scratch { return new(trace.Scratch) }, func(scratch *trace.Scratch, i int) error {
+		streams[i] = vetDirStream(dir, sc, it, i, scratch, opts)
 		return nil
 	})
 	var diags []diag.Diagnostic
@@ -101,8 +102,9 @@ func vetDirStreams(dir string, sc *scannedIndex, it *internScan, opts Options) (
 	return diags, streams
 }
 
-// vetDirStream reads and verifies one indexed stream file.
-func vetDirStream(dir string, sc *scannedIndex, it *internScan, i int, opts Options) dirStream {
+// vetDirStream reads and verifies one indexed stream file, decoding it
+// into scratch.
+func vetDirStream(dir string, sc *scannedIndex, it *internScan, i int, scratch *trace.Scratch, opts Options) dirStream {
 	m := sc.metas[i]
 	out := dirStream{id: m.ID}
 	fail := func(rule string, format string, args ...interface{}) dirStream {
@@ -129,7 +131,7 @@ func vetDirStream(dir string, sc *scannedIndex, it *internScan, i int, opts Opti
 		}
 		return out
 	}
-	s, err := trace.ReadStreamV4(raw, it.table)
+	s, err := trace.ReadStreamV4(raw, it.table, scratch)
 	if err != nil {
 		return fail("stream-decode", "stream file does not decode: %v", err)
 	}

@@ -132,23 +132,31 @@ func vetWaitPairs(s *trace.Stream, artifact string, maxTime trace.Time) []diag.D
 		target trace.ThreadID
 		time   trace.Time
 	}
-	unwaits := make(map[wake]bool)
-	waitEnds := make(map[wake]bool)
+	// One set, sized once, holds both sides of every pairing: whether an
+	// unwait wakes the thread then, and whether a wait of it ends then.
+	const unwaitAt, waitEndsAt = 1, 2
+	n := 0
+	for _, e := range s.Events {
+		if e.Type == trace.Wait || e.Type == trace.Unwait {
+			n++
+		}
+	}
+	at := make(map[wake]uint8, n)
 	for _, e := range s.Events {
 		switch e.Type {
 		case trace.Unwait:
 			if e.WTID >= 0 {
-				unwaits[wake{e.WTID, e.Time}] = true
+				at[wake{e.WTID, e.Time}] |= unwaitAt
 			}
 		case trace.Wait:
-			waitEnds[wake{e.TID, e.End()}] = true
+			at[wake{e.TID, e.End()}] |= waitEndsAt
 		}
 	}
 	for i, e := range s.Events {
 		line := i + 1
 		switch e.Type {
 		case trace.Wait:
-			if unwaits[wake{e.TID, e.End()}] {
+			if at[wake{e.TID, e.End()}]&unwaitAt != 0 {
 				continue
 			}
 			// Tolerated tail orphan: the wait runs to (or past) the last
@@ -162,7 +170,7 @@ func vetWaitPairs(s *trace.Stream, artifact string, maxTime trace.Time) []diag.D
 			if e.WTID < 0 {
 				continue // reported by event-shape
 			}
-			if !waitEnds[wake{e.WTID, e.Time}] {
+			if at[wake{e.WTID, e.Time}]&waitEndsAt == 0 {
 				diags = append(diags, vd(artifact, line, "wait-pair", diag.SevError,
 					"event %d: unwait at %d targets thread %d but no wait ends there", i, e.Time, e.WTID))
 			}

@@ -1,8 +1,9 @@
 // Package tracevet is the corpus/trace semantic verifier: a rule engine
 // over trace corpora that checks what the decoders deliberately do not.
-// The decode layer (trace.ReadBinary, the TSC4 columnar reader) rejects
-// structural corruption — truncated varints, out-of-range table
-// references — but trusts every byte past that: nothing verifies that a
+// The decode layer (one decoder for TSCP uploads, trace.ReadBinary and
+// trace.ReadUpload, and for TSC4 stream files) rejects structural
+// corruption — truncated varints, out-of-range table references — but
+// trusts every byte past that: nothing verifies that a
 // structurally valid stream is *semantically* well-formed. The paper's
 // pipeline ran over 19,500 real-world traces, data that arrives
 // malformed, truncated, and adversarial; a single bad fleet member can
