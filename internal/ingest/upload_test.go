@@ -181,23 +181,53 @@ func TestConcurrentUploadsMatchSequential(t *testing.T) {
 }
 
 // TestLargeUploadNotPooled: the buffers a large body grew do not go
-// back to the pool, where they would stay for every later upload.
+// back to the pool, where they would stay for every later upload —
+// whether the events, the thread table or a block header's claimed
+// size is what is large. The forged header, a 24-byte body whose one
+// event block claims a 3.3 MB compressed payload and carries none, is
+// answered 400 without the daemon allocating what it claims.
 func TestLargeUploadNotPooled(t *testing.T) {
-	st := trace.NewStream("large")
-	stk := st.InternStackStrings("fs.sys!Read", "App!Main")
-	st.SetThread(1, "App", "Main")
+	events := trace.NewStream("events")
+	stk := events.InternStackStrings("fs.sys!Read", "App!Main")
+	events.SetThread(1, "App", "Main")
 	n := maxPooledUpload/40 + 1000 // a decoded event is 40 bytes
 	for i := 0; i < n; i++ {
-		st.AppendEvent(trace.Event{Type: trace.Running, Time: trace.Time(i * 1000), Cost: 1000, TID: 1, WTID: trace.NoThread, Stack: stk})
+		events.AppendEvent(trace.Event{Type: trace.Running, Time: trace.Time(i * 1000), Cost: 1000, TID: 1, WTID: trace.NoThread, Stack: stk})
 	}
-	st.Instances = append(st.Instances, trace.Instance{Scenario: "S", TID: 1, Start: 0, End: trace.Time(n * 1000)})
+	events.Instances = append(events.Instances, trace.Instance{Scenario: "S", TID: 1, Start: 0, End: trace.Time(n * 1000)})
+	threads := trace.NewStream("threads")
+	for tid := trace.ThreadID(1); tid <= maxPooledUpload/64; tid++ {
+		threads.SetThread(tid, "", "")
+	}
+	forged := []byte("TSCP\x02\x00\x01x" +
+		"\x00\x00\x00\x00" + // frame, stack, thread and instance tables: empty
+		"\x80\x80\x04" + // 65,536 events
+		"\x80\x80\x04\x01" + // one block: 65,536 rows, flate-compressed,
+		"\x80\x80\xcc\x01\x00") // 3,342,336 bytes raw, stored in 0
 	s := newTestServer(t)
-	if code, body := post(t, s, st); code != http.StatusOK {
-		t.Fatalf("large upload: %d: %s", code, body)
-	}
-	for i := 0; i < 64; i++ {
-		if u := uploads.Get().(*trace.Upload); u.Size() > maxPooledUpload {
-			t.Fatalf("the pool holds an upload of %d bytes, over the %d kept", u.Size(), maxPooledUpload)
+	for _, c := range []struct {
+		name string
+		body []byte
+		code int // 0: any
+	}{
+		{"events", wireBytes(t, events), http.StatusOK},
+		{"threads", wireBytes(t, threads), 0},
+		{"forged block", forged, http.StatusBadRequest},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, resp := postBytes(t, s, c.body)
+		runtime.ReadMemStats(&after)
+		if c.code != 0 && code != c.code {
+			t.Fatalf("%s: %d: %s", c.name, code, resp)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; c.name == "forged block" && got > 1<<20 {
+			t.Errorf("a %d-byte forged body cost %d bytes of allocation", len(c.body), got)
+		}
+		for i := 0; i < 64; i++ {
+			if u := uploads.Get().(*trace.Upload); u.Size() > maxPooledUpload {
+				t.Fatalf("after %s, the pool holds an upload of %d bytes, over the %d kept", c.name, u.Size(), maxPooledUpload)
+			}
 		}
 	}
 }

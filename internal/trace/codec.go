@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"unsafe"
 
 	"tracescope/internal/trace/colfmt"
 )
@@ -128,13 +127,7 @@ func ReadUpload(r io.Reader, u *Upload) (*Stream, error) {
 // Size returns the bytes u's buffers hold, which a pool that keeps u for
 // the next upload keeps with it.
 func (u *Upload) Size() int {
-	sc := &u.sc
-	return cap(sc.raw) +
-		cap(sc.events)*int(unsafe.Sizeof(Event{})) +
-		cap(sc.instances)*int(unsafe.Sizeof(Instance{})) +
-		cap(sc.frames)*int(unsafe.Sizeof("")) +
-		cap(sc.stacks)*int(unsafe.Sizeof([]FrameID(nil))) +
-		(cap(sc.arena)+cap(sc.stackEnds))*int(unsafe.Sizeof(FrameID(0)))
+	return u.sc.retained()
 }
 
 // readAll reads r to its end into b, growing it as bytes arrive.

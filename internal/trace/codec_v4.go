@@ -160,6 +160,7 @@ func decodeStream(data []byte, it *InternTable, b *Scratch) (s *Stream, blocksAt
 	if err != nil {
 		return nil, 0, err
 	}
+	b.mapPeak = max(b.mapPeak, nThreads)
 	if b.threads == nil {
 		b.threads = make(map[ThreadID]ThreadInfo, prealloc(nThreads))
 	} else {
@@ -218,7 +219,9 @@ func decodeStream(data []byte, it *InternTable, b *Scratch) (s *Stream, blocksAt
 		return nil, 0, err
 	}
 	if cap(b.events) < nEvents {
-		b.events = make([]Event, 0, prealloc(nEvents))
+		// No more events than bytes remain, so a forged count sizes
+		// nothing; a compressed block holding more grows the slice.
+		b.events = make([]Event, 0, prealloc(min(nEvents, len(c.data)-c.off)))
 	}
 	b.events = b.events[:0]
 	if b.dec == nil {
@@ -306,6 +309,7 @@ func (b *Scratch) wireTables(c *byteCursor) error {
 		b.frames = make([]string, 0, prealloc(nFrames))
 	}
 	b.frames = b.frames[:0]
+	b.mapPeak = max(b.mapPeak, nFrames)
 	if b.frameSet == nil {
 		b.frameSet = make(map[string]struct{}, prealloc(nFrames))
 	} else {

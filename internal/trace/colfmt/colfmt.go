@@ -164,6 +164,15 @@ func NewDecoder(ncols int) *Decoder {
 	return d
 }
 
+// Retained returns the bytes d's scratch buffers hold.
+func (d *Decoder) Retained() int {
+	n := cap(d.types) + cap(d.raw)
+	for _, c := range d.cols {
+		n += 8 * cap(c)
+	}
+	return n
+}
+
 // DecodeBlock decodes the block at the front of data, returning the row
 // count, the type column, the varint columns, and the number of input
 // bytes consumed. The returned slices are the decoder's scratch.
@@ -202,6 +211,18 @@ func (d *Decoder) DecodeBlock(data []byte) (rows int, types []byte, cols [][]int
 	}
 	payload := data[n : n+payloadLen]
 	n += payloadLen
+
+	// A row is one type byte and ncols varints of 1 to MaxVarintLen64
+	// bytes, so a payload of any other size is corrupt. Checking the
+	// declared size before inflating keeps a forged header from sizing
+	// the raw buffer or the columns beyond what its rows can hold.
+	size := payloadLen
+	if rawLen >= 0 {
+		size = rawLen
+	}
+	if size < rows*(1+d.ncols) || size > rows*(1+d.ncols*binary.MaxVarintLen64) {
+		return 0, nil, nil, 0, fmt.Errorf("%w: %d-byte payload for %d rows", ErrCorrupt, size, rows)
+	}
 
 	if flags&flagCompressed != 0 {
 		payload, err = d.inflate(payload, rawLen)
@@ -311,7 +332,9 @@ func SkimBlock(data []byte) (BlockInfo, int, error) {
 }
 
 // inflate decompresses a block payload into the decoder's raw scratch,
-// reusing the flate reader via flate.Resetter.
+// reusing the flate reader via flate.Resetter. The scratch grows as
+// bytes arrive, not to the declared length up front, so a header that
+// lies about rawLen costs no more memory than its payload inflates to.
 func (d *Decoder) inflate(payload []byte, rawLen int) ([]byte, error) {
 	src := bytes.NewReader(payload)
 	if d.fr == nil {
@@ -319,12 +342,22 @@ func (d *Decoder) inflate(payload []byte, rawLen int) ([]byte, error) {
 	} else if err := d.fr.(flate.Resetter).Reset(src, nil); err != nil {
 		return nil, fmt.Errorf("%w: flate reset: %v", ErrCorrupt, err)
 	}
-	if cap(d.raw) < rawLen {
-		d.raw = make([]byte, rawLen)
-	}
-	d.raw = d.raw[:rawLen]
-	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
-		return nil, fmt.Errorf("%w: flate payload: %v", ErrCorrupt, err)
+	d.raw = d.raw[:0]
+	for len(d.raw) < rawLen {
+		if len(d.raw) == cap(d.raw) {
+			d.raw = append(d.raw, 0)[:len(d.raw)]
+		}
+		m, err := d.fr.Read(d.raw[len(d.raw):min(cap(d.raw), rawLen)])
+		d.raw = d.raw[:len(d.raw)+m]
+		if err == io.EOF && len(d.raw) == rawLen {
+			break
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: flate payload: %v", ErrCorrupt, err)
+		}
 	}
 	// The declared raw length must be exact, or the block header lies.
 	var tail [1]byte

@@ -2,6 +2,8 @@ package colfmt
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -133,6 +135,14 @@ func TestDecodeBlockRejectsCorruption(t *testing.T) {
 	e := NewEncoder(1)
 	d := NewDecoder(1)
 	good := encodeOne(t, e, []byte{1, 2}, [][]int64{{10, -10}}, false)
+	// A compressed block claiming the largest raw payload its rows allow.
+	forged := binary.AppendUvarint(nil, MaxBlockRows)
+	forged = append(forged, flagCompressed)
+	forged = binary.AppendUvarint(forged, MaxBlockRows*(1+binary.MaxVarintLen64))
+	var small bytes.Buffer
+	zw, _ := flate.NewWriter(&small, flate.BestSpeed)
+	zw.Write([]byte{1, 2, 3})
+	zw.Close()
 
 	cases := map[string][]byte{
 		"empty":            nil,
@@ -142,10 +152,20 @@ func TestDecodeBlockRejectsCorruption(t *testing.T) {
 		"unknown flags":    append(append([]byte{}, good[0], 0x80), good[2:]...),
 		"truncated":        good[:len(good)-1],
 		"trailing payload": func() []byte { b := append([]byte{}, good...); b[2]++; return append(b, 0) }(),
+		// Two rows of one column hold 4 to 22 payload bytes.
+		"payload short of rows":    {0x02, 0x00, 0x03, 1, 2, 20},
+		"raw length short of rows": {0x02, flagCompressed, 0x03, 0x00},
+		"raw length beyond rows":   {0x02, flagCompressed, 23, 0x00},
+		// The declared raw size must not size the scratch.
+		"forged, empty payload": binary.AppendUvarint(append([]byte{}, forged...), 0),
+		"forged, short payload": append(binary.AppendUvarint(append([]byte{}, forged...), uint64(small.Len())), small.Bytes()...),
 	}
 	for name, data := range cases {
 		if _, _, _, _, err := d.DecodeBlock(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+		if got := d.Retained(); got > 1<<10 {
+			t.Errorf("%s: a %d-byte block grew the decoder's scratch to %d bytes", name, len(data), got)
 		}
 	}
 }

@@ -30,6 +30,9 @@ func FuzzColBlockDecode(f *testing.F) {
 	}
 	seed(big, cols, true)
 	f.Add([]byte{0xff, 0x01, 0x00})
+	// A compressed block claiming the largest raw payload its rows allow
+	// over an empty payload.
+	f.Add([]byte{0x80, 0x80, 0x04, flagCompressed, 0x80, 0x80, 0xcc, 0x01, 0x00})
 	f.Add([]byte("TSINTERN 1\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,6 +1,10 @@
 package trace
 
-import "tracescope/internal/trace/colfmt"
+import (
+	"unsafe"
+
+	"tracescope/internal/trace/colfmt"
+)
 
 // Scratch is the complete buffer set one stream decode fills, of a TSC4
 // file or (inside an Upload) a TSCP body: the raw bytes, the
@@ -30,6 +34,31 @@ type Scratch struct {
 	threads      map[ThreadID]ThreadInfo
 	g2l          []FrameID // global frame ID → local, -1 when absent
 	dec          *colfmt.Decoder
+	// mapPeak is the most entries a decode has declared for threads or
+	// frameSet. clear does not shrink a map, so this, not len, is what
+	// the maps hold.
+	mapPeak int
+}
+
+// retained returns the bytes b's buffers hold, which whoever keeps b for
+// a later decode keeps with it. The strings a decode copies out of raw
+// are no longer than raw, so raw is counted twice.
+func (b *Scratch) retained() int {
+	n := 2*cap(b.raw) +
+		cap(b.events)*int(unsafe.Sizeof(Event{})) +
+		cap(b.frames)*int(unsafe.Sizeof("")) +
+		(cap(b.frameGlobals)+cap(b.arena)+cap(b.g2l))*int(unsafe.Sizeof(FrameID(0))) +
+		cap(b.stackGlobals)*int(unsafe.Sizeof(StackID(0))) +
+		cap(b.stacks)*int(unsafe.Sizeof([]FrameID(nil))) +
+		cap(b.stackEnds)*int(unsafe.Sizeof(0)) +
+		cap(b.instances)*int(unsafe.Sizeof(Instance{})) +
+		// A threads and a frameSet entry per mapPeak, each up to twice
+		// its key and value: a table is between 7/16 and 7/8 full.
+		b.mapPeak*2*int(unsafe.Sizeof(ThreadID(0))+unsafe.Sizeof(ThreadInfo{})+unsafe.Sizeof(""))
+	if b.dec != nil {
+		n += b.dec.Retained()
+	}
+	return n
 }
 
 // scratchSource is the optional fetch a Source may offer beside Stream.

@@ -224,6 +224,39 @@ func TestAppendUploadMatchesAppend(t *testing.T) {
 	}
 }
 
+// TestUploadSizeCountsEveryBuffer: Upload.Size is what keeps a large
+// upload out of a pool, so it counts every buffer its Scratch holds —
+// the thread map too, which a later smaller decode clears but does not
+// shrink. A new Scratch field fails here until Scratch.retained counts it.
+func TestUploadSizeCountsEveryBuffer(t *testing.T) {
+	counted := []string{"raw", "events", "frames", "frameGlobals", "stackGlobals", "stacks", "arena",
+		"stackEnds", "frameSet", "instances", "threads", "g2l", "dec", "mapPeak"}
+	var fields []string
+	typ := reflect.TypeOf(trace.Scratch{})
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(fields, counted) {
+		t.Errorf("Scratch fields %v, counted %v: count the new field in Scratch.retained and list it here", fields, counted)
+	}
+
+	const nThreads = 10000
+	wide := trace.NewStream("wide")
+	for tid := trace.ThreadID(1); tid <= nThreads; tid++ {
+		wide.SetThread(tid, "", "")
+	}
+	var u trace.Upload
+	floor := nThreads * int(reflect.TypeOf(trace.ThreadID(0)).Size()+reflect.TypeOf(trace.ThreadInfo{}).Size())
+	for _, st := range []*trace.Stream{wide, trace.NewStream("narrow")} {
+		if _, err := trace.ReadUpload(bytes.NewReader(wireBytes(t, st)), &u); err != nil {
+			t.Fatal(err)
+		}
+		if got := u.Size(); got < floor {
+			t.Errorf("after %s, Size = %d, below the %d bytes %d thread entries hold", st.ID, got, floor, nThreads)
+		}
+	}
+}
+
 // TestAppendUploadWithoutStream: an upload whose decode failed holds
 // nothing to append.
 func TestAppendUploadWithoutStream(t *testing.T) {
