@@ -155,7 +155,6 @@ fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzReloadSplit -fuzztime 30s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadV4Index -fuzztime 30s
 	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzColBlockDecode -fuzztime 30s
-	$(GO) test ./internal/trace/colfmt/ -fuzz FuzzInternRecords -fuzztime 15s
 	$(GO) test ./internal/trace/ -fuzz FuzzWildcardMatch -fuzztime 15s
 	$(GO) test ./internal/lint/ -fuzz FuzzDirectiveText -fuzztime 15s
 	$(GO) test ./internal/lint/ -fuzz FuzzSplitQuoted -fuzztime 15s

@@ -99,18 +99,17 @@ func dumpCatalog() {
 	}
 }
 
-// dumpStats skims the corpus container (index, intern table, stream-file
-// block framing) without decoding any event payloads, so it runs at I/O
-// speed even on paper-scale corpora.
+// dumpStats skims the corpus (the index with its intern table, and
+// stream-file block framing) without decoding any event payloads, so it
+// runs at I/O speed even on paper-scale corpora.
 func dumpStats(dir string) {
 	st, err := tracescope.CollectCorpusStats(dir)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("streams:     %d (%d instances, %d events)\n", st.Streams, st.Instances, st.Events)
-	fmt.Printf("index:       %d bytes\n", st.IndexBytes)
-	fmt.Printf("intern:      %d frames, %d stacks, %d bytes (shared across all streams)\n",
-		st.Frames, st.Stacks, st.InternBytes)
+	fmt.Printf("index:       %d bytes, defining %d frames and %d stacks shared across all streams\n",
+		st.IndexBytes, st.Frames, st.Stacks)
 	fmt.Printf("blocks:      %d (%d flate-compressed)\n", st.Blocks, st.CompressedBlocks)
 	ratio := 100.0
 	if st.EventBytesRaw > 0 {

@@ -1,8 +1,8 @@
 // Command tracepack re-packs a corpus directory into a new one, with or
 // without flate compression of the event blocks. Re-packing is lossless
 // — analysis output over the packed corpus is byte-identical, which
-// cmd/tracepack's tests assert — and also drops the orphan intern
-// records and stream files an interrupted append can leave behind.
+// cmd/tracepack's tests assert — and also drops the orphan stream files
+// an interrupted append can leave behind.
 //
 // Streams are re-packed one at a time through the corpus appender, so
 // corpora much larger than RAM pack fine.
@@ -75,8 +75,8 @@ func pack(in, out string, compress bool) error {
 	if err != nil {
 		return err
 	}
-	inBytes := inStats.StreamBytes + inStats.IndexBytes + inStats.InternBytes
-	outBytes := outStats.StreamBytes + outStats.IndexBytes + outStats.InternBytes
+	inBytes := inStats.StreamBytes + inStats.IndexBytes
+	outBytes := outStats.StreamBytes + outStats.IndexBytes
 	fmt.Printf("packed %d streams (%d events): %d bytes -> %d bytes (%.1f%%)\n",
 		src.NumStreams(), src.NumEvents(), inBytes, outBytes, 100*float64(outBytes)/float64(inBytes))
 	return nil

@@ -8,8 +8,8 @@
 // Each argument is a corpus directory (a corpus.index plus its stream
 // files). Findings go to stdout as file:line: severity: rule: message
 // lines (or a JSON array with -json) in deterministic order; the file is
-// the corpus artifact the finding is about (corpus.index, corpus.intern,
-// a stream file) prefixed with the corpus directory, and the line is the
+// the corpus artifact the finding is about (corpus.index or a stream
+// file) prefixed with the corpus directory, and the line is the
 // 1-based record, event, or instance ordinal inside it. The report is
 // byte-identical at any -workers value.
 //

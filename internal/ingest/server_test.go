@@ -322,6 +322,21 @@ func TestServerWarmupEqualsStreaming(t *testing.T) {
 	}
 }
 
+// TestServerRefusesVersion4Index: a corpus written in the retired index
+// version, corpus.intern and all, is refused at start with the error
+// naming the version found and what to do.
+func TestServerRefusesVersion4Index(t *testing.T) {
+	dir := t.TempDir()
+	index := "TSINDEX 4\ns 0 \"stream-00000.tsc4\" \"m0\" 0 0 0\n"
+	if err := os.WriteFile(filepath.Join(dir, "corpus.index"), []byte(index), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewServer(Config{Dir: dir, Thresholds: scenario.Thresholds})
+	if err == nil || !strings.Contains(err.Error(), "found index version 4") || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("NewServer over a version-4 index: err = %v", err)
+	}
+}
+
 // TestServerRestartsOverTornFirstUpload: a crash inside the first
 // upload's index-header write leaves intern records, a stream file and
 // a partial header. Nothing was committed, so the daemon must restart

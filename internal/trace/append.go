@@ -11,45 +11,43 @@ import (
 
 // Appender grows a corpus directory one stream at a time without ever
 // rewriting what is already there: each Append writes one new stream
-// file and appends its metadata records to corpus.index.
-// This is the continuous-ingestion write path, and every previously
-// assigned stream index stays valid because the index is append-only.
+// file and appends one batch — the stream's new intern records, then its
+// stream and instance records — to corpus.index. This is the
+// continuous-ingestion write path, and every previously assigned stream
+// index stays valid because the index is append-only.
 //
-// Crash safety: new intern records land in corpus.intern first, the
-// stream file is fully written and closed second, and the index records
-// are appended last. A crash at any point leaves at worst orphan intern
-// records or an orphan stream file (overwritten by the next append of
-// that index), never an index entry pointing at a missing or partial
-// file or a stream file referencing unflushed intern records.
+// Crash safety: the stream file is fully written and closed first, and
+// the batch is appended second, in one write. A crash leaves at worst an
+// orphan stream file (overwritten by the next append of that index) or a
+// torn final batch, whose intern records count for nothing until the
+// batch is whole; never an index entry pointing at a missing or partial
+// file.
 //
 // An Appender is not safe for concurrent use, and exactly one Appender
-// must own a directory at a time. It holds the lengths it last left
-// corpus.index and corpus.intern at, and refuses to append once either
-// has changed behind it: its stream count and intern IDs would then
-// collide with another writer's.
+// must own a directory at a time. It holds the length it last left
+// corpus.index at, and refuses to append once that has changed behind
+// it: its stream count and intern IDs would then collide with another
+// writer's.
 type Appender struct {
 	dir string
 	n   int // streams already indexed
 	// fresh: the index holds no committed record (missing, empty, or a
 	// torn header), so the first Append starts it over with the header.
-	// freshIntern: likewise corpus.intern, which nothing committed can
-	// reference yet; it clears on the first intern flush, which may land
-	// before an Append that then fails.
-	fresh, freshIntern bool
-	// The byte lengths this appender last left the two append-only files
+	fresh bool
+	// indexLen is the byte length this appender last left corpus.index
 	// at (0 for a missing file).
-	indexLen, internLen int64
+	indexLen int64
 
-	// The corpus intern table (source of truth while this appender owns
-	// the directory), the reusable block encoder, and the buffers one
-	// append fills: Append's encoded blocks, a stream file's header and
-	// the index records.
+	// The corpus intern table (what the index holds, while this appender
+	// owns the directory), the reusable block encoder, and the buffers
+	// one append fills: Append's encoded blocks, a stream file's header
+	// and the batch.
 	intern   *InternTable
 	enc      *colfmt.Encoder
 	compress bool
 	blocks   bytes.Buffer
 	head     []byte
-	records  []byte
+	batch    []byte
 }
 
 // OpenAppender opens dir for append-only corpus growth, creating the
@@ -67,31 +65,19 @@ func OpenAppender(dir string) (*Appender, error) {
 		return nil, err
 	}
 	if noCommittedRecords(string(data)) {
-		internLen, err := fileLen(filepath.Join(dir, internFile))
-		if err != nil {
-			return nil, err
-		}
-		return &Appender{dir: dir, fresh: true, freshIntern: true, intern: NewInternTable(),
-			indexLen: int64(len(data)), internLen: internLen}, nil
+		return &Appender{dir: dir, fresh: true, intern: NewInternTable(), indexLen: int64(len(data))}, nil
 	}
-	metas, err := parseIndex(string(data))
+	metas, it, err := parseIndex(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", indexFile, err)
 	}
-	it, internLen, err := loadInternTable(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Appender{dir: dir, n: len(metas), intern: it, indexLen: int64(len(data)), internLen: internLen}, nil
+	return &Appender{dir: dir, n: len(metas), intern: it, indexLen: int64(len(data))}, nil
 }
 
 // createAppender starts the corpus in dir over, creating dir if needed:
-// corpus.index and then corpus.intern are cut back to their header
-// lines. That is the Appender's commit order undone, so a crash between
-// the two leaves an index without records over an intern table of
-// orphans, never records naming intern entries that are gone. Stream
-// files past the new corpus's end stay, unindexed, until an append of
-// that index overwrites them.
+// corpus.index is cut back to its header line. Stream files past the new
+// corpus's end stay, unindexed, until an append of that index overwrites
+// them.
 func createAppender(dir string) (*Appender, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -99,11 +85,7 @@ func createAppender(dir string) (*Appender, error) {
 	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(indexHeader+"\n"), 0o644); err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, internFile), []byte(colfmt.InternMagic), 0o644); err != nil {
-		return nil, err
-	}
-	return &Appender{dir: dir, intern: NewInternTable(),
-		indexLen: int64(len(indexHeader) + 1), internLen: int64(len(colfmt.InternMagic))}, nil
+	return &Appender{dir: dir, intern: NewInternTable(), indexLen: int64(len(indexHeader) + 1)}, nil
 }
 
 // SetCompression toggles flate compression of event blocks for
@@ -115,11 +97,10 @@ func (a *Appender) SetCompression(on bool) { a.compress = on }
 func (a *Appender) NumStreams() int { return a.n }
 
 // Append validates s, writes it as the corpus's next stream file, and
-// appends its metadata records to the index. It returns the stream's
-// index in the corpus — the index a DirSource over the same directory
-// assigns it. If another writer has grown or cut corpus.index or
-// corpus.intern since this appender last wrote them, Append fails
-// without touching the directory.
+// appends its batch to the index. It returns the stream's index in the
+// corpus — the index a DirSource over the same directory assigns it. If
+// another writer has grown or cut corpus.index since this appender last
+// wrote it, Append fails without touching the directory.
 func (a *Appender) Append(s *Stream) (int, error) {
 	if err := s.Validate(); err != nil {
 		return 0, fmt.Errorf("trace: appending stream: %w", err)
@@ -148,47 +129,51 @@ func (a *Appender) AppendUpload(u *Upload) (int, error) {
 }
 
 // append lands one stream whose events blocks encodes: the one file
-// writer behind Append and AppendUpload.
+// writer behind Append and AppendUpload. The stream's index records are
+// checked first, by the rules the parser reads them back with. If the
+// append fails after interning, the intern table is cut back to what
+// the index holds.
 func (a *Appender) append(s *Stream, blocks []byte) (int, error) {
-	if err := a.checkSoleWriter(); err != nil {
-		return 0, err
-	}
-	idx := a.n
-	name := streamFileName(idx)
-	if err := a.writeStreamFile(name, s, blocks); err != nil {
-		return 0, err
-	}
 	m := StreamMeta{
-		File:      name,
+		File:      streamFileName(a.n),
 		ID:        s.ID,
 		Events:    len(s.Events),
 		Duration:  s.Duration(),
 		Instances: s.Instances,
 	}
-	if err := a.appendIndexRecord(idx, m); err != nil {
+	if err := checkMeta(m); err != nil {
+		return 0, fmt.Errorf("%w: appending stream %q: %v", ErrBadFormat, s.ID, err)
+	}
+	if err := a.checkSoleWriter(); err != nil {
+		return 0, err
+	}
+	frames, stacks := a.intern.NumFrames(), a.intern.NumStacks()
+	a.head = a.intern.appendTables(appendPrefix(a.head[:0], binaryMagicV4, binaryVersionV4, s.ID), s)
+	a.head = appendSuffix(a.head, s)
+	err := a.writeStreamFile(m.File, blocks)
+	if err == nil {
+		err = a.appendBatch(m, frames, stacks)
+	}
+	if err != nil {
+		a.intern.truncate(frames, stacks)
 		return 0, err
 	}
 	a.n++
 	a.fresh = false
-	return idx, nil
+	return a.n - 1, nil
 }
 
-// checkSoleWriter stats corpus.index and corpus.intern and fails unless
-// both are the lengths this appender left them at. Lengths only: an
-// in-place edit that keeps them is not seen.
+// checkSoleWriter stats corpus.index and fails unless it is the length
+// this appender left it at. Length only: an in-place edit that keeps it
+// is not seen.
 func (a *Appender) checkSoleWriter() error {
-	for _, f := range [...]struct {
-		name string
-		want int64
-	}{{indexFile, a.indexLen}, {internFile, a.internLen}} {
-		got, err := fileLen(filepath.Join(a.dir, f.name))
-		if err != nil {
-			return err
-		}
-		if got != f.want {
-			return fmt.Errorf("trace: %s is %d bytes, not the %d this appender left it at: another writer has been at the corpus; re-open it before appending",
-				f.name, got, f.want)
-		}
+	got, err := fileLen(filepath.Join(a.dir, indexFile))
+	if err != nil {
+		return err
+	}
+	if got != a.indexLen {
+		return fmt.Errorf("trace: %s is %d bytes, not the %d this appender left it at: another writer has been at the corpus; re-open it before appending",
+			indexFile, got, a.indexLen)
 	}
 	return nil
 }
@@ -205,18 +190,10 @@ func fileLen(path string) (int64, error) {
 	return st.Size(), nil
 }
 
-// writeStreamFile writes s's TSC4 header, interning its frames and
-// stacks into the corpus table, flushes any new intern records to
-// corpus.intern, and only then writes the stream file — header, then
-// blocks — so no stream file on disk ever references an unflushed intern
-// record. Close errors surface (a short write otherwise goes unnoticed
-// until decode).
-func (a *Appender) writeStreamFile(name string, s *Stream, blocks []byte) error {
-	a.head = a.intern.appendTables(appendPrefix(a.head[:0], binaryMagicV4, binaryVersionV4, s.ID), s)
-	a.head = appendSuffix(a.head, s)
-	if err := a.appendInternRecords(); err != nil {
-		return err
-	}
+// writeStreamFile writes a.head and then blocks as the stream file name.
+// Close errors surface (a short write otherwise goes unnoticed until
+// decode).
+func (a *Appender) writeStreamFile(name string, blocks []byte) error {
 	f, err := os.Create(filepath.Join(a.dir, name))
 	if err != nil {
 		return err
@@ -234,67 +211,31 @@ func (a *Appender) writeStreamFile(name string, s *Stream, blocks []byte) error 
 	return nil
 }
 
-// appendInternRecords lands intern records added since the last flush,
-// starting corpus.intern over with its header on a fresh corpus's first
-// flush (whatever a crashed first append left there would shift every
-// ID this appender assigns). That first flush happens even with no
-// record to land: a corpus whose first stream holds no frame still
-// needs the file. On failure the flushed cursors are rolled back so the
-// records retry on the next append.
-func (a *Appender) appendInternRecords() error {
-	if !a.freshIntern && a.intern.flushedFrames == len(a.intern.frames) &&
-		a.intern.flushedStacks == len(a.intern.stacks) {
-		return nil
-	}
-	ff, fs := a.intern.flushedFrames, a.intern.flushedStacks
-	var buf bytes.Buffer
-	if a.freshIntern {
-		buf.WriteString(colfmt.InternMagic)
-	}
-	err := a.intern.appendRecordsSince(&buf)
-	if err == nil {
-		err = appendFile(filepath.Join(a.dir, internFile), a.freshIntern, buf.Bytes(), &a.internLen)
-	}
-	if err != nil {
-		a.intern.flushedFrames, a.intern.flushedStacks = ff, fs
-		return fmt.Errorf("trace: appending to %s: %w", internFile, err)
-	}
-	a.freshIntern = false
-	return nil
-}
-
-// appendFile appends data to the append-only corpus file at path — or,
-// fresh, starts the file over with it — and keeps *size, the length
-// this appender left the file at, in step with what lands.
-func appendFile(path string, fresh bool, data []byte, size *int64) error {
+// appendBatch appends m's batch to the index in one write: the intern
+// records from frames and stacks on, then m's records. On a fresh corpus
+// it starts the file over with the header line first.
+func (a *Appender) appendBatch(m StreamMeta, frames, stacks int) error {
+	a.batch = a.batch[:0]
 	flags := os.O_WRONLY | os.O_APPEND
-	if fresh {
+	if a.fresh {
+		a.batch = append(a.batch, indexHeader+"\n"...)
 		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	a.batch = appendInternRecords(a.batch, a.intern, frames, stacks)
+	a.batch = appendStreamRecord(a.batch, a.n, m)
+	f, err := os.OpenFile(filepath.Join(a.dir, indexFile), flags, 0o644)
 	if err != nil {
-		return err
+		return fmt.Errorf("trace: appending to %s: %w", indexFile, err)
 	}
-	if fresh {
-		*size = 0
+	if a.fresh {
+		a.indexLen = 0
 	}
-	n, err := f.Write(data)
-	*size += int64(n)
+	n, err := f.Write(a.batch)
+	a.indexLen += int64(n)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return err
-}
-
-// appendIndexRecord appends one stream's records to the index, writing
-// the header first when the corpus is fresh.
-func (a *Appender) appendIndexRecord(seq int, m StreamMeta) error {
-	a.records = a.records[:0]
-	if a.fresh {
-		a.records = append(a.records, indexHeader+"\n"...)
-	}
-	a.records = appendStreamRecord(a.records, seq, m)
-	if err := appendFile(filepath.Join(a.dir, indexFile), a.fresh, a.records, &a.indexLen); err != nil {
+	if err != nil {
 		return fmt.Errorf("trace: appending to %s: %w", indexFile, err)
 	}
 	return nil

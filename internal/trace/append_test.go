@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"tracescope/internal/trace/colfmt"
 )
 
 // TestAppenderRoundTrip grows a fresh corpus one stream at a time and
@@ -174,9 +172,6 @@ func TestWriteDirReplacesCorpus(t *testing.T) {
 			if got := mustReadFile(t, filepath.Join(dir, indexFile)); got != indexHeader+"\n" {
 				t.Errorf("empty corpus index = %q, want the header line", got)
 			}
-			if got := mustReadFile(t, filepath.Join(dir, internFile)); got != colfmt.InternMagic {
-				t.Errorf("empty corpus intern file = %q, want the header line", got)
-			}
 		}
 		d, err := OpenDir(dir)
 		if err != nil {
@@ -231,11 +226,10 @@ func TestAppenderRejectsInvalidStream(t *testing.T) {
 // TestAppenderStartsOverTornHeader: an index that is empty or a strict
 // prefix of the header line committed nothing — the crash shape of a
 // first append torn inside the header write. The strict loader rejects
-// it, and the appender starts index and intern table over, so the stale
-// intern records of the crashed append cannot shift the IDs of the
-// stream that lands next.
+// it, and the appender starts the index over, so the stream that lands
+// next is stream 0 with intern IDs of its own.
 func TestAppenderStartsOverTornHeader(t *testing.T) {
-	for name, torn := range map[string]string{"empty": "", "partial": "TSIND", "unterminated": "TSINDEX 4"} {
+	for name, torn := range map[string]string{"empty": "", "partial": "TSIND", "unterminated": indexHeader} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			crashed, err := OpenAppender(dir)
@@ -407,15 +401,16 @@ func TestParseIndexUnsupportedVersion(t *testing.T) {
 	for _, tc := range []struct{ index, found string }{
 		{"TSINDEX 2\ns \"stream-00000.tscp\" \"m0\" 0 0 0\n", "found index version 2"},
 		{"TSINDEX 3\ns 0 \"stream-00000.tscp\" \"m0\" 0 0 0\n", "found index version 3"},
-		{"TSINDEX 5\n", "found index version 5"},
+		{"TSINDEX 4\ns 0 \"stream-00000.tsc4\" \"m0\" 0 0 0\n", "found index version 4"},
+		{"TSINDEX 6\n", "found index version 6"},
 		{"stream-00000.tscp\nstream-00001.tscp\n", "found a headerless (version 1)"},
 		{"", "found an empty or torn index header"},
 	} {
-		_, err := parseIndex(tc.index)
+		_, _, err := parseIndex(tc.index)
 		if !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("parseIndex(%q): err = %v, want ErrBadFormat", tc.index, err)
 		}
-		for _, want := range []string{tc.found, "supports only index version 4", "regenerate"} {
+		for _, want := range []string{tc.found, "supports only index version 5", "regenerate"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("parseIndex(%q): error %q does not mention %q", tc.index, err, want)
 			}
@@ -427,9 +422,9 @@ func TestParseIndexUnsupportedVersion(t *testing.T) {
 // out of order (a truncated-then-regrown or hand-edited index) are
 // rejected.
 func TestParseIndexSequenceMismatch(t *testing.T) {
-	const idx = "TSINDEX 4\n" +
-		"s 1 \"stream-00000.tsc4\" \"m0\" 0 0 0\n"
-	_, err := parseIndex(idx)
+	const idx = indexHeader + "\n" +
+		"s 1 \"m0\" 0 0 0\n"
+	_, _, err := parseIndex(idx)
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
@@ -489,30 +484,41 @@ type reloadState struct {
 	Refs              []InstanceRef
 	IndexSize         int64
 	IndexGuard        string
-	Seen              map[string]bool
+	Frames            []string
+	Stacks            [][]FrameID
 }
 
 func stateOf(d *DirSource) reloadState {
-	seen := make(map[string]bool, len(d.seen))
-	for name := range d.seen {
-		seen[name] = true
-	}
 	return reloadState{
 		Metas:     append([]StreamMeta{}, d.metas...),
 		Instances: d.NumInstances(), Events: d.NumEvents(), Duration: d.TotalDuration(),
 		Scenarios: d.Scenarios(), Refs: d.InstancesOf(""),
-		IndexSize: d.indexSize, IndexGuard: d.indexGuard, Seen: seen,
+		IndexSize: d.indexSize, IndexGuard: d.indexGuard,
+		Frames: append([]string{}, d.intern.frames...), Stacks: append([][]FrameID{}, d.intern.stacks...),
 	}
 }
 
-// recordBoundaries returns every offset of index at which a stream
-// record starts, and its length: the places an append can have stopped.
+// recordBoundaries returns every offset of index at which a batch
+// starts — a stream or intern record that does not follow an intern
+// record — and its length: the places an append can have stopped.
 func recordBoundaries(index string) []int {
 	var cuts []int
+	inBatch := false
 	for p := 1; p < len(index); p++ {
-		if index[p-1] == '\n' && strings.HasPrefix(index[p:], "s ") {
-			cuts = append(cuts, p)
+		if index[p-1] != '\n' {
+			continue
 		}
+		line, _, _ := strings.Cut(index[p:], "\n")
+		tag, _, _ := strings.Cut(strings.TrimSuffix(line, "\r"), " ")
+		switch tag {
+		case "":
+			continue
+		case "f", "k", "s":
+			if !inBatch {
+				cuts = append(cuts, p)
+			}
+		}
+		inBatch = tag == "f" || tag == "k"
 	}
 	return append(cuts, len(index))
 }
@@ -521,7 +527,7 @@ func recordBoundaries(index string) []int {
 // boundary, OpenDir over the index up to it followed by Reload over the
 // whole must end in the state OpenDir over the whole reaches, or fail
 // where that fails; and a failed Reload must change nothing. dir needs a
-// corpus.intern; the index file is overwritten.
+// directory; the index file is overwritten.
 func checkReloadSplit(t testing.TB, dir, whole string) {
 	t.Helper()
 	path := filepath.Join(dir, indexFile)
@@ -604,10 +610,24 @@ func TestReloadReadsOnlyTheTail(t *testing.T) {
 	}
 }
 
-// TestReloadTornTailIsAtomic: a record cut anywhere — inside a line, or
-// between its "s" line and the end of its instance list — fails the
-// reload and changes nothing, and the same source reloads the record
-// once it is whole.
+// newFrameStream returns a valid stream whose two frames, module
+// mod's, and whose stacks no randomStream holds: its batch carries
+// intern records.
+func newFrameStream(mod string) *Stream {
+	s := NewStream(mod)
+	entry := s.InternStackStrings(mod + "!Entry")
+	worker := s.InternStackStrings(mod+"!Entry", mod+"!Worker")
+	s.AppendEvent(Event{Type: Running, Time: 0, Cost: 10, TID: 0, WTID: NoThread, Stack: entry})
+	s.AppendEvent(Event{Type: Running, Time: 10, Cost: 10, TID: 0, WTID: NoThread, Stack: worker})
+	s.SetThread(0, "App", "T0")
+	s.Instances = append(s.Instances, Instance{Scenario: "S1", TID: 0, Start: 0, End: 50})
+	return s
+}
+
+// TestReloadTornTailIsAtomic: a batch cut anywhere — inside a line, in
+// its intern records, or between its "s" line and the end of its
+// instance list — fails the reload and changes nothing, intern table
+// included, and the same source reloads the batch once it is whole.
 func TestReloadTornTailIsAtomic(t *testing.T) {
 	dir, a, index := reloadCorpus(t, 2)
 	d, err := OpenDir(dir)
@@ -616,37 +636,42 @@ func TestReloadTornTailIsAtomic(t *testing.T) {
 	}
 	before := stateOf(d)
 	known := mustReadFile(t, index)
-	appendRandom(t, a, 3)
+	if _, err := a.Append(newFrameStream("torn.sys")); err != nil {
+		t.Fatal(err)
+	}
 	whole := mustReadFile(t, index)
-	if lines := strings.Count(whole[len(known):], "\n"); lines != 3 {
-		t.Fatalf("test setup: appended record has %d lines, want 3", lines)
+	if batch := whole[len(known):]; !strings.HasPrefix(batch, "f ") || !strings.Contains(batch, "\nk ") {
+		t.Fatalf("test setup: appended batch %q carries no intern records", batch)
 	}
 	for cut := len(known) + 1; cut < len(whole); cut++ {
 		mustWriteFile(t, index, whole[:cut])
 		if _, err := d.Reload(); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("Reload over a record cut after %q: err = %v, want ErrBadFormat", whole[len(known):cut], err)
+			t.Fatalf("Reload over a batch cut after %q: err = %v, want ErrBadFormat", whole[len(known):cut], err)
 		}
 		if got := stateOf(d); !reflect.DeepEqual(got, before) {
-			t.Fatalf("failed Reload (record cut after %q) changed the source:\n got %+v\nwant %+v", whole[len(known):cut], got, before)
+			t.Fatalf("failed Reload (batch cut after %q) changed the source:\n got %+v\nwant %+v", whole[len(known):cut], got, before)
 		}
 	}
 	mustWriteFile(t, index, whole)
 	if n, err := d.Reload(); n != 1 || err != nil {
-		t.Fatalf("Reload over the completed record = %d, %v; want 1", n, err)
+		t.Fatalf("Reload over the completed batch = %d, %v; want 1", n, err)
 	}
-	if d.NumStreams() != 3 || d.NumInstances() != before.Instances+2 {
-		t.Fatalf("after the completed reload: %d streams, %d instances", d.NumStreams(), d.NumInstances())
+	if d.NumStreams() != 3 || d.NumInstances() != before.Instances+1 || d.intern.NumFrames() != len(before.Frames)+2 {
+		t.Fatalf("after the completed reload: %d streams, %d instances, %d frames", d.NumStreams(), d.NumInstances(), d.intern.NumFrames())
 	}
 }
 
-// TestReloadRejectsBadTailRecords: a tail record must continue the
-// sequence and name a file no known stream has, however old.
+// TestReloadRejectsBadTailRecords: a tail batch must continue the
+// sequence, carry records of this version (no file name), and name only
+// frames defined before it; a rejected tail leaves the source as it was.
 func TestReloadRejectsBadTailRecords(t *testing.T) {
 	for name, record := range map[string]string{
-		"old file name":   `s 3 "stream-00000.tsc4" "x" 0 0 0`,
-		"sequence gap":    `s 4 "stream-00003.tsc4" "x" 0 0 0`,
-		"sequence repeat": `s 2 "stream-00003.tsc4" "x" 0 0 0`,
-		"second of two":   "s 3 \"stream-00003.tsc4\" \"x\" 0 0 0\ns 4 \"stream-00003.tsc4\" \"x\" 0 0 0",
+		"old file name":   `s 3 "stream-00003.tsc4" "x" 0 0 0`,
+		"sequence gap":    `s 4 "x" 0 0 0`,
+		"sequence repeat": `s 2 "x" 0 0 0`,
+		"second of two":   "s 3 \"x\" 0 0 0\ns 3 \"x\" 0 0 0",
+		"undefined frame": "f \"new!F\"\nk 0 99\ns 3 \"x\" 0 0 0",
+		"torn batch":      "f \"new!F\"\nk 0",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir, _, index := reloadCorpus(t, 3)
@@ -663,7 +688,7 @@ func TestReloadRejectsBadTailRecords(t *testing.T) {
 			if got := stateOf(d); !reflect.DeepEqual(got, before) {
 				t.Fatalf("failed Reload changed the source:\n got %+v\nwant %+v", got, before)
 			}
-			mustWriteFile(t, index, known+"s 3 \"stream-00003.tsc4\" \"x\" 0 0 0\n")
+			mustWriteFile(t, index, known+"s 3 \"x\" 0 0 0\n")
 			if n, err := d.Reload(); n != 1 || err != nil {
 				t.Fatalf("Reload over a well-formed record after the rejection = %d, %v; want 1", n, err)
 			}

@@ -19,8 +19,8 @@ import (
 //
 // Strings are uvarint-length-prefixed UTF-8, as on the wire. The frame and
 // stack tables hold no payload of their own — only references into the
-// corpus-level InternTable (corpus.intern), which assigns global IDs in
-// append order. Decoding reconstructs the stream's original local ID
+// corpus-level InternTable (the f and k records of corpus.index), which
+// assigns global IDs in append order. Decoding reconstructs the stream's original local ID
 // spaces exactly (local frame i is the i-th table entry; local stacks
 // are translated back through the local frame table), so a decoded
 // stream is indistinguishable from the one written and every analysis

@@ -88,7 +88,8 @@ func TestV4InternSharing(t *testing.T) {
 
 // TestV4AppendReloadInternTail checks the incremental path: an open
 // DirSource picks up appended streams — including brand-new frames and
-// stacks that land in the corpus.intern tail — via Reload alone.
+// stacks whose intern records land in the index's tail — via Reload
+// alone.
 func TestV4AppendReloadInternTail(t *testing.T) {
 	dir := t.TempDir()
 	a, err := OpenAppender(dir)
@@ -137,7 +138,8 @@ func TestV4AppendReloadInternTail(t *testing.T) {
 }
 
 // TestV4ReloadRejectsShrunkIntern checks the append-only contract on
-// corpus.intern: a truncated file fails Reload with ErrBadFormat.
+// the intern records: an index whose committed frame records were cut
+// fails Reload with ErrBadFormat, however much has been appended since.
 func TestV4ReloadRejectsShrunkIntern(t *testing.T) {
 	dir := t.TempDir()
 	a, err := OpenAppender(dir)
@@ -151,16 +153,24 @@ func TestV4ReloadRejectsShrunkIntern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, internFile)
+	if _, err := a.Append(newFrameStream("more.sys")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, indexFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	f := bytes.Index(data, []byte("\nf "))
+	if f < 0 {
+		t.Fatal("test setup: no frame record in the index")
+	}
+	end := f + 1 + bytes.IndexByte(data[f+1:], '\n')
+	if err := os.WriteFile(path, append(data[:f:f], data[end:]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Reload(); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("Reload over a shrunk intern table: err = %v, want ErrBadFormat", err)
+		t.Fatalf("Reload over an index whose frame record was cut: err = %v, want ErrBadFormat", err)
 	}
 }
 
@@ -359,10 +369,19 @@ func TestCollectDirStats(t *testing.T) {
 		if st.EventBytesStored != st.EventBytesRaw {
 			t.Fatalf("stored %d != raw %d for raw blocks", st.EventBytesStored, st.EventBytesRaw)
 		}
-		if st.Frames == 0 || st.Stacks == 0 || st.InternBytes == 0 {
-			t.Fatalf("intern accounting missing: %+v", st)
+		d, err := OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.StreamBytes == 0 || st.IndexBytes == 0 {
+		if st.Frames == 0 || st.Frames != d.intern.NumFrames() || st.Stacks != d.intern.NumStacks() {
+			t.Fatalf("intern accounting %d frames, %d stacks; the index defines %d, %d",
+				st.Frames, st.Stacks, d.intern.NumFrames(), d.intern.NumStacks())
+		}
+		index, err := os.Stat(filepath.Join(dir, indexFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.StreamBytes == 0 || st.IndexBytes != index.Size() {
 			t.Fatalf("file accounting missing: %+v", st)
 		}
 	})

@@ -23,10 +23,6 @@
 // The codec is symmetric and allocation-free in steady state: both
 // Encoder and Decoder retain their scratch buffers (including the flate
 // state, reset per block via flate.Resetter) across calls.
-//
-// The package also defines the appendable intern-record stream used by
-// the corpus-level `corpus.intern` container: see AppendFrame,
-// AppendStack, and ReadInternRecords.
 package colfmt
 
 import (
@@ -54,7 +50,7 @@ const (
 // flagCompressed marks a block whose payload is flate-compressed.
 const flagCompressed = 0x01
 
-// ErrCorrupt reports a malformed block or intern record.
+// ErrCorrupt reports a malformed block.
 var ErrCorrupt = errors.New("colfmt: corrupt input")
 
 // An Encoder writes columnar blocks. It retains its payload and flate

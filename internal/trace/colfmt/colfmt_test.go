@@ -199,87 +199,6 @@ func TestCompressionShrinksRepetitiveBlocks(t *testing.T) {
 	}
 }
 
-func TestInternRecordsRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	frames := []string{"alloc", "lock", "", "dma_wait"}
-	stacks := [][]uint32{{0}, {0, 1}, {3, 2, 1, 0}, {}}
-	for i, f := range frames {
-		if err := AppendFrame(&buf, f); err != nil {
-			t.Fatalf("AppendFrame %d: %v", i, err)
-		}
-	}
-	for i, st := range stacks {
-		if err := AppendStack(&buf, st); err != nil {
-			t.Fatalf("AppendStack %d: %v", i, err)
-		}
-	}
-	var gotFrames []string
-	var gotStacks [][]uint32
-	err := ReadInternRecords(buf.Bytes(), 0,
-		func(s string) error { gotFrames = append(gotFrames, s); return nil },
-		func(fs []uint32) error { gotStacks = append(gotStacks, append([]uint32{}, fs...)); return nil })
-	if err != nil {
-		t.Fatalf("ReadInternRecords: %v", err)
-	}
-	if len(gotFrames) != len(frames) || len(gotStacks) != len(stacks) {
-		t.Fatalf("got %d frames / %d stacks, want %d / %d",
-			len(gotFrames), len(gotStacks), len(frames), len(stacks))
-	}
-	for i := range frames {
-		if gotFrames[i] != frames[i] {
-			t.Errorf("frame %d: got %q want %q", i, gotFrames[i], frames[i])
-		}
-	}
-	for i := range stacks {
-		if len(gotStacks[i]) != len(stacks[i]) {
-			t.Fatalf("stack %d: got %v want %v", i, gotStacks[i], stacks[i])
-		}
-		for j := range stacks[i] {
-			if gotStacks[i][j] != stacks[i][j] {
-				t.Errorf("stack %d frame %d: got %d want %d", i, j, gotStacks[i][j], stacks[i][j])
-			}
-		}
-	}
-}
-
-func TestInternRecordsValidateFrameIDs(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AppendFrame(&buf, "only"); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendStack(&buf, []uint32{1}); err != nil { // frame 1 undefined
-		t.Fatal(err)
-	}
-	err := ReadInternRecords(buf.Bytes(), 0,
-		func(string) error { return nil }, func([]uint32) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt", err)
-	}
-	// With base=1 the same record stream is valid: one frame was loaded
-	// by a previous incremental read, so this file defines frame 1.
-	err = ReadInternRecords(buf.Bytes(), 1,
-		func(string) error { return nil }, func([]uint32) error { return nil })
-	if err != nil {
-		t.Fatalf("incremental read with base: %v", err)
-	}
-}
-
-func TestInternRecordsRejectGarbage(t *testing.T) {
-	cases := map[string][]byte{
-		"unknown record": {'X'},
-		"truncated len":  {'F', 0x80},
-		"truncated body": {'F', 0x05, 'a'},
-		"huge string":    {'F', 0xff, 0xff, 0xff, 0xff, 0x7f},
-	}
-	for name, data := range cases {
-		err := ReadInternRecords(data, 0,
-			func(string) error { return nil }, func([]uint32) error { return nil })
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
-		}
-	}
-}
-
 func BenchmarkDecodeBlock(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	rows := DefaultBlockRows

@@ -68,33 +68,3 @@ func FuzzColBlockDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzInternRecords throws arbitrary bytes at the intern-record parser.
-func FuzzInternRecords(f *testing.F) {
-	var buf bytes.Buffer
-	if err := AppendFrame(&buf, "frame"); err != nil {
-		f.Fatal(err)
-	}
-	if err := AppendStack(&buf, []uint32{0}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes(), 0)
-	f.Add([]byte{'S', 0x01, 0x00}, 1)
-	f.Fuzz(func(t *testing.T, data []byte, base int) {
-		if base < 0 || base > 1<<20 {
-			return
-		}
-		frames := 0
-		err := ReadInternRecords(data, base,
-			func(string) error { frames++; return nil },
-			func(fs []uint32) error {
-				for _, id := range fs {
-					if int(id) >= base+frames {
-						t.Fatalf("parser passed out-of-range frame id %d", id)
-					}
-				}
-				return nil
-			})
-		_ = err
-	})
-}

@@ -113,10 +113,10 @@ func (c *Corpus) Validate() error {
 // WriteDir persists the corpus to dir, creating it if needed and
 // replacing any corpus already there: it starts the directory over and
 // appends every stream through an Appender — one columnar file per
-// stream, the corpus.intern frame/stack container, and a corpus.index
-// recording per-stream and per-instance metadata, which lets OpenDir
-// enumerate scenarios and instances without decoding any stream. Every
-// stream must validate (Stream.Validate).
+// stream, and a corpus.index recording the frame/stack intern table and
+// per-stream and per-instance metadata, which lets OpenDir enumerate
+// scenarios and instances without decoding any stream. Every stream must
+// validate (Stream.Validate).
 func (c *Corpus) WriteDir(dir string) error {
 	a, err := createAppender(dir)
 	if err != nil {

@@ -17,7 +17,7 @@ type DirStats struct {
 	Events    int
 	Instances int
 
-	// Corpus-level intern table.
+	// The corpus intern table the index defines.
 	Frames int
 	Stacks int
 
@@ -30,38 +30,25 @@ type DirStats struct {
 	// File sizes.
 	StreamBytes int64
 	IndexBytes  int64
-	InternBytes int64 // corpus.intern
 }
 
-// CollectDirStats opens dir's index and skims every stream file for the
-// stats above. It parses stream headers and block framing only — event
-// payloads are never decompressed or decoded — so it runs at I/O speed
-// even on paper-scale corpora.
+// CollectDirStats opens dir with OpenDir and skims every stream file for
+// the stats above. It parses stream headers and block framing only —
+// event payloads are never decompressed or decoded — so it runs at I/O
+// speed even on paper-scale corpora.
 func CollectDirStats(dir string) (DirStats, error) {
 	var st DirStats
-	data, err := os.ReadFile(filepath.Join(dir, indexFile))
+	d, err := OpenDir(dir)
 	if err != nil {
 		return st, err
 	}
-	metas, err := parseIndex(string(data))
-	if err != nil {
-		return st, fmt.Errorf("trace: %s: %w", indexFile, err)
-	}
-	st.Streams = len(metas)
-	st.IndexBytes = int64(len(data))
-	for _, m := range metas {
-		st.Events += m.Events
-		st.Instances += len(m.Instances)
-	}
-	it, internBytes, err := loadInternTable(dir)
-	if err != nil {
+	st.Streams, st.Events, st.Instances = d.NumStreams(), d.NumEvents(), d.NumInstances()
+	st.Frames, st.Stacks = d.intern.NumFrames(), d.intern.NumStacks()
+	if st.IndexBytes, err = fileLen(filepath.Join(dir, indexFile)); err != nil {
 		return st, err
 	}
-	st.Frames = it.NumFrames()
-	st.Stacks = it.NumStacks()
-	st.InternBytes = internBytes
-	for _, m := range metas {
-		fdata, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(m.File)))
+	for _, m := range d.metas {
+		fdata, err := os.ReadFile(filepath.Join(dir, m.File))
 		if err != nil {
 			return st, err
 		}

@@ -1,0 +1,397 @@
+package trace
+
+import (
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+)
+
+// corpus.index format
+//
+// A header line "TSINDEX 5" followed, per stream, by one batch:
+//
+//	f <frame>                                     (one per frame new to the corpus)
+//	k <frame id> …                                (one per stack new to the corpus)
+//	s <seq> <id> <events> <duration_us> <ninstances>
+//	i <scenario> <tid> <start_us> <end_us>        (ninstances lines)
+//
+// where <frame>, <id> and <scenario> are Go-quoted strings. The f and k
+// lines are the corpus intern table: frames and stacks get global IDs in
+// the order their lines appear, and a stack names its frames by those
+// IDs. The s and i lines record everything instance enumeration,
+// scenario listing and fast/slow threshold classification need, so none
+// of them decode event payloads.
+//
+// The index is one append-only log. The Appender lands a stream by
+// writing its file, streamFileName(seq), and then appending its batch in
+// one write, never by rewriting earlier bytes. A batch is the commit
+// unit: its f and k lines count only once its s line and instance lines
+// are whole, so a torn append leaves a tail to cut, never an intern
+// entry no stream references. <seq> must equal the record's zero-based
+// position, which lets Reload verify that contract and detect a
+// truncated or rewritten index instead of silently renumbering streams
+// (EventIDs and InstanceRefs reference streams by index).
+//
+// Stream files are TSC4 columnar containers (codec_v4.go) whose frame
+// and stack tables reference the intern table by global ID. This is the
+// only on-disk corpus the package opens or writes. TSCP (codec.go), the
+// same container with the stream's own tables, is the ingest wire
+// format, never a file.
+
+const (
+	indexFile    = "corpus.index"
+	indexMagic   = "TSINDEX"
+	indexVersion = 5
+	// indexHeader is the first line of every corpus.index (the magic and
+	// indexVersion), written with a terminating newline.
+	indexHeader = indexMagic + " 5"
+)
+
+// appendStreamRecord appends one stream record (the "s" line plus its
+// "i" instance lines) to b.
+func appendStreamRecord(b []byte, seq int, m StreamMeta) []byte {
+	b = append(b, "s "...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, ' ')
+	b = strconv.AppendQuote(b, m.ID)
+	for _, v := range [...]int64{int64(m.Events), int64(m.Duration), int64(len(m.Instances))} {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, v, 10)
+	}
+	b = append(b, '\n')
+	for _, in := range m.Instances {
+		b = append(b, "i "...)
+		b = strconv.AppendQuote(b, in.Scenario)
+		for _, v := range [...]int64{int64(in.TID), int64(in.Start), int64(in.End)} {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// appendInternRecords appends an "f" line for every frame of t from
+// frames on and a "k" line for every stack from stacks on.
+func appendInternRecords(b []byte, t *InternTable, frames, stacks int) []byte {
+	for _, f := range t.frames[frames:] {
+		b = append(b, "f "...)
+		b = strconv.AppendQuote(b, f)
+		b = append(b, '\n')
+	}
+	for _, st := range t.stacks[stacks:] {
+		b = append(b, 'k')
+		for _, f := range st {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(f), 10)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// parseIndex parses corpus.index contents and returns the per-stream
+// metadata and the intern table. Malformed input fails with
+// ErrBadFormat rather than panicking or over-allocating.
+func parseIndex(data string) ([]StreamMeta, *InternTable, error) {
+	body, err := indexBody(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	it := NewInternTable()
+	metas, _, err := parseRecords(body, 0, it)
+	return metas, it, err
+}
+
+// indexBody checks the header line and returns what follows it.
+func indexBody(data string) (string, error) {
+	header, body, terminated := strings.Cut(data, "\n")
+	if !terminated || strings.TrimSuffix(header, "\r") != indexHeader {
+		// Name both the found and the supported version so an operator
+		// pointing this binary at another build's corpus sees what to
+		// regenerate instead of a bare mismatch.
+		return "", fmt.Errorf(
+			"%w: found %s but this build supports only index version %d; "+
+				"regenerate the corpus with a matching tracegen",
+			ErrBadFormat, describeIndexHeader(data), indexVersion)
+	}
+	return body, nil
+}
+
+// parseRecords parses data as whole batches: the one record parser,
+// behind OpenDir (the file after its header), OpenAppender, and Reload
+// (the tail past the batches it knows). Sequence numbers must continue
+// from base. Intern records are added to it, and stacks may name only
+// frames defined before them. Every line must end in a newline: an
+// unterminated one is an append torn inside it, and its cut-short
+// numbers could still parse. A batch must end in a whole stream record:
+// intern records with none after them are a torn append too. last is
+// the offset in data of the final batch. On error it is cut back to
+// what it held.
+func parseRecords(data string, base int, it *InternTable) (metas []StreamMeta, last int, err error) {
+	frames, stacks := it.NumFrames(), it.NumStacks()
+	defer func() {
+		if err != nil {
+			it.truncate(frames, stacks)
+			metas = nil
+		}
+	}()
+	bad := func(format string, args ...any) ([]StreamMeta, int, error) {
+		return metas, 0, fmt.Errorf("%w: index record %d: %s", ErrBadFormat, base+len(metas), fmt.Sprintf(format, args...))
+	}
+	rest := data
+	// next cuts one terminated line off rest.
+	next := func() (string, bool) {
+		line, after, ok := strings.Cut(rest, "\n")
+		if ok {
+			rest = after
+		}
+		return strings.TrimSuffix(line, "\r"), ok
+	}
+	batch := -1 // offset of the open batch's first intern record
+	for {
+		start := len(data) - len(rest)
+		line, ok := next()
+		if !ok {
+			break
+		}
+		if line == "" {
+			continue
+		}
+		tag, fields, _ := strings.Cut(line, " ")
+		switch tag {
+		case "f":
+			frame, err := parseFrameRecord(fields)
+			if err != nil {
+				return bad("%v", err)
+			}
+			// Copied out: a table outlives the text it was read from (an
+			// Appender keeps its table while it owns the directory), and
+			// a substring would pin the whole index.
+			it.frames = append(it.frames, strings.Clone(frame))
+		case "k":
+			st, err := parseStackRecord(fields, len(it.frames))
+			if err != nil {
+				return bad("%v", err)
+			}
+			it.stacks = append(it.stacks, st)
+		case "s":
+			if base+len(metas) >= maxTableLen {
+				return bad("stream count too large")
+			}
+			m, ninst, err := parseStreamRecord(fields, base+len(metas))
+			if err != nil {
+				return bad("%v", err)
+			}
+			m.Instances = make([]Instance, 0, prealloc(ninst))
+			for j := 0; j < ninst; j++ {
+				line, ok := next()
+				if !ok {
+					return bad("truncated instance list for %s", m.File)
+				}
+				if !strings.HasPrefix(line, "i ") {
+					return bad("expected instance record, got %q", line)
+				}
+				in, err := parseInstanceRecord(line[2:])
+				if err != nil {
+					return bad("instance %d: %v", j, err)
+				}
+				m.Instances = append(m.Instances, in)
+			}
+			if batch < 0 {
+				batch = start
+			}
+			metas, last, batch = append(metas, m), batch, -1
+			continue
+		default:
+			return bad("expected a frame, stack or stream record, got %q", line)
+		}
+		if batch < 0 {
+			batch = start
+		}
+	}
+	if rest != "" {
+		return bad("unterminated line %q (torn append?)", rest)
+	}
+	if batch >= 0 {
+		return bad("intern records with no stream record after them (torn append?)")
+	}
+	return metas, last, nil
+}
+
+// noCommittedRecords reports whether data is empty or a strict prefix of
+// the header line: what a crash inside the first append's header write
+// leaves behind.
+func noCommittedRecords(data string) bool {
+	return strings.HasPrefix(indexHeader, data)
+}
+
+// describeIndexHeader says, for parseIndex's rejection, what data holds
+// in place of the header line.
+func describeIndexHeader(data string) string {
+	if noCommittedRecords(data) {
+		return "an empty or torn index header"
+	}
+	first, _, _ := strings.Cut(data, "\n")
+	first = strings.TrimSuffix(first, "\r")
+	if v, ok := strings.CutPrefix(first, indexMagic+" "); ok {
+		if _, err := strconv.Atoi(v); err == nil {
+			return "index version " + v
+		}
+	}
+	return fmt.Sprintf("a headerless (version 1) or unrecognised index starting %q", first)
+}
+
+// parseFrameRecord parses the field of one "f" line (after the tag).
+func parseFrameRecord(s string) (string, error) {
+	frame, rest, err := cutQuoted(s)
+	if err != nil {
+		return "", fmt.Errorf("frame: %v", err)
+	}
+	if rest != "" {
+		return "", fmt.Errorf("trailing %q after frame", rest)
+	}
+	return frame, nil
+}
+
+// parseStackRecord parses the fields of one "k" line (after the tag): a
+// stack of at least one frame, each one of the nframes defined so far.
+func parseStackRecord(s string, nframes int) ([]FrameID, error) {
+	fields := strings.Fields(s)
+	if len(fields) == 0 {
+		return nil, errors.New("empty stack")
+	}
+	st := make([]FrameID, len(fields))
+	for i, field := range fields {
+		f, err := strconv.Atoi(field)
+		if err != nil || f < 0 {
+			return nil, fmt.Errorf("bad frame id %q", field)
+		}
+		if f >= nframes {
+			return nil, fmt.Errorf("stack names frame %d, but %d are defined", f, nframes)
+		}
+		st[i] = FrameID(f)
+	}
+	return st, nil
+}
+
+// parseStreamRecord parses the fields of one "s" line (after the tag).
+// The leading sequence number must equal seq, the record's zero-based
+// position in the index.
+func parseStreamRecord(s string, seq int) (StreamMeta, int, error) {
+	var m StreamMeta
+	field, s, _ := strings.Cut(s, " ")
+	got, err := strconv.Atoi(field)
+	if err != nil {
+		return m, 0, fmt.Errorf("bad sequence number %q", field)
+	}
+	if got != seq {
+		return m, 0, fmt.Errorf("sequence number %d at position %d (index truncated or rewritten?)", got, seq)
+	}
+	m.File = streamFileName(seq)
+	if m.ID, s, err = cutQuoted(s); err != nil {
+		return m, 0, fmt.Errorf("stream id: %v", err)
+	}
+	fields := strings.Fields(s)
+	if len(fields) != 3 {
+		return m, 0, fmt.Errorf("want 3 numeric fields, got %d", len(fields))
+	}
+	var n [3]int64
+	for i, f := range fields {
+		if n[i], err = strconv.ParseInt(f, 10, 64); err != nil {
+			return m, 0, fmt.Errorf("bad number %q", f)
+		}
+	}
+	if err := checkStreamRecord(n[0], Duration(n[1]), n[2]); err != nil {
+		return m, 0, err
+	}
+	m.Events = int(n[0])
+	m.Duration = Duration(n[1])
+	return m, int(n[2]), nil
+}
+
+// parseInstanceRecord parses the fields of one "i" line (after the tag).
+func parseInstanceRecord(s string) (Instance, error) {
+	var in Instance
+	var err error
+	if in.Scenario, s, err = cutQuoted(s); err != nil {
+		return in, fmt.Errorf("instance scenario: %v", err)
+	}
+	fields := strings.Fields(s)
+	if len(fields) != 3 {
+		return in, fmt.Errorf("want 3 numeric fields, got %d", len(fields))
+	}
+	tid, err := strconv.ParseInt(fields[0], 10, 32)
+	if err != nil {
+		return in, fmt.Errorf("bad tid %q", fields[0])
+	}
+	start, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return in, fmt.Errorf("bad start %q", fields[1])
+	}
+	end, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil {
+		return in, fmt.Errorf("bad end %q", fields[2])
+	}
+	in.TID = ThreadID(tid)
+	in.Start = Time(start)
+	in.End = Time(end)
+	return in, checkInstanceRecord(in)
+}
+
+// checkStreamRecord and checkInstanceRecord are the rules an index
+// record's fields obey. The parser applies them to what it reads and
+// the Appender to what it is about to write, so every stream the
+// Appender lands reads back.
+func checkStreamRecord(events int64, dur Duration, ninst int64) error {
+	switch {
+	case events < 0 || events > maxTableLen:
+		return fmt.Errorf("bad event count %d", events)
+	case dur < 0:
+		return fmt.Errorf("negative duration %d", dur)
+	case ninst < 0 || ninst > maxTableLen:
+		return fmt.Errorf("bad instance count %d", ninst)
+	}
+	return nil
+}
+
+func checkInstanceRecord(in Instance) error {
+	switch {
+	case in.Scenario == "":
+		return errors.New("empty scenario name")
+	case in.Start < 0:
+		return fmt.Errorf("negative start %d", in.Start)
+	case in.End < in.Start:
+		return fmt.Errorf("end %d before start %d", in.End, in.Start)
+	}
+	return nil
+}
+
+// checkMeta applies the index record rules to what the Appender is
+// about to write for a stream.
+func checkMeta(m StreamMeta) error {
+	if err := checkStreamRecord(int64(m.Events), m.Duration, int64(len(m.Instances))); err != nil {
+		return err
+	}
+	for i, in := range m.Instances {
+		if err := checkInstanceRecord(in); err != nil {
+			return fmt.Errorf("instance %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// cutQuoted splits a Go-quoted string off the front of s, returning its
+// unquoted value and the rest (with one separating space consumed).
+func cutQuoted(s string) (string, string, error) {
+	q, err := strconv.QuotedPrefix(s)
+	if err != nil {
+		return "", "", fmt.Errorf("bad quoted string in %q", s)
+	}
+	v, err := strconv.Unquote(q)
+	if err != nil {
+		return "", "", fmt.Errorf("bad quoted string %q", q)
+	}
+	return v, strings.TrimPrefix(s[len(q):], " "), nil
+}

@@ -2,27 +2,16 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
-	"strings"
-
-	"tracescope/internal/trace/colfmt"
 )
-
-// internFile is the corpus-level intern container: every distinct
-// frame string and every distinct stack in the corpus, stored once.
-// Stream files reference these tables by global ID, so decoding a stream
-// allocates no strings and no stack storage beyond slice headers.
-const internFile = "corpus.intern"
 
 // InternTable is the corpus-wide frame and stack table. Frames are
 // "module!function" strings; stacks are frame sequences expressed in
-// global frame IDs. IDs are assigned in first-intern order and
-// persisted append-only (colfmt intern records), so a table loaded from
-// disk reproduces the writer's IDs exactly.
+// global frame IDs. IDs are assigned in first-intern order and logged
+// append-only as corpus.index's f and k records, so a table read back
+// from the index reproduces the writer's IDs exactly. Stream files
+// reference these tables by global ID, so decoding a stream allocates no
+// strings and no stack storage beyond slice headers.
 //
 // The index maps are built lazily: pure readers (stream decode) never
 // need them, writers (the Appender) build them on first intern.
@@ -33,11 +22,6 @@ type InternTable struct {
 	frameIndex map[string]FrameID
 	stacks     [][]FrameID // global frame IDs
 	stackIndex map[string]StackID
-
-	// flushedFrames/flushedStacks count records already persisted, so an
-	// Appender can flush only the new tail (appendRecordsSince).
-	flushedFrames int
-	flushedStacks int
 
 	// A writer's scratch: a stack key, and a stream's frames and one of
 	// its stacks in global IDs (appendTables).
@@ -131,80 +115,13 @@ func (t *InternTable) appendTables(b []byte, s *Stream) []byte {
 	return b
 }
 
-// addRecords parses intern records (the file body after the header, or
-// an incremental tail of it) and appends them to the table, marking
-// them flushed — they came from disk.
-func (t *InternTable) addRecords(data []byte) error {
-	err := colfmt.ReadInternRecords(data, len(t.frames),
-		func(s string) error {
-			t.frames = append(t.frames, s)
-			if t.frameIndex != nil {
-				t.frameIndex[s] = FrameID(len(t.frames) - 1)
-			}
-			return nil
-		},
-		func(fs []uint32) error {
-			st := make([]FrameID, len(fs))
-			for i, f := range fs {
-				st[i] = FrameID(f)
-			}
-			t.stacks = append(t.stacks, st)
-			if t.stackIndex != nil {
-				t.stackIndex[stackKey(st)] = StackID(len(t.stacks) - 1)
-			}
-			return nil
-		})
-	if err != nil {
-		return err
+// truncate cuts the table back to its first frames frames and stacks
+// stacks, dropping the index maps (a writer rebuilds them on its next
+// intern).
+func (t *InternTable) truncate(frames, stacks int) {
+	if frames == len(t.frames) && stacks == len(t.stacks) {
+		return
 	}
-	t.flushedFrames = len(t.frames)
-	t.flushedStacks = len(t.stacks)
-	return nil
-}
-
-// loadInternTable reads and parses dir's corpus.intern, returning the
-// table and the file's size in bytes.
-func loadInternTable(dir string) (*InternTable, int64, error) {
-	data, err := os.ReadFile(filepath.Join(dir, internFile))
-	if err != nil {
-		return nil, 0, fmt.Errorf("trace: corpus intern table: %w", err)
-	}
-	t, err := readInternTable(data)
-	return t, int64(len(data)), err
-}
-
-// readInternTable parses a complete corpus.intern file.
-func readInternTable(data []byte) (*InternTable, error) {
-	if len(data) < len(colfmt.InternMagic) || string(data[:len(colfmt.InternMagic)]) != colfmt.InternMagic {
-		return nil, fmt.Errorf("%w: %s: missing %q header", ErrBadFormat, internFile, strings.TrimSpace(colfmt.InternMagic))
-	}
-	t := NewInternTable()
-	if err := t.addRecords(data[len(colfmt.InternMagic):]); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadFormat, internFile, err)
-	}
-	return t, nil
-}
-
-// appendRecordsSince writes every record past the flushed cursors to w
-// (frames first — stacks reference frames by ID) and advances the
-// cursors on success.
-func (t *InternTable) appendRecordsSince(w io.Writer) error {
-	for _, f := range t.frames[t.flushedFrames:] {
-		if err := colfmt.AppendFrame(w, f); err != nil {
-			return err
-		}
-	}
-	var scratch []uint32
-	for _, st := range t.stacks[t.flushedStacks:] {
-		scratch = scratch[:0]
-		for _, f := range st {
-			scratch = append(scratch, uint32(f))
-		}
-		if err := colfmt.AppendStack(w, scratch); err != nil {
-			return err
-		}
-	}
-	t.flushedFrames = len(t.frames)
-	t.flushedStacks = len(t.stacks)
-	return nil
+	t.frames, t.stacks = t.frames[:frames], t.stacks[:stacks]
+	t.frameIndex, t.stackIndex = nil, nil
 }

@@ -149,38 +149,32 @@ func TestIndexCRLF(t *testing.T) {
 	}
 }
 
-// TestIndexRejectsBadEntries checks that duplicate and path-escaping
-// file entries fail with ErrBadFormat before any stream file is opened,
-// through both loaders.
+// TestIndexRejectsBadEntries checks that malformed intern records, a
+// record still naming its file, a batch no stream record closes, and
+// duplicated records fail with ErrBadFormat before any stream file is
+// opened, through both loaders.
 func TestIndexRejectsBadEntries(t *testing.T) {
+	const stream = "s 0 \"m\" 0 0 0\n"
 	cases := []struct {
-		name  string
-		entry string
+		name    string
+		records string
 	}{
-		{"dotdot", "../evil.tscp"},
-		{"nested-dotdot", "sub/../../evil.tscp"},
-		{"absolute", "/etc/passwd"},
-		{"backslash-absolute", `\\server\share`},
-		{"drive", `C:\evil.tscp`},
-		{"dot", "./stream-00000.tscp"},
-		{"empty-element", "a//b.tscp"},
+		{"stack-before-frame", "k 0\n" + stream},
+		{"unquoted-frame", "f a!b\n" + stream},
+		{"file-entry", "s 0 \"stream-00000.tsc4\" \"m\" 0 0 0\n"},
+		{"unclosed-batch", stream + "f \"a!b\"\n"},
 	}
-	quote := func(s string) string { return fmt.Sprintf("%q", s) }
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			index := indexHeader + "\ns 0 " + quote("stream-00000.tsc4") + " \"m\" 0 0 0\ns 1 " +
-				quote(tc.entry) + " \"m\" 0 0 0\n"
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(index), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, indexFile), []byte(indexHeader+"\n"+tc.records), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := ReadDir(dir)
-			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "file entry") {
-				t.Fatalf("ReadDir accepted %q (err=%v)", tc.entry, err)
+			if _, err := ReadDir(dir); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("ReadDir accepted %q (err=%v)", tc.records, err)
 			}
-			_, err = OpenDir(dir)
-			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "file entry") {
-				t.Fatalf("OpenDir accepted %q (err=%v)", tc.entry, err)
+			if _, err := OpenDir(dir); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("OpenDir accepted %q (err=%v)", tc.records, err)
 			}
 		})
 	}
@@ -226,8 +220,12 @@ func TestDirSourceStaleIndex(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	lines = lines[:len(lines)-1]
 	n := len(c.Streams[0].Instances)
-	cut := strings.LastIndex(lines[1], " ")
-	lines[1] = lines[1][:cut+1] + fmt.Sprint(n-1)
+	rec := len(lines) - n
+	if !strings.HasPrefix(lines[rec], "s 0 ") {
+		t.Fatalf("test setup: line %d is %q, not the stream record", rec, lines[rec])
+	}
+	cut := strings.LastIndex(lines[rec], " ")
+	lines[rec] = lines[rec][:cut+1] + fmt.Sprint(n-1)
 	if err := os.WriteFile(filepath.Join(dir, indexFile),
 		[]byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)

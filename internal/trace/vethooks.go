@@ -6,9 +6,12 @@ package trace
 // primitives are exposed here as plain funcs over byte slices, with no
 // directory walking.
 
-// ReadInternFile parses a complete corpus.intern container (header line
-// plus records), as written by WriteDir or grown by an Appender.
-func ReadInternFile(data []byte) (*InternTable, error) { return readInternTable(data) }
+// ReadIndexIntern parses a complete corpus.index and returns the intern
+// table its f and k records define.
+func ReadIndexIntern(data []byte) (*InternTable, error) {
+	_, it, err := parseIndex(string(data))
+	return it, err
+}
 
 // ReadStreamV4 decodes one TSC4 columnar stream file against the
 // corpus-level intern table into sc, under the Scratch contract: the

@@ -277,22 +277,50 @@ func TestAppendUploadWithoutStream(t *testing.T) {
 	}
 }
 
-// fmtStreamRecord is the index writer's fmt form, the reference its
-// appending form is pinned to.
-func fmtStreamRecord(seq int, m trace.StreamMeta) string {
+// fmtIntern is the index writer's fmt form of the intern table: the
+// global IDs of the frames and stacks the streams before have brought.
+type fmtIntern struct {
+	frames map[string]int
+	stacks map[string]bool
+}
+
+// batch returns stream seq's batch in fmt form: an f line for each of
+// s's frames the corpus lacks, a k line for each stack, then its stream
+// and instance records.
+func (t *fmtIntern) batch(seq int, s *trace.Stream) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "s %d %s %s %d %d %d\n",
-		seq, strconv.Quote(m.File), strconv.Quote(m.ID),
-		m.Events, int64(m.Duration), len(m.Instances))
-	for _, in := range m.Instances {
+	global := make([]int, s.NumFrames())
+	for i := range global {
+		f := s.Frame(trace.FrameID(i))
+		g, ok := t.frames[f]
+		if !ok {
+			g = len(t.frames)
+			t.frames[f] = g
+			fmt.Fprintf(&b, "f %s\n", strconv.Quote(f))
+		}
+		global[i] = g
+	}
+	for i := 0; i < s.NumStacks(); i++ {
+		key := "k"
+		for _, f := range s.Stack(trace.StackID(i)) {
+			key += fmt.Sprintf(" %d", global[f])
+		}
+		if !t.stacks[key] {
+			t.stacks[key] = true
+			b.WriteString(key + "\n")
+		}
+	}
+	fmt.Fprintf(&b, "s %d %s %d %d %d\n",
+		seq, strconv.Quote(s.ID), len(s.Events), int64(s.Duration()), len(s.Instances))
+	for _, in := range s.Instances {
 		fmt.Fprintf(&b, "i %s %d %d %d\n",
 			strconv.Quote(in.Scenario), in.TID, int64(in.Start), int64(in.End))
 	}
 	return b.String()
 }
 
-// TestStreamRecordMatchesFmt: the appender writes every index record
-// byte for byte as the fmt form did — over a fleet holding every
+// TestStreamRecordMatchesFmt: the appender writes every index record,
+// intern records included, byte for byte as the fmt form does — over a fleet holding every
 // catalogue scenario, and over IDs and scenario names with quotes,
 // newlines, backslashes, non-ASCII and invalid UTF-8.
 func TestStreamRecordMatchesFmt(t *testing.T) {
@@ -319,14 +347,10 @@ func TestStreamRecordMatchesFmt(t *testing.T) {
 	}
 	dir := t.TempDir()
 	appendAll(t, dir, streams, nil)
-	d, err := trace.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "TSINDEX 4\n"
+	want := "TSINDEX 5\n"
+	intern := &fmtIntern{frames: make(map[string]int), stacks: make(map[string]bool)}
 	for i, s := range streams {
-		want += fmtStreamRecord(i, trace.StreamMeta{File: d.StreamMeta(i).File, ID: s.ID,
-			Events: len(s.Events), Duration: s.Duration(), Instances: s.Instances})
+		want += intern.batch(i, s)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "corpus.index"))
 	if err != nil {

@@ -2,17 +2,16 @@
 // deliberately does not open the corpus through trace.OpenDir — the
 // strict loader refuses damaged corpora outright, and the verifier's job
 // is to read past the damage and say precisely what and where it is. The
-// classification leans on the Appender's commit ordering (intern records
-// first, then the whole stream file, then the index record): a crash can
-// leave orphan intern records, an orphan — possibly half-written —
-// stream file, and a torn final index record, but can never damage
-// committed data. Every fault consistent with that shape is a
-// recoverable note; everything else is an error.
+// classification leans on the Appender's commit ordering (the whole
+// stream file first, then its batch of index records in one write): a
+// crash can leave an orphan — possibly half-written — stream file and a
+// torn final batch, but can never damage committed data. Every fault
+// consistent with that shape is a recoverable note; everything else is
+// an error.
 
 package tracevet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -23,11 +22,9 @@ import (
 	"tracescope/internal/diag"
 	"tracescope/internal/engine"
 	"tracescope/internal/trace"
-	"tracescope/internal/trace/colfmt"
 )
 
 const indexName = "corpus.index"
-const internName = "corpus.intern"
 
 // VetDir verifies the corpus directory at dir. The error return is
 // operational (directory unreadable, no index at all) — verification
@@ -49,13 +46,15 @@ func VetDir(dir string, opts Options) (*Report, error) {
 		return finishReport(diags, 0, tailOffset, opts.Recorder), nil
 	}
 
-	it := scanInternFile(dir, len(sc.metas) > 0, opts)
-	diags = append(diags, it.diags...)
-	if sc.usable && it.usable {
-		streamDiags, streams := vetDirStreams(dir, sc, it, opts)
-		diags = append(diags, streamDiags...)
-		diags = append(diags, vetStreamDups(sc, streams, opts)...)
-		diags = append(diags, vetInternOrphans(it, streams, opts)...)
+	if sc.usable && len(sc.metas) > 0 {
+		// The scan found the prefix whole; the strict loader must too.
+		if table, err := trace.ReadIndexIntern(indexData[:sc.tailOffset]); err != nil {
+			diags = append(diags, vd(indexName, 1, "index-seq", diag.SevError,
+				"the strict loader rejects the index's valid prefix: %v", err))
+		} else {
+			diags = append(diags, vetDirStreams(dir, sc, table, opts)...)
+			diags = append(diags, vetStreamDups(sc, opts)...)
+		}
 	}
 	diags = append(diags, vetOrphanFiles(dir, sc, opts)...)
 
@@ -71,52 +70,39 @@ func VetDir(dir string, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// dirStream is the per-stream result of the on-disk verification phase.
-type dirStream struct {
-	diags []diag.Diagnostic
-	// id is the stream's identity as the index records it, for
-	// duplicate detection.
-	id string
-	// frames and stacks are the global intern IDs the stream file's
-	// local tables reference, for orphan detection.
-	frames []uint64
-	stacks []uint64
-}
-
 // vetDirStreams verifies every indexed stream file in parallel, each
 // into its own slot, so the findings come back in stream order.
-func vetDirStreams(dir string, sc *scannedIndex, it *internScan, opts Options) ([]diag.Diagnostic, []dirStream) {
-	streams := make([]dirStream, len(sc.metas))
+func vetDirStreams(dir string, sc *scannedIndex, table *trace.InternTable, opts Options) []diag.Diagnostic {
+	found := make([][]diag.Diagnostic, len(sc.metas))
 	// No unit fails, so the fold cannot. Each worker decodes every stream
 	// it vets into its one Scratch.
-	_, _ = engine.Fold(len(streams), engine.Options{
+	_, _ = engine.Fold(len(found), engine.Options{
 		Workers: opts.Workers, Recorder: opts.Recorder, Label: "vet",
 	}, func(int) *trace.Scratch { return new(trace.Scratch) }, func(scratch *trace.Scratch, i int) error {
-		streams[i] = vetDirStream(dir, sc, it, i, scratch, opts)
+		found[i] = vetDirStream(dir, sc.metas[i], table, scratch, opts)
 		return nil
 	})
 	var diags []diag.Diagnostic
-	for _, st := range streams {
-		diags = append(diags, st.diags...)
+	for _, d := range found {
+		diags = append(diags, d...)
 	}
-	return diags, streams
+	return diags
 }
 
 // vetDirStream reads and verifies one indexed stream file, decoding it
 // into scratch.
-func vetDirStream(dir string, sc *scannedIndex, it *internScan, i int, scratch *trace.Scratch, opts Options) dirStream {
-	m := sc.metas[i]
-	out := dirStream{id: m.ID}
-	fail := func(rule string, format string, args ...interface{}) dirStream {
+func vetDirStream(dir string, m trace.StreamMeta, table *trace.InternTable, scratch *trace.Scratch, opts Options) []diag.Diagnostic {
+	var diags []diag.Diagnostic
+	fail := func(rule string, format string, args ...interface{}) []diag.Diagnostic {
 		if opts.enabled(rule) {
-			out.diags = append(out.diags, vd(m.File, 1, rule, diag.SevError, format, args...))
+			diags = append(diags, vd(m.File, 1, rule, diag.SevError, format, args...))
 		}
-		return out
+		return diags
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(m.File)))
+	raw, err := os.ReadFile(filepath.Join(dir, m.File))
 	if err != nil {
-		// The index record commits last, so a crash cannot index a file
-		// that was never written: a missing indexed file is corruption.
+		// The batch commits last, so a crash cannot index a file that
+		// was never written: a missing indexed file is corruption.
 		return fail("stream-decode", "indexed stream file is missing: %v", err)
 	}
 
@@ -124,149 +110,40 @@ func vetDirStream(dir string, sc *scannedIndex, it *internScan, i int, scratch *
 	if serr != "" {
 		return fail("stream-decode", "stream file does not parse: %s", serr)
 	}
-	out.frames, out.stacks = skim.frames, skim.stacks
-	if dangling := skim.dangling(it); len(dangling) > 0 && opts.enabled("intern-ref") {
+	if dangling := skim.dangling(table); len(dangling) > 0 && opts.enabled("intern-ref") {
 		for _, d := range dangling {
-			out.diags = append(out.diags, vd(m.File, 1, "intern-ref", diag.SevError, "%s", d))
+			diags = append(diags, vd(m.File, 1, "intern-ref", diag.SevError, "%s", d))
 		}
-		return out
+		return diags
 	}
-	s, err := trace.ReadStreamV4(raw, it.table, scratch)
+	s, err := trace.ReadStreamV4(raw, table, scratch)
 	if err != nil {
 		return fail("stream-decode", "stream file does not decode: %v", err)
 	}
-	out.diags = append(out.diags, vetStream(s, m.File, opts)...)
-	out.diags = append(out.diags, vetStreamMeta(s, m, m.File, opts)...)
-	return out
+	diags = append(diags, vetStream(s, m.File, opts)...)
+	diags = append(diags, vetStreamMeta(s, m, m.File, opts)...)
+	return diags
 }
 
 // vetStreamDups reports duplicate stream identities across the corpus.
-func vetStreamDups(sc *scannedIndex, streams []dirStream, opts Options) []diag.Diagnostic {
+func vetStreamDups(sc *scannedIndex, opts Options) []diag.Diagnostic {
 	if !opts.enabled("stream-dup") {
 		return nil
 	}
 	var diags []diag.Diagnostic
 	first := make(map[string]int)
-	for i, st := range streams {
-		if st.id == "" {
+	for i, m := range sc.metas {
+		if m.ID == "" {
 			continue
 		}
-		if j, ok := first[st.id]; ok {
-			diags = append(diags, vd(sc.metas[i].File, 1, "stream-dup", diag.SevError,
-				"stream id %q duplicates stream %d (%s)", st.id, j, sc.metas[j].File))
+		if j, ok := first[m.ID]; ok {
+			diags = append(diags, vd(m.File, 1, "stream-dup", diag.SevError,
+				"stream id %q duplicates stream %d (%s)", m.ID, j, sc.metas[j].File))
 			continue
 		}
-		first[st.id] = i
+		first[m.ID] = i
 	}
 	return diags
-}
-
-// internScan is the lenient read of one corpus.intern file.
-type internScan struct {
-	// table holds the valid-prefix intern table.
-	table *trace.InternTable
-	// frames and stacks count the valid-prefix entries.
-	frames, stacks int
-	diags          []diag.Diagnostic
-	// usable: the valid prefix is trustworthy (no error findings).
-	usable bool
-}
-
-// scanInternFile leniently reads dir's corpus.intern. required reports
-// whether the index names at least one stream (a corpus with streams
-// must have an intern file; an empty corpus's may be absent).
-func scanInternFile(dir string, required bool, opts Options) *internScan {
-	sc := &internScan{usable: true}
-	bad := func(rule, format string, args ...interface{}) *internScan {
-		sc.diags = append(sc.diags, vd(internName, 1, rule, diag.SevError, format, args...))
-		sc.usable = false
-		return sc
-	}
-	data, err := os.ReadFile(filepath.Join(dir, internName))
-	if err != nil {
-		if !required && os.IsNotExist(err) {
-			sc.table = &trace.InternTable{}
-			return sc
-		}
-		return bad("intern-ref", "corpus.intern unreadable: %v", err)
-	}
-	if !bytes.HasPrefix(data, []byte(colfmt.InternMagic)) {
-		return bad("intern-ref", "corpus.intern lacks the %q header", strings.TrimSpace(colfmt.InternMagic))
-	}
-	body := data[len(colfmt.InternMagic):]
-	validLen, frames, stacks, problem, torn := scanInternRecords(body)
-	if problem != "" {
-		return bad("intern-ref", "corpus.intern record %d: %s", frames+stacks, problem)
-	}
-	if torn && opts.enabled("tail-truncated") {
-		sc.diags = append(sc.diags, vd(internName, 1, "tail-truncated", diag.SevNote,
-			"corpus.intern ends mid-record after %d frames and %d stacks: recoverable interrupted append; truncate to %d bytes to recover",
-			frames, stacks, len(colfmt.InternMagic)+validLen))
-	}
-	table, err := trace.ReadInternFile(data[:len(colfmt.InternMagic)+validLen])
-	if err != nil {
-		// The lenient scan accepted this prefix; the strict reader must too.
-		return bad("intern-ref", "corpus.intern valid prefix does not load: %v", err)
-	}
-	sc.table = table
-	sc.frames, sc.stacks = frames, stacks
-	return sc
-}
-
-// scanInternRecords walks intern records to the first fault, returning
-// the byte length of the valid prefix, its record counts, a problem
-// description for corruption, and whether the fault is a torn tail
-// (truncated final record — the recoverable crash shape).
-func scanInternRecords(body []byte) (validLen, frames, stacks int, problem string, torn bool) {
-	off := 0
-	for off < len(body) {
-		recStart := off
-		rec := body[off]
-		off++
-		switch rec {
-		case 'F':
-			v, n := binary.Uvarint(body[off:])
-			if n == 0 {
-				return recStart, frames, stacks, "", true
-			}
-			if n < 0 || v > 1<<20 {
-				return recStart, frames, stacks, "oversized frame record", false
-			}
-			off += n
-			if uint64(len(body)-off) < v {
-				return recStart, frames, stacks, "", true
-			}
-			off += int(v)
-			frames++
-		case 'S':
-			v, n := binary.Uvarint(body[off:])
-			if n == 0 {
-				return recStart, frames, stacks, "", true
-			}
-			if n < 0 || v > 1<<16 {
-				return recStart, frames, stacks, "oversized stack record", false
-			}
-			off += n
-			for i := uint64(0); i < v; i++ {
-				f, n := binary.Uvarint(body[off:])
-				if n == 0 {
-					return recStart, frames, stacks, "", true
-				}
-				if n < 0 {
-					return recStart, frames, stacks, "malformed stack frame id", false
-				}
-				if f >= uint64(frames) {
-					return recStart, frames, stacks,
-						fmt.Sprintf("stack references frame %d of %d", f, frames), false
-				}
-				off += n
-			}
-			stacks++
-		default:
-			return recStart, frames, stacks, fmt.Sprintf("unknown record byte %#x", rec), false
-		}
-	}
-	return off, frames, stacks, "", false
 }
 
 // skimmedV4 is the reference surface of one TSC4 header: the global
@@ -277,19 +154,19 @@ type skimmedV4 struct {
 }
 
 // dangling lists the stream's references that fall outside the intern
-// table's valid prefix, in table order.
-func (sk *skimmedV4) dangling(it *internScan) []string {
+// table the index defines, in table order.
+func (sk *skimmedV4) dangling(table *trace.InternTable) []string {
 	var out []string
 	for li, g := range sk.frames {
-		if g >= uint64(it.table.NumFrames()) {
-			out = append(out, fmt.Sprintf("local frame %d references corpus.intern frame %d of %d (dangling)",
-				li, g, it.table.NumFrames()))
+		if g >= uint64(table.NumFrames()) {
+			out = append(out, fmt.Sprintf("local frame %d references frame %d of the %d the index defines (dangling)",
+				li, g, table.NumFrames()))
 		}
 	}
 	for li, g := range sk.stacks {
-		if g >= uint64(it.table.NumStacks()) {
-			out = append(out, fmt.Sprintf("local stack %d references corpus.intern stack %d of %d (dangling)",
-				li, g, it.table.NumStacks()))
+		if g >= uint64(table.NumStacks()) {
+			out = append(out, fmt.Sprintf("local stack %d references stack %d of the %d the index defines (dangling)",
+				li, g, table.NumStacks()))
 		}
 	}
 	return out
@@ -337,61 +214,9 @@ func skimV4Header(raw []byte) (*skimmedV4, string) {
 	return sk, ""
 }
 
-// vetInternOrphans reports committed intern entries no stream references
-// (directly, or for frames through a referenced stack). Orphans are the
-// expected leftovers of an interrupted append — the intern records land
-// before the stream that needs them — so they are notes, not errors.
-func vetInternOrphans(it *internScan, streams []dirStream, opts Options) []diag.Diagnostic {
-	if !opts.enabled("intern-orphan") {
-		return nil
-	}
-	usedFrames := make([]bool, it.frames)
-	usedStacks := make([]bool, it.stacks)
-	for _, st := range streams {
-		for _, g := range st.frames {
-			if g < uint64(it.frames) {
-				usedFrames[g] = true
-			}
-		}
-		for _, g := range st.stacks {
-			if g < uint64(it.stacks) {
-				usedStacks[g] = true
-			}
-		}
-	}
-	for id, used := range usedStacks {
-		if !used {
-			continue
-		}
-		for _, f := range it.table.StackFrames(trace.StackID(id)) {
-			if int(f) < it.frames {
-				usedFrames[f] = true
-			}
-		}
-	}
-	orphanFrames := countFalse(usedFrames)
-	orphanStacks := countFalse(usedStacks)
-	if orphanFrames == 0 && orphanStacks == 0 {
-		return nil
-	}
-	return []diag.Diagnostic{vd(internName, 1, "intern-orphan", diag.SevNote,
-		"%d frame and %d stack intern entries are referenced by no stream: consistent with an interrupted append; harmless but reclaimable by rewriting the corpus",
-		orphanFrames, orphanStacks)}
-}
-
-func countFalse(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if !b {
-			n++
-		}
-	}
-	return n
-}
-
 // vetOrphanFiles reports stream files on disk that the index does not
-// name. The Appender writes the stream file before its index record, so
-// an orphan is the footprint of an interrupted append (or of an index
+// name. The Appender writes the stream file before its batch, so an
+// orphan is the footprint of an interrupted append (or of an index
 // recovered by truncation) — a note, not an error.
 func vetOrphanFiles(dir string, sc *scannedIndex, opts Options) []diag.Diagnostic {
 	if !opts.enabled("tail-truncated") {
@@ -419,7 +244,7 @@ func vetOrphanFiles(dir string, sc *scannedIndex, opts Options) []diag.Diagnosti
 	var diags []diag.Diagnostic
 	for _, name := range names {
 		diags = append(diags, vd(name, 1, "tail-truncated", diag.SevNote,
-			"stream file is not in the index: consistent with an interrupted append (the index record commits last); safe to delete"))
+			"stream file is not in the index: consistent with an interrupted append (the batch commits last); safe to delete"))
 	}
 	return diags
 }

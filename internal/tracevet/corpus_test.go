@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,11 @@ func TestVetDirClean(t *testing.T) {
 	}
 	if rep.Streams != 3 || rep.TailOffset != -1 || rep.Recoverable {
 		t.Fatalf("report = %+v", rep)
+	}
+	// Blank lines, which the loader skips, are no torn tail.
+	editIndex(t, dir, func(s string) string { return s + "\n\n" })
+	if rep := mustVetDir(t, dir, Options{Semantic: true}); rep.Findings() != 0 || rep.TailOffset != -1 {
+		t.Fatalf("trailing blank lines: TailOffset %d, findings %v", rep.TailOffset, rep.Diags)
 	}
 }
 
@@ -108,24 +114,29 @@ func TestVetDirDuplicateStreamID(t *testing.T) {
 	}
 }
 
+// TestVetDirDanglingInternRef: intern records cut from a committed
+// batch leave references to entries the index no longer defines — from
+// the stream files when stack records go, and from the stack records
+// when frame records go. Either is corruption, not a note.
 func TestVetDirDanglingInternRef(t *testing.T) {
-	dir := buildCorpus(t, 2)
-	path := filepath.Join(dir, "corpus.intern")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the intern tail: later streams now reference entries that no
-	// longer exist.
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := mustVetDir(t, dir, Options{})
-	if !hasRule(rep, "intern-ref") {
-		t.Fatalf("dangling intern reference not caught: %v", rep.Diags)
-	}
-	if rep.Recoverable {
-		t.Fatal("dangling references classified recoverable")
+	for _, tag := range []string{"k ", "f "} {
+		dir := buildCorpus(t, 2)
+		editIndex(t, dir, func(s string) string {
+			var kept []string
+			for _, line := range strings.SplitAfter(s, "\n") {
+				if !strings.HasPrefix(line, tag) {
+					kept = append(kept, line)
+				}
+			}
+			return strings.Join(kept, "")
+		})
+		rep := mustVetDir(t, dir, Options{})
+		if !hasRule(rep, "intern-ref") {
+			t.Fatalf("%q records cut: dangling intern reference not caught: %v", tag, rep.Diags)
+		}
+		if rep.Recoverable {
+			t.Fatalf("%q records cut: dangling references classified recoverable", tag)
+		}
 	}
 }
 
@@ -191,7 +202,7 @@ func TestVetDirTruncatedIndexTail(t *testing.T) {
 // Appender starts the corpus over, leftovers of the crashed append and
 // all.
 func TestVetDirTornHeader(t *testing.T) {
-	for name, torn := range map[string]string{"empty": "", "partial": "TSIND", "unterminated": "TSINDEX 4"} {
+	for name, torn := range map[string]string{"empty": "", "partial": "TSIND", "unterminated": "TSINDEX 5"} {
 		t.Run(name, func(t *testing.T) {
 			dir := buildCorpus(t, 1)
 			path := filepath.Join(dir, "corpus.index")
@@ -236,16 +247,16 @@ func TestVetDirTornHeader(t *testing.T) {
 // — no other rule may interpret the directory (its stream files would
 // all read as orphans that are "safe to delete").
 func TestVetDirUnsupportedVersion(t *testing.T) {
-	for _, header := range []string{"TSINDEX 2", "TSINDEX 3", "TSINDEX 5", "stream-00000.tscp"} {
+	for _, header := range []string{"TSINDEX 2", "TSINDEX 3", "TSINDEX 4", "TSINDEX 6", "stream-00000.tscp"} {
 		dir := buildCorpus(t, 2)
 		editIndex(t, dir, func(s string) string {
-			return header + strings.TrimPrefix(s, "TSINDEX 4")
+			return header + strings.TrimPrefix(s, "TSINDEX 5")
 		})
 		rep := mustVetDir(t, dir, Options{Semantic: true})
 		if len(rep.Diags) != 1 || rep.Diags[0].Analyzer != "index-seq" || rep.Diags[0].Severity != diag.SevError {
 			t.Fatalf("header %q: want exactly one index-seq error, got %v", header, rep.Diags)
 		}
-		for _, want := range []string{fmt.Sprintf("%q", header), `"TSINDEX 4"`, "tracegen"} {
+		for _, want := range []string{fmt.Sprintf("%q", header), `"TSINDEX 5"`, "tracegen"} {
 			if !strings.Contains(rep.Diags[0].Message, want) {
 				t.Fatalf("header %q: message %q does not mention %s", header, rep.Diags[0].Message, want)
 			}
@@ -282,27 +293,166 @@ func TestVetDirHalfWrittenStreamFile(t *testing.T) {
 	}
 }
 
-// TestVetDirTruncatedInternTail: a torn corpus.intern tail alone (no
-// stream referencing the lost records) is recoverable.
+// TestVetDirTruncatedInternTail: a batch torn after its intern records
+// — they landed, its stream record did not — is recoverable at the
+// batch's start, and truncating there leaves a corpus that vets clean.
 func TestVetDirTruncatedInternTail(t *testing.T) {
 	dir := buildCorpus(t, 1)
-	// Grow the intern file with records no stream references, as an
-	// interrupted append of a never-indexed stream would.
-	f, err := os.OpenFile(filepath.Join(dir, "corpus.intern"), os.O_APPEND|os.O_WRONLY, 0)
+	path := filepath.Join(dir, "corpus.index")
+	committed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A frame record claiming 100 payload bytes, cut off after 2.
-	if _, err := f.Write([]byte{'F', 100, 'x', 'y'}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	editIndex(t, dir, func(s string) string { return s + "f \"new.sys!block\"\nk 2 0\n" })
 	rep := mustVetDir(t, dir, Options{})
 	if !rep.Recoverable || !hasRule(rep, "tail-truncated") {
 		t.Fatalf("torn intern tail not recoverable: %+v %v", rep, rep.Diags)
 	}
+	if rep.TailOffset != int64(len(committed)) {
+		t.Fatalf("TailOffset = %d, want the %d committed bytes", rep.TailOffset, len(committed))
+	}
+	if err := os.Truncate(path, rep.TailOffset); err != nil {
+		t.Fatal(err)
+	}
+	if rep := mustVetDir(t, dir, Options{Semantic: true}); rep.Findings() != 0 {
+		t.Fatalf("recovered corpus has findings: %v", rep.Diags)
+	}
+}
+
+// TestVetDirEveryCutRecovers: wherever a log is cut — inside a line, in
+// a batch's intern records, between a stream record and its instances,
+// or on a batch boundary — VetDir reports notes only, names the end of
+// the last whole batch (-1 on a boundary), and truncating there opens
+// exactly the whole batches' streams. An Appender over the recovered
+// log then appends the rest into the uncut corpus, byte for byte.
+func TestVetDirEveryCutRecovers(t *testing.T) {
+	streams := []*trace.Stream{
+		driverStream("m0", "a.sys"), driverStream("m1", "b.sys"),
+		driverStream("m2", "a.sys"), driverStream("m3", "c.sys"),
+	}
+	whole := t.TempDir()
+	app, err := trace.OpenAppender(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{len("TSINDEX 5\n")} // ends[k]: the log's length after k batches
+	for _, s := range streams {
+		if _, err := app.Append(s); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(readFile(t, filepath.Join(whole, "corpus.index"))))
+	}
+	want := dirFiles(t, whole)
+	index := want["corpus.index"]
+	if !strings.HasPrefix(index[ends[1]:], "f ") || !strings.HasPrefix(index[ends[3]:], "f ") {
+		t.Fatalf("test setup: later batches bring no frames:\n%s", index)
+	}
+
+	for cut := ends[0]; cut < len(index); cut++ {
+		k := 0 // whole batches before cut
+		for k+1 < len(ends) && ends[k+1] <= cut {
+			k++
+		}
+		wantTail := int64(ends[k])
+		if cut == ends[k] {
+			wantTail = -1
+		}
+		dir := t.TempDir()
+		for name, data := range want {
+			writeFile(t, filepath.Join(dir, name), data)
+		}
+		writeFile(t, filepath.Join(dir, "corpus.index"), index[:cut])
+
+		rep := mustVetDir(t, dir, Options{})
+		if hasErrors(rep.Diags) || !rep.Recoverable || rep.TailOffset != wantTail {
+			t.Fatalf("cut at %d: Recoverable %v, TailOffset %d (want %d), findings %v",
+				cut, rep.Recoverable, rep.TailOffset, wantTail, rep.Diags)
+		}
+		if err := os.Truncate(filepath.Join(dir, "corpus.index"), int64(ends[k])); err != nil {
+			t.Fatal(err)
+		}
+		src, err := trace.OpenDir(dir)
+		if err != nil || src.NumStreams() != k {
+			t.Fatalf("cut at %d: recovered corpus opens with %v, want %d streams", cut, err, k)
+		}
+		app, err := trace.OpenAppender(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: OpenAppender: %v", cut, err)
+		}
+		for _, s := range streams[k:] {
+			if _, err := app.Append(s); err != nil {
+				t.Fatalf("cut at %d: %v", cut, err)
+			}
+		}
+		if got := dirFiles(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: re-appended corpus differs from the uncut one:\n%s\nwant\n%s", cut, got["corpus.index"], index)
+		}
+	}
+}
+
+// TestVetDirCleanAfterFailedAppend: an append that fails after
+// interning its stream's new frames — a directory sits at its stream
+// file's name — logs none of them. The next append, of a stream without
+// those frames, leaves no record of them, and the corpus vets clean.
+func TestVetDirCleanAfterFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	app, err := trace.OpenAppender(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.Append(driverStream("m0", "a.sys")); err != nil {
+		t.Fatal(err)
+	}
+	blocker := filepath.Join(dir, "stream-00001.tsc4")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.Append(driverStream("m1", "lost.sys")); err == nil {
+		t.Fatal("Append over a directory at the stream file's name succeeded")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := app.Append(driverStream("m2", "a.sys")); idx != 1 || err != nil {
+		t.Fatalf("Append after the failed one = %d, %v; want stream 1", idx, err)
+	}
+	if index := readFile(t, filepath.Join(dir, "corpus.index")); strings.Contains(index, "lost.sys") {
+		t.Fatalf("the log holds the failed append's frame:\n%s", index)
+	}
+	rep := mustVetDir(t, dir, Options{Semantic: true})
+	if rep.Findings() != 0 || rep.Streams != 2 {
+		t.Fatalf("%d streams, findings %v", rep.Streams, rep.Diags)
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func writeFile(t *testing.T, path, data string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirFiles returns every file in dir by name, with its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		files[e.Name()] = readFile(t, filepath.Join(dir, e.Name()))
+	}
+	return files
 }
 
 // TestVetDirMissingStreamFile: an indexed file that is gone is

@@ -35,8 +35,8 @@ func FuzzVetStream(f *testing.F) {
 }
 
 // FuzzVetCorpus: VetDir must classify — never panic on — arbitrary
-// index, intern, and stream-file bytes. Determinism rides along: the
-// same corrupted corpus must render the same report twice.
+// index and stream-file bytes. Determinism rides along: the same
+// corrupted corpus must render the same report twice.
 func FuzzVetCorpus(f *testing.F) {
 	seedDir := f.TempDir()
 	app, err := trace.OpenAppender(seedDir)
@@ -46,20 +46,17 @@ func FuzzVetCorpus(f *testing.F) {
 	if _, err := app.Append(goodStream("m1")); err != nil {
 		f.Fatal(err)
 	}
-	var index, intern, stream []byte
+	var index, stream []byte
 	if index, err = os.ReadFile(filepath.Join(seedDir, "corpus.index")); err != nil {
-		f.Fatal(err)
-	}
-	if intern, err = os.ReadFile(filepath.Join(seedDir, "corpus.intern")); err != nil {
 		f.Fatal(err)
 	}
 	if stream, err = os.ReadFile(filepath.Join(seedDir, "stream-00000.tsc4")); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(index, intern, stream)
-	f.Add([]byte("TSINDEX 4\n"), []byte("TSINTERN 1\n"), []byte("TSC4"))
-	f.Add([]byte(""), []byte(""), []byte(""))
-	f.Fuzz(func(t *testing.T, index, intern, stream []byte) {
+	f.Add(index, stream)
+	f.Add([]byte("TSINDEX 5\nf \"a!b\"\nk 0 1\n"), []byte("TSC4"))
+	f.Add([]byte(""), []byte(""))
+	f.Fuzz(func(t *testing.T, index, stream []byte) {
 		dir := t.TempDir()
 		writeAll := func(name string, data []byte) {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -67,7 +64,6 @@ func FuzzVetCorpus(f *testing.F) {
 			}
 		}
 		writeAll("corpus.index", index)
-		writeAll("corpus.intern", intern)
 		writeAll("stream-00000.tsc4", stream)
 		rep, err := VetDir(dir, Options{})
 		if err != nil {

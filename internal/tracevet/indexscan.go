@@ -3,19 +3,19 @@
 // corpus. The verifier needs the opposite — parse as far as the bytes
 // allow, report every fault with its line number, and classify the
 // failure mode. The crucial distinction is torn tail vs corruption:
-// the Appender lands a stream's index record last and in one buffered
-// write, so a crash can leave a partial final record (recoverable by
-// truncating the index to the last record boundary) but can never
-// corrupt committed records; anything malformed before the tail is
-// real corruption. The scanner is an independent reimplementation of
-// the documented format on purpose: a verifier that trusts the
-// production parser inherits its bugs.
+// the Appender lands a stream's batch (its new intern records, then its
+// stream and instance records) last and in one write, so a crash can
+// leave a partial final batch (recoverable by truncating the index to
+// the last batch boundary) but can never corrupt committed batches;
+// anything malformed before the tail is real corruption. The scanner is
+// an independent reimplementation of the documented format on purpose:
+// a verifier that trusts the production parser inherits its bugs.
 
 package tracevet
 
 import (
 	"bytes"
-	"path/filepath"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -41,7 +41,11 @@ type scannedIndex struct {
 }
 
 // indexHeader is the first line of the one corpus.index version.
-const indexHeader = "TSINDEX 4"
+const indexHeader = "TSINDEX 5"
+
+// streamFile names the file of the stream at sequence number seq, as
+// the Appender writes it.
+func streamFile(seq int) string { return fmt.Sprintf("stream-%05d.tsc4", seq) }
 
 // indexLine is one physical line with its byte offset.
 type indexLine struct {
@@ -101,29 +105,61 @@ func scanIndex(artifact string, data []byte) *scannedIndex {
 		return sc
 	}
 
-	seen := make(map[string]bool)
 	seq := 0
+	frames := 0
+	// batch is the offset of the open batch's first line: its first
+	// intern record, or its stream record.
+	batch := int64(-1)
 	i := 1
 scan:
 	for i < len(lines) {
 		line := lines[i]
 		if line.text == "" && !line.torn {
+			// The loader skips blank lines, so one after the last whole
+			// batch extends the valid prefix.
+			if sc.tailOffset == line.off {
+				sc.tailOffset = nextOffset(lines, i+1, int64(len(data)))
+			}
 			i++
 			continue
 		}
 		if line.torn {
 			sc.tailOffset = line.off
+			if batch >= 0 {
+				sc.tailOffset = batch
+			}
 			tornTail(line, "torn final record")
+			batch = -1
 			break
 		}
-		if !strings.HasPrefix(line.text, "s ") {
-			addErr(line.num, "index-seq", "expected a stream record, got %q", line.text)
+		tag, fields, _ := strings.Cut(line.text, " ")
+		if batch < 0 && (tag == "f" || tag == "k" || tag == "s") {
+			batch = line.off
+		}
+		switch tag {
+		case "f":
+			if _, rest, err := cutQuoted(fields); err != nil || rest != "" {
+				addErr(line.num, "index-seq", "frame record: want one quoted frame, got %q", fields)
+			}
+			frames++
+			i++
+			continue
+		case "k":
+			if problem := checkStackLine(fields, frames); problem != "" {
+				addErr(line.num, "intern-ref", "stack record: %s", problem)
+			}
+			i++
+			continue
+		case "s":
+		default:
+			addErr(line.num, "index-seq", "expected a frame, stack or stream record, got %q", line.text)
 			i++
 			continue
 		}
-		m, ninst, gotSeq, perr := parseStreamLine(line.text[2:])
+		m, ninst, gotSeq, perr := parseStreamLine(fields)
 		if perr != "" {
 			addErr(line.num, "index-seq", "stream record: %s", perr)
+			batch = -1
 			i++
 			continue
 		}
@@ -134,23 +170,25 @@ scan:
 			// not once per following record.
 			seq = gotSeq
 		}
-		checkEntryPath(m.File, seen, artifact, line.num, &sc.diags)
-		recordStart := line.off
+		m.File = streamFile(seq)
 		i++
 		for j := 0; j < ninst; j++ {
 			if i >= len(lines) {
-				sc.tailOffset = recordStart
+				sc.tailOffset = batch
 				tornTail(line, "truncated instance list (clean end-of-file mid-record)")
+				batch = -1
 				break scan
 			}
 			il := lines[i]
 			if il.torn {
-				sc.tailOffset = recordStart
+				sc.tailOffset = batch
 				tornTail(il, "torn instance record")
+				batch = -1
 				break scan
 			}
 			if !strings.HasPrefix(il.text, "i ") {
 				addErr(il.num, "index-seq", "expected instance record %d of %q, got %q", j, m.File, il.text)
+				batch = -1
 				continue scan
 			}
 			in, perr := parseInstanceLine(il.text[2:])
@@ -164,10 +202,36 @@ scan:
 		}
 		sc.metas = append(sc.metas, m)
 		sc.tailOffset = nextOffset(lines, i, int64(len(data)))
+		batch = -1
 		seq++
+	}
+	if batch >= 0 {
+		// Intern records with no stream record after them: the batch was
+		// cut between lines.
+		sc.tailOffset = batch
+		tornTail(lines[len(lines)-1], "intern records with no stream record after them")
 	}
 	sc.usable = !hasErrors(sc.diags)
 	return sc
+}
+
+// checkStackLine checks the fields of one "k" line after the tag: at
+// least one frame ID, each naming one of the frames defined before it.
+func checkStackLine(s string, frames int) string {
+	fields := strings.Fields(s)
+	if len(fields) == 0 {
+		return "empty stack"
+	}
+	for _, f := range fields {
+		id, err := strconv.Atoi(f)
+		if err != nil || id < 0 {
+			return "bad frame id " + strconv.Quote(f)
+		}
+		if id >= frames {
+			return fmt.Sprintf("names frame %d, but only %d are defined before it (dangling)", id, frames)
+		}
+	}
+	return ""
 }
 
 // nextOffset returns the byte offset of line i, or total when past the
@@ -186,9 +250,6 @@ func parseStreamLine(s string) (m trace.StreamMeta, ninst, seq int, problem stri
 	seq, err := strconv.Atoi(field)
 	if err != nil {
 		return m, 0, 0, "bad sequence number " + strconv.Quote(field)
-	}
-	if m.File, s, err = cutQuoted(s); err != nil {
-		return m, 0, 0, "stream file: " + err.Error()
 	}
 	if m.ID, s, err = cutQuoted(s); err != nil {
 		return m, 0, 0, "stream id: " + err.Error()
@@ -261,32 +322,3 @@ func cutQuoted(s string) (string, string, error) {
 type errBadQuoted string
 
 func (e errBadQuoted) Error() string { return "bad quoted string in " + strconv.Quote(string(e)) }
-
-// checkEntryPath validates one index file entry the way the production
-// parser does — non-empty, relative, confined to the corpus directory,
-// unique — reporting violations instead of aborting. It returns whether
-// the entry is safe to open.
-func checkEntryPath(name string, seen map[string]bool, artifact string, line int, diags *[]diag.Diagnostic) bool {
-	bad := func(format string, args ...interface{}) bool {
-		*diags = append(*diags, vd(artifact, line, "index-seq", diag.SevError, format, args...))
-		return false
-	}
-	if name == "" {
-		return bad("empty file entry")
-	}
-	norm := strings.ReplaceAll(name, `\`, "/")
-	if filepath.IsAbs(name) || strings.HasPrefix(norm, "/") ||
-		(len(name) >= 2 && name[1] == ':') {
-		return bad("absolute file entry %q", name)
-	}
-	for _, part := range strings.Split(norm, "/") {
-		if part == "" || part == "." || part == ".." {
-			return bad("path-escaping file entry %q", name)
-		}
-	}
-	if seen[name] {
-		return bad("duplicate file entry %q", name)
-	}
-	seen[name] = true
-	return true
-}

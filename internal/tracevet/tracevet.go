@@ -18,13 +18,13 @@
 //     instance-window, index-meta);
 //
 //   - corpus-level invariants: index sequence continuity, duplicate
-//     stream IDs, orphaned/dangling corpus.intern entries, and
-//     truncated-tail classification — distinguishing the recoverable
-//     leftovers of an interrupted append (the Appender lands intern
-//     records, then the stream file, then the index record, so a crash
-//     leaves at worst orphan artifacts and a torn final index record)
-//     from corruption of committed data (rules index-seq, stream-dup,
-//     stream-decode, intern-ref, intern-orphan, tail-truncated);
+//     stream IDs, dangling intern references, and truncated-tail
+//     classification — distinguishing the recoverable leftovers of an
+//     interrupted append (the Appender lands the stream file, then one
+//     batch of index records, so a crash leaves at worst an orphan
+//     stream file and a torn final batch) from corruption of committed
+//     data (rules index-seq, stream-dup, stream-decode, intern-ref,
+//     tail-truncated);
 //
 //   - semantic conservation cross-checks against the analysis layer:
 //     per-instance Dwaitdist bounded by wall time, Dwaitdist <= Dwait
@@ -69,8 +69,7 @@ func Rules() []Rule {
 		{"index-seq", "corpus.index parses with continuous sequence numbers"},
 		{"stream-dup", "stream IDs are unique across the corpus"},
 		{"stream-decode", "every indexed stream file exists and decodes"},
-		{"intern-ref", "stream files reference existing corpus.intern entries"},
-		{"intern-orphan", "corpus.intern entries are referenced by at least one stream"},
+		{"intern-ref", "stack records and stream files reference intern entries the index defines"},
 		{"tail-truncated", "truncated tails classify as a recoverable interrupted append"},
 		{"impact-conserve", "impact metrics conserve: Dwaitdist <= Dwait and per-instance Dwaitdist <= wall time"},
 		{"awg-conserve", "sharded AWG aggregation merges to the sequential aggregate"},

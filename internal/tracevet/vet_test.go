@@ -11,10 +11,14 @@ import (
 
 // goodStream builds a minimal stream that satisfies every structural
 // rule: one paired wait, running work, one instance window.
-func goodStream(id string) *trace.Stream {
+func goodStream(id string) *trace.Stream { return driverStream(id, "drv.sys") }
+
+// driverStream is goodStream with its wait blocked in driver, so a
+// stream naming a driver new to a corpus brings it a new frame and stack.
+func driverStream(id, driver string) *trace.Stream {
 	s := trace.NewStream(id)
 	run := s.InternStackStrings("app.exe!main")
-	wait := s.InternStackStrings("drv.sys!block", "app.exe!main")
+	wait := s.InternStackStrings(driver+"!block", "app.exe!main")
 	s.Events = append(s.Events,
 		trace.Event{Type: trace.Running, Time: 0, Cost: 100, TID: 1, WTID: trace.NoThread, Stack: run},
 		trace.Event{Type: trace.Wait, Time: 100, Cost: 50, TID: 1, WTID: trace.NoThread, Stack: wait},

@@ -119,23 +119,35 @@ expect_caught index-gap index-seq \
 expect_caught stream-magic stream-decode \
     flip_bit "$WORK/mut-stream-magic/$stream_file" 2
 
-# Torn tails — the Appender crash shapes. Both must be caught AND
-# classified recoverable (notes only, no errors in the human render).
+# Torn tails — the Appender crash shapes: a batch cut inside its last
+# line, and one cut after its intern records, before its stream record.
+# Both must be caught AND classified recoverable (notes only, no errors
+# in the human render).
 expect_caught index-tail tail-truncated \
     truncate -s $(( index_size - 3 )) "$WORK/mut-index-tail/corpus.index"
-expect_caught intern-tail tail-truncated \
-    sh -c 'printf "F\144xy" >> "$0"' "$WORK/mut-intern-tail/corpus.intern"
-for name in index-tail intern-tail; do
+expect_caught torn-batch tail-truncated \
+    sh -c 'printf "f \"torn.sys!F\"\nk 0\n" >> "$0"' "$WORK/mut-torn-batch/corpus.index"
+for name in index-tail torn-batch; do
     if grep -q '"severity": "error"' "$WORK/$name-w1.json"; then
         echo "FAIL $name: crash-shaped tail reported as error, want recoverable note" >&2
         failures=$((failures + 1))
     fi
 done
 
-# Dangling intern references: drop the intern tail so committed streams
-# point at entries that no longer exist — corruption, not a note.
-expect_caught intern-dangle intern-ref \
-    sh -c 'truncate -s $(( $(wc -c < "$0") / 2 )) "$0"' "$WORK/mut-intern-dangle/corpus.intern"
+# Dangling intern references — corruption, not notes: a committed stack
+# record naming a frame the log never defined, and the frame records of
+# the first stream's batch removed, so its stacks name frames that are
+# gone.
+expect_caught stack-undefined-frame intern-ref \
+    sed -i '0,/^k /s/^k .*/k 99999/' "$WORK/mut-stack-undefined-frame/corpus.index"
+expect_caught frames-removed intern-ref \
+    sed -i '2,/^s /{/^f /d}' "$WORK/mut-frames-removed/corpus.index"
+for name in stack-undefined-frame frames-removed; do
+    if ! grep -q '"severity": "error"' "$WORK/$name-w1.json"; then
+        echo "FAIL $name: dangling intern reference not reported as an error" >&2
+        failures=$((failures + 1))
+    fi
+done
 
 [ "$failures" -eq 0 ] || { echo "vet gate: $failures mutation(s) escaped" >&2; exit 1; }
 echo "vet gate: OK (clean corpus verified semantically in bounded memory; all mutants caught, reports worker-count-stable)"

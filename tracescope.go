@@ -444,8 +444,8 @@ func ReadCorpusDir(dir string) (*Corpus, error) { return trace.ReadDir(dir) }
 func OpenCorpusDir(dir string) (*DirSource, error) { return trace.OpenDir(dir) }
 
 // CorpusStats summarises a corpus directory's on-disk footprint:
-// stream/instance/event counts, the corpus intern table's frame and
-// stack counts (format v4), and per-block storage accounting.
+// stream/instance/event counts, the frame and stack counts of the intern
+// table the index defines, and per-block storage accounting.
 type CorpusStats = trace.DirStats
 
 // CollectCorpusStats skims a corpus directory for CorpusStats without
