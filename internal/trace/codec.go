@@ -54,6 +54,20 @@ func prealloc(n int) int {
 // ErrBadFormat reports a malformed binary stream.
 var ErrBadFormat = errors.New("trace: malformed binary stream")
 
+// ErrUndefinedRef marks a reference to an intern entry the corpus does
+// not define: a k record naming a frame no f record before it defines,
+// or a stream file naming a frame or stack the index does not hold.
+// Such an error keeps its own text, and also matches ErrBadFormat when
+// the loader or the decoder returns it.
+var ErrUndefinedRef = errors.New("trace: reference to an undefined intern entry")
+
+// undefinedRef marks err as ErrUndefinedRef without changing its text.
+func undefinedRef(err error) error { return refError{err} }
+
+type refError struct{ error }
+
+func (e refError) Unwrap() []error { return []error{e.error, ErrUndefinedRef} }
+
 // WriteBinary encodes the stream in the TSCP wire format: its own
 // tables, then its events as colfmt blocks of DefaultBlockRows rows,
 // uncompressed — the blocks Appender.Append writes for it.

@@ -383,8 +383,8 @@ func (b *Scratch) internedTables(c *byteCursor, it *InternTable) error {
 			return err
 		}
 		if g >= uint64(it.NumFrames()) {
-			return fmt.Errorf("%w: frame table entry %d references global frame %d of %d",
-				ErrBadFormat, i, g, it.NumFrames())
+			return undefinedRef(fmt.Errorf("%w: frame table entry %d references global frame %d of %d",
+				ErrBadFormat, i, g, it.NumFrames()))
 		}
 		b.frames = append(b.frames, it.frames[g])
 		b.frameGlobals = append(b.frameGlobals, FrameID(g))
@@ -425,8 +425,8 @@ func (b *Scratch) internedTables(c *byteCursor, it *InternTable) error {
 			return err
 		}
 		if g >= uint64(it.NumStacks()) {
-			return fmt.Errorf("%w: stack table entry %d references global stack %d of %d",
-				ErrBadFormat, i, g, it.NumStacks())
+			return undefinedRef(fmt.Errorf("%w: stack table entry %d references global stack %d of %d",
+				ErrBadFormat, i, g, it.NumStacks()))
 		}
 		b.stackGlobals = append(b.stackGlobals, StackID(g))
 		arenaLen += len(it.stacks[g])

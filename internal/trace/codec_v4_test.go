@@ -327,8 +327,13 @@ func TestV4CorruptInputs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(append([]byte(nil), valid...))
-			if _, _, err := decodeStream(mutated, d.intern, &sc); !errors.Is(err, ErrBadFormat) {
+			_, _, err := decodeStream(mutated, d.intern, &sc)
+			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("decode of %s input: err = %v, want ErrBadFormat", tc.name, err)
+			}
+			// Only a reference past the intern table is an undefined one.
+			if got, want := errors.Is(err, ErrUndefinedRef), tc.name == "frame ref out of range"; got != want {
+				t.Fatalf("decode of %s input: err = %v matches ErrUndefinedRef: %v, want %v", tc.name, err, got, want)
 			}
 			// A failed decode leaves the Scratch good for the next one.
 			if _, _, err := decodeStream(valid, d.intern, &sc); err != nil {

@@ -33,14 +33,16 @@ func addIndexSeeds(f *testing.F) {
 	f.Add("TSINDEX 5\nf \"a!b\"\nk 0 0\n")
 	f.Add("TSINDEX 5\nf \"a!b\"\nk 1\ns 0 \"a\" 1 1 0\n")
 	f.Add("TSINDEX 5\ns 0 \"a\" 1 1 268435456\n")
+	f.Add("TSINDEX 5\ns 0 \"a\" 1 -1 1\ni \"S\" 1 0 9\n")
 	f.Add("")
 }
 
 // FuzzParseIndex feeds arbitrary text to the corpus.index parser: it
 // must never panic or over-allocate, every rejection must be
 // ErrBadFormat, and every accepted index must carry the one supported
-// header, name each stream's file by its position, and define every
-// frame a stack names before the stack.
+// header, name each stream's file by its position, hold only records
+// the field rules allow, and define every frame a stack names before
+// the stack.
 func FuzzParseIndex(f *testing.F) {
 	addIndexSeeds(f)
 	f.Fuzz(func(t *testing.T, data string) {
@@ -54,9 +56,19 @@ func FuzzParseIndex(f *testing.F) {
 		if first, _, terminated := strings.Cut(data, "\n"); !terminated || strings.TrimSuffix(first, "\r") != indexHeader {
 			t.Fatalf("accepted an index whose first line is %q, not the version-%d header", first, indexVersion)
 		}
+		// The record rules, written out here rather than through
+		// checkMeta, which shares the parser's rule set.
 		for i, m := range metas {
 			if m.File != streamFileName(i) {
 				t.Fatalf("stream %d reads from %q", i, m.File)
+			}
+			if m.Events < 0 || m.Events > maxTableLen || m.Duration < 0 {
+				t.Fatalf("stream %d: accepted %d events over duration %d", i, m.Events, m.Duration)
+			}
+			for j, in := range m.Instances {
+				if in.Scenario == "" || in.Start < 0 || in.End < in.Start {
+					t.Fatalf("stream %d: accepted instance %d %+v", i, j, in)
+				}
 			}
 		}
 		for i, st := range it.stacks {

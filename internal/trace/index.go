@@ -106,8 +106,9 @@ func parseIndex(data string) ([]StreamMeta, *InternTable, error) {
 
 // indexBody checks the header line and returns what follows it.
 func indexBody(data string) (string, error) {
-	header, body, terminated := strings.Cut(data, "\n")
-	if !terminated || strings.TrimSuffix(header, "\r") != indexHeader {
+	header := data[:strings.IndexByte(data, '\n')+1]
+	var rec IndexRecord
+	if err := ParseIndexLine(header, -1, &rec); err != nil || rec.Tag != 'h' {
 		// Name both the found and the supported version so an operator
 		// pointing this binary at another build's corpus sees what to
 		// regenerate instead of a bare mismatch.
@@ -116,18 +117,16 @@ func indexBody(data string) (string, error) {
 				"regenerate the corpus with a matching tracegen",
 			ErrBadFormat, describeIndexHeader(data), indexVersion)
 	}
-	return body, nil
+	return data[len(header):], nil
 }
 
-// parseRecords parses data as whole batches: the one record parser,
-// behind OpenDir (the file after its header), OpenAppender, and Reload
-// (the tail past the batches it knows). Sequence numbers must continue
-// from base. Intern records are added to it, and stacks may name only
-// frames defined before them. Every line must end in a newline: an
-// unterminated one is an append torn inside it, and its cut-short
-// numbers could still parse. A batch must end in a whole stream record:
-// intern records with none after them are a torn append too. last is
-// the offset in data of the final batch. On error it is cut back to
+// parseRecords parses data as whole batches, stopping at the first
+// error: the strict loop over ParseIndexLine behind OpenDir (the file
+// after its header), OpenAppender, and Reload (the tail past the
+// batches it knows). Sequence numbers must continue from base, and
+// intern records are added to it. A batch must end in a whole stream
+// record: intern records with none after them are a torn append. last
+// is the offset in data of the final batch. On error it is cut back to
 // what it held.
 func parseRecords(data string, base int, it *InternTable) (metas []StreamMeta, last int, err error) {
 	frames, stacks := it.NumFrames(), it.NumStacks()
@@ -137,87 +136,179 @@ func parseRecords(data string, base int, it *InternTable) (metas []StreamMeta, l
 			metas = nil
 		}
 	}()
-	bad := func(format string, args ...any) ([]StreamMeta, int, error) {
-		return metas, 0, fmt.Errorf("%w: index record %d: %s", ErrBadFormat, base+len(metas), fmt.Sprintf(format, args...))
+	fail := func(err error) ([]StreamMeta, int, error) {
+		return metas, 0, fmt.Errorf("%w: index record %d: %w", ErrBadFormat, base+len(metas), err)
 	}
 	rest := data
-	// next cuts one terminated line off rest.
-	next := func() (string, bool) {
-		line, after, ok := strings.Cut(rest, "\n")
-		if ok {
-			rest = after
+	// next cuts one line, with its newline if it has one, off rest.
+	next := func() string {
+		n := strings.IndexByte(rest, '\n') + 1
+		if n == 0 {
+			n = len(rest)
 		}
-		return strings.TrimSuffix(line, "\r"), ok
+		line := rest[:n]
+		rest = rest[n:]
+		return line
 	}
 	batch := -1 // offset of the open batch's first intern record
-	for {
+	var rec, in IndexRecord
+	for rest != "" {
 		start := len(data) - len(rest)
-		line, ok := next()
-		if !ok {
-			break
+		line := next()
+		if err := ParseIndexLine(line, len(it.frames), &rec); err != nil {
+			return fail(err)
 		}
-		if line == "" {
+		switch rec.Tag {
+		case 0:
 			continue
-		}
-		tag, fields, _ := strings.Cut(line, " ")
-		switch tag {
-		case "f":
-			frame, err := parseFrameRecord(fields)
-			if err != nil {
-				return bad("%v", err)
-			}
+		case 'i':
+			return fail(errUnexpectedRecord(line))
+		case 'f':
 			// Copied out: a table outlives the text it was read from (an
 			// Appender keeps its table while it owns the directory), and
 			// a substring would pin the whole index.
-			it.frames = append(it.frames, strings.Clone(frame))
-		case "k":
-			st, err := parseStackRecord(fields, len(it.frames))
-			if err != nil {
-				return bad("%v", err)
+			it.frames = append(it.frames, strings.Clone(rec.Frame))
+		case 'k':
+			it.stacks = append(it.stacks, rec.Stack)
+		case 's':
+			if pos := base + len(metas); pos >= maxTableLen {
+				return fail(errors.New("stream count too large"))
+			} else if rec.Seq != pos {
+				return fail(fmt.Errorf("sequence number %d at position %d (index truncated or rewritten?)", rec.Seq, pos))
 			}
-			it.stacks = append(it.stacks, st)
-		case "s":
-			if base+len(metas) >= maxTableLen {
-				return bad("stream count too large")
-			}
-			m, ninst, err := parseStreamRecord(fields, base+len(metas))
-			if err != nil {
-				return bad("%v", err)
-			}
-			m.Instances = make([]Instance, 0, prealloc(ninst))
-			for j := 0; j < ninst; j++ {
-				line, ok := next()
-				if !ok {
-					return bad("truncated instance list for %s", m.File)
+			m := rec.Stream
+			m.Instances = make([]Instance, 0, prealloc(rec.NumInstances))
+			for j := 0; j < rec.NumInstances; j++ {
+				line := next()
+				if !strings.HasSuffix(line, "\n") {
+					return fail(fmt.Errorf("truncated instance list for %s", m.File))
 				}
-				if !strings.HasPrefix(line, "i ") {
-					return bad("expected instance record, got %q", line)
+				err := ParseIndexLine(line, 0, &in)
+				if in.Tag != 'i' {
+					text, _ := cutLine(line)
+					return fail(fmt.Errorf("expected instance record, got %q", text))
 				}
-				in, err := parseInstanceRecord(line[2:])
 				if err != nil {
-					return bad("instance %d: %v", j, err)
+					return fail(fmt.Errorf("instance %d: %w", j, err))
 				}
-				m.Instances = append(m.Instances, in)
+				m.Instances = append(m.Instances, in.Instance)
 			}
 			if batch < 0 {
 				batch = start
 			}
 			metas, last, batch = append(metas, m), batch, -1
 			continue
-		default:
-			return bad("expected a frame, stack or stream record, got %q", line)
 		}
 		if batch < 0 {
 			batch = start
 		}
 	}
-	if rest != "" {
-		return bad("unterminated line %q (torn append?)", rest)
-	}
 	if batch >= 0 {
-		return bad("intern records with no stream record after them (torn append?)")
+		return fail(errors.New("intern records with no stream record after them (torn append?)"))
 	}
 	return metas, last, nil
+}
+
+// IndexRecord is one line of corpus.index as ParseIndexLine reads it:
+// its Tag, and the fields of that kind.
+type IndexRecord struct {
+	// Tag is 'f', 'k', 's' or 'i'; 'h' for the header; 0 for a blank
+	// line, or for a first line that is an unterminated prefix of the
+	// header (a crash inside the first append committed nothing).
+	Tag   byte
+	Frame string    // f
+	Stack []FrameID // k
+	// An s record's own sequence number (the caller judges it), its
+	// stream (File, named from Seq, ID, Events and Duration), and the
+	// number of i records that follow it.
+	Seq          int
+	Stream       StreamMeta
+	NumInstances int
+	Instance     Instance // i
+}
+
+// ParseIndexLine parses one line of corpus.index, newline included,
+// into rec, which it overwrites whole (so a loop over a log reuses one
+// record and copies none): the log's one grammar, which the loader
+// applies strictly and tracevet leniently. A line without its newline
+// is an append torn inside it (its cut-short numbers could still
+// parse), so it is an error; a carriage return before the newline is
+// ignored. nframes is the number of frames the f records before the
+// line define, or -1 for the file's first line, which must be the
+// header.
+//
+// Every field rule is the parser's; the caller judges position: an s
+// record's sequence number, and which kinds may follow which. Errors
+// are plain descriptions (the loader wraps them in ErrBadFormat), and a
+// k record naming an undefined frame matches ErrUndefinedRef. On error,
+// Tag still names a line of a known kind.
+func ParseIndexLine(line string, nframes int, rec *IndexRecord) (err error) {
+	*rec = IndexRecord{}
+	text, terminated := cutLine(line)
+	if nframes < 0 {
+		switch {
+		case terminated && text == indexHeader:
+			rec.Tag = 'h'
+		case !terminated && noCommittedRecords(line):
+		default:
+			err = fmt.Errorf("index header %q is not %q, the only version this build reads",
+				strings.TrimSuffix(line, "\n"), indexHeader)
+		}
+		return err
+	}
+	if !terminated {
+		return fmt.Errorf("unterminated line %q (torn append?)", line)
+	}
+	if text == "" {
+		return nil
+	}
+	// The tag is one byte, then a space (none when it is all the line).
+	fields := ""
+	if len(text) > 1 {
+		if text[1] != ' ' {
+			return errUnexpectedRecord(line)
+		}
+		fields = text[2:]
+	}
+	switch text[0] {
+	case 'i':
+		rec.Instance, err = parseInstanceRecord(fields)
+	case 's':
+		rec.Seq, rec.Stream, rec.NumInstances, err = parseStreamRecord(fields)
+	case 'f':
+		var rest string
+		if rec.Frame, rest, err = cutQuoted(fields); err != nil {
+			err = fmt.Errorf("frame: %v", err)
+		} else if rest != "" {
+			err = fmt.Errorf("trailing %q after frame", rest)
+		}
+	case 'k':
+		rec.Stack, err = parseStackRecord(fields, nframes)
+	default:
+		return errUnexpectedRecord(line)
+	}
+	rec.Tag = text[0]
+	return err
+}
+
+// cutLine returns an index line's text, without its newline and a
+// carriage return before it, and whether it had the newline.
+func cutLine(line string) (text string, terminated bool) {
+	text = line
+	if terminated = text != "" && text[len(text)-1] == '\n'; terminated {
+		text = text[:len(text)-1]
+	}
+	if text != "" && text[len(text)-1] == '\r' {
+		text = text[:len(text)-1]
+	}
+	return text, terminated
+}
+
+// errUnexpectedRecord rejects a line where a batch's next record must
+// start.
+func errUnexpectedRecord(line string) error {
+	text, _ := cutLine(line)
+	return fmt.Errorf("expected a frame, stack or stream record, got %q", text)
 }
 
 // noCommittedRecords reports whether data is empty or a strict prefix of
@@ -243,18 +334,6 @@ func describeIndexHeader(data string) string {
 	return fmt.Sprintf("a headerless (version 1) or unrecognised index starting %q", first)
 }
 
-// parseFrameRecord parses the field of one "f" line (after the tag).
-func parseFrameRecord(s string) (string, error) {
-	frame, rest, err := cutQuoted(s)
-	if err != nil {
-		return "", fmt.Errorf("frame: %v", err)
-	}
-	if rest != "" {
-		return "", fmt.Errorf("trailing %q after frame", rest)
-	}
-	return frame, nil
-}
-
 // parseStackRecord parses the fields of one "k" line (after the tag): a
 // stack of at least one frame, each one of the nframes defined so far.
 func parseStackRecord(s string, nframes int) ([]FrameID, error) {
@@ -269,7 +348,7 @@ func parseStackRecord(s string, nframes int) ([]FrameID, error) {
 			return nil, fmt.Errorf("bad frame id %q", field)
 		}
 		if f >= nframes {
-			return nil, fmt.Errorf("stack names frame %d, but %d are defined", f, nframes)
+			return nil, undefinedRef(fmt.Errorf("stack names frame %d, but %d are defined", f, nframes))
 		}
 		st[i] = FrameID(f)
 	}
@@ -277,38 +356,31 @@ func parseStackRecord(s string, nframes int) ([]FrameID, error) {
 }
 
 // parseStreamRecord parses the fields of one "s" line (after the tag).
-// The leading sequence number must equal seq, the record's zero-based
-// position in the index.
-func parseStreamRecord(s string, seq int) (StreamMeta, int, error) {
-	var m StreamMeta
+func parseStreamRecord(s string) (seq int, m StreamMeta, ninst int, err error) {
 	field, s, _ := strings.Cut(s, " ")
-	got, err := strconv.Atoi(field)
-	if err != nil {
-		return m, 0, fmt.Errorf("bad sequence number %q", field)
-	}
-	if got != seq {
-		return m, 0, fmt.Errorf("sequence number %d at position %d (index truncated or rewritten?)", got, seq)
+	if seq, err = strconv.Atoi(field); err != nil {
+		return 0, m, 0, fmt.Errorf("bad sequence number %q", field)
 	}
 	m.File = streamFileName(seq)
 	if m.ID, s, err = cutQuoted(s); err != nil {
-		return m, 0, fmt.Errorf("stream id: %v", err)
+		return seq, m, 0, fmt.Errorf("stream id: %v", err)
 	}
 	fields := strings.Fields(s)
 	if len(fields) != 3 {
-		return m, 0, fmt.Errorf("want 3 numeric fields, got %d", len(fields))
+		return seq, m, 0, fmt.Errorf("want 3 numeric fields, got %d", len(fields))
 	}
 	var n [3]int64
 	for i, f := range fields {
 		if n[i], err = strconv.ParseInt(f, 10, 64); err != nil {
-			return m, 0, fmt.Errorf("bad number %q", f)
+			return seq, m, 0, fmt.Errorf("bad number %q", f)
 		}
 	}
 	if err := checkStreamRecord(n[0], Duration(n[1]), n[2]); err != nil {
-		return m, 0, err
+		return seq, m, 0, err
 	}
 	m.Events = int(n[0])
 	m.Duration = Duration(n[1])
-	return m, int(n[2]), nil
+	return seq, m, int(n[2]), nil
 }
 
 // parseInstanceRecord parses the fields of one "i" line (after the tag).

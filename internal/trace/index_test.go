@@ -52,7 +52,7 @@ func TestInternRecordsRoundTrip(t *testing.T) {
 func TestInternRecordsValidateFrameIDs(t *testing.T) {
 	const tail = "f \"only\"\nk 1\ns 0 \"m\" 0 0 0\n"
 	it := NewInternTable()
-	if _, _, err := parseRecords(tail, 0, it); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "stack names frame 1") {
+	if _, _, err := parseRecords(tail, 0, it); !errors.Is(err, ErrBadFormat) || !errors.Is(err, ErrUndefinedRef) || !strings.Contains(err.Error(), "stack names frame 1") {
 		t.Fatalf("stack naming an undefined frame: err = %v", err)
 	}
 	if it.NumFrames() != 0 {

@@ -163,6 +163,8 @@ func TestIndexRejectsBadEntries(t *testing.T) {
 		{"unquoted-frame", "f a!b\n" + stream},
 		{"file-entry", "s 0 \"stream-00000.tsc4\" \"m\" 0 0 0\n"},
 		{"unclosed-batch", stream + "f \"a!b\"\n"},
+		{"negative-duration", "s 0 \"m\" 0 -1 0\n"},
+		{"negative-event-count", "s 0 \"m\" -1 0 0\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

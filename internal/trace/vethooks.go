@@ -4,7 +4,8 @@ package trace
 // to open the *valid prefix* of a crash-torn corpus — something the
 // strict OpenDir path refuses by design — so the package-private decode
 // primitives are exposed here as plain funcs over byte slices, with no
-// directory walking.
+// directory walking. The verifier reads the index itself line by line
+// with ParseIndexLine (index.go).
 
 // ReadIndexIntern parses a complete corpus.index and returns the intern
 // table its f and k records define.

@@ -1,7 +1,8 @@
 // Corpus verification: the on-disk rules over a corpus directory. VetDir
 // deliberately does not open the corpus through trace.OpenDir — the
 // strict loader refuses damaged corpora outright, and the verifier's job
-// is to read past the damage and say precisely what and where it is. The
+// is to read past the damage and say precisely what and where it is. It
+// reads with the loader's grammar and decoder all the same. The
 // classification leans on the Appender's commit ordering (the whole
 // stream file first, then its batch of index records in one write): a
 // crash can leave an orphan — possibly half-written — stream file and a
@@ -12,7 +13,7 @@
 package tracevet
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func VetDir(dir string, opts Options) (*Report, error) {
 		return finishReport(diags, 0, tailOffset, opts.Recorder), nil
 	}
 
-	if sc.usable && len(sc.metas) > 0 {
+	if !hasErrors(diags) && len(sc.metas) > 0 {
 		// The scan found the prefix whole; the strict loader must too.
 		if table, err := trace.ReadIndexIntern(indexData[:sc.tailOffset]); err != nil {
 			diags = append(diags, vd(indexName, 1, "index-seq", diag.SevError,
@@ -106,18 +107,11 @@ func vetDirStream(dir string, m trace.StreamMeta, table *trace.InternTable, scra
 		return fail("stream-decode", "indexed stream file is missing: %v", err)
 	}
 
-	skim, serr := skimV4Header(raw)
-	if serr != "" {
-		return fail("stream-decode", "stream file does not parse: %s", serr)
-	}
-	if dangling := skim.dangling(table); len(dangling) > 0 && opts.enabled("intern-ref") {
-		for _, d := range dangling {
-			diags = append(diags, vd(m.File, 1, "intern-ref", diag.SevError, "%s", d))
-		}
-		return diags
-	}
 	s, err := trace.ReadStreamV4(raw, table, scratch)
 	if err != nil {
+		if errors.Is(err, trace.ErrUndefinedRef) && opts.enabled("intern-ref") {
+			return fail("intern-ref", "stream file names an intern entry the index does not define: %v", err)
+		}
 		return fail("stream-decode", "stream file does not decode: %v", err)
 	}
 	diags = append(diags, vetStream(s, m.File, opts)...)
@@ -146,74 +140,6 @@ func vetStreamDups(sc *scannedIndex, opts Options) []diag.Diagnostic {
 	return diags
 }
 
-// skimmedV4 is the reference surface of one TSC4 header: the global
-// intern IDs its local tables name.
-type skimmedV4 struct {
-	frames []uint64
-	stacks []uint64
-}
-
-// dangling lists the stream's references that fall outside the intern
-// table the index defines, in table order.
-func (sk *skimmedV4) dangling(table *trace.InternTable) []string {
-	var out []string
-	for li, g := range sk.frames {
-		if g >= uint64(table.NumFrames()) {
-			out = append(out, fmt.Sprintf("local frame %d references frame %d of the %d the index defines (dangling)",
-				li, g, table.NumFrames()))
-		}
-	}
-	for li, g := range sk.stacks {
-		if g >= uint64(table.NumStacks()) {
-			out = append(out, fmt.Sprintf("local stack %d references stack %d of the %d the index defines (dangling)",
-				li, g, table.NumStacks()))
-		}
-	}
-	return out
-}
-
-// skimV4Header parses a TSC4 container through its local frame and
-// stack tables — enough to name every intern reference — without
-// decoding threads, instances, or events.
-func skimV4Header(raw []byte) (*skimmedV4, string) {
-	if len(raw) < 6 || string(raw[:4]) != "TSC4" {
-		return nil, "bad TSC4 magic"
-	}
-	if v := binary.LittleEndian.Uint16(raw[4:6]); v != 4 {
-		return nil, fmt.Sprintf("container version %d, want 4", v)
-	}
-	off := 6
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	idLen, ok := uv()
-	if !ok || uint64(len(raw)-off) < idLen {
-		return nil, "truncated stream id"
-	}
-	off += int(idLen)
-	sk := &skimmedV4{}
-	for _, tab := range []*[]uint64{&sk.frames, &sk.stacks} {
-		n, ok := uv()
-		if !ok || n > 1<<24 {
-			return nil, "truncated local table header"
-		}
-		*tab = make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			g, ok := uv()
-			if !ok {
-				return nil, "truncated local table"
-			}
-			*tab = append(*tab, g)
-		}
-	}
-	return sk, ""
-}
-
 // vetOrphanFiles reports stream files on disk that the index does not
 // name. The Appender writes the stream file before its batch, so an
 // orphan is the footprint of an interrupted append (or of an index
@@ -222,9 +148,12 @@ func vetOrphanFiles(dir string, sc *scannedIndex, opts Options) []diag.Diagnosti
 	if !opts.enabled("tail-truncated") {
 		return nil
 	}
-	indexed := make(map[string]bool, len(sc.metas))
+	indexed := make(map[string]bool, len(sc.metas)+len(sc.refused))
 	for _, m := range sc.metas {
 		indexed[m.File] = true
+	}
+	for _, name := range sc.refused {
+		indexed[name] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

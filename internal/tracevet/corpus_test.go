@@ -48,19 +48,56 @@ func hasRule(rep *Report, rule string) bool {
 	return false
 }
 
+// TestVetDirClean: a corpus as the Appender writes it vets clean, and so
+// does every rewrite of its index the loader reads the same — trailing
+// blank lines, and CRLF line ends — structurally and semantically.
 func TestVetDirClean(t *testing.T) {
-	dir := buildCorpus(t, 3)
-	rep := mustVetDir(t, dir, Options{Semantic: true})
-	if rep.Findings() != 0 {
-		t.Fatalf("clean corpus has findings: %v", rep.Diags)
+	for name, edit := range map[string]func(string) string{
+		"as written":  func(s string) string { return s },
+		"blank lines": func(s string) string { return s + "\n\n" },
+		"CRLF":        func(s string) string { return strings.ReplaceAll(s, "\n", "\r\n") },
+	} {
+		dir := buildCorpus(t, 2)
+		editIndex(t, dir, edit)
+		for _, semantic := range []bool{false, true} {
+			rep := mustVetDir(t, dir, Options{Semantic: semantic})
+			if rep.Findings() != 0 || rep.Streams != 2 || rep.TailOffset != -1 || rep.Recoverable {
+				t.Fatalf("%s (semantic %v): report %+v, findings %v", name, semantic, rep, rep.Diags)
+			}
+		}
 	}
-	if rep.Streams != 3 || rep.TailOffset != -1 || rep.Recoverable {
-		t.Fatalf("report = %+v", rep)
-	}
-	// Blank lines, which the loader skips, are no torn tail.
-	editIndex(t, dir, func(s string) string { return s + "\n\n" })
-	if rep := mustVetDir(t, dir, Options{Semantic: true}); rep.Findings() != 0 || rep.TailOffset != -1 {
-		t.Fatalf("trailing blank lines: TailOffset %d, findings %v", rep.TailOffset, rep.Diags)
+}
+
+// TestVetDirIndexRecordFaults: a committed record the grammar refuses
+// is one index-seq error at its own line, naming the fault, and the
+// streams after it keep their positions.
+func TestVetDirIndexRecordFaults(t *testing.T) {
+	for _, tc := range []struct{ name, from, to, want string }{
+		{"event count past the table cap", `"machine-00" 4 `, `"machine-00" 268435457 `, "268435457"},
+		{"negative event count", `"machine-00" 4 `, `"machine-00" -4 `, "-4"},
+		{"negative duration", `"machine-00" 4 180 `, `"machine-00" 4 -1 `, "negative duration -1"},
+		{"unquoted frame", `f "drv.sys!block"`, `f drv.sys!block`, "bad quoted string"},
+	} {
+		dir := buildCorpus(t, 2)
+		editIndex(t, dir, func(s string) string {
+			if !strings.Contains(s, tc.from) {
+				t.Fatalf("%s: test setup: %q not in the index:\n%s", tc.name, tc.from, s)
+			}
+			return strings.Replace(s, tc.from, tc.to, 1)
+		})
+		index := readFile(t, filepath.Join(dir, "corpus.index"))
+		line := 1 + strings.Count(index[:strings.Index(index, tc.to)], "\n")
+		rep := mustVetDir(t, dir, Options{})
+		if len(rep.Diags) != 1 {
+			t.Fatalf("%s: want one finding, got %v", tc.name, rep.Diags)
+		}
+		d := rep.Diags[0]
+		if d.Analyzer != "index-seq" || d.Severity != diag.SevError || d.Pos.Line != line || !strings.Contains(d.Message, tc.want) {
+			t.Fatalf("%s: want an index-seq error at line %d naming %q, got %v", tc.name, line, tc.want, d)
+		}
+		if rep.Recoverable || rep.TailOffset != -1 {
+			t.Fatalf("%s: report = %+v", tc.name, rep)
+		}
 	}
 }
 

@@ -35,8 +35,11 @@ func FuzzVetStream(f *testing.F) {
 }
 
 // FuzzVetCorpus: VetDir must classify — never panic on — arbitrary
-// index and stream-file bytes. Determinism rides along: the same
-// corrupted corpus must render the same report twice.
+// index and stream-file bytes, and must agree with the loader, which
+// reads the index through the same grammar: trace.OpenDir succeeds
+// exactly when the report has no finding in corpus.index and no torn
+// tail, and then both count the same streams. Determinism rides along:
+// the same corrupted corpus must render the same report twice.
 func FuzzVetCorpus(f *testing.F) {
 	seedDir := f.TempDir()
 	app, err := trace.OpenAppender(seedDir)
@@ -54,6 +57,10 @@ func FuzzVetCorpus(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(index, stream)
+	f.Add(bytes.ReplaceAll(index, []byte("\n"), []byte("\r\n")), stream)
+	f.Add(bytes.Replace(index, []byte(`"m1" 4 `), []byte(`"m1" 268435457 `), 1), stream)
+	f.Add(bytes.Replace(index, []byte(`"m1" 4 180 `), []byte(`"m1" 4 -1 `), 1), stream)
+	f.Add(bytes.Replace(index, []byte("\ns 0 "), []byte("\ns 1 "), 1), stream)
 	f.Add([]byte("TSINDEX 5\nf \"a!b\"\nk 0 1\n"), []byte("TSC4"))
 	f.Add([]byte(""), []byte(""))
 	f.Fuzz(func(t *testing.T, index, stream []byte) {
@@ -75,6 +82,20 @@ func FuzzVetCorpus(f *testing.F) {
 		}
 		if renderReport(rep) != renderReport(again) {
 			t.Fatalf("report not deterministic:\n%s\nvs\n%s", renderReport(rep), renderReport(again))
+		}
+
+		indexClean := rep.TailOffset < 0
+		for _, d := range rep.Diags {
+			if d.Pos.Filename == "corpus.index" {
+				indexClean = false
+			}
+		}
+		src, err := trace.OpenDir(dir)
+		if (err == nil) != indexClean {
+			t.Fatalf("OpenDir err = %v, but the report's index is clean: %v\n%s", err, indexClean, renderReport(rep))
+		}
+		if err == nil && rep.Streams != src.NumStreams() {
+			t.Fatalf("report counts %d streams, OpenDir %d", rep.Streams, src.NumStreams())
 		}
 	})
 }

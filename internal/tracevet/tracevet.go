@@ -24,7 +24,10 @@
 //     batch of index records, so a crash leaves at worst an orphan
 //     stream file and a torn final batch) from corruption of committed
 //     data (rules index-seq, stream-dup, stream-decode, intern-ref,
-//     tail-truncated);
+//     tail-truncated). The index and the stream files are read with
+//     the loader's own parsers, trace.ParseIndexLine and
+//     trace.ReadStreamV4; what this package adds is the policy of
+//     reading past a fault, and which rule names it;
 //
 //   - semantic conservation cross-checks against the analysis layer:
 //     per-instance Dwaitdist bounded by wall time, Dwaitdist <= Dwait

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Corpus-verifier gate: generate a fleet with tracegen, prove tracevet
-# passes it clean (structural AND semantic rules), then corrupt the
-# corpus one deterministic bit-flip / truncation at a time and fail
-# unless every mutant is
+# passes it clean (structural AND semantic rules, with LF and with CRLF
+# line ends in corpus.index), then corrupt the corpus one deterministic
+# bit-flip / truncation / edit at a time and fail unless every mutant is
 #
 #   1. caught (tracevet exits non-zero with at least one finding),
 #   2. caught by the *expected* rule, and
@@ -41,6 +41,15 @@ echo "== vetting the clean corpus (structural + semantic, SARIF artifact)"
          cat "$WORK/clean.out" "$WORK/clean.err" >&2; exit 1; }
 [ -s "$WORK/clean.out" ] && { echo "clean corpus produced findings:" >&2
                               cat "$WORK/clean.out" >&2; exit 1; }
+
+echo "== vetting the clean corpus with CRLF line ends (the loader reads them the same)"
+cp -r "$WORK/corpus" "$WORK/corpus-crlf"
+sed -i 's/$/\r/' "$WORK/corpus-crlf/corpus.index"
+"$WORK/bin/tracevet" -semantic "$WORK/corpus-crlf" > "$WORK/crlf.out" 2> "$WORK/crlf.err" \
+    || { echo "CRLF corpus failed verification:" >&2
+         cat "$WORK/crlf.out" "$WORK/crlf.err" >&2; exit 1; }
+[ -s "$WORK/crlf.out" ] && { echo "CRLF corpus produced findings:" >&2
+                             cat "$WORK/crlf.out" >&2; exit 1; }
 
 # peak_rss_kb CMD... — run CMD quietly, print its peak resident set size
 # in KiB (Linux ru_maxrss), and exit with its status.
@@ -114,6 +123,15 @@ expect_caught index-header index-seq \
 seq_off="$(grep -b -o '^s 2 ' "$WORK/corpus/corpus.index" | head -1 | cut -d: -f1)"
 expect_caught index-gap index-seq \
     flip_bit "$WORK/mut-index-gap/corpus.index" $(( seq_off + 2 ))
+
+# A committed record the grammar refuses: the first stream record's
+# duration made negative.
+expect_caught neg-duration index-seq \
+    sed -i '0,/^s /s/^\(s [0-9]* "[^"]*" [0-9]*\) [0-9]*/\1 -1/' "$WORK/mut-neg-duration/corpus.index"
+if ! grep -q '"severity": "error"' "$WORK/neg-duration-w1.json"; then
+    echo "FAIL neg-duration: negative duration not reported as an error" >&2
+    failures=$((failures + 1))
+fi
 
 # Bit-flip in a committed stream file's magic: indexed-file corruption.
 expect_caught stream-magic stream-decode \
