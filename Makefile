@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build vet lint metrics-doc \
 	metrics-doc-update doc-names experiments-doc test test-short test-race test-allocs \
 	bench bench-smoke \
-	daemon-smoke diff-smoke vet-gate experiments experiments-md report fuzz clean
+	daemon-smoke diff-smoke vet-gate examples experiments experiments-md report fuzz clean
 
 all: build vet lint test
 
@@ -56,6 +56,14 @@ experiments-doc:
 # module must still name a non-test declaration.
 doc-names:
 	./scripts/doc_names.sh
+
+# Example gate (CI gates on this): run every examples/*/ program to the
+# end. A facade name stays because an example uses it, so compiling the
+# examples is not enough; each must also exit zero.
+examples:
+	for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d exited non-zero" >&2; exit 1; }; \
+	done
 
 test:
 	$(GO) test ./...

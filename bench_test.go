@@ -33,7 +33,7 @@ var (
 func benchSetup(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSuite = experiments.NewSuite(scenario.Config{Seed: 1, Streams: 12, Episodes: 10})
+		benchSuite = experiments.NewSuiteOptions(scenario.Config{Seed: 1, Streams: 12, Episodes: 10})
 		benchCorpus = benchSuite.Corpus
 	})
 	return benchSuite

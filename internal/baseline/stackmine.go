@@ -26,14 +26,6 @@ type StackPattern struct {
 	Count int64
 }
 
-// AvgCost is the pattern's average wait per occurrence.
-func (p StackPattern) AvgCost() trace.Duration {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Cost / trace.Duration(p.Count)
-}
-
 // String renders the prefix in call order.
 func (p StackPattern) String() string {
 	return strings.Join(p.Frames, " > ")

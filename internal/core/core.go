@@ -103,9 +103,6 @@ func NewAnalyzer(src trace.Source, options ...Option) *Analyzer {
 	return &Analyzer{src: src, opts: opts, rec: obs.OrNop(opts.Recorder)}
 }
 
-// Source returns the corpus source under analysis.
-func (a *Analyzer) Source() trace.Source { return a.src }
-
 // Err reports the stream-fetch failure that made the latest fold fail
 // or, if it did not fail, the first one LocatePattern or
 // ImpactByComponent has met since. No call answers over part of the

@@ -10,48 +10,6 @@ import (
 	"tracescope/internal/waitgraph"
 )
 
-// KnownPattern is an analyst-supplied by-design behaviour to separate
-// from actionable findings — the paper's §5.2.5 future-work direction
-// ("we need to incorporate such knowledge to filter out some known and
-// exceptional cases", e.g. Disk Protection halting I/O by design).
-type KnownPattern struct {
-	// Name labels the exception in reports.
-	Name string
-	// Tuple is matched by containment: any discovered pattern containing
-	// this tuple is classified as known.
-	Tuple sigset.Tuple
-}
-
-// DiskProtectionByDesign is the paper's own example of a by-design
-// exception: dp.sys halting reads and writes while the machine is in
-// motion.
-func DiskProtectionByDesign() KnownPattern {
-	return KnownPattern{
-		Name:  "disk-protection-halt",
-		Tuple: sigset.New([]string{"dp.sys!CheckMotion"}, nil, nil),
-	}
-}
-
-// FilterKnown splits ranked patterns into actionable ones and known
-// by-design ones, preserving rank order in both lists.
-func FilterKnown(patterns []mining.Pattern, known []KnownPattern) (actionable, byDesign []mining.Pattern) {
-	for _, p := range patterns {
-		matched := false
-		for _, k := range known {
-			if p.Tuple.Contains(k.Tuple) {
-				matched = true
-				break
-			}
-		}
-		if matched {
-			byDesign = append(byDesign, p)
-		} else {
-			actionable = append(actionable, p)
-		}
-	}
-	return actionable, byDesign
-}
-
 // graphsOver is the extensions' decode-use-drop walk: fn sees the Wait
 // Graph of each ref, built from a stream that is fetched for the walk
 // and dropped when its last ref is done (impact.GraphsOver). It reports

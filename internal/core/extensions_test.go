@@ -9,36 +9,6 @@ import (
 	"tracescope/internal/trace"
 )
 
-func TestFilterKnown(t *testing.T) {
-	patterns := []mining.Pattern{
-		{Tuple: sigset.New([]string{"fv.sys!Query", "fs.sys!AcquireMDU"}, nil, nil)},
-		{Tuple: sigset.New([]string{"dp.sys!CheckMotion", "fs.sys!Read"}, nil, nil)},
-		{Tuple: sigset.New([]string{"net.sys!Transfer"}, nil, nil)},
-	}
-	actionable, byDesign := FilterKnown(patterns, []KnownPattern{DiskProtectionByDesign()})
-	if len(actionable) != 2 || len(byDesign) != 1 {
-		t.Fatalf("actionable=%d byDesign=%d, want 2/1", len(actionable), len(byDesign))
-	}
-	for _, s := range byDesign[0].Tuple.Wait {
-		if s == "dp.sys!CheckMotion" {
-			return
-		}
-	}
-	t.Error("wrong pattern classified as by-design")
-}
-
-func TestFilterKnownEmpty(t *testing.T) {
-	actionable, byDesign := FilterKnown(nil, []KnownPattern{DiskProtectionByDesign()})
-	if len(actionable) != 0 || len(byDesign) != 0 {
-		t.Error("empty input produced output")
-	}
-	patterns := []mining.Pattern{{Tuple: sigset.New([]string{"x"}, nil, nil)}}
-	actionable, byDesign = FilterKnown(patterns, nil)
-	if len(actionable) != 1 || len(byDesign) != 0 {
-		t.Error("no known patterns must keep everything actionable")
-	}
-}
-
 func TestLocatePattern(t *testing.T) {
 	a := NewAnalyzer(testCorpus(t))
 	tfast, tslow, _ := scenario.Thresholds(scenario.WebPageNavigation)

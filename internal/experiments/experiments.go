@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"tracescope/internal/awg"
 	"tracescope/internal/baseline"
@@ -36,12 +35,6 @@ type Suite struct {
 	Corpus *trace.Corpus
 	Source trace.Source
 	An     *core.Analyzer
-}
-
-// NewSuite generates the corpus and indexes it with default analysis
-// options.
-func NewSuite(cfg scenario.Config) *Suite {
-	return NewSuiteOptions(cfg)
 }
 
 // NewSuiteOptions generates the corpus and indexes it with the given
@@ -421,18 +414,6 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// ScenarioDurations returns all instance durations of a scenario in
-// milliseconds (for distribution inspection).
-func (s *Suite) ScenarioDurations(name string) []float64 {
-	var out []float64
-	src := s.src()
-	for _, ref := range src.InstancesOf(name) {
-		out = append(out, src.InstanceMeta(ref).Duration().Milliseconds())
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // Granularity sweeps the fs.sys/fv.sys lock granularity and measures the

@@ -10,7 +10,7 @@ import (
 
 func smallSuite(t *testing.T) *Suite {
 	t.Helper()
-	return NewSuite(scenario.Config{Seed: 5, Streams: 8, Episodes: 8})
+	return NewSuiteOptions(scenario.Config{Seed: 5, Streams: 8, Episodes: 8})
 }
 
 func TestHeadlineComparisons(t *testing.T) {
@@ -112,19 +112,6 @@ func TestHardFaultAndBaselines(t *testing.T) {
 	}
 }
 
-func TestScenarioDurationsSorted(t *testing.T) {
-	s := smallSuite(t)
-	ds := s.ScenarioDurations(scenario.WebPageNavigation)
-	if len(ds) == 0 {
-		t.Fatal("no durations")
-	}
-	for i := 1; i < len(ds); i++ {
-		if ds[i] < ds[i-1] {
-			t.Fatal("durations not sorted")
-		}
-	}
-}
-
 func TestWriteMarkdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation in -short mode")
@@ -160,7 +147,7 @@ func TestGranularitySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep generates four corpora")
 	}
-	s := NewSuite(scenario.Config{Seed: 2, Streams: 8, Episodes: 6})
+	s := NewSuiteOptions(scenario.Config{Seed: 2, Streams: 8, Episodes: 6})
 	tb, err := s.Granularity()
 	if err != nil {
 		t.Fatal(err)

@@ -109,17 +109,17 @@ func TestThresholdsKnown(t *testing.T) {
 
 func TestEveryScenarioHasEntryFrame(t *testing.T) {
 	for _, name := range All() {
-		frame, ok := EntryFrame(name)
+		d, ok := Lookup(name)
+		frame := d.EntryFrame
 		if !ok || frame == "" {
 			t.Errorf("%s: no entry frame", name)
 			continue
 		}
-		d, _ := Lookup(name)
 		if got := trace.Module(frame); got != d.Process {
 			t.Errorf("%s: entry frame module %q != process %q", name, got, d.Process)
 		}
 	}
-	if _, ok := EntryFrame("NoSuch"); ok {
+	if _, ok := Lookup("NoSuch"); ok {
 		t.Error("unknown scenario has an entry frame")
 	}
 }
@@ -132,7 +132,8 @@ func TestEntryFramesAppearInGeneratedTraces(t *testing.T) {
 			if seen[in.Scenario] {
 				continue
 			}
-			frame, _ := EntryFrame(in.Scenario)
+			d, _ := Lookup(in.Scenario)
+			frame := d.EntryFrame
 			// Some event of the initiating thread inside the window must
 			// carry the entry frame.
 			for _, e := range s.Events {

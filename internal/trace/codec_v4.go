@@ -127,6 +127,93 @@ func writeEventBlocks(w io.Writer, events []Event, enc *colfmt.Encoder, compress
 	return flush()
 }
 
+// decodeHeader decodes everything of a stream container before its event
+// blocks into b — magic and version, ID, frame and stack tables (TSCP's
+// own when it is nil, else references into it), threads and instances —
+// and returns the ID and the declared event count, leaving c at the
+// first event block. It is the one reader of that layout: decodeStream
+// goes on to decode the blocks, CollectDirStats only to skim them.
+func (b *Scratch) decodeHeader(c *byteCursor, it *InternTable) (id string, nEvents int, err error) {
+	if err := c.header(it == nil); err != nil {
+		return "", 0, err
+	}
+	if id, err = c.string(); err != nil {
+		return "", 0, err
+	}
+	if it == nil {
+		err = b.wireTables(c)
+	} else {
+		err = b.internedTables(c, it)
+	}
+	if err != nil {
+		return "", 0, err
+	}
+
+	// Threads.
+	nThreads, err := c.tableLen()
+	if err != nil {
+		return "", 0, err
+	}
+	b.mapPeak = max(b.mapPeak, nThreads)
+	if b.threads == nil {
+		b.threads = make(map[ThreadID]ThreadInfo, prealloc(nThreads))
+	} else {
+		clear(b.threads)
+	}
+	for i := 0; i < nThreads; i++ {
+		tid, err := c.varint()
+		if err != nil {
+			return "", 0, err
+		}
+		proc, err := c.string()
+		if err != nil {
+			return "", 0, err
+		}
+		name, err := c.string()
+		if err != nil {
+			return "", 0, err
+		}
+		b.threads[ThreadID(tid)] = ThreadInfo{Process: proc, Name: name}
+	}
+
+	// Instances.
+	nInst, err := c.tableLen()
+	if err != nil {
+		return "", 0, err
+	}
+	if cap(b.instances) < nInst {
+		b.instances = make([]Instance, 0, prealloc(nInst))
+	}
+	b.instances = b.instances[:0]
+	for i := 0; i < nInst; i++ {
+		scen, err := c.string()
+		if err != nil {
+			return "", 0, err
+		}
+		tid, err := c.varint()
+		if err != nil {
+			return "", 0, err
+		}
+		start, err := c.varint()
+		if err != nil {
+			return "", 0, err
+		}
+		end, err := c.varint()
+		if err != nil {
+			return "", 0, err
+		}
+		b.instances = append(b.instances, Instance{
+			Scenario: scen, TID: ThreadID(tid), Start: Time(start), End: Time(end),
+		})
+	}
+
+	// Events: their count; the colfmt blocks follow.
+	if nEvents, err = c.tableLen(); err != nil {
+		return "", 0, err
+	}
+	return id, nEvents, nil
+}
+
 // decodeStream decodes one stream container from data into the buffer
 // set b: a TSCP body when it is nil, else a TSC4 stream file whose tables
 // reference it. The two differ only in their frame and stack tables;
@@ -139,82 +226,7 @@ func writeEventBlocks(w io.Writer, events []Event, enc *colfmt.Encoder, compress
 // block. On error b is untouched enough to be reused.
 func decodeStream(data []byte, it *InternTable, b *Scratch) (s *Stream, blocksAt int, err error) {
 	c := &byteCursor{data: data}
-	if err := c.header(it == nil); err != nil {
-		return nil, 0, err
-	}
-	id, err := c.string()
-	if err != nil {
-		return nil, 0, err
-	}
-	if it == nil {
-		err = b.wireTables(c)
-	} else {
-		err = b.internedTables(c, it)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Threads.
-	nThreads, err := c.tableLen()
-	if err != nil {
-		return nil, 0, err
-	}
-	b.mapPeak = max(b.mapPeak, nThreads)
-	if b.threads == nil {
-		b.threads = make(map[ThreadID]ThreadInfo, prealloc(nThreads))
-	} else {
-		clear(b.threads)
-	}
-	for i := 0; i < nThreads; i++ {
-		tid, err := c.varint()
-		if err != nil {
-			return nil, 0, err
-		}
-		proc, err := c.string()
-		if err != nil {
-			return nil, 0, err
-		}
-		name, err := c.string()
-		if err != nil {
-			return nil, 0, err
-		}
-		b.threads[ThreadID(tid)] = ThreadInfo{Process: proc, Name: name}
-	}
-
-	// Instances.
-	nInst, err := c.tableLen()
-	if err != nil {
-		return nil, 0, err
-	}
-	if cap(b.instances) < nInst {
-		b.instances = make([]Instance, 0, prealloc(nInst))
-	}
-	b.instances = b.instances[:0]
-	for i := 0; i < nInst; i++ {
-		scen, err := c.string()
-		if err != nil {
-			return nil, 0, err
-		}
-		tid, err := c.varint()
-		if err != nil {
-			return nil, 0, err
-		}
-		start, err := c.varint()
-		if err != nil {
-			return nil, 0, err
-		}
-		end, err := c.varint()
-		if err != nil {
-			return nil, 0, err
-		}
-		b.instances = append(b.instances, Instance{
-			Scenario: scen, TID: ThreadID(tid), Start: Time(start), End: Time(end),
-		})
-	}
-
-	// Events: colfmt blocks.
-	nEvents, err := c.tableLen()
+	id, nEvents, err := b.decodeHeader(c, it)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Corpus is a collection of trace streams, the unit over which impact and
@@ -133,6 +135,19 @@ func (c *Corpus) WriteDir(dir string) error {
 // streamFileName names stream i's columnar container file.
 func streamFileName(i int) string {
 	return fmt.Sprintf("stream-%05d.tsc4", i)
+}
+
+// StreamFileSeq is streamFileName's inverse: the sequence number of the
+// stream whose file is called name, and whether name is one the Appender
+// writes at all.
+func StreamFileSeq(name string) (seq int, ok bool) {
+	digits, _ := strings.CutPrefix(name, "stream-")
+	digits, _ = strings.CutSuffix(digits, ".tsc4")
+	seq, err := strconv.Atoi(digits)
+	if err != nil || seq < 0 || streamFileName(seq) != name {
+		return 0, false
+	}
+	return seq, true
 }
 
 // ReadDir loads a corpus previously written with WriteDir eagerly into

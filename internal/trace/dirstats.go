@@ -32,10 +32,12 @@ type DirStats struct {
 	IndexBytes  int64
 }
 
-// CollectDirStats opens dir with OpenDir and skims every stream file for
-// the stats above. It parses stream headers and block framing only —
-// event payloads are never decompressed or decoded — so it runs at I/O
-// speed even on paper-scale corpora.
+// CollectDirStats opens dir with OpenDir and reads every stream file for
+// the stats above. A file's header is decoded by the code that decodes
+// it for DirSource.StreamInto (decodeHeader), so a header the source
+// refuses is refused here too; of the event blocks only the framing is
+// read — no payload is decompressed or decoded — so it runs at I/O speed
+// even on paper-scale corpora.
 func CollectDirStats(dir string) (DirStats, error) {
 	var st DirStats
 	d, err := OpenDir(dir)
@@ -47,77 +49,30 @@ func CollectDirStats(dir string) (DirStats, error) {
 	if st.IndexBytes, err = fileLen(filepath.Join(dir, indexFile)); err != nil {
 		return st, err
 	}
+	var sc Scratch
 	for _, m := range d.metas {
 		fdata, err := os.ReadFile(filepath.Join(dir, m.File))
 		if err != nil {
 			return st, err
 		}
 		st.StreamBytes += int64(len(fdata))
-		if err := skimStreamV4(fdata, &st); err != nil {
+		c := &byteCursor{data: fdata}
+		_, nEvents, err := sc.decodeHeader(c, d.intern)
+		if err == nil {
+			err = skimEventBlocks(c, nEvents, &st)
+		}
+		if err != nil {
 			return st, fmt.Errorf("trace: %s: %w", m.File, err)
 		}
 	}
 	return st, nil
 }
 
-// skimStreamV4 walks one TSC4 file's header and block framing,
-// accumulating block counts and payload sizes into st. It reads table
-// lengths and string bounds but no event payloads.
-func skimStreamV4(data []byte, st *DirStats) error {
-	c := &byteCursor{data: data}
-	if len(data) < len(binaryMagicV4)+2 || string(data[:len(binaryMagicV4)]) != binaryMagicV4 {
-		return fmt.Errorf("%w: bad v4 magic", ErrBadFormat)
-	}
-	c.off = len(binaryMagicV4) + 2
-	if _, err := c.string(); err != nil { // stream ID
-		return err
-	}
-	for t := 0; t < 2; t++ { // frame then stack reference tables
-		n, err := c.tableLen()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if _, err := c.uvarint(); err != nil {
-				return err
-			}
-		}
-	}
-	nThreads, err := c.tableLen()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nThreads; i++ {
-		if _, err := c.varint(); err != nil {
-			return err
-		}
-		if _, err := c.string(); err != nil {
-			return err
-		}
-		if _, err := c.string(); err != nil {
-			return err
-		}
-	}
-	nInst, err := c.tableLen()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nInst; i++ {
-		if _, err := c.string(); err != nil {
-			return err
-		}
-		for f := 0; f < 3; f++ {
-			if _, err := c.varint(); err != nil {
-				return err
-			}
-		}
-	}
-	nEvents, err := c.tableLen()
-	if err != nil {
-		return err
-	}
+// skimEventBlocks walks the block framing from c to the end of its data,
+// accumulating block counts and payload sizes into st.
+func skimEventBlocks(c *byteCursor, nEvents int, st *DirStats) error {
 	for consumed := 0; consumed < nEvents; {
-		bi, n, err := colfmt.SkimBlock(data[c.off:])
+		bi, n, err := colfmt.SkimBlock(c.data[c.off:])
 		if err != nil {
 			return fmt.Errorf("%w: event block at offset %d: %v", ErrBadFormat, c.off, err)
 		}
@@ -130,8 +85,8 @@ func skimStreamV4(data []byte, st *DirStats) error {
 		st.EventBytesStored += int64(bi.StoredLen)
 		st.EventBytesRaw += int64(bi.RawLen)
 	}
-	if c.off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes after events", ErrBadFormat, len(data)-c.off)
+	if c.off != len(c.data) {
+		return fmt.Errorf("%w: %d trailing bytes after events", ErrBadFormat, len(c.data)-c.off)
 	}
 	return nil
 }

@@ -147,9 +147,6 @@ func NewFilterCache(f *ComponentFilter) *FilterCache {
 	return &FilterCache{f: f, marks: Marks{epoch: firstEpoch}}
 }
 
-// Filter returns the underlying filter.
-func (c *FilterCache) Filter() *ComponentFilter { return c.f }
-
 // bind makes s the current stream, discarding the previous stream's
 // resolved signatures.
 func (c *FilterCache) bind(s *Stream) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +31,7 @@ func addIndexSeeds(f *testing.F) {
 	f.Add("TSINDEX 4\ns 0 \"a\" \"b\" 1 1 0\n")
 	f.Add("TSINDEX 5\n")
 	f.Add("TSINDEX 5")
+	f.Add("TSINDEX 5\r")
 	f.Add("TSINDEX 5\nf \"a!b\"\nk 0 0\n")
 	f.Add("TSINDEX 5\nf \"a!b\"\nk 1\ns 0 \"a\" 1 1 0\n")
 	f.Add("TSINDEX 5\ns 0 \"a\" 1 1 268435456\n")
@@ -50,6 +52,9 @@ func FuzzParseIndex(f *testing.F) {
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("rejection is not ErrBadFormat: %v", err)
+			}
+			if found := fmt.Sprintf("found index version %d ", indexVersion); strings.Contains(err.Error(), found) {
+				t.Fatalf("rejection names the supported version as the one found: %v", err)
 			}
 			return
 		}

@@ -321,7 +321,8 @@ func noCommittedRecords(data string) bool {
 // describeIndexHeader says, for parseIndex's rejection, what data holds
 // in place of the header line.
 func describeIndexHeader(data string) string {
-	if noCommittedRecords(data) {
+	// A header line torn before its newline, LF- or CRLF-ended.
+	if strings.HasPrefix(indexHeader+"\r", data) {
 		return "an empty or torn index header"
 	}
 	first, _, _ := strings.Cut(data, "\n")

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,6 +113,36 @@ func TestOpenRefusesVersion4Index(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("%s: error %q does not mention %q", name, err, want)
 			}
+		}
+	}
+}
+
+// TestOpenCallsTornCRLFHeaderTorn: an index holding only a CRLF header
+// line torn before its newline is a torn header, not a corpus of some
+// other version to regenerate — least of all of the supported one.
+func TestOpenCallsTornCRLFHeaderTorn(t *testing.T) {
+	dir := t.TempDir()
+	mustWriteFile(t, filepath.Join(dir, indexFile), indexHeader+"\r")
+	_, err := OpenDir(dir)
+	if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "torn index header") {
+		t.Fatalf("OpenDir over %q: err = %v, want a torn-header ErrBadFormat", indexHeader+"\r", err)
+	}
+	if found := fmt.Sprintf("found index version %d ", indexVersion); strings.Contains(err.Error(), found) {
+		t.Fatalf("OpenDir over %q: error %q names the supported version as the one found", indexHeader+"\r", err)
+	}
+}
+
+// StreamFileSeq reads back exactly the names streamFileName writes.
+func TestStreamFileSeq(t *testing.T) {
+	for _, seq := range []int{0, 1, 42, 99999, 123456} {
+		if got, ok := StreamFileSeq(streamFileName(seq)); !ok || got != seq {
+			t.Fatalf("StreamFileSeq(%q) = %d, %v; want %d, true", streamFileName(seq), got, ok, seq)
+		}
+	}
+	for _, name := range []string{"", "stream-notes.tsc4", "stream-1.tsc4", "stream-+0001.tsc4",
+		"stream--0001.tsc4", "stream-00001.tscp", "stream-00001.tsc4.bak", "00001", "x-00001.tsc4"} {
+		if seq, ok := StreamFileSeq(name); ok {
+			t.Fatalf("StreamFileSeq(%q) = %d, true; the Appender never writes that name", name, seq)
 		}
 	}
 }

@@ -39,24 +39,6 @@ func (t *InternTable) NumFrames() int { return len(t.frames) }
 // NumStacks returns the number of interned stacks.
 func (t *InternTable) NumStacks() int { return len(t.stacks) }
 
-// Frame returns the frame string for a global frame ID, or "" when out
-// of range.
-func (t *InternTable) Frame(id FrameID) string {
-	if id < 0 || int(id) >= len(t.frames) {
-		return ""
-	}
-	return t.frames[id]
-}
-
-// StackFrames returns the global frame IDs of a global stack ID. The
-// returned slice is owned by the table and must not be modified.
-func (t *InternTable) StackFrames(id StackID) []FrameID {
-	if id < 0 || int(id) >= len(t.stacks) {
-		return nil
-	}
-	return t.stacks[id]
-}
-
 // internFrame returns the global ID for frame, interning it if new.
 func (t *InternTable) internFrame(frame string) FrameID {
 	if t.frameIndex == nil {

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"tracescope/internal/diag"
 	"tracescope/internal/engine"
@@ -162,10 +161,7 @@ func vetOrphanFiles(dir string, sc *scannedIndex, opts Options) []diag.Diagnosti
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || indexed[name] || !strings.HasPrefix(name, "stream-") {
-			continue
-		}
-		if strings.HasSuffix(name, ".tsc4") {
+		if _, ok := trace.StreamFileSeq(name); ok && !e.IsDir() && !indexed[name] {
 			names = append(names, name)
 		}
 	}

@@ -304,6 +304,19 @@ func TestVetDirUnsupportedVersion(t *testing.T) {
 	}
 }
 
+// TestVetDirIgnoresForeignStreamNames: only a name the Appender could
+// have written is an orphan stream file "safe to delete"; any other file
+// in the directory is not the verifier's to judge.
+func TestVetDirIgnoresForeignStreamNames(t *testing.T) {
+	dir := buildCorpus(t, 2)
+	for _, name := range []string{"stream-notes.tsc4", "stream-1.tsc4", "stream-00002.tsc4.bak"} {
+		writeFile(t, filepath.Join(dir, name), "not a stream")
+	}
+	if rep := mustVetDir(t, dir, Options{Semantic: true}); len(rep.Diags) != 0 {
+		t.Fatalf("foreign files judged: %v", rep.Diags)
+	}
+}
+
 // TestVetDirHalfWrittenStreamFile: a stream file the index never
 // committed — the other Appender crash shape — is an orphan note.
 func TestVetDirHalfWrittenStreamFile(t *testing.T) {

@@ -53,7 +53,6 @@ import (
 	"tracescope/internal/awg"
 	"tracescope/internal/baseline"
 	"tracescope/internal/core"
-	"tracescope/internal/detect"
 	"tracescope/internal/impact"
 	"tracescope/internal/mining"
 	"tracescope/internal/obs"
@@ -198,9 +197,6 @@ type (
 
 // Analyst-workflow extensions.
 type (
-	// KnownPattern is a by-design behaviour to separate from actionable
-	// findings (the paper's §5.2.5 future-work direction).
-	KnownPattern = core.KnownPattern
 	// PatternOccurrence is a concrete instance exhibiting a pattern.
 	PatternOccurrence = core.PatternOccurrence
 	// ComponentImpact is one module's share in a per-driver breakdown.
@@ -220,17 +216,6 @@ type (
 func DiffPatterns(before, after *CausalityResult) PatternDiff {
 	return core.DiffPatterns(before, after)
 }
-
-// FilterKnown splits ranked patterns into actionable and known by-design
-// ones, preserving rank order.
-func FilterKnown(patterns []Pattern, known []KnownPattern) (actionable, byDesign []Pattern) {
-	return core.FilterKnown(patterns, known)
-}
-
-// DiskProtectionByDesign returns the paper's §5.2.5 example of a known
-// exceptional behaviour: dp.sys halting I/O while the machine is in
-// motion.
-func DiskProtectionByDesign() KnownPattern { return core.DiskProtectionByDesign() }
 
 // Baseline types (§6 comparisons).
 type (
@@ -420,9 +405,6 @@ func NewComponentFilter(patterns ...string) *ComponentFilter {
 // order.
 func SelectedScenarios() []string { return scenario.Selected() }
 
-// AllScenarios lists every scenario the generator can produce, sorted.
-func AllScenarios() []string { return scenario.All() }
-
 // Thresholds returns the developer thresholds (Tfast, Tslow) of a named
 // scenario.
 func Thresholds(name string) (tfast, tslow Duration, ok bool) {
@@ -518,27 +500,4 @@ func LockContention(src Source, filter *ComponentFilter) (*ContentionReport, err
 // fetch fails.
 func MineStacks(src Source, filter *ComponentFilter, minSupport int64) (*StackMineResult, error) {
 	return baseline.MineStacks(src, filter, minSupport)
-}
-
-// Detection types: deriving scenario instances from raw streams.
-type (
-	// DetectionRule maps a scenario entry-point frame to its scenario.
-	DetectionRule = detect.Rule
-	// Detector reconstructs scenario instances from raw streams.
-	Detector = detect.Detector
-)
-
-// NewDetector builds an instance detector from rules.
-func NewDetector(rules []DetectionRule) *Detector { return detect.NewDetector(rules) }
-
-// CatalogDetectionRules returns detection rules for every scenario the
-// generator can produce, keyed by their entry-point frames.
-func CatalogDetectionRules() []DetectionRule {
-	var rules []DetectionRule
-	for _, name := range scenario.All() {
-		if frame, ok := scenario.EntryFrame(name); ok && frame != "" {
-			rules = append(rules, DetectionRule{EntryFrame: frame, Scenario: name})
-		}
-	}
-	return rules
 }

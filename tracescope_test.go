@@ -60,9 +60,6 @@ func TestSelectedScenariosHaveThresholds(t *testing.T) {
 			t.Errorf("no thresholds for %s", n)
 		}
 	}
-	if len(tracescope.AllScenarios()) < len(names) {
-		t.Error("AllScenarios misses entries")
-	}
 }
 
 func TestBaselinesPublic(t *testing.T) {
@@ -123,26 +120,4 @@ func ExampleMotivatingCase() {
 	}
 	// Output:
 	// slow: true
-}
-
-func TestDetectionPublicAPI(t *testing.T) {
-	corpus := tracescope.Generate(tracescope.GenerateConfig{Seed: 10, Streams: 2, Episodes: 5})
-	d := tracescope.NewDetector(tracescope.CatalogDetectionRules())
-	s := corpus.Streams[0]
-	detected := d.Instances(s, 50*tracescope.Millisecond)
-	if len(detected) == 0 {
-		t.Fatal("nothing detected")
-	}
-	// Detected instances can replace the recorded ones and still support
-	// the analysis pipeline.
-	stripped := &tracescope.Corpus{}
-	for _, src := range corpus.Streams {
-		cp := *src
-		cp.Instances = d.Instances(src, 50*tracescope.Millisecond)
-		stripped.Add(&cp)
-	}
-	m := tracescope.NewAnalyzer(stripped).Impact(tracescope.AllDrivers(), "")
-	if m.IAwait() <= 0 {
-		t.Error("detected instances yield no impact signal")
-	}
 }
